@@ -362,7 +362,3 @@ def normalization_table(columns) -> str:
     for spec in columns:
         lines.append(f"{spec.name},{spec.observed_min!r},{spec.observed_max!r}")
     return "\n".join(lines) + "\n"
-
-
-def export_normalization(columns, path) -> None:
-    Path(path).write_text(normalization_table(columns), encoding="utf-8")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
@@ -35,7 +35,7 @@ from . import optimizers as optim_mod
 from .objective import MissingDataObjective
 from .seeding import derive_seed
 
-OPTIMIZER_METHODS = ("ga", "sa", "pso", "ns")
+OPTIMIZER_METHODS = optim_mod.ALGORITHM_TAGS
 ALL_METHODS = OPTIMIZER_METHODS + ("rf",)
 TASK_KINDS = ("prediction", "classification")
 FAILURE_MARKER = "FAILED.txt"
@@ -62,7 +62,6 @@ class ExperimentConfig:
     master_seed: int = 0
     output_dir: Path = Path("report")
     normalization_scope: str = "full"
-    jobs: int = 1
     train: network_mod.TrainConfig = field(default_factory=network_mod.TrainConfig)
     ga: optim_mod.GaConfig = field(default_factory=optim_mod.GaConfig)
     sa: optim_mod.SaConfig = field(default_factory=optim_mod.SaConfig)
@@ -90,8 +89,6 @@ class ExperimentConfig:
                 raise ConfigError("hidden_size must be 'auto' or an integer >= 2")
         if self.normalization_scope not in ("full", "train"):
             raise ConfigError("normalization_scope must be 'full' or 'train'")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
 
 # --- config file parsing ----------------------------------------------------
@@ -107,7 +104,6 @@ _GLOBAL_KEYS = {
     "seed": int,
     "output": str,
     "normalization_scope": str,
-    "jobs": int,
 }
 
 _SECTION_TYPES = {
@@ -119,42 +115,33 @@ _SECTION_TYPES = {
     "rf": forest_mod.ForestConfig,
 }
 
-# Per-section keys driven from config files; seeds are always derived from
-# the master seed and test hooks stay out of the file format.
+# Per-run seeds are always derived from the master seed, so they are neither
+# read from config files nor echoed in the report.
+_DERIVED_SEEDS = ("seed", "rng_seed")
+
+# Per-section keys driven from config files, with each field's resolved type.
 _SECTION_KEYS = {
     name: {
-        f.name: f.type
-        for f in fields(cfg_type)
-        if f.name not in ("seed", "rng_seed", "bootstrap", "initial_positions", "initial_velocities")
+        key: tp for key, tp in typing.get_type_hints(cfg_type).items() if key not in _DERIVED_SEEDS
     }
     for name, cfg_type in _SECTION_TYPES.items()
 }
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_EXPECTED = {int: "an integer", float: "a number", bool: "true/false"}
 
-def _parse_scalar(key: str, raw: str, annotation: str):
-    raw = raw.strip()
-    if annotation in ("int", int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if annotation in ("float", float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if annotation in ("bool", bool):
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-    if "int | None" in str(annotation) or "float | None" in str(annotation):
+
+def _parse_value(key: str, raw: str, tp):
+    """Convert config text to the resolved type ``tp``; ``T | None`` reads none/auto as None."""
+    args = typing.get_args(tp)
+    if type(None) in args:
         if raw.lower() in ("none", "auto"):
             return None
-        return _parse_scalar(key, raw, "float" if "float" in str(annotation) else "int")
-    return raw
+        (tp,) = (a for a in args if a is not type(None))
+    try:
+        return _BOOLS[raw.lower()] if tp is bool else tp(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {_EXPECTED[tp]}, got {raw!r}") from None
 
 
 def _parse_columns(raw: str) -> tuple:
@@ -173,7 +160,7 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
     """Parse a flat ``key = value`` config file with dotted sections.
 
     Global keys: dataset, header, columns, missing_column, task, hidden_size,
-    methods, seed, output, normalization_scope, jobs.  Sectioned keys such as
+    methods, seed, output, normalization_scope.  Sectioned keys such as
     ``ga.population = 50`` override algorithm defaults.  Unknown keys are
     errors.
     """
@@ -196,11 +183,11 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
                 raise ConfigError(f"{path}:{lineno}: unknown section {section!r}")
             if sub not in _SECTION_KEYS[section]:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            sections[section][sub] = _parse_scalar(key, raw, _SECTION_KEYS[section][sub])
+            sections[section][sub] = _parse_value(key, raw, _SECTION_KEYS[section][sub])
         else:
             if key not in _GLOBAL_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            globals_seen[key] = _parse_scalar(key, raw, _GLOBAL_KEYS[key])
+            globals_seen[key] = _parse_value(key, raw, _GLOBAL_KEYS[key])
 
     for required in ("dataset", "missing_column", "task"):
         if required not in globals_seen:
@@ -217,7 +204,7 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
         kwargs["column_kinds"] = _parse_columns(str(globals_seen["columns"]))
     if "hidden_size" in globals_seen:
         raw = str(globals_seen["hidden_size"])
-        kwargs["hidden_size"] = raw if raw == "auto" else _parse_scalar("hidden_size", raw, int)
+        kwargs["hidden_size"] = raw if raw == "auto" else _parse_value("hidden_size", raw, int)
     if "methods" in globals_seen:
         kwargs["methods"] = tuple(
             m.strip() for m in str(globals_seen["methods"]).split(",") if m.strip()
@@ -228,8 +215,6 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
         kwargs["output_dir"] = Path(str(globals_seen["output"]))
     if "normalization_scope" in globals_seen:
         kwargs["normalization_scope"] = globals_seen["normalization_scope"]
-    if "jobs" in globals_seen:
-        kwargs["jobs"] = globals_seen["jobs"]
 
     for name, cfg_type in _SECTION_TYPES.items():
         if sections[name]:
@@ -262,7 +247,6 @@ class ExperimentReport:
     method_results: dict
     comparison: dict
     methodology: dict
-    normalization: list
     net: network_mod.Autoencoder
     columns: tuple
     timings: dict
@@ -282,7 +266,16 @@ class ExperimentReport:
                 "methods": self.method_results,
                 "comparison": self.comparison,
                 "methodology": self.methodology,
-                "normalization": self.normalization,
+                "normalization": [
+                    {
+                        "column": spec.name,
+                        "kind": spec.kind,
+                        "min": spec.observed_min,
+                        "max": spec.observed_max,
+                        "degenerate": spec.degenerate,
+                    }
+                    for spec in self.columns
+                ],
             }
         )
 
@@ -309,16 +302,12 @@ def _plain(obj):
 def _config_echo(cfg: ExperimentConfig) -> dict:
     """Scientific configuration with resolved defaults.
 
-    Execution concerns (output directory, job count) and derived per-run
-    seeds are excluded so the echo is identical wherever and however the same
+    Execution concerns (the output directory) and derived per-run seeds are
+    excluded so the echo is identical wherever and however the same
     experiment runs.
     """
-    def section(dc, drop=("seed", "rng_seed", "initial_positions", "initial_velocities")):
-        return {
-            f.name: getattr(dc, f.name)
-            for f in fields(dc)
-            if f.name not in drop
-        }
+    def section(dc):
+        return {f.name: getattr(dc, f.name) for f in fields(dc) if f.name not in _DERIVED_SEEDS}
 
     return {
         "dataset": str(cfg.dataset_path),
@@ -330,12 +319,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "methods": list(cfg.methods),
         "seed": cfg.master_seed,
         "normalization_scope": cfg.normalization_scope,
-        "train": section(cfg.train),
-        "ga": section(cfg.ga),
-        "sa": section(cfg.sa),
-        "pso": section(cfg.pso),
-        "ns": section(cfg.ns),
-        "rf": section(cfg.rf, drop=("seed", "bootstrap")),
+        **{name: section(getattr(cfg, name)) for name in _SECTION_TYPES},
     }
 
 
@@ -355,8 +339,27 @@ _METHODOLOGY = {
 }
 
 
+# metrics.csv lists prediction metrics in this order.
+_PREDICTION_METRICS = ("mse", "rmse", "mae", "pearson_r")
+
+
 def _display(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _score(truth: np.ndarray, values: np.ndarray, task_kind: str):
+    """Grade one method's imputed values against the truth.
+
+    Returns the metrics dict (mse, rmse, mae, pearson_r for prediction; auc
+    for classification), the per-record errors the Welch comparison runs on,
+    and the ROC curve (None for prediction).
+    """
+    if task_kind == "prediction":
+        scores = metrics_mod.prediction_scores(truth, values)
+        metrics = {name: getattr(scores, name) for name in _PREDICTION_METRICS}
+        return metrics, (truth - values) ** 2, None
+    roc = metrics_mod.roc_curve(values, truth.astype(int))
+    return {"auc": roc.auc}, np.abs(values - truth), roc
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -375,15 +378,6 @@ def _prepare_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
     else:
         ds = data_mod.normalize(ds)
     return data_mod.split(ds)
-
-
-def _impute_cell(net, task, method: str, cfg: ExperimentConfig, seed: int):
-    """One (method, task) grid cell; returns the imputed scalar and run stats."""
-    obj = MissingDataObjective(net, task)
-    method_cfg = replace(getattr(cfg, method), seed=seed)
-    result = optim_mod.run(obj, method, method_cfg)
-    imputed = obj.impute(result)
-    return float(imputed[cfg.missing_column]), result.best_value, result.evaluations
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
@@ -435,36 +429,27 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         stage = "tasks"
         tasks = data_mod.make_tasks(ds, {cfg.missing_column})
         truth = np.array([t.true_values[cfg.missing_column] for t in tasks])
-        target_spec = ds.columns[cfg.missing_column]
+        if cfg.task_kind == "classification" and not np.isin(truth, (0.0, 1.0)).all():
+            raise ValueError(
+                "classification task needs a 0/1 target after scaling; "
+                f"column {ds.columns[cfg.missing_column].name!r} has other values"
+            )
 
         stage = "impute"
         notify(f"imputing {len(tasks)} test records per method")
         start = perf_counter()
-        optimizer_methods = [m for m in cfg.methods if m in OPTIMIZER_METHODS]
         imputed: dict[str, np.ndarray] = {}
         evaluations: dict[str, int] = {}
-
-        cells = [
-            (method, i, derive_seed(cfg.master_seed, method, i))
-            for method in optimizer_methods
-            for i in range(len(tasks))
-        ]
-        if cfg.jobs > 1 and cells:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                outcomes = list(
-                    pool.map(
-                        lambda cell: _impute_cell(net, tasks[cell[1]], cell[0], cfg, cell[2]),
-                        cells,
-                    )
-                )
-        else:
-            outcomes = [
-                _impute_cell(net, tasks[i], method, cfg, seed)
-                for method, i, seed in cells
-            ]
-        for (method, i, _), (value, _, evals) in zip(cells, outcomes):
-            imputed.setdefault(method, np.empty(len(tasks)))[i] = value
-            evaluations[method] = evals
+        for method in cfg.methods:
+            if method not in OPTIMIZER_METHODS:
+                continue
+            imputed[method] = np.empty(len(tasks))
+            for i, task in enumerate(tasks):
+                obj = MissingDataObjective(net, task)
+                seed = derive_seed(cfg.master_seed, method, i)
+                result = optim_mod.run(obj, method, replace(getattr(cfg, method), seed=seed))
+                imputed[method][i] = obj.impute(result)[cfg.missing_column]
+                evaluations[method] = result.evaluations
 
         rf_mtry_resolved: int | None = None
         if "rf" in cfg.methods:
@@ -503,31 +488,13 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 block["evaluations_per_task"] = evaluations[method]
             if method == "rf":
                 block["mtry_resolved"] = rf_mtry_resolved
-            if cfg.task_kind == "prediction":
-                scores = metrics_mod.prediction_scores(truth, values)
-                block["metrics"] = {
-                    "mse": scores.mse,
-                    "rmse": scores.rmse,
-                    "mae": scores.mae,
-                    "pearson_r": scores.pearson_r,
-                }
-                block["display"] = {
-                    k: (_display(v) if v is not None else "undefined")
-                    for k, v in block["metrics"].items()
-                }
-                errors[method] = (truth - values) ** 2
-            else:
-                if not np.isin(truth, (0.0, 1.0)).all():
-                    raise ValueError(
-                        "classification task needs a 0/1 target after scaling; "
-                        f"column {target_spec.name!r} has other values"
-                    )
-                labels = truth.astype(int)
-                roc = metrics_mod.roc_curve(values, labels)
-                block["metrics"] = {"auc": roc.auc}
-                block["display"] = {"auc": _display(roc.auc)}
+            block["metrics"], errors[method], roc = _score(truth, values, cfg.task_kind)
+            block["display"] = {
+                k: (_display(v) if v is not None else "undefined")
+                for k, v in block["metrics"].items()
+            }
+            if roc is not None:
                 block["roc_points"] = [list(p) for p in roc.points]
-                errors[method] = np.abs(values - truth)
             method_results[method] = block
 
         stage = "compare"
@@ -558,16 +525,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             method_results=method_results,
             comparison=comparison,
             methodology=dict(_METHODOLOGY),
-            normalization=[
-                {
-                    "column": spec.name,
-                    "kind": spec.kind,
-                    "min": spec.observed_min,
-                    "max": spec.observed_max,
-                    "degenerate": spec.degenerate,
-                }
-                for spec in ds.columns
-            ],
             net=net,
             columns=ds.columns,
             timings=timings,
@@ -629,7 +586,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
         )
     emit("pvalues.csv", "\n".join(pair_lines) + "\n")
 
-    target_spec = _target_column_spec(report)
+    target_spec = report.columns[report.config_echo["missing_column"]]
     for method, block in report.method_results.items():
         lines = ["row,true_value,imputed_value,true_original,imputed_original"]
         for entry in block["imputed"]:
@@ -656,25 +613,8 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
 
     emit("normalization.csv", data_mod.normalization_table(report.columns))
 
-    timing_path = out_dir / "timings.json"
-    _write_text(
-        timing_path,
-        json.dumps(_plain(report.timings), indent=2, sort_keys=True) + "\n",
-    )
-    written.append(timing_path)
+    emit("timings.json", json.dumps(_plain(report.timings), indent=2, sort_keys=True) + "\n")
     return written
-
-
-def _target_column_spec(report: ExperimentReport):
-    idx = report.config_echo["missing_column"]
-    entry = report.normalization[idx]
-    return data_mod.ColumnSpec(
-        name=entry["column"],
-        kind=entry["kind"],
-        observed_min=entry["min"],
-        observed_max=entry["max"],
-        degenerate=entry["degenerate"],
-    )
 
 
 # --- verification -----------------------------------------------------------
@@ -726,19 +666,8 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         rows = _read_csv_rows(out_dir / f"imputed_{method}.csv")
         truth = np.array([float(r["true_value"]) for r in rows])
         values = np.array([float(r["imputed_value"]) for r in rows])
-        if task_kind == "prediction":
-            scores = metrics_mod.prediction_scores(truth, values)
-            recomputed = {
-                "mse": scores.mse,
-                "rmse": scores.rmse,
-                "mae": scores.mae,
-                "pearson_r": scores.pearson_r,
-            }
-            errors[method] = (truth - values) ** 2
-        else:
-            roc = metrics_mod.roc_curve(values, truth.astype(int))
-            recomputed = {"auc": roc.auc}
-            errors[method] = np.abs(values - truth)
+        recomputed, errors[method], roc = _score(truth, values, task_kind)
+        if roc is not None:
             stored_points = [
                 (float(r["fpr"]), float(r["tpr"]))
                 for r in _read_csv_rows(out_dir / f"roc_{method}.csv")

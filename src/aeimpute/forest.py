@@ -25,7 +25,6 @@ class ForestConfig:
     mtry: int | None = None  # default resolves to floor(sqrt(d)) at fit time
     min_leaf: int = 5
     seed: int = 0
-    bootstrap: bool = True  # test hook: False grows each tree on the full sample
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -194,13 +193,14 @@ def _grow_tree(
 
 
 def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
-        binary_target: bool = False) -> Forest:
+        binary_target: bool = False, bootstrap: bool = True) -> Forest:
     """Grow a forest predicting ``target_column`` from every other column.
 
     ``binary_target=True`` validates at fit time that the target holds only
     0/1 codes, enabling :meth:`Forest.classify` later.  Per-tree generators
     are derived from (seed, tree index), so trees are independent of growth
-    order and the fit is reproducible.
+    order and the fit is reproducible.  ``bootstrap=False`` (test hook) grows
+    each tree on the full sample instead of a resample.
     """
     cfg = cfg or ForestConfig()
     rows = np.asarray(train_rows, dtype=float)
@@ -228,11 +228,8 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
-        if cfg.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(x[sample], y[sample], rng, mtry, cfg.min_leaf))
-        else:
-            trees.append(_grow_tree(x, y, rng, mtry, cfg.min_leaf))
+        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(_grow_tree(x[sample], y[sample], rng, mtry, cfg.min_leaf))
 
     return Forest(
         trees=tuple(trees),

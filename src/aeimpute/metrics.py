@@ -184,13 +184,11 @@ def student_t_two_tailed_p(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-def welch_t_test(a, b, equal_variance: bool = False) -> TTestResult:
-    """Two-tailed two-sample t-test, unequal variances by default.
+def welch_t_test(a, b) -> TTestResult:
+    """Two-tailed two-sample t-test with unequal variances (Welch).
 
-    ``equal_variance=True`` switches to the pooled-variance variant for
-    sensitivity checks.  Two constant samples with equal means return the
-    defined limit t=0, p=1; constant samples with different means have no
-    finite statistic and raise.
+    Two constant samples with equal means return the defined limit t=0, p=1;
+    constant samples with different means have no finite statistic and raise.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -206,15 +204,10 @@ def welch_t_test(a, b, equal_variance: bool = False) -> TTestResult:
             return TTestResult(0.0, float(na + nb - 2), 1.0)
         raise ValueError("both samples are constant with different means")
 
-    if equal_variance:
-        df = float(na + nb - 2)
-        pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
-        se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    else:
-        qa = var_a / na
-        qb = var_b / nb
-        se = math.sqrt(qa + qb)
-        df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
+    qa = var_a / na
+    qb = var_b / nb
+    se = math.sqrt(qa + qb)
+    df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
 
     t = mean_diff / se
     return TTestResult(t, df, student_t_two_tailed_p(t, df))

@@ -107,8 +107,11 @@ class Autoencoder:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.n_inputs:
             raise ValueError(f"expected (R, {self.n_inputs}) matrix, got shape {rows.shape}")
-        hidden = np.tanh(rows @ self.first_layer_weights.T + self.first_layer_biases)
-        return _logistic(hidden @ self.second_layer_weights.T + self.second_layer_biases)
+        _, out = _forward(
+            self.first_layer_weights, self.first_layer_biases,
+            self.second_layer_weights, self.second_layer_biases, rows,
+        )
+        return out
 
     def to_vector(self) -> np.ndarray:
         """Flatten all parameters (W1 row-major, b1, W2 row-major, b2)."""
@@ -157,22 +160,33 @@ def _unpack(vec: np.ndarray, n: int, h: int):
     return w1, b1, w2, b2
 
 
-def _batch_loss(vec: np.ndarray, rows: np.ndarray, n: int, h: int) -> float:
-    w1, b1, w2, b2 = _unpack(vec, n, h)
+def _forward(w1, b1, w2, b2, rows: np.ndarray):
+    """Hidden activations and reconstructions of a (R, n) matrix of rows.
+
+    :meth:`Autoencoder.forward` keeps its own one-row body: an extra call
+    frame is a measurable share of each of its many one-row calls.
+    """
     hidden = np.tanh(rows @ w1.T + b1)
-    out = _logistic(hidden @ w2.T + b2)
+    return hidden, _logistic(hidden @ w2.T + b2)
+
+
+def _loss(rows: np.ndarray, out: np.ndarray) -> float:
+    """Mean over rows of the summed squared reconstruction error."""
     diff = rows - out
     return float((diff * diff).sum() / rows.shape[0])
+
+
+def _batch_loss(vec: np.ndarray, rows: np.ndarray, n: int, h: int) -> float:
+    return _loss(rows, _forward(*_unpack(vec, n, h), rows)[1])
 
 
 def _batch_loss_grad(vec: np.ndarray, rows: np.ndarray, n: int, h: int):
     """Loss plus its analytic gradient in the flat parameter order."""
     w1, b1, w2, b2 = _unpack(vec, n, h)
     r = rows.shape[0]
-    hidden = np.tanh(rows @ w1.T + b1)
-    out = _logistic(hidden @ w2.T + b2)
+    hidden, out = _forward(w1, b1, w2, b2, rows)
+    loss = _loss(rows, out)
     diff = rows - out
-    loss = float((diff * diff).sum() / r)
 
     # d loss / d pre-activation of the output layer
     g_out = (-2.0 / r) * diff * out * (1.0 - out)
@@ -195,9 +209,7 @@ def _check_rows(rows) -> np.ndarray:
 def reconstruction_loss(net, rows) -> float:
     """Mean over rows of the summed squared reconstruction error."""
     rows = _check_rows(rows)
-    out = net.forward_batch(rows)
-    diff = rows - out
-    return float((diff * diff).sum() / rows.shape[0])
+    return _loss(rows, net.forward_batch(rows))
 
 
 def gradient(net: Autoencoder, rows) -> np.ndarray:

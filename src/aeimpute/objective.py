@@ -84,10 +84,6 @@ class MissingDataObjective:
         diff = full - self.net.forward_batch(full)
         return (diff * diff).sum(axis=1)
 
-    def evaluate_negated(self, candidate) -> float:
-        """Negated objective, for maximizers: always -evaluate(candidate)."""
-        return -self.evaluate(candidate)
-
     def impute(self, result) -> np.ndarray:
         """Complete the record with an optimizer's best point.
 

@@ -3,10 +3,11 @@
 Implements a binary-encoded genetic algorithm, simulated annealing, particle
 swarm optimization with velocity clamping, and a negative-selection search
 that repeatedly culls the worse half of a detector set.  Every algorithm
-accepts any objective exposing ``dimension``, ``evaluate(x)`` and (optionally)
-``evaluate_batch(X)``; all stochastic draws come from one seeded generator per
-run with a fixed draw order, so a fixed seed reproduces the result bit for
-bit.
+accepts any objective exposing ``dimension``, ``evaluate(x)`` for one
+candidate and ``evaluate_batch(X)`` for a (k, m) matrix of candidates, which
+returns a length-k float array; all stochastic draws come from one seeded
+generator per run with a fixed draw order, so a fixed seed reproduces the
+result bit for bit.
 
 Evaluation budgets are exact functions of the configuration:
 
@@ -20,7 +21,7 @@ Evaluation budgets are exact functions of the configuration:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,9 +107,6 @@ class PsoConfig:
     v_max: float = 0.25
     iterations: int = 100
     seed: int = 0
-    # Test hooks: override the random initial state (shapes (swarm, m)).
-    initial_positions: tuple | None = field(default=None, repr=False)
-    initial_velocities: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.swarm < 2:
@@ -132,13 +130,6 @@ class NsConfig:
             raise ValueError("detectors must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-
-
-def _evaluate_batch(obj, candidates: np.ndarray) -> np.ndarray:
-    batch = getattr(obj, "evaluate_batch", None)
-    if batch is not None:
-        return np.asarray(batch(candidates), dtype=float)
-    return np.array([obj.evaluate(c) for c in candidates], dtype=float)
 
 
 def _finish(obj, best_point: np.ndarray, evaluations: int, trace) -> OptimizerResult:
@@ -182,7 +173,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None) -> OptimizerResult:
     rng = np.random.default_rng(cfg.seed)
 
     pop = rng.integers(0, 2, size=(cfg.population, length), dtype=np.int8)
-    values = _evaluate_batch(obj, _decode(pop, m, bits))
+    values = obj.evaluate_batch(_decode(pop, m, bits))
     evaluations = cfg.population
 
     best_idx = int(np.argmin(values))
@@ -214,7 +205,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None) -> OptimizerResult:
             if len(children) < cfg.population - cfg.elitism:
                 children.append(c2)
         child_arr = np.array(children, dtype=np.int8)
-        child_values = _evaluate_batch(obj, _decode(child_arr, m, bits))
+        child_values = obj.evaluate_batch(_decode(child_arr, m, bits))
         evaluations += child_arr.shape[0]
 
         pop = np.concatenate([pop[elite_idx], child_arr])
@@ -304,29 +295,29 @@ def minimize_sa(obj, cfg: SaConfig | None = None, accepted_history: list | None 
 # Particle swarm (global-best topology, velocity clamping)
 # ---------------------------------------------------------------------------
 
-def minimize_pso(obj, cfg: PsoConfig | None = None) -> OptimizerResult:
+def minimize_pso(obj, cfg: PsoConfig | None = None, initial=None) -> OptimizerResult:
     """Swarm search: v += U(0,phi1)*(pbest - x) + U(0,phi2)*(gbest - x).
 
     Velocities are clamped componentwise to [-v_max, v_max] and positions to
     [0, 1].  The global best is refreshed immediately after each particle's
     evaluation, so later particles in the same sweep see earlier improvements.
+    ``initial`` (test hook) is a (positions, velocities) pair, each of shape
+    (swarm, m), that replaces the random initial state; the generator then
+    makes no initial draws.
     """
     cfg = cfg or PsoConfig()
     m = obj.dimension
     rng = np.random.default_rng(cfg.seed)
 
-    if cfg.initial_positions is not None:
-        positions = np.array(cfg.initial_positions, dtype=float)
+    if initial is not None:
+        positions, velocities = (np.array(a, dtype=float) for a in initial)
     else:
         positions = rng.uniform(0.0, 1.0, size=(cfg.swarm, m))
-    if cfg.initial_velocities is not None:
-        velocities = np.array(cfg.initial_velocities, dtype=float)
-    else:
         velocities = rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.swarm, m))
     if positions.shape != (cfg.swarm, m) or velocities.shape != (cfg.swarm, m):
         raise ValueError("initial positions/velocities must have shape (swarm, m)")
 
-    values = _evaluate_batch(obj, positions)
+    values = obj.evaluate_batch(positions)
     evaluations = cfg.swarm
     pbest = positions.copy()
     pbest_values = values.copy()
@@ -379,7 +370,7 @@ def minimize_ns(obj, cfg: NsConfig | None = None) -> OptimizerResult:
     trace = []
 
     for gen in range(1, cfg.generations + 1):
-        values = _evaluate_batch(obj, detectors)
+        values = obj.evaluate_batch(detectors)
         evaluations += cfg.detectors
         idx = int(np.argmin(values))
         if values[idx] < best_value:

@@ -231,7 +231,7 @@ class TestCriterion6Forest:
         rng = np.random.default_rng(606)
         rows = np.column_stack([rng.permutation(40) / 40.0, rng.uniform(0, 1, 40)])
         memorizer = forest.fit(
-            rows, 1, forest.ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0, bootstrap=False)
+            rows, 1, forest.ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0), bootstrap=False
         )
         memo_err = max(abs(memorizer.predict([x]) - y) for x, y in rows)
 
@@ -328,23 +328,19 @@ class TestCriterion9Determinism:
         start = perf_counter()
         tmp = tmp_path_factory.mktemp("determinism")
         base = benchmark_runs["heart"]
-        mismatches = []
-        for label, jobs in (("serial", 1), ("parallel", 4)):
-            out = tmp / label
-            cfg = parse_config(base["cfg_file"], output_override=out)
-            cfg.jobs = jobs
-            emit_report(run_experiment(cfg), out)
-            files = list(DETERMINISTIC_FILES)
-            files += [p.name for p in base["out"].glob("imputed_*.csv")]
-            files += [p.name for p in base["out"].glob("roc_*.csv")]
-            for name in files:
-                if (out / name).read_bytes() != (base["out"] / name).read_bytes():
-                    mismatches.append(f"{label}/{name}")
+        out = tmp / "rerun"
+        emit_report(run_experiment(parse_config(base["cfg_file"], output_override=out)), out)
+        files = list(DETERMINISTIC_FILES)
+        files += [p.name for p in base["out"].glob("imputed_*.csv")]
+        files += [p.name for p in base["out"].glob("roc_*.csv")]
+        mismatches = [
+            name for name in files if (out / name).read_bytes() != (base["out"] / name).read_bytes()
+        ]
         elapsed = perf_counter() - start
         ok = not mismatches
         report_line(
             9,
-            "determinism incl. parallel",
+            "determinism",
             ok,
             f"mismatches {mismatches or 'none'}, reruns in {elapsed:.0f}s",
         )

@@ -1,12 +1,15 @@
 """Config parsing, orchestration, report emission, verification, and CLI."""
 
 import json
+import typing
 
 import numpy as np
 import pytest
 
 from aeimpute import cli
 from aeimpute.experiment import (
+    _SECTION_KEYS,
+    _SECTION_TYPES,
     ConfigError,
     ExperimentError,
     FAILURE_MARKER,
@@ -103,6 +106,55 @@ class TestParseConfig:
         cfg = parse_config(cfg_file)
         assert cfg.ga.population == 12
         assert cfg.sa.cooling_factor == 0.9
+
+    def test_every_section_key_parses_to_its_annotated_type(self, heart_setup):
+        tmp, csv, meta = heart_setup
+        values = {
+            "train.max_iterations": 250,
+            "train.gradient_tolerance": 1e-5,
+            "train.objective_tolerance": 1e-10,
+            "ga.population": 30,
+            "ga.bits_per_variable": 12,
+            "ga.crossover_prob": 0.8,
+            "ga.mutation_prob": 0.05,
+            "ga.tournament_size": 3,
+            "ga.elitism": 2,
+            "ga.generations": 40,
+            "sa.initial_temperature": 0.5,
+            "sa.cooling_factor": 0.9,
+            "sa.temperature_steps": 30,
+            "sa.moves_per_step": 7,
+            "sa.neighbor_sigma": 0.2,
+            "pso.swarm": 12,
+            "pso.phi1": 1.5,
+            "pso.phi2": 1.7,
+            "pso.v_max": 0.3,
+            "pso.iterations": 25,
+            "ns.detectors": 20,
+            "ns.generations": 15,
+            "rf.n_trees": 9,
+            "rf.mtry": 3,
+            "rf.min_leaf": 4,
+        }
+        assert set(values) == {f"{s}.{k}" for s, keys in _SECTION_KEYS.items() for k in keys}
+        cfg_file = write_config(tmp, csv, meta, name="typed.cfg", **values)
+        cfg = parse_config(cfg_file)
+        for dotted, expected in values.items():
+            section, key = dotted.split(".")
+            hint = typing.get_type_hints(_SECTION_TYPES[section])[key]
+            (annotated,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+            got = getattr(getattr(cfg, section), key)
+            assert type(got) is annotated and got == expected, dotted
+
+        optional = ("ga.mutation_prob", "sa.initial_temperature", "rf.mtry")
+        for word in ("none", "auto"):
+            cfg_file = write_config(
+                tmp, csv, meta, name=f"{word}.cfg", **{k: word for k in optional}
+            )
+            cfg = parse_config(cfg_file)
+            for dotted in optional:
+                section, key = dotted.split(".")
+                assert getattr(getattr(cfg, section), key) is None, (word, dotted)
 
     def test_invalid_section_value_rejected(self, heart_setup):
         tmp, csv, meta = heart_setup
@@ -228,15 +280,19 @@ class TestRunExperiment:
         tmp, csv, meta = heart_setup
         bad_meta = dict(meta, missing_column=0, task="classification")
         cfg_file = tmp / "fail.cfg"
-        out = tmp / "fail_out"
-        cfg_file.write_text(config_text(csv, bad_meta, out, seed=1, hidden_size=4, **FAST))
-        # The non-binary target trips the forest's fit-time validation.
-        with pytest.raises(ExperimentError, match="impute"):
-            run_experiment(parse_config(cfg_file))
-        assert (out / FAILURE_MARKER).exists()
-        assert "stage: impute" in (out / FAILURE_MARKER).read_text()
-        partial = json.loads((out / "partial.json").read_text())
-        assert partial["split_counts"]["test"] == 67
+        # The non-binary target is rejected once the tasks are built, before
+        # any optimizer runs; without rf, nothing else would catch it earlier.
+        for methods in ("ga,sa,pso,ns,rf", "ns,sa"):
+            out = tmp / f"fail_out_{methods.replace(',', '_')}"
+            cfg_file.write_text(
+                config_text(csv, bad_meta, out, seed=1, hidden_size=4, methods=methods, **FAST)
+            )
+            with pytest.raises(ExperimentError, match="tasks"):
+                run_experiment(parse_config(cfg_file))
+            assert (out / FAILURE_MARKER).exists()
+            assert "stage: tasks" in (out / FAILURE_MARKER).read_text()
+            partial = json.loads((out / "partial.json").read_text())
+            assert partial["split_counts"]["test"] == 67
 
     def test_missing_dataset_is_experiment_error(self, heart_setup):
         tmp, csv, meta = heart_setup

@@ -35,8 +35,8 @@ class TestFit:
     def test_fully_grown_tree_memorizes(self):
         rng = np.random.default_rng(1)
         rows = np.column_stack([rng.permutation(40) / 40.0, rng.uniform(0, 1, 40)])
-        cfg = ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0, bootstrap=False)
-        f = forest.fit(rows, 1, cfg)
+        cfg = ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0)
+        f = forest.fit(rows, 1, cfg, bootstrap=False)
         for x, y in rows:
             assert f.predict([x]) == y
 
@@ -233,8 +233,8 @@ class TestReferenceEquivalence:
         x = rng.uniform(0, 1, size=(n, 3))
         y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, n)
         rows = np.column_stack([x, y])
-        cfg = ForestConfig(n_trees=1, min_leaf=min_leaf, mtry=3, seed=seed, bootstrap=False)
-        f = forest.fit(rows, 3, cfg)
+        cfg = ForestConfig(n_trees=1, min_leaf=min_leaf, mtry=3, seed=seed)
+        f = forest.fit(rows, 3, cfg, bootstrap=False)
         ref = reference_cart(x, y, min_leaf)
         for q in rng.uniform(0, 1, size=(40, 3)):
             assert f.predict(q) == pytest.approx(reference_predict(ref, q), abs=1e-12)
@@ -247,9 +247,9 @@ class TestReferenceEquivalence:
         x = rng.uniform(0, 1, size=(n, 2))
         y = x[:, 0] * 2 + rng.normal(0, 0.05, n)
         rows = np.column_stack([x, y])
-        cfg = ForestConfig(n_trees=1, min_leaf=2, mtry=2, seed=3, bootstrap=False)
-        t1 = forest.fit(rows, 2, cfg).trees[0]
-        t2 = forest.fit(rows[rng.permutation(n)], 2, cfg).trees[0]
+        cfg = ForestConfig(n_trees=1, min_leaf=2, mtry=2, seed=3)
+        t1 = forest.fit(rows, 2, cfg, bootstrap=False).trees[0]
+        t2 = forest.fit(rows[rng.permutation(n)], 2, cfg, bootstrap=False).trees[0]
         np.testing.assert_array_equal(t1.feature, t2.feature)
         np.testing.assert_array_equal(t1.threshold, t2.threshold)
         np.testing.assert_array_equal(t1.left, t2.left)

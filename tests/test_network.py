@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aeimpute import network
 from aeimpute.network import Autoencoder, TrainConfig, TrainingError
@@ -60,6 +61,23 @@ class TestForward:
         batch = net.forward_batch(rows)
         singles = np.array([net.forward(r) for r in rows])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_kernel_matches_one_row_and_loss_paths(self, data):
+        # A one-row batch runs the same arithmetic as forward, and the
+        # trainer's loss over the flat vector the same as reconstruction_loss,
+        # so both pairs must agree bit for bit.
+        n = data.draw(st.integers(3, 30), label="n")
+        h = data.draw(st.integers(2, n - 1), label="h")
+        r = data.draw(st.integers(1, 70), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        net = random_autoencoder(rng, n, h)
+        rows = rng.uniform(0, 1, size=(r, n))
+        np.testing.assert_array_equal(net.forward_batch(rows[0][None])[0], net.forward(rows[0]))
+        assert network._batch_loss(net.to_vector(), rows, n, h) == network.reconstruction_loss(
+            net, rows
+        )
 
 
 class TestReconstructionLoss:

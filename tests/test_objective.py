@@ -90,28 +90,6 @@ class TestEvaluate:
             MissingDataObjective(IdentityNet(5), make_task([0.1, 0.2, 0.3], unknown=[0]))
 
 
-class TestNegated:
-    def test_exact_negation(self):
-        rng = np.random.default_rng(3)
-        net = random_autoencoder(rng, 4, 2)
-        obj = MissingDataObjective(net, make_task(rng.uniform(0, 1, 4), unknown=[0, 2]))
-        for _ in range(25):
-            c = rng.uniform(0, 1, 2)
-            assert obj.evaluate_negated(c) == -obj.evaluate(c)
-
-    def test_identity_net_zero(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], unknown=[1]))
-        assert obj.evaluate_negated([0.4]) == 0.0
-
-    def test_argmax_negated_equals_argmin(self):
-        c = np.array([0.3, 0.6, 0.1])
-        obj = MissingDataObjective(ConstantNet(c), make_task([0.2, 0.5, 0.5], unknown=[2]))
-        grid = np.linspace(0, 1, 501)
-        plain = np.array([obj.evaluate([g]) for g in grid])
-        negated = np.array([obj.evaluate_negated([g]) for g in grid])
-        assert int(np.argmin(plain)) == int(np.argmax(negated))
-
-
 class TestImpute:
     def result(self, point):
         point = np.asarray(point, dtype=float)

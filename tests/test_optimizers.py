@@ -149,14 +149,8 @@ class TestPso:
         # Both particles start on the optimum with zero velocity: pbest and
         # gbest coincide with the position, so the velocity update is zero.
         start = np.array([[0.3], [0.3]])
-        cfg = PsoConfig(
-            swarm=2,
-            iterations=50,
-            seed=0,
-            initial_positions=tuple(map(tuple, start)),
-            initial_velocities=((0.0,), (0.0,)),
-        )
-        result = opt.minimize_pso(QuadraticStub(), cfg)
+        cfg = PsoConfig(swarm=2, iterations=50, seed=0)
+        result = opt.minimize_pso(QuadraticStub(), cfg, initial=(start, np.zeros((2, 1))))
         assert result.best_point[0] == 0.3
         assert result.best_value == 0.0
 
