@@ -1,11 +1,12 @@
 """End-to-end experiment orchestration and reporting.
 
-Pipeline: load CSV -> normalize -> chronological split -> (optional hidden
-size search) -> train the autoencoder on the training block -> build one
-imputation task per test row with the designated column masked -> estimate
-the masked value per task with each configured optimizer (and directly with
-the random forest) -> score every method -> pairwise Welch comparison ->
-persist a machine-readable report.
+Pipeline: load CSV -> normalize -> chronological split -> train the
+autoencoder on the training block (under a hidden size search, the search's
+best network) -> build one imputation task per test row with the designated
+column masked -> estimate the masked value of every task with each
+configured optimizer, all tasks in lockstep (and directly with the random
+forest) -> score every method -> pairwise Welch comparison -> persist a
+machine-readable report.
 
 Determinism: every stochastic component receives a seed derived by hashing
 (master seed, component, index), so method results are independent of which
@@ -405,11 +406,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         counts = {label: int((ds.split == label).sum()) for label in data_mod.SPLIT_LABELS}
         partial["split_counts"] = counts
 
-        stage = "hidden-size"
         if cfg.hidden_size == "auto":
+            # The search trains a network per size; the winner's is the model.
+            stage = "hidden-size"
             notify("searching hidden sizes")
             search_cfg = replace(cfg.train, rng_seed=cfg.master_seed)
-            hidden = clock(
+            hidden, net, train_loss = clock(
                 "hidden_search",
                 network_mod.select_hidden_size,
                 ds.train_rows,
@@ -417,13 +419,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 search_cfg,
             )
         else:
-            hidden = int(cfg.hidden_size)
+            stage = "train"
+            hidden = cfg.hidden_size
+            notify(f"training autoencoder (hidden={hidden})")
+            train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.master_seed, "train"))
+            net, train_loss = clock("train", network_mod.train, ds.train_rows, hidden, train_cfg)
         partial["hidden_size_selected"] = hidden
-
-        stage = "train"
-        notify(f"training autoencoder (hidden={hidden})")
-        train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.master_seed, "train"))
-        net, train_loss = clock("train", network_mod.train, ds.train_rows, hidden, train_cfg)
         partial["train_loss"] = train_loss
 
         stage = "tasks"
@@ -440,22 +441,32 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         start = perf_counter()
         imputed: dict[str, np.ndarray] = {}
         evaluations: dict[str, int] = {}
+        # Every test record shares the mask, so each method searches all of
+        # them in lockstep, each record with its own derived seed.
+        objective = MissingDataObjective(net, tasks)
         for method in cfg.methods:
             if method not in OPTIMIZER_METHODS:
                 continue
-            imputed[method] = np.empty(len(tasks))
-            for i, task in enumerate(tasks):
-                obj = MissingDataObjective(net, task)
-                seed = derive_seed(cfg.master_seed, method, i)
-                result = optim_mod.run(obj, method, replace(getattr(cfg, method), seed=seed))
-                imputed[method][i] = obj.impute(result)[cfg.missing_column]
-                evaluations[method] = result.evaluations
+            seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(tasks))]
+            results = clock(
+                f"impute.{method}",
+                optim_mod.run,
+                objective,
+                method,
+                getattr(cfg, method),
+                seeds=seeds,
+            )
+            imputed[method] = objective.impute(results)[:, cfg.missing_column]
+            evaluations[method] = results[0].evaluations
+            del results  # every task's trace; free them before the next search
 
         rf_mtry_resolved: int | None = None
         if "rf" in cfg.methods:
             notify("fitting random forest")
             rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.master_seed, "rf"))
-            fitted = forest_mod.fit(
+            fitted = clock(
+                "rf_fit",
+                forest_mod.fit,
                 ds.train_rows,
                 cfg.missing_column,
                 rf_cfg,
@@ -466,13 +477,14 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 rf_mtry_resolved = max(1, math.isqrt(len(predictor_cols)))
             else:
                 rf_mtry_resolved = rf_cfg.mtry
-            rf_values = np.array(
-                [fitted.predict(t.true_values[predictor_cols]) for t in tasks]
+            imputed["rf"] = clock(
+                "rf_predict",
+                lambda: np.array([fitted.predict(t.true_values[predictor_cols]) for t in tasks]),
             )
-            imputed["rf"] = rf_values
         timings["impute"] = perf_counter() - start
 
         stage = "score"
+        start = perf_counter()
         notify("scoring methods")
         method_results: dict[str, dict] = {}
         errors: dict[str, np.ndarray] = {}
@@ -513,6 +525,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                     for a, b, p in matrix.pairs()
                 ],
             }
+        timings["score"] = perf_counter() - start
 
         return ExperimentReport(
             version=__version__,

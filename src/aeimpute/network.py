@@ -32,12 +32,18 @@ class TrainingError(RuntimeError):
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable elementwise logistic function."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Numerically stable elementwise logistic function.
+
+    1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z|
+    serving both branches; unlike 0.5 * (1 + tanh(z / 2)), the result stays
+    above 0 down to z = -745.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -96,17 +102,13 @@ class Autoencoder:
 
     def forward(self, x) -> np.ndarray:
         """Map one input vector to its reconstruction; outputs lie in (0, 1)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_inputs,):
-            raise ValueError(f"expected input of length {self.n_inputs}, got shape {x.shape}")
-        hidden = np.tanh(self.first_layer_weights @ x + self.first_layer_biases)
-        return _logistic(self.second_layer_weights @ hidden + self.second_layer_biases)
+        return self.forward_batch(np.asarray(x, dtype=float)[None])[0]
 
     def forward_batch(self, rows) -> np.ndarray:
         """Vectorized :meth:`forward` over a (R, n) matrix of rows."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.n_inputs:
-            raise ValueError(f"expected (R, {self.n_inputs}) matrix, got shape {rows.shape}")
+            raise ValueError(f"expected rows of length {self.n_inputs}, got shape {rows.shape}")
         _, out = _forward(
             self.first_layer_weights, self.first_layer_biases,
             self.second_layer_weights, self.second_layer_biases, rows,
@@ -163,11 +165,14 @@ def _unpack(vec: np.ndarray, n: int, h: int):
 def _forward(w1, b1, w2, b2, rows: np.ndarray):
     """Hidden activations and reconstructions of a (R, n) matrix of rows.
 
-    :meth:`Autoencoder.forward` keeps its own one-row body: an extra call
-    frame is a measurable share of each of its many one-row calls.
+    Works in place where it can: lockstep searches pass thousands of rows.
     """
-    hidden = np.tanh(rows @ w1.T + b1)
-    return hidden, _logistic(hidden @ w2.T + b2)
+    hidden = rows @ w1.T
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    out = hidden @ w2.T
+    out += b2
+    return hidden, _logistic(out)
 
 
 def _loss(rows: np.ndarray, out: np.ndarray) -> float:
@@ -344,33 +349,34 @@ def select_hidden_size(
     val_rows,
     cfg: TrainConfig | None = None,
     train_fn=train,
-) -> int:
+) -> tuple[int, Autoencoder, float]:
     """Pick the hidden size whose trained network best reconstructs val_rows.
 
     Trains one candidate per admissible size (each with a seed derived from
     (cfg.rng_seed, size)), scores by validation reconstruction loss, and
-    returns the argmin; ties go to the smaller size.  Candidates whose
-    training aborts are skipped with a warning.  ``train_fn`` is a test hook.
+    returns the argmin as (size, its trained network, its final training
+    loss); ties go to the smaller size.  Candidates whose training aborts are
+    skipped with a warning.  ``train_fn`` is a test hook.
     """
     cfg = cfg or TrainConfig()
     train_rows = _check_rows(train_rows)
     val_rows = _check_rows(val_rows)
-    best_h: int | None = None
+    best = None
     best_loss = np.inf
     for h in hidden_size_candidates(train_rows.shape[1]):
         sub_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
         try:
-            net, _ = train_fn(train_rows, h, sub_cfg)
+            net, train_loss = train_fn(train_rows, h, sub_cfg)
         except TrainingError as err:
             warnings.warn(f"hidden size {h} skipped: {err}", stacklevel=2)
             continue
         val_loss = reconstruction_loss(net, val_rows)
         if val_loss < best_loss:
             best_loss = val_loss
-            best_h = h
-    if best_h is None:
+            best = (h, net, train_loss)
+    if best is None:
         raise TrainingError("every hidden-size candidate aborted")
-    return best_h
+    return best
 
 
 def save_model(net: Autoencoder, path) -> None:

@@ -1,15 +1,28 @@
-"""Derivative-free minimizers over the unit box behind one interface.
+"""Derivative-free minimizers over the unit box, run in lockstep over tasks.
 
-Implements a binary-encoded genetic algorithm, simulated annealing, particle
+Implements a Gray-coded binary genetic algorithm, simulated annealing, particle
 swarm optimization with velocity clamping, and a negative-selection search
-that repeatedly culls the worse half of a detector set.  Every algorithm
-accepts any objective exposing ``dimension``, ``evaluate(x)`` for one
-candidate and ``evaluate_batch(X)`` for a (k, m) matrix of candidates, which
-returns a length-k float array; all stochastic draws come from one seeded
-generator per run with a fixed draw order, so a fixed seed reproduces the
-result bit for bit.
+that repeatedly culls the worse half of a detector set.
 
-Evaluation budgets are exact functions of the configuration:
+An objective exposes ``dimension`` (m) and ``evaluate_batch(X)``, which
+scores the rows of an (r, m) candidate matrix and returns a length-r float
+array.  An objective that stacks T independent tasks (say, the test records
+of one experiment, which share one mask) also exposes ``n_tasks = T`` and
+reads X task-major: r = T * k, and rows t*k to t*k + k - 1 are task t's k
+candidates.  An objective without ``n_tasks`` is one task.  Every minimizer
+advances all T tasks together, so each step is one ``evaluate_batch`` call
+over the candidates of every task.
+
+Seeds and draw order: ``minimize_*(obj, cfg)`` searches a one-task objective
+with ``cfg.seed`` and returns one :class:`OptimizerResult`;
+``minimize_*(obj, cfg, seeds)`` takes one seed per task and returns a tuple
+of T results.  Task t draws from its own ``np.random.default_rng(seeds[t])``
+in the order of a run of that task alone, and keeps its own budget and trace.
+When the objective scores each row independently of the others in its batch,
+task t's result is bit for bit that of a one-task run with
+``cfg.seed = seeds[t]``.
+
+Evaluation budgets per task are exact functions of the configuration:
 
     GA   population + generations * (population - elitism)
     SA   1 + 100 (only when the start temperature is auto-calibrated)
@@ -132,258 +145,300 @@ class NsConfig:
             raise ValueError("generations must be >= 1")
 
 
-def _finish(obj, best_point: np.ndarray, evaluations: int, trace) -> OptimizerResult:
-    # Re-evaluate once through the scalar path so best_value is re-checkable.
-    best_value = obj.evaluate(best_point)
-    return OptimizerResult(
-        best_point=best_point,
-        best_value=best_value,
-        evaluations=evaluations,
-        trace=trace,
+def _generators(obj, seed: int, seeds) -> list[np.random.Generator]:
+    """One generator per task of ``obj``: ``seeds``, or ``[seed]`` for one task."""
+    seeds = [seed] if seeds is None else list(seeds)
+    n_tasks = getattr(obj, "n_tasks", 1)
+    if len(seeds) != n_tasks:
+        raise ValueError(f"{len(seeds)} seeds for an objective of {n_tasks} tasks")
+    return [np.random.default_rng(s) for s in seeds]
+
+
+def _evaluate(obj, candidates: np.ndarray) -> np.ndarray:
+    """Score a (T, k, m) stack of candidates in one batch; returns (T, k)."""
+    n_tasks, k, m = candidates.shape
+    return obj.evaluate_batch(candidates.reshape(n_tasks * k, m)).reshape(n_tasks, k)
+
+
+def _finish(obj, best_points: np.ndarray, evaluations: int, history, seeds):
+    """Per-task results from the (T, m) best points and the best-so-far history.
+
+    ``history`` holds (iteration, length-T best values) pairs.  All T best
+    points are re-evaluated in one batch so that each best_value is
+    re-checkable.  A run without ``seeds`` returns its one result alone.
+    """
+    best_values = _evaluate(obj, best_points[:, None])[:, 0]
+    results = tuple(
+        OptimizerResult(
+            best_point=best_points[t],
+            best_value=float(best_values[t]),
+            evaluations=evaluations,
+            trace=[(it, float(values[t])) for it, values in history],
+        )
+        for t in range(best_points.shape[0])
     )
+    return results[0] if seeds is None else results
 
 
 # ---------------------------------------------------------------------------
-# Genetic algorithm (binary fixed-point encoding, tournament selection)
+# Genetic algorithm (Gray-coded fixed-point encoding, tournament selection)
 # ---------------------------------------------------------------------------
 
 def _decode(chromosomes: np.ndarray, m: int, bits: int) -> np.ndarray:
-    """Fixed-point decode: per variable, big-endian integer / (2^bits - 1)."""
+    """Fixed-point decode of (..., m * bits) bit strings into (..., m) points.
+
+    Per variable, the integer whose big-endian Gray code is its bits, divided
+    by 2^bits - 1.  Neighbouring values are one bit flip apart, so mutation
+    can always step to them; in plain binary, 0.5 - 2^-bits and 0.5 differ in
+    every bit.
+    """
     weights = 2.0 ** np.arange(bits - 1, -1, -1)
     scale = float(2**bits - 1)
-    blocks = chromosomes.reshape(chromosomes.shape[0], m, bits)
-    return (blocks @ weights) / scale
+    blocks = chromosomes.reshape(*chromosomes.shape[:-1], m, bits)
+    return (np.bitwise_xor.accumulate(blocks, axis=-1) @ weights) / scale
 
 
-def minimize_ga(obj, cfg: GaConfig | None = None) -> OptimizerResult:
+def _ga_draws(rng: np.random.Generator, cfg: GaConfig, pairs: int, length: int, p_mut: float):
+    """One task's draws for one generation of ``pairs`` offspring pairs.
+
+    Returns the tournament entrants (pairs, 2, tournament_size), the crossover
+    cut of each pair (length when the pair does not cross), and the mutation
+    flips (pairs, 2, length), drawn in that order.
+    """
+    entrants = rng.integers(0, cfg.population, size=(pairs, 2, cfg.tournament_size))
+    crossing = rng.random(pairs) < cfg.crossover_prob
+    cuts = np.where(crossing, rng.integers(1, max(length, 2), size=pairs), length)
+    flips = rng.random((pairs, 2, length)) < p_mut
+    return entrants, cuts, flips
+
+
+def minimize_ga(obj, cfg: GaConfig | None = None, seeds=None):
     """Generational GA maximizing the negated objective.
 
-    Chromosomes are bit strings of m * bits_per_variable bits decoding into
-    [0, 1]^m.  Each generation: tournament selection on fitness, single-point
-    crossover, bit-flip mutation, with the top ``elitism`` individuals carried
-    over unchanged (their cached values are not re-evaluated).  Offspring are
-    produced in pairs; an odd remainder discards the second child of the last
-    pair after its mutation draw.
+    Chromosomes are Gray-coded bit strings of m * bits_per_variable bits
+    decoding into [0, 1]^m.  Each generation: tournament selection on
+    fitness, single-point crossover, bit-flip mutation, with the top
+    ``elitism`` individuals carried over unchanged (their cached values are
+    not re-evaluated).  Offspring are produced in pairs; an odd remainder
+    discards the second child of the last pair after its mutation draw.
+    Each task draws a generation's entrants, cuts and flips as three arrays.
     """
     cfg = cfg or GaConfig()
-    m = obj.dimension
+    rngs = _generators(obj, cfg.seed, seeds)
+    n_tasks, m = len(rngs), obj.dimension
     bits = cfg.bits_per_variable
     length = m * bits
     p_mut = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / length
-    rng = np.random.default_rng(cfg.seed)
+    n_children = cfg.population - cfg.elitism
+    pairs = (n_children + 1) // 2
+    tasks = np.arange(n_tasks)
 
-    pop = rng.integers(0, 2, size=(cfg.population, length), dtype=np.int8)
-    values = obj.evaluate_batch(_decode(pop, m, bits))
+    shape = (cfg.population, length)
+    pop = np.stack([rng.integers(0, 2, size=shape, dtype=np.int8) for rng in rngs])
+    values = _evaluate(obj, _decode(pop, m, bits))
     evaluations = cfg.population
 
-    best_idx = int(np.argmin(values))
-    best_point = _decode(pop[best_idx : best_idx + 1], m, bits)[0]
-    best_value = float(values[best_idx])
-    trace = [(0, best_value)]
-
-    def tournament() -> int:
-        entrants = rng.integers(0, cfg.population, size=cfg.tournament_size)
-        # Fitness is the negated objective, so the winner has the smallest value.
-        return int(entrants[np.argmin(values[entrants])])
+    best_idx = values.argmin(axis=1)
+    best_values = values[tasks, best_idx]
+    best_points = _decode(pop[tasks, best_idx], m, bits)
+    history = [(0, best_values.copy())]
 
     for gen in range(1, cfg.generations + 1):
-        elite_idx = np.argsort(values, kind="stable")[: cfg.elitism]
-        children: list[np.ndarray] = []
-        while len(children) < cfg.population - cfg.elitism:
-            a = pop[tournament()]
-            b = pop[tournament()]
-            if length > 1 and rng.random() < cfg.crossover_prob:
-                point = int(rng.integers(1, length))
-                c1 = np.concatenate([a[:point], b[point:]])
-                c2 = np.concatenate([b[:point], a[point:]])
-            else:
-                c1, c2 = a.copy(), b.copy()
-            for child in (c1, c2):
-                flip = rng.random(length) < p_mut
-                child ^= flip.astype(np.int8)
-            children.append(c1)
-            if len(children) < cfg.population - cfg.elitism:
-                children.append(c2)
-        child_arr = np.array(children, dtype=np.int8)
-        child_values = obj.evaluate_batch(_decode(child_arr, m, bits))
-        evaluations += child_arr.shape[0]
+        elite_idx = np.argsort(values, axis=1, kind="stable")[:, : cfg.elitism]
+        draws = [_ga_draws(rng, cfg, pairs, length, p_mut) for rng in rngs]
+        entrants, cuts, flips = (np.stack(d) for d in zip(*draws))
+        # Fitness is the negated objective, so each tournament goes to the
+        # entrant with the smallest value (the first one on ties).
+        won = values[tasks[:, None, None, None], entrants].argmin(axis=3)
+        parents = pop[tasks[:, None, None], np.take_along_axis(entrants, won[..., None], 3)[..., 0]]
+        first, second = parents[:, :, 0], parents[:, :, 1]
+        own = np.arange(length) < cuts[..., None]  # genes a child takes from its own parent
+        children = np.stack([np.where(own, first, second), np.where(own, second, first)], axis=2)
+        children ^= flips.astype(np.int8)
+        children = children.reshape(n_tasks, 2 * pairs, length)[:, :n_children]
+        child_values = _evaluate(obj, _decode(children, m, bits))
+        evaluations += n_children
 
-        pop = np.concatenate([pop[elite_idx], child_arr])
-        values = np.concatenate([values[elite_idx], child_values])
+        pop = np.concatenate([np.take_along_axis(pop, elite_idx[..., None], 1), children], axis=1)
+        values = np.concatenate([np.take_along_axis(values, elite_idx, 1), child_values], axis=1)
 
-        gen_best = int(np.argmin(values))
-        if values[gen_best] < best_value:
-            best_value = float(values[gen_best])
-            best_point = _decode(pop[gen_best : gen_best + 1], m, bits)[0]
-        trace.append((gen, best_value))
+        gen_best = values.argmin(axis=1)
+        better = values[tasks, gen_best] < best_values
+        best_values[better] = values[tasks, gen_best][better]
+        best_points[better] = _decode(pop[tasks[better], gen_best[better]], m, bits)
+        history.append((gen, best_values.copy()))
 
-    return _finish(obj, best_point, evaluations, trace)
+    return _finish(obj, best_points, evaluations, history, seeds)
 
 
 # ---------------------------------------------------------------------------
 # Simulated annealing (Metropolis acceptance, geometric cooling)
 # ---------------------------------------------------------------------------
 
-def _calibrate_temperature(obj, x, fx, sigma, rng) -> tuple[float, int]:
-    """Start temperature from 100 probe moves off the initial point.
+def _start_temperature(uphill: np.ndarray) -> float:
+    """Temperature at which the mean uphill probe is accepted with probability 0.8.
 
-    Sets T so the mean uphill probe is accepted with probability 0.8; with no
-    uphill probes the landscape descends everywhere seen, and a tiny
+    With no uphill probes the landscape descends everywhere seen, and a tiny
     temperature keeps the walk effectively greedy.
     """
-    uphill = []
-    for _ in range(100):
-        probe = np.clip(x + rng.normal(0.0, sigma, size=x.size), 0.0, 1.0)
-        delta = obj.evaluate(probe) - fx
-        if delta > 0:
-            uphill.append(delta)
-    if not uphill:
-        return 1e-3, 100
-    return float(np.mean(uphill) / -math.log(0.8)), 100
+    if not uphill.size:
+        return 1e-3
+    return float(np.mean(uphill) / -math.log(0.8))
 
 
-def minimize_sa(obj, cfg: SaConfig | None = None, accepted_history: list | None = None) -> OptimizerResult:
+def minimize_sa(obj, cfg: SaConfig | None = None, seeds=None, accepted_history=None):
     """Gaussian-neighborhood annealing with geometric cooling.
 
-    Moves are accepted when they do not worsen the objective, otherwise with
-    probability exp(-delta / T); the acceptance draw happens only for uphill
-    moves.  ``accepted_history`` (test hook) receives the objective value of
-    every accepted move.
+    Without a fixed ``initial_temperature`` each task calibrates its own from
+    100 probe moves off its start point.  Moves are accepted when they do not
+    worsen the objective, otherwise with probability exp(-delta / T); the
+    acceptance draw happens only for uphill moves.  ``accepted_history``
+    (test hook) holds one list per task, which receives the objective value
+    of every move that task accepts.
     """
     cfg = cfg or SaConfig()
+    rngs = _generators(obj, cfg.seed, seeds)
     m = obj.dimension
-    rng = np.random.default_rng(cfg.seed)
+    sigma = cfg.neighbor_sigma
 
-    x = rng.uniform(0.0, 1.0, size=m)
-    fx = obj.evaluate(x)
+    x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
+    fx = _evaluate(obj, x[:, None])[:, 0]
     evaluations = 1
     if cfg.initial_temperature is None:
-        temperature, probes = _calibrate_temperature(obj, x, fx, cfg.neighbor_sigma, rng)
-        evaluations += probes
+        probes = np.stack([rng.normal(0.0, sigma, size=(100, m)) for rng in rngs])
+        deltas = _evaluate(obj, np.clip(x[:, None] + probes, 0.0, 1.0)) - fx[:, None]
+        temperature = np.array([_start_temperature(d[d > 0]) for d in deltas])
+        evaluations += 100
     else:
-        temperature = cfg.initial_temperature
+        temperature = np.full(len(rngs), cfg.initial_temperature)
 
-    best_point = x.copy()
-    best_value = fx
-    trace = [(0, best_value)]
+    best_points = x.copy()
+    best_values = fx.copy()
+    history = [(0, best_values.copy())]
+    noise = np.empty_like(x)
 
     for step in range(1, cfg.temperature_steps + 1):
         for _ in range(cfg.moves_per_step):
-            y = np.clip(x + rng.normal(0.0, cfg.neighbor_sigma, size=m), 0.0, 1.0)
-            fy = obj.evaluate(y)
-            evaluations += 1
+            # sigma * N(0, 1) is the value rng.normal(0, sigma) draws.
+            for rng, row in zip(rngs, noise):
+                rng.standard_normal(out=row)
+            y = np.clip(x + sigma * noise, 0.0, 1.0)
+            fy = _evaluate(obj, y[:, None])[:, 0]
             delta = fy - fx
-            if delta <= 0:
-                accept = True
-            else:
-                exponent = -delta / temperature
-                accept = rng.random() < (math.exp(exponent) if exponent > -745.0 else 0.0)
-            if accept:
-                x, fx = y, fy
-                if accepted_history is not None:
-                    accepted_history.append(fx)
-                if fx < best_value:
-                    best_value = fx
-                    best_point = x.copy()
+            accept = delta <= 0
+            for t in np.flatnonzero(~accept):
+                exponent = -delta[t] / temperature[t]
+                accept[t] = rngs[t].random() < (math.exp(exponent) if exponent > -745.0 else 0.0)
+            x[accept] = y[accept]
+            fx[accept] = fy[accept]
+            if accepted_history is not None:
+                for t in np.flatnonzero(accept):
+                    accepted_history[t].append(float(fx[t]))
+            better = fx < best_values
+            best_values[better] = fx[better]
+            best_points[better] = x[better]
+        evaluations += cfg.moves_per_step
         temperature *= cfg.cooling_factor
-        trace.append((step, best_value))
+        history.append((step, best_values.copy()))
 
-    return _finish(obj, best_point, evaluations, trace)
+    return _finish(obj, best_points, evaluations, history, seeds)
 
 
 # ---------------------------------------------------------------------------
 # Particle swarm (global-best topology, velocity clamping)
 # ---------------------------------------------------------------------------
 
-def minimize_pso(obj, cfg: PsoConfig | None = None, initial=None) -> OptimizerResult:
+def minimize_pso(obj, cfg: PsoConfig | None = None, seeds=None, initial=None):
     """Swarm search: v += U(0,phi1)*(pbest - x) + U(0,phi2)*(gbest - x).
 
     Velocities are clamped componentwise to [-v_max, v_max] and positions to
-    [0, 1].  The global best is refreshed immediately after each particle's
-    evaluation, so later particles in the same sweep see earlier improvements.
-    ``initial`` (test hook) is a (positions, velocities) pair, each of shape
-    (swarm, m), that replaces the random initial state; the generator then
-    makes no initial draws.
+    [0, 1].  Particle i moves in every task at once, and each task's global
+    best is refreshed right after that evaluation, so later particles in the
+    same sweep see earlier improvements.  Each sweep draws a task's
+    (swarm, 2, m) block of pull factors at once, in the order of per-particle
+    U(0,phi1) then U(0,phi2) draws.  ``initial`` (test hook) is a
+    (positions, velocities) pair, each of shape (swarm, m), that replaces
+    every task's random initial state; the generators then make no initial
+    draws.
     """
     cfg = cfg or PsoConfig()
-    m = obj.dimension
-    rng = np.random.default_rng(cfg.seed)
+    rngs = _generators(obj, cfg.seed, seeds)
+    n_tasks, m, swarm = len(rngs), obj.dimension, cfg.swarm
 
     if initial is not None:
-        positions, velocities = (np.array(a, dtype=float) for a in initial)
+        if any(np.shape(a) != (swarm, m) for a in initial):
+            raise ValueError("initial positions/velocities must have shape (swarm, m)")
+        positions, velocities = (np.tile(np.asarray(a, dtype=float), (n_tasks, 1, 1)) for a in initial)
     else:
-        positions = rng.uniform(0.0, 1.0, size=(cfg.swarm, m))
-        velocities = rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.swarm, m))
-    if positions.shape != (cfg.swarm, m) or velocities.shape != (cfg.swarm, m):
-        raise ValueError("initial positions/velocities must have shape (swarm, m)")
+        positions = np.stack([rng.uniform(0.0, 1.0, size=(swarm, m)) for rng in rngs])
+        velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
 
-    values = obj.evaluate_batch(positions)
-    evaluations = cfg.swarm
+    values = _evaluate(obj, positions)
+    evaluations = swarm
     pbest = positions.copy()
     pbest_values = values.copy()
-    g = int(np.argmin(pbest_values))
-    gbest = pbest[g].copy()
-    gbest_value = float(pbest_values[g])
-    trace = [(0, gbest_value)]
+    tasks = np.arange(n_tasks)
+    g = pbest_values.argmin(axis=1)
+    gbest = pbest[tasks, g]
+    gbest_values = pbest_values[tasks, g]
+    history = [(0, gbest_values.copy())]
+    pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
 
     for it in range(1, cfg.iterations + 1):
-        for i in range(cfg.swarm):
-            pull_own = rng.uniform(0.0, cfg.phi1, size=m)
-            pull_swarm = rng.uniform(0.0, cfg.phi2, size=m)
-            velocities[i] = np.clip(
-                velocities[i]
-                + pull_own * (pbest[i] - positions[i])
-                + pull_swarm * (gbest - positions[i]),
+        pulls = np.stack([rng.random((swarm, 2, m)) for rng in rngs]) * pull_scale
+        for i in range(swarm):
+            x = positions[:, i]
+            velocities[:, i] = np.clip(
+                velocities[:, i]
+                + pulls[:, i, 0] * (pbest[:, i] - x)
+                + pulls[:, i, 1] * (gbest - x),
                 -cfg.v_max,
                 cfg.v_max,
             )
-            positions[i] = np.clip(positions[i] + velocities[i], 0.0, 1.0)
-            f = obj.evaluate(positions[i])
-            evaluations += 1
-            if f < pbest_values[i]:
-                pbest_values[i] = f
-                pbest[i] = positions[i].copy()
-            if f < gbest_value:
-                gbest_value = f
-                gbest = positions[i].copy()
-        trace.append((it, gbest_value))
+            x[:] = np.clip(x + velocities[:, i], 0.0, 1.0)
+            f = _evaluate(obj, x[:, None])[:, 0]
+            better = f < pbest_values[:, i]
+            pbest_values[better, i] = f[better]
+            pbest[better, i] = x[better]
+            better = f < gbest_values
+            gbest_values[better] = f[better]
+            gbest[better] = x[better]
+        evaluations += swarm
+        history.append((it, gbest_values.copy()))
 
-    return _finish(obj, gbest, evaluations, trace)
+    return _finish(obj, gbest, evaluations, history, seeds)
 
 
 # ---------------------------------------------------------------------------
 # Negative selection (censor the worse half, refill at random)
 # ---------------------------------------------------------------------------
 
-def minimize_ns(obj, cfg: NsConfig | None = None) -> OptimizerResult:
+def minimize_ns(obj, cfg: NsConfig | None = None, seeds=None):
     """Detector-set search: each generation eliminates every detector whose
     value lies above the set median and replaces it with a fresh uniform
     point, keeping the set size constant throughout."""
     cfg = cfg or NsConfig()
-    m = obj.dimension
-    rng = np.random.default_rng(cfg.seed)
+    rngs = _generators(obj, cfg.seed, seeds)
+    n_tasks, m = len(rngs), obj.dimension
+    tasks = np.arange(n_tasks)
 
-    detectors = rng.uniform(0.0, 1.0, size=(cfg.detectors, m))
-    evaluations = 0
-    best_point: np.ndarray | None = None
-    best_value = math.inf
-    trace = []
+    detectors = np.stack([rng.uniform(0.0, 1.0, size=(cfg.detectors, m)) for rng in rngs])
+    best_points = np.zeros((n_tasks, m))
+    best_values = np.full(n_tasks, math.inf)
+    history = []
 
     for gen in range(1, cfg.generations + 1):
-        values = obj.evaluate_batch(detectors)
-        evaluations += cfg.detectors
-        idx = int(np.argmin(values))
-        if values[idx] < best_value:
-            best_value = float(values[idx])
-            best_point = detectors[idx].copy()
-        culled = values > np.median(values)
-        n_culled = int(culled.sum())
-        if n_culled:
-            detectors[culled] = rng.uniform(0.0, 1.0, size=(n_culled, m))
-        trace.append((gen, best_value))
+        values = _evaluate(obj, detectors)
+        idx = values.argmin(axis=1)
+        better = values[tasks, idx] < best_values
+        best_values[better] = values[tasks, idx][better]
+        best_points[better] = detectors[tasks[better], idx[better]]
+        culled = values > np.median(values, axis=1, keepdims=True)
+        for t in np.flatnonzero(culled.any(axis=1)):
+            detectors[t, culled[t]] = rngs[t].uniform(0.0, 1.0, size=(int(culled[t].sum()), m))
+        history.append((gen, best_values.copy()))
 
-    assert best_point is not None
-    return _finish(obj, best_point, evaluations, trace)
+    return _finish(obj, best_points, cfg.detectors * cfg.generations, history, seeds)
 
 
 _MINIMIZERS = {
@@ -394,8 +449,12 @@ _MINIMIZERS = {
 }
 
 
-def run(obj, algorithm: str, config=None) -> OptimizerResult:
-    """Dispatch to the minimizer named by ``algorithm`` (ga, sa, pso or ns)."""
+def run(obj, algorithm: str, config=None, seeds=None):
+    """Dispatch to the minimizer named by ``algorithm`` (ga, sa, pso or ns).
+
+    Without ``seeds`` returns one result; with one seed per task of ``obj``,
+    a tuple of per-task results (see the module docstring).
+    """
     try:
         fn, cfg_type = _MINIMIZERS[algorithm]
     except KeyError:
@@ -406,4 +465,4 @@ def run(obj, algorithm: str, config=None) -> OptimizerResult:
         raise TypeError(
             f"{algorithm} expects a {cfg_type.__name__}, got {type(config).__name__}"
         )
-    return fn(obj, config)
+    return fn(obj, config, seeds)

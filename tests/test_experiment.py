@@ -1,12 +1,13 @@
 """Config parsing, orchestration, report emission, verification, and CLI."""
 
+import dataclasses
 import json
 import typing
 
 import numpy as np
 import pytest
 
-from aeimpute import cli
+from aeimpute import cli, experiment, network
 from aeimpute.experiment import (
     _SECTION_KEYS,
     _SECTION_TYPES,
@@ -262,6 +263,30 @@ class TestRunExperiment:
             if p.name == "timings.json":
                 continue
             assert (again / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_timings_split_by_stage_and_method(self, emitted):
+        cfg, _, out = emitted
+        timings = json.loads((out / "timings.json").read_text())
+        searches = [f"impute.{m}" for m in cfg.methods if m != "rf"]
+        stages = {"prepare", "train", "impute", "rf_fit", "rf_predict", "score"}
+        assert set(timings) == stages | set(searches)
+        assert all(v >= 0.0 for v in timings.values())
+        parts = sum(timings[k] for k in searches) + timings["rf_fit"] + timings["rf_predict"]
+        assert parts <= timings["impute"]
+
+    def test_auto_hidden_size_keeps_the_winning_network(self, heart_setup):
+        tmp, csv, meta = heart_setup
+        cfg = parse_config(write_config(tmp, csv, meta, name="auto.cfg", out="auto_out",
+                                        hidden_size="auto", methods="ns"))
+        report = run_experiment(cfg)
+        assert "hidden_search" in report.timings and "train" not in report.timings
+        h = report.hidden_size_selected
+        ds = experiment._prepare_dataset(cfg)
+        seed = derive_seed(cfg.master_seed, "hidden", h)
+        train_cfg = dataclasses.replace(cfg.train, rng_seed=seed)
+        again, loss = network.train(ds.train_rows, h, train_cfg)
+        np.testing.assert_array_equal(report.net.to_vector(), again.to_vector())
+        assert report.train_loss == loss
 
     def test_method_independence(self, heart_setup, emitted):
         tmp, csv, meta = heart_setup

@@ -1,11 +1,14 @@
 """Autoencoder forward pass, gradient, trainer, and hidden-size search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute import network
 from aeimpute.network import Autoencoder, TrainConfig, TrainingError
+from aeimpute.seeding import derive_seed
 
 from conftest import manifold_rows, random_autoencoder, scalar_forward
 
@@ -17,6 +20,30 @@ def zero_net(n, h):
         second_layer_weights=np.zeros((n, h)),
         second_layer_biases=np.zeros(n),
     )
+
+
+def masked_logistic(z):
+    """The boolean-mask logistic that ``network._logistic`` replaced, as a reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestLogistic:
+    @given(st.lists(st.floats(allow_nan=False, width=64), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_masked_reference(self, values):
+        z = np.array(values + [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 36.0, -36.0])
+        np.testing.assert_array_equal(
+            network._logistic(z).view(np.uint64), masked_logistic(z).view(np.uint64)
+        )
+
+    def test_strictly_inside_unit_interval(self):
+        y = network._logistic(np.linspace(-36.0, 36.0, 10001))
+        assert (y > 0).all() and (y < 1).all()
 
 
 class TestForward:
@@ -216,8 +243,11 @@ class TestSelectHiddenSize:
             return OffsetNet(rows.shape[1], 0.01 * abs(h - target)), 0.0
 
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 8))
-        chosen = network.select_hidden_size(rows, rows, TrainConfig(rng_seed=0), train_fn=fake_train)
+        chosen, net, _ = network.select_hidden_size(
+            rows, rows, TrainConfig(rng_seed=0), train_fn=fake_train
+        )
         assert chosen == target
+        assert net.offset == 0.0
 
     def test_tie_goes_to_smaller(self):
         class FlatNet:
@@ -231,7 +261,7 @@ class TestSelectHiddenSize:
             return FlatNet(rows.shape[1]), 0.0
 
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
-        assert network.select_hidden_size(rows, rows, train_fn=fake_train) == 2
+        assert network.select_hidden_size(rows, rows, train_fn=fake_train)[0] == 2
 
     def test_aborting_candidates_skipped(self):
         calls = []
@@ -244,7 +274,7 @@ class TestSelectHiddenSize:
 
         rows = np.random.default_rng(0).uniform(0, 1, size=(8, 5))
         with pytest.warns(UserWarning, match="skipped"):
-            chosen = network.select_hidden_size(rows, rows, train_fn=flaky_train)
+            chosen, _, _ = network.select_hidden_size(rows, rows, train_fn=flaky_train)
         assert chosen == 3
         assert calls == [2, 3, 4]
 
@@ -260,8 +290,14 @@ class TestSelectHiddenSize:
     def test_within_bounds_on_real_training(self):
         rows = manifold_rows(seed=6, count=50)
         cfg = TrainConfig(rng_seed=0, max_iterations=60)
-        h = network.select_hidden_size(rows[:40], rows[40:], cfg)
+        h, net, loss = network.select_hidden_size(rows[:40], rows[40:], cfg)
         assert 2 <= h <= 3
+        # The winner comes back as trained, not retrained from another seed.
+        again, again_loss = network.train(
+            rows[:40], h, dataclasses.replace(cfg, rng_seed=derive_seed(0, "hidden", h))
+        )
+        np.testing.assert_array_equal(net.to_vector(), again.to_vector())
+        assert loss == again_loss
 
 
 class TestPersistence:

@@ -90,6 +90,39 @@ class TestEvaluate:
             MissingDataObjective(IdentityNet(5), make_task([0.1, 0.2, 0.3], unknown=[0]))
 
 
+class TestStacked:
+    def test_task_major_rows_match_one_task_objectives(self):
+        rng = np.random.default_rng(3)
+        net = random_autoencoder(rng, 5, 3)
+        tasks = [make_task(rng.uniform(0, 1, 5), unknown=[1, 4]) for _ in range(7)]
+        stacked = MissingDataObjective(net, tasks)
+        assert stacked.n_tasks == 7 and stacked.dimension == 2
+        candidates = rng.uniform(0, 1, size=(7, 90, 2))  # 630 rows: more than one pass
+        values = stacked.evaluate_batch(candidates.reshape(-1, 2)).reshape(7, 90)
+        for t, task in enumerate(tasks):
+            alone = MissingDataObjective(net, task).evaluate_batch(candidates[t])
+            np.testing.assert_allclose(values[t], alone, rtol=0, atol=1e-12)
+
+    def test_rows_must_split_evenly_over_tasks(self):
+        tasks = [make_task([0.1, 0.2, 0.3], unknown=[0]), make_task([0.4, 0.5, 0.6], unknown=[0])]
+        obj = MissingDataObjective(IdentityNet(3), tasks)
+        with pytest.raises(ValueError, match="multiple of 2"):
+            obj.evaluate_batch(np.full((3, 1), 0.5))
+        with pytest.raises(ValueError):
+            obj.evaluate([0.5])
+
+    def test_tasks_must_share_one_mask(self):
+        tasks = [make_task([0.1, 0.2, 0.3], unknown=[0]), make_task([0.4, 0.5, 0.6], unknown=[1])]
+        with pytest.raises(ValueError, match="mask"):
+            MissingDataObjective(IdentityNet(3), tasks)
+
+    def test_impute_one_result_per_task(self):
+        tasks = [make_task([0.1, 0.2, 0.3], unknown=[1]), make_task([0.4, 0.5, 0.6], unknown=[1])]
+        obj = MissingDataObjective(IdentityNet(3), tasks)
+        results = [TestImpute().result([0.9]), TestImpute().result([0.8])]
+        np.testing.assert_array_equal(obj.impute(results), [[0.1, 0.9, 0.3], [0.4, 0.8, 0.6]])
+
+
 class TestImpute:
     def result(self, point):
         point = np.asarray(point, dtype=float)

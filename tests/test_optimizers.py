@@ -1,7 +1,10 @@
 """Box feasibility, budgets, traces, determinism, and search quality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aeimpute import optimizers as opt
 from aeimpute.optimizers import GaConfig, NsConfig, PsoConfig, SaConfig
@@ -89,14 +92,31 @@ class TestBudgets:
 class TestGa:
     def test_decode_endpoints(self):
         zeros = np.zeros((1, 16), dtype=np.int8)
-        ones = np.ones((1, 16), dtype=np.int8)
+        top = np.zeros((1, 16), dtype=np.int8)
+        top[0, 0] = 1  # Gray code of 2^16 - 1
         assert opt._decode(zeros, 1, 16)[0, 0] == 0.0
-        assert opt._decode(ones, 1, 16)[0, 0] == 1.0
+        assert opt._decode(top, 1, 16)[0, 0] == 1.0
 
     def test_decode_fixed_point(self):
         bits = np.zeros((1, 8), dtype=np.int8)
-        bits[0, -1] = 1  # big-endian integer 1
+        bits[0, -1] = 1  # Gray code of 1
         assert opt._decode(bits, 1, 8)[0, 0] == 1.0 / 255.0
+        bits[0, -2] = 1  # Gray code 011 is 2
+        assert opt._decode(bits, 1, 8)[0, 0] == 2.0 / 255.0
+
+    def test_decode_neighbours_one_flip_apart(self):
+        codes = np.array([[(g >> (7 - j)) & 1 for j in range(8)] for g in range(256)], dtype=np.int8)
+        values = opt._decode(codes, 1, 8)[:, 0]
+        order = np.argsort(values)
+        np.testing.assert_array_equal(values[order], np.arange(256) / 255.0)
+        assert (np.abs(np.diff(codes[order], axis=0)).sum(axis=1) == 1).all()
+
+    def test_decode_many_variables_and_leading_axes(self):
+        rng = np.random.default_rng(0)
+        chromosomes = rng.integers(0, 2, size=(3, 4, 2 * 5), dtype=np.int8)
+        stacked = opt._decode(chromosomes, 2, 5)
+        assert stacked.shape == (3, 4, 2)
+        np.testing.assert_array_equal(stacked[1], opt._decode(chromosomes[1], 2, 5))
 
     def test_grid_verified_2d(self):
         obj = Ripple2D()
@@ -126,7 +146,7 @@ class TestSa:
     def test_zero_temperature_is_strict_descent(self):
         accepted: list[float] = []
         cfg = SaConfig(initial_temperature=1e-12, seed=7)
-        opt.minimize_sa(Bimodal1D(), cfg, accepted_history=accepted)
+        opt.minimize_sa(Bimodal1D(), cfg, accepted_history=[accepted])
         assert len(accepted) >= 1
         assert (np.diff(accepted) <= 0).all()
 
@@ -181,7 +201,8 @@ class TestNs:
 
         cfg = NsConfig(detectors=13, generations=9, seed=0)
         opt.minimize_ns(Spy(), cfg)
-        assert sizes == [13] * 9
+        # Then one row: the final re-evaluation of the best point.
+        assert sizes == [13] * 9 + [1]
 
     def test_never_beats_exhaustive_grid(self):
         obj = Bimodal1D()
@@ -242,3 +263,93 @@ class TestConfigValidation:
     def test_ns_bounds(self):
         with pytest.raises(ValueError):
             NsConfig(detectors=1)
+
+
+class StackedStub:
+    """T separable tasks on [0, 1]^m, each a bowl with ripples around its own center.
+
+    Only elementwise arithmetic, column by column, so a row scores the same
+    in any batch.  Counts the rows it evaluates.
+    """
+
+    def __init__(self, centers):
+        self.centers = np.asarray(centers, dtype=float)
+        self.n_tasks, self.dimension = self.centers.shape
+        self.rows = 0
+
+    def evaluate_batch(self, candidates):
+        c = np.asarray(candidates, dtype=float)
+        self.rows += c.shape[0]
+        centers = np.repeat(self.centers, c.shape[0] // self.n_tasks, axis=0)
+        value = np.zeros(c.shape[0])
+        for j in range(self.dimension):
+            d = c[:, j] - centers[:, j]
+            ripple = (8.0 * c[:, j] + centers[:, j]) % 1.0
+            value = value + d * d + 0.05 * ripple * (1.0 - ripple)
+        return value
+
+
+def small_config(name, draw):
+    """A small-budget config for ``name`` with its per-task evaluation budget."""
+    if name == "ga":
+        population = draw(st.integers(2, 8))
+        cfg = GaConfig(
+            population=population,
+            bits_per_variable=draw(st.integers(1, 5)),
+            crossover_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            mutation_prob=draw(st.none() | st.floats(0.0, 1.0)),
+            tournament_size=draw(st.integers(1, 3)),
+            elitism=draw(st.integers(0, population - 1)),
+            generations=draw(st.integers(1, 4)),
+        )
+        return cfg, population + cfg.generations * (population - cfg.elitism)
+    if name == "sa":
+        cfg = SaConfig(
+            initial_temperature=draw(st.none() | st.floats(1e-6, 1.0)),
+            temperature_steps=draw(st.integers(1, 4)),
+            moves_per_step=draw(st.integers(1, 5)),
+            neighbor_sigma=draw(st.floats(0.01, 0.5)),
+        )
+        calibration = 100 if cfg.initial_temperature is None else 0
+        return cfg, 1 + calibration + cfg.temperature_steps * cfg.moves_per_step
+    if name == "pso":
+        cfg = PsoConfig(
+            swarm=draw(st.integers(2, 5)),
+            v_max=draw(st.floats(0.01, 0.5)),
+            iterations=draw(st.integers(1, 4)),
+        )
+        return cfg, cfg.swarm * (cfg.iterations + 1)
+    cfg = NsConfig(detectors=draw(st.integers(2, 6)), generations=draw(st.integers(1, 4)))
+    return cfg, cfg.detectors * cfg.generations
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", opt.ALGORITHM_TAGS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_separate_one_task_runs(self, name, data):
+        n_tasks = data.draw(st.integers(1, 5), label="T")
+        m = data.draw(st.integers(1, 3), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        centers = rng.uniform(0.0, 1.0, size=(n_tasks, m))
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
+        cfg, budget = small_config(name, data.draw)
+
+        stub = StackedStub(centers)
+        together = opt.run(stub, name, cfg, seeds=seeds)
+        # Exact budgets, plus one re-evaluation of each task's best point.
+        assert stub.rows == n_tasks * (budget + 1)
+        assert len(together) == n_tasks
+        for t, result in enumerate(together):
+            alone_cfg = dataclasses.replace(cfg, seed=seeds[t])
+            alone = opt.run(StackedStub(centers[t : t + 1]), name, alone_cfg)
+            np.testing.assert_array_equal(result.best_point, alone.best_point)
+            assert result.best_value == alone.best_value
+            assert result.evaluations == alone.evaluations == budget
+            assert result.trace == alone.trace
+
+    def test_seed_count_must_match_tasks(self):
+        with pytest.raises(ValueError, match="2 seeds"):
+            opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig(), seeds=[1, 2])
+        with pytest.raises(ValueError, match="1 seeds"):
+            opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig())
