@@ -2,8 +2,9 @@
 
 Covers CSV loading against a light column schema, min-max scaling of every
 column into [0, 1], the chronological 50/25/25 train/validation/test split
-(test block = final rows), and construction of masked per-record imputation
-tasks whose unknown slots are the optimizer's decision variables.
+(test block = final rows), and construction of the masked imputation task
+over the test block, whose unknown slots are the optimizers' decision
+variables.
 """
 
 from __future__ import annotations
@@ -120,12 +121,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ImputationTask:
-    """One record with a boolean known-mask over its components.
+    """T records sharing one boolean known-mask over their n components.
 
-    Components where ``known_mask`` is False are the unknowns to estimate;
-    their slots in ``record`` hold :data:`MISSING_SENTINEL` when built by
-    :func:`make_tasks` and are never read as data.  ``true_values`` keeps the
-    held-out originals for scoring.
+    ``record`` is (T, n) and ``known_mask`` is (n,).  Components where the
+    mask is False are the unknowns to estimate; their slots in ``record``
+    hold :data:`MISSING_SENTINEL` when built by :func:`make_tasks` and are
+    never read as data.  ``true_values`` (T, n) keeps the held-out originals
+    for scoring.
     """
 
     record: np.ndarray
@@ -135,8 +137,8 @@ class ImputationTask:
     def __post_init__(self) -> None:
         record = np.array(self.record, dtype=float)
         mask = np.array(self.known_mask, dtype=bool)
-        if record.ndim != 1 or mask.shape != record.shape:
-            raise ValueError("record and known_mask must be 1-D and equal-length")
+        if record.ndim != 2 or mask.shape != record.shape[1:]:
+            raise ValueError("record must be (T, n) and known_mask (n,)")
         if not mask.any():
             raise ValueError("at least one component must be known")
         if mask.all():
@@ -148,13 +150,13 @@ class ImputationTask:
         if self.true_values is not None:
             truth = np.array(self.true_values, dtype=float)
             if truth.shape != record.shape:
-                raise ValueError("true_values must match the record length")
+                raise ValueError("true_values must match the records' shape")
             truth.flags.writeable = False
             object.__setattr__(self, "true_values", truth)
 
     @property
     def n(self) -> int:
-        return self.record.shape[0]
+        return self.record.shape[1]
 
     @property
     def unknown_indices(self) -> np.ndarray:
@@ -309,31 +311,34 @@ def denormalize(value: float, spec: ColumnSpec) -> float:
     return value * (spec.observed_max - spec.observed_min) + spec.observed_min
 
 
-def split(ds: Dataset) -> Dataset:
-    """Assign chronological train/validation/test labels.
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Row counts of the chronological train/validation/test blocks of ``n`` rows.
 
-    The final floor(N/4) rows become the test block, the floor(N/4) rows
-    before them validation, and everything earlier training, so 1000 rows
-    give 500/250/250, 517 give 259/129/129 and 270 give 136/67/67.
+    The final floor(N/4) rows are the test block, the floor(N/4) rows before
+    them validation, and everything earlier training, so 1000 rows give
+    500/250/250, 517 give 259/129/129 and 270 give 136/67/67.
     """
-    if not ds.normalized:
-        raise ValueError("split expects a normalized dataset")
-    n = ds.n_rows
     if n < 4:
         raise ValueError(f"need at least 4 rows for three non-empty splits, got {n}")
     block = n // 4
-    labels = np.empty(n, dtype=object)
-    labels[: n - 2 * block] = "train"
-    labels[n - 2 * block : n - block] = "validation"
-    labels[n - block :] = "test"
+    return n - 2 * block, block, block
+
+
+def split(ds: Dataset) -> Dataset:
+    """Assign chronological train/validation/test labels (see :func:`split_sizes`)."""
+    if not ds.normalized:
+        raise ValueError("split expects a normalized dataset")
+    sizes = split_sizes(ds.n_rows)
+    labels = np.repeat(np.array(SPLIT_LABELS, dtype=object), sizes)
     return Dataset(columns=ds.columns, rows=ds.rows, normalized=True, split=labels)
 
 
-def make_tasks(ds: Dataset, missing_columns: set[int]) -> list[ImputationTask]:
-    """Build one imputation task per test row, masking ``missing_columns``.
+def make_tasks(ds: Dataset, missing_columns: set[int]) -> ImputationTask:
+    """Build the imputation task of the test block, masking ``missing_columns``.
 
-    Masked slots of each record hold :data:`MISSING_SENTINEL`; the held-out
-    originals move to ``true_values`` for later scoring.
+    The task holds every test row as one (T, n) block.  Masked slots hold
+    :data:`MISSING_SENTINEL`; the held-out originals move to ``true_values``
+    for later scoring.
     """
     if not missing_columns:
         raise ValueError("missing_columns must be non-empty")
@@ -345,15 +350,9 @@ def make_tasks(ds: Dataset, missing_columns: set[int]) -> list[ImputationTask]:
         raise ValueError("cannot mask every column: at least one must stay known")
     mask = np.ones(ds.n_columns, dtype=bool)
     mask[miss] = False
-
-    tasks = []
-    for row in ds.test_rows:
-        record = row.copy()
-        record[miss] = MISSING_SENTINEL
-        tasks.append(
-            ImputationTask(record=record, known_mask=mask.copy(), true_values=row.copy())
-        )
-    return tasks
+    records = ds.test_rows.copy()
+    records[:, miss] = MISSING_SENTINEL
+    return ImputationTask(record=records, known_mask=mask, true_values=ds.test_rows)
 
 
 def normalization_table(columns) -> str:

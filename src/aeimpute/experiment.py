@@ -2,9 +2,9 @@
 
 Pipeline: load CSV -> normalize -> chronological split -> train the
 autoencoder on the training block (under a hidden size search, the search's
-best network) -> build one imputation task per test row with the designated
-column masked -> estimate the masked value of every task with each
-configured optimizer, all tasks in lockstep (and directly with the random
+best network) -> mask the designated column of the test rows as one
+imputation task -> estimate the masked value of every test record with each
+configured optimizer, all records in lockstep (and directly with the random
 forest) -> score every method -> pairwise Welch comparison -> persist a
 machine-readable report.
 
@@ -373,9 +373,8 @@ def _prepare_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
             f"{ds.n_columns}-column dataset"
         )
     if cfg.normalization_scope == "train":
-        n = ds.n_rows
-        fit_rows = n - 2 * (n // 4)  # size of the leading training block
-        ds = data_mod.normalize(ds, fit_row_count=fit_rows)
+        train_rows, _, _ = data_mod.split_sizes(ds.n_rows)
+        ds = data_mod.normalize(ds, fit_row_count=train_rows)
     else:
         ds = data_mod.normalize(ds)
     return data_mod.split(ds)
@@ -428,8 +427,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         partial["train_loss"] = train_loss
 
         stage = "tasks"
-        tasks = data_mod.make_tasks(ds, {cfg.missing_column})
-        truth = np.array([t.true_values[cfg.missing_column] for t in tasks])
+        task = data_mod.make_tasks(ds, {cfg.missing_column})
+        truth = task.true_values[:, cfg.missing_column]
         if cfg.task_kind == "classification" and not np.isin(truth, (0.0, 1.0)).all():
             raise ValueError(
                 "classification task needs a 0/1 target after scaling; "
@@ -437,18 +436,18 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             )
 
         stage = "impute"
-        notify(f"imputing {len(tasks)} test records per method")
+        notify(f"imputing {len(truth)} test records per method")
         start = perf_counter()
         imputed: dict[str, np.ndarray] = {}
         evaluations: dict[str, int] = {}
-        # Every test record shares the mask, so each method searches all of
-        # them in lockstep, each record with its own derived seed.
-        objective = MissingDataObjective(net, tasks)
+        # Each method searches all test records in lockstep, each record with
+        # its own derived seed.
+        objective = MissingDataObjective(net, task)
         for method in cfg.methods:
             if method not in OPTIMIZER_METHODS:
                 continue
-            seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(tasks))]
-            results = clock(
+            seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(truth))]
+            result = clock(
                 f"impute.{method}",
                 optim_mod.run,
                 objective,
@@ -456,9 +455,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 getattr(cfg, method),
                 seeds=seeds,
             )
-            imputed[method] = objective.impute(results)[:, cfg.missing_column]
-            evaluations[method] = results[0].evaluations
-            del results  # every task's trace; free them before the next search
+            imputed[method] = objective.impute(result)[:, cfg.missing_column]
+            evaluations[method] = result.evaluations
+            del result  # every record's trace; free them before the next search
 
         rf_mtry_resolved: int | None = None
         if "rf" in cfg.methods:
@@ -478,8 +477,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             else:
                 rf_mtry_resolved = rf_cfg.mtry
             imputed["rf"] = clock(
-                "rf_predict",
-                lambda: np.array([fitted.predict(t.true_values[predictor_cols]) for t in tasks]),
+                "rf_predict", fitted.predict, task.true_values[:, predictor_cols]
             )
         timings["impute"] = perf_counter() - start
 
@@ -493,7 +491,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             block: dict = {
                 "imputed": [
                     {"row": i, "true": float(truth[i]), "imputed": float(values[i])}
-                    for i in range(len(tasks))
+                    for i in range(len(truth))
                 ]
             }
             if method in evaluations:
@@ -722,22 +720,30 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         # Pair names are unordered; the stored report may list methods in a
         # different order than the alphabetical recomputation here.
         recomputed_pairs = {
-            frozenset((a.upper(), b.upper())): p for a, b, p in matrix.pairs()
+            frozenset((a.upper(), b.upper())): (f"{a.upper()}-{b.upper()}", p)
+            for a, b, p in matrix.pairs()
         }
+        stored_pairs: set[frozenset] = set()
         for row in _read_csv_rows(out_dir / "pvalues.csv"):
             pair = row["pair"]
             key = frozenset(pair.split("-"))
             if key not in recomputed_pairs:
                 checks.append((f"pvalue.{pair}", False, "unexpected pair"))
                 continue
-            ok = abs(float(row["p_value"]) - recomputed_pairs[key]) <= VERIFY_TOLERANCE
+            if key in stored_pairs:
+                checks.append((f"pvalue.{pair}", False, "pair repeated in pvalues.csv"))
+                continue
+            stored_pairs.add(key)
+            recomputed = recomputed_pairs[key][1]
+            ok = abs(float(row["p_value"]) - recomputed) <= VERIFY_TOLERANCE
             checks.append(
                 (
                     f"pvalue.{pair}",
                     ok,
-                    "match"
-                    if ok
-                    else f"stored {row['p_value']} vs recomputed {recomputed_pairs[key]!r}",
+                    "match" if ok else f"stored {row['p_value']} vs recomputed {recomputed!r}",
                 )
             )
+        for key, (pair, _) in recomputed_pairs.items():
+            if key not in stored_pairs:
+                checks.append((f"pvalue.{pair}", False, "absent from pvalues.csv"))
     return checks

@@ -49,11 +49,20 @@ class CartTree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict_row(self, row: np.ndarray) -> float:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if row[self.feature[i]] < self.threshold[i] else self.right[i]
-        return float(self.value[i])
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Leaf values for the rows of an (R, d) predictor block.
+
+        All rows descend together, one tree level per step; a row stops at
+        its leaf while the others go on.
+        """
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        inner = np.flatnonzero(self.feature[node] >= 0)
+        while inner.size:
+            at = node[inner]
+            goes_left = x[inner, self.feature[at]] < self.threshold[at]
+            node[inner] = np.where(goes_left, self.left[at], self.right[at])
+            inner = inner[self.feature[node[inner]] >= 0]
+        return self.value[node]
 
 
 @dataclass(frozen=True)
@@ -64,23 +73,33 @@ class Forest:
     predictor_columns: tuple[int, ...]
     binary_target: bool
 
-    def predict(self, known_row) -> float:
-        """Mean of per-tree predictions for a vector of predictor values."""
-        row = np.asarray(known_row, dtype=float)
-        if row.shape != (len(self.predictor_columns),):
+    def predict(self, known_rows) -> np.ndarray:
+        """Mean of per-tree predictions for each row of an (R, d) predictor block."""
+        x = np.asarray(known_rows, dtype=float)
+        if x.ndim != 2 or x.shape[1] != len(self.predictor_columns):
             raise ValueError(
-                f"expected {len(self.predictor_columns)} predictor values, got shape {row.shape}"
+                f"expected rows of {len(self.predictor_columns)} predictor values, "
+                f"got shape {x.shape}"
             )
-        return float(np.mean([t.predict_row(row) for t in self.trees]))
+        # Row r's votes lie contiguous in memory, so the mean sums them in the
+        # order np.mean sums one row's list of votes, bit for bit.
+        votes = np.empty((x.shape[0], len(self.trees)))
+        for j, tree in enumerate(self.trees):
+            votes[:, j] = tree.predict(x)
+        return votes.mean(axis=1)
 
-    def classify(self, known_row, threshold: float = 0.5) -> tuple[int, float]:
-        """Class label (score >= threshold -> 1) plus the score itself."""
+    def classify(self, known_rows, threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+        """Class labels (score >= threshold -> 1) plus the scores themselves.
+
+        The default is the report's rule for hard labels: threshold 0.5,
+        ties to 1.
+        """
         if not self.binary_target:
             raise ValueError(
                 "classify requires a forest fitted with binary_target=True"
             )
-        score = self.predict(known_row)
-        return (1 if score >= threshold else 0), score
+        scores = self.predict(known_rows)
+        return (scores >= threshold).astype(int), scores
 
 
 def _node_sse(cum_s: float, cum_q: float, count: int) -> float:

@@ -118,35 +118,31 @@ def roc_curve(scores, labels) -> RocCurve:
     return RocCurve(points=tuple(points), auc=float(auc))
 
 
+_TINY = 1e-300
+
+
+def _lentz_update(coef: float, c: float, d: float) -> tuple[float, float]:
+    """One modified-Lentz term: the new (c, d), each kept off zero."""
+    d = 1.0 + coef * d
+    if abs(d) < _TINY:
+        d = _TINY
+    c = 1.0 + coef / c
+    if abs(c) < _TINY:
+        c = _TINY
+    return c, 1.0 / d
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Lentz-style continued fraction for the incomplete beta integral."""
-    tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    # c starts at infinity so that the first term leaves it at exactly 1.
+    c, d = _lentz_update(-qab * x / qap, math.inf, 1.0)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = _lentz_update(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = _lentz_update(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
         step = d * c
         h *= step
         if abs(step - 1.0) < 1e-15:

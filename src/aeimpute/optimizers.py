@@ -4,23 +4,21 @@ Implements a Gray-coded binary genetic algorithm, simulated annealing, particle
 swarm optimization with velocity clamping, and a negative-selection search
 that repeatedly culls the worse half of a detector set.
 
-An objective exposes ``dimension`` (m) and ``evaluate_batch(X)``, which
-scores the rows of an (r, m) candidate matrix and returns a length-r float
-array.  An objective that stacks T independent tasks (say, the test records
-of one experiment, which share one mask) also exposes ``n_tasks = T`` and
-reads X task-major: r = T * k, and rows t*k to t*k + k - 1 are task t's k
-candidates.  An objective without ``n_tasks`` is one task.  Every minimizer
+An objective holds T independent tasks (say, the test records of one
+experiment, which share one mask) and exposes ``n_tasks = T``, ``dimension``
+(m) and ``evaluate_batch(X)``.  That call scores the rows of an (r, m)
+candidate matrix read task-major, r = T * k, rows t*k to t*k + k - 1 being
+task t's k candidates, and returns a length-r float array.  Every minimizer
 advances all T tasks together, so each step is one ``evaluate_batch`` call
-over the candidates of every task.
+over the candidates of every task, and returns one :class:`OptimizerResult`
+for all of them.
 
-Seeds and draw order: ``minimize_*(obj, cfg)`` searches a one-task objective
-with ``cfg.seed`` and returns one :class:`OptimizerResult`;
-``minimize_*(obj, cfg, seeds)`` takes one seed per task and returns a tuple
-of T results.  Task t draws from its own ``np.random.default_rng(seeds[t])``
-in the order of a run of that task alone, and keeps its own budget and trace.
+Seeds and draw order: ``minimize_*(obj, cfg, seeds=seeds)`` takes one seed
+per task.  Task t draws from its own ``np.random.default_rng(seeds[t])`` in
+the order of a run of that task alone, and keeps its own budget and trace.
 When the objective scores each row independently of the others in its batch,
-task t's result is bit for bit that of a one-task run with
-``cfg.seed = seeds[t]``.
+task t's part of the result is bit for bit that of a one-task run with
+``seeds=[seeds[t]]``.
 
 Evaluation budgets per task are exact functions of the configuration:
 
@@ -43,23 +41,26 @@ ALGORITHM_TAGS = ("ga", "sa", "pso", "ns")
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    """Best point found, its objective value, and run accounting.
+    """Best points found for T tasks, their objective values, and run accounting.
 
-    ``trace`` holds (iteration, best-so-far value) pairs and is
-    non-increasing in the value; ``best_value`` is a fresh re-evaluation of
-    ``best_point``.
+    ``best_points`` is (T, m) and ``best_values`` (T,), a fresh
+    re-evaluation of the best points.  ``evaluations`` is the budget spent
+    per task.  The trace has K entries: ``trace_iterations`` (K,) labels
+    them, and column t of ``trace_values`` (K, T) is task t's best-so-far
+    value, non-increasing down the column.
     """
 
-    best_point: np.ndarray
-    best_value: float
+    best_points: np.ndarray
+    best_values: np.ndarray
     evaluations: int
-    trace: tuple[tuple[int, float], ...]
+    trace_iterations: np.ndarray
+    trace_values: np.ndarray
 
     def __post_init__(self) -> None:
-        point = np.array(self.best_point, dtype=float)
-        point.flags.writeable = False
-        object.__setattr__(self, "best_point", point)
-        object.__setattr__(self, "trace", tuple(self.trace))
+        for name in ("best_points", "best_values", "trace_iterations", "trace_values"):
+            array = np.array(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class GaConfig:
     tournament_size: int = 2
     elitism: int = 1
     generations: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -99,7 +99,6 @@ class SaConfig:
     temperature_steps: int = 100
     moves_per_step: int = 20
     neighbor_sigma: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.initial_temperature is not None and self.initial_temperature <= 0:
@@ -119,7 +118,6 @@ class PsoConfig:
     phi2: float = 2.0
     v_max: float = 0.25
     iterations: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.swarm < 2:
@@ -136,7 +134,6 @@ class PsoConfig:
 class NsConfig:
     detectors: int = 50
     generations: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.detectors < 2:
@@ -145,12 +142,11 @@ class NsConfig:
             raise ValueError("generations must be >= 1")
 
 
-def _generators(obj, seed: int, seeds) -> list[np.random.Generator]:
-    """One generator per task of ``obj``: ``seeds``, or ``[seed]`` for one task."""
-    seeds = [seed] if seeds is None else list(seeds)
-    n_tasks = getattr(obj, "n_tasks", 1)
-    if len(seeds) != n_tasks:
-        raise ValueError(f"{len(seeds)} seeds for an objective of {n_tasks} tasks")
+def _generators(obj, seeds) -> list[np.random.Generator]:
+    """One generator per task of ``obj``, seeded from ``seeds``."""
+    seeds = list(seeds)
+    if len(seeds) != obj.n_tasks:
+        raise ValueError(f"{len(seeds)} seeds for an objective of {obj.n_tasks} tasks")
     return [np.random.default_rng(s) for s in seeds]
 
 
@@ -160,24 +156,20 @@ def _evaluate(obj, candidates: np.ndarray) -> np.ndarray:
     return obj.evaluate_batch(candidates.reshape(n_tasks * k, m)).reshape(n_tasks, k)
 
 
-def _finish(obj, best_points: np.ndarray, evaluations: int, history, seeds):
-    """Per-task results from the (T, m) best points and the best-so-far history.
+def _finish(obj, best_points: np.ndarray, evaluations: int, history, first_iteration: int = 0):
+    """The result from the (T, m) best points and the best-so-far history.
 
-    ``history`` holds (iteration, length-T best values) pairs.  All T best
-    points are re-evaluated in one batch so that each best_value is
-    re-checkable.  A run without ``seeds`` returns its one result alone.
+    ``history`` holds one length-T array of best values per iteration,
+    counted from ``first_iteration``.  All T best points are re-evaluated in
+    one batch so that each best value is re-checkable.
     """
-    best_values = _evaluate(obj, best_points[:, None])[:, 0]
-    results = tuple(
-        OptimizerResult(
-            best_point=best_points[t],
-            best_value=float(best_values[t]),
-            evaluations=evaluations,
-            trace=[(it, float(values[t])) for it, values in history],
-        )
-        for t in range(best_points.shape[0])
+    return OptimizerResult(
+        best_points=best_points,
+        best_values=_evaluate(obj, best_points[:, None])[:, 0],
+        evaluations=evaluations,
+        trace_iterations=np.arange(first_iteration, first_iteration + len(history)),
+        trace_values=np.stack(history),
     )
-    return results[0] if seeds is None else results
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def _ga_draws(rng: np.random.Generator, cfg: GaConfig, pairs: int, length: int, 
     return entrants, cuts, flips
 
 
-def minimize_ga(obj, cfg: GaConfig | None = None, seeds=None):
+def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
     """Generational GA maximizing the negated objective.
 
     Chromosomes are Gray-coded bit strings of m * bits_per_variable bits
@@ -224,7 +216,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None, seeds=None):
     Each task draws a generation's entrants, cuts and flips as three arrays.
     """
     cfg = cfg or GaConfig()
-    rngs = _generators(obj, cfg.seed, seeds)
+    rngs = _generators(obj, seeds)
     n_tasks, m = len(rngs), obj.dimension
     bits = cfg.bits_per_variable
     length = m * bits
@@ -241,7 +233,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None, seeds=None):
     best_idx = values.argmin(axis=1)
     best_values = values[tasks, best_idx]
     best_points = _decode(pop[tasks, best_idx], m, bits)
-    history = [(0, best_values.copy())]
+    history = [best_values.copy()]
 
     for gen in range(1, cfg.generations + 1):
         elite_idx = np.argsort(values, axis=1, kind="stable")[:, : cfg.elitism]
@@ -266,9 +258,9 @@ def minimize_ga(obj, cfg: GaConfig | None = None, seeds=None):
         better = values[tasks, gen_best] < best_values
         best_values[better] = values[tasks, gen_best][better]
         best_points[better] = _decode(pop[tasks[better], gen_best[better]], m, bits)
-        history.append((gen, best_values.copy()))
+        history.append(best_values.copy())
 
-    return _finish(obj, best_points, evaluations, history, seeds)
+    return _finish(obj, best_points, evaluations, history)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +278,7 @@ def _start_temperature(uphill: np.ndarray) -> float:
     return float(np.mean(uphill) / -math.log(0.8))
 
 
-def minimize_sa(obj, cfg: SaConfig | None = None, seeds=None, accepted_history=None):
+def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=None):
     """Gaussian-neighborhood annealing with geometric cooling.
 
     Without a fixed ``initial_temperature`` each task calibrates its own from
@@ -297,7 +289,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, seeds=None, accepted_history=N
     of every move that task accepts.
     """
     cfg = cfg or SaConfig()
-    rngs = _generators(obj, cfg.seed, seeds)
+    rngs = _generators(obj, seeds)
     m = obj.dimension
     sigma = cfg.neighbor_sigma
 
@@ -314,7 +306,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, seeds=None, accepted_history=N
 
     best_points = x.copy()
     best_values = fx.copy()
-    history = [(0, best_values.copy())]
+    history = [best_values.copy()]
     noise = np.empty_like(x)
 
     for step in range(1, cfg.temperature_steps + 1):
@@ -339,16 +331,16 @@ def minimize_sa(obj, cfg: SaConfig | None = None, seeds=None, accepted_history=N
             best_points[better] = x[better]
         evaluations += cfg.moves_per_step
         temperature *= cfg.cooling_factor
-        history.append((step, best_values.copy()))
+        history.append(best_values.copy())
 
-    return _finish(obj, best_points, evaluations, history, seeds)
+    return _finish(obj, best_points, evaluations, history)
 
 
 # ---------------------------------------------------------------------------
 # Particle swarm (global-best topology, velocity clamping)
 # ---------------------------------------------------------------------------
 
-def minimize_pso(obj, cfg: PsoConfig | None = None, seeds=None, initial=None):
+def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
     """Swarm search: v += U(0,phi1)*(pbest - x) + U(0,phi2)*(gbest - x).
 
     Velocities are clamped componentwise to [-v_max, v_max] and positions to
@@ -362,7 +354,7 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, seeds=None, initial=None):
     draws.
     """
     cfg = cfg or PsoConfig()
-    rngs = _generators(obj, cfg.seed, seeds)
+    rngs = _generators(obj, seeds)
     n_tasks, m, swarm = len(rngs), obj.dimension, cfg.swarm
 
     if initial is not None:
@@ -381,7 +373,7 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, seeds=None, initial=None):
     g = pbest_values.argmin(axis=1)
     gbest = pbest[tasks, g]
     gbest_values = pbest_values[tasks, g]
-    history = [(0, gbest_values.copy())]
+    history = [gbest_values.copy()]
     pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
 
     for it in range(1, cfg.iterations + 1):
@@ -404,21 +396,21 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, seeds=None, initial=None):
             gbest_values[better] = f[better]
             gbest[better] = x[better]
         evaluations += swarm
-        history.append((it, gbest_values.copy()))
+        history.append(gbest_values.copy())
 
-    return _finish(obj, gbest, evaluations, history, seeds)
+    return _finish(obj, gbest, evaluations, history)
 
 
 # ---------------------------------------------------------------------------
 # Negative selection (censor the worse half, refill at random)
 # ---------------------------------------------------------------------------
 
-def minimize_ns(obj, cfg: NsConfig | None = None, seeds=None):
+def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
     """Detector-set search: each generation eliminates every detector whose
     value lies above the set median and replaces it with a fresh uniform
     point, keeping the set size constant throughout."""
     cfg = cfg or NsConfig()
-    rngs = _generators(obj, cfg.seed, seeds)
+    rngs = _generators(obj, seeds)
     n_tasks, m = len(rngs), obj.dimension
     tasks = np.arange(n_tasks)
 
@@ -436,9 +428,9 @@ def minimize_ns(obj, cfg: NsConfig | None = None, seeds=None):
         culled = values > np.median(values, axis=1, keepdims=True)
         for t in np.flatnonzero(culled.any(axis=1)):
             detectors[t, culled[t]] = rngs[t].uniform(0.0, 1.0, size=(int(culled[t].sum()), m))
-        history.append((gen, best_values.copy()))
+        history.append(best_values.copy())
 
-    return _finish(obj, best_points, cfg.detectors * cfg.generations, history, seeds)
+    return _finish(obj, best_points, cfg.detectors * cfg.generations, history, first_iteration=1)
 
 
 _MINIMIZERS = {
@@ -449,11 +441,10 @@ _MINIMIZERS = {
 }
 
 
-def run(obj, algorithm: str, config=None, seeds=None):
+def run(obj, algorithm: str, config=None, *, seeds) -> OptimizerResult:
     """Dispatch to the minimizer named by ``algorithm`` (ga, sa, pso or ns).
 
-    Without ``seeds`` returns one result; with one seed per task of ``obj``,
-    a tuple of per-task results (see the module docstring).
+    ``seeds`` holds one seed per task of ``obj`` (see the module docstring).
     """
     try:
         fn, cfg_type = _MINIMIZERS[algorithm]
@@ -465,4 +456,4 @@ def run(obj, algorithm: str, config=None, seeds=None):
         raise TypeError(
             f"{algorithm} expects a {cfg_type.__name__}, got {type(config).__name__}"
         )
-    return fn(obj, config, seeds)
+    return fn(obj, config, seeds=seeds)

@@ -59,6 +59,7 @@ class QuadraticStub:
     """g(x) = (x - 0.3)^2 on [0, 1]."""
 
     dimension = 1
+    n_tasks = 1
 
     def evaluate(self, c):
         return float((c[0] - 0.3) ** 2)
@@ -72,6 +73,7 @@ class Ripple2D:
     """Smooth 2-D bowl with sinusoidal ripples; global minimum well above 0."""
 
     dimension = 2
+    n_tasks = 1
 
     def evaluate(self, c):
         x, y = float(c[0]), float(c[1])
@@ -99,6 +101,7 @@ class Bimodal1D:
     """Two Gaussian wells: a shallow trap near 0.25, the optimum near 0.7."""
 
     dimension = 1
+    n_tasks = 1
 
     def evaluate(self, c):
         x = float(c[0])
@@ -121,6 +124,7 @@ class CountingObjective:
     def __init__(self, inner):
         self.inner = inner
         self.dimension = inner.dimension
+        self.n_tasks = inner.n_tasks
         self.count = 0
 
     def evaluate(self, c):

@@ -142,8 +142,8 @@ class TestCriterion3Optimizers:
         stub_failures = []
         for name, fn, cfg_type, tol in stub_specs:
             for seed in range(20):
-                result = fn(stub, cfg_type(seed=seed))
-                if abs(result.best_point[0] - 0.3) >= tol:
+                result = fn(stub, cfg_type(), seeds=[seed])
+                if abs(result.best_points[0, 0] - 0.3) >= tol:
                     stub_failures.append((name, seed))
 
         ripple = Ripple2D()
@@ -152,8 +152,8 @@ class TestCriterion3Optimizers:
         for name, fn, cfg_type, _ in stub_specs[:3]:
             hits = 0
             for seed in range(20):
-                result = fn(ripple, cfg_type(seed=seed))
-                hits += (result.best_value - grid_min) / grid_min <= 0.05
+                result = fn(ripple, cfg_type(), seeds=[seed])
+                hits += (result.best_values[0] - grid_min) / grid_min <= 0.05
             grid_hits[name] = hits
 
         elapsed = perf_counter() - start
@@ -240,12 +240,12 @@ class TestCriterion6Forest:
         memorizer = forest.fit(
             rows, 1, forest.ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0), bootstrap=False
         )
-        memo_err = max(abs(memorizer.predict([x]) - y) for x, y in rows)
+        memo_err = float(np.abs(memorizer.predict(rows[:, :1]) - rows[:, 1]).max())
 
         train = step_rows(rng, 200)
         held_out = step_rows(rng, 200)
         f = forest.fit(train, 2, forest.ForestConfig(n_trees=100, seed=1))
-        preds = np.array([f.predict(r[:2]) for r in held_out])
+        preds = f.predict(held_out[:, :2])
         mae = float(np.abs(preds - held_out[:, 2]).mean())
         elapsed = perf_counter() - start
         ok = memo_err == 0.0 and mae < 0.05 and elapsed < 30.0

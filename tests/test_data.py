@@ -162,7 +162,7 @@ class TestSplit:
     def test_benchmark_counts(self, n, expected):
         ds = data.split(_normalized(n))
         counts = tuple(int((ds.split == label).sum()) for label in data.SPLIT_LABELS)
-        assert counts == expected
+        assert counts == expected == data.split_sizes(n)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -196,22 +196,22 @@ class TestSplit:
 
 
 class TestMakeTasks:
-    def test_one_task_per_test_row(self):
+    def test_one_record_per_test_row(self):
         ds = data.split(_normalized(40, n_cols=5))
-        tasks = data.make_tasks(ds, {4})
-        assert len(tasks) == 10
-        for task, row in zip(tasks, ds.test_rows):
-            assert task.known_mask.sum() == 4
-            assert not task.known_mask[4]
-            assert task.record[4] == data.MISSING_SENTINEL
-            np.testing.assert_array_equal(task.true_values, row)
-            np.testing.assert_array_equal(task.record[:4], row[:4])
+        task = data.make_tasks(ds, {4})
+        assert task.record.shape == task.true_values.shape == (10, 5)
+        assert task.known_mask.shape == (5,)
+        assert task.known_mask.sum() == 4
+        assert not task.known_mask[4]
+        assert (task.record[:, 4] == data.MISSING_SENTINEL).all()
+        np.testing.assert_array_equal(task.true_values, ds.test_rows)
+        np.testing.assert_array_equal(task.record[:, :4], ds.test_rows[:, :4])
 
     def test_multi_column_mask(self):
         ds = data.split(_normalized(20, n_cols=5))
-        tasks = data.make_tasks(ds, {1, 3})
-        assert all(list(np.flatnonzero(~t.known_mask)) == [1, 3] for t in tasks)
-        assert all((t.record[[1, 3]] == data.MISSING_SENTINEL).all() for t in tasks)
+        task = data.make_tasks(ds, {1, 3})
+        assert task.unknown_indices.tolist() == [1, 3]
+        assert (task.record[:, [1, 3]] == data.MISSING_SENTINEL).all()
 
     def test_all_columns_masked_rejected(self):
         ds = data.split(_normalized(20, n_cols=3))
@@ -231,23 +231,35 @@ class TestMakeTasks:
     def test_benchmark_scale_task_counts(self, credit_like):
         path, meta = credit_like
         ds = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
-        tasks = data.make_tasks(ds, {24})
-        assert len(tasks) == 250
-        assert all(t.known_mask.sum() == 24 for t in tasks)
-        assert all(t.unknown_indices.tolist() == [24] for t in tasks)
+        task = data.make_tasks(ds, {24})
+        assert task.record.shape == (250, 25)
+        assert task.known_mask.sum() == 24
+        assert task.unknown_indices.tolist() == [24]
 
 
 class TestImputationTask:
     def test_needs_one_known_and_one_unknown(self):
-        with pytest.raises(ValueError):
-            data.ImputationTask(record=np.zeros(3), known_mask=np.ones(3, bool))
-        with pytest.raises(ValueError):
-            data.ImputationTask(record=np.zeros(3), known_mask=np.zeros(3, bool))
+        with pytest.raises(ValueError, match="known"):
+            data.ImputationTask(record=np.zeros((2, 3)), known_mask=np.zeros(3, bool))
+        with pytest.raises(ValueError, match="unknown"):
+            data.ImputationTask(record=np.zeros((2, 3)), known_mask=np.ones(3, bool))
+
+    def test_shapes_must_agree(self):
+        mask = np.array([True, False, True])
+        with pytest.raises(ValueError, match="known_mask"):
+            data.ImputationTask(record=np.zeros(3), known_mask=mask)
+        with pytest.raises(ValueError, match="known_mask"):
+            data.ImputationTask(record=np.zeros((2, 4)), known_mask=mask)
+        with pytest.raises(ValueError, match="true_values"):
+            data.ImputationTask(record=np.zeros((2, 3)), known_mask=mask, true_values=np.zeros((3, 3)))
 
     def test_arrays_read_only(self):
-        t = data.ImputationTask(record=np.zeros(3), known_mask=np.array([True, False, True]))
-        with pytest.raises(ValueError):
-            t.record[0] = 1.0
+        t = data.ImputationTask(
+            record=np.zeros((2, 3)), known_mask=np.array([True, False, True]), true_values=np.ones((2, 3))
+        )
+        for array in (t.record, t.known_mask, t.true_values):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestNormalizationExport:

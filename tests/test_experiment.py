@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,23 @@ class TestRunExperiment:
         bad = [name for name, ok, _ in checks if not ok]
         assert bad == [f"{method}.{metric}"]
 
+    def test_verify_catches_deleted_and_repeated_pvalue(self, emitted, tmp_path):
+        _, _, out = emitted
+        lines = (out / "pvalues.csv").read_text().splitlines()
+        deleted_pair = lines[3].split(",")[0]
+        for name, kept, pair, detail in (
+            ("deleted", lines[:3] + lines[4:], deleted_pair, "absent"),
+            ("repeated", lines + lines[1:2], lines[1].split(",")[0], "repeated"),
+        ):
+            clone = tmp_path / name
+            clone.mkdir()
+            for p in out.iterdir():
+                (clone / p.name).write_bytes(p.read_bytes())
+            (clone / "pvalues.csv").write_text("\n".join(kept) + "\n")
+            bad = [(n, d) for n, ok, d in verify_report(clone) if not ok]
+            assert len(bad) == 1
+            assert bad[0][0] == f"pvalue.{pair}" and detail in bad[0][1]
+
     def test_verify_reports_missing_file_inventory(self, emitted, tmp_path):
         _, _, out = emitted
         clone = tmp_path / "gutted"
@@ -462,3 +481,62 @@ class TestCli:
         b = json.loads((tmp / "s2" / "report.json").read_text())
         assert a["config"]["seed"] == 1 and b["config"]["seed"] == 2
         assert a["methods"]["ga"]["imputed"] != b["methods"]["ga"]["imputed"]
+
+
+class TestTracedHooks:
+    """The traced benchmark (``bench/spans.py``) wraps program functions by name
+    and call shape; a reshaped function must still fit its wrapper."""
+
+    def test_every_hook_fits_and_restores(self, heart_setup):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            from spans import Tracer
+        finally:
+            sys.path.pop(0)
+        from aeimpute.data import ImputationTask
+        from aeimpute.objective import MissingDataObjective
+
+        tmp, csv, meta = heart_setup
+        cfg = parse_config(write_config(tmp, csv, meta, name="traced.cfg", out="traced_out",
+                                        hidden_size="auto"))
+        assert cfg.methods == experiment.ALL_METHODS
+        tracer = Tracer()
+        tracer.install()
+        originals = list(tracer._patched)
+        try:
+            report = run_experiment(cfg)
+            # Functions the experiment does not call, in the shapes the tracer wraps.
+            net = report.net
+            rows = experiment._prepare_dataset(cfg).train_rows
+            task = ImputationTask(record=rows[:1], known_mask=np.arange(rows.shape[1]) != 0)
+            tracer.spanned("probe", lambda: (
+                network.train(rows, 3, network.TrainConfig(max_iterations=5)),
+                net.forward(rows[0]),
+                MissingDataObjective(net, task).evaluate([0.5]),
+            ))()
+        finally:
+            tracer.restore()
+        for owner, attr, original in originals:
+            assert getattr(owner, attr) is original, attr
+
+        records = report.split_counts["test"]
+        budgets = {
+            "ga": cfg.ga.population + cfg.ga.generations * (cfg.ga.population - cfg.ga.elitism),
+            "sa": 1 + 100 + cfg.sa.temperature_steps * cfg.sa.moves_per_step,
+            "pso": cfg.pso.swarm * (cfg.pso.iterations + 1),
+            "ns": cfg.ns.detectors * cfg.ns.generations,
+        }
+        for method, budget in budgets.items():
+            assert len(tracer.select("optimizers." + method)) == 1, method
+            rows_seen = tracer.count("optimizers." + method, "objective.rows")
+            assert rows_seen == records * (budget + 1), method
+        for name in ("data.load_csv", "data.normalize", "data.split", "data.make_tasks",
+                     "network.select_hidden_size", "network.hidden_candidate", "network.train",
+                     "forest.fit", "forest.predict", "metrics.roc_curve",
+                     "metrics.comparison_matrix"):
+            assert tracer.select(name), name
+        assert tracer.count("network.train", "train_steps") >= 1
+        assert tracer.count("forest.fit", "nodes") > 0
+        probe = tracer.select("probe")[0].counts
+        assert probe["forward.calls"] >= 2 and probe["objective.calls"] >= 1
+        assert tracer.all_counts("forward.rows") >= tracer.all_counts("objective.rows")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aeimpute import forest
 from aeimpute.forest import CartTree, Forest, ForestConfig
@@ -29,23 +30,21 @@ class TestFit:
         rng = np.random.default_rng(0)
         rows = np.column_stack([rng.uniform(0, 1, 30), np.full(30, 0.7)])
         f = forest.fit(rows, 1, ForestConfig(n_trees=5, min_leaf=1, seed=0))
-        for _ in range(5):
-            assert f.predict(rng.uniform(0, 1, 1)) == 0.7
+        assert (f.predict(rng.uniform(0, 1, size=(5, 1))) == 0.7).all()
 
     def test_fully_grown_tree_memorizes(self):
         rng = np.random.default_rng(1)
         rows = np.column_stack([rng.permutation(40) / 40.0, rng.uniform(0, 1, 40)])
         cfg = ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0)
         f = forest.fit(rows, 1, cfg, bootstrap=False)
-        for x, y in rows:
-            assert f.predict([x]) == y
+        np.testing.assert_array_equal(f.predict(rows[:, :1]), rows[:, 1])
 
     def test_step_function_held_out_mae(self):
         rng = np.random.default_rng(3)
         train = step_rows(rng, 200)
         test = step_rows(rng, 200)
         f = forest.fit(train, 2, ForestConfig(n_trees=100, seed=1))
-        preds = np.array([f.predict(row[:2]) for row in test])
+        preds = f.predict(test[:, :2])
         assert np.abs(preds - test[:, 2]).mean() < 0.05
 
     def test_insufficient_rows_rejected(self):
@@ -69,8 +68,7 @@ class TestFit:
         f1 = forest.fit(rows, 2, ForestConfig(n_trees=10, seed=5))
         f2 = forest.fit(rows, 2, ForestConfig(n_trees=10, seed=5))
         query = rng.uniform(0, 1, size=(10, 2))
-        for q in query:
-            assert f1.predict(q) == f2.predict(q)
+        np.testing.assert_array_equal(f1.predict(query), f2.predict(query))
 
 
 class TestPredict:
@@ -82,7 +80,7 @@ class TestPredict:
             predictor_columns=(0,),
             binary_target=False,
         )
-        assert f.predict([0.5]) == pytest.approx(0.4)
+        assert f.predict([[0.5]]) == pytest.approx([0.4])
 
     def test_constant_forest(self):
         f = Forest(
@@ -92,7 +90,7 @@ class TestPredict:
             predictor_columns=(0,),
             binary_target=False,
         )
-        assert f.predict([0.1]) == 0.9
+        assert f.predict([[0.1]]).tolist() == [0.9]
 
     def test_duplicated_trees_leave_prediction_unchanged(self):
         rng = np.random.default_rng(6)
@@ -105,28 +103,30 @@ class TestPredict:
             predictor_columns=base.predictor_columns,
             binary_target=False,
         )
-        for q in rng.uniform(0, 1, size=(10, 2)):
-            assert doubled.predict(q) == base.predict(q)
+        query = rng.uniform(0, 1, size=(10, 2))
+        np.testing.assert_array_equal(doubled.predict(query), base.predict(query))
 
     def test_step_at_extreme_with_many_trees(self):
         rng = np.random.default_rng(3)
         train = step_rows(rng, 200)
         f = forest.fit(train, 2, ForestConfig(n_trees=500, seed=2))
-        assert abs(f.predict([0.9, 0.5]) - 1.0) < 0.05
+        assert abs(f.predict([[0.9, 0.5]])[0] - 1.0) < 0.05
 
     def test_prediction_within_target_range(self):
         rng = np.random.default_rng(8)
         rows = np.column_stack([rng.uniform(0, 1, 80), rng.uniform(0.2, 0.8, 80)])
         f = forest.fit(rows, 1, ForestConfig(n_trees=30, seed=9))
         lo, hi = rows[:, 1].min(), rows[:, 1].max()
-        for q in rng.uniform(0, 1, size=(30, 1)):
-            assert lo <= f.predict(q) <= hi
+        preds = f.predict(rng.uniform(0, 1, size=(30, 1)))
+        assert ((lo <= preds) & (preds <= hi)).all()
 
     def test_wrong_width_rejected(self):
         rng = np.random.default_rng(8)
         f = forest.fit(step_rows(rng, 40), 2, ForestConfig(n_trees=2, seed=0))
         with pytest.raises(ValueError, match="predictor"):
-            f.predict([0.1, 0.2, 0.3])
+            f.predict([[0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError, match="predictor"):
+            f.predict([0.1, 0.2])  # one row is still a block of one
 
 
 class TestClassify:
@@ -139,10 +139,9 @@ class TestClassify:
 
     def test_threshold_rule(self):
         f = self.fit_binary()
-        label, score = f.classify([0.95, 0.5])
-        assert label == 1 and score > 0.5
-        label, score = f.classify([0.05, 0.5])
-        assert label == 0 and score < 0.5
+        labels, scores = f.classify([[0.95, 0.5], [0.05, 0.5]])
+        assert labels.tolist() == [1, 0]
+        assert scores[0] > 0.5 > scores[1]
 
     def test_tie_goes_to_one(self):
         f = Forest(
@@ -152,20 +151,20 @@ class TestClassify:
             predictor_columns=(0,),
             binary_target=True,
         )
-        label, score = f.classify([0.1])
-        assert score == 0.5 and label == 1
+        labels, scores = f.classify([[0.1]])
+        assert scores.tolist() == [0.5] and labels.tolist() == [1]
 
     def test_all_positive_training_class(self):
         f = self.fit_binary(constant=1.0)
-        label, score = f.classify([0.3, 0.3])
-        assert score == 1.0 and label == 1
+        labels, scores = f.classify([[0.3, 0.3]])
+        assert scores.tolist() == [1.0] and labels.tolist() == [1]
 
     def test_requires_binary_fit(self):
         rng = np.random.default_rng(1)
         rows = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)])
         f = forest.fit(rows, 1, ForestConfig(n_trees=2, seed=0))
         with pytest.raises(ValueError, match="binary_target"):
-            f.classify([0.5])
+            f.classify([[0.5]])
 
 
 # --- exhaustive-split reference ----------------------------------------------
@@ -236,8 +235,9 @@ class TestReferenceEquivalence:
         cfg = ForestConfig(n_trees=1, min_leaf=min_leaf, mtry=3, seed=seed)
         f = forest.fit(rows, 3, cfg, bootstrap=False)
         ref = reference_cart(x, y, min_leaf)
-        for q in rng.uniform(0, 1, size=(40, 3)):
-            assert f.predict(q) == pytest.approx(reference_predict(ref, q), abs=1e-12)
+        query = rng.uniform(0, 1, size=(40, 3))
+        expected = [reference_predict(ref, q) for q in query]
+        np.testing.assert_allclose(f.predict(query), expected, rtol=0, atol=1e-12)
 
     def test_row_order_invariance_with_unique_splits(self):
         # Same splits regardless of row order; leaf means may differ in the
@@ -255,3 +255,27 @@ class TestReferenceEquivalence:
         np.testing.assert_array_equal(t1.left, t2.left)
         np.testing.assert_array_equal(t1.right, t2.right)
         np.testing.assert_allclose(t1.value, t2.value, rtol=0, atol=1e-12)
+
+
+def walk_row(tree, row):
+    """One row down one tree, node by node: the reference for the block walk."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if row[tree.feature[i]] < tree.threshold[i] else tree.right[i]
+    return float(tree.value[i])
+
+
+class TestBlockWalk:
+    @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 120), rows=st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_row_walk_and_mean(self, seed, n_trees, rows):
+        # The block must give each row the bits of the per-row walk averaged
+        # with np.mean over that row's list of tree votes.
+        rng = np.random.default_rng(seed)
+        train = np.column_stack([rng.uniform(0, 1, size=(50, 3)), rng.normal(0, 1, 50)])
+        f = forest.fit(train, 3, ForestConfig(n_trees=n_trees, min_leaf=2, seed=seed))
+        query = rng.uniform(-0.1, 1.1, size=(rows, 3))
+        expected = [np.mean([walk_row(t, q) for t in f.trees]) for q in query]
+        np.testing.assert_array_equal(f.predict(query), expected)
+        for t in f.trees[:3]:
+            np.testing.assert_array_equal(t.predict(query), [walk_row(t, q) for q in query])

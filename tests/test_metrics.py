@@ -1,5 +1,6 @@
 """Score formulas, ROC/AUC against concordance, and the Welch t-test."""
 
+import functools
 import math
 
 import numpy as np
@@ -123,9 +124,17 @@ def t_pdf(x: float, df: float) -> float:
     return math.exp(lognorm) * (1 + x * x / df) ** (-(df + 1) / 2)
 
 
+@functools.cache
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule, solved once per node count (read-only)."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 def p_two_tailed_quadrature(t: float, df: float, nodes: int = 400) -> float:
     """Independent oracle: Gauss-Legendre integration of the density."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = gauss_legendre(nodes)
     half = abs(t) / 2.0
     mapped = half * xs + half
     integral = half * sum(w * t_pdf(x, df) for x, w in zip(mapped, ws))
@@ -238,3 +247,49 @@ class TestIncompleteBeta:
             assert metrics.regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(
                 x, abs=1e-12
             )
+
+    @given(
+        a=st.floats(1e-3, 1e4),
+        b=st.floats(1e-3, 1e4),
+        x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_continued_fraction_equals_two_half_step_reference(self, a, b, x):
+        # The continued fraction updates (c, d) once per term; the reference
+        # writes out the even and odd terms of each iteration separately.
+        assert metrics._beta_continued_fraction(a, b, x) == reference_continued_fraction(a, b, x)
+
+
+def reference_continued_fraction(a: float, b: float, x: float) -> float:
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + coef * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + coef / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + coef * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + coef / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < 1e-15:
+            break
+    return h

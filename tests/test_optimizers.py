@@ -1,7 +1,5 @@
 """Box feasibility, budgets, traces, determinism, and search quality."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,73 +17,86 @@ ALL = [
 ]
 
 
+def assert_same_result(a, b):
+    np.testing.assert_array_equal(a.best_points, b.best_points)
+    np.testing.assert_array_equal(a.best_values, b.best_values)
+    assert a.evaluations == b.evaluations
+    np.testing.assert_array_equal(a.trace_iterations, b.trace_iterations)
+    np.testing.assert_array_equal(a.trace_values, b.trace_values)
+
+
 class TestQuadraticStub:
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_finds_minimum(self, name, fn, cfg_type):
         tol = 0.05 if name == "ns" else 0.02
         for seed in range(5):
-            result = fn(QuadraticStub(), cfg_type(seed=seed))
-            assert abs(result.best_point[0] - 0.3) < tol
+            result = fn(QuadraticStub(), cfg_type(), seeds=[seed])
+            assert abs(result.best_points[0, 0] - 0.3) < tol
 
 
 class TestSharedContracts:
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_box_feasible_best_point(self, name, fn, cfg_type):
-        result = fn(QuadraticStub(), cfg_type(seed=3))
-        assert (result.best_point >= 0).all() and (result.best_point <= 1).all()
+        result = fn(QuadraticStub(), cfg_type(), seeds=[3])
+        assert (result.best_points >= 0).all() and (result.best_points <= 1).all()
 
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_best_value_fresh_reevaluation(self, name, fn, cfg_type):
         stub = QuadraticStub()
-        result = fn(stub, cfg_type(seed=4))
-        assert result.best_value == stub.evaluate(result.best_point)
+        result = fn(stub, cfg_type(), seeds=[4])
+        assert result.best_values[0] == stub.evaluate(result.best_points[0])
 
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_trace_non_increasing(self, name, fn, cfg_type):
-        result = fn(Ripple2D(), cfg_type(seed=5))
-        values = [v for _, v in result.trace]
-        assert (np.diff(values) <= 0).all()
+        result = fn(Ripple2D(), cfg_type(), seeds=[5])
+        assert (np.diff(result.trace_values[:, 0]) <= 0).all()
 
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_deterministic_given_seed(self, name, fn, cfg_type):
-        a = fn(Ripple2D(), cfg_type(seed=6))
-        b = fn(Ripple2D(), cfg_type(seed=6))
-        np.testing.assert_array_equal(a.best_point, b.best_point)
-        assert a.best_value == b.best_value
-        assert a.evaluations == b.evaluations
-        assert a.trace == b.trace
+        a = fn(Ripple2D(), cfg_type(), seeds=[6])
+        b = fn(Ripple2D(), cfg_type(), seeds=[6])
+        assert_same_result(a, b)
+
+    @pytest.mark.parametrize("name,fn,cfg_type", ALL)
+    def test_trace_labels(self, name, fn, cfg_type):
+        result = fn(QuadraticStub(), cfg_type(), seeds=[0])
+        first = 1 if name == "ns" else 0  # NS records its first generation as 1
+        np.testing.assert_array_equal(
+            result.trace_iterations, np.arange(first, first + result.trace_values.shape[0])
+        )
+        assert result.trace_values.shape[1] == 1
 
 
 class TestBudgets:
     def test_ga_budget(self):
         counter = CountingObjective(QuadraticStub())
-        cfg = GaConfig(population=20, generations=15, elitism=3, seed=0)
-        result = opt.minimize_ga(counter, cfg)
+        cfg = GaConfig(population=20, generations=15, elitism=3)
+        result = opt.minimize_ga(counter, cfg, seeds=[0])
         expected = 20 + 15 * (20 - 3)
-        # final best_point re-evaluation adds one scalar call
+        # the final re-evaluation of the best point adds one row
         assert result.evaluations == expected
         assert counter.count == expected + 1
 
     def test_sa_budget_with_calibration(self):
         counter = CountingObjective(QuadraticStub())
-        cfg = SaConfig(temperature_steps=12, moves_per_step=7, seed=0)
-        result = opt.minimize_sa(counter, cfg)
+        cfg = SaConfig(temperature_steps=12, moves_per_step=7)
+        result = opt.minimize_sa(counter, cfg, seeds=[0])
         assert result.evaluations == 1 + 100 + 12 * 7
 
     def test_sa_budget_fixed_temperature(self):
         counter = CountingObjective(QuadraticStub())
-        cfg = SaConfig(initial_temperature=0.1, temperature_steps=12, moves_per_step=7, seed=0)
-        result = opt.minimize_sa(counter, cfg)
+        cfg = SaConfig(initial_temperature=0.1, temperature_steps=12, moves_per_step=7)
+        result = opt.minimize_sa(counter, cfg, seeds=[0])
         assert result.evaluations == 1 + 12 * 7
 
     def test_pso_budget(self):
-        cfg = PsoConfig(swarm=9, iterations=13, seed=0)
-        result = opt.minimize_pso(QuadraticStub(), cfg)
+        cfg = PsoConfig(swarm=9, iterations=13)
+        result = opt.minimize_pso(QuadraticStub(), cfg, seeds=[0])
         assert result.evaluations == 9 * (13 + 1)
 
     def test_ns_budget(self):
-        cfg = NsConfig(detectors=11, generations=17, seed=0)
-        result = opt.minimize_ns(QuadraticStub(), cfg)
+        cfg = NsConfig(detectors=11, generations=17)
+        result = opt.minimize_ns(QuadraticStub(), cfg, seeds=[0])
         assert result.evaluations == 11 * 17
 
 
@@ -123,8 +134,8 @@ class TestGa:
         grid_min = obj.grid_minimum()
         hits = 0
         for seed in range(20):
-            result = opt.minimize_ga(obj, GaConfig(seed=seed))
-            hits += (result.best_value - grid_min) / grid_min <= 0.05
+            result = opt.minimize_ga(obj, GaConfig(), seeds=[seed])
+            hits += (result.best_values[0] - grid_min) / grid_min <= 0.05
         assert hits >= 18
 
     def test_selection_prefers_smaller_objective(self):
@@ -138,15 +149,15 @@ class TestGa:
     def test_mutation_default_resolution(self):
         # Default mutation rate keeps roughly one flip per chromosome.
         counter = CountingObjective(QuadraticStub())
-        result = opt.minimize_ga(counter, GaConfig(seed=1, generations=5))
+        result = opt.minimize_ga(counter, GaConfig(generations=5), seeds=[1])
         assert result.evaluations == 50 + 5 * 49
 
 
 class TestSa:
     def test_zero_temperature_is_strict_descent(self):
         accepted: list[float] = []
-        cfg = SaConfig(initial_temperature=1e-12, seed=7)
-        opt.minimize_sa(Bimodal1D(), cfg, accepted_history=[accepted])
+        cfg = SaConfig(initial_temperature=1e-12)
+        opt.minimize_sa(Bimodal1D(), cfg, seeds=[7], accepted_history=[accepted])
         assert len(accepted) >= 1
         assert (np.diff(accepted) <= 0).all()
 
@@ -155,13 +166,13 @@ class TestSa:
         grid_min = obj.grid_minimum()
         hits = 0
         for seed in range(30):
-            result = opt.minimize_sa(obj, SaConfig(seed=seed))
-            hits += (result.best_value - grid_min) <= 0.05 * abs(grid_min)
+            result = opt.minimize_sa(obj, SaConfig(), seeds=[seed])
+            hits += (result.best_values[0] - grid_min) <= 0.05 * abs(grid_min)
         assert hits >= 27
 
     def test_calibrated_temperature_positive(self):
-        result = opt.minimize_sa(QuadraticStub(), SaConfig(seed=0))
-        assert result.best_value >= 0.0
+        result = opt.minimize_sa(QuadraticStub(), SaConfig(), seeds=[0])
+        assert result.best_values[0] >= 0.0
 
 
 class TestPso:
@@ -169,24 +180,24 @@ class TestPso:
         # Both particles start on the optimum with zero velocity: pbest and
         # gbest coincide with the position, so the velocity update is zero.
         start = np.array([[0.3], [0.3]])
-        cfg = PsoConfig(swarm=2, iterations=50, seed=0)
-        result = opt.minimize_pso(QuadraticStub(), cfg, initial=(start, np.zeros((2, 1))))
-        assert result.best_point[0] == 0.3
-        assert result.best_value == 0.0
+        cfg = PsoConfig(swarm=2, iterations=50)
+        result = opt.minimize_pso(QuadraticStub(), cfg, seeds=[0], initial=(start, np.zeros((2, 1))))
+        assert result.best_points[0, 0] == 0.3
+        assert result.best_values[0] == 0.0
 
     def test_velocity_clamped(self):
         # With a huge attraction, positions still stay inside the box.
-        cfg = PsoConfig(swarm=5, iterations=30, phi1=10.0, phi2=10.0, seed=2)
-        result = opt.minimize_pso(Ripple2D(), cfg)
-        assert (result.best_point >= 0).all() and (result.best_point <= 1).all()
+        cfg = PsoConfig(swarm=5, iterations=30, phi1=10.0, phi2=10.0)
+        result = opt.minimize_pso(Ripple2D(), cfg, seeds=[2])
+        assert (result.best_points >= 0).all() and (result.best_points <= 1).all()
 
     def test_grid_verified_2d(self):
         obj = Ripple2D()
         grid_min = obj.grid_minimum()
         hits = 0
         for seed in range(20):
-            result = opt.minimize_pso(obj, PsoConfig(seed=seed))
-            hits += (result.best_value - grid_min) / grid_min <= 0.05
+            result = opt.minimize_pso(obj, PsoConfig(), seeds=[seed])
+            hits += (result.best_values[0] - grid_min) / grid_min <= 0.05
         assert hits >= 18
 
 
@@ -199,8 +210,8 @@ class TestNs:
                 sizes.append(np.asarray(candidates).shape[0])
                 return super().evaluate_batch(candidates)
 
-        cfg = NsConfig(detectors=13, generations=9, seed=0)
-        opt.minimize_ns(Spy(), cfg)
+        cfg = NsConfig(detectors=13, generations=9)
+        opt.minimize_ns(Spy(), cfg, seeds=[0])
         # Then one row: the final re-evaluation of the best point.
         assert sizes == [13] * 9 + [1]
 
@@ -208,32 +219,32 @@ class TestNs:
         obj = Bimodal1D()
         grid = np.linspace(0, 1, 10001)
         grid_vals = [obj.evaluate([g]) for g in grid]
-        result = opt.minimize_ns(obj, NsConfig(seed=1))
-        assert result.best_value >= min(grid_vals) - 1e-12
-        assert result.best_value <= max(grid_vals)
+        result = opt.minimize_ns(obj, NsConfig(), seeds=[1])
+        assert result.best_values[0] >= min(grid_vals) - 1e-12
+        assert result.best_values[0] <= max(grid_vals)
 
 
 class TestDispatch:
     def test_routes_by_tag(self):
-        result = opt.run(QuadraticStub(), "ga", GaConfig(seed=0, generations=5))
-        direct = opt.minimize_ga(QuadraticStub(), GaConfig(seed=0, generations=5))
-        np.testing.assert_array_equal(result.best_point, direct.best_point)
+        result = opt.run(QuadraticStub(), "ga", GaConfig(generations=5), seeds=[0])
+        direct = opt.minimize_ga(QuadraticStub(), GaConfig(generations=5), seeds=[0])
+        assert_same_result(result, direct)
 
     def test_same_seed_same_result(self):
-        a = opt.run(QuadraticStub(), "pso", PsoConfig(seed=9))
-        b = opt.run(QuadraticStub(), "pso", PsoConfig(seed=9))
-        assert a == b
+        a = opt.run(QuadraticStub(), "pso", PsoConfig(), seeds=[9])
+        b = opt.run(QuadraticStub(), "pso", PsoConfig(), seeds=[9])
+        assert_same_result(a, b)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="rf"):
-            opt.run(QuadraticStub(), "rf")
+            opt.run(QuadraticStub(), "rf", seeds=[0])
 
     def test_mismatched_config_rejected(self):
         with pytest.raises(TypeError):
-            opt.run(QuadraticStub(), "sa", GaConfig())
+            opt.run(QuadraticStub(), "sa", GaConfig(), seeds=[0])
 
     def test_default_config_used_when_none(self):
-        result = opt.run(QuadraticStub(), "ns")
+        result = opt.run(QuadraticStub(), "ns", seeds=[0])
         assert result.evaluations == 50 * 100
 
 
@@ -339,17 +350,18 @@ class TestLockstep:
         together = opt.run(stub, name, cfg, seeds=seeds)
         # Exact budgets, plus one re-evaluation of each task's best point.
         assert stub.rows == n_tasks * (budget + 1)
-        assert len(together) == n_tasks
-        for t, result in enumerate(together):
-            alone_cfg = dataclasses.replace(cfg, seed=seeds[t])
-            alone = opt.run(StackedStub(centers[t : t + 1]), name, alone_cfg)
-            np.testing.assert_array_equal(result.best_point, alone.best_point)
-            assert result.best_value == alone.best_value
-            assert result.evaluations == alone.evaluations == budget
-            assert result.trace == alone.trace
+        assert together.best_points.shape == (n_tasks, m)
+        assert together.trace_values.shape == (together.trace_iterations.size, n_tasks)
+        for t in range(n_tasks):
+            alone = opt.run(StackedStub(centers[t : t + 1]), name, cfg, seeds=[seeds[t]])
+            np.testing.assert_array_equal(together.best_points[t], alone.best_points[0])
+            assert together.best_values[t] == alone.best_values[0]
+            assert together.evaluations == alone.evaluations == budget
+            np.testing.assert_array_equal(together.trace_iterations, alone.trace_iterations)
+            np.testing.assert_array_equal(together.trace_values[:, t], alone.trace_values[:, 0])
 
     def test_seed_count_must_match_tasks(self):
         with pytest.raises(ValueError, match="2 seeds"):
             opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig(), seeds=[1, 2])
-        with pytest.raises(ValueError, match="1 seeds"):
+        with pytest.raises(TypeError, match="seeds"):
             opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig())
