@@ -636,6 +636,37 @@ def _read_csv_rows(path: Path) -> list[dict]:
     return [dict(zip(header, line.split(","))) for line in lines[1:] if line]
 
 
+def _compare(stored: str, value: float | None) -> tuple[bool, str]:
+    """A stored cell ('undefined' or a float) against its recomputation (None: undefined)."""
+    if value is None:
+        ok = stored == "undefined"
+        return ok, "undefined as stored" if ok else f"stored {stored!r}, recomputed undefined"
+    if stored == "undefined":
+        return False, f"stored undefined, recomputed {value!r}"
+    ok = abs(float(stored) - value) <= VERIFY_TOLERANCE
+    return ok, "match" if ok else f"stored {float(stored)!r} vs recomputed {value!r}"
+
+
+def _match_rows(checks, source, stored, recomputed) -> None:
+    """Check a stored table's (key, label, text) rows against {key: (label, value)}.
+
+    A row whose key is repeated or not recomputed fails, and so does a
+    recomputed key with no row; every other row is compared by :func:`_compare`.
+    """
+    seen = set()
+    for key, label, text in stored:
+        if key not in recomputed:
+            checks.append((label, False, f"unexpected row in {source}"))
+        elif key in seen:
+            checks.append((label, False, f"row repeated in {source}"))
+        else:
+            seen.add(key)
+            checks.append((label, *_compare(text, recomputed[key][1])))
+    for key, (label, _) in recomputed.items():
+        if key not in seen:
+            checks.append((label, False, f"absent from {source}"))
+
+
 def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     """Recompute every metric from the persisted imputed values.
 
@@ -668,10 +699,7 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         ]
     checks.append(("inventory", True, f"{len(expected)} files present"))
 
-    stored_metrics: dict[tuple[str, str], str] = {}
-    for row in _read_csv_rows(out_dir / "metrics.csv"):
-        stored_metrics[(row["method"], row["metric"])] = row["value"]
-
+    recomputed_metrics: dict[tuple[str, str], tuple[str, float | None]] = {}
     errors: dict[str, np.ndarray] = {}
     for method in methods:
         rows = _read_csv_rows(out_dir / f"imputed_{method}.csv")
@@ -687,63 +715,28 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
                 abs(a - c) <= VERIFY_TOLERANCE and abs(b - d) <= VERIFY_TOLERANCE
                 for (a, b), (c, d) in zip(stored_points, roc.points)
             )
-            checks.append(
-                (
-                    f"roc_{method}",
-                    ok,
-                    "points match" if ok else "stored ROC points differ from recomputation",
-                )
-            )
+            detail = "points match" if ok else "stored ROC points differ from recomputation"
+            checks.append((f"roc_{method}", ok, detail))
         for metric, value in recomputed.items():
-            key = (method, metric)
-            if key not in stored_metrics:
-                checks.append((f"{method}.{metric}", False, "absent from metrics.csv"))
-                continue
-            stored = stored_metrics[key]
-            if value is None:
-                ok = stored == "undefined"
-                detail = "undefined as stored" if ok else f"stored {stored!r}, recomputed undefined"
-            elif stored == "undefined":
-                ok = False
-                detail = f"stored undefined, recomputed {value!r}"
-            else:
-                ok = abs(float(stored) - value) <= VERIFY_TOLERANCE
-                detail = (
-                    "match"
-                    if ok
-                    else f"stored {float(stored)!r} vs recomputed {value!r}"
-                )
-            checks.append((f"{method}.{metric}", ok, detail))
+            recomputed_metrics[(method, metric)] = (f"{method}.{metric}", value)
+
+    stored_metrics = [
+        ((r["method"], r["metric"]), f"{r['method']}.{r['metric']}", r["value"])
+        for r in _read_csv_rows(out_dir / "metrics.csv")
+    ]
+    _match_rows(checks, "metrics.csv", stored_metrics, recomputed_metrics)
 
     if len(methods) >= 2:
         matrix = metrics_mod.comparison_matrix(errors)
         # Pair names are unordered; the stored report may list methods in a
         # different order than the alphabetical recomputation here.
         recomputed_pairs = {
-            frozenset((a.upper(), b.upper())): (f"{a.upper()}-{b.upper()}", p)
+            frozenset((a.upper(), b.upper())): (f"pvalue.{a.upper()}-{b.upper()}", p)
             for a, b, p in matrix.pairs()
         }
-        stored_pairs: set[frozenset] = set()
-        for row in _read_csv_rows(out_dir / "pvalues.csv"):
-            pair = row["pair"]
-            key = frozenset(pair.split("-"))
-            if key not in recomputed_pairs:
-                checks.append((f"pvalue.{pair}", False, "unexpected pair"))
-                continue
-            if key in stored_pairs:
-                checks.append((f"pvalue.{pair}", False, "pair repeated in pvalues.csv"))
-                continue
-            stored_pairs.add(key)
-            recomputed = recomputed_pairs[key][1]
-            ok = abs(float(row["p_value"]) - recomputed) <= VERIFY_TOLERANCE
-            checks.append(
-                (
-                    f"pvalue.{pair}",
-                    ok,
-                    "match" if ok else f"stored {row['p_value']} vs recomputed {recomputed!r}",
-                )
-            )
-        for key, (pair, _) in recomputed_pairs.items():
-            if key not in stored_pairs:
-                checks.append((f"pvalue.{pair}", False, "absent from pvalues.csv"))
+        stored_pairs = [
+            (frozenset(r["pair"].split("-")), f"pvalue.{r['pair']}", r["p_value"])
+            for r in _read_csv_rows(out_dir / "pvalues.csv")
+        ]
+        _match_rows(checks, "pvalues.csv", stored_pairs, recomputed_pairs)
     return checks

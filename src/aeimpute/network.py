@@ -8,7 +8,8 @@ layer and a logistic output layer:
 Parameters are handled as one flat vector in a fixed order: W1 row-major,
 then b1, then W2 row-major, then b2.  The trainer is Moller's scaled
 conjugate gradient, a batch method that sizes steps from a one-sided
-curvature estimate instead of a line search.
+curvature estimate instead of a line search.  A trial point's loss and
+gradient come from one pass, and an accepted step reuses that gradient.
 """
 
 from __future__ import annotations
@@ -175,33 +176,35 @@ def _forward(w1, b1, w2, b2, rows: np.ndarray):
     return hidden, _logistic(out)
 
 
-def _loss(rows: np.ndarray, out: np.ndarray) -> float:
-    """Mean over rows of the summed squared reconstruction error."""
-    diff = rows - out
-    return float((diff * diff).sum() / rows.shape[0])
-
-
-def _batch_loss(vec: np.ndarray, rows: np.ndarray, n: int, h: int) -> float:
-    return _loss(rows, _forward(*_unpack(vec, n, h), rows)[1])
+def _loss(diff: np.ndarray) -> float:
+    """Mean over rows of the summed squared reconstruction error rows - out."""
+    return float((diff * diff).sum() / diff.shape[0])
 
 
 def _batch_loss_grad(vec: np.ndarray, rows: np.ndarray, n: int, h: int):
-    """Loss plus its analytic gradient in the flat parameter order."""
+    """Loss plus its analytic gradient in the flat parameter order, from one pass.
+
+    The elementwise passes run in place on arrays this function owns, in the
+    operation order of the expressions in the comments, whose bits they keep.
+    """
     w1, b1, w2, b2 = _unpack(vec, n, h)
     r = rows.shape[0]
     hidden, out = _forward(w1, b1, w2, b2, rows)
-    loss = _loss(rows, out)
     diff = rows - out
+    loss = _loss(diff)
 
-    # d loss / d pre-activation of the output layer
-    g_out = (-2.0 / r) * diff * out * (1.0 - out)
+    # d loss / d pre-activation of the output layer: (-2/r) * diff * out * (1 - out)
+    g_out = np.multiply(diff, -2.0 / r, out=diff)
+    g_out *= out
+    g_out *= np.subtract(1.0, out, out=out)
     g_w2 = g_out.T @ hidden
     g_b2 = g_out.sum(axis=0)
-    g_hidden = (g_out @ w2) * (1.0 - hidden * hidden)
+    # (g_out @ W2) * (1 - hidden * hidden)
+    g_hidden = g_out @ w2
+    g_hidden *= np.subtract(1.0, np.multiply(hidden, hidden, out=hidden), out=hidden)
     g_w1 = g_hidden.T @ rows
     g_b1 = g_hidden.sum(axis=0)
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
-    return loss, grad
+    return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
 
 
 def _check_rows(rows) -> np.ndarray:
@@ -214,7 +217,7 @@ def _check_rows(rows) -> np.ndarray:
 def reconstruction_loss(net, rows) -> float:
     """Mean over rows of the summed squared reconstruction error."""
     rows = _check_rows(rows)
-    return _loss(rows, net.forward_batch(rows))
+    return _loss(rows - net.forward_batch(rows))
 
 
 def gradient(net: Autoencoder, rows) -> np.ndarray:
@@ -250,6 +253,10 @@ def train(
     than ``objective_tolerance``, or ``max_iterations`` is reached.  The run
     is fully determined by ``cfg.rng_seed``.  ``loss_history``, when given,
     receives the loss after every accepted step.
+
+    The trial point's loss and gradient come from one pass, and an accepted
+    step reuses that gradient; a rejected step discards it.  A non-finite
+    loss, at the initial weights or at a trial point, raises TrainingError.
     """
     cfg = cfg or TrainConfig()
     rows = _check_rows(rows)
@@ -262,6 +269,8 @@ def train(
     n_params = w.size
 
     f, g = _batch_loss_grad(w, rows, n, n_hidden)
+    if not np.isfinite(f):
+        raise TrainingError("non-finite loss at the initial weights")
     if loss_history is not None:
         loss_history.append(f)
     r = -g
@@ -269,7 +278,6 @@ def train(
     lam = _SCG_LAMBDA
     lam_bar = 0.0
     success = True
-    delta = 0.0
 
     for k in range(1, cfg.max_iterations + 1):
         p_sq = float(p @ p)
@@ -294,7 +302,7 @@ def train(
             continue
         alpha = mu / delta
         w_try = w + alpha * p
-        f_try = _batch_loss(w_try, rows, n, n_hidden)
+        f_try, g_try = _batch_loss_grad(w_try, rows, n, n_hidden)
         if not np.isfinite(f_try):
             raise TrainingError(
                 f"non-finite loss at iteration {k} (step size {alpha:.3e})"
@@ -305,17 +313,16 @@ def train(
             improvement = f - f_try
             w = w_try
             f = f_try
-            _, g = _batch_loss_grad(w, rows, n, n_hidden)
+            g = g_try
             r_new = -g
             lam_bar = 0.0
             success = True
             if k % n_params == 0:
-                p_new = r_new.copy()
+                p = r_new.copy()
             else:
                 beta = float(r_new @ r_new - r_new @ r) / mu
-                p_new = r_new + beta * p
+                p = r_new + beta * p
             r = r_new
-            p = p_new
             if comparison >= 0.75:
                 lam *= 0.25
             if loss_history is not None:

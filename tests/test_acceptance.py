@@ -96,8 +96,8 @@ class TestCriterion1Gradient:
                 down = base.copy()
                 down[i] -= eps
                 fd[i] = (
-                    network._batch_loss(up, rows, n, h)
-                    - network._batch_loss(down, rows, n, h)
+                    network._batch_loss_grad(up, rows, n, h)[0]
+                    - network._batch_loss_grad(down, rows, n, h)[0]
                 ) / (2 * eps)
             rel = np.abs(analytic - fd) / max(np.abs(fd).max(), 1e-8)
             worst = max(worst, float(rel.max()))

@@ -261,6 +261,33 @@ class TestRunExperiment:
             assert len(bad) == 1
             assert bad[0][0] == f"pvalue.{pair}" and detail in bad[0][1]
 
+    @pytest.mark.parametrize(
+        "row, name, details",
+        [
+            # Read first, the out-of-range AUC fails its comparison as well.
+            ("ga,auc,1.3333333333333335", "ga.auc", ["stored", "repeated"]),
+            (None, "ga.auc", ["repeated"]),  # the real row, twice
+            ("xx,auc,0.5", "xx.auc", ["unexpected"]),
+            ("ga,mse,0.1", "ga.mse", ["unexpected"]),
+        ],
+        ids=["repeated-altered", "repeated-same", "unknown-method", "unknown-metric"],
+    )
+    def test_verify_catches_repeated_and_unknown_metric_rows(
+        self, emitted, tmp_path, row, name, details
+    ):
+        _, _, out = emitted
+        lines = (out / "metrics.csv").read_text().splitlines()
+        real = next(i for i, line in enumerate(lines) if line.startswith("ga,auc,"))
+        lines.insert(real, lines[real] if row is None else row)
+        clone = tmp_path / "edited"
+        clone.mkdir()
+        for p in out.iterdir():
+            (clone / p.name).write_bytes(p.read_bytes())
+        (clone / "metrics.csv").write_text("\n".join(lines) + "\n")
+        bad = [(n, d) for n, ok, d in verify_report(clone) if not ok]
+        assert [n for n, _ in bad] == [name] * len(details)
+        assert all(word in d for word, (_, d) in zip(details, bad))
+
     def test_verify_reports_missing_file_inventory(self, emitted, tmp_path):
         _, _, out = emitted
         clone = tmp_path / "gutted"

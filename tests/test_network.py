@@ -46,6 +46,106 @@ class TestLogistic:
         assert (y > 0).all() and (y < 1).all()
 
 
+def reference_loss(vec, rows, n, h):
+    """The separate loss pass the trainer ran at its trial point before the fusion."""
+    diff = rows - network._forward(*network._unpack(vec, n, h), rows)[1]
+    return float((diff * diff).sum() / rows.shape[0])
+
+
+def reference_loss_grad(vec, rows, n, h):
+    """The out-of-place gradient expressions that ``_batch_loss_grad`` fused."""
+    w1, b1, w2, b2 = network._unpack(vec, n, h)
+    r = rows.shape[0]
+    hidden, out = network._forward(w1, b1, w2, b2, rows)
+    diff = rows - out
+    loss = float((diff * diff).sum() / r)
+    g_out = (-2.0 / r) * diff * out * (1.0 - out)
+    g_w2 = g_out.T @ hidden
+    g_b2 = g_out.sum(axis=0)
+    g_hidden = (g_out @ w2) * (1.0 - hidden * hidden)
+    g_w1 = g_hidden.T @ rows
+    g_b1 = g_hidden.sum(axis=0)
+    return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+
+
+def reference_train(rows, n_hidden, cfg):
+    """The SCG loop before the trial gradient was reused, as a reference.
+
+    It scores the trial point by a separate loss pass and recomputes the
+    gradient there when the step is accepted.  Returns the final weights and
+    loss, the loss history, and the counts of rejected steps and of
+    restarts along the negative gradient (mu <= 0).
+    """
+    n = rows.shape[1]
+    w = network._initial_parameters(np.random.default_rng(cfg.rng_seed), n, n_hidden)
+    n_params = w.size
+    f, g = reference_loss_grad(w, rows, n, n_hidden)
+    history = [f]
+    rejected = restarts = 0
+    r = -g
+    p = r.copy()
+    lam = network._SCG_LAMBDA
+    lam_bar = 0.0
+    success = True
+    delta = 0.0
+    for k in range(1, cfg.max_iterations + 1):
+        p_sq = float(p @ p)
+        if p_sq == 0.0:
+            break
+        if success:
+            sigma_k = network._SCG_SIGMA / np.sqrt(p_sq)
+            _, g_probe = reference_loss_grad(w + sigma_k * p, rows, n, n_hidden)
+            s = (g_probe - g) / sigma_k
+            delta = float(p @ s)
+        delta += (lam - lam_bar) * p_sq
+        if delta <= 0.0:
+            lam_bar = 2.0 * (lam - delta / p_sq)
+            delta = -delta + lam * p_sq
+            lam = lam_bar
+        mu = float(p @ r)
+        if mu <= 0.0:
+            restarts += 1
+            p = r.copy()
+            success = True
+            continue
+        alpha = mu / delta
+        w_try = w + alpha * p
+        f_try = reference_loss(w_try, rows, n, n_hidden)
+        assert np.isfinite(f_try)
+        comparison = 2.0 * delta * (f - f_try) / (mu * mu)
+        if comparison >= 0.0:
+            improvement = f - f_try
+            w = w_try
+            f = f_try
+            _, g = reference_loss_grad(w, rows, n, n_hidden)
+            r_new = -g
+            lam_bar = 0.0
+            success = True
+            if k % n_params == 0:
+                p_new = r_new.copy()
+            else:
+                beta = float(r_new @ r_new - r_new @ r) / mu
+                p_new = r_new + beta * p
+            r = r_new
+            p = p_new
+            if comparison >= 0.75:
+                lam *= 0.25
+            history.append(f)
+            if float(np.abs(g).max()) < cfg.gradient_tolerance:
+                break
+            if improvement < cfg.objective_tolerance:
+                break
+        else:
+            rejected += 1
+            lam_bar = lam
+            success = False
+        if comparison < 0.25:
+            lam += delta * (1.0 - comparison) / p_sq
+            if lam > network._SCG_LAMBDA_MAX:
+                break
+    return w, f, history, rejected, restarts
+
+
 class TestForward:
     def test_zero_weights_give_half(self):
         net = zero_net(4, 2)
@@ -102,8 +202,8 @@ class TestForward:
         net = random_autoencoder(rng, n, h)
         rows = rng.uniform(0, 1, size=(r, n))
         np.testing.assert_array_equal(net.forward_batch(rows[0][None])[0], net.forward(rows[0]))
-        assert network._batch_loss(net.to_vector(), rows, n, h) == network.reconstruction_loss(
-            net, rows
+        assert network._batch_loss_grad(net.to_vector(), rows, n, h)[0] == (
+            network.reconstruction_loss(net, rows)
         )
 
 
@@ -140,7 +240,10 @@ def finite_difference_gradient(net, rows, eps=1e-6):
         up[i] += eps
         down = base.copy()
         down[i] -= eps
-        fd[i] = (network._batch_loss(up, rows, n, h) - network._batch_loss(down, rows, n, h)) / (2 * eps)
+        fd[i] = (
+            network._batch_loss_grad(up, rows, n, h)[0]
+            - network._batch_loss_grad(down, rows, n, h)[0]
+        ) / (2 * eps)
     return fd
 
 
@@ -167,6 +270,21 @@ class TestGradient:
         net, _ = network.train(rows, 2, TrainConfig(rng_seed=0, max_iterations=2000))
         g = network.gradient(net, rows)
         assert np.abs(g).max() < 1e-4
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_passes_equal_reference_bits(self, data):
+        n = data.draw(st.integers(3, 30), label="n")
+        h = data.draw(st.integers(2, n - 1), label="h")
+        r = data.draw(st.integers(1, 70), label="rows")
+        scale = data.draw(st.sampled_from([0.1, 0.7, 5.0, 40.0]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        vec = random_autoencoder(rng, n, h, scale).to_vector()
+        rows = rng.uniform(0, 1, size=(r, n))
+        loss, grad = network._batch_loss_grad(vec, rows, n, h)
+        ref_loss, ref_grad = reference_loss_grad(vec, rows, n, h)
+        assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+        np.testing.assert_array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
 
     def test_flattening_order_stable(self):
         rng = np.random.default_rng(5)
@@ -212,12 +330,58 @@ class TestTrain:
         assert history[-1] == final
         assert final <= history[0]
 
+    def test_non_finite_initial_loss_fails_before_the_loop(self):
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 4)) * 1e200
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrainingError, match="non-finite loss at the initial weights"):
+                network.train(rows, 2, TrainConfig(rng_seed=0))
+
+    def test_non_finite_trial_loss_fails(self):
+        # A finite start whose gradient overflows: the step size turns nan.
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 4)) * 1e120
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=r"non-finite loss at iteration \d+"):
+                network.train(rows, 2, TrainConfig(rng_seed=0))
+
     def test_hidden_size_bounds_enforced(self):
         rows = manifold_rows(count=20)
         with pytest.raises(ValueError):
             network.train(rows, 1)
         with pytest.raises(ValueError):
             network.train(rows, 4)
+
+
+def assert_same_training(rows, h, cfg):
+    """``train`` must equal ``reference_train`` bit for bit; returns the reference counts."""
+    history: list[float] = []
+    net, loss = network.train(rows, h, cfg, loss_history=history)
+    w, ref_loss, ref_history, rejected, restarts = reference_train(rows, h, cfg)
+    np.testing.assert_array_equal(net.to_vector().view(np.uint64), w.view(np.uint64))
+    assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+    assert history == ref_history
+    return rejected, restarts
+
+
+class TestFusedTrainer:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_loop(self, data):
+        n = data.draw(st.integers(3, 12), label="n")
+        h = data.draw(st.integers(2, n - 1), label="h")
+        r = data.draw(st.integers(2, 40), label="rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        iterations = data.draw(st.integers(1, 60), label="max_iterations")
+        rows = np.random.default_rng(seed).uniform(0, 1, size=(r, n))
+        assert_same_training(rows, h, TrainConfig(rng_seed=seed, max_iterations=iterations))
+
+    def test_rejected_steps_and_restarts_equal_reference(self):
+        # This run rejects steps (the trial gradient goes unused) and restarts
+        # along the negative gradient, besides accepting steps.
+        rows = np.random.default_rng(11).uniform(0, 1, size=(33, 4))
+        rejected, restarts = assert_same_training(
+            rows, 2, TrainConfig(rng_seed=11, max_iterations=60)
+        )
+        assert rejected >= 1 and restarts >= 1
 
 
 class TestSelectHiddenSize:
