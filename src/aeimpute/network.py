@@ -14,6 +14,8 @@ gradient come from one pass, and an accepted step reuses that gradient.
 
 from __future__ import annotations
 
+import os
+import traceback
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,7 +31,7 @@ _SCG_LAMBDA_MAX = 1e60
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss or no usable candidate)."""
+    """Training aborted (a non-finite quantity, or no usable candidate)."""
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -257,6 +259,8 @@ def train(
     The trial point's loss and gradient come from one pass, and an accepted
     step reuses that gradient; a rejected step discards it.  A non-finite
     loss, at the initial weights or at a trial point, raises TrainingError.
+    So does a non-finite gradient, at the initial weights or at an accepted
+    trial point, and a non-finite curvature estimate, each before it is used.
     """
     cfg = cfg or TrainConfig()
     rows = _check_rows(rows)
@@ -271,6 +275,8 @@ def train(
     f, g = _batch_loss_grad(w, rows, n, n_hidden)
     if not np.isfinite(f):
         raise TrainingError("non-finite loss at the initial weights")
+    if not np.isfinite(g).all():
+        raise TrainingError("non-finite gradient at the initial weights")
     if loss_history is not None:
         loss_history.append(f)
     r = -g
@@ -289,6 +295,8 @@ def train(
             _, g_probe = _batch_loss_grad(w + sigma_k * p, rows, n, n_hidden)
             s = (g_probe - g) / sigma_k
             delta = float(p @ s)
+            if not np.isfinite(delta):
+                raise TrainingError(f"non-finite curvature at iteration {k}")
         delta += (lam - lam_bar) * p_sq
         if delta <= 0.0:
             # Force positive definiteness of the damped curvature.
@@ -310,6 +318,9 @@ def train(
         comparison = 2.0 * delta * (f - f_try) / (mu * mu)
 
         if comparison >= 0.0:
+            g_max = float(np.abs(g_try).max())
+            if not np.isfinite(g_max):
+                raise TrainingError(f"non-finite gradient at iteration {k}")
             improvement = f - f_try
             w = w_try
             f = f_try
@@ -327,7 +338,7 @@ def train(
                 lam *= 0.25
             if loss_history is not None:
                 loss_history.append(f)
-            if float(np.abs(g).max()) < cfg.gradient_tolerance:
+            if g_max < cfg.gradient_tolerance:
                 break
             if improvement < cfg.objective_tolerance:
                 break
@@ -363,20 +374,29 @@ def select_hidden_size(
     (cfg.rng_seed, size)), scores by validation reconstruction loss, and
     returns the argmin as (size, its trained network, its final training
     loss); ties go to the smaller size.  Candidates whose training aborts are
-    skipped with a warning.  ``train_fn`` is a test hook.
+    skipped with a warning.  ``train_fn`` stands in for :func:`train` in
+    tests and traced runs.
+
+    The candidates are trained on every available core, at most one process
+    per candidate; the result, the warnings and their order do not depend on
+    the number of processes.  So ``train_fn`` runs in forked worker
+    processes: what it returns must pickle, and its side effects (a counter,
+    a trace) are not seen by the caller.  Each worker inherits the caller's
+    BLAS thread count, and Python 3.12 and later warn when a process with
+    threads forks.
     """
     cfg = cfg or TrainConfig()
     train_rows = _check_rows(train_rows)
     val_rows = _check_rows(val_rows)
+    sizes = hidden_size_candidates(train_rows.shape[1])
+    trained = _train_candidates(train_fn, train_rows, cfg, sizes, _worker_count(len(sizes)))
     best = None
     best_loss = np.inf
-    for h in hidden_size_candidates(train_rows.shape[1]):
-        sub_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
-        try:
-            net, train_loss = train_fn(train_rows, h, sub_cfg)
-        except TrainingError as err:
-            warnings.warn(f"hidden size {h} skipped: {err}", stacklevel=2)
+    for h in sizes:
+        if isinstance(trained[h], str):
+            warnings.warn(f"hidden size {h} skipped: {trained[h]}", stacklevel=2)
             continue
+        net, train_loss = trained[h]
         val_loss = reconstruction_loss(net, val_rows)
         if val_loss < best_loss:
             best_loss = val_loss
@@ -384,6 +404,88 @@ def select_hidden_size(
     if best is None:
         raise TrainingError("every hidden-size candidate aborted")
     return best
+
+
+def _worker_count(n_candidates: int) -> int:
+    """Processes for the search: one per available core, at most one per candidate.
+
+    One where ``fork`` is not a start method or the affinity mask is unknown.
+    """
+    import multiprocessing
+
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_candidates)
+
+
+def _train_share(train_fn, rows, cfg: TrainConfig, sizes) -> dict:
+    """{size: (network, training loss), or the TrainingError text} for each size."""
+    trained = {}
+    for h in sizes:
+        sub_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
+        try:
+            trained[h] = train_fn(rows, h, sub_cfg)
+        except TrainingError as err:
+            trained[h] = str(err)
+    return trained
+
+
+def _share_worker(send, train_fn, rows, cfg: TrainConfig, sizes) -> None:
+    """Body of a search worker: sends (None, its share) or (error, traceback text)."""
+    try:
+        message = (None, _train_share(train_fn, rows, cfg, sizes))
+    except Exception as err:
+        message = (err, traceback.format_exc())
+    send.send(message)
+    send.close()
+
+
+def _train_candidates(train_fn, rows, cfg: TrainConfig, sizes, workers: int) -> dict:
+    """:func:`_train_share` over all sizes, spread across ``workers`` processes.
+
+    This process trains ``sizes[0::workers]`` and forked worker w trains
+    ``sizes[w::workers]``; with one worker nothing is forked.  Every worker
+    is gone when this returns or raises.
+    """
+    if workers == 1:
+        return _train_share(train_fn, rows, cfg, sizes)
+    import multiprocessing
+
+    # fork, not spawn: a worker starts with the rows, the config and train_fn
+    # (which may be a closure, and need not pickle) already in memory, and
+    # pays no interpreter start-up.
+    ctx = multiprocessing.get_context("fork")
+    procs, receivers = [], []
+    try:
+        for w in range(1, workers):
+            receive, send = ctx.Pipe(duplex=False)
+            receivers.append(receive)
+            proc = ctx.Process(
+                target=_share_worker, args=(send, train_fn, rows, cfg, sizes[w::workers])
+            )
+            proc.start()
+            procs.append(proc)
+            # The worker holds the only sending end, so its death ends the pipe.
+            send.close()
+        trained = _train_share(train_fn, rows, cfg, sizes[0::workers])
+        for proc, receive in zip(procs, receivers):
+            try:
+                err, payload = receive.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a hidden-size worker exited without a result (exit code {proc.exitcode})"
+                ) from None
+            if err is not None:
+                raise err from RuntimeError(f"in a hidden-size worker:\n{payload}")
+            trained.update(payload)
+        return trained
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for receive in receivers:
+            receive.close()
 
 
 def save_model(net: Autoencoder, path) -> None:

@@ -8,6 +8,8 @@ feature/target structure so learned models beat random search.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,24 @@ def manifold_rows(seed: int = 7, count: int = 200) -> np.ndarray:
     """Points on a 1-D curve embedded in 4 dimensions."""
     t = np.random.default_rng(seed).uniform(0.0, 1.0, count)
     return np.stack([t, t, 1.0 - t, t * t], axis=1)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    """Fail a test that leaves a live child process (a leaked search worker).
+
+    The leaked children are ended first, so that none holds up a later test.
+    """
+    yield
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is None:
+        return  # nothing can have been forked through it
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join()
+    if leaked:
+        pytest.fail(f"child processes left running: {leaked}")
 
 
 # --- synthetic benchmark-shaped datasets -------------------------------------

@@ -1,6 +1,10 @@
 """Autoencoder forward pass, gradient, trainer, and hidden-size search."""
 
+import contextlib
 import dataclasses
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from aeimpute import network
 from aeimpute.network import Autoencoder, TrainConfig, TrainingError
 from aeimpute.seeding import derive_seed
 
-from conftest import manifold_rows, random_autoencoder, scalar_forward
+from conftest import OffsetNet, manifold_rows, random_autoencoder, scalar_forward
 
 
 def zero_net(n, h):
@@ -337,11 +341,33 @@ class TestTrain:
                 network.train(rows, 2, TrainConfig(rng_seed=0))
 
     def test_non_finite_trial_loss_fails(self):
-        # A finite start whose gradient overflows: the step size turns nan.
+        # A finite start whose curvature estimate overflows fails before any step.
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 4)) * 1e120
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingError, match=r"non-finite loss at iteration \d+"):
+            with pytest.raises(TrainingError, match="non-finite curvature at iteration 1$"):
                 network.train(rows, 2, TrainConfig(rng_seed=0))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(1, "non-finite gradient at the initial weights"), (3, "non-finite gradient at iteration 1")],
+    )
+    def test_non_finite_gradient_fails_before_use(self, monkeypatch, call, message):
+        # Calls: initial weights, curvature probe, then the first trial point.
+        exact = network._batch_loss_grad
+        losses = []
+
+        def overflowing(vec, rows, n, h):
+            loss, grad = exact(vec, rows, n, h)
+            losses.append(loss)
+            if len(losses) == call:
+                grad[0] = np.inf
+            return loss, grad
+
+        monkeypatch.setattr(network, "_batch_loss_grad", overflowing)
+        with pytest.raises(TrainingError, match=message + "$"):
+            network.train(manifold_rows(count=30), 2, TrainConfig(rng_seed=0))
+        assert len(losses) == call
+        assert losses[-1] <= losses[0]  # a trial point that fails here was accepted
 
     def test_hidden_size_bounds_enforced(self):
         rows = manifold_rows(count=20)
@@ -393,14 +419,6 @@ class TestSelectHiddenSize:
 
     def test_returns_argmin_of_validation_loss(self):
         # Stub trainer: validation loss is exactly n * offset(h)^2.
-        class OffsetNet:
-            def __init__(self, n, offset):
-                self.n_inputs = n
-                self.offset = offset
-
-            def forward_batch(self, rows):
-                return np.asarray(rows) + self.offset
-
         target = 5
 
         def fake_train(rows, h, cfg):
@@ -414,33 +432,26 @@ class TestSelectHiddenSize:
         assert net.offset == 0.0
 
     def test_tie_goes_to_smaller(self):
-        class FlatNet:
-            def __init__(self, n):
-                self.n_inputs = n
-
-            def forward_batch(self, rows):
-                return np.asarray(rows) + 0.1
-
         def fake_train(rows, h, cfg):
-            return FlatNet(rows.shape[1]), 0.0
+            return OffsetNet(rows.shape[1], 0.1), 0.0
 
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
         assert network.select_hidden_size(rows, rows, train_fn=fake_train)[0] == 2
 
     def test_aborting_candidates_skipped(self):
-        calls = []
-
         def flaky_train(rows, h, cfg):
-            calls.append(h)
             if h != 3:
                 raise TrainingError("boom")
             return zero_net(rows.shape[1], h), 0.0
 
         rows = np.random.default_rng(0).uniform(0, 1, size=(8, 5))
-        with pytest.warns(UserWarning, match="skipped"):
+        with pytest.warns(UserWarning, match="skipped") as record:
             chosen, _, _ = network.select_hidden_size(rows, rows, train_fn=flaky_train)
         assert chosen == 3
-        assert calls == [2, 3, 4]
+        assert [str(w.message) for w in record] == [
+            "hidden size 2 skipped: boom",
+            "hidden size 4 skipped: boom",
+        ]
 
     def test_all_skipped_is_error(self):
         def dead_train(rows, h, cfg):
@@ -462,6 +473,123 @@ class TestSelectHiddenSize:
         )
         np.testing.assert_array_equal(net.to_vector(), again.to_vector())
         assert loss == again_loss
+
+
+def wide_manifold_rows(seed: int, count: int) -> np.ndarray:
+    """``manifold_rows`` plus three mirrored columns: 7 inputs, hidden sizes 2-6."""
+    rows = manifold_rows(seed=seed, count=count)
+    return np.hstack([rows, 1.0 - rows[:, :3]])
+
+
+def odd_sizes_abort(rows, h, cfg):
+    """The real trainer, except that odd hidden sizes abort."""
+    if h % 2:
+        raise TrainingError(f"odd size {h}")
+    return network.train(rows, h, cfg)
+
+
+def reference_search(train_rows, val_rows, cfg, train_fn):
+    """The one-process search loop: ((h, network, loss), skip warnings in order)."""
+    best, best_loss, skipped = None, np.inf, []
+    for h in network.hidden_size_candidates(train_rows.shape[1]):
+        sub_cfg = dataclasses.replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
+        try:
+            net, train_loss = train_fn(train_rows, h, sub_cfg)
+        except TrainingError as err:
+            skipped.append(f"hidden size {h} skipped: {err}")
+            continue
+        val_loss = network.reconstruction_loss(net, val_rows)
+        if val_loss < best_loss:
+            best_loss, best = val_loss, (h, net, train_loss)
+    return best, skipped
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body, instead of hanging, after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestParallelSearch:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_worker_count_equals_reference_loop(self, workers, monkeypatch):
+        monkeypatch.setattr(network, "_worker_count", lambda n: workers)
+        rows = wide_manifold_rows(seed=6, count=50)
+        cfg = TrainConfig(rng_seed=0, max_iterations=60)
+        (ref_h, ref_net, ref_loss), ref_skipped = reference_search(
+            rows[:40], rows[40:], cfg, odd_sizes_abort
+        )
+        with deadline(60), pytest.warns(UserWarning) as record:
+            h, net, loss = network.select_hidden_size(
+                rows[:40], rows[40:], cfg, train_fn=odd_sizes_abort
+            )
+        assert h == ref_h
+        np.testing.assert_array_equal(
+            net.to_vector().view(np.uint64), ref_net.to_vector().view(np.uint64)
+        )
+        assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+        assert [str(w.message) for w in record] == ref_skipped == [
+            "hidden size 3 skipped: odd size 3",
+            "hidden size 5 skipped: odd size 5",
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_trains_every_size_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(network, "_worker_count", lambda n: 1)
+        seen = []
+
+        def recording_train(rows, h, cfg):
+            seen.append((h, os.getpid()))
+            return zero_net(rows.shape[1], h), 0.0
+
+        rows = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
+        network.select_hidden_size(rows, rows, train_fn=recording_train)
+        assert seen == [(h, os.getpid()) for h in range(2, 6)]
+
+    def test_worker_count_follows_available_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert network._worker_count(23) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert network._worker_count(23) == 8
+        assert network._worker_count(3) == 3
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(network, "_worker_count", lambda n: 2)
+        caller = os.getpid()
+
+        def failing_in_worker(rows, h, cfg):
+            if os.getpid() != caller:
+                raise ValueError(f"bad size {h}")
+            return zero_net(rows.shape[1], h), 0.0
+
+        rows = np.random.default_rng(0).uniform(0, 1, size=(8, 5))
+        with deadline(60), pytest.raises(ValueError, match="^bad size 3$"):
+            network.select_hidden_size(rows, rows, train_fn=failing_in_worker)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_result_raises(self, monkeypatch):
+        monkeypatch.setattr(network, "_worker_count", lambda n: 3)
+        caller = os.getpid()
+
+        def exiting_in_worker(rows, h, cfg):
+            # Size 4 is the whole share of the last worker forked.
+            if os.getpid() != caller and h == 4:
+                os._exit(3)
+            return zero_net(rows.shape[1], h), 0.0
+
+        rows = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
+        with deadline(60), pytest.raises(RuntimeError, match=r"without a result \(exit code 3\)"):
+            network.select_hidden_size(rows, rows, train_fn=exiting_in_worker)
+        assert multiprocessing.active_children() == []
 
 
 class TestPersistence:
