@@ -28,8 +28,8 @@ class MissingDataObjective:
     ``task`` holds T records; :meth:`evaluate_batch` reads its candidate rows
     task-major (the lockstep interface of :mod:`aeimpute.optimizers`).
     Immutable; every call is a pure function of the candidates.  Candidates
-    outside the unit box raise: optimizers are expected to clamp before
-    evaluating.
+    outside the unit box, NaN included, raise: optimizers are expected to
+    clamp before evaluating.
     """
 
     def __init__(self, net, task):
@@ -54,7 +54,10 @@ class MissingDataObjective:
         return self._unknown
 
     def _check(self, candidates: np.ndarray) -> np.ndarray:
-        if (candidates < 0.0).any() or (candidates > 1.0).any():
+        # One pass per bound; a NaN propagates to both and fails both tests.
+        lo = np.minimum.reduce(candidates, axis=None, initial=1.0)
+        hi = np.maximum.reduce(candidates, axis=None, initial=0.0)
+        if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("candidate components must lie in [0, 1]")
         return candidates
 
@@ -77,15 +80,18 @@ class MissingDataObjective:
                 f"{self.n_tasks} of them, got shape {c.shape}"
             )
         self._check(c)
-        k = c.shape[0] // self.n_tasks
-        values = np.empty(c.shape[0])
-        for start in range(0, c.shape[0], _ROWS_PER_PASS):
-            stop = min(start + _ROWS_PER_PASS, c.shape[0])
-            full = self.task.record[np.arange(start, stop) // k]
+        rows = c.shape[0]
+        k = rows // self.n_tasks
+        record = self.task.record
+        values = np.empty(rows)
+        for start in range(0, rows, _ROWS_PER_PASS):
+            stop = min(start + _ROWS_PER_PASS, rows)
+            # With one candidate per record, row r completes record r.
+            full = record[start:stop].copy() if k == 1 else record[np.arange(start, stop) // k]
             full[:, self._unknown] = c[start:stop]
             full -= self.net.forward_batch(full)
             full *= full
-            values[start:stop] = full.sum(axis=1)
+            np.add.reduce(full, axis=1, out=values[start:stop])
         return values
 
     def impute(self, result) -> np.ndarray:

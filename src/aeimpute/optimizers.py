@@ -11,7 +11,11 @@ candidate matrix read task-major, r = T * k, rows t*k to t*k + k - 1 being
 task t's k candidates, and returns a length-r float array.  Every minimizer
 advances all T tasks together, so each step is one ``evaluate_batch`` call
 over the candidates of every task, and returns one :class:`OptimizerResult`
-for all of them.
+for all of them.  Within a task SA and PSO are sequential: each move, and each
+particle's update, depends on the one before, so a step scores only T rows
+and costs mostly the calls around it.  Their step loops are kept to in-place
+numpy calls on preallocated arrays, with exactly one ``evaluate_batch`` call
+per move or particle step.
 
 Seeds and draw order: ``minimize_*(obj, cfg, seeds=seeds)`` takes one seed
 per task.  Task t draws from its own ``np.random.default_rng(seeds[t])`` in
@@ -165,7 +169,7 @@ def _finish(obj, best_points: np.ndarray, evaluations: int, history, first_itera
     """
     return OptimizerResult(
         best_points=best_points,
-        best_values=_evaluate(obj, best_points[:, None])[:, 0],
+        best_values=obj.evaluate_batch(best_points),
         evaluations=evaluations,
         trace_iterations=np.arange(first_iteration, first_iteration + len(history)),
         trace_values=np.stack(history),
@@ -294,7 +298,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
     sigma = cfg.neighbor_sigma
 
     x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
-    fx = _evaluate(obj, x[:, None])[:, 0]
+    fx = obj.evaluate_batch(x)
     evaluations = 1
     if cfg.initial_temperature is None:
         probes = np.stack([rng.normal(0.0, sigma, size=(100, m)) for rng in rngs])
@@ -307,28 +311,34 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
     best_points = x.copy()
     best_values = fx.copy()
     history = [best_values.copy()]
-    noise = np.empty_like(x)
+    y = np.empty_like(x)
+    # sigma * N(0, 1) is the value rng.normal(0, sigma) draws.
+    draws = [(rng.standard_normal, row) for rng, row in zip(rngs, y)]
 
     for step in range(1, cfg.temperature_steps + 1):
+        temperatures = temperature.tolist()
         for _ in range(cfg.moves_per_step):
-            # sigma * N(0, 1) is the value rng.normal(0, sigma) draws.
-            for rng, row in zip(rngs, noise):
-                rng.standard_normal(out=row)
-            y = np.clip(x + sigma * noise, 0.0, 1.0)
-            fy = _evaluate(obj, y[:, None])[:, 0]
+            for draw, row in draws:
+                draw(out=row)
+            y *= sigma
+            y += x
+            np.maximum(y, 0.0, out=y)
+            np.minimum(y, 1.0, out=y)
+            fy = obj.evaluate_batch(y)
             delta = fy - fx
             accept = delta <= 0
-            for t in np.flatnonzero(~accept):
-                exponent = -delta[t] / temperature[t]
+            deltas = delta.tolist()
+            for t in np.flatnonzero(~accept).tolist():
+                exponent = -deltas[t] / temperatures[t]
                 accept[t] = rngs[t].random() < (math.exp(exponent) if exponent > -745.0 else 0.0)
-            x[accept] = y[accept]
-            fx[accept] = fy[accept]
+            np.copyto(x, y, where=accept[:, None])
+            np.copyto(fx, fy, where=accept)
             if accepted_history is not None:
                 for t in np.flatnonzero(accept):
                     accepted_history[t].append(float(fx[t]))
             better = fx < best_values
-            best_values[better] = fx[better]
-            best_points[better] = x[better]
+            np.copyto(best_values, fx, where=better)
+            np.copyto(best_points, x, where=better[:, None])
         evaluations += cfg.moves_per_step
         temperature *= cfg.cooling_factor
         history.append(best_values.copy())
@@ -367,34 +377,41 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
 
     values = _evaluate(obj, positions)
     evaluations = swarm
+    # Swarm-major from here on: particle i's state is one contiguous (T, m) block.
+    positions, velocities = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (positions, velocities))
     pbest = positions.copy()
-    pbest_values = values.copy()
+    pbest_values = values.T.copy()
     tasks = np.arange(n_tasks)
-    g = pbest_values.argmin(axis=1)
-    gbest = pbest[tasks, g]
-    gbest_values = pbest_values[tasks, g]
+    g = pbest_values.argmin(axis=0)
+    gbest = pbest[g, tasks]
+    gbest_values = pbest_values[g, tasks]
     history = [gbest_values.copy()]
     pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
+    pull = np.empty_like(gbest)
 
     for it in range(1, cfg.iterations + 1):
         pulls = np.stack([rng.random((swarm, 2, m)) for rng in rngs]) * pull_scale
-        for i in range(swarm):
-            x = positions[:, i]
-            velocities[:, i] = np.clip(
-                velocities[:, i]
-                + pulls[:, i, 0] * (pbest[:, i] - x)
-                + pulls[:, i, 1] * (gbest - x),
-                -cfg.v_max,
-                cfg.v_max,
-            )
-            x[:] = np.clip(x + velocities[:, i], 0.0, 1.0)
-            f = _evaluate(obj, x[:, None])[:, 0]
-            better = f < pbest_values[:, i]
-            pbest_values[better, i] = f[better]
-            pbest[better, i] = x[better]
+        pulls = np.ascontiguousarray(pulls.transpose(1, 2, 0, 3))  # (swarm, 2, T, m)
+        for x, v, p, p_values, (r1, r2) in zip(positions, velocities, pbest, pbest_values, pulls):
+            # v = (v + r1 * (p - x)) + r2 * (gbest - x), in that order.
+            np.subtract(p, x, out=pull)
+            pull *= r1
+            v += pull
+            np.subtract(gbest, x, out=pull)
+            pull *= r2
+            v += pull
+            np.maximum(v, -cfg.v_max, out=v)
+            np.minimum(v, cfg.v_max, out=v)
+            x += v
+            np.maximum(x, 0.0, out=x)
+            np.minimum(x, 1.0, out=x)
+            f = obj.evaluate_batch(x)
+            better = f < p_values
+            np.copyto(p_values, f, where=better)
+            np.copyto(p, x, where=better[:, None])
             better = f < gbest_values
-            gbest_values[better] = f[better]
-            gbest[better] = x[better]
+            np.copyto(gbest_values, f, where=better)
+            np.copyto(gbest, x, where=better[:, None])
         evaluations += swarm
         history.append(gbest_values.copy())
 

@@ -121,13 +121,14 @@ class Bimodal1D:
 
 
 class CountingObjective:
-    """Wrap an objective and count scalar-equivalent evaluations."""
+    """Wrap an objective; count scalar-equivalent evaluations and batch calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dimension = inner.dimension
         self.n_tasks = inner.n_tasks
         self.count = 0
+        self.calls = 0
 
     def evaluate(self, c):
         self.count += 1
@@ -136,6 +137,7 @@ class CountingObjective:
     def evaluate_batch(self, candidates):
         candidates = np.asarray(candidates)
         self.count += candidates.shape[0]
+        self.calls += 1
         return self.inner.evaluate_batch(candidates)
 
 

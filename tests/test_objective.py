@@ -4,9 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aeimpute.data import ImputationTask
-from aeimpute.objective import MissingDataObjective
+from aeimpute.objective import _ROWS_PER_PASS, MissingDataObjective
 from aeimpute.network import train, TrainConfig
 from aeimpute.optimizers import OptimizerResult
 
@@ -63,6 +64,17 @@ class TestEvaluate:
             obj.evaluate([1.5])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             obj.evaluate([-0.1])
+
+    def test_nan_rejected(self):
+        obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), unknown=[0]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            obj.evaluate_batch([[np.nan], [0.5], [0.2]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            obj.evaluate_batch([[0.5], [0.2], [np.nan]])
+
+    def test_no_rows_score_nothing(self):
+        obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), unknown=[0]))
+        assert obj.evaluate_batch(np.empty((0, 1))).shape == (0,)
 
     def test_nonnegative_and_batch_consistent(self):
         rng = np.random.default_rng(1)
@@ -156,8 +168,59 @@ class TestImpute:
         (full,) = obj.impute(self.result([0.9]))
         assert full[0] == record[0] and full[1] == record[1] and full[3] == record[3]
 
+    def test_nan_point_rejected(self):
+        obj = MissingDataObjective(IdentityNet(3), make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], unknown=[1]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            obj.impute(self.result([[0.5], [np.nan]]))
+
     def test_gather_recovers_point(self):
         obj = MissingDataObjective(IdentityNet(4), make_task([0.1, 0.5, 0.5, 0.4], unknown=[1, 3]))
         point = np.array([0.61, 0.13])
         (full,) = obj.impute(self.result(point))
         np.testing.assert_array_equal(full[obj.unknown_indices], point)
+
+
+def reference_evaluate_batch(obj, candidates):
+    """``evaluate_batch`` as first written, before its per-call overhead was
+    cut: the bit-level reference for the current body (checks left out)."""
+    c = np.asarray(candidates, dtype=float)
+    k = c.shape[0] // obj.n_tasks
+    values = np.empty(c.shape[0])
+    for start in range(0, c.shape[0], _ROWS_PER_PASS):
+        stop = min(start + _ROWS_PER_PASS, c.shape[0])
+        full = obj.task.record[np.arange(start, stop) // k]
+        full[:, obj.unknown_indices] = c[start:stop]
+        full -= obj.net.forward_batch(full)
+        full *= full
+        values[start:stop] = full.sum(axis=1)
+    return values
+
+
+def random_objective(rng, n_tasks, n, m):
+    """An objective over ``n_tasks`` random records with ``m`` of ``n`` components unknown."""
+    net = random_autoencoder(rng, n, int(rng.integers(2, n)))
+    unknown = np.sort(rng.choice(n, size=m, replace=False))
+    return MissingDataObjective(net, make_task(rng.uniform(0, 1, size=(n_tasks, n)), unknown))
+
+
+class TestEvaluateBatchBits:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_reference(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n_tasks = data.draw(st.integers(1, 5), label="T")
+        k = data.draw(st.sampled_from([1, 2, 7]) | st.integers(100, 260), label="k")
+        n = data.draw(st.integers(3, 8), label="n")
+        obj = random_objective(rng, n_tasks, n, data.draw(st.integers(1, n - 1), label="m"))
+        candidates = rng.uniform(0, 1, size=(n_tasks * k, obj.dimension))
+        candidates[rng.random(candidates.shape) < 0.1] = 0.0  # box edges, as clipping leaves them
+        candidates[rng.random(candidates.shape) < 0.1] = 1.0
+        np.testing.assert_array_equal(obj.evaluate_batch(candidates), reference_evaluate_batch(obj, candidates))
+
+    @pytest.mark.parametrize("n_tasks,k", [(3, 200), (600, 1), (1, 1025)])
+    def test_blocks_across_pass_boundaries_equal_reference(self, n_tasks, k):
+        # 600 and 1,025 rows need two and three passes of 512 rows.
+        rng = np.random.default_rng(n_tasks * k)
+        obj = random_objective(rng, n_tasks, 6, 2)
+        candidates = rng.uniform(0, 1, size=(n_tasks * k, 2))
+        np.testing.assert_array_equal(obj.evaluate_batch(candidates), reference_evaluate_batch(obj, candidates))

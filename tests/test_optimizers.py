@@ -1,13 +1,17 @@
 """Box feasibility, budgets, traces, determinism, and search quality."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute import optimizers as opt
+from aeimpute.data import ImputationTask
+from aeimpute.objective import MissingDataObjective
 from aeimpute.optimizers import GaConfig, NsConfig, PsoConfig, SaConfig
 
-from conftest import Bimodal1D, CountingObjective, QuadraticStub, Ripple2D
+from conftest import Bimodal1D, CountingObjective, QuadraticStub, Ripple2D, random_autoencoder
 
 ALL = [
     ("ga", opt.minimize_ga, GaConfig),
@@ -77,22 +81,29 @@ class TestBudgets:
         assert result.evaluations == expected
         assert counter.count == expected + 1
 
+    # SA and PSO make one evaluate_batch call per move or particle step, no
+    # more: the calls are the start, the calibration probes (SA), the steps
+    # and the final re-evaluation.
     def test_sa_budget_with_calibration(self):
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(temperature_steps=12, moves_per_step=7)
         result = opt.minimize_sa(counter, cfg, seeds=[0])
         assert result.evaluations == 1 + 100 + 12 * 7
+        assert counter.calls == 1 + 1 + 12 * 7 + 1
 
     def test_sa_budget_fixed_temperature(self):
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(initial_temperature=0.1, temperature_steps=12, moves_per_step=7)
         result = opt.minimize_sa(counter, cfg, seeds=[0])
         assert result.evaluations == 1 + 12 * 7
+        assert counter.calls == 1 + 12 * 7 + 1
 
     def test_pso_budget(self):
+        counter = CountingObjective(QuadraticStub())
         cfg = PsoConfig(swarm=9, iterations=13)
-        result = opt.minimize_pso(QuadraticStub(), cfg, seeds=[0])
+        result = opt.minimize_pso(counter, cfg, seeds=[0])
         assert result.evaluations == 9 * (13 + 1)
+        assert counter.calls == 1 + 9 * 13 + 1
 
     def test_ns_budget(self):
         cfg = NsConfig(detectors=11, generations=17)
@@ -365,3 +376,172 @@ class TestLockstep:
             opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig(), seeds=[1, 2])
         with pytest.raises(TypeError, match="seeds"):
             opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig())
+
+
+# Step loops of SA and PSO as first written, one numpy expression per update,
+# before their per-step overhead was cut.  The current loops must match them
+# bit for bit.
+
+def _reference_evaluate(obj, candidates):
+    n_tasks, k, m = candidates.shape
+    return obj.evaluate_batch(candidates.reshape(n_tasks * k, m)).reshape(n_tasks, k)
+
+
+def _reference_result(obj, best_points, evaluations, history):
+    return opt.OptimizerResult(
+        best_points=best_points,
+        best_values=_reference_evaluate(obj, best_points[:, None])[:, 0],
+        evaluations=evaluations,
+        trace_iterations=np.arange(len(history)),
+        trace_values=np.stack(history),
+    )
+
+
+def reference_sa(obj, cfg, seeds, accepted_history=None):
+    rngs = [np.random.default_rng(s) for s in seeds]
+    m = obj.dimension
+    sigma = cfg.neighbor_sigma
+
+    x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
+    fx = _reference_evaluate(obj, x[:, None])[:, 0]
+    evaluations = 1
+    if cfg.initial_temperature is None:
+        probes = np.stack([rng.normal(0.0, sigma, size=(100, m)) for rng in rngs])
+        deltas = _reference_evaluate(obj, np.clip(x[:, None] + probes, 0.0, 1.0)) - fx[:, None]
+        temperature = np.array([opt._start_temperature(d[d > 0]) for d in deltas])
+        evaluations += 100
+    else:
+        temperature = np.full(len(rngs), cfg.initial_temperature)
+
+    best_points = x.copy()
+    best_values = fx.copy()
+    history = [best_values.copy()]
+    noise = np.empty_like(x)
+
+    for step in range(1, cfg.temperature_steps + 1):
+        for _ in range(cfg.moves_per_step):
+            for rng, row in zip(rngs, noise):
+                rng.standard_normal(out=row)
+            y = np.clip(x + sigma * noise, 0.0, 1.0)
+            fy = _reference_evaluate(obj, y[:, None])[:, 0]
+            delta = fy - fx
+            accept = delta <= 0
+            for t in np.flatnonzero(~accept):
+                exponent = -delta[t] / temperature[t]
+                accept[t] = rngs[t].random() < (math.exp(exponent) if exponent > -745.0 else 0.0)
+            x[accept] = y[accept]
+            fx[accept] = fy[accept]
+            if accepted_history is not None:
+                for t in np.flatnonzero(accept):
+                    accepted_history[t].append(float(fx[t]))
+            better = fx < best_values
+            best_values[better] = fx[better]
+            best_points[better] = x[better]
+        evaluations += cfg.moves_per_step
+        temperature *= cfg.cooling_factor
+        history.append(best_values.copy())
+
+    return _reference_result(obj, best_points, evaluations, history)
+
+
+def reference_pso(obj, cfg, seeds, initial=None):
+    rngs = [np.random.default_rng(s) for s in seeds]
+    n_tasks, m, swarm = len(rngs), obj.dimension, cfg.swarm
+
+    if initial is not None:
+        positions, velocities = (np.tile(np.asarray(a, dtype=float), (n_tasks, 1, 1)) for a in initial)
+    else:
+        positions = np.stack([rng.uniform(0.0, 1.0, size=(swarm, m)) for rng in rngs])
+        velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
+
+    values = _reference_evaluate(obj, positions)
+    evaluations = swarm
+    pbest = positions.copy()
+    pbest_values = values.copy()
+    tasks = np.arange(n_tasks)
+    g = pbest_values.argmin(axis=1)
+    gbest = pbest[tasks, g]
+    gbest_values = pbest_values[tasks, g]
+    history = [gbest_values.copy()]
+    pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
+
+    for it in range(1, cfg.iterations + 1):
+        pulls = np.stack([rng.random((swarm, 2, m)) for rng in rngs]) * pull_scale
+        for i in range(swarm):
+            x = positions[:, i]
+            velocities[:, i] = np.clip(
+                velocities[:, i]
+                + pulls[:, i, 0] * (pbest[:, i] - x)
+                + pulls[:, i, 1] * (gbest - x),
+                -cfg.v_max,
+                cfg.v_max,
+            )
+            x[:] = np.clip(x + velocities[:, i], 0.0, 1.0)
+            f = _reference_evaluate(obj, x[:, None])[:, 0]
+            better = f < pbest_values[:, i]
+            pbest_values[better, i] = f[better]
+            pbest[better, i] = x[better]
+            better = f < gbest_values
+            gbest_values[better] = f[better]
+            gbest[better] = x[better]
+        evaluations += swarm
+        history.append(gbest_values.copy())
+
+    return _reference_result(obj, gbest, evaluations, history)
+
+
+def drawn_objective(draw, rng, n_tasks, m):
+    """The separable stub, or a reconstruction objective on a random autoencoder."""
+    if draw(st.booleans(), label="autoencoder"):
+        n = max(3, m + draw(st.integers(1, 3), label="known"))
+        net = random_autoencoder(rng, n, int(rng.integers(2, n)))
+        mask = np.ones(n, dtype=bool)
+        mask[rng.choice(n, size=m, replace=False)] = False
+        task = ImputationTask(record=rng.uniform(0, 1, size=(n_tasks, n)), known_mask=mask)
+        return MissingDataObjective(net, task)
+    return StackedStub(rng.uniform(0.0, 1.0, size=(n_tasks, m)))
+
+
+class TestLeanStepLoops:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sa_equals_reference(self, data):
+        n_tasks = data.draw(st.integers(1, 5), label="T")
+        m = data.draw(st.integers(1, 3), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        obj = drawn_objective(data.draw, rng, n_tasks, m)
+        cfg = SaConfig(
+            initial_temperature=data.draw(st.none() | st.floats(1e-6, 1.0), label="T0"),
+            cooling_factor=data.draw(st.floats(0.5, 0.99), label="cooling"),
+            temperature_steps=data.draw(st.integers(1, 6), label="steps"),
+            moves_per_step=data.draw(st.integers(1, 6), label="moves"),
+            neighbor_sigma=data.draw(st.floats(0.01, 0.8), label="sigma"),
+        )
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
+        accepted = [[] for _ in range(n_tasks)]
+        expected = [[] for _ in range(n_tasks)]
+        result = opt.minimize_sa(obj, cfg, seeds=seeds, accepted_history=accepted)
+        assert_same_result(result, reference_sa(obj, cfg, seeds, accepted_history=expected))
+        assert accepted == expected
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pso_equals_reference(self, data):
+        n_tasks = data.draw(st.integers(1, 5), label="T")
+        m = data.draw(st.integers(1, 3), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        obj = drawn_objective(data.draw, rng, n_tasks, m)
+        cfg = PsoConfig(
+            swarm=data.draw(st.integers(2, 6), label="swarm"),
+            phi1=data.draw(st.floats(0.1, 4.0), label="phi1"),
+            phi2=data.draw(st.floats(0.1, 4.0), label="phi2"),
+            v_max=data.draw(st.floats(0.01, 0.6), label="v_max"),
+            iterations=data.draw(st.integers(1, 5), label="iterations"),
+        )
+        initial = None
+        if data.draw(st.booleans(), label="initial"):
+            initial = (rng.uniform(0, 1, size=(cfg.swarm, m)),
+                       rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.swarm, m)))
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
+        result = opt.minimize_pso(obj, cfg, seeds=seeds, initial=initial)
+        assert_same_result(result, reference_pso(obj, cfg, seeds, initial=initial))
