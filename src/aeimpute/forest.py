@@ -7,6 +7,11 @@ target's summed squared error; candidate thresholds are the midpoints
 between consecutive distinct sorted values.  Forest predictions average the
 per-tree leaf means, and for a 0/1-coded target that average doubles as a
 class score.
+
+Each tree draws from its own generator, derived from (seed, tree index), so
+the trees are grown on every available core (:func:`aeimpute.parallel.fork_map`)
+with results identical to a one-process fit, and no option to set.  A node
+scores all of its candidate columns in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import fork_map
 from .seeding import derive_seed
 
 
@@ -112,50 +118,66 @@ def _node_sse(cum_s: float, cum_q: float, count: int) -> float:
 _TIE_RTOL = 1e-9
 
 
+def _split_gains(x_cols: np.ndarray, y: np.ndarray, min_leaf: int):
+    """(parent SSE, sorted columns, gains) of a node, for all its columns at once.
+
+    Each column of ``x_cols`` is sorted stably, y and y*y are summed down it,
+    and ``gains[i, k]`` is the SSE reduction of splitting column k after its
+    sorted position i.  Positions between equal values, or leaving fewer than
+    ``min_leaf`` rows on a side, score -inf.
+    """
+    n = y.size
+    total_s = y.sum()
+    total_q = float(y @ y)
+    parent_sse = _node_sse(total_s, total_q, n)
+
+    order = x_cols.argsort(axis=0, kind="stable")
+    sx = x_cols[order, np.arange(x_cols.shape[1])]
+    sy = y[order]
+    cs = sy.cumsum(axis=0)[:-1]
+    cq = (sy * sy).cumsum(axis=0)[:-1]
+    left_n = np.arange(1, n)[:, None]
+    left_sse = cq - cs ** 2 / left_n
+    right_sse = (total_q - cq) - (total_s - cs) ** 2 / (n - left_n)
+    gains = parent_sse - left_sse - right_sse
+    gains[~(sx[:-1] < sx[1:])] = -np.inf
+    gains[: min_leaf - 1] = -np.inf
+    gains[n - min_leaf :] = -np.inf
+    return parent_sse, sx, gains
+
+
 def _best_split(x_cols: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int):
     """Best (feature, threshold, left_mask) by SSE reduction, or None.
+
+    ``x_cols`` holds the node's rows of the candidate columns: column k is
+    feature ``features[k]``, in ascending feature order.  All candidates are
+    scored in one pass (:func:`_split_gains`).
 
     Ties (up to a relative tolerance of the node SSE) break toward the lower
     column index then the lower threshold: features are scanned in ascending
     order, and a candidate replaces the incumbent only when its gain exceeds
     the incumbent's by more than the tolerance.
     """
-    n = y.size
-    total_s = y.sum()
-    total_q = float(y @ y)
-    parent_sse = _node_sse(total_s, total_q, n)
+    parent_sse, sx, gains = _split_gains(x_cols, y, min_leaf)
+    if parent_sse < 0.0:  # y differs only in its last bits and rounds below 0
+        return None
     tol = _TIE_RTOL * parent_sse
-
+    # Per feature, the lowest threshold among those tied with its maximum.
+    pick = (gains >= gains.max(axis=0) - tol).argmax(axis=0)
     best_gain = 0.0
-    best: tuple[int, float, np.ndarray] | None = None
-    for f in np.sort(features):
-        xs = x_cols[:, f]
-        order = np.argsort(xs, kind="stable")
-        sx = xs[order]
-        sy = y[order]
-        boundaries = np.flatnonzero(sx[:-1] < sx[1:])  # split after these positions
-        if boundaries.size == 0:
-            continue
-        sizes_ok = (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
-        boundaries = boundaries[sizes_ok]
-        if boundaries.size == 0:
-            continue
-        cs = np.cumsum(sy)
-        cq = np.cumsum(sy * sy)
-        left_n = boundaries + 1
-        left_sse = cq[boundaries] - cs[boundaries] ** 2 / left_n
-        right_sse = (total_q - cq[boundaries]) - (total_s - cs[boundaries]) ** 2 / (n - left_n)
-        gains = parent_sse - left_sse - right_sse
-        # Lowest threshold among candidates tied with the feature maximum.
-        j = int(np.flatnonzero(gains >= gains.max() - tol)[0])
-        if gains[j] > best_gain + tol:
-            lo, hi = sx[boundaries[j]], sx[boundaries[j] + 1]
-            thr = 0.5 * (lo + hi)
-            if not lo < thr:  # midpoint rounded onto the left value
-                thr = hi
-            best_gain = float(gains[j])
-            best = (int(f), float(thr), xs < thr)
-    return best
+    best = None
+    for k, j in enumerate(pick):
+        if gains[j, k] > best_gain + tol:
+            best_gain = gains[j, k]
+            best = k
+    if best is None:
+        return None
+    j = pick[best]
+    lo, hi = sx[j, best], sx[j + 1, best]
+    thr = 0.5 * (lo + hi)
+    if not lo < thr:  # midpoint rounded onto the left value
+        thr = hi
+    return int(features[best]), float(thr), x_cols[:, best] < thr
 
 
 def _grow_tree(
@@ -181,8 +203,8 @@ def _grow_tree(
         constant = bool((ys == ys[0]).all())
         split = None
         if idx.size >= 2 * min_leaf and not constant:
-            chosen = rng.choice(d, size=mtry, replace=False)
-            split = _best_split(x[idx], ys, chosen, min_leaf)
+            chosen = np.sort(rng.choice(d, size=mtry, replace=False))
+            split = _best_split(x[idx[:, None], chosen], ys, chosen, min_leaf)
 
         if split is None:
             feature.append(-1)
@@ -218,8 +240,10 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
     ``binary_target=True`` validates at fit time that the target holds only
     0/1 codes, enabling :meth:`Forest.classify` later.  Per-tree generators
     are derived from (seed, tree index), so trees are independent of growth
-    order and the fit is reproducible.  ``bootstrap=False`` (test hook) grows
-    each tree on the full sample instead of a resample.
+    order and the fit is reproducible.  The trees are grown on every
+    available core through :func:`aeimpute.parallel.fork_map`, bit for bit
+    as a one-process fit grows them.  ``bootstrap=False`` is a test hook: it
+    grows each tree on the full sample instead of a resample.
     """
     cfg = cfg or ForestConfig()
     rows = np.asarray(train_rows, dtype=float)
@@ -244,14 +268,13 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
     if binary_target and not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("binary_target=True but target codes are not all 0/1")
 
-    trees = []
-    for t in range(cfg.n_trees):
+    def grow(t: int) -> CartTree:
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(x[sample], y[sample], rng, mtry, cfg.min_leaf))
+        return _grow_tree(x[sample], y[sample], rng, mtry, cfg.min_leaf)
 
     return Forest(
-        trees=tuple(trees),
+        trees=tuple(fork_map(grow, range(cfg.n_trees))),
         config=cfg,
         target_column=target_column,
         predictor_columns=predictors,

@@ -14,13 +14,12 @@ gradient come from one pass, and an accepted step reuses that gradient.
 
 from __future__ import annotations
 
-import os
-import traceback
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .parallel import fork_map
 from .seeding import derive_seed
 
 # Curvature-probe step scale and the initial trust-region damping for the
@@ -44,7 +43,7 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, z >= 0)
     e += 1.0
     out /= e
     return out
@@ -377,115 +376,46 @@ def select_hidden_size(
     skipped with a warning.  ``train_fn`` stands in for :func:`train` in
     tests and traced runs.
 
-    The candidates are trained on every available core, at most one process
-    per candidate; the result, the warnings and their order do not depend on
-    the number of processes.  So ``train_fn`` runs in forked worker
-    processes: what it returns must pickle, and its side effects (a counter,
-    a trace) are not seen by the caller.  Each worker inherits the caller's
-    BLAS thread count, and Python 3.12 and later warn when a process with
-    threads forks.
+    The candidates are trained on every available core through
+    :func:`aeimpute.parallel.fork_map`, whose caveats apply to ``train_fn``;
+    the result, the warnings and their order do not depend on the number of
+    processes.  A winner at the top of the range, n-1, draws a warning too:
+    such a network is close to the identity, so the reconstruction error it
+    gives a masked column is nearly flat.
     """
     cfg = cfg or TrainConfig()
     train_rows = _check_rows(train_rows)
     val_rows = _check_rows(val_rows)
     sizes = hidden_size_candidates(train_rows.shape[1])
-    trained = _train_candidates(train_fn, train_rows, cfg, sizes, _worker_count(len(sizes)))
+
+    def candidate(h):
+        """(network, training loss), or the TrainingError text."""
+        sub_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
+        try:
+            return train_fn(train_rows, h, sub_cfg)
+        except TrainingError as err:
+            return str(err)
+
     best = None
     best_loss = np.inf
-    for h in sizes:
-        if isinstance(trained[h], str):
-            warnings.warn(f"hidden size {h} skipped: {trained[h]}", stacklevel=2)
+    for h, trained in zip(sizes, fork_map(candidate, sizes)):
+        if isinstance(trained, str):
+            warnings.warn(f"hidden size {h} skipped: {trained}", stacklevel=2)
             continue
-        net, train_loss = trained[h]
+        net, train_loss = trained
         val_loss = reconstruction_loss(net, val_rows)
         if val_loss < best_loss:
             best_loss = val_loss
             best = (h, net, train_loss)
     if best is None:
         raise TrainingError("every hidden-size candidate aborted")
+    if best[0] == sizes[-1]:
+        warnings.warn(
+            f"hidden size {best[0]} won at the top of the range (n-1): "
+            "the network is close to the identity",
+            stacklevel=2,
+        )
     return best
-
-
-def _worker_count(n_candidates: int) -> int:
-    """Processes for the search: one per available core, at most one per candidate.
-
-    One where ``fork`` is not a start method or the affinity mask is unknown.
-    """
-    import multiprocessing
-
-    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_candidates)
-
-
-def _train_share(train_fn, rows, cfg: TrainConfig, sizes) -> dict:
-    """{size: (network, training loss), or the TrainingError text} for each size."""
-    trained = {}
-    for h in sizes:
-        sub_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
-        try:
-            trained[h] = train_fn(rows, h, sub_cfg)
-        except TrainingError as err:
-            trained[h] = str(err)
-    return trained
-
-
-def _share_worker(send, train_fn, rows, cfg: TrainConfig, sizes) -> None:
-    """Body of a search worker: sends (None, its share) or (error, traceback text)."""
-    try:
-        message = (None, _train_share(train_fn, rows, cfg, sizes))
-    except Exception as err:
-        message = (err, traceback.format_exc())
-    send.send(message)
-    send.close()
-
-
-def _train_candidates(train_fn, rows, cfg: TrainConfig, sizes, workers: int) -> dict:
-    """:func:`_train_share` over all sizes, spread across ``workers`` processes.
-
-    This process trains ``sizes[0::workers]`` and forked worker w trains
-    ``sizes[w::workers]``; with one worker nothing is forked.  Every worker
-    is gone when this returns or raises.
-    """
-    if workers == 1:
-        return _train_share(train_fn, rows, cfg, sizes)
-    import multiprocessing
-
-    # fork, not spawn: a worker starts with the rows, the config and train_fn
-    # (which may be a closure, and need not pickle) already in memory, and
-    # pays no interpreter start-up.
-    ctx = multiprocessing.get_context("fork")
-    procs, receivers = [], []
-    try:
-        for w in range(1, workers):
-            receive, send = ctx.Pipe(duplex=False)
-            receivers.append(receive)
-            proc = ctx.Process(
-                target=_share_worker, args=(send, train_fn, rows, cfg, sizes[w::workers])
-            )
-            proc.start()
-            procs.append(proc)
-            # The worker holds the only sending end, so its death ends the pipe.
-            send.close()
-        trained = _train_share(train_fn, rows, cfg, sizes[0::workers])
-        for proc, receive in zip(procs, receivers):
-            try:
-                err, payload = receive.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"a hidden-size worker exited without a result (exit code {proc.exitcode})"
-                ) from None
-            if err is not None:
-                raise err from RuntimeError(f"in a hidden-size worker:\n{payload}")
-            trained.update(payload)
-        return trained
-    finally:
-        for proc in procs:
-            proc.terminate()
-            proc.join()
-        for receive in receivers:
-            receive.close()
 
 
 def save_model(net: Autoencoder, path) -> None:

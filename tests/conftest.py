@@ -8,6 +8,8 @@ feature/target structure so learned models beat random search.
 
 from __future__ import annotations
 
+import contextlib
+import signal
 import sys
 
 import numpy as np
@@ -192,6 +194,21 @@ def no_child_process_outlives_the_test():
         child.join()
     if leaked:
         pytest.fail(f"child processes left running: {leaked}")
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body, instead of hanging, after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --- synthetic benchmark-shaped datasets -------------------------------------

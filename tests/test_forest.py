@@ -1,11 +1,15 @@
 """CART/forest growth, prediction, classification, and reference checks."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aeimpute import forest
+from aeimpute import forest, parallel
 from aeimpute.forest import CartTree, Forest, ForestConfig
+
+from conftest import deadline
 
 
 def step_rows(rng, n, extra_features=1):
@@ -279,3 +283,186 @@ class TestBlockWalk:
         np.testing.assert_array_equal(f.predict(query), expected)
         for t in f.trees[:3]:
             np.testing.assert_array_equal(t.predict(query), [walk_row(t, q) for q in query])
+
+
+# --- one-pass node split -------------------------------------------------------
+
+def reference_feature_gains(xs, y, min_leaf):
+    """(sorted xs, admissible split positions, their gains) for one column.
+
+    The per-feature part of the loop that the one-pass split replaced.
+    """
+    n = y.size
+    total_s = y.sum()
+    total_q = float(y @ y)
+    parent_sse = forest._node_sse(total_s, total_q, n)
+    order = np.argsort(xs, kind="stable")
+    sx = xs[order]
+    sy = y[order]
+    boundaries = np.flatnonzero(sx[:-1] < sx[1:])
+    sizes_ok = (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
+    boundaries = boundaries[sizes_ok]
+    cs = np.cumsum(sy)
+    cq = np.cumsum(sy * sy)
+    left_n = boundaries + 1
+    left_sse = cq[boundaries] - cs[boundaries] ** 2 / left_n
+    right_sse = (total_q - cq[boundaries]) - (total_s - cs[boundaries]) ** 2 / (n - left_n)
+    return sx, boundaries, parent_sse - left_sse - right_sse
+
+
+def reference_best_split(x_cols, y, features, min_leaf):
+    """The per-feature split loop that the one-pass ``_best_split`` replaced.
+
+    ``x_cols`` holds every column of the node's rows; ``features`` names the
+    candidates.
+    """
+    total_s = y.sum()
+    parent_sse = forest._node_sse(total_s, float(y @ y), y.size)
+    tol = forest._TIE_RTOL * parent_sse
+
+    best_gain = 0.0
+    best = None
+    for f in np.sort(features):
+        xs = x_cols[:, f]
+        sx, boundaries, gains = reference_feature_gains(xs, y, min_leaf)
+        if boundaries.size == 0:
+            continue
+        j = int(np.flatnonzero(gains >= gains.max() - tol)[0])
+        if gains[j] > best_gain + tol:
+            lo, hi = sx[boundaries[j]], sx[boundaries[j] + 1]
+            thr = 0.5 * (lo + hi)
+            if not lo < thr:
+                thr = hi
+            best_gain = float(gains[j])
+            best = (int(f), float(thr), xs < thr)
+    return best
+
+
+def reference_split_on_candidates(x_cols, y, features, min_leaf):
+    """:func:`reference_best_split` called as the tree calls ``_best_split``.
+
+    The tree passes only the candidate columns, in ascending feature order,
+    so scanning them by position keeps the tie rule.
+    """
+    split = reference_best_split(x_cols, y, np.arange(len(features)), min_leaf)
+    if split is None:
+        return None
+    k, thr, left = split
+    return int(features[k]), thr, left
+
+
+@st.composite
+def split_nodes(draw):
+    """A node's rows, targets, candidate features and min_leaf.
+
+    Columns take few distinct values (repeats), some are constant, and some
+    copy or mirror another column, so that gains tie across features exactly
+    or within the tie tolerance.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 7))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.sampled_from([2, 3, 5, 1000]))
+    x = rng.integers(0, levels, size=(n, d)) / levels
+    for c in range(d):
+        kind = draw(st.sampled_from(["free", "constant", "copy", "mirror"]))
+        if kind == "constant":
+            x[:, c] = x[0, c]
+        elif kind == "copy" and c > 0:
+            x[:, c] = x[:, draw(st.integers(0, c - 1))]
+        elif kind == "mirror" and c > 0:
+            x[:, c] = 1.0 - x[:, draw(st.integers(0, c - 1))]
+    y_levels = draw(st.sampled_from([2, 4, 1000]))
+    y = rng.integers(0, y_levels, size=n) / y_levels
+    if draw(st.booleans()):
+        y = np.where(x[:, 0] < 0.5, 0.25, 0.75) + (y if y_levels == 1000 else 0.0)
+    mtry = draw(st.integers(1, d))
+    features = np.sort(rng.choice(d, size=mtry, replace=False))
+    min_leaf = draw(st.integers(1, max(1, n // 2)))
+    return x, y, features, min_leaf
+
+
+class TestOnePassSplit:
+    @given(split_nodes())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_per_feature_loop(self, node):
+        x, y, features, min_leaf = node
+        expected = reference_best_split(x, y, features, min_leaf)
+        got = forest._best_split(x[:, features], y, features, min_leaf)
+        if expected is None:
+            assert got is None
+            return
+        assert got is not None
+        assert got[0] == expected[0]
+        assert np.float64(got[1]).view(np.uint64) == np.float64(expected[1]).view(np.uint64)
+        np.testing.assert_array_equal(got[2], expected[2])
+
+    @given(split_nodes())
+    @settings(max_examples=300, deadline=None)
+    def test_gain_table_equals_per_feature_gains(self, node):
+        x, y, features, min_leaf = node
+        _, sx, gains = forest._split_gains(x[:, features], y, min_leaf)
+        for k, f in enumerate(features):
+            ref_sx, boundaries, ref_gains = reference_feature_gains(x[:, f], y, min_leaf)
+            np.testing.assert_array_equal(sx[:, k], ref_sx)
+            expected = np.full(y.size - 1, -np.inf)
+            expected[boundaries] = ref_gains
+            np.testing.assert_array_equal(gains[:, k].view(np.uint64), expected.view(np.uint64))
+
+    def test_last_bit_target_differences_make_a_leaf(self):
+        # The node SSE rounds to about -2e-16 here.
+        y = np.full(8, 0.3)
+        y[:3] = np.nextafter(0.3, 1.0)
+        rows = np.column_stack([np.arange(8) / 8, y])
+        assert forest._node_sse(y.sum(), float(y @ y), 8) < 0
+        tree = forest.fit(rows, 1, ForestConfig(n_trees=1, min_leaf=1), bootstrap=False).trees[0]
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == y.mean()
+
+    def test_tied_partitions_go_to_the_lower_feature(self):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 1, size=(30, 1))
+        x = np.hstack([1.0 - x, x, x])
+        y = (x[:, 1] > 0.5).astype(float)
+        features = np.arange(3)
+        assert forest._best_split(x, y, features, 1)[0] == 0
+        assert reference_best_split(x, y, features, 1)[0] == 0
+
+    @pytest.mark.parametrize("shape", [(500, 25), (136, 14), (259, 13)])
+    def test_forest_equals_one_grown_by_the_loop(self, shape, monkeypatch):
+        # Bench-shaped fits: credit (500 x 25), heart (136 x 14), fire (259 x 13).
+        rng = np.random.default_rng(shape[0])
+        rows = rng.uniform(0, 1, size=shape)
+        rows[:, ::3] = np.round(rows[:, ::3] * 4) / 4  # coded columns repeat values
+        cfg = ForestConfig(n_trees=6, seed=shape[1])
+        fitted = forest.fit(rows, 0, cfg)
+        monkeypatch.setattr(forest, "_best_split", reference_split_on_candidates)
+        reference = forest.fit(rows, 0, cfg)
+        assert_same_trees(fitted, reference)
+
+
+def assert_same_trees(a, b):
+    assert len(a.trees) == len(b.trees)
+    for s, t in zip(a.trees, b.trees):
+        for name in ("feature", "left", "right"):
+            np.testing.assert_array_equal(getattr(s, name), getattr(t, name))
+        for name in ("threshold", "value"):
+            np.testing.assert_array_equal(
+                getattr(s, name).view(np.uint64), getattr(t, name).view(np.uint64)
+            )
+
+
+class TestParallelFit:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_any_worker_count_equals_one_process(self, workers, monkeypatch):
+        rng = np.random.default_rng(11)
+        rows = np.column_stack([rng.uniform(0, 1, size=(120, 5)), rng.normal(0, 1, 120)])
+        cfg = ForestConfig(n_trees=7, min_leaf=2, seed=3)
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
+        one = forest.fit(rows, 5, cfg)
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: workers)
+        with deadline(60):
+            many = forest.fit(rows, 5, cfg)
+        assert_same_trees(many, one)
+        assert multiprocessing.active_children() == []

@@ -1,20 +1,19 @@
 """Autoencoder forward pass, gradient, trainer, and hidden-size search."""
 
-import contextlib
 import dataclasses
 import multiprocessing
 import os
-import signal
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aeimpute import network
+from aeimpute import network, parallel
 from aeimpute.network import Autoencoder, TrainConfig, TrainingError
 from aeimpute.seeding import derive_seed
 
-from conftest import OffsetNet, manifold_rows, random_autoencoder, scalar_forward
+from conftest import OffsetNet, deadline, manifold_rows, random_autoencoder, scalar_forward
 
 
 def zero_net(n, h):
@@ -37,12 +36,20 @@ def masked_logistic(z):
 
 
 class TestLogistic:
-    @given(st.lists(st.floats(allow_nan=False, width=64), max_size=60))
+    @given(
+        st.lists(st.floats(allow_nan=False, width=64), max_size=60),
+        st.sampled_from([(500, 25), (2000, 13), (90, 100)]),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_bits_match_masked_reference(self, values):
+    def test_bits_match_masked_reference(self, values, block_shape):
         z = np.array(values + [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 36.0, -36.0])
         np.testing.assert_array_equal(
             network._logistic(z).view(np.uint64), masked_logistic(z).view(np.uint64)
+        )
+        # Blocks above numpy's 8,192-element buffer take its buffered path.
+        block = np.resize(z, block_shape)
+        np.testing.assert_array_equal(
+            network._logistic(block).view(np.uint64), masked_logistic(block).view(np.uint64)
         )
 
     def test_strictly_inside_unit_interval(self):
@@ -453,6 +460,28 @@ class TestSelectHiddenSize:
             "hidden size 4 skipped: boom",
         ]
 
+    def test_top_of_range_winner_warns(self):
+        def top_wins(rows, h, cfg):
+            return OffsetNet(rows.shape[1], 0.01 * (rows.shape[1] - 1 - h)), 0.0
+
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
+        with pytest.warns(UserWarning) as record:
+            chosen, _, _ = network.select_hidden_size(rows, rows, train_fn=top_wins)
+        assert chosen == 5
+        assert [str(w.message) for w in record] == [
+            "hidden size 5 won at the top of the range (n-1): the network is close to the identity"
+        ]
+
+    def test_inner_winner_does_not_warn(self):
+        def inner_wins(rows, h, cfg):
+            return OffsetNet(rows.shape[1], 0.01 * abs(h - 4)), 0.0
+
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chosen, _, _ = network.select_hidden_size(rows, rows, train_fn=inner_wins)
+        assert chosen == 4
+
     def test_all_skipped_is_error(self):
         def dead_train(rows, h, cfg):
             raise TrainingError("boom")
@@ -489,7 +518,7 @@ def odd_sizes_abort(rows, h, cfg):
 
 
 def reference_search(train_rows, val_rows, cfg, train_fn):
-    """The one-process search loop: ((h, network, loss), skip warnings in order)."""
+    """The one-process search loop: ((h, network, loss), its warnings in order)."""
     best, best_loss, skipped = None, np.inf, []
     for h in network.hidden_size_candidates(train_rows.shape[1]):
         sub_cfg = dataclasses.replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
@@ -501,28 +530,18 @@ def reference_search(train_rows, val_rows, cfg, train_fn):
         val_loss = network.reconstruction_loss(net, val_rows)
         if val_loss < best_loss:
             best_loss, best = val_loss, (h, net, train_loss)
+    if best[0] == train_rows.shape[1] - 1:
+        skipped.append(
+            f"hidden size {best[0]} won at the top of the range (n-1): "
+            "the network is close to the identity"
+        )
     return best, skipped
-
-
-@contextlib.contextmanager
-def deadline(seconds: int):
-    """Raise TimeoutError in the body, instead of hanging, after ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParallelSearch:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_any_worker_count_equals_reference_loop(self, workers, monkeypatch):
-        monkeypatch.setattr(network, "_worker_count", lambda n: workers)
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: workers)
         rows = wide_manifold_rows(seed=6, count=50)
         cfg = TrainConfig(rng_seed=0, max_iterations=60)
         (ref_h, ref_net, ref_loss), ref_skipped = reference_search(
@@ -540,11 +559,12 @@ class TestParallelSearch:
         assert [str(w.message) for w in record] == ref_skipped == [
             "hidden size 3 skipped: odd size 3",
             "hidden size 5 skipped: odd size 5",
+            "hidden size 6 won at the top of the range (n-1): the network is close to the identity",
         ]
         assert multiprocessing.active_children() == []
 
     def test_one_worker_trains_every_size_in_this_process(self, monkeypatch):
-        monkeypatch.setattr(network, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
         seen = []
 
         def recording_train(rows, h, cfg):
@@ -554,42 +574,6 @@ class TestParallelSearch:
         rows = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
         network.select_hidden_size(rows, rows, train_fn=recording_train)
         assert seen == [(h, os.getpid()) for h in range(2, 6)]
-
-    def test_worker_count_follows_available_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert network._worker_count(23) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert network._worker_count(23) == 8
-        assert network._worker_count(3) == 3
-
-    def test_worker_error_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(network, "_worker_count", lambda n: 2)
-        caller = os.getpid()
-
-        def failing_in_worker(rows, h, cfg):
-            if os.getpid() != caller:
-                raise ValueError(f"bad size {h}")
-            return zero_net(rows.shape[1], h), 0.0
-
-        rows = np.random.default_rng(0).uniform(0, 1, size=(8, 5))
-        with deadline(60), pytest.raises(ValueError, match="^bad size 3$"):
-            network.select_hidden_size(rows, rows, train_fn=failing_in_worker)
-        assert multiprocessing.active_children() == []
-
-    def test_worker_exit_without_result_raises(self, monkeypatch):
-        monkeypatch.setattr(network, "_worker_count", lambda n: 3)
-        caller = os.getpid()
-
-        def exiting_in_worker(rows, h, cfg):
-            # Size 4 is the whole share of the last worker forked.
-            if os.getpid() != caller and h == 4:
-                os._exit(3)
-            return zero_net(rows.shape[1], h), 0.0
-
-        rows = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
-        with deadline(60), pytest.raises(RuntimeError, match=r"without a result \(exit code 3\)"):
-            network.select_hidden_size(rows, rows, train_fn=exiting_in_worker)
-        assert multiprocessing.active_children() == []
 
 
 class TestPersistence:
