@@ -18,10 +18,9 @@ and master seed.
 from __future__ import annotations
 
 import json
-import math
 import traceback
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -94,17 +93,35 @@ class ExperimentConfig:
 
 # --- config file parsing ----------------------------------------------------
 
+def _entries(raw: str) -> tuple[str, ...]:
+    """A comma-separated list, blank entries dropped."""
+    return tuple(e.strip() for e in raw.split(",") if e.strip())
+
+
+def _columns(raw: str) -> tuple:
+    """Column kinds; a ``name: kind`` entry becomes a (name, kind) pair."""
+    return tuple(
+        tuple(part.strip() for part in e.split(":", 1)) if ":" in e else e
+        for e in _entries(raw)
+    )
+
+
+def _hidden_size(raw: str) -> int | str:
+    return raw if raw == "auto" else int(raw)
+
+
+# Global config key -> (ExperimentConfig field, parser of the value text).
 _GLOBAL_KEYS = {
-    "dataset": str,
-    "header": bool,
-    "columns": str,
-    "missing_column": int,
-    "task": str,
-    "hidden_size": str,
-    "methods": str,
-    "seed": int,
-    "output": str,
-    "normalization_scope": str,
+    "dataset": ("dataset_path", Path),
+    "header": ("header", bool),
+    "columns": ("column_kinds", _columns),
+    "missing_column": ("missing_column", int),
+    "task": ("task_kind", str),
+    "hidden_size": ("hidden_size", _hidden_size),
+    "methods": ("methods", _entries),
+    "seed": ("master_seed", int),
+    "output": ("output_dir", Path),
+    "normalization_scope": ("normalization_scope", str),
 }
 
 _SECTION_TYPES = {
@@ -130,6 +147,7 @@ _SECTION_KEYS = {
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _EXPECTED = {int: "an integer", float: "a number", bool: "true/false"}
+_EXPECTED[_hidden_size] = "'auto' or an integer"
 
 
 def _parse_value(key: str, raw: str, tp):
@@ -145,32 +163,20 @@ def _parse_value(key: str, raw: str, tp):
         raise ConfigError(f"{key}: expected {_EXPECTED[tp]}, got {raw!r}") from None
 
 
-def _parse_columns(raw: str) -> tuple:
-    entries = [e.strip() for e in raw.split(",") if e.strip()]
-    out = []
-    for e in entries:
-        if ":" in e:
-            name, kind = e.split(":", 1)
-            out.append((name.strip(), kind.strip()))
-        else:
-            out.append(e)
-    return tuple(out)
-
-
 def parse_config(path, seed_override: int | None = None, output_override=None) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file with dotted sections.
 
-    Global keys: dataset, header, columns, missing_column, task, hidden_size,
-    methods, seed, output, normalization_scope.  Sectioned keys such as
-    ``ga.population = 50`` override algorithm defaults.  Unknown keys are
-    errors.
+    Global keys are those of ``_GLOBAL_KEYS``.  Sectioned keys such as
+    ``ga.population = 50`` override algorithm defaults.  Unknown and
+    repeated keys are errors.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
 
-    globals_seen: dict[str, object] = {}
+    kwargs: dict[str, object] = {}
     sections: dict[str, dict[str, object]] = {name: {} for name in _SECTION_TYPES}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -178,6 +184,9 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         if "." in key:
             section, sub = key.split(".", 1)
             if section not in _SECTION_KEYS:
@@ -188,34 +197,13 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
         else:
             if key not in _GLOBAL_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            globals_seen[key] = _parse_value(key, raw, _GLOBAL_KEYS[key])
+            name, parser = _GLOBAL_KEYS[key]
+            kwargs[name] = _parse_value(key, raw, parser)
 
-    for required in ("dataset", "missing_column", "task"):
-        if required not in globals_seen:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-
-    kwargs: dict[str, object] = {
-        "dataset_path": Path(str(globals_seen["dataset"])),
-        "missing_column": globals_seen["missing_column"],
-        "task_kind": globals_seen["task"],
-    }
-    if "header" in globals_seen:
-        kwargs["header"] = globals_seen["header"]
-    if "columns" in globals_seen:
-        kwargs["column_kinds"] = _parse_columns(str(globals_seen["columns"]))
-    if "hidden_size" in globals_seen:
-        raw = str(globals_seen["hidden_size"])
-        kwargs["hidden_size"] = raw if raw == "auto" else _parse_value("hidden_size", raw, int)
-    if "methods" in globals_seen:
-        kwargs["methods"] = tuple(
-            m.strip() for m in str(globals_seen["methods"]).split(",") if m.strip()
-        )
-    if "seed" in globals_seen:
-        kwargs["master_seed"] = globals_seen["seed"]
-    if "output" in globals_seen:
-        kwargs["output_dir"] = Path(str(globals_seen["output"]))
-    if "normalization_scope" in globals_seen:
-        kwargs["normalization_scope"] = globals_seen["normalization_scope"]
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for key, (name, _) in _GLOBAL_KEYS.items():
+        if name not in kwargs and defaults[name] is MISSING:
+            raise ConfigError(f"{path}: missing required key {key!r}")
 
     for name, cfg_type in _SECTION_TYPES.items():
         if sections[name]:
@@ -238,66 +226,13 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
 
 @dataclass
 class ExperimentReport:
-    version: str
-    config_echo: dict
-    task_kind: str
-    split_counts: dict
-    hidden_size_requested: int | str
-    hidden_size_selected: int
-    train_loss: float
-    method_results: dict
-    comparison: dict
-    methodology: dict
+    """A finished run: the report.json document (plain JSON types only) and
+    what the other emitted files need besides."""
+
+    document: dict
     net: network_mod.Autoencoder
     columns: tuple
     timings: dict
-
-    def to_json_dict(self) -> dict:
-        return _plain(
-            {
-                "toolkit_version": self.version,
-                "config": self.config_echo,
-                "task_kind": self.task_kind,
-                "split_counts": self.split_counts,
-                "hidden_size": {
-                    "requested": self.hidden_size_requested,
-                    "selected": self.hidden_size_selected,
-                },
-                "train_loss": self.train_loss,
-                "methods": self.method_results,
-                "comparison": self.comparison,
-                "methodology": self.methodology,
-                "normalization": [
-                    {
-                        "column": spec.name,
-                        "kind": spec.kind,
-                        "min": spec.observed_min,
-                        "max": spec.observed_max,
-                        "degenerate": spec.degenerate,
-                    }
-                    for spec in self.columns
-                ],
-            }
-        )
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -310,18 +245,12 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     def section(dc):
         return {f.name: getattr(dc, f.name) for f in fields(dc) if f.name not in _DERIVED_SEEDS}
 
-    return {
-        "dataset": str(cfg.dataset_path),
-        "header": cfg.header,
-        "columns": list(cfg.column_kinds) if cfg.column_kinds else None,
-        "missing_column": cfg.missing_column,
-        "task": cfg.task_kind,
-        "hidden_size": cfg.hidden_size,
-        "methods": list(cfg.methods),
-        "seed": cfg.master_seed,
-        "normalization_scope": cfg.normalization_scope,
-        **{name: section(getattr(cfg, name)) for name in _SECTION_TYPES},
-    }
+    echo = {name: section(getattr(cfg, name)) for name in _SECTION_TYPES}
+    for key, (name, _) in _GLOBAL_KEYS.items():
+        if name != "output_dir":
+            value = getattr(cfg, name)
+            echo[key] = str(value) if isinstance(value, Path) else value
+    return echo
 
 
 _METHODOLOGY = {
@@ -372,25 +301,27 @@ def _prepare_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
             f"missing_column {cfg.missing_column} out of range for "
             f"{ds.n_columns}-column dataset"
         )
-    if cfg.normalization_scope == "train":
-        train_rows, _, _ = data_mod.split_sizes(ds.n_rows)
-        ds = data_mod.normalize(ds, fit_row_count=train_rows)
-    else:
-        ds = data_mod.normalize(ds)
-    return data_mod.split(ds)
+    fit_rows = data_mod.split_sizes(ds.n_rows)[0] if cfg.normalization_scope == "train" else None
+    return data_mod.split(data_mod.normalize(ds, fit_row_count=fit_rows))
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     """Execute the full pipeline; deterministic given the config and seed.
 
     ``progress`` is an optional callable receiving stage-name strings.  On
-    any stage failure the partial results gathered so far are written to the
-    output directory next to a failure marker, and the error is re-raised as
-    :class:`ExperimentError` with the stage name.
+    any stage failure the report document, as far as the finished stages
+    built it, is written to the output directory as ``partial.json`` next to
+    a failure marker, and the error is re-raised as :class:`ExperimentError`
+    with the stage name.
     """
     notify = progress or (lambda msg: None)
     timings: dict[str, float] = {}
-    partial: dict = {"config": _config_echo(cfg), "toolkit_version": __version__}
+    document: dict = {
+        "toolkit_version": __version__,
+        "config": _config_echo(cfg),
+        "task_kind": cfg.task_kind,
+        "methodology": dict(_METHODOLOGY),
+    }
     stage = "prepare"
 
     def clock(name, fn, *args, **kwargs):
@@ -402,8 +333,19 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     try:
         notify("loading dataset")
         ds = clock("prepare", _prepare_dataset, cfg)
-        counts = {label: int((ds.split == label).sum()) for label in data_mod.SPLIT_LABELS}
-        partial["split_counts"] = counts
+        document["split_counts"] = {
+            label: int((ds.split == label).sum()) for label in data_mod.SPLIT_LABELS
+        }
+        document["normalization"] = [
+            {
+                "column": spec.name,
+                "kind": spec.kind,
+                "min": spec.observed_min,
+                "max": spec.observed_max,
+                "degenerate": spec.degenerate,
+            }
+            for spec in ds.columns
+        ]
 
         if cfg.hidden_size == "auto":
             # The search trains a network per size; the winner's is the model.
@@ -423,8 +365,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             notify(f"training autoencoder (hidden={hidden})")
             train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.master_seed, "train"))
             net, train_loss = clock("train", network_mod.train, ds.train_rows, hidden, train_cfg)
-        partial["hidden_size_selected"] = hidden
-        partial["train_loss"] = train_loss
+        document["hidden_size"] = {"requested": cfg.hidden_size, "selected": hidden}
+        document["train_loss"] = float(train_loss)
 
         stage = "tasks"
         task = data_mod.make_tasks(ds, {cfg.missing_column})
@@ -439,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         notify(f"imputing {len(truth)} test records per method")
         start = perf_counter()
         imputed: dict[str, np.ndarray] = {}
-        evaluations: dict[str, int] = {}
+        blocks: dict[str, dict] = {method: {} for method in cfg.methods}
         # Each method searches all test records in lockstep, each record with
         # its own derived seed.
         objective = MissingDataObjective(net, task)
@@ -456,10 +398,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 seeds=seeds,
             )
             imputed[method] = objective.impute(result)[:, cfg.missing_column]
-            evaluations[method] = result.evaluations
+            blocks[method]["evaluations_per_task"] = result.evaluations
             del result  # every record's trace; free them before the next search
 
-        rf_mtry_resolved: int | None = None
         if "rf" in cfg.methods:
             notify("fitting random forest")
             rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.master_seed, "rf"))
@@ -471,33 +412,22 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 rf_cfg,
                 binary_target=cfg.task_kind == "classification",
             )
-            predictor_cols = list(fitted.predictor_columns)
-            if rf_cfg.mtry is None:
-                rf_mtry_resolved = max(1, math.isqrt(len(predictor_cols)))
-            else:
-                rf_mtry_resolved = rf_cfg.mtry
+            blocks["rf"]["mtry_resolved"] = fitted.config.mtry
             imputed["rf"] = clock(
-                "rf_predict", fitted.predict, task.true_values[:, predictor_cols]
+                "rf_predict", fitted.predict, task.true_values[:, list(fitted.predictor_columns)]
             )
         timings["impute"] = perf_counter() - start
 
         stage = "score"
         start = perf_counter()
         notify("scoring methods")
-        method_results: dict[str, dict] = {}
         errors: dict[str, np.ndarray] = {}
-        for method in cfg.methods:
+        for method, block in blocks.items():
             values = imputed[method]
-            block: dict = {
-                "imputed": [
-                    {"row": i, "true": float(truth[i]), "imputed": float(values[i])}
-                    for i in range(len(truth))
-                ]
-            }
-            if method in evaluations:
-                block["evaluations_per_task"] = evaluations[method]
-            if method == "rf":
-                block["mtry_resolved"] = rf_mtry_resolved
+            block["imputed"] = [
+                {"row": i, "true": float(truth[i]), "imputed": float(values[i])}
+                for i in range(len(truth))
+            ]
             block["metrics"], errors[method], roc = _score(truth, values, cfg.task_kind)
             block["display"] = {
                 k: (_display(v) if v is not None else "undefined")
@@ -505,7 +435,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             }
             if roc is not None:
                 block["roc_points"] = [list(p) for p in roc.points]
-            method_results[method] = block
+        document["methods"] = blocks
 
         stage = "compare"
         comparison: dict = {}
@@ -523,47 +453,27 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                     for a, b, p in matrix.pairs()
                 ],
             }
+        document["comparison"] = comparison
         timings["score"] = perf_counter() - start
-
-        return ExperimentReport(
-            version=__version__,
-            config_echo=partial["config"],
-            task_kind=cfg.task_kind,
-            split_counts=counts,
-            hidden_size_requested=cfg.hidden_size,
-            hidden_size_selected=hidden,
-            train_loss=float(train_loss),
-            method_results=method_results,
-            comparison=comparison,
-            methodology=dict(_METHODOLOGY),
-            net=net,
-            columns=ds.columns,
-            timings=timings,
-        )
+        return ExperimentReport(document=document, net=net, columns=ds.columns, timings=timings)
     except Exception as err:
-        _persist_failure(cfg.output_dir, stage, err, partial)
+        _persist_failure(cfg.output_dir, stage, err, document)
         raise ExperimentError(f"stage {stage!r} failed: {err}") from err
 
 
-def _persist_failure(out_dir: Path, stage: str, err: Exception, partial: dict) -> None:
+def _persist_failure(out_dir: Path, stage: str, err: Exception, document: dict) -> None:
     try:
-        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         marker = f"stage: {stage}\nerror: {err}\n\n{traceback.format_exc()}"
         (out_dir / FAILURE_MARKER).write_text(marker, encoding="utf-8")
         (out_dir / "partial.json").write_text(
-            json.dumps(_plain(partial), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     except OSError:
         pass  # never mask the original failure
 
 
 # --- emission ---------------------------------------------------------------
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
 
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     """Write the report's file set; emission is byte-stable per report.
@@ -578,27 +488,28 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
 
     def emit(name: str, text: str) -> None:
         path = out_dir / name
-        _write_text(path, text)
+        path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
 
-    emit("report.json", json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    doc = report.document
+    emit("report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     metric_lines = ["method,metric,value"]
-    for method in report.method_results:
-        for metric, value in report.method_results[method]["metrics"].items():
+    for method, block in doc["methods"].items():
+        for metric, value in block["metrics"].items():
             cell = "undefined" if value is None else repr(float(value))
             metric_lines.append(f"{method},{metric},{cell}")
     emit("metrics.csv", "\n".join(metric_lines) + "\n")
 
     pair_lines = ["pair,p_value,display"]
-    for entry in report.comparison.get("pairs", []):
+    for entry in doc["comparison"].get("pairs", []):
         pair_lines.append(
             f"{entry['pair']},{repr(float(entry['p_value']))},{entry['display']}"
         )
     emit("pvalues.csv", "\n".join(pair_lines) + "\n")
 
-    target_spec = report.columns[report.config_echo["missing_column"]]
-    for method, block in report.method_results.items():
+    target_spec = report.columns[doc["config"]["missing_column"]]
+    for method, block in doc["methods"].items():
         lines = ["row,true_value,imputed_value,true_original,imputed_original"]
         for entry in block["imputed"]:
             # Degenerate target columns are excluded from original-unit reporting.
@@ -611,7 +522,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
                 f"{entry['row']},{repr(entry['true'])},{repr(entry['imputed'])},{t_orig},{i_orig}"
             )
         emit(f"imputed_{method}.csv", "\n".join(lines) + "\n")
-        if report.task_kind == "classification":
+        if doc["task_kind"] == "classification":
             roc_lines = ["fpr,tpr"]
             roc_lines.extend(
                 f"{repr(float(f))},{repr(float(t))}" for f, t in block["roc_points"]
@@ -624,16 +535,29 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
 
     emit("normalization.csv", data_mod.normalization_table(report.columns))
 
-    emit("timings.json", json.dumps(_plain(report.timings), indent=2, sort_keys=True) + "\n")
+    emit("timings.json", json.dumps(report.timings, indent=2, sort_keys=True) + "\n")
     return written
 
 
 # --- verification -----------------------------------------------------------
 
-def _read_csv_rows(path: Path) -> list[dict]:
+def _read_csv(path: Path, *columns: str, convert=str) -> list[list]:
+    """The named columns of a CSV file's rows, each cell passed through ``convert``.
+
+    An empty file, an absent column, a short row or a cell ``convert``
+    rejects raises ValueError naming the file.
+    """
     lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:] if line]
+    header = lines[0].split(",") if lines else []
+    absent = [c for c in columns if c not in header]
+    if absent:
+        raise ValueError(f"{path.name} unreadable: no column {', '.join(absent)}")
+    at = [header.index(c) for c in columns]
+    try:
+        rows = [line.split(",") for line in lines[1:] if line]
+        return [[convert(cells[i]) for i in at] for cells in rows]
+    except (IndexError, ValueError) as err:
+        raise ValueError(f"{path.name} unreadable: {err}") from None
 
 
 def _compare(stored: str, value: float | None) -> tuple[bool, str]:
@@ -672,16 +596,20 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
 
     Returns (check name, passed, detail) tuples; metric comparisons use an
     absolute tolerance of 1e-9.  Missing files fail with an inventory of what
-    was expected versus found.
+    was expected versus found, and the first malformed file fails a
+    ``format`` check that ends the verification.
     """
     out_dir = Path(out_dir)
     checks: list[tuple[str, bool, str]] = []
     report_path = out_dir / "report.json"
     if not report_path.exists():
         return [("inventory", False, f"missing {report_path.name}")]
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    task_kind = report["task_kind"]
-    methods = list(report["methods"].keys())
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        task_kind = report["task_kind"]
+        methods = list(report["methods"])
+    except (ValueError, KeyError, TypeError) as err:
+        return [("format", False, f"{report_path.name} unreadable: {err!r}")]
 
     expected = ["report.json", "metrics.csv", "pvalues.csv", "model.txt", "normalization.csv"]
     expected += [f"imputed_{m}.csv" for m in methods]
@@ -698,45 +626,45 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
             )
         ]
     checks.append(("inventory", True, f"{len(expected)} files present"))
-
-    recomputed_metrics: dict[tuple[str, str], tuple[str, float | None]] = {}
-    errors: dict[str, np.ndarray] = {}
-    for method in methods:
-        rows = _read_csv_rows(out_dir / f"imputed_{method}.csv")
-        truth = np.array([float(r["true_value"]) for r in rows])
-        values = np.array([float(r["imputed_value"]) for r in rows])
-        recomputed, errors[method], roc = _score(truth, values, task_kind)
-        if roc is not None:
-            stored_points = [
-                (float(r["fpr"]), float(r["tpr"]))
-                for r in _read_csv_rows(out_dir / f"roc_{method}.csv")
-            ]
-            ok = len(stored_points) == len(roc.points) and all(
-                abs(a - c) <= VERIFY_TOLERANCE and abs(b - d) <= VERIFY_TOLERANCE
-                for (a, b), (c, d) in zip(stored_points, roc.points)
+    try:
+        recomputed_metrics: dict[tuple[str, str], tuple[str, float | None]] = {}
+        errors: dict[str, np.ndarray] = {}
+        for method in methods:
+            rows = _read_csv(
+                out_dir / f"imputed_{method}.csv", "true_value", "imputed_value", convert=float
             )
-            detail = "points match" if ok else "stored ROC points differ from recomputation"
-            checks.append((f"roc_{method}", ok, detail))
-        for metric, value in recomputed.items():
-            recomputed_metrics[(method, metric)] = (f"{method}.{metric}", value)
+            truth, values = np.array(rows).reshape(-1, 2).T
+            recomputed, errors[method], roc = _score(truth, values, task_kind)
+            if roc is not None:
+                stored = _read_csv(out_dir / f"roc_{method}.csv", "fpr", "tpr", convert=float)
+                ok = len(stored) == len(roc.points) and all(
+                    abs(a - c) <= VERIFY_TOLERANCE and abs(b - d) <= VERIFY_TOLERANCE
+                    for (a, b), (c, d) in zip(stored, roc.points)
+                )
+                detail = "points match" if ok else "stored ROC points differ from recomputation"
+                checks.append((f"roc_{method}", ok, detail))
+            for metric, value in recomputed.items():
+                recomputed_metrics[(method, metric)] = (f"{method}.{metric}", value)
 
-    stored_metrics = [
-        ((r["method"], r["metric"]), f"{r['method']}.{r['metric']}", r["value"])
-        for r in _read_csv_rows(out_dir / "metrics.csv")
-    ]
-    _match_rows(checks, "metrics.csv", stored_metrics, recomputed_metrics)
-
-    if len(methods) >= 2:
-        matrix = metrics_mod.comparison_matrix(errors)
-        # Pair names are unordered; the stored report may list methods in a
-        # different order than the alphabetical recomputation here.
-        recomputed_pairs = {
-            frozenset((a.upper(), b.upper())): (f"pvalue.{a.upper()}-{b.upper()}", p)
-            for a, b, p in matrix.pairs()
-        }
-        stored_pairs = [
-            (frozenset(r["pair"].split("-")), f"pvalue.{r['pair']}", r["p_value"])
-            for r in _read_csv_rows(out_dir / "pvalues.csv")
+        rows = _read_csv(out_dir / "metrics.csv", "method", "metric", "value")
+        stored_metrics = [
+            ((method, metric), f"{method}.{metric}", value) for method, metric, value in rows
         ]
-        _match_rows(checks, "pvalues.csv", stored_pairs, recomputed_pairs)
+        _match_rows(checks, "metrics.csv", stored_metrics, recomputed_metrics)
+
+        if len(methods) >= 2:
+            matrix = metrics_mod.comparison_matrix(errors)
+            # Pair names are unordered; the stored report may list methods in a
+            # different order than the alphabetical recomputation here.
+            recomputed_pairs = {
+                frozenset((a.upper(), b.upper())): (f"pvalue.{a.upper()}-{b.upper()}", p)
+                for a, b, p in matrix.pairs()
+            }
+            stored_pairs = [
+                (frozenset(pair.split("-")), f"pvalue.{pair}", p)
+                for pair, p in _read_csv(out_dir / "pvalues.csv", "pair", "p_value")
+            ]
+            _match_rows(checks, "pvalues.csv", stored_pairs, recomputed_pairs)
+    except ValueError as err:
+        checks.append(("format", False, str(err)))
     return checks

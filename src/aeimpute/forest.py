@@ -17,7 +17,7 @@ scores all of its candidate columns in one vectorized pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -275,7 +275,7 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
 
     return Forest(
         trees=tuple(fork_map(grow, range(cfg.n_trees))),
-        config=cfg,
+        config=replace(cfg, mtry=mtry),
         target_column=target_column,
         predictor_columns=predictors,
         binary_target=binary_target,

@@ -267,13 +267,13 @@ class TestCriterion7Protocol:
             run = benchmark_runs[name]
             report = run["report"]
             counts = (
-                report.split_counts["train"],
-                report.split_counts["validation"],
-                report.split_counts["test"],
+                report.document["split_counts"]["train"],
+                report.document["split_counts"]["validation"],
+                report.document["split_counts"]["test"],
             )
             if counts != run["expected_counts"]:
                 failures.append(f"{name} split {counts}")
-            for method, block in report.method_results.items():
+            for method, block in report.document["methods"].items():
                 values = [e["imputed"] for e in block["imputed"]]
                 if not all(0.0 <= v <= 1.0 for v in values):
                     failures.append(f"{name}/{method} out of [0,1]")
@@ -315,8 +315,8 @@ class TestCriterion8Ordering:
                     encoding="utf-8",
                 )
                 report = run_experiment(parse_config(cfg_file))
-                rf_auc = report.method_results["rf"]["metrics"]["auc"]
-                ns_auc = report.method_results["ns"]["metrics"]["auc"]
+                rf_auc = report.document["methods"]["rf"]["metrics"]["auc"]
+                ns_auc = report.document["methods"]["ns"]["metrics"]["auc"]
                 wins += rf_auc >= ns_auc
             outcomes[name] = wins
         elapsed = perf_counter() - start

@@ -11,9 +11,11 @@ import pytest
 
 from aeimpute import cli, experiment, network
 from aeimpute.experiment import (
+    _GLOBAL_KEYS,
     _SECTION_KEYS,
     _SECTION_TYPES,
     ConfigError,
+    ExperimentConfig,
     ExperimentError,
     FAILURE_MARKER,
     emit_report,
@@ -159,6 +161,45 @@ class TestParseConfig:
                 section, key = dotted.split(".")
                 assert getattr(getattr(cfg, section), key) is None, (word, dotted)
 
+    def test_every_global_key_parses_onto_its_field(self, heart_setup):
+        tmp, csv, meta = heart_setup
+        values = {
+            "dataset": (str(csv), csv),
+            "header": ("yes", True),
+            "columns": ("age: numeric, binary", (("age", "numeric"), "binary")),
+            "missing_column": ("5", 5),
+            "task": ("prediction", "prediction"),
+            "hidden_size": ("6", 6),
+            "methods": ("sa, rf", ("sa", "rf")),
+            "seed": ("11", 11),
+            "output": (str(tmp / "o"), tmp / "o"),
+            "normalization_scope": ("train", "train"),
+        }
+        assert set(values) == set(_GLOBAL_KEYS)
+        cfg_file = tmp / "globals.cfg"
+        cfg_file.write_text("".join(f"{key} = {text}\n" for key, (text, _) in values.items()))
+        cfg = parse_config(cfg_file)
+        for key, (_, expected) in values.items():
+            got = getattr(cfg, _GLOBAL_KEYS[key][0])
+            assert type(got) is type(expected) and got == expected, key
+        cfg_file.write_text(cfg_file.read_text().replace("hidden_size = 6", "hidden_size = auto"))
+        assert parse_config(cfg_file).hidden_size == "auto"
+
+    def test_key_tables_cover_every_config_field(self):
+        covered = [name for name, _ in _GLOBAL_KEYS.values()] + list(_SECTION_TYPES)
+        assert sorted(covered) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+    @pytest.mark.parametrize("key, value", [("seed", "3"), ("ga.population", "12")])
+    def test_repeated_key_rejected(self, heart_setup, key, value):
+        tmp, csv, meta = heart_setup
+        cfg_file = tmp / "twice.cfg"
+        cfg_file.write_text(
+            f"dataset = {csv}\n{key} = {value}\nmissing_column = 13\n"
+            f"{key} = {value}\ntask = classification\n"
+        )
+        with pytest.raises(ConfigError, match=f":4: key '{key}' already set on line 2"):
+            parse_config(cfg_file)
+
     def test_invalid_section_value_rejected(self, heart_setup):
         tmp, csv, meta = heart_setup
         cfg_file = tmp / "badval.cfg"
@@ -205,13 +246,13 @@ class TestSeedDerivation:
 class TestRunExperiment:
     def test_report_structure(self, emitted):
         cfg, report, out = emitted
-        assert report.split_counts == {"train": 136, "validation": 67, "test": 67}
-        assert set(report.method_results) == set(cfg.methods)
-        for block in report.method_results.values():
+        assert report.document["split_counts"] == {"train": 136, "validation": 67, "test": 67}
+        assert set(report.document["methods"]) == set(cfg.methods)
+        for block in report.document["methods"].values():
             assert len(block["imputed"]) == 67
             values = [e["imputed"] for e in block["imputed"]]
             assert all(0.0 <= v <= 1.0 for v in values)
-        assert len(report.comparison["pairs"]) == 10
+        assert len(report.document["comparison"]["pairs"]) == 10
 
     def test_verify_passes_on_untouched_report(self, emitted):
         _, _, out = emitted
@@ -227,7 +268,7 @@ class TestRunExperiment:
     def test_rf_block_reports_resolved_mtry(self, emitted):
         _, report, _ = emitted
         # heart-like data: 13 predictors -> floor(sqrt(13)) = 3
-        assert report.method_results["rf"]["mtry_resolved"] == 3
+        assert report.document["methods"]["rf"]["mtry_resolved"] == 3
 
     def test_verify_catches_edited_metric(self, emitted, tmp_path):
         _, _, out = emitted
@@ -288,6 +329,32 @@ class TestRunExperiment:
         assert [n for n, _ in bad] == [name] * len(details)
         assert all(word in d for word, (_, d) in zip(details, bad))
 
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("metrics.csv", lambda text: ""),
+            ("report.json", lambda text: text[: len(text) // 2]),
+            (
+                "imputed_sa.csv",
+                lambda text: "".join(
+                    ",".join(line.split(",")[:2] + line.split(",")[3:]) + "\n"
+                    for line in text.splitlines()
+                ),
+            ),
+        ],
+        ids=["empty-metrics", "truncated-report", "imputed-without-value-column"],
+    )
+    def test_verify_fails_malformed_file(self, emitted, tmp_path, capsys, name, corrupt):
+        _, _, out = emitted
+        clone = tmp_path / "corrupt"
+        clone.mkdir()
+        for p in out.iterdir():
+            (clone / p.name).write_bytes(p.read_bytes())
+        (clone / name).write_text(corrupt((clone / name).read_text()))
+        assert cli.main(["verify", str(clone)]) == 2
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and name in fails[0]
+
     def test_verify_reports_missing_file_inventory(self, emitted, tmp_path):
         _, _, out = emitted
         clone = tmp_path / "gutted"
@@ -326,13 +393,13 @@ class TestRunExperiment:
                                         hidden_size="auto", methods="ns"))
         report = run_experiment(cfg)
         assert "hidden_search" in report.timings and "train" not in report.timings
-        h = report.hidden_size_selected
+        h = report.document["hidden_size"]["selected"]
         ds = experiment._prepare_dataset(cfg)
         seed = derive_seed(cfg.master_seed, "hidden", h)
         train_cfg = dataclasses.replace(cfg.train, rng_seed=seed)
         again, loss = network.train(ds.train_rows, h, train_cfg)
         np.testing.assert_array_equal(report.net.to_vector(), again.to_vector())
-        assert report.train_loss == loss
+        assert report.document["train_loss"] == loss
 
     def test_method_independence(self, heart_setup, emitted):
         tmp, csv, meta = heart_setup
@@ -342,10 +409,13 @@ class TestRunExperiment:
         cfg.methods = ("pso",)
         solo = run_experiment(cfg)
         assert (
-            solo.method_results["pso"]["metrics"]
-            == full_report.method_results["pso"]["metrics"]
+            solo.document["methods"]["pso"]["metrics"]
+            == full_report.document["methods"]["pso"]["metrics"]
         )
-        assert solo.method_results["pso"]["imputed"] == full_report.method_results["pso"]["imputed"]
+        assert (
+            solo.document["methods"]["pso"]["imputed"]
+            == full_report.document["methods"]["pso"]["imputed"]
+        )
 
     def test_failure_persists_marker_and_partial(self, heart_setup):
         tmp, csv, meta = heart_setup
@@ -364,6 +434,10 @@ class TestRunExperiment:
             assert "stage: tasks" in (out / FAILURE_MARKER).read_text()
             partial = json.loads((out / "partial.json").read_text())
             assert partial["split_counts"]["test"] == 67
+            # report.json's keys for the stages that finished, none after
+            assert {"config", "split_counts", "hidden_size", "train_loss"} <= set(partial)
+            assert partial["hidden_size"] == {"requested": 4, "selected": 4}
+            assert "methods" not in partial and "comparison" not in partial
 
     def test_missing_dataset_is_experiment_error(self, heart_setup):
         tmp, csv, meta = heart_setup
@@ -546,7 +620,7 @@ class TestTracedHooks:
         for owner, attr, original in originals:
             assert getattr(owner, attr) is original, attr
 
-        records = report.split_counts["test"]
+        records = report.document["split_counts"]["test"]
         budgets = {
             "ga": cfg.ga.population + cfg.ga.generations * (cfg.ga.population - cfg.ga.elitism),
             "sa": 1 + 100 + cfg.sa.temperature_steps * cfg.sa.moves_per_step,

@@ -61,6 +61,14 @@ class TestFit:
         with pytest.raises(ValueError, match="mtry"):
             forest.fit(rows, 2, ForestConfig(mtry=5))
 
+    @pytest.mark.parametrize("d", [1, 3, 4, 13, 24])
+    def test_unset_mtry_resolves_to_floor_sqrt_d(self, d):
+        rows = np.random.default_rng(0).uniform(0, 1, size=(12, d + 1))
+        fitted = forest.fit(rows, d, ForestConfig(n_trees=2, seed=0))
+        assert fitted.config.mtry == int(d**0.5)
+        assert fitted.config == ForestConfig(n_trees=2, seed=0, mtry=int(d**0.5))
+        assert forest.fit(rows, d, ForestConfig(n_trees=2, mtry=1, seed=0)).config.mtry == 1
+
     def test_binary_target_validated_at_fit(self):
         rows = np.random.default_rng(0).uniform(0, 1, size=(20, 3))
         with pytest.raises(ValueError, match="binary"):
