@@ -3,8 +3,8 @@
 Covers CSV loading against a light column schema, min-max scaling of every
 column into [0, 1], the chronological 50/25/25 train/validation/test split
 (test block = final rows), and construction of the masked imputation task
-over the test block, whose unknown slots are the optimizers' decision
-variables.
+over a block (the test block, or the validation block for the hidden-size
+search), whose unknown slots are the optimizers' decision variables.
 """
 
 from __future__ import annotations
@@ -333,12 +333,13 @@ def split(ds: Dataset) -> Dataset:
     return Dataset(columns=ds.columns, rows=ds.rows, normalized=True, split=labels)
 
 
-def make_tasks(ds: Dataset, missing_columns: set[int]) -> ImputationTask:
-    """Build the imputation task of the test block, masking ``missing_columns``.
+def make_tasks(ds: Dataset, missing_columns: set[int], block: str = "test") -> ImputationTask:
+    """Build the imputation task of one split block, masking ``missing_columns``.
 
-    The task holds every test row as one (T, n) block.  Masked slots hold
-    :data:`MISSING_SENTINEL`; the held-out originals move to ``true_values``
-    for later scoring.
+    The task holds every row of ``block`` (the test block unless told
+    otherwise; the hidden-size search scores on the validation block) as one
+    (T, n) block.  Masked slots hold :data:`MISSING_SENTINEL`; the held-out
+    originals move to ``true_values`` for later scoring.
     """
     if not missing_columns:
         raise ValueError("missing_columns must be non-empty")
@@ -350,9 +351,10 @@ def make_tasks(ds: Dataset, missing_columns: set[int]) -> ImputationTask:
         raise ValueError("cannot mask every column: at least one must stay known")
     mask = np.ones(ds.n_columns, dtype=bool)
     mask[miss] = False
-    records = ds.test_rows.copy()
+    rows = ds.rows_for(block)
+    records = rows.copy()
     records[:, miss] = MISSING_SENTINEL
-    return ImputationTask(record=records, known_mask=mask, true_values=ds.test_rows)
+    return ImputationTask(record=records, known_mask=mask, true_values=rows)
 
 
 def normalization_table(columns) -> str:

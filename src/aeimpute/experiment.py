@@ -1,12 +1,12 @@
 """End-to-end experiment orchestration and reporting.
 
 Pipeline: load CSV -> normalize -> chronological split -> train the
-autoencoder on the training block (under a hidden size search, the search's
-best network) -> mask the designated column of the test rows as one
-imputation task -> estimate the masked value of every test record with each
-configured optimizer, all records in lockstep (and directly with the random
-forest) -> score every method -> pairwise Welch comparison -> persist a
-machine-readable report.
+autoencoder on the training block (under a hidden size search, the network
+that best imputes the masked column of the validation block) -> mask the
+designated column of the test rows as one imputation task -> estimate the
+masked value of every test record with each configured optimizer, all
+records in lockstep (and directly with the random forest) -> score every
+method -> pairwise Welch comparison -> persist a machine-readable report.
 
 Determinism: every stochastic component receives a seed derived by hashing
 (master seed, component, index), so method results are independent of which
@@ -352,11 +352,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             stage = "hidden-size"
             notify("searching hidden sizes")
             search_cfg = replace(cfg.train, rng_seed=cfg.master_seed)
+            val_task = data_mod.make_tasks(ds, {cfg.missing_column}, "validation")
             hidden, net, train_loss = clock(
                 "hidden_search",
                 network_mod.select_hidden_size,
                 ds.train_rows,
-                ds.validation_rows,
+                val_task,
                 search_cfg,
             )
         else:
@@ -560,15 +561,19 @@ def _read_csv(path: Path, *columns: str, convert=str) -> list[list]:
         raise ValueError(f"{path.name} unreadable: {err}") from None
 
 
-def _compare(stored: str, value: float | None) -> tuple[bool, str]:
-    """A stored cell ('undefined' or a float) against its recomputation (None: undefined)."""
+def _compare(stored: str, value: float | None, source: str) -> tuple[bool, str]:
+    """A cell of ``source`` ('undefined' or a float) against its recomputation (None: undefined)."""
     if value is None:
         ok = stored == "undefined"
         return ok, "undefined as stored" if ok else f"stored {stored!r}, recomputed undefined"
     if stored == "undefined":
         return False, f"stored undefined, recomputed {value!r}"
-    ok = abs(float(stored) - value) <= VERIFY_TOLERANCE
-    return ok, "match" if ok else f"stored {float(stored)!r} vs recomputed {value!r}"
+    try:
+        number = float(stored)
+    except ValueError:
+        return False, f"{source} holds {stored!r}, not a number"
+    ok = abs(number - value) <= VERIFY_TOLERANCE
+    return ok, "match" if ok else f"stored {number!r} vs recomputed {value!r}"
 
 
 def _match_rows(checks, source, stored, recomputed) -> None:
@@ -585,7 +590,7 @@ def _match_rows(checks, source, stored, recomputed) -> None:
             checks.append((label, False, f"row repeated in {source}"))
         else:
             seen.add(key)
-            checks.append((label, *_compare(text, recomputed[key][1])))
+            checks.append((label, *_compare(text, recomputed[key][1], source)))
     for key, (label, _) in recomputed.items():
         if key not in seen:
             checks.append((label, False, f"absent from {source}"))
@@ -597,7 +602,9 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     Returns (check name, passed, detail) tuples; metric comparisons use an
     absolute tolerance of 1e-9.  Missing files fail with an inventory of what
     was expected versus found, and the first malformed file fails a
-    ``format`` check that ends the verification.
+    ``format`` check that ends the verification.  A value cell of
+    ``metrics.csv`` or ``pvalues.csv`` that is not a number fails its own
+    row's check only.
     """
     out_dir = Path(out_dir)
     checks: list[tuple[str, bool, str]] = []

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .parallel import fork_map
+from . import parallel
+from .objective import MissingDataObjective
 from .seeding import derive_seed
 
 # Curvature-probe step scale and the initial trust-region damping for the
@@ -27,6 +28,11 @@ from .seeding import derive_seed
 _SCG_SIGMA = 1e-4
 _SCG_LAMBDA = 1e-6
 _SCG_LAMBDA_MAX = 1e60
+
+# The hidden-size scan stops after this many candidates in a row that do not
+# improve the validation error (Prechelt, "Automatic early stopping using
+# cross validation", Neural Networks 11(4), 1998).
+_SCAN_PATIENCE = 3
 
 
 class TrainingError(RuntimeError):
@@ -363,50 +369,74 @@ def hidden_size_candidates(n_inputs: int) -> list[int]:
 
 def select_hidden_size(
     train_rows,
-    val_rows,
+    val_task,
     cfg: TrainConfig | None = None,
     train_fn=train,
 ) -> tuple[int, Autoencoder, float]:
-    """Pick the hidden size whose trained network best reconstructs val_rows.
+    """Pick the hidden size whose network best imputes the validation task's masked column.
 
-    Trains one candidate per admissible size (each with a seed derived from
-    (cfg.rng_seed, size)), scores by validation reconstruction loss, and
-    returns the argmin as (size, its trained network, its final training
-    loss); ties go to the smaller size.  Candidates whose training aborts are
-    skipped with a warning.  ``train_fn`` stands in for :func:`train` in
-    tests and traced runs.
+    Scans h = 2, 3, ... n-1 upward.  Each candidate is trained on
+    ``train_rows`` with a seed derived from (cfg.rng_seed, h) and scored by
+    the mean absolute error of the grid minimizers
+    (:meth:`~aeimpute.objective.MissingDataObjective.grid_minimize`) against
+    ``val_task``'s true values in its one masked column.  A candidate becomes
+    the best only by a strictly lower error, so ties go to the smaller size.
+    Once a candidate has scored, the scan stops after _SCAN_PATIENCE
+    candidates in a row that do not improve on the best; a candidate whose
+    training aborts is skipped with a warning and counts as not improving.
+    Returns (size, its trained network, its final training loss).
+    ``train_fn`` stands in for :func:`train` in tests and traced runs.
 
-    The candidates are trained on every available core through
-    :func:`aeimpute.parallel.fork_map`, whose caveats apply to ``train_fn``;
-    the result, the warnings and their order do not depend on the number of
-    processes.  A winner at the top of the range, n-1, draws a warning too:
-    such a network is close to the identity, so the reconstruction error it
-    gives a masked column is nearly flat.
+    The candidates are trained and scored in waves of one per process of
+    :func:`aeimpute.parallel.fork_map`, whose caveats apply to ``train_fn``.
+    The stopping rule is applied in size order, and the candidates of a wave
+    past the stopping point are dropped with their warnings, so the result,
+    the warnings and their order do not depend on the number of processes.
+    A winner at the top of the range, n-1, draws a warning too: such a
+    network is close to the identity, so the reconstruction error it gives a
+    masked column is nearly flat.
     """
     cfg = cfg or TrainConfig()
     train_rows = _check_rows(train_rows)
-    val_rows = _check_rows(val_rows)
     sizes = hidden_size_candidates(train_rows.shape[1])
+    if val_task.n != train_rows.shape[1] or val_task.unknown_indices.size != 1:
+        raise ValueError("the validation task must mask one column of rows like train_rows")
+    if val_task.true_values is None:
+        raise ValueError("the validation task must carry its true values")
+    truth = val_task.true_values[:, val_task.unknown_indices[0]]
 
     def candidate(h):
-        """(network, training loss), or the TrainingError text."""
+        """(network, training loss, validation error), or the TrainingError text."""
         sub_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
         try:
-            return train_fn(train_rows, h, sub_cfg)
+            net, train_loss = train_fn(train_rows, h, sub_cfg)
         except TrainingError as err:
             return str(err)
+        imputed, _ = MissingDataObjective(net, val_task).grid_minimize()
+        return net, train_loss, float(np.mean(np.abs(imputed - truth)))
+
+    def in_waves():
+        """(h, candidate(h)) in size order, a wave of one size per process at a time."""
+        wave = parallel._worker_count(len(sizes))
+        for start in range(0, len(sizes), wave):
+            sizes_now = sizes[start : start + wave]
+            yield from zip(sizes_now, parallel.fork_map(candidate, sizes_now))
 
     best = None
-    best_loss = np.inf
-    for h, trained in zip(sizes, fork_map(candidate, sizes)):
-        if isinstance(trained, str):
-            warnings.warn(f"hidden size {h} skipped: {trained}", stacklevel=2)
-            continue
-        net, train_loss = trained
-        val_loss = reconstruction_loss(net, val_rows)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best = (h, net, train_loss)
+    best_error = np.inf
+    stale = 0  # candidates since the best, once one has scored
+    for h, scored in in_waves():
+        if isinstance(scored, str):
+            warnings.warn(f"hidden size {h} skipped: {scored}", stacklevel=2)
+            stale += best is not None
+        elif scored[2] < best_error:
+            best_error = scored[2]
+            best = (h, scored[0], scored[1])
+            stale = 0
+        else:
+            stale += 1
+        if stale == _SCAN_PATIENCE:
+            break
     if best is None:
         raise TrainingError("every hidden-size candidate aborted")
     if best[0] == sizes[-1]:

@@ -45,18 +45,25 @@ class ConstantNet:
         return np.tile(self.constant, (np.asarray(rows).shape[0], 1))
 
 
-class OffsetNet:
-    """Stub whose reconstruction is input + offset (for loss shaping)."""
+class PinnedColumnNet:
+    """Stub that reproduces its input except one column, reconstructed as ``value``.
 
-    def __init__(self, n: int, offset: float):
+    Its objective in that column is (x - value)^2, so a grid search imputes
+    the grid point nearest ``value``.
+    """
+
+    def __init__(self, n: int, column: int, value: float):
         self.n_inputs = n
-        self.offset = offset
+        self.column = column
+        self.value = value
 
     def forward(self, x):
-        return np.asarray(x, dtype=float) + self.offset
+        return self.forward_batch(np.asarray(x, dtype=float)[None])[0]
 
     def forward_batch(self, rows):
-        return np.asarray(rows, dtype=float) + self.offset
+        out = np.array(rows, dtype=float)
+        out[:, self.column] = self.value
+        return out
 
 
 class QuadraticStub:

@@ -207,6 +207,16 @@ class TestMakeTasks:
         np.testing.assert_array_equal(task.true_values, ds.test_rows)
         np.testing.assert_array_equal(task.record[:, :4], ds.test_rows[:, :4])
 
+    def test_validation_block(self):
+        ds = data.split(_normalized(40, n_cols=5))
+        task = data.make_tasks(ds, {2}, "validation")
+        np.testing.assert_array_equal(task.true_values, ds.validation_rows)
+        assert (task.record[:, 2] == data.MISSING_SENTINEL).all()
+        known = [0, 1, 3, 4]
+        np.testing.assert_array_equal(task.record[:, known], ds.validation_rows[:, known])
+        with pytest.raises(ValueError, match="split label"):
+            data.make_tasks(ds, {2}, "holdout")
+
     def test_multi_column_mask(self):
         ds = data.split(_normalized(20, n_cols=5))
         task = data.make_tasks(ds, {1, 3})

@@ -401,6 +401,31 @@ class TestRunExperiment:
         np.testing.assert_array_equal(report.net.to_vector(), again.to_vector())
         assert report.document["train_loss"] == loss
 
+    def test_hidden_size_search_never_reads_the_test_block(self, heart_setup, tmp_path):
+        # Flip the masked 0/1 column of the 67 test rows; the scaling of that
+        # column stays [0, 1], so only the test block's truth changes.
+        tmp, csv, meta = heart_setup
+        lines = csv.read_text().splitlines()
+        flipped = tmp_path / "flipped.csv"
+        flipped.write_text("\n".join(
+            lines[:-67] + [line[:-1] + str(1 - int(line[-1])) for line in lines[-67:]]
+        ) + "\n")
+        reports = []
+        for name, data in (("kept", csv), ("flipped", flipped)):
+            cfg_file = tmp_path / f"{name}.cfg"
+            cfg_file.write_text(config_text(
+                data, meta, tmp_path / name, **dict(FAST, seed=7, hidden_size="auto", methods="rf")
+            ))
+            report = run_experiment(parse_config(cfg_file))
+            emit_report(report, tmp_path / name)
+            reports.append(report)
+        kept, flipped = (r.document["methods"]["rf"]["imputed"] for r in reports)
+        assert kept != flipped
+        assert reports[0].document["hidden_size"] == reports[1].document["hidden_size"]
+        assert (tmp_path / "kept" / "model.txt").read_bytes() == (
+            tmp_path / "flipped" / "model.txt"
+        ).read_bytes()
+
     def test_method_independence(self, heart_setup, emitted):
         tmp, csv, meta = heart_setup
         _, full_report, _ = emitted
@@ -485,6 +510,32 @@ class TestPredictionRun:
     def test_verify_passes(self, prediction_emitted):
         checks = verify_report(prediction_emitted)
         assert checks and all(ok for _, ok, _ in checks)
+
+    @pytest.mark.parametrize(
+        "name, key, cell, check",
+        [("metrics.csv", "ga,mse", 2, "ga.mse"), ("pvalues.csv", "GA-RF", 1, "pvalue.GA-RF")],
+    )
+    def test_verify_fails_non_numeric_cell_as_one_check(
+        self, prediction_emitted, tmp_path, capsys, name, key, cell, check
+    ):
+        clone = tmp_path / "edited"
+        clone.mkdir()
+        for p in prediction_emitted.iterdir():
+            (clone / p.name).write_bytes(p.read_bytes())
+        lines = (clone / name).read_text().splitlines()
+        (row,) = [i for i, line in enumerate(lines) if line.startswith(key + ",")]
+        cells = lines[row].split(",")
+        cells[cell] = "abc"
+        lines[row] = ",".join(cells)
+        (clone / name).write_text("\n".join(lines) + "\n")
+        checks = verify_report(clone)
+        bad = [(n, d) for n, ok, d in checks if not ok]
+        assert bad == [(check, f"{name} holds 'abc', not a number")]
+        # The checks after the bad cell still ran: every metric and the p-value.
+        assert len(checks) == len(verify_report(prediction_emitted))
+        assert cli.main(["verify", str(clone)]) == 2
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and name in fails[0]
 
 
 class TestNormalizationScope:

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute import network, parallel
+from aeimpute.data import MISSING_SENTINEL, ImputationTask
 from aeimpute.network import Autoencoder, TrainConfig, TrainingError
+from aeimpute.objective import MissingDataObjective
 from aeimpute.seeding import derive_seed
 
-from conftest import OffsetNet, deadline, manifold_rows, random_autoencoder, scalar_forward
+from conftest import PinnedColumnNet, deadline, manifold_rows, random_autoencoder, scalar_forward
 
 
 def zero_net(n, h):
@@ -417,6 +419,38 @@ class TestFusedTrainer:
         assert rejected >= 1 and restarts >= 1
 
 
+def masked_task(rows, column):
+    """The imputation task of ``rows`` with ``column`` masked, as ``data.make_tasks`` builds it."""
+    rows = np.asarray(rows, dtype=float)
+    records = rows.copy()
+    records[:, column] = MISSING_SENTINEL
+    return ImputationTask(record=records, known_mask=np.arange(rows.shape[1]) != column, true_values=rows)
+
+
+def half_task(n, count=6):
+    """A validation task over ``count`` random rows whose masked last column is 0.5."""
+    rows = np.random.default_rng(0).uniform(0, 1, size=(count, n))
+    rows[:, -1] = 0.5
+    return masked_task(rows, n - 1)
+
+
+def scripted_train(errors, seen=None):
+    """A stub trainer: size h imputes 0.5 + errors[h] where ``half_task``'s truth is 0.5.
+
+    So the validation error of size h is errors[h], up to the 0.0025 grid; a
+    None entry aborts.  ``seen``, when given, receives each size trained in
+    this process.
+    """
+    def fake_train(rows, h, cfg):
+        if seen is not None:
+            seen.append(h)
+        if errors[h] is None:
+            raise TrainingError("boom")
+        return PinnedColumnNet(rows.shape[1], rows.shape[1] - 1, 0.5 + errors[h]), float(h)
+
+    return fake_train
+
+
 class TestSelectHiddenSize:
     def test_candidate_sets(self):
         assert network.hidden_size_candidates(25) == list(range(2, 25))
@@ -425,35 +459,28 @@ class TestSelectHiddenSize:
             network.hidden_size_candidates(2)
 
     def test_returns_argmin_of_validation_loss(self):
-        # Stub trainer: validation loss is exactly n * offset(h)^2.
-        target = 5
-
-        def fake_train(rows, h, cfg):
-            return OffsetNet(rows.shape[1], 0.01 * abs(h - target)), 0.0
-
+        # Validation error 0.01 * |h - 5| over sizes 2-7.
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 8))
-        chosen, net, _ = network.select_hidden_size(
-            rows, rows, TrainConfig(rng_seed=0), train_fn=fake_train
+        fake_train = scripted_train({h: 0.01 * abs(h - 5) for h in range(2, 8)})
+        chosen, net, loss = network.select_hidden_size(
+            rows, half_task(8), TrainConfig(rng_seed=0), train_fn=fake_train
         )
-        assert chosen == target
-        assert net.offset == 0.0
+        assert (chosen, net.value, loss) == (5, 0.5, 5.0)
 
-    def test_tie_goes_to_smaller(self):
-        def fake_train(rows, h, cfg):
-            return OffsetNet(rows.shape[1], 0.1), 0.0
-
-        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
-        assert network.select_hidden_size(rows, rows, train_fn=fake_train)[0] == 2
+    def test_tie_goes_to_smaller(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
+        seen = []
+        fake_train = scripted_train({h: 0.1 for h in range(2, 8)}, seen)
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 8))
+        assert network.select_hidden_size(rows, half_task(8), train_fn=fake_train)[0] == 2
+        # Equal errors do not improve: three of them end the scan.
+        assert seen == [2, 3, 4, 5]
 
     def test_aborting_candidates_skipped(self):
-        def flaky_train(rows, h, cfg):
-            if h != 3:
-                raise TrainingError("boom")
-            return zero_net(rows.shape[1], h), 0.0
-
         rows = np.random.default_rng(0).uniform(0, 1, size=(8, 5))
+        fake_train = scripted_train({2: None, 3: 0.0, 4: None})
         with pytest.warns(UserWarning, match="skipped") as record:
-            chosen, _, _ = network.select_hidden_size(rows, rows, train_fn=flaky_train)
+            chosen, _, _ = network.select_hidden_size(rows, half_task(5), train_fn=fake_train)
         assert chosen == 3
         assert [str(w.message) for w in record] == [
             "hidden size 2 skipped: boom",
@@ -461,40 +488,35 @@ class TestSelectHiddenSize:
         ]
 
     def test_top_of_range_winner_warns(self):
-        def top_wins(rows, h, cfg):
-            return OffsetNet(rows.shape[1], 0.01 * (rows.shape[1] - 1 - h)), 0.0
-
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
+        fake_train = scripted_train({h: 0.01 * (5 - h) for h in range(2, 6)})
         with pytest.warns(UserWarning) as record:
-            chosen, _, _ = network.select_hidden_size(rows, rows, train_fn=top_wins)
+            chosen, _, _ = network.select_hidden_size(rows, half_task(6), train_fn=fake_train)
         assert chosen == 5
         assert [str(w.message) for w in record] == [
             "hidden size 5 won at the top of the range (n-1): the network is close to the identity"
         ]
 
     def test_inner_winner_does_not_warn(self):
-        def inner_wins(rows, h, cfg):
-            return OffsetNet(rows.shape[1], 0.01 * abs(h - 4)), 0.0
-
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
+        fake_train = scripted_train({h: 0.01 * abs(h - 4) for h in range(2, 6)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            chosen, _, _ = network.select_hidden_size(rows, rows, train_fn=inner_wins)
+            chosen, _, _ = network.select_hidden_size(rows, half_task(6), train_fn=fake_train)
         assert chosen == 4
 
     def test_all_skipped_is_error(self):
-        def dead_train(rows, h, cfg):
-            raise TrainingError("boom")
-
         rows = np.random.default_rng(0).uniform(0, 1, size=(8, 4))
         with pytest.warns(UserWarning):
             with pytest.raises(TrainingError, match="every hidden-size candidate"):
-                network.select_hidden_size(rows, rows, train_fn=dead_train)
+                network.select_hidden_size(
+                    rows, half_task(4), train_fn=scripted_train({2: None, 3: None})
+                )
 
     def test_within_bounds_on_real_training(self):
         rows = manifold_rows(seed=6, count=50)
         cfg = TrainConfig(rng_seed=0, max_iterations=60)
-        h, net, loss = network.select_hidden_size(rows[:40], rows[40:], cfg)
+        h, net, loss = network.select_hidden_size(rows[:40], masked_task(rows[40:], 3), cfg)
         assert 2 <= h <= 3
         # The winner comes back as trained, not retrained from another seed.
         again, again_loss = network.train(
@@ -503,6 +525,93 @@ class TestSelectHiddenSize:
         np.testing.assert_array_equal(net.to_vector(), again.to_vector())
         assert loss == again_loss
 
+    def test_scored_by_the_masked_columns_grid_error(self):
+        # The scan reaches n-1 here, so it trains every size; the winner's grid
+        # imputation of the validation block has the lowest mean absolute error.
+        rows = wide_manifold_rows(seed=6, count=50)
+        cfg = TrainConfig(rng_seed=0, max_iterations=60)
+        task = masked_task(rows[40:], 2)
+        with pytest.warns(UserWarning, match="top of the range"):
+            h, net, _ = network.select_hidden_size(rows[:40], task, cfg)
+
+        def error(net):
+            imputed, _ = MissingDataObjective(net, task).grid_minimize()
+            return np.mean(np.abs(imputed - rows[40:, 2]))
+
+        for other in range(2, 7):
+            trained, _ = network.train(
+                rows[:40], other, dataclasses.replace(cfg, rng_seed=derive_seed(0, "hidden", other))
+            )
+            assert error(net) <= error(trained), other
+
+    def test_stops_after_patience_candidates_without_improvement(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
+        seen = []
+        errors = {2: 0.3, 3: 0.2, 4: 0.25, 5: 0.2, 6: 0.1, 7: 0.2, 8: 0.15, 9: 0.1, 10: 0.0, 11: 0.0}
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chosen, _, _ = network.select_hidden_size(
+                rows, half_task(12), train_fn=scripted_train(errors, seen)
+            )
+        assert network._SCAN_PATIENCE == 3
+        # 5 ties 3 and does not improve; 7, 8 and 9 after the best at 6 end the scan.
+        assert chosen == 6
+        assert seen == [2, 3, 4, 5, 6, 7, 8, 9]
+
+    def test_aborted_candidate_counts_as_not_improving(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
+        seen = []
+        errors = {2: 0.3, 3: 0.2, 4: None, 5: 0.25, 6: None, 7: 0.0, 8: 0.0}
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 9))
+        with pytest.warns(UserWarning) as record:
+            chosen, _, _ = network.select_hidden_size(
+                rows, half_task(9), train_fn=scripted_train(errors, seen)
+            )
+        assert chosen == 3
+        assert seen == [2, 3, 4, 5, 6]
+        assert [str(w.message) for w in record] == [
+            "hidden size 4 skipped: boom",
+            "hidden size 6 skipped: boom",
+        ]
+
+    def test_aborts_before_the_first_score_do_not_end_the_scan(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
+        errors = {2: None, 3: None, 4: None, 5: 0.2, 6: 0.1, 7: 0.3}
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 8))
+        with pytest.warns(UserWarning) as record:
+            chosen, _, _ = network.select_hidden_size(
+                rows, half_task(8), train_fn=scripted_train(errors)
+            )
+        assert chosen == 6
+        assert [str(w.message) for w in record] == [
+            f"hidden size {h} skipped: boom" for h in (2, 3, 4)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_candidates_past_the_stop_are_dropped(self, workers, monkeypatch):
+        # The scan stops at 6.  Waves of 2, 3 or 4 sizes also train 7, which
+        # aborts, and waves of 4 train 8, which would win: neither counts.
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: workers)
+        errors = {2: 0.3, 3: 0.1, 4: 0.2, 5: 0.2, 6: 0.2, 7: None, 8: 0.0, 9: 0.0}
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 10))
+        with deadline(60), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chosen, net, loss = network.select_hidden_size(
+                rows, half_task(10), train_fn=scripted_train(errors)
+            )
+        assert (chosen, net.value, loss) == (3, 0.6, 3.0)
+        assert multiprocessing.active_children() == []
+
+    def test_validation_task_must_mask_one_column(self):
+        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
+        two_masked = ImputationTask(record=rows, known_mask=np.arange(6) < 4, true_values=rows)
+        with pytest.raises(ValueError, match="one column"):
+            network.select_hidden_size(rows, two_masked)
+        without_truth = ImputationTask(record=rows, known_mask=np.arange(6) < 5)
+        with pytest.raises(ValueError, match="true values"):
+            network.select_hidden_size(rows, without_truth)
+
 
 def wide_manifold_rows(seed: int, count: int) -> np.ndarray:
     """``manifold_rows`` plus three mirrored columns: 7 inputs, hidden sizes 2-6."""
@@ -510,56 +619,70 @@ def wide_manifold_rows(seed: int, count: int) -> np.ndarray:
     return np.hstack([rows, 1.0 - rows[:, :3]])
 
 
-def odd_sizes_abort(rows, h, cfg):
-    """The real trainer, except that odd hidden sizes abort."""
-    if h % 2:
-        raise TrainingError(f"odd size {h}")
+def wider_manifold_rows(seed: int, count: int) -> np.ndarray:
+    """``manifold_rows``, its mirror and a scaled copy of t: 9 inputs, hidden sizes 2-8."""
+    rows = manifold_rows(seed=seed, count=count)
+    return np.hstack([rows, 1.0 - rows, 0.5 * rows[:, :1]])
+
+
+def sizes_5_and_7_abort(rows, h, cfg):
+    """The real trainer, except that hidden sizes 5 and 7 abort."""
+    if h in (5, 7):
+        raise TrainingError(f"size {h} aborts")
     return network.train(rows, h, cfg)
 
 
-def reference_search(train_rows, val_rows, cfg, train_fn):
-    """The one-process search loop: ((h, network, loss), its warnings in order)."""
-    best, best_loss, skipped = None, np.inf, []
+def reference_scan(train_rows, val_task, cfg, train_fn):
+    """The one-process scan: ((h, network, loss), its warnings in order)."""
+    column = val_task.unknown_indices[0]
+    best, best_error, stale, messages = None, np.inf, 0, []
     for h in network.hidden_size_candidates(train_rows.shape[1]):
         sub_cfg = dataclasses.replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
         try:
             net, train_loss = train_fn(train_rows, h, sub_cfg)
         except TrainingError as err:
-            skipped.append(f"hidden size {h} skipped: {err}")
-            continue
-        val_loss = network.reconstruction_loss(net, val_rows)
-        if val_loss < best_loss:
-            best_loss, best = val_loss, (h, net, train_loss)
+            messages.append(f"hidden size {h} skipped: {err}")
+            stale += best is not None
+        else:
+            imputed, _ = MissingDataObjective(net, val_task).grid_minimize()
+            error = np.mean(np.abs(imputed - val_task.true_values[:, column]))
+            if error < best_error:
+                best_error, best, stale = error, (h, net, train_loss), 0
+            else:
+                stale += 1
+        if stale == 3:
+            break
     if best[0] == train_rows.shape[1] - 1:
-        skipped.append(
+        messages.append(
             f"hidden size {best[0]} won at the top of the range (n-1): "
             "the network is close to the identity"
         )
-    return best, skipped
+    return best, messages
 
 
 class TestParallelSearch:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_any_worker_count_equals_reference_loop(self, workers, monkeypatch):
+        # The scan stops at 6, so waves of 2 and of 3 sizes train 7 and drop
+        # it with its warning; 8 would have scored better than the pick.
         monkeypatch.setattr(parallel, "_worker_count", lambda n: workers)
-        rows = wide_manifold_rows(seed=6, count=50)
-        cfg = TrainConfig(rng_seed=0, max_iterations=60)
-        (ref_h, ref_net, ref_loss), ref_skipped = reference_search(
-            rows[:40], rows[40:], cfg, odd_sizes_abort
+        rows = wider_manifold_rows(seed=6, count=50)
+        cfg = TrainConfig(rng_seed=1, max_iterations=60)
+        task = masked_task(rows[40:], 1)
+        (ref_h, ref_net, ref_loss), ref_messages = reference_scan(
+            rows[:40], task, cfg, sizes_5_and_7_abort
         )
         with deadline(60), pytest.warns(UserWarning) as record:
             h, net, loss = network.select_hidden_size(
-                rows[:40], rows[40:], cfg, train_fn=odd_sizes_abort
+                rows[:40], task, cfg, train_fn=sizes_5_and_7_abort
             )
-        assert h == ref_h
+        assert h == ref_h == 3
         np.testing.assert_array_equal(
             net.to_vector().view(np.uint64), ref_net.to_vector().view(np.uint64)
         )
         assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
-        assert [str(w.message) for w in record] == ref_skipped == [
-            "hidden size 3 skipped: odd size 3",
-            "hidden size 5 skipped: odd size 5",
-            "hidden size 6 won at the top of the range (n-1): the network is close to the identity",
+        assert [str(w.message) for w in record] == ref_messages == [
+            "hidden size 5 skipped: size 5 aborts",
         ]
         assert multiprocessing.active_children() == []
 
@@ -569,10 +692,12 @@ class TestParallelSearch:
 
         def recording_train(rows, h, cfg):
             seen.append((h, os.getpid()))
-            return zero_net(rows.shape[1], h), 0.0
+            # Each size imputes better than the last, so the scan never stops early.
+            return PinnedColumnNet(rows.shape[1], rows.shape[1] - 1, 0.5 + 0.01 * (6 - h)), 0.0
 
         rows = np.random.default_rng(0).uniform(0, 1, size=(8, 6))
-        network.select_hidden_size(rows, rows, train_fn=recording_train)
+        with pytest.warns(UserWarning, match="top of the range"):
+            network.select_hidden_size(rows, half_task(6), train_fn=recording_train)
         assert seen == [(h, os.getpid()) for h in range(2, 6)]
 
 

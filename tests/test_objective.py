@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute.data import ImputationTask
-from aeimpute.objective import _ROWS_PER_PASS, MissingDataObjective
+from aeimpute.objective import _ROWS_PER_PASS, GRID_POINTS, MissingDataObjective
 from aeimpute.network import train, TrainConfig
 from aeimpute.optimizers import OptimizerResult
 
@@ -224,3 +224,52 @@ class TestEvaluateBatchBits:
         obj = random_objective(rng, n_tasks, 6, 2)
         candidates = rng.uniform(0, 1, size=(n_tasks * k, 2))
         np.testing.assert_array_equal(obj.evaluate_batch(candidates), reference_evaluate_batch(obj, candidates))
+
+
+class WellsNet:
+    """Stub whose objective in column 1 is 0 at the given points and 1 elsewhere."""
+
+    n_inputs = 3
+
+    def __init__(self, wells):
+        self.wells = wells
+
+    def forward_batch(self, rows):
+        out = np.array(rows, dtype=float)
+        out[:, 1] += np.where(np.isin(out[:, 1], self.wells), 0.0, 1.0)
+        return out
+
+
+class TestGridMinimize:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_record_loop(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n_tasks = data.draw(st.integers(1, 6), label="T")
+        obj = random_objective(rng, n_tasks, data.draw(st.integers(3, 8), label="n"), 1)
+        grid = np.linspace(0.0, 1.0, GRID_POINTS)[:, None]
+        points, minima = obj.grid_minimize()
+        for t in range(n_tasks):
+            one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.unknown_indices))
+            values = one.evaluate_batch(grid)
+            best = int(np.argmin(values))
+            assert points[t] == grid[best, 0]
+            assert minima[t].view(np.uint64) == values[best].view(np.uint64)
+            assert minima[t] == values.min()
+
+    def test_ties_go_to_the_lower_point(self):
+        grid = np.linspace(0.0, 1.0, GRID_POINTS)
+        task = make_task([[0.2, 0.9, 0.4], [0.7, 0.1, 0.3]], unknown=[1])
+        points, minima = MissingDataObjective(WellsNet(grid[[300, 150]]), task).grid_minimize()
+        np.testing.assert_array_equal(points, [grid[150], grid[150]])
+        np.testing.assert_array_equal(minima, [0.0, 0.0])
+
+    def test_constant_net_minimized_at_nearest_grid_point(self):
+        task = make_task([0.2, 0.5, 0.5, 0.8], unknown=[2])
+        points, _ = MissingDataObjective(ConstantNet([0.3, 0.6, 0.1234, 0.9]), task).grid_minimize()
+        assert points[0] == pytest.approx(0.1225, abs=1e-12)
+
+    def test_needs_one_unknown_component(self):
+        obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], unknown=[0, 1]))
+        with pytest.raises(ValueError, match="one unknown"):
+            obj.grid_minimize()
