@@ -7,12 +7,15 @@ designated column of the test rows as one imputation task -> estimate the
 masked value of every test record with each configured optimizer, all
 records in lockstep (and directly with the random forest) -> score every
 method -> pairwise Welch comparison -> persist a machine-readable report.
+The optimizers run side by side, one method per core, through
+:func:`aeimpute.parallel.fork_map`, as the hidden-size search and the forest
+do.
 
 Determinism: every stochastic component receives a seed derived by hashing
 (master seed, component, index), so method results are independent of which
-other methods run and of grid execution order.  All emitted files except
-``timings.json`` are byte-stable across re-runs with the same configuration
-and master seed.
+other methods run, of grid execution order and of the core count.  All
+emitted files except ``timings.json`` are byte-stable across re-runs with the
+same configuration and master seed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from . import metrics as metrics_mod
 from . import network as network_mod
 from . import optimizers as optim_mod
 from .objective import MissingDataObjective
+from .parallel import fork_map
 from .seeding import derive_seed
 
 OPTIMIZER_METHODS = optim_mod.ALGORITHM_TAGS
@@ -384,23 +388,22 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         imputed: dict[str, np.ndarray] = {}
         blocks: dict[str, dict] = {method: {} for method in cfg.methods}
         # Each method searches all test records in lockstep, each record with
-        # its own derived seed.
+        # its own derived seed, so the methods are independent and run side by
+        # side, one per core.  A method's traces stay in the process that ran it.
         objective = MissingDataObjective(net, task)
-        for method in cfg.methods:
-            if method not in OPTIMIZER_METHODS:
-                continue
+
+        def search(method):
             seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(truth))]
-            result = clock(
-                f"impute.{method}",
-                optim_mod.run,
-                objective,
-                method,
-                getattr(cfg, method),
-                seeds=seeds,
-            )
-            imputed[method] = objective.impute(result)[:, cfg.missing_column]
-            blocks[method]["evaluations_per_task"] = result.evaluations
-            del result  # every record's trace; free them before the next search
+            begin = perf_counter()
+            result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
+            values = objective.impute(result)[:, cfg.missing_column]
+            return values, result.evaluations, perf_counter() - begin
+
+        searched = [m for m in cfg.methods if m in OPTIMIZER_METHODS]
+        for method, (values, evaluations, seconds) in zip(searched, fork_map(search, searched)):
+            imputed[method] = values
+            blocks[method]["evaluations_per_task"] = evaluations
+            timings[f"impute.{method}"] = seconds
 
         if "rf" in cfg.methods:
             notify("fitting random forest")

@@ -94,19 +94,6 @@ class Forest:
             votes[:, j] = tree.predict(x)
         return votes.mean(axis=1)
 
-    def classify(self, known_rows, threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-        """Class labels (score >= threshold -> 1) plus the scores themselves.
-
-        The default is the report's rule for hard labels: threshold 0.5,
-        ties to 1.
-        """
-        if not self.binary_target:
-            raise ValueError(
-                "classify requires a forest fitted with binary_target=True"
-            )
-        scores = self.predict(known_rows)
-        return (scores >= threshold).astype(int), scores
-
 
 def _node_sse(cum_s: float, cum_q: float, count: int) -> float:
     return cum_q - (cum_s * cum_s) / count
@@ -238,7 +225,7 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
     """Grow a forest predicting ``target_column`` from every other column.
 
     ``binary_target=True`` validates at fit time that the target holds only
-    0/1 codes, enabling :meth:`Forest.classify` later.  Per-tree generators
+    0/1 codes, so that the mean vote is a class score.  Per-tree generators
     are derived from (seed, tree index), so trees are independent of growth
     order and the fit is reproducible.  The trees are grown on every
     available core through :func:`aeimpute.parallel.fork_map`, bit for bit

@@ -4,7 +4,8 @@
 with the items spread over one process per available core, at most one per
 item.  With W processes, the calling process maps ``items[0::W]`` and forked
 worker w maps ``items[w::W]``; with one process nothing is forked.  The
-hidden-size search and the forest both map through it.
+hidden-size search, the forest and the experiment's optimizer methods all map
+through it.
 
 Caveats of forking, which every caller inherits:
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import sys
 import typing
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aeimpute import cli, experiment, network
+from aeimpute import cli, experiment, network, optimizers, parallel
 from aeimpute.experiment import (
     _GLOBAL_KEYS,
     _SECTION_KEYS,
@@ -384,7 +385,10 @@ class TestRunExperiment:
         stages = {"prepare", "train", "impute", "rf_fit", "rf_predict", "score"}
         assert set(timings) == stages | set(searches)
         assert all(v >= 0.0 for v in timings.values())
-        parts = sum(timings[k] for k in searches) + timings["rf_fit"] + timings["rf_predict"]
+        # The searches run side by side, so their seconds overlap and may sum
+        # past the stage's wall time; the forest runs after the longest one.
+        assert all(timings[k] <= timings["impute"] for k in searches)
+        parts = max(timings[k] for k in searches) + timings["rf_fit"] + timings["rf_predict"]
         assert parts <= timings["impute"]
 
     def test_auto_hidden_size_keeps_the_winning_network(self, heart_setup):
@@ -463,6 +467,48 @@ class TestRunExperiment:
             assert {"config", "split_counts", "hidden_size", "train_loss"} <= set(partial)
             assert partial["hidden_size"] == {"requested": 4, "selected": 4}
             assert "methods" not in partial and "comparison" not in partial
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_methods_on_any_worker_count_match(self, heart_setup, tmp_path, monkeypatch, workers):
+        # "ga,rf,sa" puts the forest between two searches: results must be
+        # matched to the searched methods, not to the configured list.
+        tmp, csv, meta = heart_setup
+        for methods in ("ga,sa,pso,ns,rf", "ga,rf,sa"):
+            files = {}
+            for count in dict.fromkeys((1, workers)):
+                monkeypatch.setattr(parallel, "_worker_count", lambda n, w=count: min(w, n))
+                out = tmp_path / f"{methods.replace(',', '_')}_{count}"
+                cfg_file = write_config(tmp_path, csv, meta, name="w.cfg", out=out.name,
+                                        methods=methods)
+                emit_report(run_experiment(parse_config(cfg_file)), out)
+                files[count] = {
+                    p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"
+                }
+            assert files[workers] == files[1]
+            assert {f"imputed_{m}.csv" for m in methods.split(",")} <= set(files[1])
+
+    def test_search_failing_in_a_worker_is_an_impute_failure(self, heart_setup, monkeypatch):
+        tmp, csv, meta = heart_setup
+        real_run = optimizers.run
+
+        def run(obj, method, config=None, *, seeds):
+            if method == "sa":
+                raise RuntimeError("sa cannot search")
+            return real_run(obj, method, config, seeds=seeds)
+
+        # At 2 workers, "sa" is the first item of worker 1's share.
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: min(2, n))
+        monkeypatch.setattr(optimizers, "run", run)
+        out = tmp / "worker_fail_out"
+        cfg_file = write_config(tmp, csv, meta, name="worker_fail.cfg", out=out.name,
+                                methods="ga,sa,pso,ns,rf")
+        with pytest.raises(ExperimentError, match="impute.*sa cannot search"):
+            run_experiment(parse_config(cfg_file))
+        marker = (out / FAILURE_MARKER).read_text()
+        assert "stage: impute" in marker and "in a forked worker" in marker
+        partial = json.loads((out / "partial.json").read_text())
+        assert "train_loss" in partial and "methods" not in partial
+        assert multiprocessing.active_children() == []
 
     def test_missing_dataset_is_experiment_error(self, heart_setup):
         tmp, csv, meta = heart_setup
@@ -639,7 +685,9 @@ class TestTracedHooks:
     """The traced benchmark (``bench/spans.py``) wraps program functions by name
     and call shape; a reshaped function must still fit its wrapper."""
 
-    def test_every_hook_fits_and_restores(self, heart_setup):
+    def test_every_hook_fits_and_restores(self, heart_setup, monkeypatch):
+        # One process: a span made in a forked worker stays in that worker.
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
         try:
             from spans import Tracer

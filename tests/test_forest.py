@@ -141,44 +141,6 @@ class TestPredict:
             f.predict([0.1, 0.2])  # one row is still a block of one
 
 
-class TestClassify:
-    def fit_binary(self, seed=0, constant=None):
-        rng = np.random.default_rng(seed)
-        rows = step_rows(rng, 60)
-        if constant is not None:
-            rows[:, 2] = constant
-        return forest.fit(rows, 2, ForestConfig(n_trees=20, seed=seed), binary_target=True)
-
-    def test_threshold_rule(self):
-        f = self.fit_binary()
-        labels, scores = f.classify([[0.95, 0.5], [0.05, 0.5]])
-        assert labels.tolist() == [1, 0]
-        assert scores[0] > 0.5 > scores[1]
-
-    def test_tie_goes_to_one(self):
-        f = Forest(
-            trees=(leaf_tree(0.5),),
-            config=ForestConfig(n_trees=1),
-            target_column=1,
-            predictor_columns=(0,),
-            binary_target=True,
-        )
-        labels, scores = f.classify([[0.1]])
-        assert scores.tolist() == [0.5] and labels.tolist() == [1]
-
-    def test_all_positive_training_class(self):
-        f = self.fit_binary(constant=1.0)
-        labels, scores = f.classify([[0.3, 0.3]])
-        assert scores.tolist() == [1.0] and labels.tolist() == [1]
-
-    def test_requires_binary_fit(self):
-        rng = np.random.default_rng(1)
-        rows = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)])
-        f = forest.fit(rows, 1, ForestConfig(n_trees=2, seed=0))
-        with pytest.raises(ValueError, match="binary_target"):
-            f.classify([[0.5]])
-
-
 # --- exhaustive-split reference ----------------------------------------------
 
 def reference_cart(x, y, min_leaf):

@@ -1,4 +1,4 @@
-"""The fork helper shared by the hidden-size search and the forest."""
+"""The fork helper shared by the hidden-size search, the forest and the optimizer methods."""
 
 import multiprocessing
 import os
