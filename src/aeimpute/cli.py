@@ -1,7 +1,8 @@
 """Command-line entry points: run, verify, inspect-model.
 
 Exit codes: 0 success, 1 configuration or data error, 2 runtime failure
-(partial results are persisted with a failure marker) or failed verification.
+(partial results are persisted with a failure marker), a report that cannot
+be written, or failed verification.
 """
 
 from __future__ import annotations
@@ -63,7 +64,11 @@ def _cmd_run(args) -> int:
             return 1
         print(f"runtime failure: {err} (partial results in {cfg.output_dir})", file=sys.stderr)
         return 2
-    paths = emit_report(report, cfg.output_dir)
+    try:
+        paths = emit_report(report, cfg.output_dir)
+    except OSError as err:
+        print(f"runtime failure: cannot write the report to {cfg.output_dir}: {err}", file=sys.stderr)
+        return 2
     say(f"wrote {len(paths)} files to {cfg.output_dir}")
     return 0
 

@@ -22,7 +22,15 @@ per task.  Task t draws from its own ``np.random.default_rng(seeds[t])`` in
 the order of a run of that task alone, and keeps its own budget and trace.
 When the objective scores each row independently of the others in its batch,
 task t's part of the result is bit for bit that of a one-task run with
-``seeds=[seeds[t]]``.
+``seeds=[seeds[t]]``.  GA, PSO and NS call each task's generator a fixed
+number of times, whatever the objective's values: GA once for its initial
+population and once per generation for one block holding that generation's
+tournament entrants, crossing tests, cuts and flips; NS once for its initial
+detectors and once per generation for a full block of fresh points, of which
+only the culled detectors' slots are used; PSO twice for its initial
+positions and velocities and once per sweep for the pull factors.  The blocks
+are then read for all T tasks at once.  SA draws its noise per move and its
+acceptance test per uphill move, so its calls depend on the values.
 
 Evaluation budgets per task are exact functions of the configuration:
 
@@ -80,8 +88,9 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.population < 2:
             raise ValueError("population must be >= 2")
-        if self.bits_per_variable < 1:
-            raise ValueError("bits_per_variable must be >= 1")
+        # A wider fixed-point value does not decode exactly in float64.
+        if not 1 <= self.bits_per_variable <= 53:
+            raise ValueError("bits_per_variable must be in [1, 53]")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ValueError("crossover_prob must be in [0, 1]")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
@@ -186,26 +195,17 @@ def _decode(chromosomes: np.ndarray, m: int, bits: int) -> np.ndarray:
     Per variable, the integer whose big-endian Gray code is its bits, divided
     by 2^bits - 1.  Neighbouring values are one bit flip apart, so mutation
     can always step to them; in plain binary, 0.5 - 2^-bits and 0.5 differ in
-    every bit.
+    every bit.  Each code is packed into one integer and undone by a
+    prefix-xor (shifts 1, 2, 4, ...); up to 53 bits the integer and its
+    quotient are exact in float64.
     """
-    weights = 2.0 ** np.arange(bits - 1, -1, -1)
-    scale = float(2**bits - 1)
     blocks = chromosomes.reshape(*chromosomes.shape[:-1], m, bits)
-    return (np.bitwise_xor.accumulate(blocks, axis=-1) @ weights) / scale
-
-
-def _ga_draws(rng: np.random.Generator, cfg: GaConfig, pairs: int, length: int, p_mut: float):
-    """One task's draws for one generation of ``pairs`` offspring pairs.
-
-    Returns the tournament entrants (pairs, 2, tournament_size), the crossover
-    cut of each pair (length when the pair does not cross), and the mutation
-    flips (pairs, 2, length), drawn in that order.
-    """
-    entrants = rng.integers(0, cfg.population, size=(pairs, 2, cfg.tournament_size))
-    crossing = rng.random(pairs) < cfg.crossover_prob
-    cuts = np.where(crossing, rng.integers(1, max(length, 2), size=pairs), length)
-    flips = rng.random((pairs, 2, length)) < p_mut
-    return entrants, cuts, flips
+    code = blocks @ (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
+    shift = 1
+    while shift < bits:
+        code ^= code >> shift
+        shift *= 2
+    return code / float(2**bits - 1)
 
 
 def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
@@ -217,7 +217,12 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
     ``elitism`` individuals carried over unchanged (their cached values are
     not re-evaluated).  Offspring are produced in pairs; an odd remainder
     discards the second child of the last pair after its mutation draw.
-    Each task draws a generation's entrants, cuts and flips as three arrays.
+
+    Each task draws its initial population in one call, then one
+    ``random(K)`` block per generation, K = pairs * (2 * tournament_size + 2
+    + 2 * length), read in order as the tournament entrants
+    floor(u * population), the crossing tests u < crossover_prob, the cuts
+    1 + floor(u * (max(length, 2) - 1)) and the flips u < mutation_prob.
     """
     cfg = cfg or GaConfig()
     rngs = _generators(obj, seeds)
@@ -228,6 +233,12 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
     n_children = cfg.population - cfg.elitism
     pairs = (n_children + 1) // 2
     tasks = np.arange(n_tasks)
+    # Column ranges of a generation's draw block: entrants, crossing, cuts, flips.
+    cross_at = pairs * 2 * cfg.tournament_size
+    cut_at = cross_at + pairs
+    flip_at = cut_at + pairs
+    draws = np.empty((n_tasks, flip_at + pairs * 2 * length))
+    first_rows = (tasks * cfg.population)[:, None]
 
     shape = (cfg.population, length)
     pop = np.stack([rng.integers(0, 2, size=shape, dtype=np.int8) for rng in rngs])
@@ -240,23 +251,35 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
     history = [best_values.copy()]
 
     for gen in range(1, cfg.generations + 1):
-        elite_idx = np.argsort(values, axis=1, kind="stable")[:, : cfg.elitism]
-        draws = [_ga_draws(rng, cfg, pairs, length, p_mut) for rng in rngs]
-        entrants, cuts, flips = (np.stack(d) for d in zip(*draws))
+        # Individuals are addressed as rows of the (T * population, length) stack.
+        elites = np.argsort(values, axis=1, kind="stable")[:, : cfg.elitism] + first_rows
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        entrants = (draws[:, :cross_at] * cfg.population).astype(np.intp) + first_rows
+        entrants = entrants.reshape(n_tasks, pairs, 2, cfg.tournament_size)
         # Fitness is the negated objective, so each tournament goes to the
         # entrant with the smallest value (the first one on ties).
-        won = values[tasks[:, None, None, None], entrants].argmin(axis=3)
-        parents = pop[tasks[:, None, None], np.take_along_axis(entrants, won[..., None], 3)[..., 0]]
-        first, second = parents[:, :, 0], parents[:, :, 1]
-        own = np.arange(length) < cuts[..., None]  # genes a child takes from its own parent
-        children = np.stack([np.where(own, first, second), np.where(own, second, first)], axis=2)
-        children ^= flips.astype(np.int8)
+        entrant_values = values.reshape(-1)[entrants]
+        winners, winner_values = entrants[..., 0], entrant_values[..., 0]
+        for j in range(1, cfg.tournament_size):
+            beats = entrant_values[..., j] < winner_values
+            winners = np.where(beats, entrants[..., j], winners)
+            winner_values = np.minimum(winner_values, entrant_values[..., j])
+        children = pop.reshape(-1, length)[winners]  # (T, pairs, 2, length), the parents for now
+        cuts = 1 + (draws[:, cut_at:flip_at] * (max(length, 2) - 1)).astype(np.intp)
+        cuts[draws[:, cross_at:cut_at] >= cfg.crossover_prob] = length
+        # A child keeps its own parent's genes before the cut and takes the
+        # other parent's from the cut on.
+        swapped = children[:, :, 0] ^ children[:, :, 1]
+        swapped &= np.arange(length) >= cuts[..., None]
+        children ^= swapped[:, :, None]
+        children ^= (draws[:, flip_at:] < p_mut).reshape(n_tasks, pairs, 2, length)
         children = children.reshape(n_tasks, 2 * pairs, length)[:, :n_children]
         child_values = _evaluate(obj, _decode(children, m, bits))
         evaluations += n_children
 
-        pop = np.concatenate([np.take_along_axis(pop, elite_idx[..., None], 1), children], axis=1)
-        values = np.concatenate([np.take_along_axis(values, elite_idx, 1), child_values], axis=1)
+        pop = np.concatenate([pop.reshape(-1, length)[elites], children], axis=1)
+        values = np.concatenate([values.reshape(-1)[elites], child_values], axis=1)
 
         gen_best = values.argmin(axis=1)
         better = values[tasks, gen_best] < best_values
@@ -356,12 +379,17 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
     Velocities are clamped componentwise to [-v_max, v_max] and positions to
     [0, 1].  Particle i moves in every task at once, and each task's global
     best is refreshed right after that evaluation, so later particles in the
-    same sweep see earlier improvements.  Each sweep draws a task's
-    (swarm, 2, m) block of pull factors at once, in the order of per-particle
-    U(0,phi1) then U(0,phi2) draws.  ``initial`` (test hook) is a
-    (positions, velocities) pair, each of shape (swarm, m), that replaces
-    every task's random initial state; the generators then make no initial
-    draws.
+    same sweep see earlier improvements.  No particle touches another's
+    position or personal best, so each sweep takes every particle's
+    cognitive pull U(0,phi1)*(pbest - x) in one pass before the first move,
+    and settles the personal bests in one pass after the last, from the
+    sweep's stored values; the social pull stays per particle, in particle
+    order.  Each task draws its initial positions and velocities in two
+    calls, then one (swarm, 2, m) block of pull factors per sweep, in the
+    order of per-particle U(0,phi1) then U(0,phi2) draws.  ``initial`` (test
+    hook) is a (positions, velocities) pair, each of shape (swarm, m), that
+    replaces every task's random initial state; the generators then make no
+    initial draws.
     """
     cfg = cfg or PsoConfig()
     rngs = _generators(obj, seeds)
@@ -387,31 +415,35 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
     gbest_values = pbest_values[g, tasks]
     history = [gbest_values.copy()]
     pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
-    pull = np.empty_like(gbest)
+    draws = np.empty((n_tasks, swarm, 2, m))
+    cognitive = np.empty_like(positions)
+    social = np.empty_like(gbest)
+    sweep_values = np.empty_like(pbest_values)
 
     for it in range(1, cfg.iterations + 1):
-        pulls = np.stack([rng.random((swarm, 2, m)) for rng in rngs]) * pull_scale
-        pulls = np.ascontiguousarray(pulls.transpose(1, 2, 0, 3))  # (swarm, 2, T, m)
-        for x, v, p, p_values, (r1, r2) in zip(positions, velocities, pbest, pbest_values, pulls):
-            # v = (v + r1 * (p - x)) + r2 * (gbest - x), in that order.
-            np.subtract(p, x, out=pull)
-            pull *= r1
-            v += pull
-            np.subtract(gbest, x, out=pull)
-            pull *= r2
-            v += pull
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        r1, r2 = (draws * pull_scale).transpose(2, 1, 0, 3)  # each (swarm, T, m)
+        # v = (v + r1 * (p - x)) + r2 * (gbest - x), in that order.
+        np.subtract(pbest, positions, out=cognitive)
+        cognitive *= r1
+        velocities += cognitive
+        for x, v, r, f in zip(positions, velocities, r2, sweep_values):
+            np.subtract(gbest, x, out=social)
+            social *= r
+            v += social
             np.maximum(v, -cfg.v_max, out=v)
             np.minimum(v, cfg.v_max, out=v)
             x += v
             np.maximum(x, 0.0, out=x)
             np.minimum(x, 1.0, out=x)
-            f = obj.evaluate_batch(x)
-            better = f < p_values
-            np.copyto(p_values, f, where=better)
-            np.copyto(p, x, where=better[:, None])
+            f[:] = obj.evaluate_batch(x)
             better = f < gbest_values
             np.copyto(gbest_values, f, where=better)
             np.copyto(gbest, x, where=better[:, None])
+        better = sweep_values < pbest_values
+        np.copyto(pbest_values, sweep_values, where=better)
+        np.copyto(pbest, positions, where=better[..., None])
         evaluations += swarm
         history.append(gbest_values.copy())
 
@@ -425,13 +457,21 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
 def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
     """Detector-set search: each generation eliminates every detector whose
     value lies above the set median and replaces it with a fresh uniform
-    point, keeping the set size constant throughout."""
+    point, keeping the set size constant throughout.
+
+    Each task draws its initial (detectors, m) set in one call, then one
+    (detectors, m) block of fresh points per generation; a culled detector
+    takes the point in its own slot, and the rest of the block goes unused.
+    """
     cfg = cfg or NsConfig()
     rngs = _generators(obj, seeds)
     n_tasks, m = len(rngs), obj.dimension
     tasks = np.arange(n_tasks)
 
-    detectors = np.stack([rng.uniform(0.0, 1.0, size=(cfg.detectors, m)) for rng in rngs])
+    detectors = np.empty((n_tasks, cfg.detectors, m))
+    fresh = np.empty_like(detectors)
+    for rng, row in zip(rngs, detectors):
+        rng.random(out=row)
     best_points = np.zeros((n_tasks, m))
     best_values = np.full(n_tasks, math.inf)
     history = []
@@ -443,8 +483,9 @@ def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
         best_values[better] = values[tasks, idx][better]
         best_points[better] = detectors[tasks[better], idx[better]]
         culled = values > np.median(values, axis=1, keepdims=True)
-        for t in np.flatnonzero(culled.any(axis=1)):
-            detectors[t, culled[t]] = rngs[t].uniform(0.0, 1.0, size=(int(culled[t].sum()), m))
+        for rng, row in zip(rngs, fresh):
+            rng.random(out=row)
+        detectors = np.where(culled[..., None], fresh, detectors)
         history.append(best_values.copy())
 
     return _finish(obj, best_points, cfg.detectors * cfg.generations, history, first_iteration=1)

@@ -654,6 +654,16 @@ class TestCli:
         assert cli.main(["run", str(cfg_file)]) == 2
         assert "partial results" in capsys.readouterr().err
 
+    def test_unwritable_report_is_a_runtime_failure(self, heart_setup, capsys):
+        tmp, csv, meta = heart_setup
+        cfg_file = write_config(tmp, csv, meta, name="cli_blocked.cfg")
+        blocker = tmp / "blocked_out"
+        blocker.write_text("a file where the output directory should go\n")
+        assert cli.main(["--quiet", "--output", str(blocker), "run", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: cannot write the report to") and str(blocker) in err
+        assert blocker.read_text() == "a file where the output directory should go\n"
+
     def test_verify_missing_dir(self, heart_setup, capsys):
         tmp, _, _ = heart_setup
         assert cli.main(["verify", str(tmp / "no_such_dir")]) == 1

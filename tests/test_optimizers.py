@@ -29,6 +29,14 @@ def assert_same_result(a, b):
     np.testing.assert_array_equal(a.trace_values, b.trace_values)
 
 
+def reference_decode(chromosomes, m, bits):
+    """The Gray decode as first written: bit-by-bit prefix-xor, float weights."""
+    weights = 2.0 ** np.arange(bits - 1, -1, -1)
+    scale = float(2**bits - 1)
+    blocks = chromosomes.reshape(*chromosomes.shape[:-1], m, bits)
+    return (np.bitwise_xor.accumulate(blocks, axis=-1) @ weights) / scale
+
+
 class TestQuadraticStub:
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_finds_minimum(self, name, fn, cfg_type):
@@ -110,6 +118,32 @@ class TestBudgets:
         result = opt.minimize_ns(QuadraticStub(), cfg, seeds=[0])
         assert result.evaluations == 11 * 17
 
+    # Each task's generator is called a fixed number of times, whatever the
+    # objective's values: the initial draws, then one block per generation or
+    # sweep.  On the flat objective NS culls no detector.
+    @pytest.mark.parametrize("flat", [False, True], ids=["ripples", "flat"])
+    @pytest.mark.parametrize(
+        "name,cfg,calls",
+        [
+            ("ga", GaConfig(population=6, generations=7), 1 + 7),
+            ("ns", NsConfig(detectors=5, generations=7), 1 + 7),
+            ("pso", PsoConfig(swarm=4, iterations=7), 2 + 7),
+        ],
+    )
+    def test_generator_calls_per_task(self, name, cfg, calls, flat, monkeypatch):
+        spies = []
+
+        def spy_generators(obj, seeds):
+            spies.extend(SpyGenerator(s) for s in seeds)
+            return spies
+
+        monkeypatch.setattr(opt, "_generators", spy_generators)
+        stub = StackedStub(np.full((3, 2), 0.5))
+        if flat:
+            stub.evaluate_batch = lambda candidates: np.zeros(len(candidates))
+        opt.run(stub, name, cfg, seeds=[1, 2, 3])
+        assert [spy.calls for spy in spies] == [calls] * 3
+
 
 class TestGa:
     def test_decode_endpoints(self):
@@ -139,6 +173,20 @@ class TestGa:
         stacked = opt._decode(chromosomes, 2, 5)
         assert stacked.shape == (3, 4, 2)
         np.testing.assert_array_equal(stacked[1], opt._decode(chromosomes[1], 2, 5))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decode_equals_reference(self, data):
+        bits = data.draw(st.integers(1, 53), label="bits")
+        m = data.draw(st.integers(1, 3), label="m")
+        lead = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2), label="leading axes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        chromosomes = rng.integers(0, 2, size=(*lead, m * bits), dtype=np.int8)
+        chromosomes[(0,) * len(lead)] = data.draw(st.sampled_from([0, 1]), label="corner")
+        decoded = opt._decode(chromosomes, m, bits)
+        expected = reference_decode(chromosomes, m, bits)
+        assert decoded.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(decoded, expected)
 
     def test_grid_verified_2d(self):
         obj = Ripple2D()
@@ -267,6 +315,10 @@ class TestConfigValidation:
             GaConfig(elitism=50, population=50)
         with pytest.raises(ValueError):
             GaConfig(crossover_prob=1.5)
+        # Wider fixed-point values would not decode exactly in float64.
+        GaConfig(bits_per_variable=53)
+        with pytest.raises(ValueError, match="bits_per_variable"):
+            GaConfig(bits_per_variable=54)
 
     def test_sa_bounds(self):
         with pytest.raises(ValueError):
@@ -285,6 +337,23 @@ class TestConfigValidation:
     def test_ns_bounds(self):
         with pytest.raises(ValueError):
             NsConfig(detectors=1)
+
+
+class SpyGenerator:
+    """A seeded numpy generator that counts the calls made to it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 class StackedStub:
@@ -379,8 +448,8 @@ class TestLockstep:
 
 
 # Step loops of SA and PSO as first written, one numpy expression per update,
-# before their per-step overhead was cut.  The current loops must match them
-# bit for bit.
+# before their per-step overhead was cut, and the GA in the same style.  The
+# current loops must match them bit for bit.
 
 def _reference_evaluate(obj, candidates):
     n_tasks, k, m = candidates.shape
@@ -490,6 +559,54 @@ def reference_pso(obj, cfg, seeds, initial=None):
     return _reference_result(obj, gbest, evaluations, history)
 
 
+def reference_ga(obj, cfg, seeds):
+    """The GA with one expression per step, reading each generation's draw
+    block in its documented order."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    n_tasks, m = len(rngs), obj.dimension
+    bits, ts = cfg.bits_per_variable, cfg.tournament_size
+    length = m * bits
+    p_mut = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / length
+    n_children = cfg.population - cfg.elitism
+    pairs = (n_children + 1) // 2
+    tasks = np.arange(n_tasks)
+    block = np.cumsum([0, pairs * 2 * ts, pairs, pairs, pairs * 2 * length])
+
+    pop = np.stack([rng.integers(0, 2, size=(cfg.population, length), dtype=np.int8) for rng in rngs])
+    values = _reference_evaluate(obj, reference_decode(pop, m, bits))
+    best_idx = values.argmin(axis=1)
+    best_values = values[tasks, best_idx]
+    best_points = reference_decode(pop[tasks, best_idx], m, bits)
+    history = [best_values.copy()]
+
+    for gen in range(cfg.generations):
+        elite_idx = np.argsort(values, axis=1, kind="stable")[:, : cfg.elitism]
+        u = np.stack([rng.random(block[-1]) for rng in rngs])
+        entrants = np.floor(u[:, block[0] : block[1]] * cfg.population).astype(int)
+        entrants = entrants.reshape(n_tasks, pairs, 2, ts)
+        crossing = u[:, block[1] : block[2]] < cfg.crossover_prob
+        cut = 1 + np.floor(u[:, block[2] : block[3]] * (max(length, 2) - 1)).astype(int)
+        cuts = np.where(crossing, cut, length)
+        flips = (u[:, block[3] :] < p_mut).reshape(n_tasks, pairs, 2, length)
+        won = values[tasks[:, None, None, None], entrants].argmin(axis=3)
+        parents = pop[tasks[:, None, None], np.take_along_axis(entrants, won[..., None], 3)[..., 0]]
+        first, second = parents[:, :, 0], parents[:, :, 1]
+        own = np.arange(length) < cuts[..., None]
+        children = np.stack([np.where(own, first, second), np.where(own, second, first)], axis=2)
+        children = (children ^ flips).reshape(n_tasks, 2 * pairs, length)[:, :n_children]
+        child_values = _reference_evaluate(obj, reference_decode(children, m, bits))
+        pop = np.concatenate([np.take_along_axis(pop, elite_idx[..., None], 1), children], axis=1)
+        values = np.concatenate([np.take_along_axis(values, elite_idx, 1), child_values], axis=1)
+        gen_best = values.argmin(axis=1)
+        better = values[tasks, gen_best] < best_values
+        best_values[better] = values[tasks, gen_best][better]
+        best_points[better] = reference_decode(pop[tasks[better], gen_best[better]], m, bits)
+        history.append(best_values.copy())
+
+    evaluations = cfg.population + cfg.generations * n_children
+    return _reference_result(obj, best_points, evaluations, history)
+
+
 def drawn_objective(draw, rng, n_tasks, m):
     """The separable stub, or a reconstruction objective on a random autoencoder."""
     if draw(st.booleans(), label="autoencoder"):
@@ -503,6 +620,26 @@ def drawn_objective(draw, rng, n_tasks, m):
 
 
 class TestLeanStepLoops:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ga_equals_reference(self, data):
+        n_tasks = data.draw(st.integers(1, 5), label="T")
+        m = data.draw(st.integers(1, 3), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        obj = drawn_objective(data.draw, rng, n_tasks, m)
+        population = data.draw(st.integers(2, 10), label="population")
+        cfg = GaConfig(
+            population=population,
+            bits_per_variable=data.draw(st.integers(1, 12), label="bits"),
+            crossover_prob=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="crossover"),
+            mutation_prob=data.draw(st.none() | st.floats(0.0, 1.0), label="mutation"),
+            tournament_size=data.draw(st.integers(1, 4), label="tournament"),
+            elitism=data.draw(st.integers(0, population - 1), label="elitism"),
+            generations=data.draw(st.integers(1, 5), label="generations"),
+        )
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
+        assert_same_result(opt.minimize_ga(obj, cfg, seeds=seeds), reference_ga(obj, cfg, seeds))
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_sa_equals_reference(self, data):
