@@ -11,11 +11,12 @@ candidate matrix read task-major, r = T * k, rows t*k to t*k + k - 1 being
 task t's k candidates, and returns a length-r float array.  Every minimizer
 advances all T tasks together, so each step is one ``evaluate_batch`` call
 over the candidates of every task, and returns one :class:`OptimizerResult`
-for all of them.  Within a task SA and PSO are sequential: each move, and each
-particle's update, depends on the one before, so a step scores only T rows
-and costs mostly the calls around it.  Their step loops are kept to in-place
-numpy calls on preallocated arrays, with exactly one ``evaluate_batch`` call
-per move or particle step.
+for all of them.  Within a task SA is sequential: each move depends on the
+one before, so a move scores only T rows and costs mostly the calls around
+it.  Its move loop is kept to in-place numpy calls on preallocated arrays,
+with exactly one ``evaluate_batch`` call per move.  PSO moves its whole
+swarm from the bests of the previous sweep, so a sweep is one call of
+T * swarm rows.
 
 Seeds and draw order: ``minimize_*(obj, cfg, seeds=seeds)`` takes one seed
 per task.  Task t draws from its own ``np.random.default_rng(seeds[t])`` in
@@ -28,9 +29,11 @@ population and once per generation for one block holding that generation's
 tournament entrants, crossing tests, cuts and flips; NS once for its initial
 detectors and once per generation for a full block of fresh points, of which
 only the culled detectors' slots are used; PSO twice for its initial
-positions and velocities and once per sweep for the pull factors.  The blocks
-are then read for all T tasks at once.  SA draws its noise per move and its
-acceptance test per uphill move, so its calls depend on the values.
+positions and velocities and once per sweep for the pull factors; SA once
+for its start point, once for its calibration probes (when it calibrates),
+and twice per temperature step, for the (moves_per_step, m) block of noise
+and then the moves_per_step acceptance uniforms.  The blocks are then read
+for all T tasks at once.
 
 Evaluation budgets per task are exact functions of the configuration:
 
@@ -309,15 +312,19 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
     """Gaussian-neighborhood annealing with geometric cooling.
 
     Without a fixed ``initial_temperature`` each task calibrates its own from
-    100 probe moves off its start point.  Moves are accepted when they do not
-    worsen the objective, otherwise with probability exp(-delta / T); the
-    acceptance draw happens only for uphill moves.  ``accepted_history``
-    (test hook) holds one list per task, which receives the objective value
-    of every move that task accepts.
+    100 probe moves off its start point.  Each temperature step, each task
+    draws its (moves_per_step, m) block of N(0, 1) noise and then its
+    moves_per_step uniforms u, which become the thresholds T * log1p(-u) <= 0.
+    Move i from x to y is accepted iff threshold_i <= f(x) - f(y): always
+    when it does not worsen the objective, and an uphill move of delta with
+    probability P(-log(1 - u) >= delta / T) = exp(-delta / T).  There is no
+    division by T, so once cooling reaches T = 0 the walk is greedy.
+    ``accepted_history`` (test hook) holds one list per task, which receives
+    the objective value of every move that task accepts.
     """
     cfg = cfg or SaConfig()
     rngs = _generators(obj, seeds)
-    m = obj.dimension
+    n_tasks, m, moves = len(rngs), obj.dimension, cfg.moves_per_step
     sigma = cfg.neighbor_sigma
 
     x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
@@ -335,25 +342,22 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
     best_values = fx.copy()
     history = [best_values.copy()]
     y = np.empty_like(x)
-    # sigma * N(0, 1) is the value rng.normal(0, sigma) draws.
-    draws = [(rng.standard_normal, row) for rng, row in zip(rngs, y)]
+    noise = np.empty((n_tasks, moves, m))
+    uniforms = np.empty((n_tasks, moves))
 
     for step in range(1, cfg.temperature_steps + 1):
-        temperatures = temperature.tolist()
-        for _ in range(cfg.moves_per_step):
-            for draw, row in draws:
-                draw(out=row)
-            y *= sigma
-            y += x
+        for rng, z, u in zip(rngs, noise, uniforms):
+            rng.standard_normal(out=z)
+            rng.random(out=u)
+        # sigma * N(0, 1) is the value rng.normal(0, sigma) draws.
+        noise *= sigma
+        thresholds = temperature[:, None] * np.log1p(-uniforms)
+        for i in range(moves):
+            np.add(noise[:, i], x, out=y)
             np.maximum(y, 0.0, out=y)
             np.minimum(y, 1.0, out=y)
             fy = obj.evaluate_batch(y)
-            delta = fy - fx
-            accept = delta <= 0
-            deltas = delta.tolist()
-            for t in np.flatnonzero(~accept).tolist():
-                exponent = -deltas[t] / temperatures[t]
-                accept[t] = rngs[t].random() < (math.exp(exponent) if exponent > -745.0 else 0.0)
+            accept = thresholds[:, i] <= fx - fy
             np.copyto(x, y, where=accept[:, None])
             np.copyto(fx, fy, where=accept)
             if accepted_history is not None:
@@ -362,7 +366,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
             better = fx < best_values
             np.copyto(best_values, fx, where=better)
             np.copyto(best_points, x, where=better[:, None])
-        evaluations += cfg.moves_per_step
+        evaluations += moves
         temperature *= cfg.cooling_factor
         history.append(best_values.copy())
 
@@ -377,19 +381,18 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
     """Swarm search: v += U(0,phi1)*(pbest - x) + U(0,phi2)*(gbest - x).
 
     Velocities are clamped componentwise to [-v_max, v_max] and positions to
-    [0, 1].  Particle i moves in every task at once, and each task's global
-    best is refreshed right after that evaluation, so later particles in the
-    same sweep see earlier improvements.  No particle touches another's
-    position or personal best, so each sweep takes every particle's
-    cognitive pull U(0,phi1)*(pbest - x) in one pass before the first move,
-    and settles the personal bests in one pass after the last, from the
-    sweep's stored values; the social pull stays per particle, in particle
-    order.  Each task draws its initial positions and velocities in two
-    calls, then one (swarm, 2, m) block of pull factors per sweep, in the
-    order of per-particle U(0,phi1) then U(0,phi2) draws.  ``initial`` (test
-    hook) is a (positions, velocities) pair, each of shape (swarm, m), that
-    replaces every task's random initial state; the generators then make no
-    initial draws.
+    [0, 1].  The bests are updated synchronously (the gbest model of Kennedy
+    & Eberhart): each sweep moves every particle of every task from the
+    personal and global bests as they stood at the start of the sweep, as
+    v = (v + r1*(pbest - x)) + r2*(gbest - x), then scores all T * swarm
+    positions in one task-major batch.  A personal best then moves to a
+    position that is strictly better, and each task's global best is the
+    first of its best personal bests.  Each task draws its initial positions
+    and velocities in two calls, then one (swarm, 2, m) block of pull
+    factors per sweep, in the order of per-particle U(0,phi1) then U(0,phi2)
+    draws.  ``initial`` (test hook) is a (positions, velocities) pair, each
+    of shape (swarm, m), that replaces every task's random initial state;
+    the generators then make no initial draws.
     """
     cfg = cfg or PsoConfig()
     rngs = _generators(obj, seeds)
@@ -405,47 +408,40 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
 
     values = _evaluate(obj, positions)
     evaluations = swarm
-    # Swarm-major from here on: particle i's state is one contiguous (T, m) block.
-    positions, velocities = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (positions, velocities))
     pbest = positions.copy()
-    pbest_values = values.T.copy()
+    pbest_values = values
     tasks = np.arange(n_tasks)
-    g = pbest_values.argmin(axis=0)
-    gbest = pbest[g, tasks]
-    gbest_values = pbest_values[g, tasks]
-    history = [gbest_values.copy()]
+    g = pbest_values.argmin(axis=1)
+    gbest = pbest[tasks, g]
+    history = [pbest_values[tasks, g]]
     pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
     draws = np.empty((n_tasks, swarm, 2, m))
-    cognitive = np.empty_like(positions)
-    social = np.empty_like(gbest)
-    sweep_values = np.empty_like(pbest_values)
+    r1, r2 = draws[:, :, 0], draws[:, :, 1]
+    pull = np.empty_like(positions)
 
     for it in range(1, cfg.iterations + 1):
         for rng, row in zip(rngs, draws):
             rng.random(out=row)
-        r1, r2 = (draws * pull_scale).transpose(2, 1, 0, 3)  # each (swarm, T, m)
-        # v = (v + r1 * (p - x)) + r2 * (gbest - x), in that order.
-        np.subtract(pbest, positions, out=cognitive)
-        cognitive *= r1
-        velocities += cognitive
-        for x, v, r, f in zip(positions, velocities, r2, sweep_values):
-            np.subtract(gbest, x, out=social)
-            social *= r
-            v += social
-            np.maximum(v, -cfg.v_max, out=v)
-            np.minimum(v, cfg.v_max, out=v)
-            x += v
-            np.maximum(x, 0.0, out=x)
-            np.minimum(x, 1.0, out=x)
-            f[:] = obj.evaluate_batch(x)
-            better = f < gbest_values
-            np.copyto(gbest_values, f, where=better)
-            np.copyto(gbest, x, where=better[:, None])
-        better = sweep_values < pbest_values
-        np.copyto(pbest_values, sweep_values, where=better)
+        draws *= pull_scale
+        np.subtract(pbest, positions, out=pull)
+        pull *= r1
+        velocities += pull
+        np.subtract(gbest[:, None], positions, out=pull)
+        pull *= r2
+        velocities += pull
+        np.maximum(velocities, -cfg.v_max, out=velocities)
+        np.minimum(velocities, cfg.v_max, out=velocities)
+        positions += velocities
+        np.maximum(positions, 0.0, out=positions)
+        np.minimum(positions, 1.0, out=positions)
+        values = _evaluate(obj, positions)
+        better = values < pbest_values
+        np.copyto(pbest_values, values, where=better)
         np.copyto(pbest, positions, where=better[..., None])
+        g = pbest_values.argmin(axis=1)
+        gbest = pbest[tasks, g]
         evaluations += swarm
-        history.append(gbest_values.copy())
+        history.append(pbest_values[tasks, g])
 
     return _finish(obj, gbest, evaluations, history)
 

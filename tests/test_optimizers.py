@@ -1,7 +1,5 @@
 """Box feasibility, budgets, traces, determinism, and search quality."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,9 +87,9 @@ class TestBudgets:
         assert result.evaluations == expected
         assert counter.count == expected + 1
 
-    # SA and PSO make one evaluate_batch call per move or particle step, no
-    # more: the calls are the start, the calibration probes (SA), the steps
-    # and the final re-evaluation.
+    # SA makes one evaluate_batch call per move and PSO one per sweep, no
+    # more: the calls are the start, the calibration probes (SA), the moves
+    # or sweeps and the final re-evaluation.
     def test_sa_budget_with_calibration(self):
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(temperature_steps=12, moves_per_step=7)
@@ -111,7 +109,33 @@ class TestBudgets:
         cfg = PsoConfig(swarm=9, iterations=13)
         result = opt.minimize_pso(counter, cfg, seeds=[0])
         assert result.evaluations == 9 * (13 + 1)
-        assert counter.calls == 1 + 9 * 13 + 1
+        assert counter.calls == 1 + 13 + 1
+
+    def test_pso_sweep_is_one_task_major_batch(self):
+        # Each sweep's call holds T * swarm rows, task t's swarm in rows
+        # t*swarm to t*swarm + swarm - 1, the rows of its one-task run.
+        cfg = PsoConfig(swarm=4, iterations=5)
+        centers = np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
+        seeds = [11, 12, 13]
+
+        def batches(stub, seeds):
+            calls = []
+            score = stub.evaluate_batch
+
+            def recorded(candidates):
+                calls.append(np.array(candidates))
+                return score(candidates)
+
+            stub.evaluate_batch = recorded
+            opt.minimize_pso(stub, cfg, seeds=seeds)
+            return calls[:-1]  # the last call re-evaluates the best points
+
+        together = batches(StackedStub(centers), seeds)
+        assert [len(c) for c in together] == [3 * 4] * (1 + 5)
+        for t in range(3):
+            alone = batches(StackedStub(centers[t : t + 1]), [seeds[t]])
+            for both, one in zip(together, alone, strict=True):
+                np.testing.assert_array_equal(both[t * 4 : t * 4 + 4], one)
 
     def test_ns_budget(self):
         cfg = NsConfig(detectors=11, generations=17)
@@ -120,7 +144,8 @@ class TestBudgets:
 
     # Each task's generator is called a fixed number of times, whatever the
     # objective's values: the initial draws, then one block per generation or
-    # sweep.  On the flat objective NS culls no detector.
+    # sweep, or two per temperature step (SA).  On the flat objective NS
+    # culls no detector and SA takes no uphill move.
     @pytest.mark.parametrize("flat", [False, True], ids=["ripples", "flat"])
     @pytest.mark.parametrize(
         "name,cfg,calls",
@@ -128,6 +153,8 @@ class TestBudgets:
             ("ga", GaConfig(population=6, generations=7), 1 + 7),
             ("ns", NsConfig(detectors=5, generations=7), 1 + 7),
             ("pso", PsoConfig(swarm=4, iterations=7), 2 + 7),
+            ("sa", SaConfig(temperature_steps=7, moves_per_step=5), 1 + 1 + 2 * 7),
+            ("sa", SaConfig(initial_temperature=0.1, temperature_steps=7, moves_per_step=5), 1 + 2 * 7),
         ],
     )
     def test_generator_calls_per_task(self, name, cfg, calls, flat, monkeypatch):
@@ -217,6 +244,23 @@ class TestSa:
         accepted: list[float] = []
         cfg = SaConfig(initial_temperature=1e-12)
         opt.minimize_sa(Bimodal1D(), cfg, seeds=[7], accepted_history=[accepted])
+        assert len(accepted) >= 1
+        assert (np.diff(accepted) <= 0).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_greedy_once_temperature_underflows(self):
+        # Geometric cooling from 1e-300 by 0.1 reaches T = 0.0 after a few
+        # dozen of the 400 steps; from there on SA must keep running and
+        # accept no uphill move.
+        cfg = SaConfig(initial_temperature=1e-300, cooling_factor=0.1, temperature_steps=400)
+        temperature, cold_steps = cfg.initial_temperature, 0
+        for _ in range(cfg.temperature_steps):
+            temperature *= cfg.cooling_factor
+            cold_steps += temperature == 0.0
+        assert cold_steps > 300
+        accepted: list[float] = []
+        result = opt.minimize_sa(QuadraticStub(), cfg, seeds=[0], accepted_history=[accepted])
+        assert result.evaluations == 1 + 400 * 20
         assert len(accepted) >= 1
         assert (np.diff(accepted) <= 0).all()
 
@@ -447,9 +491,9 @@ class TestLockstep:
             opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig())
 
 
-# Step loops of SA and PSO as first written, one numpy expression per update,
-# before their per-step overhead was cut, and the GA in the same style.  The
-# current loops must match them bit for bit.
+# SA, PSO and GA written from their documented semantics, one numpy
+# expression per update, with none of the in-place work that cuts their
+# per-step overhead.  The minimizers must match them bit for bit.
 
 def _reference_evaluate(obj, candidates):
     n_tasks, k, m = candidates.shape
@@ -468,7 +512,7 @@ def _reference_result(obj, best_points, evaluations, history):
 
 def reference_sa(obj, cfg, seeds, accepted_history=None):
     rngs = [np.random.default_rng(s) for s in seeds]
-    m = obj.dimension
+    m, moves = obj.dimension, cfg.moves_per_step
     sigma = cfg.neighbor_sigma
 
     x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
@@ -485,19 +529,16 @@ def reference_sa(obj, cfg, seeds, accepted_history=None):
     best_points = x.copy()
     best_values = fx.copy()
     history = [best_values.copy()]
-    noise = np.empty_like(x)
 
     for step in range(1, cfg.temperature_steps + 1):
-        for _ in range(cfg.moves_per_step):
-            for rng, row in zip(rngs, noise):
-                rng.standard_normal(out=row)
-            y = np.clip(x + sigma * noise, 0.0, 1.0)
+        # Per task: the step's noise block, then its uniforms.
+        blocks = [(rng.standard_normal((moves, m)), rng.random(moves)) for rng in rngs]
+        noise = np.stack([z for z, _ in blocks])
+        thresholds = temperature[:, None] * np.log1p(-np.stack([u for _, u in blocks]))
+        for i in range(moves):
+            y = np.clip(x + sigma * noise[:, i], 0.0, 1.0)
             fy = _reference_evaluate(obj, y[:, None])[:, 0]
-            delta = fy - fx
-            accept = delta <= 0
-            for t in np.flatnonzero(~accept):
-                exponent = -delta[t] / temperature[t]
-                accept[t] = rngs[t].random() < (math.exp(exponent) if exponent > -745.0 else 0.0)
+            accept = thresholds[:, i] <= fx - fy
             x[accept] = y[accept]
             fx[accept] = fy[accept]
             if accepted_history is not None:
@@ -506,7 +547,7 @@ def reference_sa(obj, cfg, seeds, accepted_history=None):
             better = fx < best_values
             best_values[better] = fx[better]
             best_points[better] = x[better]
-        evaluations += cfg.moves_per_step
+        evaluations += moves
         temperature *= cfg.cooling_factor
         history.append(best_values.copy())
 
@@ -530,31 +571,25 @@ def reference_pso(obj, cfg, seeds, initial=None):
     tasks = np.arange(n_tasks)
     g = pbest_values.argmin(axis=1)
     gbest = pbest[tasks, g]
-    gbest_values = pbest_values[tasks, g]
-    history = [gbest_values.copy()]
+    history = [pbest_values[tasks, g]]
     pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
 
     for it in range(1, cfg.iterations + 1):
+        # Every particle moves from the bests as they stood before the sweep.
         pulls = np.stack([rng.random((swarm, 2, m)) for rng in rngs]) * pull_scale
-        for i in range(swarm):
-            x = positions[:, i]
-            velocities[:, i] = np.clip(
-                velocities[:, i]
-                + pulls[:, i, 0] * (pbest[:, i] - x)
-                + pulls[:, i, 1] * (gbest - x),
-                -cfg.v_max,
-                cfg.v_max,
-            )
-            x[:] = np.clip(x + velocities[:, i], 0.0, 1.0)
-            f = _reference_evaluate(obj, x[:, None])[:, 0]
-            better = f < pbest_values[:, i]
-            pbest_values[better, i] = f[better]
-            pbest[better, i] = x[better]
-            better = f < gbest_values
-            gbest_values[better] = f[better]
-            gbest[better] = x[better]
+        r1, r2 = pulls[:, :, 0], pulls[:, :, 1]
+        velocities = np.clip(
+            velocities + r1 * (pbest - positions) + r2 * (gbest[:, None] - positions), -cfg.v_max, cfg.v_max
+        )
+        positions = np.clip(positions + velocities, 0.0, 1.0)
+        values = _reference_evaluate(obj, positions)
+        better = values < pbest_values
+        pbest_values = np.where(better, values, pbest_values)
+        pbest = np.where(better[..., None], positions, pbest)
+        g = pbest_values.argmin(axis=1)
+        gbest = pbest[tasks, g]
         evaluations += swarm
-        history.append(gbest_values.copy())
+        history.append(pbest_values[tasks, g])
 
     return _reference_result(obj, gbest, evaluations, history)
 
