@@ -356,10 +356,3 @@ def make_tasks(ds: Dataset, missing_columns: set[int], block: str = "test") -> I
     records[:, miss] = MISSING_SENTINEL
     return ImputationTask(record=records, known_mask=mask, true_values=rows)
 
-
-def normalization_table(columns) -> str:
-    """Render scaler parameters as CSV text (column, min, max) for audit."""
-    lines = ["column,min,max"]
-    for spec in columns:
-        lines.append(f"{spec.name},{spec.observed_min!r},{spec.observed_max!r}")
-    return "\n".join(lines) + "\n"

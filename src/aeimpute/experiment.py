@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import traceback
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -273,27 +273,48 @@ _METHODOLOGY = {
 }
 
 
-# metrics.csv lists prediction metrics in this order.
-_PREDICTION_METRICS = ("mse", "rmse", "mae", "pearson_r")
-
-
 def _display(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _score(truth: np.ndarray, values: np.ndarray, task_kind: str):
+def _grade(truth: np.ndarray, values: np.ndarray, task_kind: str) -> tuple[dict, np.ndarray]:
     """Grade one method's imputed values against the truth.
 
-    Returns the metrics dict (mse, rmse, mae, pearson_r for prediction; auc
-    for classification), the per-record errors the Welch comparison runs on,
-    and the ROC curve (None for prediction).
+    Returns the method's report block (imputed rows, metrics and their
+    display texts, and the ROC points where the task kind gets ROC files)
+    and the per-record errors the Welch comparison runs on.
     """
-    if task_kind == "prediction":
+    pairs = enumerate(zip(truth.tolist(), values.tolist()))
+    block: dict = {"imputed": [{"row": i, "true": t, "imputed": v} for i, (t, v) in pairs]}
+    if task_kind in _ROC_FILE.kinds:
+        roc = metrics_mod.roc_curve(values, truth.astype(int))
+        block["metrics"] = {"auc": roc.auc}
+        block["roc_points"] = [list(p) for p in roc.points]
+        errors = np.abs(values - truth)
+    else:
         scores = metrics_mod.prediction_scores(truth, values)
-        metrics = {name: getattr(scores, name) for name in _PREDICTION_METRICS}
-        return metrics, (truth - values) ** 2, None
-    roc = metrics_mod.roc_curve(values, truth.astype(int))
-    return {"auc": roc.auc}, np.abs(values - truth), roc
+        block["metrics"] = asdict(scores)
+        errors = (truth - values) ** 2
+    block["display"] = {
+        k: "undefined" if v is None else _display(v) for k, v in block["metrics"].items()
+    }
+    return block, errors
+
+
+def _comparison(errors: dict[str, np.ndarray]) -> dict:
+    """The report's comparison entry: pairwise Welch p-values over the methods
+    in the order of ``errors``; empty for fewer than two methods."""
+    if len(errors) < 2:
+        return {}
+    matrix = metrics_mod.comparison_matrix(errors)
+    return {
+        "methods": list(matrix.methods),
+        "p_values": [[float(v) for v in row] for row in matrix.p_values],
+        "pairs": [
+            {"pair": f"{a.upper()}-{b.upper()}", "p_value": p, "display": _display(p)}
+            for a, b, p in matrix.pairs()
+        ],
+    }
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -427,37 +448,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         notify("scoring methods")
         errors: dict[str, np.ndarray] = {}
         for method, block in blocks.items():
-            values = imputed[method]
-            block["imputed"] = [
-                {"row": i, "true": float(truth[i]), "imputed": float(values[i])}
-                for i in range(len(truth))
-            ]
-            block["metrics"], errors[method], roc = _score(truth, values, cfg.task_kind)
-            block["display"] = {
-                k: (_display(v) if v is not None else "undefined")
-                for k, v in block["metrics"].items()
-            }
-            if roc is not None:
-                block["roc_points"] = [list(p) for p in roc.points]
+            graded, errors[method] = _grade(truth, imputed[method], cfg.task_kind)
+            block.update(graded)
         document["methods"] = blocks
 
         stage = "compare"
-        comparison: dict = {}
-        if len(cfg.methods) >= 2:
-            matrix = metrics_mod.comparison_matrix(errors)
-            comparison = {
-                "methods": list(matrix.methods),
-                "p_values": [[float(v) for v in row] for row in matrix.p_values],
-                "pairs": [
-                    {
-                        "pair": f"{a.upper()}-{b.upper()}",
-                        "p_value": p,
-                        "display": _display(p),
-                    }
-                    for a, b, p in matrix.pairs()
-                ],
-            }
-        document["comparison"] = comparison
+        document["comparison"] = _comparison(errors)
         timings["score"] = perf_counter() - start
         return ExperimentReport(document=document, net=net, columns=ds.columns, timings=timings)
     except Exception as err:
@@ -470,76 +466,93 @@ def _persist_failure(out_dir: Path, stage: str, err: Exception, document: dict) 
         out_dir.mkdir(parents=True, exist_ok=True)
         marker = f"stage: {stage}\nerror: {err}\n\n{traceback.format_exc()}"
         (out_dir / FAILURE_MARKER).write_text(marker, encoding="utf-8")
-        (out_dir / "partial.json").write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (out_dir / "partial.json").write_text(_json(document), encoding="utf-8")
     except OSError:
         pass  # never mask the original failure
 
 
-# --- emission ---------------------------------------------------------------
+# --- report files -----------------------------------------------------------
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _imputed_rows(report: ExperimentReport, method: str):
+    target = report.columns[report.document["config"]["missing_column"]]
+    for entry in report.document["methods"][method]["imputed"]:
+        true, imputed = entry["true"], entry["imputed"]
+        # Degenerate target columns are excluded from original-unit reporting.
+        originals = "," if target.degenerate else (
+            f"{data_mod.denormalize(true, target)!r},{data_mod.denormalize(imputed, target)!r}"
+        )
+        yield f"{entry['row']},{true!r},{imputed!r},{originals}"
+
+
+class ReportFile(typing.NamedTuple):
+    """A report file: its ``name`` (``{}`` repeats it per method), its CSV
+    ``header``, ``rows(report, method)`` (the lines under the header, or the
+    whole text when there is none), the task ``kinds`` it exists for, and
+    whether its bytes are ``stable`` across reruns of one configuration and seed."""
+
+    name: str
+    header: str | None
+    rows: typing.Callable
+    kinds: tuple[str, ...] = TASK_KINDS
+    stable: bool = True
+
+
+_IMPUTED_FILE = ReportFile(
+    "imputed_{}.csv", "row,true_value,imputed_value,true_original,imputed_original", _imputed_rows
+)
+_ROC_FILE = ReportFile("roc_{}.csv", "fpr,tpr", lambda report, method: (
+    f"{float(fpr)!r},{float(tpr)!r}"
+    for fpr, tpr in report.document["methods"][method]["roc_points"]
+), kinds=("classification",))
+
+# The report's file set, in the order verify's inventory lists it.
+REPORT_FILES = (
+    ReportFile("report.json", None, lambda report, _: _json(report.document)),
+    ReportFile("metrics.csv", "method,metric,value", lambda report, _: (
+        f"{method},{metric},{'undefined' if value is None else repr(float(value))}"
+        for method, block in report.document["methods"].items()
+        for metric, value in block["metrics"].items()
+    )),
+    ReportFile("pvalues.csv", "pair,p_value,display", lambda report, _: (
+        f"{entry['pair']},{float(entry['p_value'])!r},{entry['display']}"
+        for entry in report.document["comparison"].get("pairs", [])
+    )),
+    ReportFile("model.txt", None, lambda report, _: network_mod.model_text(report.net)),
+    ReportFile("normalization.csv", "column,min,max", lambda report, _: (
+        f"{spec.name},{spec.observed_min!r},{spec.observed_max!r}" for spec in report.columns
+    )),
+    _IMPUTED_FILE,
+    _ROC_FILE,
+    ReportFile("timings.json", None, lambda report, _: _json(report.timings), stable=False),
+)
+
+
+def report_files(methods, task_kind: str):
+    """(file, name, method) for every file of a report on ``methods``, in
+    :data:`REPORT_FILES` order; ``method`` is None for a file written once."""
+    for file in REPORT_FILES:
+        if task_kind in file.kinds:
+            for method in methods if "{}" in file.name else [None]:
+                yield file, file.name.format(method), method
+
 
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
-    """Write the report's file set; emission is byte-stable per report.
-
-    Files: report.json, metrics.csv, pvalues.csv, imputed_<method>.csv,
-    roc_<method>.csv (classification only), model.txt, normalization.csv,
-    and timings.json (the one file excluded from determinism guarantees).
-    """
+    """Write the report's files of :data:`REPORT_FILES`; emission is
+    byte-stable per report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def emit(name: str, text: str) -> None:
+    doc = report.document
+    for file, name, method in report_files(list(doc["methods"]), doc["task_kind"]):
+        body = file.rows(report, method)
+        text = body if file.header is None else "\n".join([file.header, *body]) + "\n"
         path = out_dir / name
         path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
-
-    doc = report.document
-    emit("report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-    metric_lines = ["method,metric,value"]
-    for method, block in doc["methods"].items():
-        for metric, value in block["metrics"].items():
-            cell = "undefined" if value is None else repr(float(value))
-            metric_lines.append(f"{method},{metric},{cell}")
-    emit("metrics.csv", "\n".join(metric_lines) + "\n")
-
-    pair_lines = ["pair,p_value,display"]
-    for entry in doc["comparison"].get("pairs", []):
-        pair_lines.append(
-            f"{entry['pair']},{repr(float(entry['p_value']))},{entry['display']}"
-        )
-    emit("pvalues.csv", "\n".join(pair_lines) + "\n")
-
-    target_spec = report.columns[doc["config"]["missing_column"]]
-    for method, block in doc["methods"].items():
-        lines = ["row,true_value,imputed_value,true_original,imputed_original"]
-        for entry in block["imputed"]:
-            # Degenerate target columns are excluded from original-unit reporting.
-            if not target_spec.degenerate:
-                t_orig = repr(data_mod.denormalize(entry["true"], target_spec))
-                i_orig = repr(data_mod.denormalize(entry["imputed"], target_spec))
-            else:
-                t_orig = i_orig = ""
-            lines.append(
-                f"{entry['row']},{repr(entry['true'])},{repr(entry['imputed'])},{t_orig},{i_orig}"
-            )
-        emit(f"imputed_{method}.csv", "\n".join(lines) + "\n")
-        if doc["task_kind"] == "classification":
-            roc_lines = ["fpr,tpr"]
-            roc_lines.extend(
-                f"{repr(float(f))},{repr(float(t))}" for f, t in block["roc_points"]
-            )
-            emit(f"roc_{method}.csv", "\n".join(roc_lines) + "\n")
-
-    model_path = out_dir / "model.txt"
-    network_mod.save_model(report.net, model_path)
-    written.append(model_path)
-
-    emit("normalization.csv", data_mod.normalization_table(report.columns))
-
-    emit("timings.json", json.dumps(report.timings, indent=2, sort_keys=True) + "\n")
     return written
 
 
@@ -580,101 +593,89 @@ def _compare(stored: str, value: float | None, source: str) -> tuple[bool, str]:
 
 
 def _match_rows(checks, source, stored, recomputed) -> None:
-    """Check a stored table's (key, label, text) rows against {key: (label, value)}.
+    """Check a stored table's (check name, text) rows against {check name: value}.
 
-    A row whose key is repeated or not recomputed fails, and so does a
-    recomputed key with no row; every other row is compared by :func:`_compare`.
+    A row whose name is repeated or not recomputed fails, and so does a
+    recomputed name with no row; every other row is compared by :func:`_compare`.
     """
     seen = set()
-    for key, label, text in stored:
-        if key not in recomputed:
-            checks.append((label, False, f"unexpected row in {source}"))
-        elif key in seen:
-            checks.append((label, False, f"row repeated in {source}"))
+    for name, text in stored:
+        if name not in recomputed:
+            checks.append((name, False, f"unexpected row in {source}"))
+        elif name in seen:
+            checks.append((name, False, f"row repeated in {source}"))
         else:
-            seen.add(key)
-            checks.append((label, *_compare(text, recomputed[key][1], source)))
-    for key, (label, _) in recomputed.items():
-        if key not in seen:
-            checks.append((label, False, f"absent from {source}"))
+            seen.add(name)
+            checks.append((name, *_compare(text, recomputed[name], source)))
+    checks.extend((name, False, f"absent from {source}") for name in recomputed if name not in seen)
 
 
 def verify_report(out_dir) -> list[tuple[str, bool, str]]:
-    """Recompute every metric from the persisted imputed values.
+    """Re-grade the persisted imputed values the way ``run`` graded them.
 
     Returns (check name, passed, detail) tuples; metric comparisons use an
-    absolute tolerance of 1e-9.  Missing files fail with an inventory of what
-    was expected versus found, and the first malformed file fails a
-    ``format`` check that ends the verification.  A value cell of
-    ``metrics.csv`` or ``pvalues.csv`` that is not a number fails its own
-    row's check only.
+    absolute tolerance of 1e-9.  The expected files are the stable ones of
+    :data:`REPORT_FILES`; missing files fail with an inventory of what was
+    expected versus found.  An unreadable ``report.json`` or an unknown task
+    kind, and the first malformed file, fail one ``format`` check that names
+    the file and ends the verification.  A value cell of ``metrics.csv`` or
+    ``pvalues.csv`` that is not a number fails its own row's check only.
     """
     out_dir = Path(out_dir)
-    checks: list[tuple[str, bool, str]] = []
     report_path = out_dir / "report.json"
-    if not report_path.exists():
+    if not report_path.is_file():
         return [("inventory", False, f"missing {report_path.name}")]
     try:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         task_kind = report["task_kind"]
-        methods = list(report["methods"])
+        # The run compared the methods in its configured order; the checks
+        # follow report.json's method blocks, which sit in sorted order.
+        order = list(report["config"]["methods"])
+        methods = sorted(order)
     except (ValueError, KeyError, TypeError) as err:
         return [("format", False, f"{report_path.name} unreadable: {err!r}")]
+    if task_kind not in TASK_KINDS:
+        return [("format", False, f"{report_path.name}: unknown task_kind {task_kind!r}")]
 
-    expected = ["report.json", "metrics.csv", "pvalues.csv", "model.txt", "normalization.csv"]
-    expected += [f"imputed_{m}.csv" for m in methods]
-    if task_kind == "classification":
-        expected += [f"roc_{m}.csv" for m in methods]
-    missing = [name for name in expected if not (out_dir / name).exists()]
+    expected = [name for file, name, _ in report_files(methods, task_kind) if file.stable]
+    missing = [name for name in expected if not (out_dir / name).is_file()]
     if missing:
-        present = sorted(p.name for p in out_dir.iterdir())
-        return [
-            (
-                "inventory",
-                False,
-                f"missing: {', '.join(missing)}; present: {', '.join(present)}",
-            )
-        ]
-    checks.append(("inventory", True, f"{len(expected)} files present"))
+        present = ", ".join(sorted(p.name for p in out_dir.iterdir() if p.is_file()))
+        return [("inventory", False, f"missing: {', '.join(missing)}; present: {present}")]
+    checks = [("inventory", True, f"{len(expected)} files present")]
     try:
-        recomputed_metrics: dict[tuple[str, str], tuple[str, float | None]] = {}
-        errors: dict[str, np.ndarray] = {}
+        recomputed, errors = {}, {}
         for method in methods:
-            rows = _read_csv(
-                out_dir / f"imputed_{method}.csv", "true_value", "imputed_value", convert=float
-            )
+            name = _IMPUTED_FILE.name.format(method)
+            rows = _read_csv(out_dir / name, "true_value", "imputed_value", convert=float)
             truth, values = np.array(rows).reshape(-1, 2).T
-            recomputed, errors[method], roc = _score(truth, values, task_kind)
-            if roc is not None:
-                stored = _read_csv(out_dir / f"roc_{method}.csv", "fpr", "tpr", convert=float)
-                ok = len(stored) == len(roc.points) and all(
-                    abs(a - c) <= VERIFY_TOLERANCE and abs(b - d) <= VERIFY_TOLERANCE
-                    for (a, b), (c, d) in zip(stored, roc.points)
+            try:
+                block, errors[method] = _grade(truth, values, task_kind)
+            except ValueError as err:
+                raise ValueError(f"{name} cannot be graded: {err}") from None
+            recomputed.update((f"{method}.{k}", v) for k, v in block["metrics"].items())
+            if "roc_points" in block:
+                points = block["roc_points"]
+                roc_path = out_dir / _ROC_FILE.name.format(method)
+                stored = _read_csv(roc_path, "fpr", "tpr", convert=float)
+                ok = len(stored) == len(points) and bool(
+                    (np.abs(np.subtract(stored, points)) <= VERIFY_TOLERANCE).all()
                 )
                 detail = "points match" if ok else "stored ROC points differ from recomputation"
                 checks.append((f"roc_{method}", ok, detail))
-            for metric, value in recomputed.items():
-                recomputed_metrics[(method, metric)] = (f"{method}.{metric}", value)
 
         rows = _read_csv(out_dir / "metrics.csv", "method", "metric", "value")
-        stored_metrics = [
-            ((method, metric), f"{method}.{metric}", value) for method, metric, value in rows
-        ]
-        _match_rows(checks, "metrics.csv", stored_metrics, recomputed_metrics)
+        stored = [(f"{method}.{metric}", value) for method, metric, value in rows]
+        _match_rows(checks, "metrics.csv", stored, recomputed)
 
-        if len(methods) >= 2:
-            matrix = metrics_mod.comparison_matrix(errors)
-            # Pair names are unordered; the stored report may list methods in a
-            # different order than the alphabetical recomputation here.
-            recomputed_pairs = {
-                frozenset((a.upper(), b.upper())): (f"pvalue.{a.upper()}-{b.upper()}", p)
-                for a, b, p in matrix.pairs()
-            }
-            stored_pairs = [
-                (frozenset(pair.split("-")), f"pvalue.{pair}", p)
-                for pair, p in _read_csv(out_dir / "pvalues.csv", "pair", "p_value")
-            ]
-            _match_rows(checks, "pvalues.csv", stored_pairs, recomputed_pairs)
+        try:
+            comparison = _comparison({method: errors[method] for method in order})
+        except ValueError as err:
+            raise ValueError(f"{_IMPUTED_FILE.name.format('*')} cannot be compared: {err}") from None
+        if comparison:
+            recomputed = {f"pvalue.{e['pair']}": e["p_value"] for e in comparison["pairs"]}
+            rows = _read_csv(out_dir / "pvalues.csv", "pair", "p_value")
+            _match_rows(checks, "pvalues.csv", [(f"pvalue.{pair}", p) for pair, p in rows], recomputed)
     except ValueError as err:
         checks.append(("format", False, str(err)))
     return checks

@@ -448,16 +448,21 @@ def select_hidden_size(
     return best
 
 
-def save_model(net: Autoencoder, path) -> None:
-    """Write the network as text: 'n_inputs n_hidden' then one value per line.
+def model_text(net: Autoencoder) -> str:
+    """The network as text: 'n_inputs n_hidden' then one value per line.
 
     Values appear in the flat parameter order at full precision, so
     :func:`load_model` reproduces forward outputs bit-exactly.
     """
     lines = [f"{net.n_inputs} {net.n_hidden}"]
     lines.extend(repr(float(v)) for v in net.to_vector())
+    return "\n".join(lines) + "\n"
+
+
+def save_model(net: Autoencoder, path) -> None:
+    """Write :func:`model_text` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(model_text(net))
 
 
 def load_model(path) -> Autoencoder:

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from aeimpute import forest, metrics, network, optimizers as opt
-from aeimpute.experiment import emit_report, parse_config, run_experiment, verify_report
+from aeimpute.experiment import (
+    REPORT_FILES,
+    emit_report,
+    parse_config,
+    run_experiment,
+    verify_report,
+)
 from aeimpute.network import TrainConfig
 
 from conftest import (
@@ -34,15 +40,6 @@ from test_metrics import p_two_tailed_quadrature
 
 def report_line(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-DETERMINISTIC_FILES = (
-    "report.json",
-    "metrics.csv",
-    "pvalues.csv",
-    "model.txt",
-    "normalization.csv",
-)
 
 
 @pytest.fixture(scope="module")
@@ -337,9 +334,9 @@ class TestCriterion9Determinism:
         base = benchmark_runs["heart"]
         out = tmp / "rerun"
         emit_report(run_experiment(parse_config(base["cfg_file"], output_override=out)), out)
-        files = list(DETERMINISTIC_FILES)
-        files += [p.name for p in base["out"].glob("imputed_*.csv")]
-        files += [p.name for p in base["out"].glob("roc_*.csv")]
+        # Every file but the one(s) the report's file table marks as unstable.
+        unstable = {file.name for file in REPORT_FILES if not file.stable}
+        files = sorted(p.name for p in base["out"].iterdir() if p.name not in unstable)
         mismatches = [
             name for name in files if (out / name).read_bytes() != (base["out"] / name).read_bytes()
         ]

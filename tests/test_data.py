@@ -270,15 +270,3 @@ class TestImputationTask:
         for array in (t.record, t.known_mask, t.true_values):
             with pytest.raises(ValueError):
                 array[0] = 1
-
-
-class TestNormalizationExport:
-    def test_table_format(self):
-        cols = (
-            data.ColumnSpec("a", observed_min=1.0, observed_max=2.0),
-            data.ColumnSpec("b", observed_min=-1.0, observed_max=4.5),
-        )
-        lines = data.normalization_table(cols).splitlines()
-        assert lines[0] == "column,min,max"
-        assert lines[1] == "a,1.0,2.0"
-        assert lines[2] == "b,-1.0,4.5"

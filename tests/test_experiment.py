@@ -19,6 +19,7 @@ from aeimpute.experiment import (
     ExperimentConfig,
     ExperimentError,
     FAILURE_MARKER,
+    REPORT_FILES,
     emit_report,
     parse_config,
     run_experiment,
@@ -27,6 +28,19 @@ from aeimpute.experiment import (
 from aeimpute.seeding import derive_seed
 
 from conftest import config_text, make_heart_like
+
+
+# The files whose bytes may differ between reruns, as the report's file table marks them.
+UNSTABLE = {file.name for file in REPORT_FILES if not file.stable}
+
+
+def clone_report(out, dest, skip=()):
+    """Copy the report in ``out`` to a new directory ``dest``, leaving out ``skip``."""
+    dest.mkdir()
+    for p in out.iterdir():
+        if p.name not in skip:
+            (dest / p.name).write_bytes(p.read_bytes())
+    return dest
 
 
 FAST = {
@@ -290,8 +304,12 @@ class TestRunExperiment:
         _, _, out = emitted
         lines = (out / "pvalues.csv").read_text().splitlines()
         deleted_pair = lines[3].split(",")[0]
+        # The run compares in its configured order (ga,sa,pso,ns,rf), so this
+        # row's pair is not in alphabetical order; its check keeps the name.
+        (late,) = [i for i, line in enumerate(lines) if line.startswith("PSO-NS,")]
         for name, kept, pair, detail in (
             ("deleted", lines[:3] + lines[4:], deleted_pair, "absent"),
+            ("deleted-late", lines[:late] + lines[late + 1:], "PSO-NS", "absent"),
             ("repeated", lines + lines[1:2], lines[1].split(",")[0], "repeated"),
         ):
             clone = tmp_path / name
@@ -342,8 +360,10 @@ class TestRunExperiment:
                     for line in text.splitlines()
                 ),
             ),
+            ("imputed_sa.csv", lambda text: text.splitlines()[0] + "\n"),
         ],
-        ids=["empty-metrics", "truncated-report", "imputed-without-value-column"],
+        ids=["empty-metrics", "truncated-report", "imputed-without-value-column",
+             "imputed-header-only"],
     )
     def test_verify_fails_malformed_file(self, emitted, tmp_path, capsys, name, corrupt):
         _, _, out = emitted
@@ -358,25 +378,36 @@ class TestRunExperiment:
 
     def test_verify_reports_missing_file_inventory(self, emitted, tmp_path):
         _, _, out = emitted
-        clone = tmp_path / "gutted"
-        clone.mkdir()
-        for p in out.iterdir():
-            if p.name != "imputed_ga.csv":
-                (clone / p.name).write_bytes(p.read_bytes())
-        checks = verify_report(clone)
-        assert len(checks) == 1
-        name, ok, detail = checks[0]
-        assert name == "inventory" and not ok
-        assert "imputed_ga.csv" in detail
+        for case in ("deleted", "directory"):
+            clone = clone_report(out, tmp_path / case, skip={"imputed_ga.csv"})
+            if case == "directory":
+                (clone / "imputed_ga.csv").mkdir()
+            checks = verify_report(clone)
+            assert len(checks) == 1
+            name, ok, detail = checks[0]
+            assert name == "inventory" and not ok
+            assert "imputed_ga.csv" in detail, case
+
+    @pytest.mark.parametrize("drop_roc", [False, True], ids=["roc-kept", "roc-deleted"])
+    def test_verify_rejects_unknown_task_kind(self, emitted, tmp_path, capsys, drop_roc):
+        _, _, out = emitted
+        clone = clone_report(out, tmp_path / "ranking")
+        document = json.loads((clone / "report.json").read_text())
+        document["task_kind"] = "ranking"
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        for p in clone.glob("roc_*.csv") if drop_roc else ():
+            p.unlink()
+        assert verify_report(clone) == [("format", False, "report.json: unknown task_kind 'ranking'")]
+        assert cli.main(["verify", str(clone)]) == 2
+        assert capsys.readouterr().out == "FAIL format: report.json: unknown task_kind 'ranking'\n"
 
     def test_reemission_byte_identical(self, emitted, tmp_path):
         _, report, out = emitted
         again = tmp_path / "again"
         emit_report(report, again)
         for p in sorted(out.iterdir()):
-            if p.name == "timings.json":
-                continue
-            assert (again / p.name).read_bytes() == p.read_bytes(), p.name
+            if p.name not in UNSTABLE:
+                assert (again / p.name).read_bytes() == p.read_bytes(), p.name
 
     def test_timings_split_by_stage_and_method(self, emitted):
         cfg, _, out = emitted
@@ -482,7 +513,7 @@ class TestRunExperiment:
                                         methods=methods)
                 emit_report(run_experiment(parse_config(cfg_file)), out)
                 files[count] = {
-                    p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"
+                    p.name: p.read_bytes() for p in out.iterdir() if p.name not in UNSTABLE
                 }
             assert files[workers] == files[1]
             assert {f"imputed_{m}.csv" for m in methods.split(",")} <= set(files[1])
@@ -582,6 +613,51 @@ class TestPredictionRun:
         assert cli.main(["verify", str(clone)]) == 2
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1 and name in fails[0]
+
+    @pytest.mark.parametrize(
+        "keep, detail",
+        [
+            (1, "imputed_ga.csv cannot be graded: inputs must be non-empty"),
+            (2, "imputed_*.csv cannot be compared: each sample needs at least 2 observations"),
+        ],
+        ids=["header-only", "one-row"],
+    )
+    def test_verify_names_the_imputed_file_it_cannot_grade(
+        self, prediction_emitted, tmp_path, keep, detail
+    ):
+        clone = clone_report(prediction_emitted, tmp_path / "short")
+        lines = (clone / "imputed_ga.csv").read_text().splitlines()
+        (clone / "imputed_ga.csv").write_text("\n".join(lines[:keep]) + "\n")
+        checks = verify_report(clone)
+        assert checks[-1] == ("format", False, detail)
+        assert [name for name, _, _ in checks].count("format") == 1
+
+
+class TestReportFiles:
+    @pytest.mark.parametrize("fixture", ["emitted", "prediction_emitted"])
+    def test_inventory_is_every_emitted_file_but_the_unstable(self, request, tmp_path, fixture):
+        out = request.getfixturevalue(fixture)
+        out = out[2] if isinstance(out, tuple) else out
+        emitted = sorted(p.name for p in out.iterdir())
+        assert UNSTABLE and UNSTABLE <= set(emitted)
+        present = f"{len(set(emitted) - UNSTABLE)} files present"
+        assert verify_report(out)[0] == ("inventory", True, present)
+        for name in emitted:
+            check, ok, detail = verify_report(clone_report(out, tmp_path / name, skip={name}))[0]
+            assert check == "inventory" and ok == (name in UNSTABLE), name
+            assert ok or name in detail
+
+
+class TestNormalizationExport:
+    def test_table_format(self, emitted):
+        _, report, out = emitted
+        lines = (out / "normalization.csv").read_text().splitlines()
+        assert lines[0] == "column,min,max"
+        rows = [line.split(",") for line in lines[1:]]
+        # Full precision: every bound reads back exactly.
+        assert [(name, float(lo), float(hi)) for name, lo, hi in rows] == [
+            (spec.name, spec.observed_min, spec.observed_max) for spec in report.columns
+        ]
 
 
 class TestNormalizationScope:
