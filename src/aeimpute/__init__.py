@@ -36,7 +36,6 @@ from .network import (
     Autoencoder,
     TrainConfig,
     TrainingError,
-    gradient,
     load_model,
     reconstruction_loss,
     save_model,
@@ -83,7 +82,6 @@ __all__ = [
     "Autoencoder",
     "TrainConfig",
     "TrainingError",
-    "gradient",
     "load_model",
     "reconstruction_loss",
     "save_model",

@@ -10,6 +10,7 @@ search), whose unknown slots are the optimizers' decision variables.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -110,14 +111,6 @@ class Dataset:
     def train_rows(self) -> np.ndarray:
         return self.rows_for("train")
 
-    @property
-    def validation_rows(self) -> np.ndarray:
-        return self.rows_for("validation")
-
-    @property
-    def test_rows(self) -> np.ndarray:
-        return self.rows_for("test")
-
 
 @dataclass(frozen=True)
 class ImputationTask:
@@ -190,6 +183,23 @@ def _normalize_schema(
     return out
 
 
+def _raise_first_bad_cell(path: Path, raw_rows, pairs) -> None:
+    """Raise the error of the first row of the wrong arity or non-finite token, in reading order."""
+    for r, fields in enumerate(raw_rows, start=1):
+        if len(fields) != len(pairs):
+            raise CsvFormatError(f"{path}: row {r} has {len(fields)} fields, expected {len(pairs)}")
+        for c, token in enumerate(fields):
+            try:
+                finite = math.isfinite(float(token))  # also rejects nan/inf tokens
+            except ValueError:
+                finite = False
+            if not finite:
+                raise CsvFormatError(
+                    f"{path}: row {r}, column {c + 1} ({pairs[c][0]!r}): "
+                    f"not a finite number: {token.strip()!r}"
+                )
+
+
 def load_csv(path, schema=None, header: bool = False) -> Dataset:
     """Read a comma-separated numeric file into an un-normalized Dataset.
 
@@ -223,23 +233,15 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
             )
         pairs = [(header_names[i], pairs[i][1]) for i in range(n_columns)]
 
-    matrix = np.empty((len(raw_rows), n_columns), dtype=float)
-    for r, fields in enumerate(raw_rows, start=1):
-        if len(fields) != n_columns:
-            raise CsvFormatError(
-                f"{path}: row {r} has {len(fields)} fields, expected {n_columns}"
-            )
-        for c, token in enumerate(fields):
-            try:
-                value = float(token.strip())
-            except ValueError:
-                value = np.nan
-            if not np.isfinite(value):  # also rejects nan/inf tokens
-                raise CsvFormatError(
-                    f"{path}: row {r}, column {c + 1} ({pairs[c][0]!r}): "
-                    f"not a finite number: {token.strip()!r}"
-                )
-            matrix[r - 1, c] = value
+    matrix = np.empty((len(raw_rows), n_columns))
+    parsed = all(len(fields) == n_columns for fields in raw_rows)
+    try:
+        for row, fields in zip(matrix, raw_rows if parsed else []):
+            row[:] = list(map(float, fields))
+    except ValueError:  # a non-numeric token
+        parsed = False
+    if not parsed or not np.isfinite(matrix).all():
+        _raise_first_bad_cell(path, raw_rows, pairs)
 
     columns = []
     for c, (name, kind) in enumerate(pairs):

@@ -610,16 +610,51 @@ def _match_rows(checks, source, stored, recomputed) -> None:
     checks.extend((name, False, f"absent from {source}") for name in recomputed if name not in seen)
 
 
-def verify_report(out_dir) -> list[tuple[str, bool, str]]:
-    """Re-grade the persisted imputed values the way ``run`` graded them.
+def _first_difference(stored, expected, path: str) -> str | None:
+    """Where a stored JSON-like value first differs from the expected one, or None.
 
-    Returns (check name, passed, detail) tuples; metric comparisons use an
+    Mappings must have the same keys and lists the same length; a float
+    agrees with a number within :data:`VERIFY_TOLERANCE`, and any other
+    value only with an equal one.
+    """
+    if stored == expected:  # an intact entry, compared in one call
+        return None
+    if isinstance(expected, dict):
+        if not isinstance(stored, dict) or stored.keys() != expected.keys():
+            return f"{path} does not hold the keys {sorted(expected)}"
+        inner = ((stored[k], v, f"{path}.{k}") for k, v in expected.items())
+    elif isinstance(expected, list):
+        if not isinstance(stored, list) or len(stored) != len(expected):
+            return f"{path} does not hold {len(expected)} entries"
+        inner = ((s, v, f"{path}[{i}]") for i, (s, v) in enumerate(zip(stored, expected)))
+    else:
+        number = isinstance(expected, float) and isinstance(stored, (int, float))
+        if number and abs(stored - expected) <= VERIFY_TOLERANCE:
+            return None
+        return f"{path} holds {stored!r}, expected {expected!r}"
+    return next(filter(None, (_first_difference(*args) for args in inner)), None)
+
+
+def _agreement(name: str, stored, expected, path: str, source="the regraded imputed files"):
+    """The (name, passed, detail) check that ``stored`` equals what ``source`` gives."""
+    difference = _first_difference(stored, expected, path)
+    detail = f"{difference} from {source}" if difference else f"matches {source}"
+    return name, difference is None, detail
+
+
+def verify_report(out_dir) -> list[tuple[str, bool, str]]:
+    """Re-grade the persisted imputed values the way ``run`` graded them,
+    and read every other file of the report against that grading.
+
+    Returns (check name, passed, detail) tuples; numbers compare within an
     absolute tolerance of 1e-9.  The expected files are the stable ones of
     :data:`REPORT_FILES`; missing files fail with an inventory of what was
-    expected versus found.  An unreadable ``report.json`` or an unknown task
-    kind, and the first malformed file, fail one ``format`` check that names
-    the file and ends the verification.  A value cell of ``metrics.csv`` or
-    ``pvalues.csv`` that is not a number fails its own row's check only.
+    expected versus found.  ``normalization.csv`` and ``model.txt`` are read
+    against report.json's normalization block and hidden size.  An
+    unreadable ``report.json`` or an unknown task kind, and the first
+    malformed file, fail one ``format`` check that names the file and ends
+    the verification.  A value cell of ``metrics.csv`` or ``pvalues.csv``
+    that is not a number fails its own row's check only.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
@@ -632,6 +667,10 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         # follow report.json's method blocks, which sit in sorted order.
         order = list(report["config"]["methods"])
         methods = sorted(order)
+        stored_blocks = {method: dict(report["methods"][method]) for method in methods}
+        normalization = [[e["column"], e["min"], e["max"]] for e in report["normalization"]]
+        model_shape = {"n": len(normalization), "h": report["hidden_size"]["selected"]}
+        stored_comparison = report["comparison"]
     except (ValueError, KeyError, TypeError) as err:
         return [("format", False, f"{report_path.name} unreadable: {err!r}")]
     if task_kind not in TASK_KINDS:
@@ -653,16 +692,13 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
                 block, errors[method] = _grade(truth, values, task_kind)
             except ValueError as err:
                 raise ValueError(f"{name} cannot be graded: {err}") from None
+            stored = {key: stored_blocks[method].get(key) for key in block}
+            checks.append(_agreement(f"report.{method}", stored, block, f"methods.{method}"))
             recomputed.update((f"{method}.{k}", v) for k, v in block["metrics"].items())
             if "roc_points" in block:
-                points = block["roc_points"]
-                roc_path = out_dir / _ROC_FILE.name.format(method)
-                stored = _read_csv(roc_path, "fpr", "tpr", convert=float)
-                ok = len(stored) == len(points) and bool(
-                    (np.abs(np.subtract(stored, points)) <= VERIFY_TOLERANCE).all()
-                )
-                detail = "points match" if ok else "stored ROC points differ from recomputation"
-                checks.append((f"roc_{method}", ok, detail))
+                name = _ROC_FILE.name.format(method)
+                stored = _read_csv(out_dir / name, "fpr", "tpr", convert=float)
+                checks.append(_agreement(f"roc_{method}", stored, block["roc_points"], name))
 
         rows = _read_csv(out_dir / "metrics.csv", "method", "metric", "value")
         stored = [(f"{method}.{metric}", value) for method, metric, value in rows]
@@ -672,10 +708,22 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
             comparison = _comparison({method: errors[method] for method in order})
         except ValueError as err:
             raise ValueError(f"{_IMPUTED_FILE.name.format('*')} cannot be compared: {err}") from None
-        if comparison:
-            recomputed = {f"pvalue.{e['pair']}": e["p_value"] for e in comparison["pairs"]}
-            rows = _read_csv(out_dir / "pvalues.csv", "pair", "p_value")
-            _match_rows(checks, "pvalues.csv", [(f"pvalue.{pair}", p) for pair, p in rows], recomputed)
+        checks.append(_agreement("report.comparison", stored_comparison, comparison, "comparison"))
+        recomputed = {f"pvalue.{e['pair']}": e["p_value"] for e in comparison.get("pairs", [])}
+        rows = _read_csv(out_dir / "pvalues.csv", "pair", "p_value")
+        _match_rows(checks, "pvalues.csv", [(f"pvalue.{pair}", p) for pair, p in rows], recomputed)
+
+        path = out_dir / "normalization.csv"
+        bounds = _read_csv(path, "min", "max", convert=float)
+        stored = [name + pair for name, pair in zip(_read_csv(path, "column"), bounds)]
+        checks.append(_agreement("normalization", stored, normalization, path.name, "report.json"))
+
+        try:
+            net = network_mod.load_model(out_dir / "model.txt")
+        except ValueError as err:
+            raise ValueError(f"model.txt unreadable: {err}") from None
+        stored = {"n": net.n_inputs, "h": net.n_hidden}
+        checks.append(_agreement("model", stored, model_shape, "model.txt", "report.json"))
     except ValueError as err:
         checks.append(("format", False, str(err)))
     return checks

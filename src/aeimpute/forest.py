@@ -221,7 +221,7 @@ def _grow_tree(
 
 
 def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
-        binary_target: bool = False, bootstrap: bool = True) -> Forest:
+        binary_target: bool = False) -> Forest:
     """Grow a forest predicting ``target_column`` from every other column.
 
     ``binary_target=True`` validates at fit time that the target holds only
@@ -229,8 +229,9 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
     are derived from (seed, tree index), so trees are independent of growth
     order and the fit is reproducible.  The trees are grown on every
     available core through :func:`aeimpute.parallel.fork_map`, bit for bit
-    as a one-process fit grows them.  ``bootstrap=False`` is a test hook: it
-    grows each tree on the full sample instead of a resample.
+    as a one-process fit grows them.  Tree t draws its bootstrap sample
+    first, then its per-node feature subsets, from the generator of
+    ``derive_seed(cfg.seed, "tree", t)``.
     """
     cfg = cfg or ForestConfig()
     rows = np.asarray(train_rows, dtype=float)
@@ -257,7 +258,7 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
 
     def grow(t: int) -> CartTree:
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
-        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        sample = rng.integers(0, n, size=n)
         return _grow_tree(x[sample], y[sample], rng, mtry, cfg.min_leaf)
 
     return Forest(

@@ -61,8 +61,8 @@ class Autoencoder:
 
     first_layer_weights: np.ndarray  # (n_hidden, n_inputs)
     first_layer_biases: np.ndarray  # (n_hidden,)
-    second_layer_weights: np.ndarray  # (n_outputs, n_hidden)
-    second_layer_biases: np.ndarray  # (n_outputs,)
+    second_layer_weights: np.ndarray  # (n_inputs, n_hidden)
+    second_layer_biases: np.ndarray  # (n_inputs,)
 
     hidden_activation = "tanh"
     output_activation = "logistic"
@@ -94,10 +94,6 @@ class Autoencoder:
     @property
     def n_inputs(self) -> int:
         return self.first_layer_weights.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.second_layer_weights.shape[0]
 
     @property
     def n_hidden(self) -> int:
@@ -225,15 +221,6 @@ def reconstruction_loss(net, rows) -> float:
     """Mean over rows of the summed squared reconstruction error."""
     rows = _check_rows(rows)
     return _loss(rows - net.forward_batch(rows))
-
-
-def gradient(net: Autoencoder, rows) -> np.ndarray:
-    """Back-propagation gradient of :func:`reconstruction_loss`, flattened."""
-    rows = _check_rows(rows)
-    if rows.shape[1] != net.n_inputs:
-        raise ValueError(f"expected rows of width {net.n_inputs}, got {rows.shape[1]}")
-    _, grad = _batch_loss_grad(net.to_vector(), rows, net.n_inputs, net.n_hidden)
-    return grad
 
 
 def _initial_parameters(rng: np.random.Generator, n: int, h: int) -> np.ndarray:
@@ -387,8 +374,8 @@ def select_hidden_size(
     Returns (size, its trained network, its final training loss).
     ``train_fn`` stands in for :func:`train` in tests and traced runs.
 
-    The candidates are trained and scored in waves of one per process of
-    :func:`aeimpute.parallel.fork_map`, whose caveats apply to ``train_fn``.
+    The candidates are trained and scored in waves of one per process by
+    :func:`aeimpute.parallel.fork_waves`, whose caveats apply to ``train_fn``.
     The stopping rule is applied in size order, and the candidates of a wave
     past the stopping point are dropped with their warnings, so the result,
     the warnings and their order do not depend on the number of processes.
@@ -415,17 +402,10 @@ def select_hidden_size(
         imputed, _ = MissingDataObjective(net, val_task).grid_minimize()
         return net, train_loss, float(np.mean(np.abs(imputed - truth)))
 
-    def in_waves():
-        """(h, candidate(h)) in size order, a wave of one size per process at a time."""
-        wave = parallel._worker_count(len(sizes))
-        for start in range(0, len(sizes), wave):
-            sizes_now = sizes[start : start + wave]
-            yield from zip(sizes_now, parallel.fork_map(candidate, sizes_now))
-
     best = None
     best_error = np.inf
     stale = 0  # candidates since the best, once one has scored
-    for h, scored in in_waves():
+    for h, scored in zip(sizes, parallel.fork_waves(candidate, sizes)):
         if isinstance(scored, str):
             warnings.warn(f"hidden size {h} skipped: {scored}", stacklevel=2)
             stale += best is not None

@@ -308,7 +308,7 @@ def _start_temperature(uphill: np.ndarray) -> float:
     return float(np.mean(uphill) / -math.log(0.8))
 
 
-def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=None):
+def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
     """Gaussian-neighborhood annealing with geometric cooling.
 
     Without a fixed ``initial_temperature`` each task calibrates its own from
@@ -318,9 +318,9 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
     Move i from x to y is accepted iff threshold_i <= f(x) - f(y): always
     when it does not worsen the objective, and an uphill move of delta with
     probability P(-log(1 - u) >= delta / T) = exp(-delta / T).  There is no
-    division by T, so once cooling reaches T = 0 the walk is greedy.
-    ``accepted_history`` (test hook) holds one list per task, which receives
-    the objective value of every move that task accepts.
+    division by T, so once cooling reaches T = 0 the walk is greedy.  Each
+    move's candidate is clip(x + sigma * z) from the state x it leaves, so
+    the candidates a run scores show which moves it accepted.
     """
     cfg = cfg or SaConfig()
     rngs = _generators(obj, seeds)
@@ -360,9 +360,6 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
             accept = thresholds[:, i] <= fx - fy
             np.copyto(x, y, where=accept[:, None])
             np.copyto(fx, fy, where=accept)
-            if accepted_history is not None:
-                for t in np.flatnonzero(accept):
-                    accepted_history[t].append(float(fx[t]))
             better = fx < best_values
             np.copyto(best_values, fx, where=better)
             np.copyto(best_points, x, where=better[:, None])
@@ -377,7 +374,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds, accepted_history=Non
 # Particle swarm (global-best topology, velocity clamping)
 # ---------------------------------------------------------------------------
 
-def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
+def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds):
     """Swarm search: v += U(0,phi1)*(pbest - x) + U(0,phi2)*(gbest - x).
 
     Velocities are clamped componentwise to [-v_max, v_max] and positions to
@@ -390,21 +387,14 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds, initial=None):
     first of its best personal bests.  Each task draws its initial positions
     and velocities in two calls, then one (swarm, 2, m) block of pull
     factors per sweep, in the order of per-particle U(0,phi1) then U(0,phi2)
-    draws.  ``initial`` (test hook) is a (positions, velocities) pair, each
-    of shape (swarm, m), that replaces every task's random initial state;
-    the generators then make no initial draws.
+    draws.
     """
     cfg = cfg or PsoConfig()
     rngs = _generators(obj, seeds)
     n_tasks, m, swarm = len(rngs), obj.dimension, cfg.swarm
 
-    if initial is not None:
-        if any(np.shape(a) != (swarm, m) for a in initial):
-            raise ValueError("initial positions/velocities must have shape (swarm, m)")
-        positions, velocities = (np.tile(np.asarray(a, dtype=float), (n_tasks, 1, 1)) for a in initial)
-    else:
-        positions = np.stack([rng.uniform(0.0, 1.0, size=(swarm, m)) for rng in rngs])
-        velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
+    positions = np.stack([rng.uniform(0.0, 1.0, size=(swarm, m)) for rng in rngs])
+    velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
 
     values = _evaluate(obj, positions)
     evaluations = swarm

@@ -4,8 +4,8 @@
 with the items spread over one process per available core, at most one per
 item.  With W processes, the calling process maps ``items[0::W]`` and forked
 worker w maps ``items[w::W]``; with one process nothing is forked.  The
-hidden-size search, the forest and the experiment's optimizer methods all map
-through it.
+forest and the experiment's optimizer methods map through it; the
+hidden-size search, which may stop early, maps through :func:`fork_waves`.
 
 Caveats of forking, which every caller inherits:
 
@@ -93,3 +93,13 @@ def fork_map(fn, items) -> list:
             proc.join()
         for receive in receivers:
             receive.close()
+
+
+def fork_waves(fn, items):
+    """Yield ``fn(item)`` for each item in order, computed by one :func:`fork_map`
+    per wave of one item per process; a consumer that stops iterating starts
+    no further wave."""
+    items = list(items)
+    wave = max(_worker_count(len(items)), 1)
+    for start in range(0, len(items), wave):
+        yield from fork_map(fn, items[start : start + wave])

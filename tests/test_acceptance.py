@@ -34,7 +34,7 @@ from conftest import (
     manifold_rows,
     random_autoencoder,
 )
-from test_forest import step_rows
+from test_forest import full_sample_tree, step_rows
 from test_metrics import p_two_tailed_quadrature
 
 
@@ -83,7 +83,7 @@ class TestCriterion1Gradient:
             h = int(rng.integers(2, n))
             net = random_autoencoder(rng, n, h)
             rows = rng.uniform(0, 1, size=(int(rng.integers(1, 9)), n))
-            analytic = network.gradient(net, rows)
+            analytic = network._batch_loss_grad(net.to_vector(), rows, n, h)[1]
             eps = 1e-6
             base = net.to_vector()
             fd = np.empty_like(base)
@@ -234,9 +234,7 @@ class TestCriterion6Forest:
         start = perf_counter()
         rng = np.random.default_rng(606)
         rows = np.column_stack([rng.permutation(40) / 40.0, rng.uniform(0, 1, 40)])
-        memorizer = forest.fit(
-            rows, 1, forest.ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0), bootstrap=False
-        )
+        memorizer = full_sample_tree(rows, 1, forest.ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0))
         memo_err = float(np.abs(memorizer.predict(rows[:, :1]) - rows[:, 1]).max())
 
         train = step_rows(rng, 200)

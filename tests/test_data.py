@@ -204,16 +204,16 @@ class TestMakeTasks:
         assert task.known_mask.sum() == 4
         assert not task.known_mask[4]
         assert (task.record[:, 4] == data.MISSING_SENTINEL).all()
-        np.testing.assert_array_equal(task.true_values, ds.test_rows)
-        np.testing.assert_array_equal(task.record[:, :4], ds.test_rows[:, :4])
+        np.testing.assert_array_equal(task.true_values, ds.rows_for("test"))
+        np.testing.assert_array_equal(task.record[:, :4], ds.rows_for("test")[:, :4])
 
     def test_validation_block(self):
         ds = data.split(_normalized(40, n_cols=5))
         task = data.make_tasks(ds, {2}, "validation")
-        np.testing.assert_array_equal(task.true_values, ds.validation_rows)
+        np.testing.assert_array_equal(task.true_values, ds.rows_for("validation"))
         assert (task.record[:, 2] == data.MISSING_SENTINEL).all()
         known = [0, 1, 3, 4]
-        np.testing.assert_array_equal(task.record[:, known], ds.validation_rows[:, known])
+        np.testing.assert_array_equal(task.record[:, known], ds.rows_for("validation")[:, known])
         with pytest.raises(ValueError, match="split label"):
             data.make_tasks(ds, {2}, "holdout")
 

@@ -27,7 +27,7 @@ from aeimpute.experiment import (
 )
 from aeimpute.seeding import derive_seed
 
-from conftest import config_text, make_heart_like
+from conftest import config_text, make_heart_like, random_autoencoder
 
 
 # The files whose bytes may differ between reruns, as the report's file table marks them.
@@ -646,6 +646,119 @@ class TestReportFiles:
             check, ok, detail = verify_report(clone_report(out, tmp_path / name, skip={name}))[0]
             assert check == "inventory" and ok == (name in UNSTABLE), name
             assert ok or name in detail
+
+
+@pytest.fixture(scope="module")
+def forest_only(heart_setup):
+    """A reduced heart-like run of the forest alone: no pair to compare."""
+    tmp, csv, meta = heart_setup
+    cfg = parse_config(write_config(tmp, csv, meta, name="rf.cfg", out="rf_out", methods="rf"))
+    emit_report(run_experiment(cfg), cfg.output_dir)
+    return cfg.output_dir
+
+
+@pytest.fixture(scope="module")
+def heart_paper(tmp_path_factory):
+    """The benchmark's heart-paper workload at seed 0: all five methods at
+    default budgets, hidden size searched."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    table = inputs.heart(0)
+    tmp = tmp_path_factory.mktemp("heart_paper")
+    table.write_csv(tmp / "data.csv")
+    meta = {"kinds": table.kinds, "missing_column": table.missing_column, "task": table.task}
+    (tmp / "heart.cfg").write_text(config_text(tmp / "data.csv", meta, tmp / "out", seed=0))
+    cfg = parse_config(tmp / "heart.cfg")
+    emit_report(run_experiment(cfg), cfg.output_dir)
+    return cfg.output_dir
+
+
+def failures(out):
+    return [(name, detail) for name, ok, detail in verify_report(out) if not ok]
+
+
+class TestVerifyReadsEveryFile:
+    @pytest.mark.parametrize("fixture", ["emitted", "prediction_emitted", "forest_only", "heart_paper"])
+    def test_intact_reports_pass_every_check(self, request, fixture):
+        out = request.getfixturevalue(fixture)
+        out = out[2] if isinstance(out, tuple) else out
+        names = [name for name, ok, _ in verify_report(out) if ok]
+        assert failures(out) == []
+        assert {"normalization", "model", "report.comparison"} <= set(names)
+
+    @pytest.mark.parametrize(
+        "edit, check, detail",
+        [
+            (lambda doc: doc["methods"]["ga"]["metrics"].update(auc=0.123),
+             "report.ga", "methods.ga.metrics.auc holds 0.123, expected "),
+            (lambda doc: doc["methods"]["ga"]["imputed"][0].update(imputed=0.999),
+             "report.ga", "methods.ga.imputed[0].imputed holds 0.999, expected "),
+            (lambda doc: doc["comparison"]["pairs"][0].update(p_value=0.5),
+             "report.comparison", "comparison.pairs[0].p_value holds 0.5, expected "),
+        ],
+        ids=["ga-auc", "ga-first-imputed", "first-p-value"],
+    )
+    def test_report_json_entries_must_equal_the_regrading(
+        self, heart_paper, tmp_path, edit, check, detail
+    ):
+        clone = clone_report(heart_paper, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        edit(document)
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        ((name, text),) = failures(clone)
+        assert name == check and text.startswith(detail)
+
+    @pytest.mark.parametrize(
+        "text, check",
+        [("", "format"), ("pair,p_value,display\nXX-YY,0.5,0.50\n", "pvalue.XX-YY")],
+        ids=["empty", "extra-row"],
+    )
+    def test_forest_only_pvalues_hold_no_row(self, forest_only, tmp_path, text, check):
+        assert (forest_only / "pvalues.csv").read_text() == "pair,p_value,display\n"
+        clone = clone_report(forest_only, tmp_path / "edited")
+        (clone / "pvalues.csv").write_text(text)
+        ((name, detail),) = failures(clone)
+        assert name == check and "pvalues.csv" in detail
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda lines: [lines[0], lines[1].split(",")[0] + ",0.0,1.0", *lines[2:]],
+             "normalization.csv[0][1] holds 0.0, expected "),
+            (lambda lines: lines[:-1], "normalization.csv does not hold 14 entries"),
+            (lambda lines: [lines[0], "renamed" + lines[1][lines[1].index(","):], *lines[2:]],
+             "normalization.csv[0][0] holds 'renamed', expected "),
+        ],
+        ids=["first-bounds", "last-row-dropped", "first-renamed"],
+    )
+    def test_normalization_must_equal_the_report_block(self, emitted, tmp_path, edit, detail):
+        clone = clone_report(emitted[2], tmp_path / "edited")
+        lines = (clone / "normalization.csv").read_text().splitlines()
+        (clone / "normalization.csv").write_text("\n".join(edit(lines)) + "\n")
+        ((name, text),) = failures(clone)
+        assert name == "normalization" and text.startswith(detail) and text.endswith("from report.json")
+
+    @pytest.mark.parametrize(
+        "n, h, check, detail",
+        [
+            (14, 3, "model", "model.txt.h holds 3, expected 4 from report.json"),
+            (13, 4, "model", "model.txt.n holds 13, expected 14 from report.json"),
+            (None, None, "format", "model.txt unreadable: "),
+        ],
+        ids=["other-hidden-size", "other-input-count", "truncated"],
+    )
+    def test_model_must_fit_the_report(self, emitted, tmp_path, n, h, check, detail):
+        clone = clone_report(emitted[2], tmp_path / "edited")
+        if n is None:
+            text = (clone / "model.txt").read_text()
+            (clone / "model.txt").write_text(text[: len(text) // 2])
+        else:
+            network.save_model(random_autoencoder(np.random.default_rng(0), n, h), clone / "model.txt")
+        ((name, text),) = failures(clone)
+        assert name == check and text.startswith(detail)
 
 
 class TestNormalizationExport:

@@ -1,5 +1,6 @@
 """CART/forest growth, prediction, classification, and reference checks."""
 
+import math
 import multiprocessing
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from aeimpute import forest, parallel
 from aeimpute.forest import CartTree, Forest, ForestConfig
+from aeimpute.seeding import derive_seed
 
 from conftest import deadline
 
@@ -17,6 +19,17 @@ def step_rows(rng, n, extra_features=1):
     cols = [rng.uniform(0, 1, n) for _ in range(1 + extra_features)]
     y = (cols[0] > 0.5).astype(float)
     return np.stack(cols + [y], axis=1)
+
+
+def full_sample_tree(rows, target_column, cfg):
+    """Tree 0 of a fit with ``cfg``, grown on every row, in order, instead of a bootstrap sample.
+
+    It draws its node features from tree 0's generator, as :func:`forest.fit` does.
+    """
+    x = np.delete(rows, target_column, axis=1)
+    mtry = cfg.mtry if cfg.mtry is not None else max(1, math.isqrt(x.shape[1]))
+    rng = np.random.default_rng(derive_seed(cfg.seed, "tree", 0))
+    return forest._grow_tree(x, rows[:, target_column].copy(), rng, mtry, cfg.min_leaf)
 
 
 def leaf_tree(prediction):
@@ -40,8 +53,8 @@ class TestFit:
         rng = np.random.default_rng(1)
         rows = np.column_stack([rng.permutation(40) / 40.0, rng.uniform(0, 1, 40)])
         cfg = ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0)
-        f = forest.fit(rows, 1, cfg, bootstrap=False)
-        np.testing.assert_array_equal(f.predict(rows[:, :1]), rows[:, 1])
+        tree = full_sample_tree(rows, 1, cfg)
+        np.testing.assert_array_equal(tree.predict(rows[:, :1]), rows[:, 1])
 
     def test_step_function_held_out_mae(self):
         rng = np.random.default_rng(3)
@@ -207,11 +220,11 @@ class TestReferenceEquivalence:
         y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, n)
         rows = np.column_stack([x, y])
         cfg = ForestConfig(n_trees=1, min_leaf=min_leaf, mtry=3, seed=seed)
-        f = forest.fit(rows, 3, cfg, bootstrap=False)
+        tree = full_sample_tree(rows, 3, cfg)
         ref = reference_cart(x, y, min_leaf)
         query = rng.uniform(0, 1, size=(40, 3))
         expected = [reference_predict(ref, q) for q in query]
-        np.testing.assert_allclose(f.predict(query), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tree.predict(query), expected, rtol=0, atol=1e-12)
 
     def test_row_order_invariance_with_unique_splits(self):
         # Same splits regardless of row order; leaf means may differ in the
@@ -222,8 +235,8 @@ class TestReferenceEquivalence:
         y = x[:, 0] * 2 + rng.normal(0, 0.05, n)
         rows = np.column_stack([x, y])
         cfg = ForestConfig(n_trees=1, min_leaf=2, mtry=2, seed=3)
-        t1 = forest.fit(rows, 2, cfg, bootstrap=False).trees[0]
-        t2 = forest.fit(rows[rng.permutation(n)], 2, cfg, bootstrap=False).trees[0]
+        t1 = full_sample_tree(rows, 2, cfg)
+        t2 = full_sample_tree(rows[rng.permutation(n)], 2, cfg)
         np.testing.assert_array_equal(t1.feature, t2.feature)
         np.testing.assert_array_equal(t1.threshold, t2.threshold)
         np.testing.assert_array_equal(t1.left, t2.left)
@@ -386,7 +399,7 @@ class TestOnePassSplit:
         y[:3] = np.nextafter(0.3, 1.0)
         rows = np.column_stack([np.arange(8) / 8, y])
         assert forest._node_sse(y.sum(), float(y @ y), 8) < 0
-        tree = forest.fit(rows, 1, ForestConfig(n_trees=1, min_leaf=1), bootstrap=False).trees[0]
+        tree = full_sample_tree(rows, 1, ForestConfig(n_trees=1, min_leaf=1))
         assert tree.feature.tolist() == [-1]
         assert tree.value[0] == y.mean()
 

@@ -244,6 +244,11 @@ class TestReconstructionLoss:
         )
 
 
+def analytic_gradient(net, rows):
+    """The back-propagation gradient the trainer uses, at the network's weights."""
+    return network._batch_loss_grad(net.to_vector(), rows, net.n_inputs, net.n_hidden)[1]
+
+
 def finite_difference_gradient(net, rows, eps=1e-6):
     base = net.to_vector()
     n, h = net.n_inputs, net.n_hidden
@@ -265,7 +270,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         net = random_autoencoder(rng, 3, 2)
         rows = rng.uniform(0, 1, size=(5, 3))
-        g = network.gradient(net, rows)
+        g = analytic_gradient(net, rows)
         fd = finite_difference_gradient(net, rows)
         rel = np.abs(g - fd) / max(np.abs(fd).max(), 1e-8)
         assert rel.max() < 1e-5
@@ -274,14 +279,14 @@ class TestGradient:
         rng = np.random.default_rng(4)
         net = random_autoencoder(rng, 4, 3)
         rows = rng.uniform(0, 1, size=(6, 4))
-        g1 = network.gradient(net, rows)
-        g2 = network.gradient(net, np.vstack([rows, rows]))
+        g1 = analytic_gradient(net, rows)
+        g2 = analytic_gradient(net, np.vstack([rows, rows]))
         np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
     def test_near_zero_at_trained_minimum(self):
         rows = np.tile(np.array([0.2, 0.8, 0.5, 0.4]), (4, 1))
         net, _ = network.train(rows, 2, TrainConfig(rng_seed=0, max_iterations=2000))
-        g = network.gradient(net, rows)
+        g = analytic_gradient(net, rows)
         assert np.abs(g).max() < 1e-4
 
     @given(st.data())

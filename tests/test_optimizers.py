@@ -1,5 +1,8 @@
 """Box feasibility, budgets, traces, determinism, and search quality."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,11 +244,13 @@ class TestGa:
 
 class TestSa:
     def test_zero_temperature_is_strict_descent(self):
-        accepted: list[float] = []
         cfg = SaConfig(initial_temperature=1e-12)
-        opt.minimize_sa(Bimodal1D(), cfg, seeds=[7], accepted_history=[accepted])
-        assert len(accepted) >= 1
-        assert (np.diff(accepted) <= 0).all()
+        recorder = RecordingObjective(Bimodal1D())
+        opt.minimize_sa(recorder, cfg, seeds=[7])
+        (moves,) = sa_moves(recorder, cfg, [7])
+        rises = [rise for accepted, rise in moves if accepted and rise is not None]
+        assert len(rises) >= 1
+        assert max(rises) <= 0
 
     @pytest.mark.filterwarnings("error")
     def test_greedy_once_temperature_underflows(self):
@@ -258,11 +263,13 @@ class TestSa:
             temperature *= cfg.cooling_factor
             cold_steps += temperature == 0.0
         assert cold_steps > 300
-        accepted: list[float] = []
-        result = opt.minimize_sa(QuadraticStub(), cfg, seeds=[0], accepted_history=[accepted])
+        recorder = RecordingObjective(QuadraticStub())
+        result = opt.minimize_sa(recorder, cfg, seeds=[0])
         assert result.evaluations == 1 + 400 * 20
-        assert len(accepted) >= 1
-        assert (np.diff(accepted) <= 0).all()
+        (moves,) = sa_moves(recorder, cfg, [0])
+        rises = [rise for accepted, rise in moves if accepted and rise is not None]
+        assert len(rises) >= 1
+        assert max(rises) <= 0
 
     def test_bimodal_escapes_local_well(self):
         obj = Bimodal1D()
@@ -279,12 +286,13 @@ class TestSa:
 
 
 class TestPso:
-    def test_fixed_point_at_optimum(self):
+    def test_fixed_point_at_optimum(self, monkeypatch):
         # Both particles start on the optimum with zero velocity: pbest and
         # gbest coincide with the position, so the velocity update is zero.
         start = np.array([[0.3], [0.3]])
         cfg = PsoConfig(swarm=2, iterations=50)
-        result = opt.minimize_pso(QuadraticStub(), cfg, seeds=[0], initial=(start, np.zeros((2, 1))))
+        monkeypatch.setattr(opt, "_generators", pso_started_at((start, np.zeros((2, 1)))))
+        result = opt.minimize_pso(QuadraticStub(), cfg, seeds=[0])
         assert result.best_points[0, 0] == 0.3
         assert result.best_values[0] == 0.0
 
@@ -400,6 +408,106 @@ class SpyGenerator:
         return counted
 
 
+class ScriptedGenerator:
+    """A seeded numpy generator whose first ``uniform`` calls return the
+    ``scripted`` arrays, in order, without drawing."""
+
+    def __init__(self, seed, scripted):
+        self._rng = np.random.default_rng(seed)
+        self._scripted = list(scripted)
+
+    def uniform(self, low, high, size):
+        if not self._scripted:
+            return self._rng.uniform(low, high, size)
+        out = np.array(self._scripted.pop(0), dtype=float)
+        assert out.shape == size
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def pso_started_at(initial):
+    """A stand-in for ``opt._generators``: every task's PSO starts from the
+    (positions, velocities) pair ``initial``, each (swarm, m), and then draws
+    from its own seed."""
+    return lambda obj, seeds: [ScriptedGenerator(seed, initial) for seed in seeds]
+
+
+class RecordingObjective:
+    """Wrap an objective; keep a copy of every batch it scores, with the values."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_tasks, self.dimension = inner.n_tasks, inner.dimension
+        self.calls = []
+
+    def evaluate_batch(self, candidates):
+        candidates = np.array(candidates, dtype=float)
+        values = self.inner.evaluate_batch(candidates)
+        self.calls.append((candidates, np.array(values)))
+        return values
+
+
+def _merged(moves, others):
+    """Two paths' per-move outcomes, None wherever they disagree."""
+    return [tuple(a if a == b else None for a, b in zip(p, q)) for p, q in zip(moves, others)]
+
+
+def _add_state(states, state, value, moves):
+    """Add a possible SA state; two paths to one state have one future, so
+    their outcomes merge."""
+    key = state.tobytes()
+    states[key] = (state, value, _merged(states[key][2], moves) if key in states else moves)
+
+
+def sa_moves(recorder, cfg, seeds):
+    """Each SA move's outcome, read from the calls a ``minimize_sa`` run made.
+
+    Replays each task's documented draws: its start point, its calibration
+    probes, then per temperature step its noise block and its uniforms.
+    Move i scores y_i = clip(x + sigma * z_i) for the state x it leaves,
+    which is y_(i-1) when move i - 1 was accepted and the state before it
+    when not.  So the candidates narrow down the states a task can be in.
+    Per task, one (accepted, rise) pair per move, rise being f(y_i) - f(x);
+    each is None where the recording does not determine it: the last move's
+    outcome, or two states from which a move clips to the same candidate.
+    """
+    moves_per_run = cfg.temperature_steps * cfg.moves_per_step
+    first = 1 if cfg.initial_temperature is not None else 2
+    # The calls: the start points, the probes, the moves, then the best points.
+    assert len(recorder.calls) == first + moves_per_run + 1
+    starts, start_values = recorder.calls[0]
+    out = []
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        m = starts.shape[1]
+        np.testing.assert_array_equal(rng.uniform(0.0, 1.0, size=m), starts[t])
+        if first == 2:
+            rng.normal(0.0, cfg.neighbor_sigma, size=(100, m))
+        blocks = [
+            (rng.standard_normal((cfg.moves_per_step, m)), rng.random(cfg.moves_per_step))
+            for _ in range(cfg.temperature_steps)
+        ]
+        noise = cfg.neighbor_sigma * np.concatenate([z for z, _ in blocks])
+        # Possible states, each with the outcomes of its path since `settled`.
+        states = {starts[t].tobytes(): (starts[t], start_values[t], [])}
+        settled = []
+        for z, (candidates, values) in zip(noise, recorder.calls[first:-1], strict=True):
+            y, fy = candidates[t], values[t]
+            alive = [s for s in states.values() if np.array_equal(np.clip(s[0] + z, 0.0, 1.0), y)]
+            assert alive, f"task {t}: a candidate from no state the task can be in"
+            if len(alive) == 1:
+                settled += alive[0][2]
+                alive = [(*alive[0][:2], [])]
+            states = {}
+            for x, fx, moves in alive:
+                _add_state(states, y, fy, moves + [(True, fy - fx)])
+                _add_state(states, x, fx, moves + [(False, fy - fx)])
+        out.append(settled + functools.reduce(_merged, [moves for _, _, moves in states.values()]))
+    return out
+
+
 class StackedStub:
     """T separable tasks on [0, 1]^m, each a bowl with ripples around its own center.
 
@@ -510,7 +618,9 @@ def _reference_result(obj, best_points, evaluations, history):
     )
 
 
-def reference_sa(obj, cfg, seeds, accepted_history=None):
+def reference_sa(obj, cfg, seeds, accepted=None):
+    """``accepted``, when given, holds one list per task, which receives
+    each move's outcome: True when the task accepts it."""
     rngs = [np.random.default_rng(s) for s in seeds]
     m, moves = obj.dimension, cfg.moves_per_step
     sigma = cfg.neighbor_sigma
@@ -541,9 +651,8 @@ def reference_sa(obj, cfg, seeds, accepted_history=None):
             accept = thresholds[:, i] <= fx - fy
             x[accept] = y[accept]
             fx[accept] = fy[accept]
-            if accepted_history is not None:
-                for t in np.flatnonzero(accept):
-                    accepted_history[t].append(float(fx[t]))
+            for outcomes, outcome in zip(accepted or (), accept.tolist()):
+                outcomes.append(outcome)
             better = fx < best_values
             best_values[better] = fx[better]
             best_points[better] = x[better]
@@ -690,11 +799,14 @@ class TestLeanStepLoops:
             neighbor_sigma=data.draw(st.floats(0.01, 0.8), label="sigma"),
         )
         seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
-        accepted = [[] for _ in range(n_tasks)]
         expected = [[] for _ in range(n_tasks)]
-        result = opt.minimize_sa(obj, cfg, seeds=seeds, accepted_history=accepted)
-        assert_same_result(result, reference_sa(obj, cfg, seeds, accepted_history=expected))
-        assert accepted == expected
+        recorder = RecordingObjective(obj)
+        result = opt.minimize_sa(recorder, cfg, seeds=seeds)
+        assert_same_result(result, reference_sa(obj, cfg, seeds, accepted=expected))
+        # Every outcome the recording determines is the reference's.
+        for moves, outcomes in zip(sa_moves(recorder, cfg, seeds), expected, strict=True):
+            assert len(moves) == len(outcomes)
+            assert all(seen in (None, outcome) for (seen, _), outcome in zip(moves, outcomes))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -715,5 +827,7 @@ class TestLeanStepLoops:
             initial = (rng.uniform(0, 1, size=(cfg.swarm, m)),
                        rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.swarm, m)))
         seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
-        result = opt.minimize_pso(obj, cfg, seeds=seeds, initial=initial)
+        generators = pso_started_at(initial) if initial else opt._generators
+        with mock.patch.object(opt, "_generators", generators):
+            result = opt.minimize_pso(obj, cfg, seeds=seeds)
         assert_same_result(result, reference_pso(obj, cfg, seeds, initial=initial))

@@ -68,6 +68,25 @@ class TestForkMap:
         assert multiprocessing.active_children() == []
 
 
+class TestForkWaves:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_breaking_after_the_first_wave_forks_no_second(self, workers, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: min(workers, n))
+
+        def mark(i):
+            (tmp_path / str(i)).touch()  # seen from any process
+            return i * i
+
+        with deadline(60):
+            for first in parallel.fork_waves(mark, range(7)):
+                break
+        assert first == 0
+        assert sorted(int(p.name) for p in tmp_path.iterdir()) == list(range(workers))
+        assert multiprocessing.active_children() == []
+        with deadline(60):
+            assert list(parallel.fork_waves(lambda i: i * i, range(7))) == [i * i for i in range(7)]
+
+
 def test_fork_machinery_not_loaded_at_import():
     # Importing the program must not pay for multiprocessing (bench setup_s).
     src = Path(parallel.__file__).resolve().parent.parent
