@@ -642,6 +642,24 @@ def _agreement(name: str, stored, expected, path: str, source="the regraded impu
     return name, difference is None, detail
 
 
+def _split_check(counts: dict, test_rows: dict[str, int]) -> tuple[str, bool, str]:
+    """The ``split_counts`` check: the validation and test blocks hold as
+    many rows as every imputed file, and train 0 to 3 rows more than both,
+    as in every split of :func:`~aeimpute.data.split_sizes`."""
+    if counts.keys() != set(data_mod.SPLIT_LABELS):
+        return "split_counts", False, f"split_counts does not hold the keys {data_mod.SPLIT_LABELS}"
+    for name, rows in test_rows.items():
+        for label in ("test", "validation"):
+            if counts[label] != rows:
+                detail = f"split_counts.{label} holds {counts[label]!r}, but {name} has {rows} rows"
+                return "split_counts", False, detail
+    low = 2 * next(iter(test_rows.values()))  # test rows, the same in every imputed file
+    if counts["train"] not in range(low, low + 4):
+        detail = f"split_counts.train holds {counts['train']!r}, expected {low} to {low + 3}"
+        return "split_counts", False, detail
+    return "split_counts", True, f"{sum(counts.values())} rows, as many test rows as each imputed file"
+
+
 def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     """Re-grade the persisted imputed values the way ``run`` graded them,
     and read every other file of the report against that grading.
@@ -650,7 +668,10 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     absolute tolerance of 1e-9.  The expected files are the stable ones of
     :data:`REPORT_FILES`; missing files fail with an inventory of what was
     expected versus found.  ``normalization.csv`` and ``model.txt`` are read
-    against report.json's normalization block and hidden size.  An
+    against report.json's normalization block and hidden size.  Its
+    ``split_counts`` must fit the imputed files' row count (see
+    :func:`_split_check`), and each optimizer's ``evaluations_per_task``
+    must be the :func:`~aeimpute.optimizers.budget` of its config echo.  An
     unreadable ``report.json`` or an unknown task kind, and the first
     malformed file, fail one ``format`` check that names the file and ends
     the verification.  A value cell of ``metrics.csv`` or ``pvalues.csv``
@@ -671,6 +692,11 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         normalization = [[e["column"], e["min"], e["max"]] for e in report["normalization"]]
         model_shape = {"n": len(normalization), "h": report["hidden_size"]["selected"]}
         stored_comparison = report["comparison"]
+        split_counts = dict(report["split_counts"])
+        budgets = {
+            method: optim_mod.budget(method, _SECTION_TYPES[method](**report["config"][method]))
+            for method in methods if method in OPTIMIZER_METHODS
+        }
     except (ValueError, KeyError, TypeError) as err:
         return [("format", False, f"{report_path.name} unreadable: {err!r}")]
     if task_kind not in TASK_KINDS:
@@ -683,10 +709,11 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         return [("inventory", False, f"missing: {', '.join(missing)}; present: {present}")]
     checks = [("inventory", True, f"{len(expected)} files present")]
     try:
-        recomputed, errors = {}, {}
+        recomputed, errors, test_rows = {}, {}, {}
         for method in methods:
             name = _IMPUTED_FILE.name.format(method)
             rows = _read_csv(out_dir / name, "true_value", "imputed_value", convert=float)
+            test_rows[name] = len(rows)
             truth, values = np.array(rows).reshape(-1, 2).T
             try:
                 block, errors[method] = _grade(truth, values, task_kind)
@@ -699,6 +726,14 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
                 name = _ROC_FILE.name.format(method)
                 stored = _read_csv(out_dir / name, "fpr", "tpr", convert=float)
                 checks.append(_agreement(f"roc_{method}", stored, block["roc_points"], name))
+        checks.append(_split_check(split_counts, test_rows))
+        checks.extend(
+            _agreement(
+                f"evaluations.{method}", stored_blocks[method].get("evaluations_per_task"),
+                evaluations, f"methods.{method}.evaluations_per_task", "the config echo",
+            )
+            for method, evaluations in budgets.items()
+        )
 
         rows = _read_csv(out_dir / "metrics.csv", "method", "metric", "value")
         stored = [(f"{method}.{metric}", value) for method, metric, value in rows]

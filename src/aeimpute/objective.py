@@ -10,6 +10,17 @@ One objective holds the T records of one :class:`~aeimpute.data.ImputationTask`
 (one mask for all of them), so that an optimizer can score candidates for all
 T records in one network pass.  With one unknown component, the objective can
 also be minimized over a fixed grid of [0, 1] (:meth:`grid_minimize`).
+
+Rows are scored independently of their batch: a row's value is the same, bit
+for bit, in a pass of any size and at any position in it (the tests check
+passes of 1 to 1,030 rows on networks of the benchmark shapes).  BLAS
+multiplies a pass of two or more rows as a matrix, but a single row by its
+matrix-vector path, which sums in another order and can differ in the last
+bit.  So a one-row pass is scored as two copies of its row, and the first
+copy's value is kept.  A one-task search is thus, bit for bit, its task's
+part of a lockstep search (see :mod:`aeimpute.optimizers`).  The network's
+own passes, in training and
+:meth:`~aeimpute.network.Autoencoder.forward_batch`, are left as they are.
 """
 
 from __future__ import annotations
@@ -100,11 +111,14 @@ class MissingDataObjective:
     def _squared_errors(self, full: np.ndarray, out: np.ndarray) -> None:
         """Summed squared reconstruction errors of completed rows, into ``out``.
 
-        ``full`` is overwritten.
+        ``full`` may be overwritten.  A single row goes through the network
+        as two copies of itself, and the first copy's error is kept.
         """
+        if full.shape[0] == 1:
+            full = np.concatenate([full, full])
         full -= self.net.forward_batch(full)
         full *= full
-        np.add.reduce(full, axis=1, out=out)
+        np.add.reduce(full[: out.shape[0]], axis=1, out=out)
 
     def grid_minimize(self) -> tuple[np.ndarray, np.ndarray]:
         """The (T,) minimizers and minima over GRID_POINTS evenly spaced points of [0, 1].

@@ -22,20 +22,22 @@ Seeds and draw order: ``minimize_*(obj, cfg, seeds=seeds)`` takes one seed
 per task.  Task t draws from its own ``np.random.default_rng(seeds[t])`` in
 the order of a run of that task alone, and keeps its own budget and trace.
 When the objective scores each row independently of the others in its batch,
-task t's part of the result is bit for bit that of a one-task run with
-``seeds=[seeds[t]]``.  GA, PSO and NS call each task's generator a fixed
-number of times, whatever the objective's values: GA once for its initial
-population and once per generation for one block holding that generation's
-tournament entrants, crossing tests, cuts and flips; NS once for its initial
-detectors and once per generation for a full block of fresh points, of which
-only the culled detectors' slots are used; PSO twice for its initial
-positions and velocities and once per sweep for the pull factors; SA once
-for its start point, once for its calibration probes (when it calibrates),
-and twice per temperature step, for the (moves_per_step, m) block of noise
-and then the moves_per_step acceptance uniforms.  The blocks are then read
-for all T tasks at once.
+as :class:`~aeimpute.objective.MissingDataObjective` does, task t's part of
+the result is bit for bit that of a one-task run with ``seeds=[seeds[t]]``.
+GA, PSO and NS call each task's generator a fixed number of times, whatever
+the objective's values: GA once for its initial population and once per
+generation for one block holding that generation's tournament entrants,
+crossing tests, cuts and flips; NS once for its initial detectors and once
+per generation for a full block of fresh points, of which only the culled
+detectors' slots are used; PSO twice for its initial positions and
+velocities and once per sweep for the pull factors; SA once for its start
+point, once for its calibration probes (when it calibrates), and twice per
+temperature step, for the (moves_per_step, m) block of noise and then the
+moves_per_step acceptance uniforms.  The blocks are then read for all T
+tasks at once.
 
-Evaluation budgets per task are exact functions of the configuration:
+Evaluation budgets per task are exact functions of the configuration
+(:func:`budget`), and a result's ``evaluations`` is that budget:
 
     GA   population + generations * (population - elitism)
     SA   1 + 100 (only when the start temperature is auto-calibrated)
@@ -52,6 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ALGORITHM_TAGS = ("ga", "sa", "pso", "ns")
+
+# Probe moves SA scores to calibrate its start temperature.
+_CALIBRATION_PROBES = 100
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,21 @@ class NsConfig:
             raise ValueError("generations must be >= 1")
 
 
+def budget(tag: str, cfg) -> int:
+    """Objective evaluations per task of a ``tag`` run under ``cfg`` (the
+    module docstring's table); a result's ``evaluations``."""
+    if tag == "ga":
+        return cfg.population + cfg.generations * (cfg.population - cfg.elitism)
+    if tag == "sa":
+        calibration = _CALIBRATION_PROBES if cfg.initial_temperature is None else 0
+        return 1 + calibration + cfg.temperature_steps * cfg.moves_per_step
+    if tag == "pso":
+        return cfg.swarm * (cfg.iterations + 1)
+    if tag == "ns":
+        return cfg.detectors * cfg.generations
+    raise ValueError(f"unknown optimizer tag {tag!r}; expected one of {ALGORITHM_TAGS}")
+
+
 def _generators(obj, seeds) -> list[np.random.Generator]:
     """One generator per task of ``obj``, seeded from ``seeds``."""
     seeds = list(seeds)
@@ -246,7 +266,6 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
     shape = (cfg.population, length)
     pop = np.stack([rng.integers(0, 2, size=shape, dtype=np.int8) for rng in rngs])
     values = _evaluate(obj, _decode(pop, m, bits))
-    evaluations = cfg.population
 
     best_idx = values.argmin(axis=1)
     best_values = values[tasks, best_idx]
@@ -279,7 +298,6 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
         children ^= (draws[:, flip_at:] < p_mut).reshape(n_tasks, pairs, 2, length)
         children = children.reshape(n_tasks, 2 * pairs, length)[:, :n_children]
         child_values = _evaluate(obj, _decode(children, m, bits))
-        evaluations += n_children
 
         pop = np.concatenate([pop.reshape(-1, length)[elites], children], axis=1)
         values = np.concatenate([values.reshape(-1)[elites], child_values], axis=1)
@@ -290,7 +308,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
         best_points[better] = _decode(pop[tasks[better], gen_best[better]], m, bits)
         history.append(best_values.copy())
 
-    return _finish(obj, best_points, evaluations, history)
+    return _finish(obj, best_points, budget("ga", cfg), history)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +347,10 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
 
     x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
     fx = obj.evaluate_batch(x)
-    evaluations = 1
     if cfg.initial_temperature is None:
-        probes = np.stack([rng.normal(0.0, sigma, size=(100, m)) for rng in rngs])
+        probes = np.stack([rng.normal(0.0, sigma, size=(_CALIBRATION_PROBES, m)) for rng in rngs])
         deltas = _evaluate(obj, np.clip(x[:, None] + probes, 0.0, 1.0)) - fx[:, None]
         temperature = np.array([_start_temperature(d[d > 0]) for d in deltas])
-        evaluations += 100
     else:
         temperature = np.full(len(rngs), cfg.initial_temperature)
 
@@ -363,11 +379,10 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
             better = fx < best_values
             np.copyto(best_values, fx, where=better)
             np.copyto(best_points, x, where=better[:, None])
-        evaluations += moves
         temperature *= cfg.cooling_factor
         history.append(best_values.copy())
 
-    return _finish(obj, best_points, evaluations, history)
+    return _finish(obj, best_points, budget("sa", cfg), history)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +412,6 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds):
     velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
 
     values = _evaluate(obj, positions)
-    evaluations = swarm
     pbest = positions.copy()
     pbest_values = values
     tasks = np.arange(n_tasks)
@@ -430,10 +444,9 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds):
         np.copyto(pbest, positions, where=better[..., None])
         g = pbest_values.argmin(axis=1)
         gbest = pbest[tasks, g]
-        evaluations += swarm
         history.append(pbest_values[tasks, g])
 
-    return _finish(obj, gbest, evaluations, history)
+    return _finish(obj, gbest, budget("pso", cfg), history)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +487,7 @@ def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
         detectors = np.where(culled[..., None], fresh, detectors)
         history.append(best_values.copy())
 
-    return _finish(obj, best_points, cfg.detectors * cfg.generations, history, first_iteration=1)
+    return _finish(obj, best_points, budget("ns", cfg), history, first_iteration=1)
 
 
 _MINIMIZERS = {

@@ -1,5 +1,7 @@
 """Dataset loading, scaling, splitting, and task construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,55 @@ class TestLoadCsv:
         ds = data.load_csv(p, header=True)
         assert [c.name for c in ds.columns] == ["age", "score"]
         assert ds.n_rows == 2
+
+    # The first bad row or cell in reading order is named, whichever kind of
+    # fault comes first, counting data rows only: the header and blank lines
+    # are skipped.
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("a,b,c\n\n1,2,3\n\n4,5\n6,x,7\n", "row 2 has 2 fields, expected 3"),
+            ("a,b,c\n1,2,3\n\n4,oops,6\n\n7,8\n", "row 2, column 2 ('b'): not a finite number: 'oops'"),
+            ("a,b,c\n1,2,3\n\n4, inf ,6\n7,8\n9,x,1\n", "row 2, column 2 ('b'): not a finite number: 'inf'"),
+            ("\na,b,c\n1,2,3\n4,5,6\n\n7,8,nan\n", "row 3, column 3 ('c'): not a finite number: 'nan'"),
+            ("a,b,c\n1,x,3\n4,5\n", "row 1, column 2 ('b'): not a finite number: 'x'"),
+        ],
+        ids=["arity-first", "token-first", "infinite-first", "nan-last", "first-row"],
+    )
+    def test_first_fault_named_with_header_and_blank_lines(self, tmp_path, text, error):
+        p = write(tmp_path, text)
+        with pytest.raises(data.CsvFormatError) as caught:
+            data.load_csv(p, header=True)
+        assert str(caught.value) == f"{p}: {error}"
+
+    def test_shape_errors_come_before_a_bad_cell(self, tmp_path):
+        p = write(tmp_path, "a,b,c\n1,x\n")
+        with pytest.raises(data.CsvFormatError) as caught:
+            data.load_csv(p, header=True)
+        assert str(caught.value) == f"{p}: header has 3 fields, data rows have 2"
+        p = write(tmp_path, "1,x\n2\n", name="e.csv")
+        with pytest.raises(data.CsvFormatError) as caught:
+            data.load_csv(p, schema=["numeric"] * 3)
+        assert str(caught.value) == "schema declares 3 columns but file has 2"
+
+    def test_traced_peak_per_cell(self, tmp_path):
+        # The bound sits between a float buffer plus the Dataset's copy of
+        # it (about 17 traced bytes per cell) and a list of token strings
+        # (about 69).
+        rng = np.random.default_rng(0)
+        p = tmp_path / "wide.csv"
+        np.savetxt(p, rng.uniform(-50.0, 5000.0, size=(2000, 25)), fmt="%.6f", delimiter=",")
+        data.load_csv(p)  # first-call allocations are not the loader's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ds = data.load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ds.rows.shape == (2000, 25)
+        assert peak / ds.rows.size < 32
 
     def test_binary_kind_validated(self, tmp_path):
         p = write(tmp_path, "0,1\n2,0\n")

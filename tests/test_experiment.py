@@ -657,23 +657,37 @@ def forest_only(heart_setup):
     return cfg.output_dir
 
 
-@pytest.fixture(scope="module")
-def heart_paper(tmp_path_factory):
-    """The benchmark's heart-paper workload at seed 0: all five methods at
-    default budgets, hidden size searched."""
+def bench_report(tmp, table_name, **settings):
+    """The emitted report of a run on the benchmark's ``table_name`` table at seed 0."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         import inputs
     finally:
         sys.path.pop(0)
-    table = inputs.heart(0)
-    tmp = tmp_path_factory.mktemp("heart_paper")
+    table = getattr(inputs, table_name)(0)
     table.write_csv(tmp / "data.csv")
     meta = {"kinds": table.kinds, "missing_column": table.missing_column, "task": table.task}
-    (tmp / "heart.cfg").write_text(config_text(tmp / "data.csv", meta, tmp / "out", seed=0))
-    cfg = parse_config(tmp / "heart.cfg")
+    (tmp / "run.cfg").write_text(config_text(tmp / "data.csv", meta, tmp / "out", seed=0, **settings))
+    cfg = parse_config(tmp / "run.cfg")
     emit_report(run_experiment(cfg), cfg.output_dir)
     return cfg.output_dir
+
+
+@pytest.fixture(scope="module")
+def heart_paper(tmp_path_factory):
+    """The benchmark's heart-paper workload at seed 0: all five methods at
+    default budgets, hidden size searched."""
+    return bench_report(tmp_path_factory.mktemp("heart_paper"), "heart")
+
+
+@pytest.fixture(scope="module")
+def fire_deep(tmp_path_factory):
+    """The benchmark's fire-deep workload at seed 0: long SA and PSO searches
+    over 16 test records at hidden size 6."""
+    settings = {"sa.temperature_steps": 500, "pso.iterations": 500}
+    return bench_report(
+        tmp_path_factory.mktemp("fire_deep"), "fire", hidden_size=6, methods="sa,pso", **settings
+    )
 
 
 def failures(out):
@@ -681,13 +695,46 @@ def failures(out):
 
 
 class TestVerifyReadsEveryFile:
-    @pytest.mark.parametrize("fixture", ["emitted", "prediction_emitted", "forest_only", "heart_paper"])
+    @pytest.mark.parametrize(
+        "fixture", ["emitted", "prediction_emitted", "forest_only", "heart_paper", "fire_deep"]
+    )
     def test_intact_reports_pass_every_check(self, request, fixture):
         out = request.getfixturevalue(fixture)
         out = out[2] if isinstance(out, tuple) else out
         names = [name for name, ok, _ in verify_report(out) if ok]
         assert failures(out) == []
-        assert {"normalization", "model", "report.comparison"} <= set(names)
+        searched = json.loads((out / "report.json").read_text())["config"]["methods"]
+        evaluations = {f"evaluations.{m}" for m in searched if m in optimizers.ALGORITHM_TAGS}
+        assert {"normalization", "model", "report.comparison", "split_counts"} | evaluations <= set(names)
+
+    # split_counts and the budgets follow from the imputed files' rows and
+    # the config echo; on fire-deep 64 rows split 32/16/16 and SA spends
+    # 1 + 100 + 500 * 20 evaluations per record.
+    @pytest.mark.parametrize(
+        "edit, check, detail",
+        [
+            (lambda doc: doc["split_counts"].update(test=1),
+             "split_counts", "split_counts.test holds 1, but imputed_pso.csv has 16 rows"),
+            (lambda doc: doc["split_counts"].update(validation=17),
+             "split_counts", "split_counts.validation holds 17, but imputed_pso.csv has 16 rows"),
+            (lambda doc: doc["split_counts"].update(train=36),
+             "split_counts", "split_counts.train holds 36, expected 32 to 35"),
+            (lambda doc: doc["split_counts"].pop("train"),
+             "split_counts", "split_counts does not hold the keys ('train', 'validation', 'test')"),
+            (lambda doc: doc["methods"]["sa"].update(evaluations_per_task=7),
+             "evaluations.sa", "methods.sa.evaluations_per_task holds 7, expected 10101 from the config echo"),
+            (lambda doc: doc["config"]["pso"].update(iterations=499),
+             "evaluations.pso", "methods.pso.evaluations_per_task holds 15030, expected 15000 from "),
+        ],
+        ids=["test-count", "validation-count", "train-count", "no-train", "sa-evaluations", "pso-config"],
+    )
+    def test_split_counts_and_budgets_must_follow_from_the_run(self, fire_deep, tmp_path, edit, check, detail):
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        edit(document)
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        ((name, text),) = failures(clone)
+        assert name == check and text.startswith(detail)
 
     @pytest.mark.parametrize(
         "edit, check, detail",

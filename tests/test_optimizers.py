@@ -87,7 +87,7 @@ class TestBudgets:
         result = opt.minimize_ga(counter, cfg, seeds=[0])
         expected = 20 + 15 * (20 - 3)
         # the final re-evaluation of the best point adds one row
-        assert result.evaluations == expected
+        assert result.evaluations == opt.budget("ga", cfg) == expected
         assert counter.count == expected + 1
 
     # SA makes one evaluate_batch call per move and PSO one per sweep, no
@@ -97,21 +97,24 @@ class TestBudgets:
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(temperature_steps=12, moves_per_step=7)
         result = opt.minimize_sa(counter, cfg, seeds=[0])
-        assert result.evaluations == 1 + 100 + 12 * 7
+        assert result.evaluations == opt.budget("sa", cfg) == 1 + 100 + 12 * 7
+        assert counter.count == 1 + 100 + 12 * 7 + 1
         assert counter.calls == 1 + 1 + 12 * 7 + 1
 
     def test_sa_budget_fixed_temperature(self):
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(initial_temperature=0.1, temperature_steps=12, moves_per_step=7)
         result = opt.minimize_sa(counter, cfg, seeds=[0])
-        assert result.evaluations == 1 + 12 * 7
+        assert result.evaluations == opt.budget("sa", cfg) == 1 + 12 * 7
+        assert counter.count == 1 + 12 * 7 + 1
         assert counter.calls == 1 + 12 * 7 + 1
 
     def test_pso_budget(self):
         counter = CountingObjective(QuadraticStub())
         cfg = PsoConfig(swarm=9, iterations=13)
         result = opt.minimize_pso(counter, cfg, seeds=[0])
-        assert result.evaluations == 9 * (13 + 1)
+        assert result.evaluations == opt.budget("pso", cfg) == 9 * (13 + 1)
+        assert counter.count == 9 * (13 + 1) + 1
         assert counter.calls == 1 + 13 + 1
 
     def test_pso_sweep_is_one_task_major_batch(self):
@@ -141,9 +144,15 @@ class TestBudgets:
                 np.testing.assert_array_equal(both[t * 4 : t * 4 + 4], one)
 
     def test_ns_budget(self):
+        counter = CountingObjective(QuadraticStub())
         cfg = NsConfig(detectors=11, generations=17)
-        result = opt.minimize_ns(QuadraticStub(), cfg, seeds=[0])
-        assert result.evaluations == 11 * 17
+        result = opt.minimize_ns(counter, cfg, seeds=[0])
+        assert result.evaluations == opt.budget("ns", cfg) == 11 * 17
+        assert counter.count == 11 * 17 + 1
+
+    def test_budget_of_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown optimizer tag 'de'"):
+            opt.budget("de", GaConfig())
 
     # Each task's generator is called a fixed number of times, whatever the
     # objective's values: the initial draws, then one block per generation or
@@ -590,6 +599,34 @@ class TestLockstep:
             assert together.best_values[t] == alone.best_values[0]
             assert together.evaluations == alone.evaluations == budget
             np.testing.assert_array_equal(together.trace_iterations, alone.trace_iterations)
+            np.testing.assert_array_equal(together.trace_values[:, t], alone.trace_values[:, 0])
+
+    # The reconstruction objective scores a row the same in any batch, so a
+    # record searched alone gets, bit for bit, its row of the lockstep run.
+    # Each configuration's one-task run scores one-row passes: SA's moves,
+    # and every method's final re-evaluation of its best point.
+    @pytest.mark.parametrize(
+        "name,cfg",
+        [
+            ("ga", GaConfig(population=8, generations=6)),
+            ("sa", SaConfig(temperature_steps=6, moves_per_step=4)),
+            ("pso", PsoConfig(swarm=6, iterations=6)),
+            ("ns", NsConfig(detectors=8, generations=6)),
+        ],
+    )
+    def test_real_objective_equals_separate_one_task_runs(self, name, cfg):
+        rng = np.random.default_rng(17)
+        net = random_autoencoder(rng, 13, 7)
+        records = rng.uniform(0.0, 1.0, size=(9, 13))
+        mask = np.ones(13, dtype=bool)
+        mask[12] = False
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=len(records))]
+        together = opt.run(MissingDataObjective(net, ImputationTask(records, mask)), name, cfg, seeds=seeds)
+        for t, seed in enumerate(seeds):
+            task = ImputationTask(records[t : t + 1], mask)
+            alone = opt.run(MissingDataObjective(net, task), name, cfg, seeds=[seed])
+            np.testing.assert_array_equal(together.best_points[t], alone.best_points[0])
+            assert together.best_values[t] == alone.best_values[0], t
             np.testing.assert_array_equal(together.trace_values[:, t], alone.trace_values[:, 0])
 
     def test_seed_count_must_match_tasks(self):
