@@ -70,7 +70,13 @@ class Dataset:
     split: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=float)
+        rows = self.rows
+        # A read-only float64 matrix that owns its memory (normalize's and
+        # split's) is kept as it is; any other is copied, so that a caller's
+        # writable array is never frozen.
+        owned = type(rows) is np.ndarray and rows.base is None and rows.dtype == np.float64
+        if not owned or rows.flags.writeable:
+            rows = np.array(rows, dtype=float)
         if rows.ndim != 2:
             raise ValueError(f"rows must be a 2-D matrix, got ndim={rows.ndim}")
         if rows.shape[1] != len(self.columns):
@@ -85,10 +91,10 @@ class Dataset:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", tuple(self.columns))
         if self.split is not None:
-            labels = np.asarray(self.split)
+            labels = np.array(self.split)
             if labels.shape != (rows.shape[0],):
                 raise ValueError("split labels must have one entry per row")
-            if not set(np.unique(labels)) <= set(SPLIT_LABELS):
+            if not set(labels.tolist()) <= set(SPLIT_LABELS):
                 raise ValueError(f"split labels must be among {SPLIT_LABELS}")
             labels.flags.writeable = False
             object.__setattr__(self, "split", labels)
@@ -303,9 +309,11 @@ def normalize(ds: Dataset, fit_row_count: int | None = None) -> Dataset:
     span = hi - lo
     degenerate = span == 0.0
     safe_span = np.where(degenerate, 1.0, span)
-    scaled = (ds.rows - lo) / safe_span
+    scaled = ds.rows - lo
+    scaled /= safe_span
     scaled[:, degenerate] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled.flags.writeable = False  # the Dataset keeps it without a copy
 
     columns = tuple(
         replace(

@@ -9,43 +9,81 @@ hidden-size search, which may stop early, maps through :func:`fork_waves`.
 
 Caveats of forking, which every caller inherits:
 
-- ``fn`` and the items are not pickled: a worker starts with them already in
-  memory, so ``fn`` may be a closure.  What ``fn`` returns is pickled back to
-  the caller, so it must pickle.
+- ``fn`` and the items are not pickled: a worker starts from ``os.fork``
+  with them already in memory, so ``fn`` may be a closure.  What ``fn``
+  returns, or the exception it raises, is pickled back to the caller over a
+  pipe, so it must pickle; one that does not is raised in the caller as a
+  RuntimeError that carries the worker's traceback.
+- A worker leaves through ``os._exit``: it never returns into the caller's
+  stack and runs no ``atexit`` handler or ``finally`` block of the caller.
+  It flushes standard output and error first, and the caller flushes them
+  before it forks, so text buffered before the map is written once.
 - Side effects of ``fn`` in a worker (a counter, a trace, a warning) stay in
   that worker and are not seen by the caller.
+- A worker that exits without sending its results raises RuntimeError with
+  its exit code, which is minus the signal number when a signal ended it
+  (-9 for SIGKILL).
 - Each worker inherits the caller's BLAS thread count.
 - Python 3.12 and later warn when a process that has threads forks.
-
-``multiprocessing`` is imported on first use, not when the package loads.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import sys
 import traceback
 
 
 def _worker_count(n_items: int) -> int:
     """Processes for a map: one per available core, at most one per item.
 
-    One where ``fork`` is not a start method or the affinity mask is unknown.
+    One where ``os.fork`` or the affinity mask is unavailable.
     """
-    import multiprocessing
-
-    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(len(os.sched_getaffinity(0)), n_items)
 
 
-def _map_share(send, fn, share) -> None:
-    """Body of a worker: sends (None, results of its share) or (error, traceback text)."""
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _outcome(fn, share) -> bytes:
+    """The pickle of (None, results of the share) or (error, traceback text).
+
+    An outcome that does not pickle becomes a RuntimeError that carries the
+    traceback of the pickling, after the error's own where there is one.
+    """
     try:
-        message = (None, [fn(item) for item in share])
+        outcome = (None, [fn(item) for item in share])
     except Exception as err:
-        message = (err, traceback.format_exc())
-    send.send(message)
-    send.close()
+        outcome = (err, traceback.format_exc())
+    try:
+        return pickle.dumps(outcome)
+    except Exception as err:
+        err_kind, text = ("result", "") if outcome[0] is None else ("error", outcome[1])
+        failure = RuntimeError(f"a forked worker could not pickle its {err_kind}: {err}")
+        return pickle.dumps((failure, text + traceback.format_exc()))
+
+
+def _worker(writer, readers, fn, share) -> None:
+    """Body of a forked worker: writes the outcome of its share to ``writer``
+    and ends the process through ``os._exit``; it never returns."""
+    status = 1
+    try:
+        for reader in readers:
+            reader.close()  # a pipe's only reader is the caller
+        message = _outcome(fn, share)
+        _flush_std_streams()
+        writer.write(message)
+        writer.close()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def fork_map(fn, items) -> list:
@@ -60,39 +98,41 @@ def fork_map(fn, items) -> list:
     workers = _worker_count(len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
+    _flush_std_streams()
     results = [None] * len(items)
-    procs, receivers = [], []
+    readers, unreaped = [], []
     try:
         for w in range(1, workers):
-            receive, send = ctx.Pipe(duplex=False)
-            receivers.append(receive)
-            proc = ctx.Process(target=_map_share, args=(send, fn, items[w::workers]))
-            proc.start()
-            procs.append(proc)
-            # The worker holds the only sending end, so its death ends the pipe.
-            send.close()
+            receive, send = os.pipe()
+            readers.append(open(receive, "rb"))
+            # The caller's copy of the write end closes right after the fork, so
+            # the worker holds the only one and its exit ends the pipe.
+            with open(send, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(writer, readers, fn, items[w::workers])
+            unreaped.append(pid)
         results[0::workers] = [fn(item) for item in items[0::workers]]
-        for w, (proc, receive) in enumerate(zip(procs, receivers), start=1):
-            try:
-                err, payload = receive.recv()
-            except EOFError:
-                proc.join()
+        for w, reader in enumerate(readers, start=1):
+            message = reader.read()
+            status = os.waitpid(unreaped[0], 0)[1]
+            del unreaped[0]
+            if not message:
                 raise RuntimeError(
-                    f"a forked worker exited without a result (exit code {proc.exitcode})"
-                ) from None
+                    "a forked worker exited without a result "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            err, payload = pickle.loads(message)
             if err is not None:
                 raise err from RuntimeError(f"in a forked worker:\n{payload}")
             results[w::workers] = payload
         return results
     finally:
-        for proc in procs:
-            proc.terminate()
-            proc.join()
-        for receive in receivers:
-            receive.close()
+        for pid in unreaped:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
 def fork_waves(fn, items):

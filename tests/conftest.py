@@ -9,8 +9,9 @@ feature/target structure so learned models beat random search.
 from __future__ import annotations
 
 import contextlib
+import os
 import signal
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,20 +186,32 @@ def manifold_rows(seed: int = 7, count: int = 200) -> np.ndarray:
     return np.stack([t, t, 1.0 - t, t * t], axis=1)
 
 
+def child_processes() -> list[int]:
+    """Process ids of this process's children, running or not yet reaped,
+    however they were started (``os.fork``, ``subprocess``, ...)."""
+    pids = []
+    for children in Path("/proc/self/task").glob("*/children"):
+        pids += [int(pid) for pid in children.read_text().split()]
+    return sorted(pids)
+
+
+def end_child_processes() -> list[int]:
+    """Kill and reap every child process; return the ids of those there were."""
+    pids = child_processes()
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_the_test():
-    """Fail a test that leaves a live child process (a leaked search worker).
+    """Fail a test that leaves a child process (a leaked search worker).
 
     The leaked children are ended first, so that none holds up a later test.
     """
     yield
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is None:
-        return  # nothing can have been forked through it
-    leaked = multiprocessing.active_children()
-    for child in leaked:
-        child.terminate()
-        child.join()
+    leaked = end_child_processes()
     if leaked:
         pytest.fail(f"child processes left running: {leaked}")
 

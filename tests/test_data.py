@@ -1,6 +1,8 @@
 """Dataset loading, scaling, splitting, and task construction."""
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,53 @@ class TestSplit:
         )
         with pytest.raises(ValueError):
             data.split(ds)
+
+
+class TestPrepare:
+    COLUMNS = (data.ColumnSpec("x"), data.ColumnSpec("y"))
+
+    def test_keeps_a_read_only_matrix_it_owns(self):
+        rows = np.array([[0.25, 0.5], [0.75, 1.0]])
+        rows.flags.writeable = False
+        assert data.Dataset(columns=self.COLUMNS, rows=rows, normalized=True).rows is rows
+        scaled = data.normalize(data.Dataset(columns=self.COLUMNS, rows=np.arange(8.0).reshape(4, 2)))
+        assert not scaled.rows.flags.writeable
+        assert data.split(scaled).rows is scaled.rows
+
+    def test_copies_a_matrix_the_caller_can_still_write(self):
+        writable = np.array([[0.25, 0.5], [0.75, 1.0]])
+        read_only_view = writable[:]
+        read_only_view.flags.writeable = False
+        labels = np.array(["train", "test"], dtype=object)
+        for given in (writable, read_only_view, writable.astype(np.float32), writable.tolist()):
+            ds = data.Dataset(columns=self.COLUMNS, rows=given, normalized=True, split=labels)
+            assert ds.rows.dtype == np.float64 and not ds.rows.flags.writeable
+            assert not np.shares_memory(ds.rows, writable)
+            assert ds.split.tolist() == ["train", "test"] and not ds.split.flags.writeable
+        assert writable.flags.writeable and labels.flags.writeable
+
+    def test_traced_peak_per_cell(self, tmp_path):
+        # load_csv alone peaks at about 17.5 traced bytes per cell; normalize
+        # and split must not add to that (normalize's two temporaries and a
+        # copy per Dataset made it 25).
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            import inputs
+        finally:
+            sys.path.pop(0)
+        p = tmp_path / "credit.csv"
+        inputs.credit(0, n=20_000).write_csv(p)
+        data.split(data.normalize(data.load_csv(p)))  # first-call allocations are not the stage's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ds = data.split(data.normalize(data.load_csv(p)))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ds.rows.shape == (20_000, 25)
+        assert peak / ds.rows.size <= 18
 
 
 class TestMakeTasks:

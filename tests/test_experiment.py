@@ -2,7 +2,8 @@
 
 import dataclasses
 import json
-import multiprocessing
+import os
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -27,7 +28,7 @@ from aeimpute.experiment import (
 )
 from aeimpute.seeding import derive_seed
 
-from conftest import config_text, make_heart_like, random_autoencoder
+from conftest import child_processes, config_text, make_heart_like, random_autoencoder
 
 
 # The files whose bytes may differ between reruns, as the report's file table marks them.
@@ -539,7 +540,36 @@ class TestRunExperiment:
         assert "stage: impute" in marker and "in a forked worker" in marker
         partial = json.loads((out / "partial.json").read_text())
         assert "train_loss" in partial and "methods" not in partial
-        assert multiprocessing.active_children() == []
+        assert child_processes() == []
+
+    def test_a_forking_run_loads_neither_multiprocessing_nor_numpy_ma(self, heart_setup):
+        # Each costs about 1 MB of resident memory that the pipeline never uses.
+        tmp, csv, meta = heart_setup
+        cfg_file = write_config(tmp, csv, meta, name="imports.cfg", out="imports_out",
+                                methods="sa,rf", hidden_size="auto")
+        code = (
+            "import os, sys\n"
+            "from aeimpute import parallel\n"
+            "from aeimpute.experiment import emit_report, parse_config, run_experiment, verify_report\n"
+            "parallel._worker_count = lambda n: min(2, n)\n"
+            "forks, fork = [], os.fork\n"
+            "def counted_fork():\n"
+            "    pid = fork()\n"
+            "    forks.append(pid)\n"
+            "    return pid\n"
+            "os.fork = counted_fork\n"
+            "cfg = parse_config(sys.argv[1])\n"
+            "emit_report(run_experiment(cfg), cfg.output_dir)\n"
+            "assert all(ok for _, ok, _ in verify_report(cfg.output_dir))\n"
+            "print(len(forks), 'multiprocessing' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        src = Path(parallel.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code, str(cfg_file)], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        forks, *loaded = done.stdout.split()
+        assert int(forks) > 0
+        assert loaded == ["False", "False"]
 
     def test_missing_dataset_is_experiment_error(self, heart_setup):
         tmp, csv, meta = heart_setup

@@ -1,7 +1,6 @@
 """CART/forest growth, prediction, classification, and reference checks."""
 
 import math
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from aeimpute import forest, parallel
 from aeimpute.forest import CartTree, Forest, ForestConfig
 from aeimpute.seeding import derive_seed
 
-from conftest import deadline
+from conftest import child_processes, deadline
 
 
 def step_rows(rng, n, extra_features=1):
@@ -448,4 +447,4 @@ class TestParallelFit:
         with deadline(60):
             many = forest.fit(rows, 5, cfg)
         assert_same_trees(many, one)
-        assert multiprocessing.active_children() == []
+        assert child_processes() == []

@@ -1,7 +1,6 @@
 """Autoencoder forward pass, gradient, trainer, and hidden-size search."""
 
 import dataclasses
-import multiprocessing
 import os
 import warnings
 
@@ -15,7 +14,14 @@ from aeimpute.network import Autoencoder, TrainConfig, TrainingError
 from aeimpute.objective import MissingDataObjective
 from aeimpute.seeding import derive_seed
 
-from conftest import PinnedColumnNet, deadline, manifold_rows, random_autoencoder, scalar_forward
+from conftest import (
+    PinnedColumnNet,
+    child_processes,
+    deadline,
+    manifold_rows,
+    random_autoencoder,
+    scalar_forward,
+)
 
 
 def zero_net(n, h):
@@ -608,7 +614,7 @@ class TestSelectHiddenSize:
                 rows, half_task(10), train_fn=scripted_train(errors)
             )
         assert (chosen, net.value, loss) == (3, 0.6, 3.0)
-        assert multiprocessing.active_children() == []
+        assert child_processes() == []
 
     def test_validation_task_must_mask_one_column(self):
         rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
@@ -691,7 +697,7 @@ class TestParallelSearch:
         assert [str(w.message) for w in record] == ref_messages == [
             "hidden size 5 skipped: size 5 aborts",
         ]
-        assert multiprocessing.active_children() == []
+        assert child_processes() == []
 
     def test_one_worker_trains_every_size_in_this_process(self, monkeypatch):
         monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
