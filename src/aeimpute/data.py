@@ -61,13 +61,13 @@ class ColumnSpec:
 class Dataset:
     """Immutable record-major numeric matrix plus column metadata.
 
-    ``split`` is None until :func:`split` assigns one label per row.
+    ``split`` is False until :func:`split` marks the :func:`split_sizes` blocks.
     """
 
     columns: tuple[ColumnSpec, ...]
     rows: np.ndarray
     normalized: bool = False
-    split: np.ndarray | None = None
+    split: bool = False
 
     def __post_init__(self) -> None:
         rows = self.rows
@@ -90,14 +90,6 @@ class Dataset:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", tuple(self.columns))
-        if self.split is not None:
-            labels = np.array(self.split)
-            if labels.shape != (rows.shape[0],):
-                raise ValueError("split labels must have one entry per row")
-            if not set(labels.tolist()) <= set(SPLIT_LABELS):
-                raise ValueError(f"split labels must be among {SPLIT_LABELS}")
-            labels.flags.writeable = False
-            object.__setattr__(self, "split", labels)
 
     @property
     def n_rows(self) -> int:
@@ -108,11 +100,15 @@ class Dataset:
         return self.rows.shape[1]
 
     def rows_for(self, label: str) -> np.ndarray:
-        if self.split is None:
+        """The ``label`` block of a split dataset: a read-only view of ``rows``."""
+        if not self.split:
             raise ValueError("dataset has no split assignment yet")
         if label not in SPLIT_LABELS:
             raise ValueError(f"unknown split label {label!r}")
-        return self.rows[self.split == label]
+        block = SPLIT_LABELS.index(label)
+        sizes = split_sizes(self.n_rows)
+        start = sum(sizes[:block])
+        return self.rows[start:start + sizes[block]]
 
     @property
     def train_rows(self) -> np.ndarray:
@@ -348,12 +344,11 @@ def split_sizes(n: int) -> tuple[int, int, int]:
 
 
 def split(ds: Dataset) -> Dataset:
-    """Assign chronological train/validation/test labels (see :func:`split_sizes`)."""
+    """Mark a normalized dataset split into the blocks of :func:`split_sizes`."""
     if not ds.normalized:
         raise ValueError("split expects a normalized dataset")
-    sizes = split_sizes(ds.n_rows)
-    labels = np.repeat(np.array(SPLIT_LABELS, dtype=object), sizes)
-    return Dataset(columns=ds.columns, rows=ds.rows, normalized=True, split=labels)
+    split_sizes(ds.n_rows)  # raises for fewer than 4 rows
+    return replace(ds, split=True)
 
 
 def make_tasks(ds: Dataset, missing_columns: set[int], block: str = "test") -> ImputationTask:

@@ -358,9 +358,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     try:
         notify("loading dataset")
         ds = clock("prepare", _prepare_dataset, cfg)
-        document["split_counts"] = {
-            label: int((ds.split == label).sum()) for label in data_mod.SPLIT_LABELS
-        }
+        document["split_counts"] = dict(zip(data_mod.SPLIT_LABELS, data_mod.split_sizes(ds.n_rows)))
         document["normalization"] = [
             {
                 "column": spec.name,
@@ -672,10 +670,12 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     ``split_counts`` must fit the imputed files' row count (see
     :func:`_split_check`), and each optimizer's ``evaluations_per_task``
     must be the :func:`~aeimpute.optimizers.budget` of its config echo.  An
-    unreadable ``report.json`` or an unknown task kind, and the first
-    malformed file, fail one ``format`` check that names the file and ends
-    the verification.  A value cell of ``metrics.csv`` or ``pvalues.csv``
-    that is not a number fails its own row's check only.
+    unreadable ``report.json``, an unknown task kind, a ``config.methods``
+    that is not one or more methods of :data:`ALL_METHODS`, each once and
+    each with a block of ``methods``, no more, and the first malformed file,
+    fail one ``format`` check that names the file and ends the verification.
+    A value cell of ``metrics.csv`` or ``pvalues.csv`` that is not a number
+    fails its own row's check only.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
@@ -689,6 +689,7 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         order = list(report["config"]["methods"])
         methods = sorted(order)
         stored_blocks = {method: dict(report["methods"][method]) for method in methods}
+        blocks = sorted(report["methods"])
         normalization = [[e["column"], e["min"], e["max"]] for e in report["normalization"]]
         model_shape = {"n": len(normalization), "h": report["hidden_size"]["selected"]}
         stored_comparison = report["comparison"]
@@ -701,6 +702,9 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         return [("format", False, f"{report_path.name} unreadable: {err!r}")]
     if task_kind not in TASK_KINDS:
         return [("format", False, f"{report_path.name}: unknown task_kind {task_kind!r}")]
+    if not methods or methods != blocks or not set(methods) <= set(ALL_METHODS):  # keys repeat none
+        return [("format", False, f"{report_path.name}: config.methods {order} and methods' blocks "
+                 f"{blocks} must be the same one or more of {', '.join(ALL_METHODS)}, each once")]
 
     expected = [name for file, name, _ in report_files(methods, task_kind) if file.stable]
     missing = [name for name in expected if not (out_dir / name).is_file()]

@@ -1,16 +1,18 @@
-"""Shared fixtures: stub networks, stub objectives, and synthetic datasets.
+"""Shared fixtures: stub networks, stub objectives, and the benchmark's datasets.
 
-The three synthetic CSV fixtures mirror the shapes of the benchmark files
-the harness targets (1000x25 with a binary final column, 517x13 with a
-numeric final column, 270x14 with a binary final column) and carry real
-feature/target structure so learned models beat random search.
+The three CSV fixtures are the tables the benchmark generates
+(``bench/inputs.py``, seed 0) at the sizes of the paper's datasets: 1000x25
+with a binary final column, 517x13 with a numeric final column and 270x14
+with a binary final column.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
 import os
 import signal
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,119 +233,48 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-# --- synthetic benchmark-shaped datasets -------------------------------------
+# --- the benchmark's tables ---------------------------------------------------
 
-def _write_csv(path, matrix, formats) -> None:
-    lines = []
-    for row in matrix:
-        lines.append(",".join(fmt % v for fmt, v in zip(formats, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def make_credit_like(path, seed: int = 101) -> dict:
-    """1000 rows x 25 columns; binary credit-status-like final column."""
-    rng = np.random.default_rng(seed)
-    n = 1000
-    latent = rng.normal(0.0, 1.0, size=(n, 3))
-    cols = []
-    formats = []
-    kinds = []
-    for i in range(24):
-        mix = latent @ rng.normal(0.0, 1.0, 3) + rng.normal(0.0, 0.8, n)
-        if i % 6 == 0:
-            col = np.clip(np.round(2.0 + mix), 0, 4)  # categorical codes 0..4
-            kinds.append("categorical")
-            formats.append("%d")
-        elif i % 6 == 3:
-            col = (mix > 0).astype(float)  # binary flag
-            kinds.append("binary")
-            formats.append("%d")
-        else:
-            lo, hi = sorted(rng.uniform(-50, 5000, 2))
-            col = lo + (hi - lo) * (1.0 / (1.0 + np.exp(-mix)))
-            kinds.append("numeric")
-            formats.append("%.6f")
-        cols.append(col)
-    signal = latent @ np.array([1.2, -0.9, 0.7]) + rng.normal(0.0, 0.6, n)
-    target = (signal > 0).astype(float)
-    cols.append(target)
-    kinds.append("binary")
-    formats.append("%d")
-    _write_csv(path, np.stack(cols, axis=1), formats)
-    return {"rows": n, "columns": 25, "kinds": kinds, "missing_column": 24, "task": "classification"}
+def bench_module(name: str):
+    """Import a module of the benchmark's directory ``bench/`` (``inputs`` or ``spans``)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.pop(0)
 
 
-def make_fire_like(path, seed: int = 202) -> dict:
-    """517 rows x 13 columns; skewed numeric burned-area-like final column."""
-    rng = np.random.default_rng(seed)
-    n = 517
-    latent = rng.normal(0.0, 1.0, size=(n, 3))
-    cols = []
-    formats = []
-    for i in range(12):
-        mix = latent @ rng.normal(0.0, 1.0, 3) + rng.normal(0.0, 0.7, n)
-        lo, hi = sorted(rng.uniform(-10, 300, 2))
-        cols.append(lo + (hi - lo) * (1.0 / (1.0 + np.exp(-mix))))
-        formats.append("%.6f")
-    drive = latent @ np.array([0.9, 0.8, -0.5])
-    target = np.where(drive > 0.3, np.expm1(np.clip(drive, 0, 4)) * 3.0, 0.0)
-    cols.append(target)
-    formats.append("%.4f")
-    _write_csv(path, np.stack(cols, axis=1), formats)
-    return {"rows": n, "columns": 13, "kinds": ["numeric"] * 13, "missing_column": 12, "task": "prediction"}
+def write_table(path, shape: str, seed: int = 0, **size) -> dict:
+    """Write the benchmark's ``inputs.<shape>(seed, **size)`` table to ``path``
+    as CSV; return the fields :func:`config_text` reads."""
+    table = getattr(bench_module("inputs"), shape)(seed, **size)
+    table.write_csv(path)
+    return {"kinds": table.kinds, "missing_column": table.missing_column, "task": table.task}
 
 
-def make_heart_like(path, seed: int = 303) -> dict:
-    """270 rows x 14 columns; binary disease-status-like final column."""
-    rng = np.random.default_rng(seed)
-    n = 270
-    latent = rng.normal(0.0, 1.0, size=(n, 2))
-    cols = []
-    formats = []
-    kinds = []
-    for i in range(13):
-        mix = latent @ rng.normal(0.0, 1.0, 2) + rng.normal(0.0, 0.7, n)
-        if i % 5 == 2:
-            cols.append((mix > 0).astype(float))
-            kinds.append("binary")
-            formats.append("%d")
-        else:
-            lo, hi = sorted(rng.uniform(0, 250, 2))
-            cols.append(lo + (hi - lo) * (1.0 / (1.0 + np.exp(-mix))))
-            kinds.append("numeric")
-            formats.append("%.6f")
-    signal = latent @ np.array([1.1, -0.8]) + rng.normal(0.0, 0.5, n)
-    target = (signal > 0).astype(float)
-    cols.append(target)
-    kinds.append("binary")
-    formats.append("%d")
-    _write_csv(path, np.stack(cols, axis=1), formats)
-    return {"rows": n, "columns": 14, "kinds": kinds, "missing_column": 13, "task": "classification"}
+def _paper_sized(tmp_path_factory, shape: str, n: int):
+    path = tmp_path_factory.mktemp("datasets") / f"{shape}.csv"
+    return path, write_table(path, shape, n=n)
 
 
+# The paper's datasets: German credit, forest fires and heart disease.
 @pytest.fixture(scope="session")
 def credit_like(tmp_path_factory):
-    path = tmp_path_factory.mktemp("datasets") / "credit_like.csv"
-    meta = make_credit_like(path)
-    return path, meta
+    return _paper_sized(tmp_path_factory, "credit", 1000)
 
 
 @pytest.fixture(scope="session")
 def fire_like(tmp_path_factory):
-    path = tmp_path_factory.mktemp("datasets") / "fire_like.csv"
-    meta = make_fire_like(path)
-    return path, meta
+    return _paper_sized(tmp_path_factory, "fire", 517)
 
 
 @pytest.fixture(scope="session")
 def heart_like(tmp_path_factory):
-    path = tmp_path_factory.mktemp("datasets") / "heart_like.csv"
-    meta = make_heart_like(path)
-    return path, meta
+    return _paper_sized(tmp_path_factory, "heart", 270)
 
 
 def config_text(dataset_path, meta, output_dir, **overrides) -> str:
-    """Render an experiment config file for a synthetic dataset."""
+    """Render an experiment config file for a table written by :func:`write_table`."""
     settings = {
         "dataset": str(dataset_path),
         "columns": ",".join(meta["kinds"]),

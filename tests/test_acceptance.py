@@ -1,9 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with its measured margin.
 
-Criteria 7-9 exercise the full harness on synthetic stand-ins shaped like
-the three benchmark files (1000x25, 517x13, 270x14); the loader and protocol
-are identical for the real files.
+Criteria 7-9 exercise the full harness on the tables the benchmark
+generates (``bench/inputs.py``, seed 0), at the sizes of the paper's three
+datasets (1000x25, 517x13, 270x14); the loader and protocol are identical
+for the real files.
 """
 
 import json
@@ -28,9 +29,6 @@ from conftest import (
     QuadraticStub,
     Ripple2D,
     config_text,
-    make_credit_like,
-    make_fire_like,
-    make_heart_like,
     manifold_rows,
     random_autoencoder,
 )
@@ -43,19 +41,17 @@ def report_line(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def benchmark_runs(tmp_path_factory):
+def benchmark_runs(tmp_path_factory, credit_like, fire_like, heart_like):
     """Run the three benchmark-shaped experiments at default budgets."""
     tmp = tmp_path_factory.mktemp("bench")
     runs = {}
     specs = [
-        ("credit", make_credit_like, (500, 250, 250)),
-        ("fire", make_fire_like, (259, 129, 129)),
-        ("heart", make_heart_like, (136, 67, 67)),
+        ("credit", credit_like, (500, 250, 250)),
+        ("fire", fire_like, (259, 129, 129)),
+        ("heart", heart_like, (136, 67, 67)),
     ]
     start = perf_counter()
-    for name, make, expected_counts in specs:
-        csv = tmp / f"{name}.csv"
-        meta = make(csv)
+    for name, (csv, meta), expected_counts in specs:
         cfg_file = tmp / f"{name}.cfg"
         out = tmp / f"{name}_out"
         cfg_file.write_text(config_text(csv, meta, out, seed=0), encoding="utf-8")
@@ -294,13 +290,11 @@ class TestCriterion7Protocol:
     strict=False,
 )
 class TestCriterion8Ordering:
-    def test_rf_auc_at_least_ns_auc(self, tmp_path_factory):
+    def test_rf_auc_at_least_ns_auc(self, tmp_path_factory, heart_like, credit_like):
         start = perf_counter()
         tmp = tmp_path_factory.mktemp("ordering")
         outcomes = {}
-        for name, make in (("heart", make_heart_like), ("credit", make_credit_like)):
-            csv = tmp / f"{name}.csv"
-            meta = make(csv)
+        for name, (csv, meta) in (("heart", heart_like), ("credit", credit_like)):
             wins = 0
             for seed in range(5):
                 out = tmp / f"{name}_{seed}"

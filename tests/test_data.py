@@ -1,14 +1,14 @@
 """Dataset loading, scaling, splitting, and task construction."""
 
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute import data
+
+from conftest import write_table
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -214,7 +214,7 @@ class TestSplit:
     )
     def test_benchmark_counts(self, n, expected):
         ds = data.split(_normalized(n))
-        counts = tuple(int((ds.split == label).sum()) for label in data.SPLIT_LABELS)
+        counts = tuple(len(ds.rows_for(label)) for label in data.SPLIT_LABELS)
         assert counts == expected == data.split_sizes(n)
 
     def test_too_small(self):
@@ -223,21 +223,23 @@ class TestSplit:
 
     def test_test_block_is_suffix(self):
         ds = data.split(_normalized(41))
-        labels = list(ds.split)
-        k = labels.index("validation")
-        assert all(v == "train" for v in labels[:k])
-        j = labels.index("test")
-        assert all(v == "validation" for v in labels[k:j])
-        assert all(v == "test" for v in labels[j:])
+        assert ds.split is True
+        np.testing.assert_array_equal(ds.rows_for("train"), ds.rows[:21])
+        np.testing.assert_array_equal(ds.rows_for("validation"), ds.rows[21:31])
+        np.testing.assert_array_equal(ds.rows_for("test"), ds.rows[31:])
+        with pytest.raises(ValueError, match="no split"):
+            _normalized(41).rows_for("test")
 
     @given(st.integers(4, 2000))
     @settings(max_examples=60)
     def test_partition_exact(self, n):
         ds = data.split(_normalized(n, seed=1))
-        counts = {label: int((ds.split == label).sum()) for label in data.SPLIT_LABELS}
-        assert sum(counts.values()) == n
-        assert counts["test"] == counts["validation"] == n // 4
-        assert counts["train"] == n - 2 * (n // 4)
+        blocks = [ds.rows_for(label) for label in data.SPLIT_LABELS]
+        assert [len(b) for b in blocks] == [n - 2 * (n // 4), n // 4, n // 4]
+        # Contiguous and in order: every row exactly once.
+        np.testing.assert_array_equal(np.concatenate(blocks), ds.rows)
+        for block in blocks:
+            assert np.shares_memory(block, ds.rows) and not block.flags.writeable
 
     def test_requires_normalized(self):
         ds = data.Dataset(
@@ -260,28 +262,24 @@ class TestPrepare:
         assert data.split(scaled).rows is scaled.rows
 
     def test_copies_a_matrix_the_caller_can_still_write(self):
-        writable = np.array([[0.25, 0.5], [0.75, 1.0]])
+        writable = np.array([[0.25, 0.5], [0.75, 1.0], [0.0, 0.5], [1.0, 0.25]])
         read_only_view = writable[:]
         read_only_view.flags.writeable = False
-        labels = np.array(["train", "test"], dtype=object)
         for given in (writable, read_only_view, writable.astype(np.float32), writable.tolist()):
-            ds = data.Dataset(columns=self.COLUMNS, rows=given, normalized=True, split=labels)
+            ds = data.Dataset(columns=self.COLUMNS, rows=given, normalized=True, split=True)
             assert ds.rows.dtype == np.float64 and not ds.rows.flags.writeable
             assert not np.shares_memory(ds.rows, writable)
-            assert ds.split.tolist() == ["train", "test"] and not ds.split.flags.writeable
-        assert writable.flags.writeable and labels.flags.writeable
+            for label in data.SPLIT_LABELS:
+                block = ds.rows_for(label)
+                assert np.shares_memory(block, ds.rows) and not block.flags.writeable
+        assert writable.flags.writeable
 
     def test_traced_peak_per_cell(self, tmp_path):
         # load_csv alone peaks at about 17.5 traced bytes per cell; normalize
         # and split must not add to that (normalize's two temporaries and a
         # copy per Dataset made it 25).
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-        try:
-            import inputs
-        finally:
-            sys.path.pop(0)
         p = tmp_path / "credit.csv"
-        inputs.credit(0, n=20_000).write_csv(p)
+        write_table(p, "credit", n=20_000)
         data.split(data.normalize(data.load_csv(p)))  # first-call allocations are not the stage's
         tracemalloc.start()
         try:

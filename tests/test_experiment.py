@@ -28,7 +28,7 @@ from aeimpute.experiment import (
 )
 from aeimpute.seeding import derive_seed
 
-from conftest import child_processes, config_text, make_heart_like, random_autoencoder
+from conftest import bench_module, child_processes, config_text, random_autoencoder, write_table
 
 
 # The files whose bytes may differ between reruns, as the report's file table marks them.
@@ -59,11 +59,8 @@ FAST = {
 
 
 @pytest.fixture(scope="module")
-def heart_setup(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("exp")
-    csv = tmp / "heart.csv"
-    meta = make_heart_like(csv)
-    return tmp, csv, meta
+def heart_setup(tmp_path_factory, heart_like):
+    return (tmp_path_factory.mktemp("exp"), *heart_like)
 
 
 def write_config(tmp, csv, meta, name="exp.cfg", out="out", **overrides):
@@ -402,6 +399,30 @@ class TestRunExperiment:
         assert cli.main(["verify", str(clone)]) == 2
         assert capsys.readouterr().out == "FAIL format: report.json: unknown task_kind 'ranking'\n"
 
+    @pytest.mark.parametrize(
+        "edit, stated",
+        [
+            (lambda r: r["config"].update(methods=[]), "[]"),
+            (lambda r: r["config"]["methods"].append("ga"), "['ga', 'sa', 'pso', 'ns', 'rf', 'ga']"),
+            (lambda r: (r["config"]["methods"].append("xx"), r["methods"].update(xx=r["methods"]["ga"])),
+             "['ga', 'sa', 'pso', 'ns', 'rf', 'xx']"),
+            (lambda r: r["methods"].update(xx=r["methods"]["ga"]), "['ga', 'sa', 'pso', 'ns', 'rf']"),
+        ],
+        ids=["empty", "repeated", "unknown-name", "extra-block"],
+    )
+    def test_verify_checks_the_method_set(self, emitted, tmp_path, capsys, edit, stated):
+        _, _, out = emitted
+        clone = clone_report(out, tmp_path / "methods")
+        document = json.loads((clone / "report.json").read_text())
+        edit(document)
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        blocks = sorted(document["methods"])
+        detail = (f"report.json: config.methods {stated} and methods' blocks {blocks} "
+                  "must be the same one or more of ga, sa, pso, ns, rf, each once")
+        assert verify_report(clone) == [("format", False, detail)]
+        assert cli.main(["verify", str(clone)]) == 2
+        assert capsys.readouterr().out == f"FAIL format: {detail}\n"
+
     def test_reemission_byte_identical(self, emitted, tmp_path):
         _, report, out = emitted
         again = tmp_path / "again"
@@ -581,12 +602,9 @@ class TestRunExperiment:
 
 
 @pytest.fixture(scope="module")
-def prediction_emitted(tmp_path_factory):
-    from conftest import make_fire_like
-
+def prediction_emitted(tmp_path_factory, fire_like):
     tmp = tmp_path_factory.mktemp("pred")
-    csv = tmp / "fire.csv"
-    meta = make_fire_like(csv)
+    csv, meta = fire_like
     cfg_file = tmp / "pred.cfg"
     out = tmp / "pred_out"
     cfg_file.write_text(
@@ -689,14 +707,7 @@ def forest_only(heart_setup):
 
 def bench_report(tmp, table_name, **settings):
     """The emitted report of a run on the benchmark's ``table_name`` table at seed 0."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    try:
-        import inputs
-    finally:
-        sys.path.pop(0)
-    table = getattr(inputs, table_name)(0)
-    table.write_csv(tmp / "data.csv")
-    meta = {"kinds": table.kinds, "missing_column": table.missing_column, "task": table.task}
+    meta = write_table(tmp / "data.csv", table_name)
     (tmp / "run.cfg").write_text(config_text(tmp / "data.csv", meta, tmp / "out", seed=0, **settings))
     cfg = parse_config(tmp / "run.cfg")
     emit_report(run_experiment(cfg), cfg.output_dir)
@@ -964,11 +975,7 @@ class TestTracedHooks:
     def test_every_hook_fits_and_restores(self, heart_setup, monkeypatch):
         # One process: a span made in a forked worker stays in that worker.
         monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-        try:
-            from spans import Tracer
-        finally:
-            sys.path.pop(0)
+        Tracer = bench_module("spans").Tracer
         from aeimpute.data import ImputationTask
         from aeimpute.objective import MissingDataObjective
 
