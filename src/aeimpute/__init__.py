@@ -37,7 +37,6 @@ from .network import (
     TrainConfig,
     TrainingError,
     load_model,
-    reconstruction_loss,
     save_model,
     select_hidden_size,
     train,
@@ -83,7 +82,6 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "load_model",
-    "reconstruction_loss",
     "save_model",
     "select_hidden_size",
     "train",

@@ -40,7 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("config", type=Path)
 
-    verify_p = sub.add_parser("verify", help="recompute a report's metrics from its imputed values")
+    verify_p = sub.add_parser(
+        "verify", help="regrade a report's imputed values and compare every file with its re-rendering"
+    )
     verify_p.add_argument("report_dir", type=Path)
 
     inspect_p = sub.add_parser("inspect-model", help="summarize a saved model file")

@@ -57,6 +57,20 @@ class ColumnSpec:
             )
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float64 array.
+
+    A read-only float64 array that owns its memory (normalize's, split's and
+    make_tasks') is kept as it is; any other is copied, so that a caller's
+    writable array is never frozen.
+    """
+    owned = type(values) is np.ndarray and values.base is None and values.dtype == np.float64
+    if not owned or values.flags.writeable:
+        values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable record-major numeric matrix plus column metadata.
@@ -70,13 +84,7 @@ class Dataset:
     split: bool = False
 
     def __post_init__(self) -> None:
-        rows = self.rows
-        # A read-only float64 matrix that owns its memory (normalize's and
-        # split's) is kept as it is; any other is copied, so that a caller's
-        # writable array is never frozen.
-        owned = type(rows) is np.ndarray and rows.base is None and rows.dtype == np.float64
-        if not owned or rows.flags.writeable:
-            rows = np.array(rows, dtype=float)
+        rows = _frozen(self.rows)
         if rows.ndim != 2:
             raise ValueError(f"rows must be a 2-D matrix, got ndim={rows.ndim}")
         if rows.shape[1] != len(self.columns):
@@ -87,7 +95,6 @@ class Dataset:
             raise ValueError("dataset contains non-finite values")
         if self.normalized and ((rows < 0.0).any() or (rows > 1.0).any()):
             raise ValueError("normalized dataset has values outside [0, 1]")
-        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", tuple(self.columns))
 
@@ -123,7 +130,7 @@ class ImputationTask:
     mask is False are the unknowns to estimate; their slots in ``record``
     hold :data:`MISSING_SENTINEL` when built by :func:`make_tasks` and are
     never read as data.  ``true_values`` (T, n) keeps the held-out originals
-    for scoring.
+    for scoring.  Both are kept or copied by the rule of :class:`Dataset`.
     """
 
     record: np.ndarray
@@ -131,7 +138,7 @@ class ImputationTask:
     true_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        record = np.array(self.record, dtype=float)
+        record = _frozen(self.record)
         mask = np.array(self.known_mask, dtype=bool)
         if record.ndim != 2 or mask.shape != record.shape[1:]:
             raise ValueError("record must be (T, n) and known_mask (n,)")
@@ -139,15 +146,13 @@ class ImputationTask:
             raise ValueError("at least one component must be known")
         if mask.all():
             raise ValueError("at least one component must be unknown")
-        record.flags.writeable = False
         mask.flags.writeable = False
         object.__setattr__(self, "record", record)
         object.__setattr__(self, "known_mask", mask)
         if self.true_values is not None:
-            truth = np.array(self.true_values, dtype=float)
+            truth = _frozen(self.true_values)
             if truth.shape != record.shape:
                 raise ValueError("true_values must match the records' shape")
-            truth.flags.writeable = False
             object.__setattr__(self, "true_values", truth)
 
     @property
@@ -372,5 +377,6 @@ def make_tasks(ds: Dataset, missing_columns: set[int], block: str = "test") -> I
     rows = ds.rows_for(block)
     records = rows.copy()
     records[:, miss] = MISSING_SENTINEL
+    records.flags.writeable = False  # the task keeps it without a copy
     return ImputationTask(record=records, known_mask=mask, true_values=rows)
 

@@ -538,6 +538,12 @@ def report_files(methods, task_kind: str):
                 yield file, file.name.format(method), method
 
 
+def _text(file: ReportFile, report: ExperimentReport, method) -> str:
+    """The text of ``file`` for ``method`` (None for a file written once)."""
+    body = file.rows(report, method)
+    return body if file.header is None else "\n".join([file.header, *body]) + "\n"
+
+
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     """Write the report's files of :data:`REPORT_FILES`; emission is
     byte-stable per report."""
@@ -546,74 +552,46 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     written: list[Path] = []
     doc = report.document
     for file, name, method in report_files(list(doc["methods"]), doc["task_kind"]):
-        body = file.rows(report, method)
-        text = body if file.header is None else "\n".join([file.header, *body]) + "\n"
         path = out_dir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
+        path.write_text(_text(file, report, method), encoding="utf-8", newline="\n")
         written.append(path)
     return written
 
 
 # --- verification -----------------------------------------------------------
 
-def _read_csv(path: Path, *columns: str, convert=str) -> list[list]:
-    """The named columns of a CSV file's rows, each cell passed through ``convert``.
-
-    An empty file, an absent column, a short row or a cell ``convert``
-    rejects raises ValueError naming the file.
-    """
+def _regrade(path: Path, task_kind: str) -> tuple[dict, np.ndarray]:
+    """:func:`_grade` on the ``true_value`` and ``imputed_value`` columns of an
+    ``imputed_<method>.csv``; a file it cannot grade raises ValueError naming it."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",") if lines else []
-    absent = [c for c in columns if c not in header]
-    if absent:
-        raise ValueError(f"{path.name} unreadable: no column {', '.join(absent)}")
-    at = [header.index(c) for c in columns]
     try:
+        at = [lines[0].split(",").index(column) for column in ("true_value", "imputed_value")]
         rows = [line.split(",") for line in lines[1:] if line]
-        return [[convert(cells[i]) for i in at] for cells in rows]
+        truth, values = np.array([[float(cells[i]) for i in at] for cells in rows]).reshape(-1, 2).T
+        return _grade(truth, values, task_kind)
     except (IndexError, ValueError) as err:
-        raise ValueError(f"{path.name} unreadable: {err}") from None
+        raise ValueError(f"{path.name} cannot be graded: {err}") from None
 
 
-def _compare(stored: str, value: float | None, source: str) -> tuple[bool, str]:
-    """A cell of ``source`` ('undefined' or a float) against its recomputation (None: undefined)."""
-    if value is None:
-        ok = stored == "undefined"
-        return ok, "undefined as stored" if ok else f"stored {stored!r}, recomputed undefined"
-    if stored == "undefined":
-        return False, f"stored undefined, recomputed {value!r}"
+def _cell(text: str) -> float | str:
     try:
-        number = float(stored)
+        return float(text)
     except ValueError:
-        return False, f"{source} holds {stored!r}, not a number"
-    ok = abs(number - value) <= VERIFY_TOLERANCE
-    return ok, "match" if ok else f"stored {number!r} vs recomputed {value!r}"
+        return text
 
 
-def _match_rows(checks, source, stored, recomputed) -> None:
-    """Check a stored table's (check name, text) rows against {check name: value}.
-
-    A row whose name is repeated or not recomputed fails, and so does a
-    recomputed name with no row; every other row is compared by :func:`_compare`.
-    """
-    seen = set()
-    for name, text in stored:
-        if name not in recomputed:
-            checks.append((name, False, f"unexpected row in {source}"))
-        elif name in seen:
-            checks.append((name, False, f"row repeated in {source}"))
-        else:
-            seen.add(name)
-            checks.append((name, *_compare(text, recomputed[name], source)))
-    checks.extend((name, False, f"absent from {source}") for name in recomputed if name not in seen)
+def _cells(text: str) -> list[list]:
+    """A CSV text as its lines of cells, a cell that is a number read as a float."""
+    return [[_cell(cell) for cell in line.split(",")] for line in text.splitlines()]
 
 
 def _first_difference(stored, expected, path: str) -> str | None:
     """Where a stored JSON-like value first differs from the expected one, or None.
 
-    Mappings must have the same keys and lists the same length; a float
-    agrees with a number within :data:`VERIFY_TOLERANCE`, and any other
-    value only with an equal one.
+    Mappings must have the same keys.  Lists are compared element by
+    element first, so the first differing element is named before a
+    difference in length.  A float agrees with a number within
+    :data:`VERIFY_TOLERANCE`, and any other value only with an equal one.
     """
     if stored == expected:  # an intact entry, compared in one call
         return None
@@ -622,7 +600,7 @@ def _first_difference(stored, expected, path: str) -> str | None:
             return f"{path} does not hold the keys {sorted(expected)}"
         inner = ((stored[k], v, f"{path}.{k}") for k, v in expected.items())
     elif isinstance(expected, list):
-        if not isinstance(stored, list) or len(stored) != len(expected):
+        if not isinstance(stored, list):
             return f"{path} does not hold {len(expected)} entries"
         inner = ((s, v, f"{path}[{i}]") for i, (s, v) in enumerate(zip(stored, expected)))
     else:
@@ -630,14 +608,9 @@ def _first_difference(stored, expected, path: str) -> str | None:
         if number and abs(stored - expected) <= VERIFY_TOLERANCE:
             return None
         return f"{path} holds {stored!r}, expected {expected!r}"
-    return next(filter(None, (_first_difference(*args) for args in inner)), None)
-
-
-def _agreement(name: str, stored, expected, path: str, source="the regraded imputed files"):
-    """The (name, passed, detail) check that ``stored`` equals what ``source`` gives."""
-    difference = _first_difference(stored, expected, path)
-    detail = f"{difference} from {source}" if difference else f"matches {source}"
-    return name, difference is None, detail
+    difference = next(filter(None, (_first_difference(*args) for args in inner)), None)
+    unequal = len(stored) != len(expected)  # lists only: mappings hold the same keys
+    return difference or (f"{path} does not hold {len(expected)} entries" if unequal else None)
 
 
 def _split_check(counts: dict, test_rows: dict[str, int]) -> tuple[str, bool, str]:
@@ -659,45 +632,48 @@ def _split_check(counts: dict, test_rows: dict[str, int]) -> tuple[str, bool, st
 
 
 def verify_report(out_dir) -> list[tuple[str, bool, str]]:
-    """Re-grade the persisted imputed values the way ``run`` graded them,
-    and read every other file of the report against that grading.
+    """Rebuild the report ``run`` would have written from the regraded
+    imputed files, and compare every stable file with its re-rendering.
 
-    Returns (check name, passed, detail) tuples; numbers compare within an
-    absolute tolerance of 1e-9.  The expected files are the stable ones of
-    :data:`REPORT_FILES`; missing files fail with an inventory of what was
-    expected versus found.  ``normalization.csv`` and ``model.txt`` are read
-    against report.json's normalization block and hidden size.  Its
-    ``split_counts`` must fit the imputed files' row count (see
-    :func:`_split_check`), and each optimizer's ``evaluations_per_task``
-    must be the :func:`~aeimpute.optimizers.budget` of its config echo.  An
-    unreadable ``report.json``, an unknown task kind, a ``config.methods``
-    that is not one or more methods of :data:`ALL_METHODS`, each once and
-    each with a block of ``methods``, no more, and the first malformed file,
-    fail one ``format`` check that names the file and ends the verification.
-    A value cell of ``metrics.csv`` or ``pvalues.csv`` that is not a number
-    fails its own row's check only.
+    The expected report is report.json's document with each method's block
+    regraded from its ``imputed_<method>.csv``, its ``evaluations_per_task``
+    or ``mtry_resolved`` derived from the config echo, and the comparison
+    recomputed; its columns come from the ``normalization`` block and its
+    network from ``model.txt``.  Each stable file of :data:`REPORT_FILES`
+    gets one check, named after it, that its first difference fails (see
+    :func:`_first_difference`): report.json is compared as a parsed
+    document, the other files as comma-split lines.  Two more checks:
+    :func:`_split_check`, and ``model``, ``model.txt``'s shape against
+    report.json.
+
+    Returns (check name, passed, detail) tuples.  Missing files fail one
+    ``inventory`` check.  An unreadable ``report.json``, an unknown task
+    kind, a ``config.methods`` that is not one or more methods of
+    :data:`ALL_METHODS`, each once and each with a block of ``methods``, no
+    more, and the first malformed file, fail one ``format`` check that names
+    the file and ends the verification.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
     if not report_path.is_file():
         return [("inventory", False, f"missing {report_path.name}")]
     try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        task_kind = report["task_kind"]
-        # The run compared the methods in its configured order; the checks
-        # follow report.json's method blocks, which sit in sorted order.
-        order = list(report["config"]["methods"])
+        document = json.loads(report_path.read_text(encoding="utf-8"))
+        task_kind = document["task_kind"]
+        config = document["config"]
+        # The run graded the methods in its configured order; report.json's
+        # method blocks sit in sorted order.
+        order = list(config["methods"])
         methods = sorted(order)
-        stored_blocks = {method: dict(report["methods"][method]) for method in methods}
-        blocks = sorted(report["methods"])
-        normalization = [[e["column"], e["min"], e["max"]] for e in report["normalization"]]
-        model_shape = {"n": len(normalization), "h": report["hidden_size"]["selected"]}
-        stored_comparison = report["comparison"]
-        split_counts = dict(report["split_counts"])
-        budgets = {
-            method: optim_mod.budget(method, _SECTION_TYPES[method](**report["config"][method]))
-            for method in methods if method in OPTIMIZER_METHODS
-        }
+        blocks = sorted(document["methods"])
+        columns = tuple(data_mod.ColumnSpec(e["column"], e["kind"], e["min"], e["max"], e["degenerate"])
+                        for e in document["normalization"])
+        model_shape = {"n": len(columns), "h": document["hidden_size"]["selected"]}
+        split_counts = dict(document["split_counts"])
+        sections = {method: _SECTION_TYPES[method](**config[method]) for method in ALL_METHODS}
+        from_config = {method: {"evaluations_per_task": optim_mod.budget(method, sections[method])}
+                       for method in OPTIMIZER_METHODS}
+        from_config["rf"] = {"mtry_resolved": forest_mod.resolve_mtry(sections["rf"], len(columns))}
     except (ValueError, KeyError, TypeError) as err:
         return [("format", False, f"{report_path.name} unreadable: {err!r}")]
     if task_kind not in TASK_KINDS:
@@ -706,63 +682,39 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         return [("format", False, f"{report_path.name}: config.methods {order} and methods' blocks "
                  f"{blocks} must be the same one or more of {', '.join(ALL_METHODS)}, each once")]
 
-    expected = [name for file, name, _ in report_files(methods, task_kind) if file.stable]
-    missing = [name for name in expected if not (out_dir / name).is_file()]
+    files = [(file, name, method) for file, name, method in report_files(methods, task_kind) if file.stable]
+    missing = [name for _, name, _ in files if not (out_dir / name).is_file()]
     if missing:
         present = ", ".join(sorted(p.name for p in out_dir.iterdir() if p.is_file()))
         return [("inventory", False, f"missing: {', '.join(missing)}; present: {present}")]
-    checks = [("inventory", True, f"{len(expected)} files present")]
+    checks = [("inventory", True, f"{len(files)} files present")]
     try:
-        recomputed, errors, test_rows = {}, {}, {}
-        for method in methods:
-            name = _IMPUTED_FILE.name.format(method)
-            rows = _read_csv(out_dir / name, "true_value", "imputed_value", convert=float)
-            test_rows[name] = len(rows)
-            truth, values = np.array(rows).reshape(-1, 2).T
-            try:
-                block, errors[method] = _grade(truth, values, task_kind)
-            except ValueError as err:
-                raise ValueError(f"{name} cannot be graded: {err}") from None
-            stored = {key: stored_blocks[method].get(key) for key in block}
-            checks.append(_agreement(f"report.{method}", stored, block, f"methods.{method}"))
-            recomputed.update((f"{method}.{k}", v) for k, v in block["metrics"].items())
-            if "roc_points" in block:
-                name = _ROC_FILE.name.format(method)
-                stored = _read_csv(out_dir / name, "fpr", "tpr", convert=float)
-                checks.append(_agreement(f"roc_{method}", stored, block["roc_points"], name))
-        checks.append(_split_check(split_counts, test_rows))
-        checks.extend(
-            _agreement(
-                f"evaluations.{method}", stored_blocks[method].get("evaluations_per_task"),
-                evaluations, f"methods.{method}.evaluations_per_task", "the config echo",
-            )
-            for method, evaluations in budgets.items()
-        )
-
-        rows = _read_csv(out_dir / "metrics.csv", "method", "metric", "value")
-        stored = [(f"{method}.{metric}", value) for method, metric, value in rows]
-        _match_rows(checks, "metrics.csv", stored, recomputed)
-
+        graded, errors = {}, {}
+        for method in order:
+            block, errors[method] = _regrade(out_dir / _IMPUTED_FILE.name.format(method), task_kind)
+            graded[method] = {**from_config[method], **block}
+        rows = {_IMPUTED_FILE.name.format(m): len(b["imputed"]) for m, b in graded.items()}
+        checks.append(_split_check(split_counts, rows))
         try:
-            comparison = _comparison({method: errors[method] for method in order})
+            comparison = _comparison(errors)
         except ValueError as err:
             raise ValueError(f"{_IMPUTED_FILE.name.format('*')} cannot be compared: {err}") from None
-        checks.append(_agreement("report.comparison", stored_comparison, comparison, "comparison"))
-        recomputed = {f"pvalue.{e['pair']}": e["p_value"] for e in comparison.get("pairs", [])}
-        rows = _read_csv(out_dir / "pvalues.csv", "pair", "p_value")
-        _match_rows(checks, "pvalues.csv", [(f"pvalue.{pair}", p) for pair, p in rows], recomputed)
-
-        path = out_dir / "normalization.csv"
-        bounds = _read_csv(path, "min", "max", convert=float)
-        stored = [name + pair for name, pair in zip(_read_csv(path, "column"), bounds)]
-        checks.append(_agreement("normalization", stored, normalization, path.name, "report.json"))
-
         try:
             net = network_mod.load_model(out_dir / "model.txt")
         except ValueError as err:
             raise ValueError(f"model.txt unreadable: {err}") from None
-        stored = {"n": net.n_inputs, "h": net.n_hidden}
-        checks.append(_agreement("model", stored, model_shape, "model.txt", "report.json"))
+        difference = _first_difference({"n": net.n_inputs, "h": net.n_hidden}, model_shape, "model.txt")
+        detail = f"{difference} from report.json" if difference else "matches report.json"
+        checks.append(("model", difference is None, detail))
+
+        expected = ExperimentReport({**document, "methods": graded, "comparison": comparison}, net, columns, {})
+        for file, name, method in files:
+            if name == "report.json":  # as parsed: serializing it would cost more than all the rest
+                difference = _first_difference(document, expected.document, name)
+            else:
+                text, rendered = (out_dir / name).read_text(encoding="utf-8"), _text(file, expected, method)
+                difference = text != rendered and _first_difference(_cells(text), _cells(rendered), name)
+            checks.append((name, not difference, difference or "matches its re-rendering"))
     except ValueError as err:
         checks.append(("format", False, str(err)))
     return checks

@@ -220,6 +220,12 @@ def _grow_tree(
     )
 
 
+def resolve_mtry(cfg: ForestConfig, n_columns: int) -> int:
+    """The predictors tried at each node: ``cfg.mtry``, else floor(sqrt(d))
+    of the d = n_columns - 1 predictors (at least 1)."""
+    return cfg.mtry if cfg.mtry is not None else max(1, math.isqrt(n_columns - 1))
+
+
 def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
         binary_target: bool = False) -> Forest:
     """Grow a forest predicting ``target_column`` from every other column.
@@ -247,7 +253,7 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
 
     predictors = tuple(c for c in range(width) if c != target_column)
     d = len(predictors)
-    mtry = cfg.mtry if cfg.mtry is not None else max(1, int(math.isqrt(d)))
+    mtry = resolve_mtry(cfg, width)
     if mtry > d:
         raise ValueError(f"mtry={mtry} exceeds the {d} available predictors")
 

@@ -179,11 +179,6 @@ def _forward(w1, b1, w2, b2, rows: np.ndarray):
     return hidden, _logistic(out)
 
 
-def _loss(diff: np.ndarray) -> float:
-    """Mean over rows of the summed squared reconstruction error rows - out."""
-    return float((diff * diff).sum() / diff.shape[0])
-
-
 def _batch_loss_grad(vec: np.ndarray, rows: np.ndarray, n: int, h: int):
     """Loss plus its analytic gradient in the flat parameter order, from one pass.
 
@@ -194,7 +189,7 @@ def _batch_loss_grad(vec: np.ndarray, rows: np.ndarray, n: int, h: int):
     r = rows.shape[0]
     hidden, out = _forward(w1, b1, w2, b2, rows)
     diff = rows - out
-    loss = _loss(diff)
+    loss = float((diff * diff).sum() / r)  # mean over rows of the summed squared error
 
     # d loss / d pre-activation of the output layer: (-2/r) * diff * out * (1 - out)
     g_out = np.multiply(diff, -2.0 / r, out=diff)
@@ -215,12 +210,6 @@ def _check_rows(rows) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("rows must be a non-empty 2-D matrix")
     return rows
-
-
-def reconstruction_loss(net, rows) -> float:
-    """Mean over rows of the summed squared reconstruction error."""
-    rows = _check_rows(rows)
-    return _loss(rows - net.forward_batch(rows))
 
 
 def _initial_parameters(rng: np.random.Generator, n: int, h: int) -> np.ndarray:

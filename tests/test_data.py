@@ -292,6 +292,25 @@ class TestPrepare:
         assert ds.rows.shape == (20_000, 25)
         assert peak / ds.rows.size <= 18
 
+    def test_make_tasks_traced_peak(self, tmp_path):
+        # The 1 MB test block of 20,000 x 25 needs one copy of its records,
+        # with the masked column filled in, and one of its truth; the task
+        # keeps make_tasks' own copy of the records without copying it again.
+        p = tmp_path / "credit.csv"
+        write_table(p, "credit", n=20_000)
+        ds = data.split(data.normalize(data.load_csv(p)))
+        data.make_tasks(ds, {24})  # first-call allocations are not the stage's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            task = data.make_tasks(ds, {24})
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert task.record.nbytes == task.true_values.nbytes == 1_000_000
+        assert peak <= 2.1e6
+
 
 class TestMakeTasks:
     def test_one_record_per_test_row(self):
@@ -368,3 +387,10 @@ class TestImputationTask:
         for array in (t.record, t.known_mask, t.true_values):
             with pytest.raises(ValueError):
                 array[0] = 1
+
+    def test_keeps_a_read_only_matrix_it_owns_and_copies_the_callers(self):
+        owned, writable = np.zeros((2, 3)), np.ones((2, 3))
+        owned.flags.writeable = False
+        t = data.ImputationTask(record=owned, known_mask=np.array([True, False, True]), true_values=writable)
+        assert t.record is owned
+        assert not np.shares_memory(t.true_values, writable) and writable.flags.writeable

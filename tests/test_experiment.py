@@ -285,66 +285,58 @@ class TestRunExperiment:
 
     def test_verify_catches_edited_metric(self, emitted, tmp_path):
         _, _, out = emitted
-        clone = tmp_path / "edited"
-        clone.mkdir()
-        for p in out.iterdir():
-            (clone / p.name).write_bytes(p.read_bytes())
+        clone = clone_report(out, tmp_path / "edited")
         metrics_file = clone / "metrics.csv"
         lines = metrics_file.read_text().splitlines()
         method, metric, value = lines[1].split(",")
         lines[1] = f"{method},{metric},{float(value) + 0.01!r}"
         metrics_file.write_text("\n".join(lines) + "\n")
         checks = verify_report(clone)
-        bad = [name for name, ok, _ in checks if not ok]
-        assert bad == [f"{method}.{metric}"]
+        bad = [(name, detail) for name, ok, detail in checks if not ok]
+        detail = f"metrics.csv[1][2] holds {float(value) + 0.01!r}, expected {float(value)!r}"
+        assert bad == [("metrics.csv", detail)]
 
     def test_verify_catches_deleted_and_repeated_pvalue(self, emitted, tmp_path):
         _, _, out = emitted
         lines = (out / "pvalues.csv").read_text().splitlines()
-        deleted_pair = lines[3].split(",")[0]
+        pair = [line.split(",")[0] for line in lines]
         # The run compares in its configured order (ga,sa,pso,ns,rf), so this
-        # row's pair is not in alphabetical order; its check keeps the name.
+        # row's pair is not in alphabetical order.
         (late,) = [i for i, line in enumerate(lines) if line.startswith("PSO-NS,")]
-        for name, kept, pair, detail in (
-            ("deleted", lines[:3] + lines[4:], deleted_pair, "absent"),
-            ("deleted-late", lines[:late] + lines[late + 1:], "PSO-NS", "absent"),
-            ("repeated", lines + lines[1:2], lines[1].split(",")[0], "repeated"),
+        for name, kept, detail in (
+            ("deleted", lines[:3] + lines[4:], f"pvalues.csv[3][0] holds {pair[4]!r}, expected {pair[3]!r}"),
+            ("deleted-late", lines[:late] + lines[late + 1:],
+             f"pvalues.csv[{late}][0] holds {pair[late + 1]!r}, expected 'PSO-NS'"),
+            ("repeated", lines + lines[1:2], f"pvalues.csv does not hold {len(lines)} entries"),
         ):
-            clone = tmp_path / name
-            clone.mkdir()
-            for p in out.iterdir():
-                (clone / p.name).write_bytes(p.read_bytes())
+            clone = clone_report(out, tmp_path / name)
             (clone / "pvalues.csv").write_text("\n".join(kept) + "\n")
             bad = [(n, d) for n, ok, d in verify_report(clone) if not ok]
-            assert len(bad) == 1
-            assert bad[0][0] == f"pvalue.{pair}" and detail in bad[0][1]
+            assert bad == [("pvalues.csv", detail)], name
 
+    # Each inserted row is named by its line: the first that differs from
+    # the re-rendering, in the row's place or the one after it.
     @pytest.mark.parametrize(
-        "row, name, details",
+        "row, at, held",
         [
-            # Read first, the out-of-range AUC fails its comparison as well.
-            ("ga,auc,1.3333333333333335", "ga.auc", ["stored", "repeated"]),
-            (None, "ga.auc", ["repeated"]),  # the real row, twice
-            ("xx,auc,0.5", "xx.auc", ["unexpected"]),
-            ("ga,mse,0.1", "ga.mse", ["unexpected"]),
+            ("ga,auc,1.3333333333333335", "[1][2]", "1.3333333333333335"),
+            (None, "[2][0]", "'ga'"),  # the real row, twice
+            ("xx,auc,0.5", "[1][0]", "'xx'"),
+            ("ga,mse,0.1", "[1][1]", "'mse'"),
         ],
         ids=["repeated-altered", "repeated-same", "unknown-method", "unknown-metric"],
     )
     def test_verify_catches_repeated_and_unknown_metric_rows(
-        self, emitted, tmp_path, row, name, details
+        self, emitted, tmp_path, row, at, held
     ):
         _, _, out = emitted
         lines = (out / "metrics.csv").read_text().splitlines()
         real = next(i for i, line in enumerate(lines) if line.startswith("ga,auc,"))
         lines.insert(real, lines[real] if row is None else row)
-        clone = tmp_path / "edited"
-        clone.mkdir()
-        for p in out.iterdir():
-            (clone / p.name).write_bytes(p.read_bytes())
+        clone = clone_report(out, tmp_path / "edited")
         (clone / "metrics.csv").write_text("\n".join(lines) + "\n")
-        bad = [(n, d) for n, ok, d in verify_report(clone) if not ok]
-        assert [n for n, _ in bad] == [name] * len(details)
-        assert all(word in d for word, (_, d) in zip(details, bad))
+        ((name, detail),) = [(n, d) for n, ok, d in verify_report(clone) if not ok]
+        assert name == "metrics.csv" and detail.startswith(f"metrics.csv{at} holds {held}, expected ")
 
     @pytest.mark.parametrize(
         "name, corrupt",
@@ -365,10 +357,7 @@ class TestRunExperiment:
     )
     def test_verify_fails_malformed_file(self, emitted, tmp_path, capsys, name, corrupt):
         _, _, out = emitted
-        clone = tmp_path / "corrupt"
-        clone.mkdir()
-        for p in out.iterdir():
-            (clone / p.name).write_bytes(p.read_bytes())
+        clone = clone_report(out, tmp_path / "corrupt")
         (clone / name).write_text(corrupt((clone / name).read_text()))
         assert cli.main(["verify", str(clone)]) == 2
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
@@ -637,26 +626,25 @@ class TestPredictionRun:
         assert checks and all(ok for _, ok, _ in checks)
 
     @pytest.mark.parametrize(
-        "name, key, cell, check",
-        [("metrics.csv", "ga,mse", 2, "ga.mse"), ("pvalues.csv", "GA-RF", 1, "pvalue.GA-RF")],
+        "name, key, cell",
+        [("metrics.csv", "ga,mse", 2), ("pvalues.csv", "GA-RF", 1)],
+        ids=["metrics.csv-ga,mse-2-ga.mse", "pvalues.csv-GA-RF-1-pvalue.GA-RF"],
     )
     def test_verify_fails_non_numeric_cell_as_one_check(
-        self, prediction_emitted, tmp_path, capsys, name, key, cell, check
+        self, prediction_emitted, tmp_path, capsys, name, key, cell
     ):
-        clone = tmp_path / "edited"
-        clone.mkdir()
-        for p in prediction_emitted.iterdir():
-            (clone / p.name).write_bytes(p.read_bytes())
+        clone = clone_report(prediction_emitted, tmp_path / "edited")
         lines = (clone / name).read_text().splitlines()
         (row,) = [i for i, line in enumerate(lines) if line.startswith(key + ",")]
         cells = lines[row].split(",")
+        expected = float(cells[cell])
         cells[cell] = "abc"
         lines[row] = ",".join(cells)
         (clone / name).write_text("\n".join(lines) + "\n")
         checks = verify_report(clone)
         bad = [(n, d) for n, ok, d in checks if not ok]
-        assert bad == [(check, f"{name} holds 'abc', not a number")]
-        # The checks after the bad cell still ran: every metric and the p-value.
+        assert bad == [(name, f"{name}[{row}][{cell}] holds 'abc', expected {expected!r}")]
+        # The checks of the other files still ran.
         assert len(checks) == len(verify_report(prediction_emitted))
         assert cli.main(["verify", str(clone)]) == 2
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
@@ -735,6 +723,42 @@ def failures(out):
     return [(name, detail) for name, ok, detail in verify_report(out) if not ok]
 
 
+def _last_float(node):
+    """(container, key) of the last float in a JSON value, in its serialized order, or None."""
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
+    for key, value in reversed(list(items)):
+        if isinstance(value, float):
+            return node, key
+        found = _last_float(value) if isinstance(value, (dict, list)) else None
+        if found:
+            return found
+    return None
+
+
+def raise_last_number(path, step):
+    """Raise the last number of a report file by ``step``.
+
+    In report.json that is the last float of the method blocks.  The file's
+    own last number is ``train_loss``, which, like model.txt's weights, only
+    a rerun of the experiment can vouch for.
+    """
+    if path.name == "report.json":
+        document = json.loads(path.read_text())
+        node, key = _last_float(document["methods"])
+        node[key] += step
+        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        return
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    for cells in reversed(lines):
+        for i in reversed(range(len(cells))):
+            try:
+                cells[i] = repr(float(cells[i]) + step)
+            except ValueError:
+                continue
+            path.write_text("".join(",".join(row) + "\n" for row in lines))
+            return
+
+
 class TestVerifyReadsEveryFile:
     @pytest.mark.parametrize(
         "fixture", ["emitted", "prediction_emitted", "forest_only", "heart_paper", "fire_deep"]
@@ -742,11 +766,13 @@ class TestVerifyReadsEveryFile:
     def test_intact_reports_pass_every_check(self, request, fixture):
         out = request.getfixturevalue(fixture)
         out = out[2] if isinstance(out, tuple) else out
-        names = [name for name, ok, _ in verify_report(out) if ok]
         assert failures(out) == []
-        searched = json.loads((out / "report.json").read_text())["config"]["methods"]
-        evaluations = {f"evaluations.{m}" for m in searched if m in optimizers.ALGORITHM_TAGS}
-        assert {"normalization", "model", "report.comparison", "split_counts"} | evaluations <= set(names)
+        # One check per stable file, each named after its file, and two more.
+        document = json.loads((out / "report.json").read_text())
+        files = [name for file, name, _ in experiment.report_files(
+            sorted(document["config"]["methods"]), document["task_kind"]) if file.stable]
+        names = [name for name, _, _ in verify_report(out)]
+        assert names == ["inventory", "split_counts", "model", *files]
 
     # split_counts and the budgets follow from the imputed files' rows and
     # the config echo; on fire-deep 64 rows split 32/16/16 and SA spends
@@ -755,17 +781,17 @@ class TestVerifyReadsEveryFile:
         "edit, check, detail",
         [
             (lambda doc: doc["split_counts"].update(test=1),
-             "split_counts", "split_counts.test holds 1, but imputed_pso.csv has 16 rows"),
+             "split_counts", "split_counts.test holds 1, but imputed_sa.csv has 16 rows"),
             (lambda doc: doc["split_counts"].update(validation=17),
-             "split_counts", "split_counts.validation holds 17, but imputed_pso.csv has 16 rows"),
+             "split_counts", "split_counts.validation holds 17, but imputed_sa.csv has 16 rows"),
             (lambda doc: doc["split_counts"].update(train=36),
              "split_counts", "split_counts.train holds 36, expected 32 to 35"),
             (lambda doc: doc["split_counts"].pop("train"),
              "split_counts", "split_counts does not hold the keys ('train', 'validation', 'test')"),
             (lambda doc: doc["methods"]["sa"].update(evaluations_per_task=7),
-             "evaluations.sa", "methods.sa.evaluations_per_task holds 7, expected 10101 from the config echo"),
+             "report.json", "report.json.methods.sa.evaluations_per_task holds 7, expected 10101"),
             (lambda doc: doc["config"]["pso"].update(iterations=499),
-             "evaluations.pso", "methods.pso.evaluations_per_task holds 15030, expected 15000 from "),
+             "report.json", "report.json.methods.pso.evaluations_per_task holds 15030, expected 15000"),
         ],
         ids=["test-count", "validation-count", "train-count", "no-train", "sa-evaluations", "pso-config"],
     )
@@ -781,13 +807,18 @@ class TestVerifyReadsEveryFile:
         "edit, check, detail",
         [
             (lambda doc: doc["methods"]["ga"]["metrics"].update(auc=0.123),
-             "report.ga", "methods.ga.metrics.auc holds 0.123, expected "),
+             "report.json", "report.json.methods.ga.metrics.auc holds 0.123, expected "),
             (lambda doc: doc["methods"]["ga"]["imputed"][0].update(imputed=0.999),
-             "report.ga", "methods.ga.imputed[0].imputed holds 0.999, expected "),
+             "report.json", "report.json.methods.ga.imputed[0].imputed holds 0.999, expected "),
             (lambda doc: doc["comparison"]["pairs"][0].update(p_value=0.5),
-             "report.comparison", "comparison.pairs[0].p_value holds 0.5, expected "),
+             "report.json", "report.json.comparison.pairs[0].p_value holds 0.5, expected "),
+            # 13 predictors: an unset rf.mtry resolves to floor(sqrt(13)) = 3.
+            (lambda doc: doc["methods"]["rf"].update(mtry_resolved=4),
+             "report.json", "report.json.methods.rf.mtry_resolved holds 4, expected 3"),
+            (lambda doc: doc["config"]["rf"].update(mtry=5),
+             "report.json", "report.json.methods.rf.mtry_resolved holds 3, expected 5"),
         ],
-        ids=["ga-auc", "ga-first-imputed", "first-p-value"],
+        ids=["ga-auc", "ga-first-imputed", "first-p-value", "rf-mtry", "rf-mtry-configured"],
     )
     def test_report_json_entries_must_equal_the_regrading(
         self, heart_paper, tmp_path, edit, check, detail
@@ -800,25 +831,25 @@ class TestVerifyReadsEveryFile:
         assert name == check and text.startswith(detail)
 
     @pytest.mark.parametrize(
-        "text, check",
-        [("", "format"), ("pair,p_value,display\nXX-YY,0.5,0.50\n", "pvalue.XX-YY")],
+        "text, detail",
+        [("", "pvalues.csv does not hold 1 entries"),
+         ("pair,p_value,display\nXX-YY,0.5,0.50\n", "pvalues.csv does not hold 1 entries")],
         ids=["empty", "extra-row"],
     )
-    def test_forest_only_pvalues_hold_no_row(self, forest_only, tmp_path, text, check):
+    def test_forest_only_pvalues_hold_no_row(self, forest_only, tmp_path, text, detail):
         assert (forest_only / "pvalues.csv").read_text() == "pair,p_value,display\n"
         clone = clone_report(forest_only, tmp_path / "edited")
         (clone / "pvalues.csv").write_text(text)
-        ((name, detail),) = failures(clone)
-        assert name == check and "pvalues.csv" in detail
+        assert failures(clone) == [("pvalues.csv", detail)]
 
     @pytest.mark.parametrize(
         "edit, detail",
         [
             (lambda lines: [lines[0], lines[1].split(",")[0] + ",0.0,1.0", *lines[2:]],
-             "normalization.csv[0][1] holds 0.0, expected "),
-            (lambda lines: lines[:-1], "normalization.csv does not hold 14 entries"),
+             "normalization.csv[1][1] holds 0.0, expected "),
+            (lambda lines: lines[:-1], "normalization.csv does not hold 15 entries"),
             (lambda lines: [lines[0], "renamed" + lines[1][lines[1].index(","):], *lines[2:]],
-             "normalization.csv[0][0] holds 'renamed', expected "),
+             "normalization.csv[1][0] holds 'renamed', expected "),
         ],
         ids=["first-bounds", "last-row-dropped", "first-renamed"],
     )
@@ -827,7 +858,7 @@ class TestVerifyReadsEveryFile:
         lines = (clone / "normalization.csv").read_text().splitlines()
         (clone / "normalization.csv").write_text("\n".join(edit(lines)) + "\n")
         ((name, text),) = failures(clone)
-        assert name == "normalization" and text.startswith(detail) and text.endswith("from report.json")
+        assert name == "normalization.csv" and text.startswith(detail)
 
     @pytest.mark.parametrize(
         "n, h, check, detail",
@@ -847,6 +878,35 @@ class TestVerifyReadsEveryFile:
             network.save_model(random_autoencoder(np.random.default_rng(0), n, h), clone / "model.txt")
         ((name, text),) = failures(clone)
         assert name == check and text.startswith(detail)
+
+
+    @pytest.mark.parametrize(
+        "name", ["metrics.csv", "pvalues.csv", "normalization.csv", "imputed_ga.csv", "roc_ga.csv"]
+    )
+    def test_csv_headers_must_equal_the_re_rendering(self, emitted, tmp_path, name):
+        clone = clone_report(emitted[2], tmp_path / "edited")
+        lines = (clone / name).read_text().splitlines()
+        *kept, last = lines[0].split(",")
+        lines[0] = ",".join([*kept, "renamed"])
+        (clone / name).write_text("\n".join(lines) + "\n")
+        detail = f"{name}[0][{len(kept)}] holds 'renamed', expected {last!r}"
+        assert failures(clone) == [(name, detail)]
+
+    # model.txt is left out: verify re-renders it from the weights it holds,
+    # so only a rerun of the experiment can vouch for them.
+    @pytest.mark.parametrize("fixture, pattern", [
+        (fixture, file.name)
+        for fixture, kind in (("heart_paper", "classification"), ("fire_deep", "prediction"))
+        for file in REPORT_FILES if file.stable and file.name != "model.txt" and kind in file.kinds
+    ])
+    def test_the_last_number_of_every_file_is_checked(self, request, tmp_path, fixture, pattern):
+        out = request.getfixturevalue(fixture)
+        methods = sorted(json.loads((out / "report.json").read_text())["methods"])
+        for name in sorted({pattern.format(method) for method in methods}):
+            for step, failed in ((1e-6, [name]), (1e-12, [])):
+                clone = clone_report(out, tmp_path / f"{name}-{step}")
+                raise_last_number(clone / name, step)
+                assert [n for n, _ in failures(clone)] == failed, (name, step)
 
 
 class TestNormalizationExport:

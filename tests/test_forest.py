@@ -1,7 +1,5 @@
 """CART/forest growth, prediction, classification, and reference checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +24,7 @@ def full_sample_tree(rows, target_column, cfg):
     It draws its node features from tree 0's generator, as :func:`forest.fit` does.
     """
     x = np.delete(rows, target_column, axis=1)
-    mtry = cfg.mtry if cfg.mtry is not None else max(1, math.isqrt(x.shape[1]))
+    mtry = forest.resolve_mtry(cfg, rows.shape[1])
     rng = np.random.default_rng(derive_seed(cfg.seed, "tree", 0))
     return forest._grow_tree(x, rows[:, target_column].copy(), rng, mtry, cfg.min_leaf)
 
@@ -77,7 +75,7 @@ class TestFit:
     def test_unset_mtry_resolves_to_floor_sqrt_d(self, d):
         rows = np.random.default_rng(0).uniform(0, 1, size=(12, d + 1))
         fitted = forest.fit(rows, d, ForestConfig(n_trees=2, seed=0))
-        assert fitted.config.mtry == int(d**0.5)
+        assert fitted.config.mtry == forest.resolve_mtry(ForestConfig(), d + 1) == int(d**0.5)
         assert fitted.config == ForestConfig(n_trees=2, seed=0, mtry=int(d**0.5))
         assert forest.fit(rows, d, ForestConfig(n_trees=2, mtry=1, seed=0)).config.mtry == 1
 

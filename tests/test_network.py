@@ -212,8 +212,8 @@ class TestForward:
     @settings(max_examples=100, deadline=None)
     def test_shared_kernel_matches_one_row_and_loss_paths(self, data):
         # A one-row batch runs the same arithmetic as forward, and the
-        # trainer's loss over the flat vector the same as reconstruction_loss,
-        # so both pairs must agree bit for bit.
+        # trainer's loss over the flat vector the same as the mean squared
+        # error of forward_batch, so both pairs must agree bit for bit.
         n = data.draw(st.integers(3, 30), label="n")
         h = data.draw(st.integers(2, n - 1), label="h")
         r = data.draw(st.integers(1, 70), label="rows")
@@ -221,33 +221,9 @@ class TestForward:
         net = random_autoencoder(rng, n, h)
         rows = rng.uniform(0, 1, size=(r, n))
         np.testing.assert_array_equal(net.forward_batch(rows[0][None])[0], net.forward(rows[0]))
-        assert network._batch_loss_grad(net.to_vector(), rows, n, h)[0] == (
-            network.reconstruction_loss(net, rows)
-        )
-
-
-class TestReconstructionLoss:
-    def test_zero_weight_net_on_half_rows(self):
-        net = zero_net(4, 2)
-        rows = np.full((3, 4), 0.5)
-        assert network.reconstruction_loss(net, rows) == 0.0
-
-    def test_zero_weight_net_on_ones(self):
-        net = zero_net(4, 2)
-        assert network.reconstruction_loss(net, np.ones((1, 4))) == pytest.approx(1.0, abs=1e-15)
-
-    def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError):
-            network.reconstruction_loss(zero_net(4, 2), np.empty((0, 4)))
-
-    def test_mean_over_rows(self):
-        rng = np.random.default_rng(1)
-        net = random_autoencoder(rng, 4, 2)
-        rows = rng.uniform(0, 1, size=(5, 4))
-        doubled = np.vstack([rows, rows])
-        assert network.reconstruction_loss(net, doubled) == pytest.approx(
-            network.reconstruction_loss(net, rows), rel=1e-14
-        )
+        diff = rows - net.forward_batch(rows)
+        loss = network._batch_loss_grad(net.to_vector(), rows, n, h)[0]
+        assert loss == float((diff * diff).sum() / r)
 
 
 def analytic_gradient(net, rows):
@@ -324,7 +300,8 @@ class TestTrain:
         rows = manifold_rows()
         net, loss = network.train(rows, 2, TrainConfig(rng_seed=0))
         assert loss < 0.01
-        assert loss == pytest.approx(network.reconstruction_loss(net, rows), rel=1e-12)
+        again = network._batch_loss_grad(net.to_vector(), rows, net.n_inputs, net.n_hidden)[0]
+        assert loss == pytest.approx(again, rel=1e-12)
 
     def test_constant_rows_learned(self):
         rows = np.tile(np.array([0.3, 0.6, 0.9, 0.2]), (10, 1))
