@@ -4,12 +4,12 @@ Pipeline: load CSV -> normalize -> chronological split -> train the
 autoencoder on the training block (under a hidden size search, the network
 that best imputes the masked column of the validation block) -> mask the
 designated column of the test rows as one imputation task -> estimate the
-masked value of every test record with each configured optimizer, all
-records in lockstep (and directly with the random forest) -> score every
-method -> pairwise Welch comparison -> persist a machine-readable report.
-The optimizers run side by side, one method per core, through
-:func:`aeimpute.parallel.fork_map`, as the hidden-size search and the forest
-do.
+masked value of every test record with each configured method (an optimizer
+searches all records in lockstep, the random forest predicts them) -> score
+every method -> pairwise Welch comparison -> persist a machine-readable
+report.  The methods run side by side, one per core, through
+:func:`aeimpute.parallel.fork_map`, as the hidden-size search and the
+forest's trees do.
 
 Determinism: every stochastic component receives a seed derived by hashing
 (master seed, component, index), so method results are independent of which
@@ -39,8 +39,7 @@ from .objective import MissingDataObjective
 from .parallel import fork_map
 from .seeding import derive_seed
 
-OPTIMIZER_METHODS = optim_mod.ALGORITHM_TAGS
-ALL_METHODS = OPTIMIZER_METHODS + ("rf",)
+ALL_METHODS = optim_mod.ALGORITHM_TAGS + ("rf",)
 TASK_KINDS = ("prediction", "classification")
 FAILURE_MARKER = "FAILED.txt"
 VERIFY_TOLERANCE = 1e-9
@@ -257,6 +256,13 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
+def _config_from_echo(echo: dict) -> ExperimentConfig:
+    """The configuration of a :func:`_config_echo`; a ValueError where it is not valid."""
+    kwargs = {name: _SECTION_TYPES[name](**echo[name]) for name in _SECTION_TYPES}
+    kwargs.update((name, echo[key]) for key, (name, _) in _GLOBAL_KEYS.items() if name != "output_dir")
+    return ExperimentConfig(**kwargs)
+
+
 _METHODOLOGY = {
     "mae": "mean absolute error (absolute deviations, not squared)",
     "pearson_r": "sample correlation; null when either vector is constant",
@@ -271,6 +277,11 @@ _METHODOLOGY = {
     ),
     "timings": "wall-clock stage timings live in timings.json and are not byte-stable",
 }
+
+
+def _config_entries(cfg: ExperimentConfig) -> dict:
+    """The entries of report.json that follow from the configuration alone."""
+    return {"config": _config_echo(cfg), "task_kind": cfg.task_kind, "methodology": dict(_METHODOLOGY)}
 
 
 def _display(value: float) -> str:
@@ -299,6 +310,14 @@ def _grade(truth: np.ndarray, values: np.ndarray, task_kind: str) -> tuple[dict,
         k: "undefined" if v is None else _display(v) for k, v in block["metrics"].items()
     }
     return block, errors
+
+
+def _config_facts(method: str, section, n_columns: int) -> dict:
+    """The entries of a method's block that follow from its config section:
+    an optimizer's evaluations per task, or the forest's resolved mtry."""
+    if method == "rf":
+        return {"mtry_resolved": forest_mod.resolve_mtry(section, n_columns)}
+    return {"evaluations_per_task": optim_mod.budget(method, section)}
 
 
 def _comparison(errors: dict[str, np.ndarray]) -> dict:
@@ -341,17 +360,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     """
     notify = progress or (lambda msg: None)
     timings: dict[str, float] = {}
-    document: dict = {
-        "toolkit_version": __version__,
-        "config": _config_echo(cfg),
-        "task_kind": cfg.task_kind,
-        "methodology": dict(_METHODOLOGY),
-    }
+    document: dict = {"toolkit_version": __version__, **_config_entries(cfg)}
     stage = "prepare"
 
-    def clock(name, fn, *args, **kwargs):
+    def clock(name, fn, *args):
         start = perf_counter()
-        out = fn(*args, **kwargs)
+        out = fn(*args)
         timings[name] = perf_counter() - start
         return out
 
@@ -395,7 +409,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         stage = "tasks"
         task = data_mod.make_tasks(ds, {cfg.missing_column})
         truth = task.true_values[:, cfg.missing_column]
-        if cfg.task_kind == "classification" and not np.isin(truth, (0.0, 1.0)).all():
+        if cfg.task_kind == "classification" and not np.isin(ds.rows[:, cfg.missing_column], (0, 1)).all():
             raise ValueError(
                 "classification task needs a 0/1 target after scaling; "
                 f"column {ds.columns[cfg.missing_column].name!r} has other values"
@@ -403,51 +417,33 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
 
         stage = "impute"
         notify(f"imputing {len(truth)} test records per method")
-        start = perf_counter()
-        imputed: dict[str, np.ndarray] = {}
-        blocks: dict[str, dict] = {method: {} for method in cfg.methods}
-        # Each method searches all test records in lockstep, each record with
+        # Each method imputes all test records, an optimizer each record with
         # its own derived seed, so the methods are independent and run side by
         # side, one per core.  A method's traces stay in the process that ran it.
         objective = MissingDataObjective(net, task)
 
-        def search(method):
-            seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(truth))]
+        def impute(method):
             begin = perf_counter()
-            result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
-            values = objective.impute(result)[:, cfg.missing_column]
-            return values, result.evaluations, perf_counter() - begin
+            if method == "rf":
+                rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.master_seed, "rf"))
+                fitted = forest_mod.fit(ds.train_rows, cfg.missing_column, rf_cfg)
+                values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
+            else:
+                seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(truth))]
+                result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
+                values = objective.impute(result)[:, cfg.missing_column]
+            return values, perf_counter() - begin
 
-        searched = [m for m in cfg.methods if m in OPTIMIZER_METHODS]
-        for method, (values, evaluations, seconds) in zip(searched, fork_map(search, searched)):
-            imputed[method] = values
-            blocks[method]["evaluations_per_task"] = evaluations
-            timings[f"impute.{method}"] = seconds
-
-        if "rf" in cfg.methods:
-            notify("fitting random forest")
-            rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.master_seed, "rf"))
-            fitted = clock(
-                "rf_fit",
-                forest_mod.fit,
-                ds.train_rows,
-                cfg.missing_column,
-                rf_cfg,
-                binary_target=cfg.task_kind == "classification",
-            )
-            blocks["rf"]["mtry_resolved"] = fitted.config.mtry
-            imputed["rf"] = clock(
-                "rf_predict", fitted.predict, task.true_values[:, list(fitted.predictor_columns)]
-            )
-        timings["impute"] = perf_counter() - start
+        imputed = dict(zip(cfg.methods, clock("impute", fork_map, impute, cfg.methods)))
+        timings.update((f"impute.{method}", seconds) for method, (_, seconds) in imputed.items())
 
         stage = "score"
         start = perf_counter()
         notify("scoring methods")
-        errors: dict[str, np.ndarray] = {}
-        for method, block in blocks.items():
-            graded, errors[method] = _grade(truth, imputed[method], cfg.task_kind)
-            block.update(graded)
+        blocks, errors = {}, {}
+        for method, (values, _) in imputed.items():
+            graded, errors[method] = _grade(truth, values, cfg.task_kind)
+            blocks[method] = {**_config_facts(method, getattr(cfg, method), ds.n_columns), **graded}
         document["methods"] = blocks
 
         stage = "compare"
@@ -635,23 +631,24 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     """Rebuild the report ``run`` would have written from the regraded
     imputed files, and compare every stable file with its re-rendering.
 
-    The expected report is report.json's document with each method's block
-    regraded from its ``imputed_<method>.csv``, its ``evaluations_per_task``
-    or ``mtry_resolved`` derived from the config echo, and the comparison
-    recomputed; its columns come from the ``normalization`` block and its
-    network from ``model.txt``.  Each stable file of :data:`REPORT_FILES`
-    gets one check, named after it, that its first difference fails (see
-    :func:`_first_difference`): report.json is compared as a parsed
-    document, the other files as comma-split lines.  Two more checks:
-    :func:`_split_check`, and ``model``, ``model.txt``'s shape against
-    report.json.
+    The expected report is report.json's document with the entries that
+    follow from the configuration its echo rebuilds (:func:`_config_entries`
+    and ``hidden_size.requested``; ``toolkit_version`` stays as stored),
+    each method's block regraded from its ``imputed_<method>.csv`` with its
+    :func:`_config_facts`, and the comparison recomputed; its columns come
+    from the ``normalization`` block and its network from ``model.txt``.
+    Each stable file of :data:`REPORT_FILES` gets one check, named after
+    it, that its first difference fails (see :func:`_first_difference`):
+    report.json as a parsed document, the other files as comma-split lines.
+    A failing ``normalization.csv`` check ends the verification.  Two more
+    checks: :func:`_split_check`, and ``model``, ``model.txt``'s shape.
 
     Returns (check name, passed, detail) tuples.  Missing files fail one
-    ``inventory`` check.  An unreadable ``report.json``, an unknown task
-    kind, a ``config.methods`` that is not one or more methods of
-    :data:`ALL_METHODS`, each once and each with a block of ``methods``, no
-    more, and the first malformed file, fail one ``format`` check that names
-    the file and ends the verification.
+    ``inventory`` check.  An unreadable ``report.json``, a configuration
+    that :class:`ExperimentConfig` rejects (also for the stored
+    ``task_kind``), method blocks other than those of ``config.methods``,
+    and the first malformed file fail one ``format`` check that names the
+    file and ends the verification.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
@@ -659,30 +656,23 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         return [("inventory", False, f"missing {report_path.name}")]
     try:
         document = json.loads(report_path.read_text(encoding="utf-8"))
-        task_kind = document["task_kind"]
-        config = document["config"]
-        # The run graded the methods in its configured order; report.json's
-        # method blocks sit in sorted order.
-        order = list(config["methods"])
-        methods = sorted(order)
+        cfg = _config_from_echo(document["config"])
+        # The files were written, and are regraded, for the stored task kind.
+        task_kind = replace(cfg, task_kind=document["task_kind"]).task_kind
         blocks = sorted(document["methods"])
         columns = tuple(data_mod.ColumnSpec(e["column"], e["kind"], e["min"], e["max"], e["degenerate"])
                         for e in document["normalization"])
-        model_shape = {"n": len(columns), "h": document["hidden_size"]["selected"]}
+        hidden_size = {"requested": cfg.hidden_size, "selected": document["hidden_size"]["selected"]}
         split_counts = dict(document["split_counts"])
-        sections = {method: _SECTION_TYPES[method](**config[method]) for method in ALL_METHODS}
-        from_config = {method: {"evaluations_per_task": optim_mod.budget(method, sections[method])}
-                       for method in OPTIMIZER_METHODS}
-        from_config["rf"] = {"mtry_resolved": forest_mod.resolve_mtry(sections["rf"], len(columns))}
+    except ConfigError as err:
+        return [("format", False, f"{report_path.name}: {err}")]
     except (ValueError, KeyError, TypeError) as err:
         return [("format", False, f"{report_path.name} unreadable: {err!r}")]
-    if task_kind not in TASK_KINDS:
-        return [("format", False, f"{report_path.name}: unknown task_kind {task_kind!r}")]
-    if not methods or methods != blocks or not set(methods) <= set(ALL_METHODS):  # keys repeat none
-        return [("format", False, f"{report_path.name}: config.methods {order} and methods' blocks "
-                 f"{blocks} must be the same one or more of {', '.join(ALL_METHODS)}, each once")]
+    if blocks != sorted(cfg.methods):
+        return [("format", False, f"{report_path.name}: methods' blocks {blocks} "
+                 f"must be those of config.methods {list(cfg.methods)}")]
 
-    files = [(file, name, method) for file, name, method in report_files(methods, task_kind) if file.stable]
+    files = [(file, name, method) for file, name, method in report_files(blocks, task_kind) if file.stable]
     missing = [name for _, name, _ in files if not (out_dir / name).is_file()]
     if missing:
         present = ", ".join(sorted(p.name for p in out_dir.iterdir() if p.is_file()))
@@ -690,9 +680,9 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     checks = [("inventory", True, f"{len(files)} files present")]
     try:
         graded, errors = {}, {}
-        for method in order:
+        for method in cfg.methods:
             block, errors[method] = _regrade(out_dir / _IMPUTED_FILE.name.format(method), task_kind)
-            graded[method] = {**from_config[method], **block}
+            graded[method] = {**_config_facts(method, getattr(cfg, method), len(columns)), **block}
         rows = {_IMPUTED_FILE.name.format(m): len(b["imputed"]) for m, b in graded.items()}
         checks.append(_split_check(split_counts, rows))
         try:
@@ -703,17 +693,25 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
             net = network_mod.load_model(out_dir / "model.txt")
         except ValueError as err:
             raise ValueError(f"model.txt unreadable: {err}") from None
+        model_shape = {"n": len(columns), "h": hidden_size["selected"]}
         difference = _first_difference({"n": net.n_inputs, "h": net.n_hidden}, model_shape, "model.txt")
         detail = f"{difference} from report.json" if difference else "matches report.json"
         checks.append(("model", difference is None, detail))
 
-        expected = ExperimentReport({**document, "methods": graded, "comparison": comparison}, net, columns, {})
+        stated = json.loads(json.dumps(_config_entries(cfg)))  # tuples as JSON lists
+        stated.update(hidden_size=hidden_size, methods=graded, comparison=comparison)
+        expected = ExperimentReport({**document, **stated}, net, columns, {})
         for file, name, method in files:
             if name == "report.json":  # as parsed: serializing it would cost more than all the rest
                 difference = _first_difference(document, expected.document, name)
             else:
                 text, rendered = (out_dir / name).read_text(encoding="utf-8"), _text(file, expected, method)
                 difference = text != rendered and _first_difference(_cells(text), _cells(rendered), name)
+            if difference and name == "normalization.csv":
+                # The imputed files after it render their original units from
+                # report.json's block: the verification ends here, blaming none.
+                checks.append((name, False, f"{difference} from report.json's normalization block"))
+                break
             checks.append((name, not difference, difference or "matches its re-rendering"))
     except ValueError as err:
         checks.append(("format", False, str(err)))

@@ -77,7 +77,6 @@ class Forest:
     config: ForestConfig
     target_column: int
     predictor_columns: tuple[int, ...]
-    binary_target: bool
 
     def predict(self, known_rows) -> np.ndarray:
         """Mean of per-tree predictions for each row of an (R, d) predictor block."""
@@ -226,18 +225,16 @@ def resolve_mtry(cfg: ForestConfig, n_columns: int) -> int:
     return cfg.mtry if cfg.mtry is not None else max(1, math.isqrt(n_columns - 1))
 
 
-def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
-        binary_target: bool = False) -> Forest:
+def fit(train_rows, target_column: int, cfg: ForestConfig | None = None) -> Forest:
     """Grow a forest predicting ``target_column`` from every other column.
 
-    ``binary_target=True`` validates at fit time that the target holds only
-    0/1 codes, so that the mean vote is a class score.  Per-tree generators
-    are derived from (seed, tree index), so trees are independent of growth
-    order and the fit is reproducible.  The trees are grown on every
-    available core through :func:`aeimpute.parallel.fork_map`, bit for bit
-    as a one-process fit grows them.  Tree t draws its bootstrap sample
-    first, then its per-node feature subsets, from the generator of
-    ``derive_seed(cfg.seed, "tree", t)``.
+    Per-tree generators are derived from (seed, tree index), so trees are
+    independent of growth order and the fit is reproducible.  The trees are
+    grown on every available core through :func:`aeimpute.parallel.fork_map`,
+    bit for bit as a one-process fit grows them, also in a forked worker.
+    Tree t draws its bootstrap sample first, then its per-node feature
+    subsets, from the generator of ``derive_seed(cfg.seed, "tree", t)``.
+    A 0/1 target is not checked here; the experiment checks its own.
     """
     cfg = cfg or ForestConfig()
     rows = np.asarray(train_rows, dtype=float)
@@ -259,8 +256,6 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
 
     x = rows[:, predictors]
     y = rows[:, target_column]
-    if binary_target and not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("binary_target=True but target codes are not all 0/1")
 
     def grow(t: int) -> CartTree:
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
@@ -272,5 +267,4 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None,
         config=replace(cfg, mtry=mtry),
         target_column=target_column,
         predictor_columns=predictors,
-        binary_target=binary_target,
     )

@@ -4,7 +4,7 @@
 with the items spread over one process per available core, at most one per
 item.  With W processes, the calling process maps ``items[0::W]`` and forked
 worker w maps ``items[w::W]``; with one process nothing is forked.  The
-forest and the experiment's optimizer methods map through it; the
+experiment's methods and the forest's trees map through it; the
 hidden-size search, which may stop early, maps through :func:`fork_waves`.
 
 Caveats of forking, which every caller inherits:
@@ -18,6 +18,9 @@ Caveats of forking, which every caller inherits:
   stack and runs no ``atexit`` handler or ``finally`` block of the caller.
   It flushes standard output and error first, and the caller flushes them
   before it forks, so text buffered before the map is written once.
+- ``fn`` may call :func:`fork_map` itself, as a forest fit does in the
+  worker that runs the forest method.  That worker's workers are its own
+  children, and they are gone before it sends its results.
 - Side effects of ``fn`` in a worker (a counter, a trace, a warning) stay in
   that worker and are not seen by the caller.
 - A worker that exits without sending its results raises RuntimeError with

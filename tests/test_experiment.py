@@ -377,37 +377,40 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("drop_roc", [False, True], ids=["roc-kept", "roc-deleted"])
     def test_verify_rejects_unknown_task_kind(self, emitted, tmp_path, capsys, drop_roc):
+        # The stored task kind, as the configuration's own rule reads it.
         _, _, out = emitted
-        clone = clone_report(out, tmp_path / "ranking")
-        document = json.loads((clone / "report.json").read_text())
-        document["task_kind"] = "ranking"
-        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        for p in clone.glob("roc_*.csv") if drop_roc else ():
-            p.unlink()
-        assert verify_report(clone) == [("format", False, "report.json: unknown task_kind 'ranking'")]
-        assert cli.main(["verify", str(clone)]) == 2
-        assert capsys.readouterr().out == "FAIL format: report.json: unknown task_kind 'ranking'\n"
+        detail = "report.json: task must be one of ('prediction', 'classification'), got 'ranking'"
+        for where, edit in (("task_kind", lambda doc: doc.update(task_kind="ranking")),
+                            ("config.task", lambda doc: doc["config"].update(task="ranking"))):
+            clone = clone_report(out, tmp_path / where)
+            document = json.loads((clone / "report.json").read_text())
+            edit(document)
+            (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+            for p in clone.glob("roc_*.csv") if drop_roc else ():
+                p.unlink()
+            assert verify_report(clone) == [("format", False, detail)], where
+            assert cli.main(["verify", str(clone)]) == 2
+            assert capsys.readouterr().out == f"FAIL format: {detail}\n"
 
     @pytest.mark.parametrize(
-        "edit, stated",
+        "edit, detail",
         [
-            (lambda r: r["config"].update(methods=[]), "[]"),
-            (lambda r: r["config"]["methods"].append("ga"), "['ga', 'sa', 'pso', 'ns', 'rf', 'ga']"),
+            (lambda r: r["config"].update(methods=[]), "methods must be non-empty"),
+            (lambda r: r["config"]["methods"].append("ga"), "methods must not repeat"),
             (lambda r: (r["config"]["methods"].append("xx"), r["methods"].update(xx=r["methods"]["ga"])),
-             "['ga', 'sa', 'pso', 'ns', 'rf', 'xx']"),
-            (lambda r: r["methods"].update(xx=r["methods"]["ga"]), "['ga', 'sa', 'pso', 'ns', 'rf']"),
+             "unknown method 'xx'; expected among ('ga', 'sa', 'pso', 'ns', 'rf')"),
+            (lambda r: r["methods"].update(xx=r["methods"]["ga"]), "methods' blocks "
+             "['ga', 'ns', 'pso', 'rf', 'sa', 'xx'] must be those of config.methods ['ga', 'sa', 'pso', 'ns', 'rf']"),
         ],
         ids=["empty", "repeated", "unknown-name", "extra-block"],
     )
-    def test_verify_checks_the_method_set(self, emitted, tmp_path, capsys, edit, stated):
+    def test_verify_checks_the_method_set(self, emitted, tmp_path, capsys, edit, detail):
         _, _, out = emitted
         clone = clone_report(out, tmp_path / "methods")
         document = json.loads((clone / "report.json").read_text())
         edit(document)
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        blocks = sorted(document["methods"])
-        detail = (f"report.json: config.methods {stated} and methods' blocks {blocks} "
-                  "must be the same one or more of ga, sa, pso, ns, rf, each once")
+        detail = f"report.json: {detail}"
         assert verify_report(clone) == [("format", False, detail)]
         assert cli.main(["verify", str(clone)]) == 2
         assert capsys.readouterr().out == f"FAIL format: {detail}\n"
@@ -423,15 +426,13 @@ class TestRunExperiment:
     def test_timings_split_by_stage_and_method(self, emitted):
         cfg, _, out = emitted
         timings = json.loads((out / "timings.json").read_text())
-        searches = [f"impute.{m}" for m in cfg.methods if m != "rf"]
-        stages = {"prepare", "train", "impute", "rf_fit", "rf_predict", "score"}
-        assert set(timings) == stages | set(searches)
+        methods = [f"impute.{m}" for m in cfg.methods]
+        assert "impute.rf" in methods
+        assert set(timings) == {"prepare", "train", "impute", "score"} | set(methods)
         assert all(v >= 0.0 for v in timings.values())
-        # The searches run side by side, so their seconds overlap and may sum
-        # past the stage's wall time; the forest runs after the longest one.
-        assert all(timings[k] <= timings["impute"] for k in searches)
-        parts = max(timings[k] for k in searches) + timings["rf_fit"] + timings["rf_predict"]
-        assert parts <= timings["impute"]
+        # The methods run side by side, so their seconds overlap and may sum
+        # past the stage's wall time, but none is longer than the stage.
+        assert all(timings[k] <= timings["impute"] for k in methods)
 
     def test_auto_hidden_size_keeps_the_winning_network(self, heart_setup):
         tmp, csv, meta = heart_setup
@@ -510,10 +511,26 @@ class TestRunExperiment:
             assert partial["hidden_size"] == {"requested": 4, "selected": 4}
             assert "methods" not in partial and "comparison" not in partial
 
+    def test_classification_target_is_checked_in_every_block(self, heart_setup, tmp_path):
+        # One training row's target is 0.5; the test block's stay 0/1.  No
+        # forest runs, and the tasks stage still rejects the column.
+        tmp, csv, meta = heart_setup
+        lines = csv.read_text().splitlines()
+        edited = tmp_path / "half.csv"
+        edited.write_text("\n".join([lines[0].rsplit(",", 1)[0] + ",0.5", *lines[1:]]) + "\n")
+        meta = dict(meta, kinds=[*meta["kinds"][:-1], "numeric"])
+        assert meta["missing_column"] == len(meta["kinds"]) - 1
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "half.cfg"
+        cfg_file.write_text(config_text(edited, meta, out, seed=1, hidden_size=4, methods="ga", **FAST))
+        with pytest.raises(ExperimentError, match="stage 'tasks' failed: classification task needs a 0/1"):
+            run_experiment(parse_config(cfg_file))
+        assert "stage: tasks" in (out / FAILURE_MARKER).read_text()
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_methods_on_any_worker_count_match(self, heart_setup, tmp_path, monkeypatch, workers):
-        # "ga,rf,sa" puts the forest between two searches: results must be
-        # matched to the searched methods, not to the configured list.
+        # "ga,rf,sa" puts the forest between two searches; at 2 workers it
+        # lands in the forked worker, which forks again to grow its trees.
         tmp, csv, meta = heart_setup
         for methods in ("ga,sa,pso,ns,rf", "ga,rf,sa"):
             files = {}
@@ -528,6 +545,7 @@ class TestRunExperiment:
                 }
             assert files[workers] == files[1]
             assert {f"imputed_{m}.csv" for m in methods.split(",")} <= set(files[1])
+            assert child_processes() == []
 
     def test_search_failing_in_a_worker_is_an_impute_failure(self, heart_setup, monkeypatch):
         tmp, csv, meta = heart_setup
@@ -803,6 +821,35 @@ class TestVerifyReadsEveryFile:
         ((name, text),) = failures(clone)
         assert name == check and text.startswith(detail)
 
+    # Each entry follows from the config echo; heart-paper's hidden size is
+    # searched and picks 4 at seed 0.  The normalization block must agree
+    # with normalization.csv before the imputed files render from it.
+    @pytest.mark.parametrize(
+        "edit, check, detail",
+        [
+            (lambda doc: doc["methodology"].update(mae="mean error"),
+             "report.json", "report.json.methodology.mae holds 'mean error', expected 'mean absolute error"),
+            (lambda doc: doc["hidden_size"].update(requested=4),
+             "report.json", "report.json.hidden_size.requested holds 4, expected 'auto'"),
+            (lambda doc: doc["config"].update(hidden_size=4),
+             "report.json", "report.json.hidden_size.requested holds 'auto', expected 4"),
+            (lambda doc: doc["config"].update(task="prediction"),
+             "report.json", "report.json.task_kind holds 'classification', expected 'prediction'"),
+            (lambda doc: doc["normalization"][-1].update(max=doc["normalization"][-1]["max"] + 0.5),
+             "normalization.csv", "normalization.csv[14][2] holds 1.0, expected 1.5 from report.json's"),
+        ],
+        ids=["methodology", "hidden-size-requested", "config-hidden-size", "config-task", "normalization"],
+    )
+    def test_report_json_entries_must_follow_from_the_config(
+        self, heart_paper, tmp_path, edit, check, detail
+    ):
+        clone = clone_report(heart_paper, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        edit(document)
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        ((name, text),) = failures(clone)
+        assert name == check and text.startswith(detail)
+
     @pytest.mark.parametrize(
         "edit, check, detail",
         [
@@ -890,6 +937,8 @@ class TestVerifyReadsEveryFile:
         lines[0] = ",".join([*kept, "renamed"])
         (clone / name).write_text("\n".join(lines) + "\n")
         detail = f"{name}[0][{len(kept)}] holds 'renamed', expected {last!r}"
+        if name == "normalization.csv":  # compared before anything renders from the block
+            detail += " from report.json's normalization block"
         assert failures(clone) == [(name, detail)]
 
     # model.txt is left out: verify re-renders it from the weights it holds,

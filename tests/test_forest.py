@@ -79,11 +79,6 @@ class TestFit:
         assert fitted.config == ForestConfig(n_trees=2, seed=0, mtry=int(d**0.5))
         assert forest.fit(rows, d, ForestConfig(n_trees=2, mtry=1, seed=0)).config.mtry == 1
 
-    def test_binary_target_validated_at_fit(self):
-        rows = np.random.default_rng(0).uniform(0, 1, size=(20, 3))
-        with pytest.raises(ValueError, match="binary"):
-            forest.fit(rows, 2, ForestConfig(), binary_target=True)
-
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         rows = step_rows(rng, 60)
@@ -100,7 +95,6 @@ class TestPredict:
             config=ForestConfig(n_trees=2),
             target_column=1,
             predictor_columns=(0,),
-            binary_target=False,
         )
         assert f.predict([[0.5]]) == pytest.approx([0.4])
 
@@ -110,7 +104,6 @@ class TestPredict:
             config=ForestConfig(n_trees=3),
             target_column=1,
             predictor_columns=(0,),
-            binary_target=False,
         )
         assert f.predict([[0.1]]).tolist() == [0.9]
 
@@ -123,7 +116,6 @@ class TestPredict:
             config=base.config,
             target_column=base.target_column,
             predictor_columns=base.predictor_columns,
-            binary_target=False,
         )
         query = rng.uniform(0, 1, size=(10, 2))
         np.testing.assert_array_equal(doubled.predict(query), base.predict(query))
