@@ -37,7 +37,6 @@ from .network import (
     TrainConfig,
     TrainingError,
     load_model,
-    save_model,
     select_hidden_size,
     train,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "load_model",
-    "save_model",
     "select_hidden_size",
     "train",
     "MissingDataObjective",

@@ -176,9 +176,7 @@ def _normalize_schema(
         )
     out: list[tuple[str, str]] = []
     for i, hint in enumerate(schema):
-        if isinstance(hint, ColumnSpec):
-            out.append((hint.name, hint.kind))
-        elif isinstance(hint, str):
+        if isinstance(hint, str):
             out.append((f"A{i + 1}", hint))
         else:
             name, kind = hint

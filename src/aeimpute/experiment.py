@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import traceback
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -59,7 +59,7 @@ class ExperimentConfig:
     missing_column: int
     task_kind: str
     header: bool = False
-    column_kinds: tuple[str, ...] | None = None
+    column_kinds: tuple[str | tuple[str, str], ...] | None = None
     hidden_size: int | str = "auto"
     methods: tuple[str, ...] = ALL_METHODS
     master_seed: int = 0
@@ -92,6 +92,9 @@ class ExperimentConfig:
                 raise ConfigError("hidden_size must be 'auto' or an integer >= 2")
         if self.normalization_scope not in ("full", "train"):
             raise ConfigError("normalization_scope must be 'full' or 'train'")
+        if self.column_kinds is not None:
+            # A (name, kind) entry read back from JSON is a list.
+            self.column_kinds = tuple(tuple(e) if isinstance(e, list) else e for e in self.column_kinds)
 
 
 # --- config file parsing ----------------------------------------------------
@@ -127,13 +130,9 @@ _GLOBAL_KEYS = {
     "normalization_scope": ("normalization_scope", str),
 }
 
+# Section name -> config type: the dataclass-typed fields of ExperimentConfig.
 _SECTION_TYPES = {
-    "train": network_mod.TrainConfig,
-    "ga": optim_mod.GaConfig,
-    "sa": optim_mod.SaConfig,
-    "pso": optim_mod.PsoConfig,
-    "ns": optim_mod.NsConfig,
-    "rf": forest_mod.ForestConfig,
+    name: tp for name, tp in typing.get_type_hints(ExperimentConfig).items() if is_dataclass(tp)
 }
 
 # Per-run seeds are always derived from the master seed, so they are neither

@@ -17,7 +17,7 @@ scores all of its candidate columns in one vectorized pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class CartTree:
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[CartTree, ...]
-    config: ForestConfig
     target_column: int
     predictor_columns: tuple[int, ...]
 
@@ -234,7 +233,9 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None) -> Fore
     bit for bit as a one-process fit grows them, also in a forked worker.
     Tree t draws its bootstrap sample first, then its per-node feature
     subsets, from the generator of ``derive_seed(cfg.seed, "tree", t)``.
-    A 0/1 target is not checked here; the experiment checks its own.
+    Each node tries :func:`resolve_mtry` predictors; the forest keeps no
+    copy of the configuration.  A 0/1 target is not checked here; the
+    experiment checks its own.
     """
     cfg = cfg or ForestConfig()
     rows = np.asarray(train_rows, dtype=float)
@@ -264,7 +265,6 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None) -> Fore
 
     return Forest(
         trees=tuple(fork_map(grow, range(cfg.n_trees))),
-        config=replace(cfg, mtry=mtry),
         target_column=target_column,
         predictor_columns=predictors,
     )

@@ -428,12 +428,6 @@ def model_text(net: Autoencoder) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_model(net: Autoencoder, path) -> None:
-    """Write :func:`model_text` to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_text(net))
-
-
 def load_model(path) -> Autoencoder:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()

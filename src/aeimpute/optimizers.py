@@ -37,7 +37,7 @@ moves_per_step acceptance uniforms.  The blocks are then read for all T
 tasks at once.
 
 Evaluation budgets per task are exact functions of the configuration
-(:func:`budget`), and a result's ``evaluations`` is that budget:
+(:func:`budget`): a run scores exactly ``budget()`` rows per task.
 
     GA   population + generations * (population - elitism)
     SA   1 + 100 (only when the start temperature is auto-calibrated)
@@ -61,26 +61,28 @@ _CALIBRATION_PROBES = 100
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    """Best points found for T tasks, their objective values, and run accounting.
+    """Best points found for T tasks and the trace of their objective values.
 
-    ``best_points`` is (T, m) and ``best_values`` (T,), a fresh
-    re-evaluation of the best points.  ``evaluations`` is the budget spent
-    per task.  The trace has K entries: ``trace_iterations`` (K,) labels
-    them, and column t of ``trace_values`` (K, T) is task t's best-so-far
-    value, non-increasing down the column.
+    ``best_points`` is (T, m).  The trace has K entries: ``trace_iterations``
+    (K,) labels them, and column t of ``trace_values`` (K, T) is task t's
+    best-so-far value, non-increasing down the column.  A run scores exactly
+    ``budget()`` rows per task (the module docstring's table).
     """
 
     best_points: np.ndarray
-    best_values: np.ndarray
-    evaluations: int
     trace_iterations: np.ndarray
     trace_values: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("best_points", "best_values", "trace_iterations", "trace_values"):
+        for name in ("best_points", "trace_iterations", "trace_values"):
             array = np.array(getattr(self, name))
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    @property
+    def best_values(self) -> np.ndarray:
+        """(T,) values of the best points, as the search scored them."""
+        return self.trace_values[-1]
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class NsConfig:
 
 def budget(tag: str, cfg) -> int:
     """Objective evaluations per task of a ``tag`` run under ``cfg`` (the
-    module docstring's table); a result's ``evaluations``."""
+    module docstring's table)."""
     if tag == "ga":
         return cfg.population + cfg.generations * (cfg.population - cfg.elitism)
     if tag == "sa":
@@ -190,22 +192,6 @@ def _evaluate(obj, candidates: np.ndarray) -> np.ndarray:
     """Score a (T, k, m) stack of candidates in one batch; returns (T, k)."""
     n_tasks, k, m = candidates.shape
     return obj.evaluate_batch(candidates.reshape(n_tasks * k, m)).reshape(n_tasks, k)
-
-
-def _finish(obj, best_points: np.ndarray, evaluations: int, history, first_iteration: int = 0):
-    """The result from the (T, m) best points and the best-so-far history.
-
-    ``history`` holds one length-T array of best values per iteration,
-    counted from ``first_iteration``.  All T best points are re-evaluated in
-    one batch so that each best value is re-checkable.
-    """
-    return OptimizerResult(
-        best_points=best_points,
-        best_values=obj.evaluate_batch(best_points),
-        evaluations=evaluations,
-        trace_iterations=np.arange(first_iteration, first_iteration + len(history)),
-        trace_values=np.stack(history),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +294,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
         best_points[better] = _decode(pop[tasks[better], gen_best[better]], m, bits)
         history.append(best_values.copy())
 
-    return _finish(obj, best_points, budget("ga", cfg), history)
+    return OptimizerResult(best_points, np.arange(len(history)), history)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +368,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
         temperature *= cfg.cooling_factor
         history.append(best_values.copy())
 
-    return _finish(obj, best_points, budget("sa", cfg), history)
+    return OptimizerResult(best_points, np.arange(len(history)), history)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +432,7 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds):
         gbest = pbest[tasks, g]
         history.append(pbest_values[tasks, g])
 
-    return _finish(obj, gbest, budget("pso", cfg), history)
+    return OptimizerResult(gbest, np.arange(len(history)), history)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +473,7 @@ def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
         detectors = np.where(culled[..., None], fresh, detectors)
         history.append(best_values.copy())
 
-    return _finish(obj, best_points, budget("ns", cfg), history, first_iteration=1)
+    return OptimizerResult(best_points, np.arange(1, len(history) + 1), history)
 
 
 _MINIMIZERS = {

@@ -74,10 +74,14 @@ class TestFit:
     @pytest.mark.parametrize("d", [1, 3, 4, 13, 24])
     def test_unset_mtry_resolves_to_floor_sqrt_d(self, d):
         rows = np.random.default_rng(0).uniform(0, 1, size=(12, d + 1))
-        fitted = forest.fit(rows, d, ForestConfig(n_trees=2, seed=0))
-        assert fitted.config.mtry == forest.resolve_mtry(ForestConfig(), d + 1) == int(d**0.5)
-        assert fitted.config == ForestConfig(n_trees=2, seed=0, mtry=int(d**0.5))
-        assert forest.fit(rows, d, ForestConfig(n_trees=2, mtry=1, seed=0)).config.mtry == 1
+        assert forest.resolve_mtry(ForestConfig(), d + 1) == int(d**0.5)
+        assert forest.resolve_mtry(ForestConfig(mtry=1), d + 1) == 1
+        # The fit tries resolve_mtry's count: it grows the trees of that mtry.
+        unset = forest.fit(rows, d, ForestConfig(n_trees=2, seed=0))
+        resolved = forest.fit(rows, d, ForestConfig(n_trees=2, seed=0, mtry=int(d**0.5)))
+        for a, b in zip(unset.trees, resolved.trees, strict=True):
+            np.testing.assert_array_equal(a.feature, b.feature)
+            np.testing.assert_array_equal(a.threshold, b.threshold)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
@@ -92,7 +96,6 @@ class TestPredict:
     def test_mean_of_single_leaf_trees(self):
         f = Forest(
             trees=(leaf_tree(0.2), leaf_tree(0.6)),
-            config=ForestConfig(n_trees=2),
             target_column=1,
             predictor_columns=(0,),
         )
@@ -101,7 +104,6 @@ class TestPredict:
     def test_constant_forest(self):
         f = Forest(
             trees=(leaf_tree(0.9),) * 3,
-            config=ForestConfig(n_trees=3),
             target_column=1,
             predictor_columns=(0,),
         )
@@ -113,7 +115,6 @@ class TestPredict:
         base = forest.fit(rows, 2, ForestConfig(n_trees=1, seed=7))
         doubled = Forest(
             trees=base.trees * 2,
-            config=base.config,
             target_column=base.target_column,
             predictor_columns=base.predictor_columns,
         )

@@ -145,8 +145,6 @@ class TestImpute:
         t = points.shape[0]
         return OptimizerResult(
             best_points=points,
-            best_values=np.zeros(t),
-            evaluations=1,
             trace_iterations=np.array([0]),
             trace_values=np.zeros((1, t)),
         )

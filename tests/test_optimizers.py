@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aeimpute import optimizers as opt
+from aeimpute import data, network, optimizers as opt
 from aeimpute.data import ImputationTask
 from aeimpute.objective import MissingDataObjective
 from aeimpute.optimizers import GaConfig, NsConfig, PsoConfig, SaConfig
+from aeimpute.seeding import derive_seed
 
-from conftest import Bimodal1D, CountingObjective, QuadraticStub, Ripple2D, random_autoencoder
+from conftest import Bimodal1D, CountingObjective, QuadraticStub, Ripple2D, random_autoencoder, write_table
 
 ALL = [
     ("ga", opt.minimize_ga, GaConfig),
@@ -25,7 +26,6 @@ ALL = [
 def assert_same_result(a, b):
     np.testing.assert_array_equal(a.best_points, b.best_points)
     np.testing.assert_array_equal(a.best_values, b.best_values)
-    assert a.evaluations == b.evaluations
     np.testing.assert_array_equal(a.trace_iterations, b.trace_iterations)
     np.testing.assert_array_equal(a.trace_values, b.trace_values)
 
@@ -54,7 +54,7 @@ class TestSharedContracts:
         assert (result.best_points >= 0).all() and (result.best_points <= 1).all()
 
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
-    def test_best_value_fresh_reevaluation(self, name, fn, cfg_type):
+    def test_best_value_is_the_best_points_value(self, name, fn, cfg_type):
         stub = QuadraticStub()
         result = fn(stub, cfg_type(), seeds=[4])
         assert result.best_values[0] == stub.evaluate(result.best_points[0])
@@ -80,42 +80,65 @@ class TestSharedContracts:
         assert result.trace_values.shape[1] == 1
 
 
+class TestBestValues:
+    """A result's best values are its trace's last entry; they must be what
+    the objective scores for the best points, on the pipeline's objective."""
+
+    @pytest.fixture(scope="class")
+    def heart_objective(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("heart") / "heart.csv"
+        meta = write_table(path, "heart")
+        ds = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
+        net, _ = network.train(ds.train_rows, 4, network.TrainConfig(max_iterations=30))
+        return MissingDataObjective(net, data.make_tasks(ds, {meta["missing_column"]}))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "name,cfg",
+        [
+            ("ga", GaConfig(generations=10)),
+            ("sa", SaConfig(temperature_steps=10)),
+            ("pso", PsoConfig(iterations=10)),
+            ("ns", NsConfig(generations=10)),
+        ],
+    )
+    def test_equal_a_rescoring_of_the_best_points(self, heart_objective, name, cfg, seed):
+        seeds = [derive_seed(seed, name, t) for t in range(heart_objective.n_tasks)]
+        result = opt.run(heart_objective, name, cfg, seeds=seeds)
+        rescored = heart_objective.evaluate_batch(result.best_points)
+        assert result.best_values.tobytes() == rescored.tobytes()
+
+
 class TestBudgets:
     def test_ga_budget(self):
         counter = CountingObjective(QuadraticStub())
         cfg = GaConfig(population=20, generations=15, elitism=3)
-        result = opt.minimize_ga(counter, cfg, seeds=[0])
-        expected = 20 + 15 * (20 - 3)
-        # the final re-evaluation of the best point adds one row
-        assert result.evaluations == opt.budget("ga", cfg) == expected
-        assert counter.count == expected + 1
+        opt.minimize_ga(counter, cfg, seeds=[0])
+        assert counter.count == opt.budget("ga", cfg) == 20 + 15 * (20 - 3)
 
     # SA makes one evaluate_batch call per move and PSO one per sweep, no
-    # more: the calls are the start, the calibration probes (SA), the moves
-    # or sweeps and the final re-evaluation.
+    # more: the calls are the start, the calibration probes (SA), and the
+    # moves or sweeps.
     def test_sa_budget_with_calibration(self):
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(temperature_steps=12, moves_per_step=7)
-        result = opt.minimize_sa(counter, cfg, seeds=[0])
-        assert result.evaluations == opt.budget("sa", cfg) == 1 + 100 + 12 * 7
-        assert counter.count == 1 + 100 + 12 * 7 + 1
-        assert counter.calls == 1 + 1 + 12 * 7 + 1
+        opt.minimize_sa(counter, cfg, seeds=[0])
+        assert counter.count == opt.budget("sa", cfg) == 1 + 100 + 12 * 7
+        assert counter.calls == 1 + 1 + 12 * 7
 
     def test_sa_budget_fixed_temperature(self):
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(initial_temperature=0.1, temperature_steps=12, moves_per_step=7)
-        result = opt.minimize_sa(counter, cfg, seeds=[0])
-        assert result.evaluations == opt.budget("sa", cfg) == 1 + 12 * 7
-        assert counter.count == 1 + 12 * 7 + 1
-        assert counter.calls == 1 + 12 * 7 + 1
+        opt.minimize_sa(counter, cfg, seeds=[0])
+        assert counter.count == opt.budget("sa", cfg) == 1 + 12 * 7
+        assert counter.calls == 1 + 12 * 7
 
     def test_pso_budget(self):
         counter = CountingObjective(QuadraticStub())
         cfg = PsoConfig(swarm=9, iterations=13)
-        result = opt.minimize_pso(counter, cfg, seeds=[0])
-        assert result.evaluations == opt.budget("pso", cfg) == 9 * (13 + 1)
-        assert counter.count == 9 * (13 + 1) + 1
-        assert counter.calls == 1 + 13 + 1
+        opt.minimize_pso(counter, cfg, seeds=[0])
+        assert counter.count == opt.budget("pso", cfg) == 9 * (13 + 1)
+        assert counter.calls == 1 + 13
 
     def test_pso_sweep_is_one_task_major_batch(self):
         # Each sweep's call holds T * swarm rows, task t's swarm in rows
@@ -134,7 +157,7 @@ class TestBudgets:
 
             stub.evaluate_batch = recorded
             opt.minimize_pso(stub, cfg, seeds=seeds)
-            return calls[:-1]  # the last call re-evaluates the best points
+            return calls
 
         together = batches(StackedStub(centers), seeds)
         assert [len(c) for c in together] == [3 * 4] * (1 + 5)
@@ -146,9 +169,8 @@ class TestBudgets:
     def test_ns_budget(self):
         counter = CountingObjective(QuadraticStub())
         cfg = NsConfig(detectors=11, generations=17)
-        result = opt.minimize_ns(counter, cfg, seeds=[0])
-        assert result.evaluations == opt.budget("ns", cfg) == 11 * 17
-        assert counter.count == 11 * 17 + 1
+        opt.minimize_ns(counter, cfg, seeds=[0])
+        assert counter.count == opt.budget("ns", cfg) == 11 * 17
 
     def test_budget_of_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown optimizer tag 'de'"):
@@ -247,8 +269,8 @@ class TestGa:
     def test_mutation_default_resolution(self):
         # Default mutation rate keeps roughly one flip per chromosome.
         counter = CountingObjective(QuadraticStub())
-        result = opt.minimize_ga(counter, GaConfig(generations=5), seeds=[1])
-        assert result.evaluations == 50 + 5 * 49
+        opt.minimize_ga(counter, GaConfig(generations=5), seeds=[1])
+        assert counter.count == 50 + 5 * 49
 
 
 class TestSa:
@@ -273,8 +295,8 @@ class TestSa:
             cold_steps += temperature == 0.0
         assert cold_steps > 300
         recorder = RecordingObjective(QuadraticStub())
-        result = opt.minimize_sa(recorder, cfg, seeds=[0])
-        assert result.evaluations == 1 + 400 * 20
+        opt.minimize_sa(recorder, cfg, seeds=[0])
+        assert sum(len(candidates) for candidates, _ in recorder.calls) == 1 + 400 * 20
         (moves,) = sa_moves(recorder, cfg, [0])
         rises = [rise for accepted, rise in moves if accepted and rise is not None]
         assert len(rises) >= 1
@@ -332,8 +354,7 @@ class TestNs:
 
         cfg = NsConfig(detectors=13, generations=9)
         opt.minimize_ns(Spy(), cfg, seeds=[0])
-        # Then one row: the final re-evaluation of the best point.
-        assert sizes == [13] * 9 + [1]
+        assert sizes == [13] * 9
 
     def test_never_beats_exhaustive_grid(self):
         obj = Bimodal1D()
@@ -364,8 +385,9 @@ class TestDispatch:
             opt.run(QuadraticStub(), "sa", GaConfig(), seeds=[0])
 
     def test_default_config_used_when_none(self):
-        result = opt.run(QuadraticStub(), "ns", seeds=[0])
-        assert result.evaluations == 50 * 100
+        counter = CountingObjective(QuadraticStub())
+        opt.run(counter, "ns", seeds=[0])
+        assert counter.count == 50 * 100
 
 
 class TestConfigValidation:
@@ -484,8 +506,8 @@ def sa_moves(recorder, cfg, seeds):
     """
     moves_per_run = cfg.temperature_steps * cfg.moves_per_step
     first = 1 if cfg.initial_temperature is not None else 2
-    # The calls: the start points, the probes, the moves, then the best points.
-    assert len(recorder.calls) == first + moves_per_run + 1
+    # The calls: the start points, the probes, then the moves.
+    assert len(recorder.calls) == first + moves_per_run
     starts, start_values = recorder.calls[0]
     out = []
     for t, seed in enumerate(seeds):
@@ -502,7 +524,7 @@ def sa_moves(recorder, cfg, seeds):
         # Possible states, each with the outcomes of its path since `settled`.
         states = {starts[t].tobytes(): (starts[t], start_values[t], [])}
         settled = []
-        for z, (candidates, values) in zip(noise, recorder.calls[first:-1], strict=True):
+        for z, (candidates, values) in zip(noise, recorder.calls[first:], strict=True):
             y, fy = candidates[t], values[t]
             alive = [s for s in states.values() if np.array_equal(np.clip(s[0] + z, 0.0, 1.0), y)]
             assert alive, f"task {t}: a candidate from no state the task can be in"
@@ -589,22 +611,20 @@ class TestLockstep:
 
         stub = StackedStub(centers)
         together = opt.run(stub, name, cfg, seeds=seeds)
-        # Exact budgets, plus one re-evaluation of each task's best point.
-        assert stub.rows == n_tasks * (budget + 1)
+        # Exact budgets.
+        assert stub.rows == n_tasks * budget
         assert together.best_points.shape == (n_tasks, m)
         assert together.trace_values.shape == (together.trace_iterations.size, n_tasks)
         for t in range(n_tasks):
             alone = opt.run(StackedStub(centers[t : t + 1]), name, cfg, seeds=[seeds[t]])
             np.testing.assert_array_equal(together.best_points[t], alone.best_points[0])
             assert together.best_values[t] == alone.best_values[0]
-            assert together.evaluations == alone.evaluations == budget
             np.testing.assert_array_equal(together.trace_iterations, alone.trace_iterations)
             np.testing.assert_array_equal(together.trace_values[:, t], alone.trace_values[:, 0])
 
     # The reconstruction objective scores a row the same in any batch, so a
     # record searched alone gets, bit for bit, its row of the lockstep run.
-    # Each configuration's one-task run scores one-row passes: SA's moves,
-    # and every method's final re-evaluation of its best point.
+    # SA's one-task run scores one-row passes: its start point and its moves.
     @pytest.mark.parametrize(
         "name,cfg",
         [
@@ -645,11 +665,9 @@ def _reference_evaluate(obj, candidates):
     return obj.evaluate_batch(candidates.reshape(n_tasks * k, m)).reshape(n_tasks, k)
 
 
-def _reference_result(obj, best_points, evaluations, history):
+def _reference_result(best_points, history):
     return opt.OptimizerResult(
         best_points=best_points,
-        best_values=_reference_evaluate(obj, best_points[:, None])[:, 0],
-        evaluations=evaluations,
         trace_iterations=np.arange(len(history)),
         trace_values=np.stack(history),
     )
@@ -664,12 +682,10 @@ def reference_sa(obj, cfg, seeds, accepted=None):
 
     x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
     fx = _reference_evaluate(obj, x[:, None])[:, 0]
-    evaluations = 1
     if cfg.initial_temperature is None:
         probes = np.stack([rng.normal(0.0, sigma, size=(100, m)) for rng in rngs])
         deltas = _reference_evaluate(obj, np.clip(x[:, None] + probes, 0.0, 1.0)) - fx[:, None]
         temperature = np.array([opt._start_temperature(d[d > 0]) for d in deltas])
-        evaluations += 100
     else:
         temperature = np.full(len(rngs), cfg.initial_temperature)
 
@@ -693,11 +709,10 @@ def reference_sa(obj, cfg, seeds, accepted=None):
             better = fx < best_values
             best_values[better] = fx[better]
             best_points[better] = x[better]
-        evaluations += moves
         temperature *= cfg.cooling_factor
         history.append(best_values.copy())
 
-    return _reference_result(obj, best_points, evaluations, history)
+    return _reference_result(best_points, history)
 
 
 def reference_pso(obj, cfg, seeds, initial=None):
@@ -711,7 +726,6 @@ def reference_pso(obj, cfg, seeds, initial=None):
         velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
 
     values = _reference_evaluate(obj, positions)
-    evaluations = swarm
     pbest = positions.copy()
     pbest_values = values.copy()
     tasks = np.arange(n_tasks)
@@ -734,10 +748,9 @@ def reference_pso(obj, cfg, seeds, initial=None):
         pbest = np.where(better[..., None], positions, pbest)
         g = pbest_values.argmin(axis=1)
         gbest = pbest[tasks, g]
-        evaluations += swarm
         history.append(pbest_values[tasks, g])
 
-    return _reference_result(obj, gbest, evaluations, history)
+    return _reference_result(gbest, history)
 
 
 def reference_ga(obj, cfg, seeds):
@@ -784,8 +797,7 @@ def reference_ga(obj, cfg, seeds):
         best_points[better] = reference_decode(pop[tasks[better], gen_best[better]], m, bits)
         history.append(best_values.copy())
 
-    evaluations = cfg.population + cfg.generations * n_children
-    return _reference_result(obj, best_points, evaluations, history)
+    return _reference_result(best_points, history)
 
 
 def drawn_objective(draw, rng, n_tasks, m):
