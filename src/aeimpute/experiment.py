@@ -20,6 +20,7 @@ same configuration and master seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import traceback
 import typing
@@ -324,13 +325,14 @@ def _comparison(errors: dict[str, np.ndarray]) -> dict:
     in the order of ``errors``; empty for fewer than two methods."""
     if len(errors) < 2:
         return {}
-    matrix = metrics_mod.comparison_matrix(errors)
+    p_values = metrics_mod.comparison_matrix(errors).tolist()
     return {
-        "methods": list(matrix.methods),
-        "p_values": [[float(v) for v in row] for row in matrix.p_values],
+        "methods": list(errors),
+        "p_values": p_values,
         "pairs": [
-            {"pair": f"{a.upper()}-{b.upper()}", "p_value": p, "display": _display(p)}
-            for a, b, p in matrix.pairs()
+            {"pair": f"{a.upper()}-{b.upper()}", "p_value": p_values[i][j],
+             "display": _display(p_values[i][j])}
+            for (i, a), (j, b) in itertools.combinations(enumerate(errors), 2)
         ],
     }
 
@@ -343,6 +345,11 @@ def _prepare_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
         raise ConfigError(
             f"missing_column {cfg.missing_column} out of range for "
             f"{ds.n_columns}-column dataset"
+        )
+    if cfg.hidden_size != "auto" and cfg.hidden_size not in range(2, ds.n_columns):
+        raise ConfigError(
+            f"hidden_size {cfg.hidden_size} out of range for {ds.n_columns}-column "
+            f"dataset: must satisfy 2 <= h <= {ds.n_columns - 1}"
         )
     fit_rows = data_mod.split_sizes(ds.n_rows)[0] if cfg.normalization_scope == "train" else None
     return data_mod.split(data_mod.normalize(ds, fit_row_count=fit_rows))
@@ -558,8 +565,8 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
 def _regrade(path: Path, task_kind: str) -> tuple[dict, np.ndarray]:
     """:func:`_grade` on the ``true_value`` and ``imputed_value`` columns of an
     ``imputed_<method>.csv``; a file it cannot grade raises ValueError naming it."""
-    lines = path.read_text(encoding="utf-8").splitlines()
     try:
+        lines = path.read_text(encoding="utf-8").splitlines()
         at = [lines[0].split(",").index(column) for column in ("true_value", "imputed_value")]
         rows = [line.split(",") for line in lines[1:] if line]
         truth, values = np.array([[float(cells[i]) for i in at] for cells in rows]).reshape(-1, 2).T
@@ -638,7 +645,8 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     from the ``normalization`` block and its network from ``model.txt``.
     Each stable file of :data:`REPORT_FILES` gets one check, named after
     it, that its first difference fails (see :func:`_first_difference`):
-    report.json as a parsed document, the other files as comma-split lines.
+    report.json as a parsed document, the other files as comma-split lines
+    in which a byte that is not UTF-8 reads as U+FFFD.
     A failing ``normalization.csv`` check ends the verification.  Two more
     checks: :func:`_split_check`, and ``model``, ``model.txt``'s shape.
 
@@ -704,7 +712,8 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
             if name == "report.json":  # as parsed: serializing it would cost more than all the rest
                 difference = _first_difference(document, expected.document, name)
             else:
-                text, rendered = (out_dir / name).read_text(encoding="utf-8"), _text(file, expected, method)
+                text = (out_dir / name).read_text(encoding="utf-8", errors="replace")
+                rendered = _text(file, expected, method)
                 difference = text != rendered and _first_difference(_cells(text), _cells(rendered), name)
             if difference and name == "normalization.csv":
                 # The imputed files after it render their original units from

@@ -38,27 +38,6 @@ class TTestResult:
     p_value: float
 
 
-@dataclass(frozen=True)
-class MethodComparison:
-    """Symmetric matrix of pairwise p-values with unit diagonal."""
-
-    methods: tuple[str, ...]
-    p_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        pv = np.array(self.p_values, dtype=float)
-        pv.flags.writeable = False
-        object.__setattr__(self, "p_values", pv)
-        object.__setattr__(self, "methods", tuple(self.methods))
-
-    def pairs(self) -> list[tuple[str, str, float]]:
-        out = []
-        for i in range(len(self.methods)):
-            for j in range(i + 1, len(self.methods)):
-                out.append((self.methods[i], self.methods[j], float(self.p_values[i, j])))
-        return out
-
-
 def _paired_vectors(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(actual, dtype=float).ravel()
     p = np.asarray(predicted, dtype=float).ravel()
@@ -209,15 +188,15 @@ def welch_t_test(a, b) -> TTestResult:
     return TTestResult(t, df, student_t_two_tailed_p(t, df))
 
 
-def comparison_matrix(per_method_errors) -> MethodComparison:
-    """Pairwise Welch p-values over every unordered pair of methods."""
-    methods = tuple(per_method_errors.keys())
-    if len(methods) < 2:
+def comparison_matrix(per_method_errors) -> np.ndarray:
+    """Pairwise Welch p-values over every unordered pair of methods: the
+    symmetric (k, k) matrix with unit diagonal, rows and columns in key order."""
+    samples = list(per_method_errors.values())
+    k = len(samples)
+    if k < 2:
         raise ValueError("need at least 2 methods to compare")
-    k = len(methods)
     pv = np.ones((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            p = welch_t_test(per_method_errors[methods[i]], per_method_errors[methods[j]]).p_value
-            pv[i, j] = pv[j, i] = p
-    return MethodComparison(methods=methods, p_values=pv)
+            pv[i, j] = pv[j, i] = welch_t_test(samples[i], samples[j]).p_value
+    return pv

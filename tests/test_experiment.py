@@ -1,6 +1,7 @@
 """Config parsing, orchestration, report emission, verification, and CLI."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aeimpute import cli, experiment, network, optimizers, parallel
+from aeimpute import cli, experiment, metrics, network, optimizers, parallel
 from aeimpute.experiment import (
     _GLOBAL_KEYS,
     _SECTION_KEYS,
@@ -710,6 +711,28 @@ class TestPredictionRun:
         assert [name for name, _, _ in checks].count("format") == 1
 
 
+class TestComparison:
+    FIVE_PAIRS = ["GA-SA", "GA-PSO", "GA-NS", "GA-RF", "SA-PSO", "SA-NS", "SA-RF", "PSO-NS", "PSO-RF", "NS-RF"]
+
+    @pytest.mark.parametrize("methods, pairs", [
+        (experiment.ALL_METHODS, FIVE_PAIRS),
+        (("rf", "ns", "ga"), ["RF-NS", "RF-GA", "NS-GA"]),
+    ], ids=["five-methods", "configured-order"])
+    def test_pairs_follow_the_methods_order(self, methods, pairs):
+        rng = np.random.default_rng(0)
+        errors = {m: rng.normal(i * 0.1, 1.0, 30) for i, m in enumerate(methods)}
+        comparison = experiment._comparison(errors)
+        p_values = metrics.comparison_matrix(errors)
+        assert comparison["methods"] == list(methods)
+        assert comparison["p_values"] == p_values.tolist()
+        assert [entry["pair"] for entry in comparison["pairs"]] == pairs
+        for entry, (i, j) in zip(comparison["pairs"], itertools.combinations(range(len(methods)), 2)):
+            assert entry["p_value"] == p_values[i, j] and entry["display"] == f"{p_values[i, j]:.2f}"
+
+    def test_fewer_than_two_methods_compare_nothing(self):
+        assert experiment._comparison({"rf": np.arange(3.0)}) == {}
+
+
 class TestReportFiles:
     @pytest.mark.parametrize("fixture", ["emitted", "prediction_emitted"])
     def test_inventory_is_every_emitted_file_but_the_unstable(self, request, tmp_path, fixture):
@@ -950,6 +973,19 @@ class TestVerifyReadsEveryFile:
         assert name == check and text.startswith(detail)
 
 
+    @pytest.mark.parametrize("name, check, detail", [
+        ("imputed_sa.csv", "format", "imputed_sa.csv cannot be graded: 'utf-8' codec can't decode byte 0xff"),
+        ("metrics.csv", "metrics.csv", "metrics.csv does not hold 9 entries"),
+    ], ids=["imputed", "rendered"])
+    def test_a_byte_that_is_not_utf8_fails_the_check_of_its_file(self, fire_deep, tmp_path, name, check, detail):
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        (clone / name).write_bytes((clone / name).read_bytes() + b"\xff")
+        checks = verify_report(clone)
+        ((failed, text),) = [(n, d) for n, ok, d in checks if not ok]
+        assert failed == check and text.startswith(detail)
+        if check != "format":  # the other files were still checked
+            assert [n for n, _, _ in checks] == [n for n, _, _ in verify_report(fire_deep)]
+
     @pytest.mark.parametrize(
         "name", ["metrics.csv", "pvalues.csv", "normalization.csv", "imputed_ga.csv", "roc_ga.csv"]
     )
@@ -1052,6 +1088,17 @@ class TestCli:
         )
         assert cli.main(["run", str(cfg_file)]) == 1
         assert "data error" in capsys.readouterr().err
+
+    # The fire table has 13 columns, so a fixed hidden size must lie in 2..12.
+    @pytest.mark.parametrize("hidden_size", [13, 40])
+    def test_hidden_size_the_data_cannot_hold_is_a_data_error(self, fire_like, tmp_path, capsys, hidden_size):
+        csv, meta = fire_like
+        cfg_file = tmp_path / "fire.cfg"
+        cfg_file.write_text(config_text(csv, meta, tmp_path / "out", hidden_size=hidden_size))
+        assert cli.main(["--quiet", "run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data error: stage 'prepare' failed: ")
+        assert f"hidden_size {hidden_size} out of range for 13-column dataset: must satisfy 2 <= h <= 12" in err
 
     def test_runtime_failure_exit_code(self, heart_setup, capsys):
         tmp, csv, meta = heart_setup
