@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
         report = run_experiment(cfg, progress=say)
     except ExperimentError as err:
         cause = err.__cause__
-        if isinstance(cause, (ConfigError, CsvFormatError, FileNotFoundError)):
+        if isinstance(cause, (ConfigError, CsvFormatError)):
             print(f"data error: {err}", file=sys.stderr)
             return 1
         print(f"runtime failure: {err} (partial results in {cfg.output_dir})", file=sys.stderr)
@@ -97,12 +97,11 @@ def _cmd_inspect(args) -> int:
     except (OSError, ValueError) as err:
         print(f"cannot read model: {err}", file=sys.stderr)
         return 1
-    vec = net.to_vector()
     print(f"inputs/outputs: {net.n_inputs}")
     print(f"hidden units:   {net.n_hidden}")
-    print(f"parameters:     {net.n_parameters}")
+    print(f"parameters:     {net.parameters.size}")
     print(f"activations:    {net.hidden_activation} -> {net.output_activation}")
-    print(f"weight range:   [{vec.min():.6g}, {vec.max():.6g}]")
+    print(f"weight range:   [{net.parameters.min():.6g}, {net.parameters.max():.6g}]")
     return 0
 
 

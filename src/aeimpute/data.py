@@ -27,7 +27,7 @@ SPLIT_LABELS = ("train", "validation", "test")
 
 
 class CsvFormatError(ValueError):
-    """An input CSV does not match the declared schema."""
+    """An input CSV cannot be read, or does not match the declared schema."""
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,8 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
     strings, or a list of (name, kind) pairs.  With ``header=True`` the first
     row supplies column names (schema kinds still apply).  Rows with the wrong
     arity or non-numeric tokens raise :class:`CsvFormatError` naming the row
-    and column.
+    and column; a file that cannot be opened or decoded as UTF-8 raises it
+    naming the path.
 
     Each row's values go straight into one buffer of 8-byte floats, so the
     traced peak is about 17 bytes per cell (the buffer and the Dataset's own
@@ -232,18 +233,21 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
     values = array("d")
     n_columns = 0  # the first data row's
     clean = False
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header_names, rows = _csv_rows(fh, header)
-        for fields in rows:
-            n_columns = n_columns or len(fields)
-            if len(fields) != n_columns:
-                break
-            try:
-                values.fromlist(list(map(float, fields)))
-            except ValueError:  # a non-numeric token
-                break
-        else:
-            clean = True
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            header_names, rows = _csv_rows(fh, header)
+            for fields in rows:
+                n_columns = n_columns or len(fields)
+                if len(fields) != n_columns:
+                    break
+                try:
+                    values.fromlist(list(map(float, fields)))
+                except ValueError:  # a non-numeric token
+                    break
+            else:
+                clean = True
+    except (OSError, UnicodeDecodeError) as err:
+        raise CsvFormatError(f"cannot read {path}: {err}") from None
     if not n_columns:
         raise CsvFormatError(f"{path}: no data rows")
 

@@ -174,13 +174,15 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
     repeated keys are errors.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
 
     kwargs: dict[str, object] = {}
     sections: dict[str, dict[str, object]] = {name: {} for name in _SECTION_TYPES}
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

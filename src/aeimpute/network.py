@@ -5,17 +5,18 @@ layer and a logistic output layer:
 
     y_k = logistic( sum_j W2[k, j] * tanh( sum_i W1[j, i] * x_i + b1[j] ) + b2[k] )
 
-Parameters are handled as one flat vector in a fixed order: W1 row-major,
-then b1, then W2 row-major, then b2.  The trainer is Moller's scaled
-conjugate gradient, a batch method that sizes steps from a one-sided
-curvature estimate instead of a line search.  A trial point's loss and
-gradient come from one pass, and an accepted step reuses that gradient.
+The network is its flat parameter vector, held read-only; :func:`_unpack`
+alone knows the layout, and :func:`model_text` writes the vector as it is.
+The trainer is Moller's scaled conjugate gradient, a batch method that
+sizes steps from a one-sided curvature estimate instead of a line search.
+A trial point's loss and gradient come from one pass, and an accepted step
+reuses that gradient.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,52 +58,34 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Autoencoder:
-    """Weights of an n -> n_hidden -> n network with tanh/logistic activations."""
+    """An n -> n_hidden -> n network with tanh/logistic activations.
 
-    first_layer_weights: np.ndarray  # (n_hidden, n_inputs)
-    first_layer_biases: np.ndarray  # (n_hidden,)
-    second_layer_weights: np.ndarray  # (n_inputs, n_hidden)
-    second_layer_biases: np.ndarray  # (n_inputs,)
+    The network is its flat parameter vector, copied once and read-only;
+    ``layers`` are the (W1, b1, W2, b2) views of it from :func:`_unpack`.
+    """
+
+    n_inputs: int
+    n_hidden: int
+    parameters: np.ndarray
+    layers: tuple = field(init=False, repr=False, compare=False)
 
     hidden_activation = "tanh"
     output_activation = "logistic"
 
     def __post_init__(self) -> None:
-        w1 = np.array(self.first_layer_weights, dtype=float)
-        b1 = np.array(self.first_layer_biases, dtype=float)
-        w2 = np.array(self.second_layer_weights, dtype=float)
-        b2 = np.array(self.second_layer_biases, dtype=float)
-        if w1.ndim != 2 or w2.ndim != 2 or b1.ndim != 1 or b2.ndim != 1:
-            raise ValueError("weight matrices must be 2-D and biases 1-D")
-        h, n = w1.shape
-        if w2.shape != (n, h) or b1.shape != (h,) or b2.shape != (n,):
-            raise ValueError(
-                f"inconsistent shapes: W1 {w1.shape}, b1 {b1.shape}, "
-                f"W2 {w2.shape}, b2 {b2.shape}"
-            )
+        n, h = self.n_inputs, self.n_hidden
         if not 2 <= h <= n - 1:
             raise ValueError(f"hidden size must satisfy 2 <= h <= n-1, got h={h}, n={n}")
-        for arr in (w1, b1, w2, b2):
-            if not np.isfinite(arr).all():
-                raise ValueError("network parameters must be finite")
-            arr.flags.writeable = False
-        object.__setattr__(self, "first_layer_weights", w1)
-        object.__setattr__(self, "first_layer_biases", b1)
-        object.__setattr__(self, "second_layer_weights", w2)
-        object.__setattr__(self, "second_layer_biases", b2)
+        vec = np.array(self.parameters, dtype=float)
+        if not np.isfinite(vec).all():
+            raise ValueError("network parameters must be finite")
+        vec.flags.writeable = False
+        object.__setattr__(self, "parameters", vec)
+        object.__setattr__(self, "layers", _unpack(vec, n, h))
 
-    @property
-    def n_inputs(self) -> int:
-        return self.first_layer_weights.shape[1]
-
-    @property
-    def n_hidden(self) -> int:
-        return self.first_layer_weights.shape[0]
-
-    @property
-    def n_parameters(self) -> int:
-        n, h = self.n_inputs, self.n_hidden
-        return h * n + h + n * h + n
+    def __reduce__(self):
+        # Through the constructor: pickling drops numpy's read-only flag.
+        return Autoencoder, (self.n_inputs, self.n_hidden, self.parameters)
 
     def forward(self, x) -> np.ndarray:
         """Map one input vector to its reconstruction; outputs lie in (0, 1)."""
@@ -113,28 +96,7 @@ class Autoencoder:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.n_inputs:
             raise ValueError(f"expected rows of length {self.n_inputs}, got shape {rows.shape}")
-        _, out = _forward(
-            self.first_layer_weights, self.first_layer_biases,
-            self.second_layer_weights, self.second_layer_biases, rows,
-        )
-        return out
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten all parameters (W1 row-major, b1, W2 row-major, b2)."""
-        return np.concatenate(
-            [
-                self.first_layer_weights.ravel(),
-                self.first_layer_biases,
-                self.second_layer_weights.ravel(),
-                self.second_layer_biases,
-            ]
-        )
-
-    @classmethod
-    def from_vector(cls, vec, n_inputs: int, n_hidden: int) -> "Autoencoder":
-        vec = np.asarray(vec, dtype=float)
-        w1, b1, w2, b2 = _unpack(vec, n_inputs, n_hidden)
-        return cls(w1.copy(), b1.copy(), w2.copy(), b2.copy())
+        return _forward(*self.layers, rows)[1]
 
 
 @dataclass(frozen=True)
@@ -154,16 +116,15 @@ class TrainConfig:
 
 
 def _unpack(vec: np.ndarray, n: int, h: int):
-    """Views of the flat parameter vector as (W1, b1, W2, b2)."""
-    i = 0
-    w1 = vec[i : i + h * n].reshape(h, n)
-    i += h * n
-    b1 = vec[i : i + h]
-    i += h
-    w2 = vec[i : i + n * h].reshape(n, h)
-    i += n * h
-    b2 = vec[i : i + n]
-    return w1, b1, w2, b2
+    """Views of the flat parameter vector as (W1, b1, W2, b2).
+
+    The one statement of the layout: W1 (h, n) row-major, then b1, then
+    W2 (n, h) row-major, then b2.
+    """
+    b1_at, w2_at, b2_at = h * n, h * n + h, 2 * h * n + h
+    if vec.shape != (b2_at + n,):
+        raise ValueError(f"expected {b2_at + n} parameters for n={n}, h={h}, got shape {vec.shape}")
+    return vec[:b1_at].reshape(h, n), vec[b1_at:w2_at], vec[w2_at:b2_at].reshape(n, h), vec[b2_at:]
 
 
 def _forward(w1, b1, w2, b2, rows: np.ndarray):
@@ -186,6 +147,8 @@ def _batch_loss_grad(vec: np.ndarray, rows: np.ndarray, n: int, h: int):
     operation order of the expressions in the comments, whose bits they keep.
     """
     w1, b1, w2, b2 = _unpack(vec, n, h)
+    grad = np.empty_like(vec)
+    g_w1, g_b1, g_w2, g_b2 = _unpack(grad, n, h)
     r = rows.shape[0]
     hidden, out = _forward(w1, b1, w2, b2, rows)
     diff = rows - out
@@ -195,14 +158,14 @@ def _batch_loss_grad(vec: np.ndarray, rows: np.ndarray, n: int, h: int):
     g_out = np.multiply(diff, -2.0 / r, out=diff)
     g_out *= out
     g_out *= np.subtract(1.0, out, out=out)
-    g_w2 = g_out.T @ hidden
-    g_b2 = g_out.sum(axis=0)
+    np.matmul(g_out.T, hidden, out=g_w2)
+    g_out.sum(axis=0, out=g_b2)
     # (g_out @ W2) * (1 - hidden * hidden)
     g_hidden = g_out @ w2
     g_hidden *= np.subtract(1.0, np.multiply(hidden, hidden, out=hidden), out=hidden)
-    g_w1 = g_hidden.T @ rows
-    g_b1 = g_hidden.sum(axis=0)
-    return loss, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    np.matmul(g_hidden.T, rows, out=g_w1)
+    g_hidden.sum(axis=0, out=g_b1)
+    return loss, grad
 
 
 def _check_rows(rows) -> np.ndarray:
@@ -249,9 +212,7 @@ def train(
     if not 2 <= n_hidden <= n - 1:
         raise ValueError(f"n_hidden must satisfy 2 <= h <= n-1, got h={n_hidden}, n={n}")
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    w = _initial_parameters(rng, n, n_hidden)
-    n_params = w.size
+    w = _initial_parameters(np.random.default_rng(cfg.rng_seed), n, n_hidden)
 
     f, g = _batch_loss_grad(w, rows, n, n_hidden)
     if not np.isfinite(f):
@@ -309,7 +270,7 @@ def train(
             r_new = -g
             lam_bar = 0.0
             success = True
-            if k % n_params == 0:
+            if k % w.size == 0:
                 p = r_new.copy()
             else:
                 beta = float(r_new @ r_new - r_new @ r) / mu
@@ -332,8 +293,7 @@ def train(
             if lam > _SCG_LAMBDA_MAX:
                 break  # damping saturated; no further progress possible
 
-    net = Autoencoder.from_vector(w, n, n_hidden)
-    return net, f
+    return Autoencoder(n, n_hidden, w), f
 
 
 def hidden_size_candidates(n_inputs: int) -> list[int]:
@@ -424,18 +384,19 @@ def model_text(net: Autoencoder) -> str:
     :func:`load_model` reproduces forward outputs bit-exactly.
     """
     lines = [f"{net.n_inputs} {net.n_hidden}"]
-    lines.extend(repr(float(v)) for v in net.to_vector())
+    lines.extend(repr(float(v)) for v in net.parameters)
     return "\n".join(lines) + "\n"
 
 
 def load_model(path) -> Autoencoder:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed model header")
-        n, h = int(header[0]), int(header[1])
-        values = [float(line) for line in fh if line.strip()]
-    expected = h * n + h + n * h + n
-    if len(values) != expected:
-        raise ValueError(f"{path}: expected {expected} parameters, found {len(values)}")
-    return Autoencoder.from_vector(np.array(values), n, h)
+    """Read a :func:`model_text` file; every error names ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ValueError("malformed model header")
+            n, h = int(header[0]), int(header[1])
+            values = [float(line) for line in fh if line.strip()]
+        return Autoencoder(n, h, values)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

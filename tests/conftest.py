@@ -154,12 +154,8 @@ class CountingObjective:
 
 
 def random_autoencoder(rng: np.random.Generator, n: int, h: int, scale: float = 0.7) -> Autoencoder:
-    return Autoencoder(
-        first_layer_weights=rng.normal(0.0, scale, size=(h, n)),
-        first_layer_biases=rng.normal(0.0, scale, size=h),
-        second_layer_weights=rng.normal(0.0, scale, size=(n, h)),
-        second_layer_biases=rng.normal(0.0, scale, size=n),
-    )
+    # One draw gives the same values as drawing W1, b1, W2 and b2 in turn.
+    return Autoencoder(n, h, rng.normal(0.0, scale, size=2 * n * h + h + n))
 
 
 def scalar_forward(net: Autoencoder, x) -> list[float]:
@@ -167,17 +163,18 @@ def scalar_forward(net: Autoencoder, x) -> list[float]:
     import math
 
     n, h = net.n_inputs, net.n_hidden
+    w1, b1, w2, b2 = net.layers
     hidden = []
     for j in range(h):
-        z = net.first_layer_biases[j]
+        z = b1[j]
         for i in range(n):
-            z += net.first_layer_weights[j, i] * x[i]
+            z += w1[j, i] * x[i]
         hidden.append(math.tanh(z))
     outputs = []
     for k in range(n):
-        z = net.second_layer_biases[k]
+        z = b2[k]
         for j in range(h):
-            z += net.second_layer_weights[k, j] * hidden[j]
+            z += w2[k, j] * hidden[j]
         outputs.append(1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z)))
     return outputs
 

@@ -79,9 +79,9 @@ class TestCriterion1Gradient:
             h = int(rng.integers(2, n))
             net = random_autoencoder(rng, n, h)
             rows = rng.uniform(0, 1, size=(int(rng.integers(1, 9)), n))
-            analytic = network._batch_loss_grad(net.to_vector(), rows, n, h)[1]
+            analytic = network._batch_loss_grad(net.parameters, rows, n, h)[1]
             eps = 1e-6
-            base = net.to_vector()
+            base = net.parameters
             fd = np.empty_like(base)
             for i in range(base.size):
                 up = base.copy()

@@ -469,7 +469,7 @@ class TestRunExperiment:
         seed = derive_seed(cfg.master_seed, "hidden", h)
         train_cfg = dataclasses.replace(cfg.train, rng_seed=seed)
         again, loss = network.train(ds.train_rows, h, train_cfg)
-        np.testing.assert_array_equal(report.net.to_vector(), again.to_vector())
+        np.testing.assert_array_equal(report.net.parameters, again.parameters)
         assert report.document["train_loss"] == loss
 
     def test_hidden_size_search_never_reads_the_test_block(self, heart_setup, tmp_path):
@@ -1070,6 +1070,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "hidden units:   4" in out
 
+    def test_inspect_model_text(self, tmp_path, capsys):
+        path = tmp_path / "model.txt"
+        path.write_text(network.model_text(random_autoencoder(np.random.default_rng(0), 5, 3)))
+        assert cli.main(["inspect-model", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "inputs/outputs: 5\n"
+            "hidden units:   3\n"
+            "parameters:     38\n"
+            "activations:    tanh -> logistic\n"
+            "weight range:   [-1.62752, 0.956524]\n"
+        )
+
     def test_config_error_exit_code(self, heart_setup, capsys):
         tmp, csv, meta = heart_setup
         bad = tmp / "cli_bad.cfg"
@@ -1088,6 +1100,32 @@ class TestCli:
         )
         assert cli.main(["run", str(cfg_file)]) == 1
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["not-utf8", "directory"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, case):
+        cfg_file = tmp_path / "exp.cfg"
+        if case == "directory":
+            cfg_file.mkdir()
+        else:
+            cfg_file.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert cli.main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg_file) in err
+
+    @pytest.mark.parametrize("case", ["not-utf8", "directory", "missing"])
+    def test_unreadable_dataset_is_a_data_error(self, tmp_path, capsys, case):
+        data = tmp_path / "data.csv"
+        if case == "directory":
+            data.mkdir()
+        elif case == "not-utf8":
+            data.write_bytes(b"1,2,3\n4,5,6\n7,8,\xe9\n")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            f"dataset = {data}\nmissing_column = 1\ntask = prediction\noutput = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["--quiet", "run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(data) in err
 
     # The fire table has 13 columns, so a fixed hidden size must lie in 2..12.
     @pytest.mark.parametrize("hidden_size", [13, 40])

@@ -25,12 +25,7 @@ from conftest import (
 
 
 def zero_net(n, h):
-    return Autoencoder(
-        first_layer_weights=np.zeros((h, n)),
-        first_layer_biases=np.zeros(h),
-        second_layer_weights=np.zeros((n, h)),
-        second_layer_biases=np.zeros(n),
-    )
+    return Autoencoder(n, h, np.zeros(2 * n * h + h + n))
 
 
 def masked_logistic(z):
@@ -172,12 +167,7 @@ class TestForward:
 
     def test_bias_only_outputs(self):
         # Hidden pre-activation zero -> output k is logistic(output bias k).
-        net = Autoencoder(
-            first_layer_weights=np.zeros((2, 3)),
-            first_layer_biases=np.zeros(2),
-            second_layer_weights=np.zeros((3, 2)),
-            second_layer_biases=np.array([0.0, 1.0, -1.0]),
-        )
+        net = Autoencoder(3, 2, np.r_[np.zeros(6 + 2 + 6), 0.0, 1.0, -1.0])
         out = net.forward(np.array([0.4, 0.6, 0.2]))
         expected = 1.0 / (1.0 + np.exp(-np.array([0.0, 1.0, -1.0])))
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
@@ -222,17 +212,17 @@ class TestForward:
         rows = rng.uniform(0, 1, size=(r, n))
         np.testing.assert_array_equal(net.forward_batch(rows[0][None])[0], net.forward(rows[0]))
         diff = rows - net.forward_batch(rows)
-        loss = network._batch_loss_grad(net.to_vector(), rows, n, h)[0]
+        loss = network._batch_loss_grad(net.parameters, rows, n, h)[0]
         assert loss == float((diff * diff).sum() / r)
 
 
 def analytic_gradient(net, rows):
     """The back-propagation gradient the trainer uses, at the network's weights."""
-    return network._batch_loss_grad(net.to_vector(), rows, net.n_inputs, net.n_hidden)[1]
+    return network._batch_loss_grad(net.parameters, rows, net.n_inputs, net.n_hidden)[1]
 
 
 def finite_difference_gradient(net, rows, eps=1e-6):
-    base = net.to_vector()
+    base = net.parameters
     n, h = net.n_inputs, net.n_hidden
     fd = np.empty_like(base)
     for i in range(base.size):
@@ -279,20 +269,52 @@ class TestGradient:
         r = data.draw(st.integers(1, 70), label="rows")
         scale = data.draw(st.sampled_from([0.1, 0.7, 5.0, 40.0]), label="scale")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        vec = random_autoencoder(rng, n, h, scale).to_vector()
+        vec = random_autoencoder(rng, n, h, scale).parameters
         rows = rng.uniform(0, 1, size=(r, n))
         loss, grad = network._batch_loss_grad(vec, rows, n, h)
         ref_loss, ref_grad = reference_loss_grad(vec, rows, n, h)
         assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
         np.testing.assert_array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
 
-    def test_flattening_order_stable(self):
-        rng = np.random.default_rng(5)
-        net = random_autoencoder(rng, 3, 2)
-        vec = net.to_vector()
-        rebuilt = Autoencoder.from_vector(vec, 3, 2)
-        np.testing.assert_array_equal(rebuilt.first_layer_weights, net.first_layer_weights)
-        np.testing.assert_array_equal(rebuilt.second_layer_biases, net.second_layer_biases)
+
+
+class TestParameters:
+    def test_layers_are_read_only_views_in_flat_order(self):
+        n, h = 4, 3
+        vec = np.arange(2 * n * h + h + n, dtype=float)
+        net = Autoencoder(n, h, vec)
+        w1, b1, w2, b2 = net.layers
+        assert [a.shape for a in net.layers] == [(h, n), (h,), (n, h), (n,)]
+        np.testing.assert_array_equal(w1, vec[:12].reshape(h, n))
+        np.testing.assert_array_equal(b1, vec[12:15])
+        np.testing.assert_array_equal(w2, vec[15:27].reshape(n, h))
+        np.testing.assert_array_equal(b2, vec[27:])
+        assert not net.parameters.flags.writeable
+        for layer in net.layers:
+            assert np.shares_memory(layer, net.parameters) and not layer.flags.writeable
+
+    def test_vector_copied_once(self):
+        vec = np.zeros(2 * 4 * 2 + 2 + 4)
+        net = Autoencoder(4, 2, vec)
+        vec[0] = 1.0
+        assert net.parameters[0] == 0.0 and vec.flags.writeable
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="expected 22 parameters"):
+            Autoencoder(4, 2, np.zeros(21))
+        with pytest.raises(ValueError, match="expected 22 parameters"):
+            Autoencoder(4, 2, np.zeros((2, 11)))
+
+    def test_non_finite_rejected(self):
+        vec = np.zeros(22)
+        vec[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Autoencoder(4, 2, vec)
+
+    @pytest.mark.parametrize("h", [1, 4])
+    def test_hidden_size_out_of_range_rejected(self, h):
+        with pytest.raises(ValueError, match="2 <= h <= n-1"):
+            Autoencoder(4, h, np.zeros(2 * 4 * h + h + 4))
 
 
 class TestTrain:
@@ -300,7 +322,7 @@ class TestTrain:
         rows = manifold_rows()
         net, loss = network.train(rows, 2, TrainConfig(rng_seed=0))
         assert loss < 0.01
-        again = network._batch_loss_grad(net.to_vector(), rows, net.n_inputs, net.n_hidden)[0]
+        again = network._batch_loss_grad(net.parameters, rows, net.n_inputs, net.n_hidden)[0]
         assert loss == pytest.approx(again, rel=1e-12)
 
     def test_constant_rows_learned(self):
@@ -314,13 +336,13 @@ class TestTrain:
         net_a, loss_a = network.train(rows, 2, cfg)
         net_b, loss_b = network.train(rows, 2, cfg)
         assert loss_a == loss_b
-        np.testing.assert_array_equal(net_a.to_vector(), net_b.to_vector())
+        np.testing.assert_array_equal(net_a.parameters, net_b.parameters)
 
     def test_different_seeds_differ(self):
         rows = manifold_rows(seed=2, count=40)
         net_a, _ = network.train(rows, 2, TrainConfig(rng_seed=1, max_iterations=1))
         net_b, _ = network.train(rows, 2, TrainConfig(rng_seed=2, max_iterations=1))
-        assert not np.array_equal(net_a.to_vector(), net_b.to_vector())
+        assert not np.array_equal(net_a.parameters, net_b.parameters)
 
     def test_accepted_steps_monotone(self):
         rows = manifold_rows(seed=3, count=80)
@@ -379,7 +401,7 @@ def assert_same_training(rows, h, cfg):
     history: list[float] = []
     net, loss = network.train(rows, h, cfg, loss_history=history)
     w, ref_loss, ref_history, rejected, restarts = reference_train(rows, h, cfg)
-    np.testing.assert_array_equal(net.to_vector().view(np.uint64), w.view(np.uint64))
+    np.testing.assert_array_equal(net.parameters.view(np.uint64), w.view(np.uint64))
     assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
     assert history == ref_history
     return rejected, restarts
@@ -512,7 +534,7 @@ class TestSelectHiddenSize:
         again, again_loss = network.train(
             rows[:40], h, dataclasses.replace(cfg, rng_seed=derive_seed(0, "hidden", h))
         )
-        np.testing.assert_array_equal(net.to_vector(), again.to_vector())
+        np.testing.assert_array_equal(net.parameters, again.parameters)
         assert loss == again_loss
 
     def test_scored_by_the_masked_columns_grid_error(self):
@@ -668,7 +690,7 @@ class TestParallelSearch:
             )
         assert h == ref_h == 3
         np.testing.assert_array_equal(
-            net.to_vector().view(np.uint64), ref_net.to_vector().view(np.uint64)
+            net.parameters.view(np.uint64), ref_net.parameters.view(np.uint64)
         )
         assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
         assert [str(w.message) for w in record] == ref_messages == [
@@ -690,6 +712,22 @@ class TestParallelSearch:
             network.select_hidden_size(rows, half_task(6), train_fn=recording_train)
         assert seen == [(h, os.getpid()) for h in range(2, 6)]
 
+    def test_network_from_a_worker_stays_read_only(self, monkeypatch):
+        # Pickling drops numpy's read-only flag; the worker's network must
+        # come back through the constructor like the caller's.
+        monkeypatch.setattr(parallel, "_worker_count", lambda n: 2)
+        rows = manifold_rows(seed=2, count=30)
+        with deadline(60):
+            nets = parallel.fork_map(
+                lambda h: network.train(rows, h, TrainConfig(max_iterations=5))[0], [2, 3]
+            )
+        assert [net.n_hidden for net in nets] == [2, 3]
+        for net in nets:
+            assert not net.parameters.flags.writeable
+            for layer in net.layers:
+                assert np.shares_memory(layer, net.parameters) and not layer.flags.writeable
+        assert child_processes() == []
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -698,7 +736,7 @@ class TestPersistence:
         path = tmp_path / "model.txt"
         path.write_text(network.model_text(net))
         loaded = network.load_model(path)
-        np.testing.assert_array_equal(loaded.to_vector(), net.to_vector())
+        np.testing.assert_array_equal(loaded.parameters, net.parameters)
         x = rng.uniform(0, 1, 5)
         np.testing.assert_array_equal(loaded.forward(x), net.forward(x))
 
@@ -715,4 +753,24 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError, match="expected"):
+            network.load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: ["4 x"] + lines[1:],
+            lambda lines: lines[:3] + ["abc"] + lines[4:],
+            lambda lines: lines[:3] + ["nan"] + lines[4:],
+            lambda lines: ["4 3"] + lines[1:],
+        ],
+        ids=["header", "value", "nan", "shape"],
+    )
+    def test_every_error_names_the_path(self, tmp_path, edit):
+        path = tmp_path / "model.txt"
+        lines = network.model_text(zero_net(4, 2)).splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError, match=str(path)):
+            network.load_model(path)
+        path.write_bytes(b"4 2\n\xe9\n")
+        with pytest.raises(ValueError, match=str(path)):
             network.load_model(path)
