@@ -1,10 +1,11 @@
 """Dataset ingestion and preparation for imputation experiments.
 
 Covers CSV loading against a light column schema, min-max scaling of every
-column into [0, 1], the chronological 50/25/25 train/validation/test split
-(test block = final rows), and construction of the masked imputation task
-over a block (the test block, or the validation block for the hidden-size
-search), whose unknown slots are the optimizers' decision variables.
+column into [0, 1], the chronological 50/25/25 split into train, validation
+and test blocks (test block = final rows), and construction of the masked
+imputation task over one block (the test block, or the validation block for
+the hidden-size search), whose unknown slots are the optimizers' decision
+variables.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class ColumnSpec:
 def _frozen(values) -> np.ndarray:
     """``values`` as a read-only float64 array.
 
-    A read-only float64 array that owns its memory (normalize's, split's and
+    A read-only float64 array that owns its memory (normalize's and
     make_tasks') is kept as it is; any other is copied, so that a caller's
     writable array is never frozen.
     """
@@ -71,17 +72,13 @@ def _frozen(values) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable record-major numeric matrix plus column metadata.
-
-    ``split`` is False until :func:`split` marks the :func:`split_sizes` blocks.
-    """
+    """Immutable record-major numeric matrix plus column metadata."""
 
     columns: tuple[ColumnSpec, ...]
     rows: np.ndarray
     normalized: bool = False
-    split: bool = False
 
     def __post_init__(self) -> None:
         rows = _frozen(self.rows)
@@ -106,23 +103,8 @@ class Dataset:
     def n_columns(self) -> int:
         return self.rows.shape[1]
 
-    def rows_for(self, label: str) -> np.ndarray:
-        """The ``label`` block of a split dataset: a read-only view of ``rows``."""
-        if not self.split:
-            raise ValueError("dataset has no split assignment yet")
-        if label not in SPLIT_LABELS:
-            raise ValueError(f"unknown split label {label!r}")
-        block = SPLIT_LABELS.index(label)
-        sizes = split_sizes(self.n_rows)
-        start = sum(sizes[:block])
-        return self.rows[start:start + sizes[block]]
 
-    @property
-    def train_rows(self) -> np.ndarray:
-        return self.rows_for("train")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputationTask:
     """T records sharing one boolean known-mask over their n components.
 
@@ -189,29 +171,18 @@ def _normalize_schema(
     return out
 
 
-def _raise_first_bad_cell(path: Path, raw_rows, pairs) -> None:
-    """Raise the error of the first row of the wrong arity or non-finite token, in reading order."""
-    for r, fields in enumerate(raw_rows, start=1):
-        if len(fields) != len(pairs):
-            raise CsvFormatError(f"{path}: row {r} has {len(fields)} fields, expected {len(pairs)}")
-        for c, token in enumerate(fields):
-            try:
-                finite = math.isfinite(float(token))  # also rejects nan/inf tokens
-            except ValueError:
-                finite = False
-            if not finite:
-                raise CsvFormatError(
-                    f"{path}: row {r}, column {c + 1} ({pairs[c][0]!r}): "
-                    f"not a finite number: {token.strip()!r}"
-                )
-
-
-def _csv_rows(fh, header: bool):
-    """The header's names (None without one) and an iterator over the data
-    rows of an open CSV file, blank lines skipped."""
-    rows = (fields for fields in csv.reader(fh) if fields)
-    names = next(rows, None) if header else None
-    return None if names is None else [f.strip() for f in names], rows
+def _bad_token(path: Path, r: int, fields, pairs) -> CsvFormatError:
+    """The error naming row ``r``'s first token that is not a finite number."""
+    for c, token in enumerate(fields):
+        try:
+            if math.isfinite(float(token)):  # also rejects nan/inf tokens
+                continue
+        except ValueError:
+            pass
+        return CsvFormatError(
+            f"{path}: row {r}, column {c + 1} ({pairs[c][0]!r}): "
+            f"not a finite number: {token.strip()!r}"
+        )
 
 
 def load_csv(path, schema=None, header: bool = False) -> Dataset:
@@ -219,52 +190,48 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
 
     ``schema`` may be None (all columns numeric, named A1..An), a list of kind
     strings, or a list of (name, kind) pairs.  With ``header=True`` the first
-    row supplies column names (schema kinds still apply).  Rows with the wrong
-    arity or non-numeric tokens raise :class:`CsvFormatError` naming the row
-    and column; a file that cannot be opened or decoded as UTF-8 raises it
-    naming the path.
+    row supplies column names (schema kinds still apply).  The first data row
+    fixes the column count, which the schema and the header must match; the
+    first row of the wrong arity or with a token that is not a finite number
+    raises :class:`CsvFormatError` naming the row and column.  A file that
+    cannot be opened or decoded as UTF-8 raises it naming the path.
 
-    Each row's values go straight into one buffer of 8-byte floats, so the
-    traced peak is about 17 bytes per cell (the buffer and the Dataset's own
-    copy) and no token outlives its row.  Only a file with a bad row is read
-    a second time, to name the first bad row or cell in reading order.
+    The file is read once.  Each row's values go straight into one buffer of
+    8-byte floats, so the traced peak is about 17 bytes per cell (the buffer
+    and the Dataset's own copy) and no token outlives its row.
     """
     path = Path(path)
     values = array("d")
-    n_columns = 0  # the first data row's
-    clean = False
+    pairs: list[tuple[str, str]] = []
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
-            header_names, rows = _csv_rows(fh, header)
-            for fields in rows:
-                n_columns = n_columns or len(fields)
-                if len(fields) != n_columns:
-                    break
+            rows = (fields for fields in csv.reader(fh) if fields)
+            names = next(rows, None) if header else None
+            for r, fields in enumerate(rows, start=1):
+                if r == 1:
+                    pairs = _normalize_schema(schema, len(fields))
+                    if names is not None:
+                        if len(names) != len(fields):
+                            raise CsvFormatError(
+                                f"{path}: header has {len(names)} fields, data rows have {len(fields)}"
+                            )
+                        pairs = [(name.strip(), kind) for name, (_, kind) in zip(names, pairs)]
+                if len(fields) != len(pairs):
+                    raise CsvFormatError(f"{path}: row {r} has {len(fields)} fields, expected {len(pairs)}")
                 try:
-                    values.fromlist(list(map(float, fields)))
+                    row = list(map(float, fields))
+                    finite = all(map(math.isfinite, row))
                 except ValueError:  # a non-numeric token
-                    break
-            else:
-                clean = True
+                    finite = False
+                if not finite:
+                    raise _bad_token(path, r, fields, pairs)
+                values.fromlist(row)
     except (OSError, UnicodeDecodeError) as err:
         raise CsvFormatError(f"cannot read {path}: {err}") from None
-    if not n_columns:
+    if not pairs:
         raise CsvFormatError(f"{path}: no data rows")
 
-    pairs = _normalize_schema(schema, n_columns)
-    if header_names is not None:
-        if len(header_names) != n_columns:
-            raise CsvFormatError(
-                f"{path}: header has {len(header_names)} fields, data rows have {n_columns}"
-            )
-        pairs = [(header_names[i], pairs[i][1]) for i in range(n_columns)]
-
-    matrix = np.frombuffer(values).reshape(-1, n_columns)  # the rows before any bad one
-    if not (clean and np.isfinite(matrix).all()):
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            _raise_first_bad_cell(path, _csv_rows(fh, header)[1], pairs)
-        raise CsvFormatError(f"{path}: the file changed while it was read")
-
+    matrix = np.frombuffer(values).reshape(-1, len(pairs))
     columns = []
     for c, (name, kind) in enumerate(pairs):
         col = matrix[:, c]
@@ -350,35 +317,37 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n - 2 * block, block, block
 
 
-def split(ds: Dataset) -> Dataset:
-    """Mark a normalized dataset split into the blocks of :func:`split_sizes`."""
+def split(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The train, validation and test blocks of a normalized dataset.
+
+    Each is a read-only view of ``ds.rows``, sized by :func:`split_sizes`.
+    """
     if not ds.normalized:
         raise ValueError("split expects a normalized dataset")
-    split_sizes(ds.n_rows)  # raises for fewer than 4 rows
-    return replace(ds, split=True)
+    n_train, n_validation, _ = split_sizes(ds.n_rows)
+    return tuple(np.split(ds.rows, [n_train, n_train + n_validation]))
 
 
-def make_tasks(ds: Dataset, missing_columns: set[int], block: str = "test") -> ImputationTask:
-    """Build the imputation task of one split block, masking ``missing_columns``.
+def make_tasks(rows: np.ndarray, missing_columns: set[int]) -> ImputationTask:
+    """Build the imputation task of one block of rows, masking ``missing_columns``.
 
-    The task holds every row of ``block`` (the test block unless told
-    otherwise; the hidden-size search scores on the validation block) as one
-    (T, n) block.  Masked slots hold :data:`MISSING_SENTINEL`; the held-out
-    originals move to ``true_values`` for later scoring.
+    The task holds every row of the block (the test block; the hidden-size
+    search scores on the validation block) as one (T, n) block.  Masked
+    slots hold :data:`MISSING_SENTINEL`; the held-out originals move to
+    ``true_values`` for later scoring.
     """
+    n_columns = rows.shape[1]
     if not missing_columns:
         raise ValueError("missing_columns must be non-empty")
     miss = sorted(int(c) for c in missing_columns)
     for c in miss:
-        if not 0 <= c < ds.n_columns:
-            raise ValueError(f"missing column index {c} out of range [0, {ds.n_columns})")
-    if len(miss) == ds.n_columns:
+        if not 0 <= c < n_columns:
+            raise ValueError(f"missing column index {c} out of range [0, {n_columns})")
+    if len(miss) == n_columns:
         raise ValueError("cannot mask every column: at least one must stay known")
-    mask = np.ones(ds.n_columns, dtype=bool)
+    mask = np.ones(n_columns, dtype=bool)
     mask[miss] = False
-    rows = ds.rows_for(block)
     records = rows.copy()
     records[:, miss] = MISSING_SENTINEL
     records.flags.writeable = False  # the task keeps it without a copy
     return ImputationTask(record=records, known_mask=mask, true_values=rows)
-

@@ -341,7 +341,8 @@ def _comparison(errors: dict[str, np.ndarray]) -> dict:
 
 # --- pipeline ---------------------------------------------------------------
 
-def _prepare_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
+def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.ndarray, ...]]:
+    """The scaled dataset and its train, validation and test blocks."""
     ds = data_mod.load_csv(cfg.dataset_path, schema=cfg.column_kinds, header=cfg.header)
     if not 0 <= cfg.missing_column < ds.n_columns:
         raise ConfigError(
@@ -354,7 +355,8 @@ def _prepare_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
             f"dataset: must satisfy 2 <= h <= {ds.n_columns - 1}"
         )
     fit_rows = data_mod.split_sizes(ds.n_rows)[0] if cfg.normalization_scope == "train" else None
-    return data_mod.split(data_mod.normalize(ds, fit_row_count=fit_rows))
+    scaled = data_mod.normalize(ds, fit_row_count=fit_rows)
+    return scaled, data_mod.split(scaled)
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
@@ -379,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
 
     try:
         notify("loading dataset")
-        ds = clock("prepare", _prepare_dataset, cfg)
+        ds, (train_rows, validation_rows, test_rows) = clock("prepare", _prepare_dataset, cfg)
         document["split_counts"] = dict(zip(data_mod.SPLIT_LABELS, data_mod.split_sizes(ds.n_rows)))
         document["normalization"] = [
             {
@@ -397,11 +399,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             stage = "hidden-size"
             notify("searching hidden sizes")
             search_cfg = replace(cfg.train, rng_seed=cfg.master_seed)
-            val_task = data_mod.make_tasks(ds, {cfg.missing_column}, "validation")
+            val_task = data_mod.make_tasks(validation_rows, {cfg.missing_column})
             hidden, net, train_loss = clock(
                 "hidden_search",
                 network_mod.select_hidden_size,
-                ds.train_rows,
+                train_rows,
                 val_task,
                 search_cfg,
             )
@@ -410,12 +412,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             hidden = cfg.hidden_size
             notify(f"training autoencoder (hidden={hidden})")
             train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.master_seed, "train"))
-            net, train_loss = clock("train", network_mod.train, ds.train_rows, hidden, train_cfg)
+            net, train_loss = clock("train", network_mod.train, train_rows, hidden, train_cfg)
         document["hidden_size"] = {"requested": cfg.hidden_size, "selected": hidden}
         document["train_loss"] = float(train_loss)
 
         stage = "tasks"
-        task = data_mod.make_tasks(ds, {cfg.missing_column})
+        task = data_mod.make_tasks(test_rows, {cfg.missing_column})
         truth = task.true_values[:, cfg.missing_column]
         if cfg.task_kind == "classification" and not np.isin(ds.rows[:, cfg.missing_column], (0, 1)).all():
             raise ValueError(
@@ -434,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             begin = perf_counter()
             if method == "rf":
                 rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.master_seed, "rf"))
-                fitted = forest_mod.fit(ds.train_rows, cfg.missing_column, rf_cfg)
+                fitted = forest_mod.fit(train_rows, cfg.missing_column, rf_cfg)
                 values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
             else:
                 seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(truth))]

@@ -41,7 +41,7 @@ class ForestConfig:
             raise ValueError("min_leaf must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartTree:
     """Array-arena binary regression tree.
 
@@ -71,7 +71,7 @@ class CartTree:
         return self.value[node]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forest:
     trees: tuple[CartTree, ...]
     target_column: int

@@ -56,7 +56,7 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Autoencoder:
     """An n -> n_hidden -> n network with tanh/logistic activations.
 
@@ -67,7 +67,7 @@ class Autoencoder:
     n_inputs: int
     n_hidden: int
     parameters: np.ndarray
-    layers: tuple = field(init=False, repr=False, compare=False)
+    layers: tuple = field(init=False, repr=False)
 
     hidden_activation = "tanh"
     output_activation = "logistic"

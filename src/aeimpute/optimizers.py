@@ -59,7 +59,7 @@ ALGORITHM_TAGS = ("ga", "sa", "pso", "ns")
 _CALIBRATION_PROBES = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerResult:
     """Best points found for T tasks and the trace of their objective values.
 

@@ -1,6 +1,7 @@
 """Dataset loading, scaling, splitting, and task construction."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,14 +79,24 @@ class TestLoadCsv:
             ("a,b,c\n1,2,3\n\n4, inf ,6\n7,8\n9,x,1\n", "row 2, column 2 ('b'): not a finite number: 'inf'"),
             ("\na,b,c\n1,2,3\n4,5,6\n\n7,8,nan\n", "row 3, column 3 ('c'): not a finite number: 'nan'"),
             ("a,b,c\n1,x,3\n4,5\n", "row 1, column 2 ('b'): not a finite number: 'x'"),
+            ("a,b,c\n1,2,3\n4,5,1e400\n6,x\n", "row 2, column 3 ('c'): not a finite number: '1e400'"),
         ],
-        ids=["arity-first", "token-first", "infinite-first", "nan-last", "first-row"],
+        ids=["arity-first", "token-first", "infinite-first", "nan-last", "first-row", "overflow"],
     )
     def test_first_fault_named_with_header_and_blank_lines(self, tmp_path, text, error):
         p = write(tmp_path, text)
         with pytest.raises(data.CsvFormatError) as caught:
             data.load_csv(p, header=True)
         assert str(caught.value) == f"{p}: {error}"
+
+    def test_a_bad_file_is_opened_once(self, tmp_path, monkeypatch):
+        p = write(tmp_path, "1,2\n3,4\n5,x\n")
+        opened = []
+        path_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: opened.append(self) or path_open(self, *a, **k))
+        with pytest.raises(data.CsvFormatError, match="row 3, column 2"):
+            data.load_csv(p)
+        assert opened == [p]
 
     def test_shape_errors_come_before_a_bad_cell(self, tmp_path):
         p = write(tmp_path, "a,b,c\n1,x\n")
@@ -213,8 +224,7 @@ class TestSplit:
         [(1000, (500, 250, 250)), (517, (259, 129, 129)), (270, (136, 67, 67))],
     )
     def test_benchmark_counts(self, n, expected):
-        ds = data.split(_normalized(n))
-        counts = tuple(len(ds.rows_for(label)) for label in data.SPLIT_LABELS)
+        counts = tuple(len(block) for block in data.split(_normalized(n)))
         assert counts == expected == data.split_sizes(n)
 
     def test_too_small(self):
@@ -222,20 +232,19 @@ class TestSplit:
             data.split(_normalized(3))
 
     def test_test_block_is_suffix(self):
-        ds = data.split(_normalized(41))
-        assert ds.split is True
-        np.testing.assert_array_equal(ds.rows_for("train"), ds.rows[:21])
-        np.testing.assert_array_equal(ds.rows_for("validation"), ds.rows[21:31])
-        np.testing.assert_array_equal(ds.rows_for("test"), ds.rows[31:])
-        with pytest.raises(ValueError, match="no split"):
-            _normalized(41).rows_for("test")
+        ds = _normalized(41)
+        train, validation, test = data.split(ds)
+        np.testing.assert_array_equal(train, ds.rows[:21])
+        np.testing.assert_array_equal(validation, ds.rows[21:31])
+        np.testing.assert_array_equal(test, ds.rows[31:])
 
     @given(st.integers(4, 2000))
     @settings(max_examples=60)
     def test_partition_exact(self, n):
-        ds = data.split(_normalized(n, seed=1))
-        blocks = [ds.rows_for(label) for label in data.SPLIT_LABELS]
-        assert [len(b) for b in blocks] == [n - 2 * (n // 4), n // 4, n // 4]
+        ds = _normalized(n, seed=1)
+        blocks = data.split(ds)
+        assert isinstance(blocks, tuple)
+        assert tuple(len(b) for b in blocks) == data.split_sizes(n) == (n - 2 * (n // 4), n // 4, n // 4)
         # Contiguous and in order: every row exactly once.
         np.testing.assert_array_equal(np.concatenate(blocks), ds.rows)
         for block in blocks:
@@ -259,18 +268,17 @@ class TestPrepare:
         assert data.Dataset(columns=self.COLUMNS, rows=rows, normalized=True).rows is rows
         scaled = data.normalize(data.Dataset(columns=self.COLUMNS, rows=np.arange(8.0).reshape(4, 2)))
         assert not scaled.rows.flags.writeable
-        assert data.split(scaled).rows is scaled.rows
+        assert all(block.base is scaled.rows for block in data.split(scaled))
 
     def test_copies_a_matrix_the_caller_can_still_write(self):
         writable = np.array([[0.25, 0.5], [0.75, 1.0], [0.0, 0.5], [1.0, 0.25]])
         read_only_view = writable[:]
         read_only_view.flags.writeable = False
         for given in (writable, read_only_view, writable.astype(np.float32), writable.tolist()):
-            ds = data.Dataset(columns=self.COLUMNS, rows=given, normalized=True, split=True)
+            ds = data.Dataset(columns=self.COLUMNS, rows=given, normalized=True)
             assert ds.rows.dtype == np.float64 and not ds.rows.flags.writeable
             assert not np.shares_memory(ds.rows, writable)
-            for label in data.SPLIT_LABELS:
-                block = ds.rows_for(label)
+            for block in data.split(ds):
                 assert np.shares_memory(block, ds.rows) and not block.flags.writeable
         assert writable.flags.writeable
 
@@ -285,11 +293,12 @@ class TestPrepare:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            ds = data.split(data.normalize(data.load_csv(p)))
+            ds = data.normalize(data.load_csv(p))
+            blocks = data.split(ds)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert ds.rows.shape == (20_000, 25)
+        assert sum(map(len, blocks)) == ds.n_rows == 20_000
         assert peak / ds.rows.size <= 18
 
     def test_make_tasks_traced_peak(self, tmp_path):
@@ -298,13 +307,13 @@ class TestPrepare:
         # keeps make_tasks' own copy of the records without copying it again.
         p = tmp_path / "credit.csv"
         write_table(p, "credit", n=20_000)
-        ds = data.split(data.normalize(data.load_csv(p)))
-        data.make_tasks(ds, {24})  # first-call allocations are not the stage's
+        test = data.split(data.normalize(data.load_csv(p)))[2]
+        data.make_tasks(test, {24})  # first-call allocations are not the stage's
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            task = data.make_tasks(ds, {24})
+            task = data.make_tasks(test, {24})
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -312,53 +321,51 @@ class TestPrepare:
         assert peak <= 2.1e6
 
 
+def _test_block(n_rows, n_cols):
+    return data.split(_normalized(n_rows, n_cols=n_cols))[2]
+
+
 class TestMakeTasks:
     def test_one_record_per_test_row(self):
-        ds = data.split(_normalized(40, n_cols=5))
-        task = data.make_tasks(ds, {4})
+        test = _test_block(40, 5)
+        task = data.make_tasks(test, {4})
         assert task.record.shape == task.true_values.shape == (10, 5)
         assert task.known_mask.shape == (5,)
         assert task.known_mask.sum() == 4
         assert not task.known_mask[4]
         assert (task.record[:, 4] == data.MISSING_SENTINEL).all()
-        np.testing.assert_array_equal(task.true_values, ds.rows_for("test"))
-        np.testing.assert_array_equal(task.record[:, :4], ds.rows_for("test")[:, :4])
+        np.testing.assert_array_equal(task.true_values, test)
+        np.testing.assert_array_equal(task.record[:, :4], test[:, :4])
 
     def test_validation_block(self):
-        ds = data.split(_normalized(40, n_cols=5))
-        task = data.make_tasks(ds, {2}, "validation")
-        np.testing.assert_array_equal(task.true_values, ds.rows_for("validation"))
+        validation = data.split(_normalized(40, n_cols=5))[1]
+        task = data.make_tasks(validation, {2})
+        np.testing.assert_array_equal(task.true_values, validation)
         assert (task.record[:, 2] == data.MISSING_SENTINEL).all()
         known = [0, 1, 3, 4]
-        np.testing.assert_array_equal(task.record[:, known], ds.rows_for("validation")[:, known])
-        with pytest.raises(ValueError, match="split label"):
-            data.make_tasks(ds, {2}, "holdout")
+        np.testing.assert_array_equal(task.record[:, known], validation[:, known])
 
     def test_multi_column_mask(self):
-        ds = data.split(_normalized(20, n_cols=5))
-        task = data.make_tasks(ds, {1, 3})
+        task = data.make_tasks(_test_block(20, 5), {1, 3})
         assert task.unknown_indices.tolist() == [1, 3]
         assert (task.record[:, [1, 3]] == data.MISSING_SENTINEL).all()
 
     def test_all_columns_masked_rejected(self):
-        ds = data.split(_normalized(20, n_cols=3))
         with pytest.raises(ValueError, match="known"):
-            data.make_tasks(ds, {0, 1, 2})
+            data.make_tasks(_test_block(20, 3), {0, 1, 2})
 
     def test_empty_mask_rejected(self):
-        ds = data.split(_normalized(20, n_cols=3))
         with pytest.raises(ValueError):
-            data.make_tasks(ds, set())
+            data.make_tasks(_test_block(20, 3), set())
 
     def test_bad_index_rejected(self):
-        ds = data.split(_normalized(20, n_cols=3))
         with pytest.raises(ValueError):
-            data.make_tasks(ds, {7})
+            data.make_tasks(_test_block(20, 3), {7})
 
     def test_benchmark_scale_task_counts(self, credit_like):
         path, meta = credit_like
-        ds = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
-        task = data.make_tasks(ds, {24})
+        test = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))[2]
+        task = data.make_tasks(test, {24})
         assert task.record.shape == (250, 25)
         assert task.known_mask.sum() == 24
         assert task.unknown_indices.tolist() == [24]

@@ -1,5 +1,6 @@
 """Config parsing, orchestration, report emission, verification, and CLI."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aeimpute import cli, experiment, metrics, network, optimizers, parallel
+from aeimpute import cli, data, experiment, forest, metrics, network, optimizers, parallel
 from aeimpute.experiment import (
     _GLOBAL_KEYS,
     _SECTION_KEYS,
@@ -33,6 +34,8 @@ from aeimpute.seeding import derive_seed
 
 from conftest import bench_module, child_processes, config_text, random_autoencoder, write_table
 
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # The files whose bytes may differ between reruns, as the report's file table marks them.
 UNSTABLE = {file.name for file in REPORT_FILES if not file.stable}
@@ -269,6 +272,21 @@ class TestParseConfig:
             parse_config(cfg_file)
 
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_shipped_config_parses(self, name):
+        cfg = parse_config(CONFIGS / name)
+        assert cfg.methods == experiment.ALL_METHODS
+
+    def test_heart_config_defaults_shown_are_the_defaults(self, tmp_path):
+        shipped = CONFIGS / "heart_disease.cfg"
+        head, marker, shown = shipped.read_text(encoding="utf-8").partition("(defaults shown):\n")
+        overrides = [line.removeprefix("# ") for line in shown.splitlines()]
+        assert marker and len(overrides) == 7 and all(" = " in line and "#" not in line for line in overrides)
+        uncommented = tmp_path / shipped.name
+        uncommented.write_text(head + marker + "\n".join(overrides) + "\n", encoding="utf-8")
+        assert parse_config(uncommented) == parse_config(shipped)
+
+
 class TestSeedDerivation:
     def test_stable_and_distinct(self):
         assert derive_seed(7, "ga", 0) == derive_seed(7, "ga", 0)
@@ -278,6 +296,25 @@ class TestSeedDerivation:
 
     def test_no_concatenation_collision(self):
         assert derive_seed(1, "ab") != derive_seed(1, "a", "b")
+
+
+def _tree():
+    return forest.CartTree(*(np.array(v) for v in ([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0.0, 0.25, 0.75])))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_autoencoder(np.random.default_rng(0), 4, 2),
+    lambda: data.Dataset(columns=(data.ColumnSpec("x"), data.ColumnSpec("y")), rows=[[0.25, 0.5], [0.75, 1.0]]),
+    lambda: data.ImputationTask(record=np.zeros((2, 3)), known_mask=[True, False, True], true_values=np.ones((2, 3))),
+    lambda: optimizers.OptimizerResult(np.zeros((2, 1)), np.arange(3), np.ones((3, 2))),
+    _tree,
+    lambda: forest.Forest(trees=(_tree(), _tree()), target_column=1, predictor_columns=(0,)),
+], ids=["Autoencoder", "Dataset", "ImputationTask", "OptimizerResult", "CartTree", "Forest"])
+def test_array_holding_records_compare_by_identity(make):
+    x = make()
+    assert x == x and not x != x
+    assert x != copy.deepcopy(x)
+    assert hash(x) == hash(x)
 
 
 class TestRunExperiment:
@@ -465,10 +502,10 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert "hidden_search" in report.timings and "train" not in report.timings
         h = report.document["hidden_size"]["selected"]
-        ds = experiment._prepare_dataset(cfg)
+        _, (train_rows, _, _) = experiment._prepare_dataset(cfg)
         seed = derive_seed(cfg.master_seed, "hidden", h)
         train_cfg = dataclasses.replace(cfg.train, rng_seed=seed)
-        again, loss = network.train(ds.train_rows, h, train_cfg)
+        again, loss = network.train(train_rows, h, train_cfg)
         np.testing.assert_array_equal(report.net.parameters, again.parameters)
         assert report.document["train_loss"] == loss
 
@@ -1041,7 +1078,7 @@ class TestNormalizationScope:
         )
         from aeimpute.experiment import _prepare_dataset
 
-        ds = _prepare_dataset(parse_config(cfg_file))
+        ds, _ = _prepare_dataset(parse_config(cfg_file))
         # 20 rows -> train block is the first 10; scaler fitted there.
         assert ds.columns[0].observed_min == 1.0
         assert ds.columns[0].observed_max == 10.0
@@ -1207,7 +1244,7 @@ class TestTracedHooks:
             report = run_experiment(cfg)
             # Functions the experiment does not call, in the shapes the tracer wraps.
             net = report.net
-            rows = experiment._prepare_dataset(cfg).train_rows
+            _, (rows, _, _) = experiment._prepare_dataset(cfg)
             task = ImputationTask(record=rows[:1], known_mask=np.arange(rows.shape[1]) != 0)
             tracer.spanned("probe", lambda: (
                 network.train(rows, 3, network.TrainConfig(max_iterations=5)),

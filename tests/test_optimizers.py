@@ -88,9 +88,9 @@ class TestBestValues:
     def heart_objective(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("heart") / "heart.csv"
         meta = write_table(path, "heart")
-        ds = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
-        net, _ = network.train(ds.train_rows, 4, network.TrainConfig(max_iterations=30))
-        return MissingDataObjective(net, data.make_tasks(ds, {meta["missing_column"]}))
+        train, _, test = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
+        net, _ = network.train(train, 4, network.TrainConfig(max_iterations=30))
+        return MissingDataObjective(net, data.make_tasks(test, {meta["missing_column"]}))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
