@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import CsvFormatError
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     say = (lambda msg: None) if args.quiet else (lambda msg: print(msg, flush=True))
     try:
-        cfg = parse_config(args.config, seed_override=args.seed, output_override=args.output)
+        flags = {"seed": args.seed, "output_dir": args.output}
+        cfg = replace(parse_config(args.config), **{k: v for k, v in flags.items() if v is not None})
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

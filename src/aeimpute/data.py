@@ -146,15 +146,13 @@ class ImputationTask:
         return np.flatnonzero(~self.known_mask)
 
 
-def _normalize_schema(
-    schema, n_columns: int
-) -> list[tuple[str, str]]:
-    """Expand schema hints to one (name, kind) pair per column."""
+def _normalize_schema(path: Path, schema, n_columns: int) -> list[tuple[str, str]]:
+    """Expand schema hints to one (name, kind) pair per column of the file ``path``."""
     if schema is None:
         return [(f"A{i + 1}", "numeric") for i in range(n_columns)]
     if len(schema) != n_columns:
         raise CsvFormatError(
-            f"schema declares {len(schema)} columns but file has {n_columns}"
+            f"{path}: schema declares {len(schema)} columns but file has {n_columns}"
         )
     out: list[tuple[str, str]] = []
     for i, hint in enumerate(schema):
@@ -166,7 +164,7 @@ def _normalize_schema(
     for name, kind in out:
         if kind not in COLUMN_KINDS:
             raise CsvFormatError(
-                f"column {name!r}: unknown kind {kind!r}; expected one of {COLUMN_KINDS}"
+                f"{path}: column {name!r}: unknown kind {kind!r}; expected one of {COLUMN_KINDS}"
             )
     return out
 
@@ -209,7 +207,7 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
             names = next(rows, None) if header else None
             for r, fields in enumerate(rows, start=1):
                 if r == 1:
-                    pairs = _normalize_schema(schema, len(fields))
+                    pairs = _normalize_schema(path, schema, len(fields))
                     if names is not None:
                         if len(names) != len(fields):
                             raise CsvFormatError(

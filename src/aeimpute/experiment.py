@@ -56,14 +56,22 @@ class ExperimentError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    dataset_path: Path
+    """One experiment's settings.
+
+    Each field is the config file key of its name, except ``output_dir``,
+    which the key ``output`` sets.  A section field's own fields are its
+    dotted keys: ``ga.population`` sets ``ga``'s ``GaConfig.population``.
+    The report's config echo holds the same names (:func:`_config_echo`).
+    """
+
+    dataset: Path
     missing_column: int
-    task_kind: str
+    task: str
     header: bool = False
-    column_kinds: tuple[str | tuple[str, str], ...] | None = None
+    columns: tuple[str | tuple[str, str], ...] | None = None
     hidden_size: int | str = "auto"
     methods: tuple[str, ...] = ALL_METHODS
-    master_seed: int = 0
+    seed: int = 0
     output_dir: Path = Path("report")
     normalization_scope: str = "full"
     train: network_mod.TrainConfig = field(default_factory=network_mod.TrainConfig)
@@ -74,10 +82,10 @@ class ExperimentConfig:
     rf: forest_mod.ForestConfig = field(default_factory=forest_mod.ForestConfig)
 
     def __post_init__(self) -> None:
-        self.dataset_path = Path(self.dataset_path)
+        self.dataset = Path(self.dataset)
         self.output_dir = Path(self.output_dir)
-        if self.task_kind not in TASK_KINDS:
-            raise ConfigError(f"task must be one of {TASK_KINDS}, got {self.task_kind!r}")
+        if self.task not in TASK_KINDS:
+            raise ConfigError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
         if self.missing_column < 0:
             raise ConfigError("missing_column must be a non-negative column index")
         self.methods = tuple(self.methods)
@@ -93,9 +101,9 @@ class ExperimentConfig:
                 raise ConfigError("hidden_size must be 'auto' or an integer >= 2")
         if self.normalization_scope not in ("full", "train"):
             raise ConfigError("normalization_scope must be 'full' or 'train'")
-        if self.column_kinds is not None:
+        if self.columns is not None:
             # A (name, kind) entry read back from JSON is a list.
-            self.column_kinds = tuple(tuple(e) if isinstance(e, list) else e for e in self.column_kinds)
+            self.columns = tuple(tuple(e) if isinstance(e, list) else e for e in self.columns)
 
 
 # --- config file parsing ----------------------------------------------------
@@ -117,35 +125,25 @@ def _hidden_size(raw: str) -> int | str:
     return raw if raw == "auto" else int(raw)
 
 
-# Global config key -> (ExperimentConfig field, parser of the value text).
-_GLOBAL_KEYS = {
-    "dataset": ("dataset_path", Path),
-    "header": ("header", bool),
-    "columns": ("column_kinds", _columns),
-    "missing_column": ("missing_column", int),
-    "task": ("task_kind", str),
-    "hidden_size": ("hidden_size", _hidden_size),
-    "methods": ("methods", _entries),
-    "seed": ("master_seed", int),
-    "output": ("output_dir", Path),
-    "normalization_scope": ("normalization_scope", str),
-}
-
 # Section name -> config type: the dataclass-typed fields of ExperimentConfig.
-_SECTION_TYPES = {
-    name: tp for name, tp in typing.get_type_hints(ExperimentConfig).items() if is_dataclass(tp)
-}
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_SECTION_TYPES = {name: tp for name, tp in _HINTS.items() if is_dataclass(tp)}
 
 # Per-run seeds are always derived from the master seed, so they are neither
 # read from config files nor echoed in the report.
 _DERIVED_SEEDS = ("seed", "rng_seed")
 
-# Per-section keys driven from config files, with each field's resolved type.
-_SECTION_KEYS = {
-    name: {
-        key: tp for key, tp in typing.get_type_hints(cfg_type).items() if key not in _DERIVED_SEEDS
-    }
-    for name, cfg_type in _SECTION_TYPES.items()
+# Section ("" for the globals) -> config file key -> parser of its value
+# text: the field's resolved type hint, except for the three keys whose text
+# needs its own reading.  The key ``output`` sets the field ``output_dir``.
+_KEYS = {
+    "": {
+        **{"output" if name == "output_dir" else name: tp
+           for name, tp in _HINTS.items() if name not in _SECTION_TYPES},
+        "columns": _columns, "hidden_size": _hidden_size, "methods": _entries,
+    },
+    **{name: {key: tp for key, tp in typing.get_type_hints(cfg_type).items() if key not in _DERIVED_SEEDS}
+       for name, cfg_type in _SECTION_TYPES.items()},
 }
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -166,12 +164,14 @@ def _parse_value(key: str, raw: str, tp):
         raise ConfigError(f"{key}: expected {_EXPECTED[tp]}, got {raw!r}") from None
 
 
-def parse_config(path, seed_override: int | None = None, output_override=None) -> ExperimentConfig:
+def parse_config(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file with dotted sections.
 
-    Global keys are those of ``_GLOBAL_KEYS``.  Sectioned keys such as
-    ``ga.population = 50`` override algorithm defaults.  Unknown and
-    repeated keys are errors.
+    The keys are those of ``_KEYS``: a global key is the
+    :class:`ExperimentConfig` field of its name (``output`` sets
+    ``output_dir``), and a dotted key such as ``ga.population = 50`` sets
+    that field of its section's config.  Each value is read by its field's
+    type.  Unknown and repeated keys are errors.
     """
     path = Path(path)
     try:
@@ -179,8 +179,7 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
 
-    kwargs: dict[str, object] = {}
-    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTION_TYPES}
+    found: dict[str, dict[str, object]] = {section: {} for section in _KEYS}
     seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -192,35 +191,22 @@ def parse_config(path, seed_override: int | None = None, output_override=None) -
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
         seen[key] = lineno
-        if "." in key:
-            section, sub = key.split(".", 1)
-            if section not in _SECTION_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown section {section!r}")
-            if sub not in _SECTION_KEYS[section]:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            sections[section][sub] = _parse_value(key, raw, _SECTION_KEYS[section][sub])
-        else:
-            if key not in _GLOBAL_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            name, parser = _GLOBAL_KEYS[key]
-            kwargs[name] = _parse_value(key, raw, parser)
+        section, sub = key.split(".", 1) if "." in key else ("", key)
+        if section not in _KEYS or key.startswith("."):
+            raise ConfigError(f"{path}:{lineno}: unknown section {section!r}")
+        if sub not in _KEYS[section]:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        found[section][sub] = _parse_value(key, raw, _KEYS[section][sub])
 
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    for key, (name, _) in _GLOBAL_KEYS.items():
-        if name not in kwargs and defaults[name] is MISSING:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-
-    for name, cfg_type in _SECTION_TYPES.items():
-        if sections[name]:
-            try:
-                kwargs[name] = cfg_type(**sections[name])
-            except ValueError as err:
-                raise ConfigError(f"{path}: section {name!r}: {err}") from None
-
-    if seed_override is not None:
-        kwargs["master_seed"] = seed_override
-    if output_override is not None:
-        kwargs["output_dir"] = Path(output_override)
+    kwargs = {"output_dir" if key == "output" else key: value for key, value in found.pop("").items()}
+    for f in fields(ExperimentConfig):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
+    for name, values in found.items():
+        try:
+            kwargs[name] = _SECTION_TYPES[name](**values)
+        except ValueError as err:
+            raise ConfigError(f"{path}: section {name!r}: {err}") from None
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as err:
@@ -241,28 +227,25 @@ class ExperimentReport:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    """Scientific configuration with resolved defaults.
+    """Scientific configuration with resolved defaults, under its field names.
 
     Execution concerns (the output directory) and derived per-run seeds are
     excluded so the echo is identical wherever and however the same
     experiment runs.
     """
-    def section(dc):
-        return {f.name: getattr(dc, f.name) for f in fields(dc) if f.name not in _DERIVED_SEEDS}
+    def echo(value):
+        if is_dataclass(value):
+            return {f.name: getattr(value, f.name) for f in fields(value) if f.name not in _DERIVED_SEEDS}
+        return str(value) if isinstance(value, Path) else value
 
-    echo = {name: section(getattr(cfg, name)) for name in _SECTION_TYPES}
-    for key, (name, _) in _GLOBAL_KEYS.items():
-        if name != "output_dir":
-            value = getattr(cfg, name)
-            echo[key] = str(value) if isinstance(value, Path) else value
-    return echo
+    return {f.name: echo(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "output_dir"}
 
 
 def _config_from_echo(echo: dict) -> ExperimentConfig:
-    """The configuration of a :func:`_config_echo`; a ValueError where it is not valid."""
-    kwargs = {name: _SECTION_TYPES[name](**echo[name]) for name in _SECTION_TYPES}
-    kwargs.update((name, echo[key]) for key, (name, _) in _GLOBAL_KEYS.items() if name != "output_dir")
-    return ExperimentConfig(**kwargs)
+    """The configuration of a :func:`_config_echo`; a ValueError or TypeError
+    where it is not valid.  A key the echo lacks takes its default."""
+    sections = {name: tp(**echo[name]) for name, tp in _SECTION_TYPES.items() if name in echo}
+    return ExperimentConfig(**{**echo, **sections})
 
 
 _METHODOLOGY = {
@@ -283,7 +266,7 @@ _METHODOLOGY = {
 
 def _config_entries(cfg: ExperimentConfig) -> dict:
     """The entries of report.json that follow from the configuration alone."""
-    return {"config": _config_echo(cfg), "task_kind": cfg.task_kind, "methodology": dict(_METHODOLOGY)}
+    return {"config": _config_echo(cfg), "task_kind": cfg.task, "methodology": dict(_METHODOLOGY)}
 
 
 def _display(value: float) -> str:
@@ -343,7 +326,7 @@ def _comparison(errors: dict[str, np.ndarray]) -> dict:
 
 def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.ndarray, ...]]:
     """The scaled dataset and its train, validation and test blocks."""
-    ds = data_mod.load_csv(cfg.dataset_path, schema=cfg.column_kinds, header=cfg.header)
+    ds = data_mod.load_csv(cfg.dataset, schema=cfg.columns, header=cfg.header)
     if not 0 <= cfg.missing_column < ds.n_columns:
         raise ConfigError(
             f"missing_column {cfg.missing_column} out of range for "
@@ -398,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             # The search trains a network per size; the winner's is the model.
             stage = "hidden-size"
             notify("searching hidden sizes")
-            search_cfg = replace(cfg.train, rng_seed=cfg.master_seed)
+            search_cfg = replace(cfg.train, rng_seed=cfg.seed)
             val_task = data_mod.make_tasks(validation_rows, {cfg.missing_column})
             hidden, net, train_loss = clock(
                 "hidden_search",
@@ -411,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             stage = "train"
             hidden = cfg.hidden_size
             notify(f"training autoencoder (hidden={hidden})")
-            train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.master_seed, "train"))
+            train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.seed, "train"))
             net, train_loss = clock("train", network_mod.train, train_rows, hidden, train_cfg)
         document["hidden_size"] = {"requested": cfg.hidden_size, "selected": hidden}
         document["train_loss"] = float(train_loss)
@@ -419,7 +402,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         stage = "tasks"
         task = data_mod.make_tasks(test_rows, {cfg.missing_column})
         truth = task.true_values[:, cfg.missing_column]
-        if cfg.task_kind == "classification" and not np.isin(ds.rows[:, cfg.missing_column], (0, 1)).all():
+        if cfg.task == "classification" and not np.isin(ds.rows[:, cfg.missing_column], (0, 1)).all():
             raise ValueError(
                 "classification task needs a 0/1 target after scaling; "
                 f"column {ds.columns[cfg.missing_column].name!r} has other values"
@@ -435,11 +418,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         def impute(method):
             begin = perf_counter()
             if method == "rf":
-                rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.master_seed, "rf"))
+                rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.seed, "rf"))
                 fitted = forest_mod.fit(train_rows, cfg.missing_column, rf_cfg)
                 values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
             else:
-                seeds = [derive_seed(cfg.master_seed, method, i) for i in range(len(truth))]
+                seeds = [derive_seed(cfg.seed, method, i) for i in range(len(truth))]
                 result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
                 values = objective.impute(result)[:, cfg.missing_column]
             return values, perf_counter() - begin
@@ -452,7 +435,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         notify("scoring methods")
         blocks, errors = {}, {}
         for method, (values, _) in imputed.items():
-            graded, errors[method] = _grade(truth, values, cfg.task_kind)
+            graded, errors[method] = _grade(truth, values, cfg.task)
             blocks[method] = {**_config_facts(method, getattr(cfg, method), ds.n_columns), **graded}
         document["methods"] = blocks
 
@@ -669,7 +652,7 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         document = json.loads(report_path.read_text(encoding="utf-8"))
         cfg = _config_from_echo(document["config"])
         # The files were written, and are regraded, for the stored task kind.
-        task_kind = replace(cfg, task_kind=document["task_kind"]).task_kind
+        task_kind = replace(cfg, task=document["task_kind"]).task
         blocks = sorted(document["methods"])
         columns = tuple(data_mod.ColumnSpec(e["column"], e["kind"], e["min"], e["max"], e["degenerate"])
                         for e in document["normalization"])

@@ -111,8 +111,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0 or self.objective_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.gradient_tolerance < np.inf and 0 < self.objective_tolerance < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 def _unpack(vec: np.ndarray, n: int, h: int):

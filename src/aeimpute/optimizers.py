@@ -124,14 +124,15 @@ class SaConfig:
     neighbor_sigma: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+        # Written so that NaN fails each check, as infinity does.
+        if self.initial_temperature is not None and not 0 < self.initial_temperature < math.inf:
+            raise ValueError("initial_temperature must be positive and finite")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
         if self.temperature_steps < 1 or self.moves_per_step < 1:
             raise ValueError("temperature_steps and moves_per_step must be >= 1")
-        if self.neighbor_sigma <= 0:
-            raise ValueError("neighbor_sigma must be positive")
+        if not 0 < self.neighbor_sigma < math.inf:
+            raise ValueError("neighbor_sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,10 @@ class PsoConfig:
     def __post_init__(self) -> None:
         if self.swarm < 2:
             raise ValueError("swarm must be >= 2")
-        if self.phi1 <= 0 or self.phi2 <= 0:
-            raise ValueError("phi1 and phi2 must be positive")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be positive")
+        if not (0 < self.phi1 < math.inf and 0 < self.phi2 < math.inf):
+            raise ValueError("phi1 and phi2 must be positive and finite")
+        if not 0 < self.v_max < math.inf:
+            raise ValueError("v_max must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

@@ -7,6 +7,7 @@ datasets (1000x25, 517x13, 270x14); the loader and protocol are identical
 for the real files.
 """
 
+import dataclasses
 import json
 import math
 from time import perf_counter, process_time
@@ -325,7 +326,7 @@ class TestCriterion9Determinism:
         tmp = tmp_path_factory.mktemp("determinism")
         base = benchmark_runs["heart"]
         out = tmp / "rerun"
-        emit_report(run_experiment(parse_config(base["cfg_file"], output_override=out)), out)
+        emit_report(run_experiment(dataclasses.replace(parse_config(base["cfg_file"]), output_dir=out)), out)
         # Every file but the one(s) the report's file table marks as unstable.
         unstable = {file.name for file in REPORT_FILES if not file.stable}
         files = sorted(p.name for p in base["out"].iterdir() if p.name not in unstable)

@@ -106,7 +106,15 @@ class TestLoadCsv:
         p = write(tmp_path, "1,x\n2\n", name="e.csv")
         with pytest.raises(data.CsvFormatError) as caught:
             data.load_csv(p, schema=["numeric"] * 3)
-        assert str(caught.value) == "schema declares 3 columns but file has 2"
+        assert str(caught.value) == f"{p}: schema declares 3 columns but file has 2"
+
+    def test_unknown_kind_names_the_file(self, tmp_path):
+        p = write(tmp_path, "1,2\n3,4\n")
+        with pytest.raises(data.CsvFormatError) as caught:
+            data.load_csv(p, schema=["numeric", "bogus"])
+        assert str(caught.value) == (
+            f"{p}: column 'A2': unknown kind 'bogus'; expected one of {data.COLUMN_KINDS}"
+        )
 
     def test_traced_peak_per_cell(self, tmp_path):
         # The bound sits between a float buffer plus the Dataset's copy of

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -15,8 +16,8 @@ import pytest
 
 from aeimpute import cli, data, experiment, forest, metrics, network, optimizers, parallel
 from aeimpute.experiment import (
-    _GLOBAL_KEYS,
-    _SECTION_KEYS,
+    _DERIVED_SEEDS,
+    _KEYS,
     _SECTION_TYPES,
     ConfigError,
     ExperimentConfig,
@@ -98,7 +99,7 @@ class TestParseConfig:
         cfg = parse_config(cfg_file)
         assert cfg.methods == ("ga", "sa", "pso", "ns", "rf")
         assert cfg.hidden_size == "auto"
-        assert cfg.master_seed == 0
+        assert cfg.seed == 0
         assert cfg.ga.population == 50
         assert cfg.rf.n_trees == 100
 
@@ -118,6 +119,18 @@ class TestParseConfig:
             f"dataset = {csv}\nmissing_column = 13\ntask = classification\nga.popsize = 3\n"
         )
         with pytest.raises(ConfigError, match="ga.popsize"):
+            parse_config(cfg_file)
+
+    @pytest.mark.parametrize("key, error", [
+        ("gaa.population", "unknown section 'gaa'"),
+        (".seed", "unknown section ''"),
+        ("ga..x", "unknown key 'ga..x'"),
+    ])
+    def test_unknown_section_rejected(self, heart_setup, key, error):
+        tmp, csv, meta = heart_setup
+        cfg_file = tmp / "section.cfg"
+        cfg_file.write_text(f"dataset = {csv}\nmissing_column = 13\ntask = classification\n{key} = 3\n")
+        with pytest.raises(ConfigError, match=re.escape(f":4: {error}") + "$"):
             parse_config(cfg_file)
 
     def test_section_overrides_and_comments(self, heart_setup):
@@ -160,7 +173,7 @@ class TestParseConfig:
             "rf.mtry": 3,
             "rf.min_leaf": 4,
         }
-        assert set(values) == {f"{s}.{k}" for s, keys in _SECTION_KEYS.items() for k in keys}
+        assert set(values) == {f"{s}.{k}" for s, keys in _KEYS.items() if s for k in keys}
         cfg_file = write_config(tmp, csv, meta, name="typed.cfg", **values)
         cfg = parse_config(cfg_file)
         for dotted, expected in values.items():
@@ -194,19 +207,28 @@ class TestParseConfig:
             "output": (str(tmp / "o"), tmp / "o"),
             "normalization_scope": ("train", "train"),
         }
-        assert set(values) == set(_GLOBAL_KEYS)
+        assert set(values) == set(_KEYS[""])
         cfg_file = tmp / "globals.cfg"
         cfg_file.write_text("".join(f"{key} = {text}\n" for key, (text, _) in values.items()))
         cfg = parse_config(cfg_file)
         for key, (_, expected) in values.items():
-            got = getattr(cfg, _GLOBAL_KEYS[key][0])
+            got = getattr(cfg, "output_dir" if key == "output" else key)
             assert type(got) is type(expected) and got == expected, key
         cfg_file.write_text(cfg_file.read_text().replace("hidden_size = 6", "hidden_size = auto"))
         assert parse_config(cfg_file).hidden_size == "auto"
 
-    def test_key_tables_cover_every_config_field(self):
-        covered = [name for name, _ in _GLOBAL_KEYS.values()] + list(_SECTION_TYPES)
-        assert sorted(covered) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    def test_every_setting_has_one_name(self, emitted):
+        # Each field but output_dir is the file key of its name, a section
+        # field's own fields (derived seeds aside) are its dotted keys, and
+        # the echo holds exactly those names.
+        names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "output_dir"]
+        assert sorted(_KEYS[""]) == sorted({*names, "output"} - set(_SECTION_TYPES))
+        assert sorted(_KEYS) == sorted(["", *_SECTION_TYPES])
+        echo = _config_echo(emitted[0])
+        assert sorted(echo) == sorted(names)
+        for section, cfg_type in _SECTION_TYPES.items():
+            own = [f.name for f in dataclasses.fields(cfg_type) if f.name not in _DERIVED_SEEDS]
+            assert list(_KEYS[section]) == own and list(echo[section]) == own, section
 
     # The benchmark's three workloads, and a column given as `name: kind`.
     @pytest.mark.parametrize(
@@ -250,19 +272,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sa"):
             parse_config(cfg_file)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        "sa.initial_temperature", "sa.neighbor_sigma", "pso.phi1", "pso.phi2", "pso.v_max",
+        "train.gradient_tolerance", "train.objective_tolerance",
+    ])
+    def test_float_settings_must_be_finite(self, heart_setup, key, value):
+        tmp, csv, meta = heart_setup
+        cfg_file = tmp / "finite.cfg"
+        cfg_file.write_text(f"dataset = {csv}\nmissing_column = 13\ntask = classification\n{key} = {value}\n")
+        section = key.split(".")[0]
+        with pytest.raises(ConfigError, match=f"section '{section}': .* must be positive and finite"):
+            parse_config(cfg_file)
+
     def test_missing_required_key(self, heart_setup):
         tmp, csv, meta = heart_setup
         cfg_file = tmp / "norequired.cfg"
         cfg_file.write_text(f"dataset = {csv}\ntask = classification\n")
         with pytest.raises(ConfigError, match="missing_column"):
             parse_config(cfg_file)
-
-    def test_overrides_take_precedence(self, heart_setup):
-        tmp, csv, meta = heart_setup
-        cfg_file = write_config(tmp, csv, meta, name="seeded.cfg")
-        cfg = parse_config(cfg_file, seed_override=99, output_override=tmp / "elsewhere")
-        assert cfg.master_seed == 99
-        assert cfg.output_dir == tmp / "elsewhere"
 
     def test_bad_task_kind(self, heart_setup):
         tmp, csv, meta = heart_setup
@@ -476,6 +504,28 @@ class TestRunExperiment:
         assert cli.main(["verify", str(clone)]) == 2
         assert capsys.readouterr().out == f"FAIL format: {detail}\n"
 
+    # An echo key that is missing takes its default, which the echo written
+    # for that configuration holds; a key no field has cannot be rebuilt.
+    @pytest.mark.parametrize("edit, check, detail", [
+        (lambda c: c.pop("header"), "report.json",
+         "report.json.config does not hold the keys ['columns', 'dataset', 'ga', 'header', 'hidden_size', "
+         "'methods', 'missing_column', 'normalization_scope', 'ns', 'pso', 'rf', 'sa', 'seed', 'task', 'train']"),
+        (lambda c: c["ga"].pop("population"), "report.json",
+         "report.json.config.ga does not hold the keys ['bits_per_variable', 'crossover_prob', 'elitism', "
+         "'generations', 'mutation_prob', 'population', 'tournament_size']"),
+        (lambda c: c.pop("task"), "format", "report.json unreadable: TypeError(\"ExperimentConfig.__init__() "
+         "missing 1 required positional argument: 'task'\")"),
+        (lambda c: c.update(extra=1), "format", "report.json unreadable: TypeError(\"ExperimentConfig.__init__() "
+         "got an unexpected keyword argument 'extra'\")"),
+    ], ids=["no-header", "no-ga-population", "no-task", "extra-key"])
+    def test_verify_fails_a_changed_echo(self, emitted, tmp_path, edit, check, detail):
+        _, _, out = emitted
+        clone = clone_report(out, tmp_path / "echo")
+        document = json.loads((clone / "report.json").read_text())
+        edit(document["config"])
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        assert failures(clone) == [(check, detail)]
+
     def test_reemission_byte_identical(self, emitted, tmp_path):
         _, report, out = emitted
         again = tmp_path / "again"
@@ -503,7 +553,7 @@ class TestRunExperiment:
         assert "hidden_search" in report.timings and "train" not in report.timings
         h = report.document["hidden_size"]["selected"]
         _, (train_rows, _, _) = experiment._prepare_dataset(cfg)
-        seed = derive_seed(cfg.master_seed, "hidden", h)
+        seed = derive_seed(cfg.seed, "hidden", h)
         train_cfg = dataclasses.replace(cfg.train, rng_seed=seed)
         again, loss = network.train(train_rows, h, train_cfg)
         np.testing.assert_array_equal(report.net.parameters, again.parameters)
@@ -1119,6 +1169,26 @@ class TestCli:
             "weight range:   [-1.62752, 0.956524]\n"
         )
 
+    @pytest.mark.parametrize("flags, seed, out", [
+        ([], 7, "out"),
+        (["--seed", "99"], 99, "out"),
+        (["--output", "elsewhere"], 7, "elsewhere"),
+        (["--seed", "99", "--output", "elsewhere"], 99, "elsewhere"),
+    ])
+    def test_seed_and_output_flags_replace_fields(self, heart_setup, monkeypatch, flags, seed, out):
+        tmp, csv, meta = heart_setup
+        cfg_file = write_config(tmp, csv, meta, name="seeded.cfg")
+        ran = []
+
+        def stop(cfg, progress):
+            ran.append(cfg)
+            raise ExperimentError("stopped")
+
+        monkeypatch.setattr(cli, "run_experiment", stop)
+        flags = [str(tmp / flag) if flag == "elsewhere" else flag for flag in flags]
+        assert cli.main([*flags, "run", str(cfg_file)]) == 2
+        assert ran == [dataclasses.replace(parse_config(cfg_file), seed=seed, output_dir=tmp / out)]
+
     def test_config_error_exit_code(self, heart_setup, capsys):
         tmp, csv, meta = heart_setup
         bad = tmp / "cli_bad.cfg"
@@ -1137,6 +1207,20 @@ class TestCli:
         )
         assert cli.main(["run", str(cfg_file)]) == 1
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("columns, detail", [
+        ("numeric,numeric,numeric", "schema declares 3 columns but file has 2"),
+        ("numeric,bogus", "column 'A2': unknown kind 'bogus'"),
+    ], ids=["column-count", "unknown-kind"])
+    def test_schema_error_names_the_dataset(self, tmp_path, capsys, columns, detail):
+        data = tmp_path / "data.csv"
+        data.write_text("1,2\n3,4\n")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"dataset = {data}\ncolumns = {columns}\nmissing_column = 1\n"
+                            f"task = prediction\noutput = {tmp_path / 'out'}\n")
+        assert cli.main(["--quiet", "run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: stage 'prepare' failed: {data}: {detail}")
 
     @pytest.mark.parametrize("case", ["not-utf8", "directory"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, case):

@@ -1,9 +1,12 @@
-"""The README's library tour runs as written."""
+"""The README's library tour runs as written, and its config tables match the parser's."""
 
+import itertools
 import re
 from pathlib import Path
 
 import numpy as np
+
+from aeimpute.experiment import _KEYS, _SECTION_TYPES
 
 from conftest import write_table
 
@@ -22,3 +25,16 @@ def test_library_tour_runs(tmp_path, monkeypatch):
     known = task.known_mask
     np.testing.assert_array_equal(completed[:, known], task.record[:, known])
     assert np.all((completed[:, ~known] >= 0.0) & (completed[:, ~known] <= 1.0))
+
+
+def table_rows(header: str) -> list[list[str]]:
+    """The cells of the README table under ``header``, backticks stripped."""
+    lines = README.read_text(encoding="utf-8").partition(header + "\n")[2].splitlines()[1:]
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    return [[cell.strip().strip("`") for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_config_key_tables_are_the_parsers():
+    assert sorted(row[0] for row in table_rows("| key | type | default |")) == sorted(_KEYS[""])
+    sections = {row[0]: row[1] for row in table_rows("| section | config class |")}
+    assert sections == {name: f"{tp.__module__}.{tp.__name__}" for name, tp in _SECTION_TYPES.items()}
