@@ -104,6 +104,13 @@ class ExperimentConfig:
         if self.columns is not None:
             # A (name, kind) entry read back from JSON is a list.
             self.columns = tuple(tuple(e) if isinstance(e, list) else e for e in self.columns)
+            for entry in self.columns:
+                pair = isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)
+                if (entry[1] if pair else entry) not in data_mod.COLUMN_KINDS:
+                    raise ConfigError(
+                        f"columns entry {entry!r} is neither a kind in {data_mod.COLUMN_KINDS} "
+                        "nor a (name, kind) pair with one"
+                    )
 
 
 # --- config file parsing ----------------------------------------------------
@@ -325,7 +332,13 @@ def _comparison(errors: dict[str, np.ndarray]) -> dict:
 # --- pipeline ---------------------------------------------------------------
 
 def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.ndarray, ...]]:
-    """The scaled dataset and its train, validation and test blocks."""
+    """The scaled dataset and its train, validation and test blocks.
+
+    Raises :class:`ConfigError`, before any training, where the data alone
+    decides that a later stage would fail: a ``hidden_size`` out of range, a
+    classification target that is not 0/1 after scaling or whose test block
+    lacks a class, and a forest with fewer than 2 x ``rf.min_leaf`` train rows.
+    """
     ds = data_mod.load_csv(cfg.dataset, schema=cfg.columns, header=cfg.header)
     if not 0 <= cfg.missing_column < ds.n_columns:
         raise ConfigError(
@@ -339,7 +352,27 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
         )
     fit_rows = data_mod.split_sizes(ds.n_rows)[0] if cfg.normalization_scope == "train" else None
     scaled = data_mod.normalize(ds, fit_row_count=fit_rows)
-    return scaled, data_mod.split(scaled)
+    blocks = train_rows, _, test_rows = data_mod.split(scaled)
+    if cfg.task == "classification":
+        target = scaled.columns[cfg.missing_column].name
+        if not np.isin(scaled.rows[:, cfg.missing_column], (0, 1)).all():
+            raise ConfigError(
+                "classification task needs a 0/1 target after scaling; "
+                f"column {target!r} has other values"
+            )
+        ones = int(test_rows[:, cfg.missing_column].sum())
+        if ones in (0, len(test_rows)):
+            raise ConfigError(
+                f"the test block (the last {len(test_rows)} rows; the split follows file order) "
+                f"holds {len(test_rows) - ones} 0s and {ones} 1s in column {target!r}: "
+                "a classification task needs both classes there"
+            )
+    if "rf" in cfg.methods and len(train_rows) < 2 * cfg.rf.min_leaf:
+        raise ConfigError(
+            f"rf needs at least {2 * cfg.rf.min_leaf} train rows for rf.min_leaf = "
+            f"{cfg.rf.min_leaf}; the train block holds {len(train_rows)}"
+        )
+    return scaled, blocks
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
@@ -402,11 +435,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         stage = "tasks"
         task = data_mod.make_tasks(test_rows, {cfg.missing_column})
         truth = task.true_values[:, cfg.missing_column]
-        if cfg.task == "classification" and not np.isin(ds.rows[:, cfg.missing_column], (0, 1)).all():
-            raise ValueError(
-                "classification task needs a 0/1 target after scaling; "
-                f"column {ds.columns[cfg.missing_column].name!r} has other values"
-            )
 
         stage = "impute"
         notify(f"imputing {len(truth)} test records per method")
@@ -620,13 +648,28 @@ def _split_check(counts: dict, test_rows: dict[str, int]) -> tuple[str, bool, st
     return "split_counts", True, f"{sum(counts.values())} rows, as many test rows as each imputed file"
 
 
+def _stated_normalization(cfg: ExperimentConfig, block: list) -> list:
+    """report.json's normalization ``block`` with each column's kind, and
+    its name unless a header row supplied it, as ``cfg.columns`` states them
+    (named and read as :func:`~aeimpute.data.load_csv` does)."""
+    if cfg.columns is not None and len(cfg.columns) != len(block):
+        raise ConfigError(
+            f"config.columns declares {len(cfg.columns)} columns, "
+            f"the normalization block holds {len(block)}"
+        )
+    pairs = data_mod._normalize_schema(cfg.dataset, cfg.columns, len(block))
+    return [{**entry, "column": entry["column"] if cfg.header else name, "kind": kind}
+            for entry, (name, kind) in zip(block, pairs)]
+
+
 def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     """Rebuild the report ``run`` would have written from the regraded
     imputed files, and compare every stable file with its re-rendering.
 
     The expected report is report.json's document with the entries that
-    follow from the configuration its echo rebuilds (:func:`_config_entries`
-    and ``hidden_size.requested``; ``toolkit_version`` stays as stored),
+    follow from the configuration its echo rebuilds (:func:`_config_entries`,
+    the names and kinds of :func:`_stated_normalization` and
+    ``hidden_size.requested``; ``toolkit_version`` stays as stored),
     each method's block regraded from its ``imputed_<method>.csv`` with its
     :func:`_config_facts`, and the comparison recomputed; its columns come
     from the ``normalization`` block and its network from ``model.txt``.
@@ -656,6 +699,7 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         blocks = sorted(document["methods"])
         columns = tuple(data_mod.ColumnSpec(e["column"], e["kind"], e["min"], e["max"], e["degenerate"])
                         for e in document["normalization"])
+        normalization = _stated_normalization(cfg, document["normalization"])
         hidden_size = {"requested": cfg.hidden_size, "selected": document["hidden_size"]["selected"]}
         split_counts = dict(document["split_counts"])
     except ConfigError as err:
@@ -693,7 +737,8 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         checks.append(("model", difference is None, detail))
 
         stated = json.loads(json.dumps(_config_entries(cfg)))  # tuples as JSON lists
-        stated.update(hidden_size=hidden_size, methods=graded, comparison=comparison)
+        stated.update(normalization=normalization, hidden_size=hidden_size, methods=graded,
+                      comparison=comparison)
         expected = ExperimentReport({**document, **stated}, net, columns, {})
         for file, name, method in files:
             if name == "report.json":  # as parsed: serializing it would cost more than all the rest

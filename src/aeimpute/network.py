@@ -101,9 +101,10 @@ class Autoencoder:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Stopping rules and seeding for the trainer."""
+    """Stopping rules and seeding for the trainer: at most ``max_iterations``
+    SCG iterations, 250 by default."""
 
-    max_iterations: int = 500
+    max_iterations: int = 250
     gradient_tolerance: float = 1e-6
     objective_tolerance: float = 1e-12
     rng_seed: int = 0
@@ -196,9 +197,9 @@ def train(
 
     Runs scaled conjugate gradient until the gradient infinity-norm drops
     below ``gradient_tolerance``, an accepted step improves the loss by less
-    than ``objective_tolerance``, or ``max_iterations`` is reached.  The run
-    is fully determined by ``cfg.rng_seed``.  ``loss_history``, when given,
-    receives the loss after every accepted step.
+    than ``objective_tolerance``, or ``max_iterations`` (250 by default) is
+    reached.  The run is fully determined by ``cfg.rng_seed``.
+    ``loss_history``, when given, receives the loss after every accepted step.
 
     The trial point's loss and gradient come from one pass, and an accepted
     step reuses that gradient; a rejected step discards it.  A non-finite

@@ -255,9 +255,15 @@ class TestCriterion6Forest:
 class TestCriterion7Protocol:
     def test_end_to_end_fidelity(self, benchmark_runs):
         failures = []
+        picks = {}
         for name in ("credit", "fire", "heart"):
             run = benchmark_runs[name]
             report = run["report"]
+            # A searched hidden size at n-1 gives a network close to the identity.
+            n = len(report.document["normalization"])
+            picks[name] = h = report.document["hidden_size"]["selected"]
+            if report.document["hidden_size"]["requested"] == "auto" and not 2 <= h < n - 1:
+                failures.append(f"{name} picked hidden size {h} of 2..{n - 1}")
             counts = (
                 report.document["split_counts"]["train"],
                 report.document["split_counts"]["validation"],
@@ -279,7 +285,8 @@ class TestCriterion7Protocol:
             7,
             "end-to-end protocol fidelity",
             ok,
-            f"failures {failures or 'none'}, three experiments in {elapsed:.0f}s",
+            f"failures {failures or 'none'}, hidden sizes picked {picks}, "
+            f"three experiments in {elapsed:.0f}s",
         )
         assert not failures
         assert elapsed < 900.0

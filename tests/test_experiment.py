@@ -285,6 +285,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"section '{section}': .* must be positive and finite"):
             parse_config(cfg_file)
 
+    @pytest.mark.parametrize("entry", [
+        3, None, "bogus", ("a", "bogus"), ("a",), ("a", "numeric", "x"), (3, "numeric"), ["a", 3],
+    ])
+    def test_columns_entries_must_hold_a_kind(self, entry):
+        with pytest.raises(ConfigError, match=r"columns entry .* is neither a kind in "):
+            ExperimentConfig(dataset="d.csv", missing_column=0, task="prediction",
+                             columns=("numeric", entry))
+
+    def test_columns_entries_read_back_from_json(self):
+        cfg = ExperimentConfig(dataset="d.csv", missing_column=0, task="prediction",
+                               columns=["numeric", ["a", "binary"], ("b", "categorical")])
+        assert cfg.columns == ("numeric", ("a", "binary"), ("b", "categorical"))
+
     def test_missing_required_key(self, heart_setup):
         tmp, csv, meta = heart_setup
         cfg_file = tmp / "norequired.cfg"
@@ -604,27 +617,24 @@ class TestRunExperiment:
         tmp, csv, meta = heart_setup
         bad_meta = dict(meta, missing_column=0, task="classification")
         cfg_file = tmp / "fail.cfg"
-        # The non-binary target is rejected once the tasks are built, before
-        # any optimizer runs; without rf, nothing else would catch it earlier.
+        # The non-binary target is rejected once the data is split, before
+        # any training, with or without rf.
         for methods in ("ga,sa,pso,ns,rf", "ns,sa"):
             out = tmp / f"fail_out_{methods.replace(',', '_')}"
             cfg_file.write_text(
                 config_text(csv, bad_meta, out, seed=1, hidden_size=4, methods=methods, **FAST)
             )
-            with pytest.raises(ExperimentError, match="tasks"):
+            with pytest.raises(ExperimentError, match="prepare"):
                 run_experiment(parse_config(cfg_file))
             assert (out / FAILURE_MARKER).exists()
-            assert "stage: tasks" in (out / FAILURE_MARKER).read_text()
+            assert "stage: prepare" in (out / FAILURE_MARKER).read_text()
             partial = json.loads((out / "partial.json").read_text())
-            assert partial["split_counts"]["test"] == 67
-            # report.json's keys for the stages that finished, none after
-            assert {"config", "split_counts", "hidden_size", "train_loss"} <= set(partial)
-            assert partial["hidden_size"] == {"requested": 4, "selected": 4}
-            assert "methods" not in partial and "comparison" not in partial
+            # report.json's keys that follow from the configuration, none after
+            assert set(partial) == {"toolkit_version", "config", "task_kind", "methodology"}
 
     def test_classification_target_is_checked_in_every_block(self, heart_setup, tmp_path):
         # One training row's target is 0.5; the test block's stay 0/1.  No
-        # forest runs, and the tasks stage still rejects the column.
+        # forest runs, and the prepare stage still rejects the column.
         tmp, csv, meta = heart_setup
         lines = csv.read_text().splitlines()
         edited = tmp_path / "half.csv"
@@ -634,9 +644,9 @@ class TestRunExperiment:
         out = tmp_path / "out"
         cfg_file = tmp_path / "half.cfg"
         cfg_file.write_text(config_text(edited, meta, out, seed=1, hidden_size=4, methods="ga", **FAST))
-        with pytest.raises(ExperimentError, match="stage 'tasks' failed: classification task needs a 0/1"):
+        with pytest.raises(ExperimentError, match="stage 'prepare' failed: classification task needs a 0/1"):
             run_experiment(parse_config(cfg_file))
-        assert "stage: tasks" in (out / FAILURE_MARKER).read_text()
+        assert "stage: prepare" in (out / FAILURE_MARKER).read_text()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_methods_on_any_worker_count_match(self, heart_setup, tmp_path, monkeypatch, workers):
@@ -983,6 +993,31 @@ class TestVerifyReadsEveryFile:
         ((name, text),) = failures(clone)
         assert name == check and text.startswith(detail)
 
+    # fire-deep declares 13 numeric columns, named A1..A13 as no header names them.
+    @pytest.mark.parametrize(
+        "columns, check, detail",
+        [
+            (lambda cols: [["a", "numeric"], 3], "format",
+             "report.json: columns entry 3 is neither a kind in ('numeric', 'binary', 'categorical') "
+             "nor a (name, kind) pair with one"),
+            (lambda cols: cols[:-1], "format",
+             "report.json: config.columns declares 12 columns, the normalization block holds 13"),
+            (lambda cols: [["a", "numeric"], *cols[1:]],
+             "report.json", "report.json.normalization[0].column holds 'A1', expected 'a'"),
+            (lambda cols: [*cols[:2], "binary", *cols[3:]],
+             "report.json", "report.json.normalization[2].kind holds 'numeric', expected 'binary'"),
+            (lambda cols: [*cols[:3], ["A4", "categorical"], *cols[4:]],
+             "report.json", "report.json.normalization[3].kind holds 'numeric', expected 'categorical'"),
+        ],
+        ids=["not-a-kind", "one-short", "name", "kind", "pair-kind"],
+    )
+    def test_config_columns_must_name_the_normalization_block(self, fire_deep, tmp_path, columns, check, detail):
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        document["config"]["columns"] = columns(document["config"]["columns"])
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        assert failures(clone) == [(check, detail)]
+
     @pytest.mark.parametrize(
         "edit, check, detail",
         [
@@ -1208,9 +1243,13 @@ class TestCli:
         assert cli.main(["run", str(cfg_file)]) == 1
         assert "data error" in capsys.readouterr().err
 
+    # A column count is checked against the dataset, which the error names;
+    # a kind is checked with the configuration, before the dataset is read.
     @pytest.mark.parametrize("columns, detail", [
-        ("numeric,numeric,numeric", "schema declares 3 columns but file has 2"),
-        ("numeric,bogus", "column 'A2': unknown kind 'bogus'"),
+        ("numeric,numeric,numeric", "data error: stage 'prepare' failed: {data}: "
+                                    "schema declares 3 columns but file has 2"),
+        ("numeric,bogus", "config error: columns entry 'bogus' is neither a kind in "
+                          "('numeric', 'binary', 'categorical') nor a (name, kind) pair with one"),
     ], ids=["column-count", "unknown-kind"])
     def test_schema_error_names_the_dataset(self, tmp_path, capsys, columns, detail):
         data = tmp_path / "data.csv"
@@ -1220,7 +1259,7 @@ class TestCli:
                             f"task = prediction\noutput = {tmp_path / 'out'}\n")
         assert cli.main(["--quiet", "run", str(cfg_file)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: stage 'prepare' failed: {data}: {detail}")
+        assert err.startswith(detail.format(data=data))
 
     @pytest.mark.parametrize("case", ["not-utf8", "directory"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, case):
@@ -1259,15 +1298,44 @@ class TestCli:
         assert err.startswith("data error: stage 'prepare' failed: ")
         assert f"hidden_size {hidden_size} out of range for 13-column dataset: must satisfy 2 <= h <= 12" in err
 
-    def test_runtime_failure_exit_code(self, heart_setup, capsys):
+    def test_runtime_failure_exit_code(self, heart_setup, capsys, monkeypatch):
         tmp, csv, meta = heart_setup
-        bad_meta = dict(meta, missing_column=0, task="classification")
-        cfg_file = tmp / "cli_fail.cfg"
-        cfg_file.write_text(
-            config_text(csv, bad_meta, tmp / "cli_fail_out", seed=1, hidden_size=4, **FAST)
-        )
+
+        def run(obj, method, config=None, *, seeds):
+            raise RuntimeError(f"{method} cannot search")
+
+        monkeypatch.setattr(optimizers, "run", run)
+        cfg_file = write_config(tmp, csv, meta, name="cli_fail.cfg", out="cli_fail_out", methods="ga")
         assert cli.main(["run", str(cfg_file)]) == 2
-        assert "partial results" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: stage 'impute' failed: ga cannot search")
+        assert "partial results" in err
+
+    # Each fault is in the data alone and would fail a later stage: the run
+    # stops after the split, before the hidden-size search or any training.
+    @pytest.mark.parametrize("case, detail", [
+        ("non-binary-target", "classification task needs a 0/1 target after scaling; column 'A1' has other values"),
+        ("sorted-by-target", "the test block (the last 67 rows; the split follows file order) "
+                             "holds 0 0s and 67 1s in column 'A14': a classification task needs both classes there"),
+        ("few-train-rows", "rf needs at least 10 train rows for rf.min_leaf = 5; the train block holds 9"),
+    ], ids=["non-binary-target", "sorted-by-target", "few-train-rows"])
+    def test_data_that_would_fail_later_is_a_data_error(self, heart_setup, tmp_path, capsys, case, detail):
+        _, csv, meta = heart_setup
+        lines = csv.read_text().splitlines()
+        if case == "non-binary-target":
+            meta = dict(meta, missing_column=0)
+        elif case == "sorted-by-target":
+            lines.sort(key=lambda line: float(line.rsplit(",", 1)[1]))
+        else:
+            lines = lines[:17]  # 9 train rows, 4 validation and 4 test
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(config_text(data, meta, out, seed=1, hidden_size="auto", **FAST))
+        assert cli.main(["--quiet", "run", str(tmp_path / "run.cfg")]) == 1
+        assert capsys.readouterr().err == f"data error: stage 'prepare' failed: {detail}\n"
+        assert "stage: prepare" in (out / FAILURE_MARKER).read_text()
+        assert "hidden_size" not in json.loads((out / "partial.json").read_text())
 
     def test_unwritable_report_is_a_runtime_failure(self, heart_setup, capsys):
         tmp, csv, meta = heart_setup
