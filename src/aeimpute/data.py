@@ -35,15 +35,17 @@ class CsvFormatError(ValueError):
 class ColumnSpec:
     """Schema and scaling record for one dataset column.
 
-    ``observed_min``/``observed_max`` are the extrema the scaler was fitted
-    on; ``degenerate`` marks constant columns, which scale to 0.0 and are
-    excluded from reporting in original units.
+    The fields are the keys of the column's entry in report.json's
+    ``normalization`` block, which is ``asdict`` of the spec.  ``min`` and
+    ``max`` are the extrema the scaler was fitted on; ``degenerate`` marks
+    constant columns, which scale to 0.0 and are excluded from reporting in
+    original units.
     """
 
-    name: str
+    column: str
     kind: str = "numeric"
-    observed_min: float = 0.0
-    observed_max: float = 1.0
+    min: float = 0.0
+    max: float = 1.0
     degenerate: bool = False
 
     def __post_init__(self) -> None:
@@ -51,11 +53,8 @@ class ColumnSpec:
             raise ValueError(
                 f"unknown column kind {self.kind!r}; expected one of {COLUMN_KINDS}"
             )
-        if self.observed_min > self.observed_max:
-            raise ValueError(
-                f"column {self.name!r}: observed_min {self.observed_min} "
-                f"exceeds observed_max {self.observed_max}"
-            )
+        if self.min > self.max:
+            raise ValueError(f"column {self.column!r}: min {self.min} exceeds max {self.max}")
 
 
 def _frozen(values) -> np.ndarray:
@@ -243,14 +242,7 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
                 f"{path}: column {c + 1} ({name!r}) declared categorical but "
                 "has non-integer codes"
             )
-        columns.append(
-            ColumnSpec(
-                name=name,
-                kind=kind,
-                observed_min=float(col.min()),
-                observed_max=float(col.max()),
-            )
-        )
+        columns.append(ColumnSpec(name, kind, float(col.min()), float(col.max())))
     return Dataset(columns=tuple(columns), rows=matrix, normalized=False)
 
 
@@ -271,8 +263,8 @@ def normalize(ds: Dataset, fit_row_count: int | None = None) -> Dataset:
         lo = fit_block.min(axis=0)
         hi = fit_block.max(axis=0)
     else:
-        lo = np.array([c.observed_min for c in ds.columns])
-        hi = np.array([c.observed_max for c in ds.columns])
+        lo = np.array([c.min for c in ds.columns])
+        hi = np.array([c.max for c in ds.columns])
 
     span = hi - lo
     degenerate = span == 0.0
@@ -284,12 +276,7 @@ def normalize(ds: Dataset, fit_row_count: int | None = None) -> Dataset:
     scaled.flags.writeable = False  # the Dataset keeps it without a copy
 
     columns = tuple(
-        replace(
-            spec,
-            observed_min=float(lo[i]),
-            observed_max=float(hi[i]),
-            degenerate=bool(degenerate[i]),
-        )
+        replace(spec, min=float(lo[i]), max=float(hi[i]), degenerate=bool(degenerate[i]))
         for i, spec in enumerate(ds.columns)
     )
     return Dataset(columns=columns, rows=scaled, normalized=True)
@@ -298,8 +285,8 @@ def normalize(ds: Dataset, fit_row_count: int | None = None) -> Dataset:
 def denormalize(value: float, spec: ColumnSpec) -> float:
     """Map a [0, 1] value back to the column's original units."""
     if spec.degenerate:
-        return spec.observed_min
-    return value * (spec.observed_max - spec.observed_min) + spec.observed_min
+        return spec.min
+    return value * (spec.max - spec.min) + spec.min
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:

@@ -24,6 +24,7 @@ import itertools
 import json
 import traceback
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -335,9 +336,11 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
     """The scaled dataset and its train, validation and test blocks.
 
     Raises :class:`ConfigError`, before any training, where the data alone
-    decides that a later stage would fail: a ``hidden_size`` out of range, a
-    classification target that is not 0/1 after scaling or whose test block
-    lacks a class, and a forest with fewer than 2 x ``rf.min_leaf`` train rows.
+    decides that a later stage would fail: fewer than 4 rows or 3 columns, a
+    ``hidden_size`` out of range, a classification target that is not 0/1
+    after scaling or whose test block lacks a class, a forest with fewer
+    than 2 x ``rf.min_leaf`` train rows, and two or more methods to compare
+    on a one-record test block.
     """
     ds = data_mod.load_csv(cfg.dataset, schema=cfg.columns, header=cfg.header)
     if not 0 <= cfg.missing_column < ds.n_columns:
@@ -345,16 +348,21 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
             f"missing_column {cfg.missing_column} out of range for "
             f"{ds.n_columns}-column dataset"
         )
-    if cfg.hidden_size != "auto" and cfg.hidden_size not in range(2, ds.n_columns):
+    try:
+        n_train, _, n_test = data_mod.split_sizes(ds.n_rows)
+        sizes = network_mod.hidden_size_candidates(ds.n_columns)
+    except ValueError as err:
+        raise ConfigError(f"{cfg.dataset}: {err}") from None
+    if cfg.hidden_size != "auto" and cfg.hidden_size not in sizes:
         raise ConfigError(
             f"hidden_size {cfg.hidden_size} out of range for {ds.n_columns}-column "
-            f"dataset: must satisfy 2 <= h <= {ds.n_columns - 1}"
+            f"dataset: must satisfy {sizes[0]} <= h <= {sizes[-1]}"
         )
-    fit_rows = data_mod.split_sizes(ds.n_rows)[0] if cfg.normalization_scope == "train" else None
+    fit_rows = n_train if cfg.normalization_scope == "train" else None
     scaled = data_mod.normalize(ds, fit_row_count=fit_rows)
     blocks = train_rows, _, test_rows = data_mod.split(scaled)
     if cfg.task == "classification":
-        target = scaled.columns[cfg.missing_column].name
+        target = scaled.columns[cfg.missing_column].column
         if not np.isin(scaled.rows[:, cfg.missing_column], (0, 1)).all():
             raise ConfigError(
                 "classification task needs a 0/1 target after scaling; "
@@ -372,6 +380,11 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
             f"rf needs at least {2 * cfg.rf.min_leaf} train rows for rf.min_leaf = "
             f"{cfg.rf.min_leaf}; the train block holds {len(train_rows)}"
         )
+    if len(cfg.methods) > 1 and n_test < 2:
+        raise ConfigError(
+            f"comparing {len(cfg.methods)} methods needs at least 2 test records; "
+            f"the test block of the {ds.n_rows} rows holds {n_test}"
+        )
     return scaled, blocks
 
 
@@ -382,94 +395,75 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     any stage failure the report document, as far as the finished stages
     built it, is written to the output directory as ``partial.json`` next to
     a failure marker, and the error is re-raised as :class:`ExperimentError`
-    with the stage name.
+    with the stage name: the ``timings.json`` key the stage is clocked under.
     """
     notify = progress or (lambda msg: None)
     timings: dict[str, float] = {}
     document: dict = {"toolkit_version": __version__, **_config_entries(cfg)}
-    stage = "prepare"
+    stage = None
 
-    def clock(name, fn, *args):
-        start = perf_counter()
-        out = fn(*args)
+    @contextmanager
+    def clocked(name):
+        nonlocal stage
+        stage, start = name, perf_counter()
+        yield
         timings[name] = perf_counter() - start
-        return out
 
     try:
-        notify("loading dataset")
-        ds, (train_rows, validation_rows, test_rows) = clock("prepare", _prepare_dataset, cfg)
+        with clocked("prepare"):
+            notify("loading dataset")
+            ds, (train_rows, validation_rows, test_rows) = _prepare_dataset(cfg)
         document["split_counts"] = dict(zip(data_mod.SPLIT_LABELS, data_mod.split_sizes(ds.n_rows)))
-        document["normalization"] = [
-            {
-                "column": spec.name,
-                "kind": spec.kind,
-                "min": spec.observed_min,
-                "max": spec.observed_max,
-                "degenerate": spec.degenerate,
-            }
-            for spec in ds.columns
-        ]
+        document["normalization"] = [asdict(spec) for spec in ds.columns]
 
         if cfg.hidden_size == "auto":
             # The search trains a network per size; the winner's is the model.
-            stage = "hidden-size"
-            notify("searching hidden sizes")
-            search_cfg = replace(cfg.train, rng_seed=cfg.seed)
-            val_task = data_mod.make_tasks(validation_rows, {cfg.missing_column})
-            hidden, net, train_loss = clock(
-                "hidden_search",
-                network_mod.select_hidden_size,
-                train_rows,
-                val_task,
-                search_cfg,
-            )
+            with clocked("hidden_search"):
+                notify("searching hidden sizes")
+                search_cfg = replace(cfg.train, rng_seed=cfg.seed)
+                val_task = data_mod.make_tasks(validation_rows, {cfg.missing_column})
+                hidden, net, train_loss = network_mod.select_hidden_size(train_rows, val_task, search_cfg)
         else:
-            stage = "train"
-            hidden = cfg.hidden_size
-            notify(f"training autoencoder (hidden={hidden})")
-            train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.seed, "train"))
-            net, train_loss = clock("train", network_mod.train, train_rows, hidden, train_cfg)
+            with clocked("train"):
+                hidden = cfg.hidden_size
+                notify(f"training autoencoder (hidden={hidden})")
+                train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.seed, "train"))
+                net, train_loss = network_mod.train(train_rows, hidden, train_cfg)
         document["hidden_size"] = {"requested": cfg.hidden_size, "selected": hidden}
         document["train_loss"] = float(train_loss)
 
-        stage = "tasks"
-        task = data_mod.make_tasks(test_rows, {cfg.missing_column})
-        truth = task.true_values[:, cfg.missing_column]
+        with clocked("impute"):
+            task = data_mod.make_tasks(test_rows, {cfg.missing_column})
+            truth = task.true_values[:, cfg.missing_column]
+            notify(f"imputing {len(truth)} test records per method")
+            # Each method imputes all test records, an optimizer each record with
+            # its own derived seed, so the methods are independent and run side by
+            # side, one per core.  A method's traces stay in the process that ran it.
+            objective = MissingDataObjective(net, task)
 
-        stage = "impute"
-        notify(f"imputing {len(truth)} test records per method")
-        # Each method imputes all test records, an optimizer each record with
-        # its own derived seed, so the methods are independent and run side by
-        # side, one per core.  A method's traces stay in the process that ran it.
-        objective = MissingDataObjective(net, task)
+            def impute(method):
+                begin = perf_counter()
+                if method == "rf":
+                    rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.seed, "rf"))
+                    fitted = forest_mod.fit(train_rows, cfg.missing_column, rf_cfg)
+                    values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
+                else:
+                    seeds = [derive_seed(cfg.seed, method, i) for i in range(len(truth))]
+                    result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
+                    values = objective.impute(result)[:, cfg.missing_column]
+                return values, perf_counter() - begin
 
-        def impute(method):
-            begin = perf_counter()
-            if method == "rf":
-                rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.seed, "rf"))
-                fitted = forest_mod.fit(train_rows, cfg.missing_column, rf_cfg)
-                values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
-            else:
-                seeds = [derive_seed(cfg.seed, method, i) for i in range(len(truth))]
-                result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
-                values = objective.impute(result)[:, cfg.missing_column]
-            return values, perf_counter() - begin
-
-        imputed = dict(zip(cfg.methods, clock("impute", fork_map, impute, cfg.methods)))
+            imputed = dict(zip(cfg.methods, fork_map(impute, cfg.methods)))
         timings.update((f"impute.{method}", seconds) for method, (_, seconds) in imputed.items())
 
-        stage = "score"
-        start = perf_counter()
-        notify("scoring methods")
-        blocks, errors = {}, {}
-        for method, (values, _) in imputed.items():
-            graded, errors[method] = _grade(truth, values, cfg.task)
-            blocks[method] = {**_config_facts(method, getattr(cfg, method), ds.n_columns), **graded}
-        document["methods"] = blocks
-
-        stage = "compare"
-        document["comparison"] = _comparison(errors)
-        timings["score"] = perf_counter() - start
+        with clocked("score"):
+            notify("scoring methods")
+            blocks, errors = {}, {}
+            for method, (values, _) in imputed.items():
+                graded, errors[method] = _grade(truth, values, cfg.task)
+                blocks[method] = {**_config_facts(method, getattr(cfg, method), ds.n_columns), **graded}
+            document["methods"] = blocks
+            document["comparison"] = _comparison(errors)
         return ExperimentReport(document=document, net=net, columns=ds.columns, timings=timings)
     except Exception as err:
         _persist_failure(cfg.output_dir, stage, err, document)
@@ -538,7 +532,7 @@ REPORT_FILES = (
     )),
     ReportFile("model.txt", None, lambda report, _: network_mod.model_text(report.net)),
     ReportFile("normalization.csv", "column,min,max", lambda report, _: (
-        f"{spec.name},{spec.observed_min!r},{spec.observed_max!r}" for spec in report.columns
+        f"{spec.column},{spec.min!r},{spec.max!r}" for spec in report.columns
     )),
     _IMPUTED_FILE,
     _ROC_FILE,
@@ -648,18 +642,18 @@ def _split_check(counts: dict, test_rows: dict[str, int]) -> tuple[str, bool, st
     return "split_counts", True, f"{sum(counts.values())} rows, as many test rows as each imputed file"
 
 
-def _stated_normalization(cfg: ExperimentConfig, block: list) -> list:
-    """report.json's normalization ``block`` with each column's kind, and
+def _stated_normalization(cfg: ExperimentConfig, columns: tuple) -> list:
+    """The normalization block of ``columns`` with each column's kind, and
     its name unless a header row supplied it, as ``cfg.columns`` states them
     (named and read as :func:`~aeimpute.data.load_csv` does)."""
-    if cfg.columns is not None and len(cfg.columns) != len(block):
+    if cfg.columns is not None and len(cfg.columns) != len(columns):
         raise ConfigError(
             f"config.columns declares {len(cfg.columns)} columns, "
-            f"the normalization block holds {len(block)}"
+            f"the normalization block holds {len(columns)}"
         )
-    pairs = data_mod._normalize_schema(cfg.dataset, cfg.columns, len(block))
-    return [{**entry, "column": entry["column"] if cfg.header else name, "kind": kind}
-            for entry, (name, kind) in zip(block, pairs)]
+    pairs = data_mod._normalize_schema(cfg.dataset, cfg.columns, len(columns))
+    return [{**asdict(spec), "column": spec.column if cfg.header else name, "kind": kind}
+            for spec, (name, kind) in zip(columns, pairs)]
 
 
 def verify_report(out_dir) -> list[tuple[str, bool, str]]:
@@ -697,9 +691,8 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         # The files were written, and are regraded, for the stored task kind.
         task_kind = replace(cfg, task=document["task_kind"]).task
         blocks = sorted(document["methods"])
-        columns = tuple(data_mod.ColumnSpec(e["column"], e["kind"], e["min"], e["max"], e["degenerate"])
-                        for e in document["normalization"])
-        normalization = _stated_normalization(cfg, document["normalization"])
+        columns = tuple(data_mod.ColumnSpec(**entry) for entry in document["normalization"])
+        normalization = _stated_normalization(cfg, columns)
         hidden_size = {"requested": cfg.hidden_size, "selected": document["hidden_size"]["selected"]}
         split_counts = dict(document["split_counts"])
     except ConfigError as err:

@@ -300,7 +300,7 @@ def train(
 def hidden_size_candidates(n_inputs: int) -> list[int]:
     """All admissible hidden sizes for n inputs: 2 through n-1."""
     if n_inputs < 3:
-        raise ValueError("need at least 3 inputs for a narrow hidden layer")
+        raise ValueError(f"need at least 3 inputs for a narrow hidden layer, got {n_inputs}")
     return list(range(2, n_inputs))
 
 
@@ -329,9 +329,9 @@ def select_hidden_size(
     The stopping rule is applied in size order, and the candidates of a wave
     past the stopping point are dropped with their warnings, so the result,
     the warnings and their order do not depend on the number of processes.
-    A winner at the top of the range, n-1, draws a warning too: such a
-    network is close to the identity, so the reconstruction error it gives a
-    masked column is nearly flat.
+    A winner at the top of the range, n-1, draws a warning too, unless it
+    was the only candidate: such a network is close to the identity, so the
+    reconstruction error it gives a masked column is nearly flat.
     """
     cfg = cfg or TrainConfig()
     train_rows = _check_rows(train_rows)
@@ -369,7 +369,7 @@ def select_hidden_size(
             break
     if best is None:
         raise TrainingError("every hidden-size candidate aborted")
-    if best[0] == sizes[-1]:
+    if len(sizes) > 1 and best[0] == sizes[-1]:
         warnings.warn(
             f"hidden size {best[0]} won at the top of the range (n-1): "
             "the network is close to the identity",

@@ -268,12 +268,8 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
         entrants = entrants.reshape(n_tasks, pairs, 2, cfg.tournament_size)
         # Fitness is the negated objective, so each tournament goes to the
         # entrant with the smallest value (the first one on ties).
-        entrant_values = values.reshape(-1)[entrants]
-        winners, winner_values = entrants[..., 0], entrant_values[..., 0]
-        for j in range(1, cfg.tournament_size):
-            beats = entrant_values[..., j] < winner_values
-            winners = np.where(beats, entrants[..., j], winners)
-            winner_values = np.minimum(winner_values, entrant_values[..., j])
+        won = values.reshape(-1)[entrants].argmin(axis=-1)[..., None]
+        winners = np.take_along_axis(entrants, won, axis=-1)[..., 0]
         children = pop.reshape(-1, length)[winners]  # (T, pairs, 2, length), the parents for now
         cuts = 1 + (draws[:, cut_at:flip_at] * (max(length, 2) - 1)).astype(np.intp)
         cuts[draws[:, cross_at:cut_at] >= cfg.crossover_prob] = length

@@ -23,8 +23,8 @@ class TestLoadCsv:
         p = write(tmp_path, "1,10\n2,20\n3,15\n")
         ds = data.load_csv(p)
         assert ds.n_rows == 3 and ds.n_columns == 2
-        assert ds.columns[0].name == "A1"
-        assert ds.columns[1].observed_min == 10 and ds.columns[1].observed_max == 20
+        assert ds.columns[0].column == "A1"
+        assert ds.columns[1].min == 10 and ds.columns[1].max == 20
         assert not ds.normalized
 
     def test_credit_like_shape(self, credit_like):
@@ -65,7 +65,7 @@ class TestLoadCsv:
     def test_header_row(self, tmp_path):
         p = write(tmp_path, "age,score\n1,2\n3,4\n")
         ds = data.load_csv(p, header=True)
-        assert [c.name for c in ds.columns] == ["age", "score"]
+        assert [c.column for c in ds.columns] == ["age", "score"]
         assert ds.n_rows == 2
 
     # The first bad row or cell in reading order is named, whichever kind of
@@ -149,7 +149,7 @@ class TestLoadCsv:
 class TestNormalize:
     def test_midpoint(self):
         ds = data.Dataset(
-            columns=(data.ColumnSpec("x", observed_min=10, observed_max=50),),
+            columns=(data.ColumnSpec("x", min=10, max=50),),
             rows=np.array([[10.0], [30.0], [50.0]]),
         )
         out = data.normalize(ds)
@@ -159,8 +159,8 @@ class TestNormalize:
     def test_constant_column_flagged(self):
         ds = data.Dataset(
             columns=(
-                data.ColumnSpec("c", observed_min=7, observed_max=7),
-                data.ColumnSpec("x", observed_min=0, observed_max=2),
+                data.ColumnSpec("c", min=7, max=7),
+                data.ColumnSpec("x", min=0, max=2),
             ),
             rows=np.array([[7.0, 0.0], [7.0, 1.0], [7.0, 2.0]]),
         )
@@ -171,7 +171,7 @@ class TestNormalize:
 
     def test_double_normalize_rejected(self):
         ds = data.Dataset(
-            columns=(data.ColumnSpec("x", observed_min=0, observed_max=1),),
+            columns=(data.ColumnSpec("x", min=0, max=1),),
             rows=np.array([[0.0], [1.0]]),
         )
         with pytest.raises(ValueError):
@@ -179,18 +179,18 @@ class TestNormalize:
 
     def test_train_only_scaling_clamps(self):
         ds = data.Dataset(
-            columns=(data.ColumnSpec("x", observed_min=0, observed_max=9),),
+            columns=(data.ColumnSpec("x", min=0, max=9),),
             rows=np.array([[0.0], [1.0], [2.0], [9.0]]),
         )
         out = data.normalize(ds, fit_row_count=3)
-        assert out.columns[0].observed_max == 2.0
+        assert out.columns[0].max == 2.0
         assert out.rows[3, 0] == 1.0  # clamped into range
 
     @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=40, unique=True))
     def test_monotone_per_column(self, values):
         # Integer inputs keep gaps well above float resolution over the span.
         arr = np.array(values, dtype=float)[:, None]
-        spec = data.ColumnSpec("x", observed_min=float(arr.min()), observed_max=float(arr.max()))
+        spec = data.ColumnSpec("x", min=float(arr.min()), max=float(arr.max()))
         out = data.normalize(data.Dataset(columns=(spec,), rows=arr))
         order = np.argsort(arr[:, 0])
         scaled = out.rows[order, 0]
@@ -198,7 +198,7 @@ class TestNormalize:
 
     @given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.floats(0, 1))
     def test_round_trip(self, lo, span, frac):
-        spec = data.ColumnSpec("x", observed_min=lo, observed_max=lo + span)
+        spec = data.ColumnSpec("x", min=lo, max=lo + span)
         x = lo + span * frac
         scaled = (x - lo) / span
         assert data.denormalize(scaled, spec) == pytest.approx(x, abs=1e-12 * max(1, abs(x)))
@@ -206,23 +206,23 @@ class TestNormalize:
 
 class TestDenormalize:
     def test_midpoint_inverse(self):
-        spec = data.ColumnSpec("x", observed_min=10, observed_max=50)
+        spec = data.ColumnSpec("x", min=10, max=50)
         assert data.denormalize(0.5, spec) == 30.0
         assert data.denormalize(0.0, spec) == 10.0
 
     def test_degenerate_returns_min(self):
-        spec = data.ColumnSpec("c", observed_min=7, observed_max=7, degenerate=True)
+        spec = data.ColumnSpec("c", min=7, max=7, degenerate=True)
         assert data.denormalize(0.9, spec) == 7.0
 
     def test_identity_column_round_trip(self):
-        spec = data.ColumnSpec("x", observed_min=0, observed_max=1)
+        spec = data.ColumnSpec("x", min=0, max=1)
         assert data.denormalize(0.137, spec) == pytest.approx(0.137, abs=1e-12)
 
 
 def _normalized(n_rows, n_cols=3, seed=0):
     rng = np.random.default_rng(seed)
     rows = rng.uniform(0, 1, size=(n_rows, n_cols))
-    cols = tuple(data.ColumnSpec(f"A{i+1}", observed_min=0, observed_max=1) for i in range(n_cols))
+    cols = tuple(data.ColumnSpec(f"A{i+1}", min=0, max=1) for i in range(n_cols))
     return data.Dataset(columns=cols, rows=rows, normalized=True)
 
 
@@ -260,7 +260,7 @@ class TestSplit:
 
     def test_requires_normalized(self):
         ds = data.Dataset(
-            columns=(data.ColumnSpec("x", observed_min=0, observed_max=9),),
+            columns=(data.ColumnSpec("x", min=0, max=9),),
             rows=np.arange(10.0)[:, None],
         )
         with pytest.raises(ValueError):

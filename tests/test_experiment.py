@@ -632,6 +632,42 @@ class TestRunExperiment:
             # report.json's keys that follow from the configuration, none after
             assert set(partial) == {"toolkit_version", "config", "task_kind", "methodology"}
 
+    def test_failed_search_names_the_hidden_search_stage(self, heart_setup, tmp_path, monkeypatch):
+        tmp, csv, meta = heart_setup
+
+        def select_hidden_size(train_rows, val_task, cfg=None):
+            raise RuntimeError("search broke")
+
+        monkeypatch.setattr(network, "select_hidden_size", select_hidden_size)
+        cfg_file = write_config(tmp_path, csv, meta, out="out", hidden_size="auto", methods="rf")
+        with pytest.raises(ExperimentError, match="^stage 'hidden_search' failed: search broke$"):
+            run_experiment(parse_config(cfg_file))
+        assert (tmp_path / "out" / FAILURE_MARKER).read_text().startswith("stage: hidden_search\n")
+
+    # A failure names its stage by the timings.json key the stage is clocked
+    # under; each layer function below fails the one stage that calls it.
+    @pytest.mark.parametrize("hidden_size", ["auto", 4])
+    def test_every_failing_stage_is_a_timings_key(self, heart_setup, tmp_path, monkeypatch, hidden_size):
+        tmp, csv, meta = heart_setup
+        cfg_file = write_config(tmp_path, csv, meta, out="out", hidden_size=hidden_size, methods="ga,rf")
+        keys = set(run_experiment(parse_config(cfg_file)).timings)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        stages = set()
+        for owner, name in [(data, "load_csv"), (network, "select_hidden_size"), (network, "train"),
+                            (optimizers, "run"), (metrics, "comparison_matrix")]:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, broken)
+                try:
+                    run_experiment(parse_config(cfg_file))
+                except ExperimentError as err:
+                    stage = str(err).split("'")[1]
+                    assert (tmp_path / "out" / FAILURE_MARKER).read_text().startswith(f"stage: {stage}\n")
+                    stages.add(stage)
+        assert stages == keys - {"impute.ga", "impute.rf"}
+
     def test_classification_target_is_checked_in_every_block(self, heart_setup, tmp_path):
         # One training row's target is 0.5; the test block's stay 0/1.  No
         # forest runs, and the prepare stage still rejects the column.
@@ -1147,14 +1183,22 @@ class TestNormalizationExport:
         rows = [line.split(",") for line in lines[1:]]
         # Full precision: every bound reads back exactly.
         assert [(name, float(lo), float(hi)) for name, lo, hi in rows] == [
-            (spec.name, spec.observed_min, spec.observed_max) for spec in report.columns
+            (spec.column, spec.min, spec.max) for spec in report.columns
         ]
+
+    def test_entries_are_the_column_specs(self, emitted):
+        _, report, out = emitted
+        block = json.loads((out / "report.json").read_text())["normalization"]
+        names = [field.name for field in dataclasses.fields(data.ColumnSpec)]
+        assert [sorted(entry) for entry in block] == [sorted(names)] * len(report.columns)
+        assert tuple(data.ColumnSpec(**entry) for entry in block) == report.columns
 
 
 class TestNormalizationScope:
     def test_train_scope_fits_on_leading_block(self, tmp_path):
         csv = tmp_path / "tiny.csv"
-        rows = ["%d,%d" % (i, 10 * i) for i in range(1, 21)]
+        # Three columns: with hidden_size = auto, fewer is a data error.
+        rows = ["%d,%d,%d" % (i, 10 * i, i % 3) for i in range(1, 21)]
         csv.write_text("\n".join(rows) + "\n")
         cfg_file = tmp_path / "scope.cfg"
         cfg_file.write_text(
@@ -1165,8 +1209,8 @@ class TestNormalizationScope:
 
         ds, _ = _prepare_dataset(parse_config(cfg_file))
         # 20 rows -> train block is the first 10; scaler fitted there.
-        assert ds.columns[0].observed_min == 1.0
-        assert ds.columns[0].observed_max == 10.0
+        assert ds.columns[0].min == 1.0
+        assert ds.columns[0].max == 10.0
         assert ds.rows.max() == 1.0  # later rows clamp into range
 
 
@@ -1318,22 +1362,39 @@ class TestCli:
         ("sorted-by-target", "the test block (the last 67 rows; the split follows file order) "
                              "holds 0 0s and 67 1s in column 'A14': a classification task needs both classes there"),
         ("few-train-rows", "rf needs at least 10 train rows for rf.min_leaf = 5; the train block holds 9"),
-    ], ids=["non-binary-target", "sorted-by-target", "few-train-rows"])
+        ("three-rows", "{data}: need at least 4 rows for three non-empty splits, got 3"),
+        ("one-column", "{data}: need at least 3 inputs for a narrow hidden layer, got 1"),
+        ("two-columns", "{data}: need at least 3 inputs for a narrow hidden layer, got 2"),
+        ("one-test-record", "comparing 2 methods needs at least 2 test records; "
+                            "the test block of the 7 rows holds 1"),
+    ], ids=["non-binary-target", "sorted-by-target", "few-train-rows", "three-rows", "one-column",
+            "two-columns", "one-test-record"])
     def test_data_that_would_fail_later_is_a_data_error(self, heart_setup, tmp_path, capsys, case, detail):
         _, csv, meta = heart_setup
         lines = csv.read_text().splitlines()
+        overrides = {}
         if case == "non-binary-target":
             meta = dict(meta, missing_column=0)
         elif case == "sorted-by-target":
             lines.sort(key=lambda line: float(line.rsplit(",", 1)[1]))
-        else:
+        elif case == "few-train-rows":
             lines = lines[:17]  # 9 train rows, 4 validation and 4 test
+        elif case == "three-rows":
+            lines = lines[:3]
+        elif case in ("one-column", "two-columns"):  # the binary target, last, and the column before it
+            kept = 1 if case == "one-column" else 2
+            lines = [",".join(line.split(",")[-kept:]) for line in lines]
+            meta = dict(meta, kinds=meta["kinds"][-kept:], missing_column=kept - 1)
+        else:
+            lines = lines[:7]  # 5 train rows, 1 validation and 1 test
+            overrides = {"task": "prediction", "methods": "ga,pso"}
         data = tmp_path / "data.csv"
         data.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(config_text(data, meta, out, seed=1, hidden_size="auto", **FAST))
+        settings = dict(FAST, seed=1, hidden_size="auto", **overrides)
+        (tmp_path / "run.cfg").write_text(config_text(data, meta, out, **settings))
         assert cli.main(["--quiet", "run", str(tmp_path / "run.cfg")]) == 1
-        assert capsys.readouterr().err == f"data error: stage 'prepare' failed: {detail}\n"
+        assert capsys.readouterr().err == f"data error: stage 'prepare' failed: {detail.format(data=data)}\n"
         assert "stage: prepare" in (out / FAILURE_MARKER).read_text()
         assert "hidden_size" not in json.loads((out / "partial.json").read_text())
 

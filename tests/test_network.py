@@ -465,6 +465,7 @@ class TestSelectHiddenSize:
     def test_candidate_sets(self):
         assert network.hidden_size_candidates(25) == list(range(2, 25))
         assert network.hidden_size_candidates(14) == list(range(2, 14))
+        assert network.hidden_size_candidates(3) == [2]
         with pytest.raises(ValueError):
             network.hidden_size_candidates(2)
 
@@ -514,6 +515,15 @@ class TestSelectHiddenSize:
             warnings.simplefilter("error")
             chosen, _, _ = network.select_hidden_size(rows, half_task(6), train_fn=fake_train)
         assert chosen == 4
+
+    def test_only_candidate_does_not_warn(self):
+        # n = 3 leaves h = 2 alone in the range: no choice was made to warn about.
+        rows = np.random.default_rng(0).uniform(0, 1, size=(16, 3))
+        cfg = TrainConfig(rng_seed=0, max_iterations=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chosen, net, _ = network.select_hidden_size(rows[:12], masked_task(rows[12:], 2), cfg)
+        assert chosen == net.n_hidden == 2
 
     def test_all_skipped_is_error(self):
         rows = np.random.default_rng(0).uniform(0, 1, size=(8, 4))
