@@ -145,27 +145,26 @@ class ImputationTask:
         return np.flatnonzero(~self.known_mask)
 
 
-def _normalize_schema(path: Path, schema, n_columns: int) -> list[tuple[str, str]]:
-    """Expand schema hints to one (name, kind) pair per column of the file ``path``."""
+def schema_pairs(schema, n_columns: int) -> list[tuple[str, str]]:
+    """One (name, kind) pair per column of ``n_columns`` from ``columns`` entries.
+
+    ``None`` stands for ``n_columns`` numeric columns.  An entry is either a
+    kind, named A1..An by its position, or a (name, kind) pair whose name is
+    a string.  A wrong count, or any other entry, raises ValueError.
+    """
     if schema is None:
         return [(f"A{i + 1}", "numeric") for i in range(n_columns)]
     if len(schema) != n_columns:
-        raise CsvFormatError(
-            f"{path}: schema declares {len(schema)} columns but file has {n_columns}"
-        )
-    out: list[tuple[str, str]] = []
-    for i, hint in enumerate(schema):
-        if isinstance(hint, str):
-            out.append((f"A{i + 1}", hint))
-        else:
-            name, kind = hint
-            out.append((str(name), str(kind)))
-    for name, kind in out:
+        raise ValueError(f"columns has {len(schema)} entries for {n_columns} columns")
+    pairs = []
+    for i, entry in enumerate(schema, 1):
+        pair = isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[0], str)
+        name, kind = entry if pair else (f"A{i}", entry)
         if kind not in COLUMN_KINDS:
-            raise CsvFormatError(
-                f"{path}: column {name!r}: unknown kind {kind!r}; expected one of {COLUMN_KINDS}"
-            )
-    return out
+            raise ValueError(f"columns entry {i} ({entry!r}) is neither a kind in {COLUMN_KINDS} "
+                             "nor a (name, kind) pair with one")
+        pairs.append((name, kind))
+    return pairs
 
 
 def _bad_token(path: Path, r: int, fields, pairs) -> CsvFormatError:
@@ -185,13 +184,13 @@ def _bad_token(path: Path, r: int, fields, pairs) -> CsvFormatError:
 def load_csv(path, schema=None, header: bool = False) -> Dataset:
     """Read a comma-separated numeric file into an un-normalized Dataset.
 
-    ``schema`` may be None (all columns numeric, named A1..An), a list of kind
-    strings, or a list of (name, kind) pairs.  With ``header=True`` the first
-    row supplies column names (schema kinds still apply).  The first data row
-    fixes the column count, which the schema and the header must match; the
-    first row of the wrong arity or with a token that is not a finite number
-    raises :class:`CsvFormatError` naming the row and column.  A file that
-    cannot be opened or decoded as UTF-8 raises it naming the path.
+    ``schema`` holds the ``columns`` entries that :func:`schema_pairs` reads.
+    With ``header=True`` the first row supplies column names (schema kinds
+    still apply).  The first data row fixes the column count, which the
+    schema and the header must match; the first row of the wrong arity or
+    with a token that is not a finite number raises :class:`CsvFormatError`
+    naming the row and column.  A file that cannot be opened or decoded as
+    UTF-8 (a leading byte-order mark is dropped) raises it naming the path.
 
     The file is read once.  Each row's values go straight into one buffer of
     8-byte floats, so the traced peak is about 17 bytes per cell (the buffer
@@ -201,12 +200,15 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
     values = array("d")
     pairs: list[tuple[str, str]] = []
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             rows = (fields for fields in csv.reader(fh) if fields)
             names = next(rows, None) if header else None
             for r, fields in enumerate(rows, start=1):
                 if r == 1:
-                    pairs = _normalize_schema(path, schema, len(fields))
+                    try:
+                        pairs = schema_pairs(schema, len(fields))
+                    except ValueError as err:
+                        raise CsvFormatError(f"{path}: {err}") from None
                     if names is not None:
                         if len(names) != len(fields):
                             raise CsvFormatError(
@@ -322,14 +324,10 @@ def make_tasks(rows: np.ndarray, missing_columns: set[int]) -> ImputationTask:
     ``true_values`` for later scoring.
     """
     n_columns = rows.shape[1]
-    if not missing_columns:
-        raise ValueError("missing_columns must be non-empty")
     miss = sorted(int(c) for c in missing_columns)
     for c in miss:
         if not 0 <= c < n_columns:
             raise ValueError(f"missing column index {c} out of range [0, {n_columns})")
-    if len(miss) == n_columns:
-        raise ValueError("cannot mask every column: at least one must stay known")
     mask = np.ones(n_columns, dtype=bool)
     mask[miss] = False
     records = rows.copy()

@@ -105,13 +105,10 @@ class ExperimentConfig:
         if self.columns is not None:
             # A (name, kind) entry read back from JSON is a list.
             self.columns = tuple(tuple(e) if isinstance(e, list) else e for e in self.columns)
-            for entry in self.columns:
-                pair = isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)
-                if (entry[1] if pair else entry) not in data_mod.COLUMN_KINDS:
-                    raise ConfigError(
-                        f"columns entry {entry!r} is neither a kind in {data_mod.COLUMN_KINDS} "
-                        "nor a (name, kind) pair with one"
-                    )
+            try:
+                data_mod.schema_pairs(self.columns, len(self.columns))
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
 
 
 # --- config file parsing ----------------------------------------------------
@@ -183,7 +180,7 @@ def parse_config(path) -> ExperimentConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
 
@@ -249,9 +246,28 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return {f.name: echo(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "output_dir"}
 
 
+# Type hint -> the JSON types an echoed setting of that hint may hold: those
+# that a config file's value text can be read as.
+_ECHO_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), Path: (str,),
+               type(None): (type(None),)}
+
+
 def _config_from_echo(echo: dict) -> ExperimentConfig:
     """The configuration of a :func:`_config_echo`; a ValueError or TypeError
-    where it is not valid.  A key the echo lacks takes its default."""
+    where it is not valid.  A key the echo lacks takes its default.
+
+    Before building, each setting is checked against the :data:`_ECHO_TYPES`
+    of its ``_KEYS`` type hint (``columns``, ``methods`` and ``hidden_size``
+    are left to :class:`ExperimentConfig`); a ConfigError names the first
+    setting that holds another type."""
+    settings = {"": {**echo}, **{name: {**echo[name]} for name in _SECTION_TYPES if name in echo}}
+    for section, values in settings.items():
+        for key, value in values.items():
+            hint = _KEYS[section].get(key)
+            allowed = [t for tp in typing.get_args(hint) or [hint] for t in _ECHO_TYPES.get(tp, ())]
+            if allowed and type(value) not in allowed:
+                name = f"config.{section}.{key}".replace("..", ".")
+                raise ConfigError(f"{name} holds {value!r}, not of type {getattr(hint, '__name__', hint)}")
     sections = {name: tp(**echo[name]) for name, tp in _SECTION_TYPES.items() if name in echo}
     return ExperimentConfig(**{**echo, **sections})
 
@@ -391,11 +407,12 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     """Execute the full pipeline; deterministic given the config and seed.
 
-    ``progress`` is an optional callable receiving stage-name strings.  On
+    ``progress`` is an optional callable receiving each stage's name, the
+    ``timings.json`` key the stage is clocked under, as the stage starts.  On
     any stage failure the report document, as far as the finished stages
     built it, is written to the output directory as ``partial.json`` next to
     a failure marker, and the error is re-raised as :class:`ExperimentError`
-    with the stage name: the ``timings.json`` key the stage is clocked under.
+    with the stage name.
     """
     notify = progress or (lambda msg: None)
     timings: dict[str, float] = {}
@@ -406,12 +423,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     def clocked(name):
         nonlocal stage
         stage, start = name, perf_counter()
+        notify(name)
         yield
         timings[name] = perf_counter() - start
 
     try:
         with clocked("prepare"):
-            notify("loading dataset")
             ds, (train_rows, validation_rows, test_rows) = _prepare_dataset(cfg)
         document["split_counts"] = dict(zip(data_mod.SPLIT_LABELS, data_mod.split_sizes(ds.n_rows)))
         document["normalization"] = [asdict(spec) for spec in ds.columns]
@@ -419,14 +436,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         if cfg.hidden_size == "auto":
             # The search trains a network per size; the winner's is the model.
             with clocked("hidden_search"):
-                notify("searching hidden sizes")
                 search_cfg = replace(cfg.train, rng_seed=cfg.seed)
                 val_task = data_mod.make_tasks(validation_rows, {cfg.missing_column})
                 hidden, net, train_loss = network_mod.select_hidden_size(train_rows, val_task, search_cfg)
         else:
             with clocked("train"):
                 hidden = cfg.hidden_size
-                notify(f"training autoencoder (hidden={hidden})")
                 train_cfg = replace(cfg.train, rng_seed=derive_seed(cfg.seed, "train"))
                 net, train_loss = network_mod.train(train_rows, hidden, train_cfg)
         document["hidden_size"] = {"requested": cfg.hidden_size, "selected": hidden}
@@ -435,7 +450,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         with clocked("impute"):
             task = data_mod.make_tasks(test_rows, {cfg.missing_column})
             truth = task.true_values[:, cfg.missing_column]
-            notify(f"imputing {len(truth)} test records per method")
             # Each method imputes all test records, an optimizer each record with
             # its own derived seed, so the methods are independent and run side by
             # side, one per core.  A method's traces stay in the process that ran it.
@@ -457,7 +471,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         timings.update((f"impute.{method}", seconds) for method, (_, seconds) in imputed.items())
 
         with clocked("score"):
-            notify("scoring methods")
             blocks, errors = {}, {}
             for method, (values, _) in imputed.items():
                 graded, errors[method] = _grade(truth, values, cfg.task)
@@ -645,13 +658,11 @@ def _split_check(counts: dict, test_rows: dict[str, int]) -> tuple[str, bool, st
 def _stated_normalization(cfg: ExperimentConfig, columns: tuple) -> list:
     """The normalization block of ``columns`` with each column's kind, and
     its name unless a header row supplied it, as ``cfg.columns`` states them
-    (named and read as :func:`~aeimpute.data.load_csv` does)."""
-    if cfg.columns is not None and len(cfg.columns) != len(columns):
-        raise ConfigError(
-            f"config.columns declares {len(cfg.columns)} columns, "
-            f"the normalization block holds {len(columns)}"
-        )
-    pairs = data_mod._normalize_schema(cfg.dataset, cfg.columns, len(columns))
+    (read by :func:`~aeimpute.data.schema_pairs`, as load_csv reads them)."""
+    try:
+        pairs = data_mod.schema_pairs(cfg.columns, len(columns))
+    except ValueError as err:
+        raise ConfigError(f"config.{err} in the normalization block") from None
     return [{**asdict(spec), "column": spec.column if cfg.header else name, "kind": kind}
             for spec, (name, kind) in zip(columns, pairs)]
 
@@ -675,11 +686,11 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     checks: :func:`_split_check`, and ``model``, ``model.txt``'s shape.
 
     Returns (check name, passed, detail) tuples.  Missing files fail one
-    ``inventory`` check.  An unreadable ``report.json``, a configuration
-    that :class:`ExperimentConfig` rejects (also for the stored
-    ``task_kind``), method blocks other than those of ``config.methods``,
-    and the first malformed file fail one ``format`` check that names the
-    file and ends the verification.
+    ``inventory`` check.  An unreadable ``report.json``, an echo setting of
+    a type no config file sets, a configuration that :class:`ExperimentConfig`
+    rejects (also for the stored ``task_kind``), method blocks other than
+    those of ``config.methods``, and the first malformed file fail one
+    ``format`` check that names the file and ends the verification.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"

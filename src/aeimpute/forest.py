@@ -74,7 +74,6 @@ class CartTree:
 @dataclass(frozen=True, eq=False)
 class Forest:
     trees: tuple[CartTree, ...]
-    target_column: int
     predictor_columns: tuple[int, ...]
 
     def predict(self, known_rows) -> np.ndarray:
@@ -265,6 +264,5 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None) -> Fore
 
     return Forest(
         trees=tuple(fork_map(grow, range(cfg.n_trees))),
-        target_column=target_column,
         predictor_columns=predictors,
     )

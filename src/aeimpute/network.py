@@ -74,7 +74,7 @@ class Autoencoder:
 
     def __post_init__(self) -> None:
         n, h = self.n_inputs, self.n_hidden
-        if not 2 <= h <= n - 1:
+        if h not in hidden_size_candidates(n):
             raise ValueError(f"hidden size must satisfy 2 <= h <= n-1, got h={h}, n={n}")
         vec = np.array(self.parameters, dtype=float)
         if not np.isfinite(vec).all():
@@ -210,7 +210,7 @@ def train(
     cfg = cfg or TrainConfig()
     rows = _check_rows(rows)
     n = rows.shape[1]
-    if not 2 <= n_hidden <= n - 1:
+    if n_hidden not in hidden_size_candidates(n):
         raise ValueError(f"n_hidden must satisfy 2 <= h <= n-1, got h={n_hidden}, n={n}")
 
     w = _initial_parameters(np.random.default_rng(cfg.rng_seed), n, n_hidden)

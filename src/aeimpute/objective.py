@@ -65,10 +65,6 @@ class MissingDataObjective:
     def dimension(self) -> int:
         return self._unknown.size
 
-    @property
-    def unknown_indices(self) -> np.ndarray:
-        return self._unknown
-
     def _check(self, candidates: np.ndarray) -> np.ndarray:
         # One pass per bound; a NaN propagates to both and fails both tests.
         lo = np.minimum.reduce(candidates, axis=None, initial=1.0)

@@ -68,6 +68,15 @@ class TestLoadCsv:
         assert [c.column for c in ds.columns] == ["age", "score"]
         assert ds.n_rows == 2
 
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    @pytest.mark.parametrize("text, header", [("1,2\n3,4\n", False), ("age,score\n1,2\n3,4\n", True)],
+                             ids=["no-header", "header"])
+    def test_a_byte_order_mark_reads_as_the_file_without_it(self, tmp_path, text, header):
+        plain = data.load_csv(write(tmp_path, text), header=header)
+        marked = data.load_csv(write(tmp_path, "\ufeff" + text, name="bom.csv"), header=header)
+        assert marked.columns == plain.columns
+        np.testing.assert_array_equal(marked.rows, plain.rows)
+
     # The first bad row or cell in reading order is named, whichever kind of
     # fault comes first, counting data rows only: the header and blank lines
     # are skipped.
@@ -106,14 +115,15 @@ class TestLoadCsv:
         p = write(tmp_path, "1,x\n2\n", name="e.csv")
         with pytest.raises(data.CsvFormatError) as caught:
             data.load_csv(p, schema=["numeric"] * 3)
-        assert str(caught.value) == f"{p}: schema declares 3 columns but file has 2"
+        assert str(caught.value) == f"{p}: columns has 3 entries for 2 columns"
 
     def test_unknown_kind_names_the_file(self, tmp_path):
         p = write(tmp_path, "1,2\n3,4\n")
         with pytest.raises(data.CsvFormatError) as caught:
             data.load_csv(p, schema=["numeric", "bogus"])
         assert str(caught.value) == (
-            f"{p}: column 'A2': unknown kind 'bogus'; expected one of {data.COLUMN_KINDS}"
+            f"{p}: columns entry 2 ('bogus') is neither a kind in {data.COLUMN_KINDS} "
+            "nor a (name, kind) pair with one"
         )
 
     def test_traced_peak_per_cell(self, tmp_path):

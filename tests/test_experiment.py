@@ -8,11 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aeimpute import cli, data, experiment, forest, metrics, network, optimizers, parallel
 from aeimpute.experiment import (
@@ -26,6 +28,7 @@ from aeimpute.experiment import (
     REPORT_FILES,
     _config_echo,
     _config_from_echo,
+    _stated_normalization,
     emit_report,
     parse_config,
     run_experiment,
@@ -298,6 +301,43 @@ class TestParseConfig:
                                columns=["numeric", ["a", "binary"], ("b", "categorical")])
         assert cfg.columns == ("numeric", ("a", "binary"), ("b", "categorical"))
 
+    # One rule reads a columns entry wherever one is read: the configuration
+    # accepts an entry exactly when load_csv does, and verify states the
+    # (name, kind) pairs that load_csv gives.  The file's 0/1 values suit
+    # every kind, so only the entries decide.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(entries=st.lists(st.one_of(
+        st.sampled_from(data.COLUMN_KINDS + ("bogus", "Numeric", "")),
+        st.tuples(st.one_of(st.text(max_size=3), st.integers()), st.sampled_from(data.COLUMN_KINDS + ("bogus",))),
+        st.lists(st.one_of(st.text(max_size=3), st.sampled_from(data.COLUMN_KINDS)), max_size=3),
+        st.tuples(st.text(max_size=3), st.sampled_from(data.COLUMN_KINDS), st.sampled_from(data.COLUMN_KINDS)),
+        st.integers(),
+        st.none(),
+    ), min_size=1, max_size=5))
+    def test_config_and_load_csv_read_columns_entries_by_one_rule(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text("".join(",".join(str((r + c) % 2) for c in range(len(entries))) + "\n"
+                                    for r in range(2)))
+            try:
+                cfg = ExperimentConfig(dataset=path, missing_column=0, task="prediction", columns=entries)
+            except ConfigError:
+                cfg = None
+            try:
+                ds = data.load_csv(path, schema=entries)
+            except data.CsvFormatError:
+                ds = None
+        assert (cfg is None) == (ds is None)
+        if ds is not None:
+            stated = _stated_normalization(cfg, ds.columns)
+            assert [(e["column"], e["kind"]) for e in stated] == [(s.column, s.kind) for s in ds.columns]
+
+    def test_a_byte_order_mark_reads_as_the_file_without_it(self, heart_setup, tmp_path):
+        tmp, csv, meta = heart_setup
+        text = write_config(tmp_path, csv, meta).read_text(encoding="utf-8")
+        (tmp_path / "bom.cfg").write_text("\ufeff" + text, encoding="utf-8")
+        assert parse_config(tmp_path / "bom.cfg") == parse_config(tmp_path / "exp.cfg")
+
     def test_missing_required_key(self, heart_setup):
         tmp, csv, meta = heart_setup
         cfg_file = tmp / "norequired.cfg"
@@ -349,7 +389,7 @@ def _tree():
     lambda: data.ImputationTask(record=np.zeros((2, 3)), known_mask=[True, False, True], true_values=np.ones((2, 3))),
     lambda: optimizers.OptimizerResult(np.zeros((2, 1)), np.arange(3), np.ones((3, 2))),
     _tree,
-    lambda: forest.Forest(trees=(_tree(), _tree()), target_column=1, predictor_columns=(0,)),
+    lambda: forest.Forest(trees=(_tree(), _tree()), predictor_columns=(0,)),
 ], ids=["Autoencoder", "Dataset", "ImputationTask", "OptimizerResult", "CartTree", "Forest"])
 def test_array_holding_records_compare_by_identity(make):
     x = make()
@@ -667,6 +707,27 @@ class TestRunExperiment:
                     assert (tmp_path / "out" / FAILURE_MARKER).read_text().startswith(f"stage: {stage}\n")
                     stages.add(stage)
         assert stages == keys - {"impute.ga", "impute.rf"}
+
+    # Progress names each stage as it starts by its timings.json key, and a
+    # failed run's last name is the stage FAILED.txt names.
+    @pytest.mark.parametrize("hidden_size", ["auto", 4])
+    def test_progress_names_each_stage_by_its_timings_key(self, heart_setup, tmp_path, monkeypatch, hidden_size):
+        tmp, csv, meta = heart_setup
+        cfg_file = write_config(tmp_path, csv, meta, out="out", hidden_size=hidden_size, methods="ga,rf")
+        said = []
+        report = run_experiment(parse_config(cfg_file), progress=said.append)
+        stages = [key for key in report.timings if "." not in key]
+        assert said == stages and stages[-2:] == ["impute", "score"]
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        said.clear()
+        monkeypatch.setattr(optimizers, "run", broken)
+        with pytest.raises(ExperimentError, match="^stage 'impute' failed"):
+            run_experiment(parse_config(cfg_file), progress=said.append)
+        assert said == stages[:-1]
+        assert (tmp_path / "out" / FAILURE_MARKER).read_text().startswith("stage: impute\n")
 
     def test_classification_target_is_checked_in_every_block(self, heart_setup, tmp_path):
         # One training row's target is 0.5; the test block's stay 0/1.  No
@@ -1034,10 +1095,10 @@ class TestVerifyReadsEveryFile:
         "columns, check, detail",
         [
             (lambda cols: [["a", "numeric"], 3], "format",
-             "report.json: columns entry 3 is neither a kind in ('numeric', 'binary', 'categorical') "
+             "report.json: columns entry 2 (3) is neither a kind in ('numeric', 'binary', 'categorical') "
              "nor a (name, kind) pair with one"),
             (lambda cols: cols[:-1], "format",
-             "report.json: config.columns declares 12 columns, the normalization block holds 13"),
+             "report.json: config.columns has 12 entries for 13 columns in the normalization block"),
             (lambda cols: [["a", "numeric"], *cols[1:]],
              "report.json", "report.json.normalization[0].column holds 'A1', expected 'a'"),
             (lambda cols: [*cols[:2], "binary", *cols[3:]],
@@ -1053,6 +1114,29 @@ class TestVerifyReadsEveryFile:
         document["config"]["columns"] = columns(document["config"]["columns"])
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [(check, detail)]
+
+    # An echoed setting must hold a value that a config file could set:
+    # JSON's false is not an integer, nor 500.0 or 30.0, nor 0 a boolean.
+    @pytest.mark.parametrize("section, key, value, detail", [
+        (None, "seed", False, "config.seed holds False, not of type int"),
+        ("sa", "temperature_steps", 500.0, "config.sa.temperature_steps holds 500.0, not of type int"),
+        ("pso", "swarm", 30.0, "config.pso.swarm holds 30.0, not of type int"),
+        (None, "header", 0, "config.header holds 0, not of type bool"),
+    ], ids=["seed-false", "sa-steps-float", "pso-swarm-float", "header-zero"])
+    def test_config_echo_must_hold_the_types_of_a_config_file(self, fire_deep, tmp_path, section, key, value, detail):
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        (document["config"][section] if section else document["config"])[key] = value
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        assert failures(clone) == [("format", f"report.json: {detail}")]
+
+    def test_a_number_setting_takes_an_integer(self, fire_deep, tmp_path):
+        # As a config file's "phi1 = 2" reads as 2.0.
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        document["config"]["pso"]["phi1"] = 2
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        assert failures(clone) == []
 
     @pytest.mark.parametrize(
         "edit, check, detail",
@@ -1291,8 +1375,8 @@ class TestCli:
     # a kind is checked with the configuration, before the dataset is read.
     @pytest.mark.parametrize("columns, detail", [
         ("numeric,numeric,numeric", "data error: stage 'prepare' failed: {data}: "
-                                    "schema declares 3 columns but file has 2"),
-        ("numeric,bogus", "config error: columns entry 'bogus' is neither a kind in "
+                                    "columns has 3 entries for 2 columns"),
+        ("numeric,bogus", "config error: columns entry 2 ('bogus') is neither a kind in "
                           "('numeric', 'binary', 'categorical') nor a (name, kind) pair with one"),
     ], ids=["column-count", "unknown-kind"])
     def test_schema_error_names_the_dataset(self, tmp_path, capsys, columns, detail):

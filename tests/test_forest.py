@@ -96,7 +96,6 @@ class TestPredict:
     def test_mean_of_single_leaf_trees(self):
         f = Forest(
             trees=(leaf_tree(0.2), leaf_tree(0.6)),
-            target_column=1,
             predictor_columns=(0,),
         )
         assert f.predict([[0.5]]) == pytest.approx([0.4])
@@ -104,7 +103,6 @@ class TestPredict:
     def test_constant_forest(self):
         f = Forest(
             trees=(leaf_tree(0.9),) * 3,
-            target_column=1,
             predictor_columns=(0,),
         )
         assert f.predict([[0.1]]).tolist() == [0.9]
@@ -115,7 +113,6 @@ class TestPredict:
         base = forest.fit(rows, 2, ForestConfig(n_trees=1, seed=7))
         doubled = Forest(
             trees=base.trees * 2,
-            target_column=base.target_column,
             predictor_columns=base.predictor_columns,
         )
         query = rng.uniform(0, 1, size=(10, 2))

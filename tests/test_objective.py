@@ -175,7 +175,7 @@ class TestImpute:
         obj = MissingDataObjective(IdentityNet(4), make_task([0.1, 0.5, 0.5, 0.4], unknown=[1, 3]))
         point = np.array([0.61, 0.13])
         (full,) = obj.impute(self.result(point))
-        np.testing.assert_array_equal(full[obj.unknown_indices], point)
+        np.testing.assert_array_equal(full[obj.task.unknown_indices], point)
 
 
 def reference_evaluate_batch(obj, candidates):
@@ -188,7 +188,7 @@ def reference_evaluate_batch(obj, candidates):
     for start in range(0, c.shape[0], _ROWS_PER_PASS):
         stop = min(start + _ROWS_PER_PASS, c.shape[0])
         full = obj.task.record[np.arange(start, stop) // k]
-        full[:, obj.unknown_indices] = c[start:stop]
+        full[:, obj.task.unknown_indices] = c[start:stop]
         full = np.repeat(full, 2 if stop - start == 1 else 1, axis=0)
         full -= obj.net.forward_batch(full)
         full *= full
@@ -271,7 +271,7 @@ class TestGridMinimize:
         grid = np.linspace(0.0, 1.0, GRID_POINTS)[:, None]
         points, minima = obj.grid_minimize()
         for t in range(n_tasks):
-            one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.unknown_indices))
+            one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.task.unknown_indices))
             values = one.evaluate_batch(grid)
             best = int(np.argmin(values))
             assert points[t] == grid[best, 0]
