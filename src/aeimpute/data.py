@@ -39,7 +39,7 @@ class ColumnSpec:
     ``normalization`` block, which is ``asdict`` of the spec.  ``min`` and
     ``max`` are the extrema the scaler was fitted on; ``degenerate`` marks
     constant columns, which scale to 0.0 and are excluded from reporting in
-    original units.
+    original units.  ``column`` holds no comma, double quote or line break.
     """
 
     column: str
@@ -49,6 +49,9 @@ class ColumnSpec:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
+        if any(ch in self.column for ch in ',"\r\n'):
+            raise ValueError(f"the name {self.column!r} holds a comma, a double quote or a line break, "
+                             "which the report's CSV files cannot hold")
         if self.kind not in COLUMN_KINDS:
             raise ValueError(
                 f"unknown column kind {self.kind!r}; expected one of {COLUMN_KINDS}"
@@ -244,7 +247,10 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
                 f"{path}: column {c + 1} ({name!r}) declared categorical but "
                 "has non-integer codes"
             )
-        columns.append(ColumnSpec(name, kind, float(col.min()), float(col.max())))
+        try:
+            columns.append(ColumnSpec(name, kind, float(col.min()), float(col.max())))
+        except ValueError as err:
+            raise CsvFormatError(f"{path}: column {c + 1}: {err}") from None
     return Dataset(columns=tuple(columns), rows=matrix, normalized=False)
 
 

@@ -136,7 +136,7 @@ _SECTION_TYPES = {name: tp for name, tp in _HINTS.items() if is_dataclass(tp)}
 
 # Per-run seeds are always derived from the master seed, so they are neither
 # read from config files nor echoed in the report.
-_DERIVED_SEEDS = ("seed", "rng_seed")
+_DERIVED_SEEDS = ("rng_seed",)
 
 # Section ("" for the globals) -> config file key -> parser of its value
 # text: the field's resolved type hint, except for the three keys whose text
@@ -355,8 +355,8 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
     decides that a later stage would fail: fewer than 4 rows or 3 columns, a
     ``hidden_size`` out of range, a classification target that is not 0/1
     after scaling or whose test block lacks a class, a forest with fewer
-    than 2 x ``rf.min_leaf`` train rows, and two or more methods to compare
-    on a one-record test block.
+    than 2 x ``rf.min_leaf`` train rows or an ``rf.mtry`` above its
+    predictors, and two or more methods to compare on a one-record test block.
     """
     ds = data_mod.load_csv(cfg.dataset, schema=cfg.columns, header=cfg.header)
     if not 0 <= cfg.missing_column < ds.n_columns:
@@ -367,6 +367,8 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
     try:
         n_train, _, n_test = data_mod.split_sizes(ds.n_rows)
         sizes = network_mod.hidden_size_candidates(ds.n_columns)
+        if "rf" in cfg.methods:
+            forest_mod.resolve_mtry(cfg.rf, ds.n_columns)
     except ValueError as err:
         raise ConfigError(f"{cfg.dataset}: {err}") from None
     if cfg.hidden_size != "auto" and cfg.hidden_size not in sizes:
@@ -458,8 +460,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             def impute(method):
                 begin = perf_counter()
                 if method == "rf":
-                    rf_cfg = replace(cfg.rf, seed=derive_seed(cfg.seed, "rf"))
-                    fitted = forest_mod.fit(train_rows, cfg.missing_column, rf_cfg)
+                    seed = derive_seed(cfg.seed, "rf")
+                    fitted = forest_mod.fit(train_rows, cfg.missing_column, cfg.rf, seed=seed)
                     values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
                 else:
                     seeds = [derive_seed(cfg.seed, method, i) for i in range(len(truth))]

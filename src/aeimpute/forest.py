@@ -30,7 +30,6 @@ class ForestConfig:
     n_trees: int = 100
     mtry: int | None = None  # default resolves to floor(sqrt(d)) at fit time
     min_leaf: int = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -92,10 +91,6 @@ class Forest:
         return votes.mean(axis=1)
 
 
-def _node_sse(cum_s: float, cum_q: float, count: int) -> float:
-    return cum_q - (cum_s * cum_s) / count
-
-
 # Gains within this fraction of the node SSE count as tied; different
 # features can induce the same partition, whose mathematically equal gains
 # round differently, so exact comparison would break the tie rule.
@@ -113,7 +108,7 @@ def _split_gains(x_cols: np.ndarray, y: np.ndarray, min_leaf: int):
     n = y.size
     total_s = y.sum()
     total_q = float(y @ y)
-    parent_sse = _node_sse(total_s, total_q, n)
+    parent_sse = total_q - (total_s * total_s) / n
 
     order = x_cols.argsort(axis=0, kind="stable")
     sx = x_cols[order, np.arange(x_cols.shape[1])]
@@ -167,47 +162,30 @@ def _best_split(x_cols: np.ndarray, y: np.ndarray, features: np.ndarray, min_lea
 def _grow_tree(
     x: np.ndarray, y: np.ndarray, rng: np.random.Generator, mtry: int, min_leaf: int
 ) -> CartTree:
-    """Depth-first growth (left child first); rng feeds the per-node feature draw."""
+    """Depth-first growth (left child first) of one ``[feature, threshold, left,
+    right, value]`` record per node; rng feeds the per-node feature draw."""
     d = x.shape[1]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    # Stack entries: (sample indices, parent node id, is_left_child).
-    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(x.shape[0]), -1, False)]
+    nodes: list[list] = []
+    # Stack entries: (sample indices, parent record, the parent's slot for this child).
+    stack: list[tuple[np.ndarray, list | None, int]] = [(np.arange(x.shape[0]), None, 0)]
     while stack:
-        idx, parent, is_left = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            (left if is_left else right)[parent] = node_id
-
+        idx, parent, slot = stack.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
         ys = y[idx]
         constant = bool((ys == ys[0]).all())
-        split = None
+        # A constant node's mean is its value exactly, bit for bit.
+        node = [-1, 0.0, -1, -1, float(ys[0]) if constant else float(ys.mean())]
+        nodes.append(node)
         if idx.size >= 2 * min_leaf and not constant:
             chosen = np.sort(rng.choice(d, size=mtry, replace=False))
             split = _best_split(x[idx[:, None], chosen], ys, chosen, min_leaf)
-
-        if split is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            # A constant node's mean is its value exactly, bit for bit.
-            value.append(float(ys[0]) if constant else float(ys.mean()))
-        else:
-            f, thr, left_mask = split
-            feature.append(f)
-            threshold.append(thr)
-            left.append(-1)
-            right.append(-1)
-            value.append(float(ys.mean()))
-            # Push right first so the left child is grown (and draws) first.
-            stack.append((idx[~left_mask], node_id, False))
-            stack.append((idx[left_mask], node_id, True))
-
+            if split is not None:
+                node[0], node[1], left_mask = split
+                # Push right first so the left child is grown (and draws) first.
+                stack.append((idx[~left_mask], node, 3))
+                stack.append((idx[left_mask], node, 2))
+    feature, threshold, left, right, value = zip(*nodes)
     return CartTree(
         feature=np.array(feature, dtype=int),
         threshold=np.array(threshold, dtype=float),
@@ -219,11 +197,15 @@ def _grow_tree(
 
 def resolve_mtry(cfg: ForestConfig, n_columns: int) -> int:
     """The predictors tried at each node: ``cfg.mtry``, else floor(sqrt(d))
-    of the d = n_columns - 1 predictors (at least 1)."""
-    return cfg.mtry if cfg.mtry is not None else max(1, math.isqrt(n_columns - 1))
+    of the d = n_columns - 1 predictors (at least 1); more than d raise ValueError."""
+    d = n_columns - 1
+    mtry = cfg.mtry if cfg.mtry is not None else max(1, math.isqrt(d))
+    if mtry > d:
+        raise ValueError(f"rf.mtry = {mtry} exceeds the {d} predictors of a {n_columns}-column table")
+    return mtry
 
 
-def fit(train_rows, target_column: int, cfg: ForestConfig | None = None) -> Forest:
+def fit(train_rows, target_column: int, cfg: ForestConfig | None = None, *, seed: int) -> Forest:
     """Grow a forest predicting ``target_column`` from every other column.
 
     Per-tree generators are derived from (seed, tree index), so trees are
@@ -231,7 +213,7 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None) -> Fore
     grown on every available core through :func:`aeimpute.parallel.fork_map`,
     bit for bit as a one-process fit grows them, also in a forked worker.
     Tree t draws its bootstrap sample first, then its per-node feature
-    subsets, from the generator of ``derive_seed(cfg.seed, "tree", t)``.
+    subsets, from the generator of ``derive_seed(seed, "tree", t)``.
     Each node tries :func:`resolve_mtry` predictors; the forest keeps no
     copy of the configuration.  A 0/1 target is not checked here; the
     experiment checks its own.
@@ -247,22 +229,14 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None) -> Fore
         raise ValueError(
             f"need at least {2 * cfg.min_leaf} rows for min_leaf={cfg.min_leaf}, got {n}"
         )
-
-    predictors = tuple(c for c in range(width) if c != target_column)
-    d = len(predictors)
     mtry = resolve_mtry(cfg, width)
-    if mtry > d:
-        raise ValueError(f"mtry={mtry} exceeds the {d} available predictors")
-
+    predictors = tuple(c for c in range(width) if c != target_column)
     x = rows[:, predictors]
     y = rows[:, target_column]
 
     def grow(t: int) -> CartTree:
-        rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
+        rng = np.random.default_rng(derive_seed(seed, "tree", t))
         sample = rng.integers(0, n, size=n)
         return _grow_tree(x[sample], y[sample], rng, mtry, cfg.min_leaf)
 
-    return Forest(
-        trees=tuple(fork_map(grow, range(cfg.n_trees))),
-        predictor_columns=predictors,
-    )
+    return Forest(trees=tuple(fork_map(grow, range(cfg.n_trees))), predictor_columns=predictors)

@@ -231,12 +231,12 @@ class TestCriterion6Forest:
         start = perf_counter()
         rng = np.random.default_rng(606)
         rows = np.column_stack([rng.permutation(40) / 40.0, rng.uniform(0, 1, 40)])
-        memorizer = full_sample_tree(rows, 1, forest.ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0))
+        memorizer = full_sample_tree(rows, 1, forest.ForestConfig(n_trees=1, min_leaf=1, mtry=1), seed=0)
         memo_err = float(np.abs(memorizer.predict(rows[:, :1]) - rows[:, 1]).max())
 
         train = step_rows(rng, 200)
         held_out = step_rows(rng, 200)
-        f = forest.fit(train, 2, forest.ForestConfig(n_trees=100, seed=1))
+        f = forest.fit(train, 2, forest.ForestConfig(n_trees=100), seed=1)
         preds = f.predict(held_out[:, :2])
         mae = float(np.abs(preds - held_out[:, 2]).mean())
         elapsed = perf_counter() - start

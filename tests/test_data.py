@@ -68,6 +68,22 @@ class TestLoadCsv:
         assert [c.column for c in ds.columns] == ["age", "score"]
         assert ds.n_rows == 2
 
+    # The report's CSV files write names unquoted, so a name may not hold a
+    # comma, a double quote or a line break; a header field is read quoted.
+    @pytest.mark.parametrize("field, name", [('"a,b"', "a,b"), ('"a\nb"', "a\nb"), ('"""a"', '"a')],
+                             ids=["comma", "line-break", "leading-quote"])
+    def test_a_header_name_the_report_cannot_hold_is_rejected(self, tmp_path, field, name):
+        p = write(tmp_path, f"x,{field},y\n1,2,3\n4,5,6\n")
+        with pytest.raises(data.CsvFormatError) as caught:
+            data.load_csv(p, header=True)
+        assert str(caught.value) == (f"{p}: column 2: the name {name!r} holds a comma, a double quote "
+                                     "or a line break, which the report's CSV files cannot hold")
+
+    def test_a_columns_pair_name_passes_the_same_rule(self, tmp_path):
+        p = write(tmp_path, "1,2\n3,4\n")
+        with pytest.raises(data.CsvFormatError, match=r"column 1: the name 'a\"b' holds a comma"):
+            data.load_csv(p, schema=[('a"b', "numeric"), "numeric"])
+
     # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
     @pytest.mark.parametrize("text, header", [("1,2\n3,4\n", False), ("age,score\n1,2\n3,4\n", True)],
                              ids=["no-header", "header"])

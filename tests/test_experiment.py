@@ -1115,6 +1115,18 @@ class TestVerifyReadsEveryFile:
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [(check, detail)]
 
+    # normalization.csv writes names unquoted, so a name there must not hold
+    # a comma, a double quote or a line break.
+    @pytest.mark.parametrize("name", ["A,1", "A\n1", '"A1'], ids=["comma", "line-break", "leading-quote"])
+    def test_a_normalization_name_the_csv_cannot_hold_fails_format(self, fire_deep, tmp_path, name):
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        document["normalization"][0]["column"] = name
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        ((check, detail),) = failures(clone)
+        assert check == "format" and detail.startswith("report.json unreadable: ValueError(")
+        assert "holds a comma, a double quote or a line break" in detail
+
     # An echoed setting must hold a value that a config file could set:
     # JSON's false is not an integer, nor 500.0 or 30.0, nor 0 a boolean.
     @pytest.mark.parametrize("section, key, value, detail", [
@@ -1451,8 +1463,9 @@ class TestCli:
         ("two-columns", "{data}: need at least 3 inputs for a narrow hidden layer, got 2"),
         ("one-test-record", "comparing 2 methods needs at least 2 test records; "
                             "the test block of the 7 rows holds 1"),
+        ("mtry-above-predictors", "{data}: rf.mtry = 20 exceeds the 13 predictors of a 14-column table"),
     ], ids=["non-binary-target", "sorted-by-target", "few-train-rows", "three-rows", "one-column",
-            "two-columns", "one-test-record"])
+            "two-columns", "one-test-record", "mtry-above-predictors"])
     def test_data_that_would_fail_later_is_a_data_error(self, heart_setup, tmp_path, capsys, case, detail):
         _, csv, meta = heart_setup
         lines = csv.read_text().splitlines()
@@ -1469,6 +1482,8 @@ class TestCli:
             kept = 1 if case == "one-column" else 2
             lines = [",".join(line.split(",")[-kept:]) for line in lines]
             meta = dict(meta, kinds=meta["kinds"][-kept:], missing_column=kept - 1)
+        elif case == "mtry-above-predictors":
+            overrides = {"rf.mtry": 20}
         else:
             lines = lines[:7]  # 5 train rows, 1 validation and 1 test
             overrides = {"task": "prediction", "methods": "ga,pso"}
@@ -1477,8 +1492,10 @@ class TestCli:
         out = tmp_path / "out"
         settings = dict(FAST, seed=1, hidden_size="auto", **overrides)
         (tmp_path / "run.cfg").write_text(config_text(data, meta, out, **settings))
-        assert cli.main(["--quiet", "run", str(tmp_path / "run.cfg")]) == 1
-        assert capsys.readouterr().err == f"data error: stage 'prepare' failed: {detail.format(data=data)}\n"
+        assert cli.main(["run", str(tmp_path / "run.cfg")]) == 1
+        printed = capsys.readouterr()
+        assert printed.err == f"data error: stage 'prepare' failed: {detail.format(data=data)}\n"
+        assert printed.out.splitlines()[-1] == "prepare"
         assert "stage: prepare" in (out / FAILURE_MARKER).read_text()
         assert "hidden_size" not in json.loads((out / "partial.json").read_text())
 

@@ -18,14 +18,15 @@ def step_rows(rng, n, extra_features=1):
     return np.stack(cols + [y], axis=1)
 
 
-def full_sample_tree(rows, target_column, cfg):
-    """Tree 0 of a fit with ``cfg``, grown on every row, in order, instead of a bootstrap sample.
+def full_sample_tree(rows, target_column, cfg, seed=0):
+    """Tree 0 of a fit with ``cfg`` and ``seed``, grown on every row, in order,
+    instead of a bootstrap sample.
 
     It draws its node features from tree 0's generator, as :func:`forest.fit` does.
     """
     x = np.delete(rows, target_column, axis=1)
     mtry = forest.resolve_mtry(cfg, rows.shape[1])
-    rng = np.random.default_rng(derive_seed(cfg.seed, "tree", 0))
+    rng = np.random.default_rng(derive_seed(seed, "tree", 0))
     return forest._grow_tree(x, rows[:, target_column].copy(), rng, mtry, cfg.min_leaf)
 
 
@@ -43,13 +44,13 @@ class TestFit:
     def test_constant_target_predicts_constant(self):
         rng = np.random.default_rng(0)
         rows = np.column_stack([rng.uniform(0, 1, 30), np.full(30, 0.7)])
-        f = forest.fit(rows, 1, ForestConfig(n_trees=5, min_leaf=1, seed=0))
+        f = forest.fit(rows, 1, ForestConfig(n_trees=5, min_leaf=1), seed=0)
         assert (f.predict(rng.uniform(0, 1, size=(5, 1))) == 0.7).all()
 
     def test_fully_grown_tree_memorizes(self):
         rng = np.random.default_rng(1)
         rows = np.column_stack([rng.permutation(40) / 40.0, rng.uniform(0, 1, 40)])
-        cfg = ForestConfig(n_trees=1, min_leaf=1, mtry=1, seed=0)
+        cfg = ForestConfig(n_trees=1, min_leaf=1, mtry=1)
         tree = full_sample_tree(rows, 1, cfg)
         np.testing.assert_array_equal(tree.predict(rows[:, :1]), rows[:, 1])
 
@@ -57,19 +58,22 @@ class TestFit:
         rng = np.random.default_rng(3)
         train = step_rows(rng, 200)
         test = step_rows(rng, 200)
-        f = forest.fit(train, 2, ForestConfig(n_trees=100, seed=1))
+        f = forest.fit(train, 2, ForestConfig(n_trees=100), seed=1)
         preds = f.predict(test[:, :2])
         assert np.abs(preds - test[:, 2]).mean() < 0.05
 
     def test_insufficient_rows_rejected(self):
         rows = np.random.default_rng(0).uniform(0, 1, size=(7, 3))
         with pytest.raises(ValueError, match="at least"):
-            forest.fit(rows, 2, ForestConfig(min_leaf=4))
+            forest.fit(rows, 2, ForestConfig(min_leaf=4), seed=0)
 
     def test_mtry_out_of_range_rejected(self):
         rows = np.random.default_rng(0).uniform(0, 1, size=(20, 3))
         with pytest.raises(ValueError, match="mtry"):
-            forest.fit(rows, 2, ForestConfig(mtry=5))
+            forest.fit(rows, 2, ForestConfig(mtry=5), seed=0)
+        with pytest.raises(ValueError, match=r"rf\.mtry = 3 exceeds the 2 predictors of a 3-column table"):
+            forest.resolve_mtry(ForestConfig(mtry=3), 3)
+        assert forest.resolve_mtry(ForestConfig(mtry=2), 3) == 2
 
     @pytest.mark.parametrize("d", [1, 3, 4, 13, 24])
     def test_unset_mtry_resolves_to_floor_sqrt_d(self, d):
@@ -77,17 +81,32 @@ class TestFit:
         assert forest.resolve_mtry(ForestConfig(), d + 1) == int(d**0.5)
         assert forest.resolve_mtry(ForestConfig(mtry=1), d + 1) == 1
         # The fit tries resolve_mtry's count: it grows the trees of that mtry.
-        unset = forest.fit(rows, d, ForestConfig(n_trees=2, seed=0))
-        resolved = forest.fit(rows, d, ForestConfig(n_trees=2, seed=0, mtry=int(d**0.5)))
+        unset = forest.fit(rows, d, ForestConfig(n_trees=2), seed=0)
+        resolved = forest.fit(rows, d, ForestConfig(n_trees=2, mtry=int(d**0.5)), seed=0)
         for a, b in zip(unset.trees, resolved.trees, strict=True):
             np.testing.assert_array_equal(a.feature, b.feature)
             np.testing.assert_array_equal(a.threshold, b.threshold)
 
+    def test_tree_layout_is_depth_first_left_child_first(self):
+        # Node order, draws, dtypes and bits of one small tree: its nodes are
+        # numbered depth-first, each left child before its right.
+        rows = step_rows(np.random.default_rng(5), 10)
+        tree = forest.fit(rows, 2, ForestConfig(n_trees=1, min_leaf=2), seed=4).trees[0]
+        assert tree.feature.tolist() == [1, 1, -1, 0, -1, -1, -1]
+        assert tree.threshold.tolist() == [
+            0.7483000745983643, 0.4639852854784423, 0.0, 0.4251390588239127, 0.0, 0.0, 0.0
+        ]
+        assert tree.left.tolist() == [1, 2, -1, 4, -1, -1, -1]
+        assert tree.right.tolist() == [6, 3, -1, 5, -1, -1, -1]
+        assert tree.value.tolist() == [0.4, 0.6666666666666666, 1.0, 0.5, 0.0, 1.0, 0.0]
+        assert [a.dtype for a in (tree.feature, tree.left, tree.right)] == [np.dtype(int)] * 3
+        assert [a.dtype for a in (tree.threshold, tree.value)] == [np.dtype(float)] * 2
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         rows = step_rows(rng, 60)
-        f1 = forest.fit(rows, 2, ForestConfig(n_trees=10, seed=5))
-        f2 = forest.fit(rows, 2, ForestConfig(n_trees=10, seed=5))
+        f1 = forest.fit(rows, 2, ForestConfig(n_trees=10), seed=5)
+        f2 = forest.fit(rows, 2, ForestConfig(n_trees=10), seed=5)
         query = rng.uniform(0, 1, size=(10, 2))
         np.testing.assert_array_equal(f1.predict(query), f2.predict(query))
 
@@ -110,7 +129,7 @@ class TestPredict:
     def test_duplicated_trees_leave_prediction_unchanged(self):
         rng = np.random.default_rng(6)
         rows = step_rows(rng, 60)
-        base = forest.fit(rows, 2, ForestConfig(n_trees=1, seed=7))
+        base = forest.fit(rows, 2, ForestConfig(n_trees=1), seed=7)
         doubled = Forest(
             trees=base.trees * 2,
             predictor_columns=base.predictor_columns,
@@ -121,20 +140,20 @@ class TestPredict:
     def test_step_at_extreme_with_many_trees(self):
         rng = np.random.default_rng(3)
         train = step_rows(rng, 200)
-        f = forest.fit(train, 2, ForestConfig(n_trees=500, seed=2))
+        f = forest.fit(train, 2, ForestConfig(n_trees=500), seed=2)
         assert abs(f.predict([[0.9, 0.5]])[0] - 1.0) < 0.05
 
     def test_prediction_within_target_range(self):
         rng = np.random.default_rng(8)
         rows = np.column_stack([rng.uniform(0, 1, 80), rng.uniform(0.2, 0.8, 80)])
-        f = forest.fit(rows, 1, ForestConfig(n_trees=30, seed=9))
+        f = forest.fit(rows, 1, ForestConfig(n_trees=30), seed=9)
         lo, hi = rows[:, 1].min(), rows[:, 1].max()
         preds = f.predict(rng.uniform(0, 1, size=(30, 1)))
         assert ((lo <= preds) & (preds <= hi)).all()
 
     def test_wrong_width_rejected(self):
         rng = np.random.default_rng(8)
-        f = forest.fit(step_rows(rng, 40), 2, ForestConfig(n_trees=2, seed=0))
+        f = forest.fit(step_rows(rng, 40), 2, ForestConfig(n_trees=2), seed=0)
         with pytest.raises(ValueError, match="predictor"):
             f.predict([[0.1, 0.2, 0.3]])
         with pytest.raises(ValueError, match="predictor"):
@@ -206,8 +225,8 @@ class TestReferenceEquivalence:
         x = rng.uniform(0, 1, size=(n, 3))
         y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, n)
         rows = np.column_stack([x, y])
-        cfg = ForestConfig(n_trees=1, min_leaf=min_leaf, mtry=3, seed=seed)
-        tree = full_sample_tree(rows, 3, cfg)
+        cfg = ForestConfig(n_trees=1, min_leaf=min_leaf, mtry=3)
+        tree = full_sample_tree(rows, 3, cfg, seed)
         ref = reference_cart(x, y, min_leaf)
         query = rng.uniform(0, 1, size=(40, 3))
         expected = [reference_predict(ref, q) for q in query]
@@ -221,9 +240,9 @@ class TestReferenceEquivalence:
         x = rng.uniform(0, 1, size=(n, 2))
         y = x[:, 0] * 2 + rng.normal(0, 0.05, n)
         rows = np.column_stack([x, y])
-        cfg = ForestConfig(n_trees=1, min_leaf=2, mtry=2, seed=3)
-        t1 = full_sample_tree(rows, 2, cfg)
-        t2 = full_sample_tree(rows[rng.permutation(n)], 2, cfg)
+        cfg = ForestConfig(n_trees=1, min_leaf=2, mtry=2)
+        t1 = full_sample_tree(rows, 2, cfg, seed=3)
+        t2 = full_sample_tree(rows[rng.permutation(n)], 2, cfg, seed=3)
         np.testing.assert_array_equal(t1.feature, t2.feature)
         np.testing.assert_array_equal(t1.threshold, t2.threshold)
         np.testing.assert_array_equal(t1.left, t2.left)
@@ -247,7 +266,7 @@ class TestBlockWalk:
         # with np.mean over that row's list of tree votes.
         rng = np.random.default_rng(seed)
         train = np.column_stack([rng.uniform(0, 1, size=(50, 3)), rng.normal(0, 1, 50)])
-        f = forest.fit(train, 3, ForestConfig(n_trees=n_trees, min_leaf=2, seed=seed))
+        f = forest.fit(train, 3, ForestConfig(n_trees=n_trees, min_leaf=2), seed=seed)
         query = rng.uniform(-0.1, 1.1, size=(rows, 3))
         expected = [np.mean([walk_row(t, q) for t in f.trees]) for q in query]
         np.testing.assert_array_equal(f.predict(query), expected)
@@ -265,7 +284,7 @@ def reference_feature_gains(xs, y, min_leaf):
     n = y.size
     total_s = y.sum()
     total_q = float(y @ y)
-    parent_sse = forest._node_sse(total_s, total_q, n)
+    parent_sse = total_q - (total_s * total_s) / n
     order = np.argsort(xs, kind="stable")
     sx = xs[order]
     sy = y[order]
@@ -287,7 +306,7 @@ def reference_best_split(x_cols, y, features, min_leaf):
     candidates.
     """
     total_s = y.sum()
-    parent_sse = forest._node_sse(total_s, float(y @ y), y.size)
+    parent_sse = float(y @ y) - (total_s * total_s) / y.size
     tol = forest._TIE_RTOL * parent_sse
 
     best_gain = 0.0
@@ -385,7 +404,7 @@ class TestOnePassSplit:
         y = np.full(8, 0.3)
         y[:3] = np.nextafter(0.3, 1.0)
         rows = np.column_stack([np.arange(8) / 8, y])
-        assert forest._node_sse(y.sum(), float(y @ y), 8) < 0
+        assert forest._split_gains(rows[:, :1], y, 1)[0] < 0
         tree = full_sample_tree(rows, 1, ForestConfig(n_trees=1, min_leaf=1))
         assert tree.feature.tolist() == [-1]
         assert tree.value[0] == y.mean()
@@ -405,10 +424,10 @@ class TestOnePassSplit:
         rng = np.random.default_rng(shape[0])
         rows = rng.uniform(0, 1, size=shape)
         rows[:, ::3] = np.round(rows[:, ::3] * 4) / 4  # coded columns repeat values
-        cfg = ForestConfig(n_trees=6, seed=shape[1])
-        fitted = forest.fit(rows, 0, cfg)
+        cfg = ForestConfig(n_trees=6)
+        fitted = forest.fit(rows, 0, cfg, seed=shape[1])
         monkeypatch.setattr(forest, "_best_split", reference_split_on_candidates)
-        reference = forest.fit(rows, 0, cfg)
+        reference = forest.fit(rows, 0, cfg, seed=shape[1])
         assert_same_trees(fitted, reference)
 
 
@@ -428,11 +447,11 @@ class TestParallelFit:
     def test_any_worker_count_equals_one_process(self, workers, monkeypatch):
         rng = np.random.default_rng(11)
         rows = np.column_stack([rng.uniform(0, 1, size=(120, 5)), rng.normal(0, 1, 120)])
-        cfg = ForestConfig(n_trees=7, min_leaf=2, seed=3)
+        cfg = ForestConfig(n_trees=7, min_leaf=2)
         monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
-        one = forest.fit(rows, 5, cfg)
+        one = forest.fit(rows, 5, cfg, seed=3)
         monkeypatch.setattr(parallel, "_worker_count", lambda n: workers)
         with deadline(60):
-            many = forest.fit(rows, 5, cfg)
+            many = forest.fit(rows, 5, cfg, seed=3)
         assert_same_trees(many, one)
         assert child_processes() == []

@@ -4,7 +4,8 @@ a report that passes every check of ``verify``, or fails at stage
 
 The tables hold 1-7 columns and 2-61 rows of mixed kinds, with degenerate
 columns and scales from 1e-8 to 1e6; the runs draw their methods, hidden
-size and normalization scope, at budgets small enough for many examples.
+size, normalization scope and forest settings, at budgets small enough for
+many examples.
 """
 
 import tempfile
@@ -74,6 +75,7 @@ def experiments(draw) -> tuple[list[str], np.ndarray, dict]:
         "hidden_size": draw(st.sampled_from(["auto", *range(2, len(kinds))]), label="hidden size"),
         "normalization_scope": draw(st.sampled_from(["full", "train"]), label="scope"),
         "rf.min_leaf": draw(st.integers(1, 5), label="rf.min_leaf"),
+        "rf.mtry": draw(st.sampled_from(["none", *range(1, 9)]), label="rf.mtry"),
         "seed": draw(st.integers(0, 99), label="seed"),
         **TINY_BUDGETS,
     }
