@@ -1,6 +1,6 @@
 """Command-line entry points: run, verify, inspect-model.
 
-Exit codes: 0 success, 1 configuration or data error, 2 runtime failure
+Exit codes: 0 success, 1 usage, configuration or data error, 2 runtime failure
 (partial results are persisted with a failure marker), a report that cannot
 be written, or failed verification.
 """
@@ -109,11 +109,10 @@ def _cmd_inspect(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_inspect(args)
+    if args.command != "run" and (args.seed is not None or args.output is not None):
+        print("usage error: --seed and --output apply to run only", file=sys.stderr)
+        return 1
+    return {"run": _cmd_run, "verify": _cmd_verify, "inspect-model": _cmd_inspect}[args.command](args)
 
 
 if __name__ == "__main__":

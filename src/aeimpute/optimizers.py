@@ -11,12 +11,11 @@ candidate matrix read task-major, r = T * k, rows t*k to t*k + k - 1 being
 task t's k candidates, and returns a length-r float array.  Every minimizer
 advances all T tasks together, so each step is one ``evaluate_batch`` call
 over the candidates of every task, and returns one :class:`OptimizerResult`
-for all of them.  Within a task SA is sequential: each move depends on the
-one before, so a move scores only T rows and costs mostly the calls around
-it.  Its move loop is kept to in-place numpy calls on preallocated arrays,
-with exactly one ``evaluate_batch`` call per move.  PSO moves its whole
-swarm from the bests of the previous sweep, so a sweep is one call of
-T * swarm rows.
+for all of them.  Within a task SA is sequential, but a move that changes
+no task's state leaves the next move's start as it was, so one call scores a
+window of a step's next moves from the current states (:func:`minimize_sa`).
+PSO moves its whole swarm from the bests of the previous sweep, so a sweep
+is one call of T * swarm rows.
 
 Seeds and draw order: ``minimize_*(obj, cfg, seeds=seeds)`` takes one seed
 per task.  Task t draws from its own ``np.random.default_rng(seeds[t])`` in
@@ -37,7 +36,8 @@ moves_per_step acceptance uniforms.  The blocks are then read for all T
 tasks at once.
 
 Evaluation budgets per task are exact functions of the configuration
-(:func:`budget`): a run scores exactly ``budget()`` rows per task.
+(:func:`budget`): GA, PSO and NS score exactly ``budget()`` rows per task,
+and SA's walk uses exactly ``budget()`` of the rows its look-ahead scores.
 
     GA   population + generations * (population - elitism)
     SA   1 + 100 (only when the start temperature is auto-calibrated)
@@ -65,8 +65,8 @@ class OptimizerResult:
 
     ``best_points`` is (T, m).  The trace has K entries: ``trace_iterations``
     (K,) labels them, and column t of ``trace_values`` (K, T) is task t's
-    best-so-far value, non-increasing down the column.  A run scores exactly
-    ``budget()`` rows per task (the module docstring's table).
+    best-so-far value, non-increasing down the column.  A run uses exactly
+    ``budget()`` evaluations per task (the module docstring's table).
     """
 
     best_points: np.ndarray
@@ -320,8 +320,17 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
     when it does not worsen the objective, and an uphill move of delta with
     probability P(-log(1 - u) >= delta / T) = exp(-delta / T).  There is no
     division by T, so once cooling reaches T = 0 the walk is greedy.  Each
-    move's candidate is clip(x + sigma * z) from the state x it leaves, so
-    the candidates a run scores show which moves it accepted.
+    move's candidate is clip(x + sigma * z) from the state x it leaves.
+
+    A move changes a task's state only when the task accepts a candidate
+    that differs from the state in its bits.  So one call scores the step's
+    next k moves of every task from the current states, and the walk keeps
+    the moves up to the first that changes some state (all k when none does).
+    A row scores the same in any batch, so the result is bit for bit the
+    one-move walk's.  k is 1 in the first step, then max(1, moves_per_step //
+    (c + 1)) after a step in which c moves changed a state: about the mean
+    length of its c + 1 quiet runs, so a cold walk looks ahead and a hot one
+    does not.
     """
     cfg = cfg or SaConfig()
     rngs = _generators(obj, seeds)
@@ -341,8 +350,10 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
     best_values = fx.copy()
     history = [best_values.copy()]
     y = np.empty_like(x)
+    x_bits, y_bits = x.view(np.int64), y.view(np.int64)
     noise = np.empty((n_tasks, moves, m))
     uniforms = np.empty((n_tasks, moves))
+    window = 1
 
     for step in range(1, cfg.temperature_steps + 1):
         for rng, z, u in zip(rngs, noise, uniforms):
@@ -351,18 +362,37 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
         # sigma * N(0, 1) is the value rng.normal(0, sigma) draws.
         noise *= sigma
         thresholds = temperature[:, None] * np.log1p(-uniforms)
-        for i in range(moves):
-            np.add(noise[:, i], x, out=y)
-            np.maximum(y, 0.0, out=y)
-            np.minimum(y, 1.0, out=y)
-            fy = obj.evaluate_batch(y)
-            accept = thresholds[:, i] <= fx - fy
+        pos = changed = 0
+        while pos < moves:
+            k = min(window, moves - pos)
+            if k == 1:
+                np.add(noise[:, pos], x, out=y)
+                np.maximum(y, 0.0, out=y)
+                np.minimum(y, 1.0, out=y)
+                fy = obj.evaluate_batch(y)
+                accept = thresholds[:, pos] <= fx - fy
+                # From c >= moves / 2 on the next window is 1: stop counting.
+                if 2 * changed < moves:
+                    changed += bool((accept[:, None] & (y_bits != x_bits)).any())
+                pos += 1
+            else:
+                ys = noise[:, pos : pos + k] + x[:, None]
+                np.maximum(ys, 0.0, out=ys)
+                np.minimum(ys, 1.0, out=ys)
+                fys = _evaluate(obj, ys)
+                accepts = thresholds[:, pos : pos + k] <= fx[:, None] - fys
+                moved = (accepts & (ys.view(np.int64) != x_bits[:, None]).any(axis=2)).any(axis=0)
+                j = int(moved.argmax()) if moved.any() else k - 1
+                changed += bool(moved[j])
+                y[:], fy, accept = ys[:, j], fys[:, j], accepts[:, j]
+                pos += j + 1
             np.copyto(x, y, where=accept[:, None])
             np.copyto(fx, fy, where=accept)
             better = fx < best_values
             np.copyto(best_values, fx, where=better)
             np.copyto(best_points, x, where=better[:, None])
         temperature *= cfg.cooling_factor
+        window = max(1, moves // (changed + 1))
         history.append(best_values.copy())
 
     return OptimizerResult(best_points, np.arange(len(history)), history)

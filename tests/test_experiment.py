@@ -1364,6 +1364,19 @@ class TestCli:
         assert cli.main([*flags, "run", str(cfg_file)]) == 2
         assert ran == [dataclasses.replace(parse_config(cfg_file), seed=seed, output_dir=tmp / out)]
 
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--output", "elsewhere"]])
+    @pytest.mark.parametrize("command", ["verify", "inspect-model"])
+    def test_seed_and_output_apply_to_run_only(self, tmp_path, capsys, command, flags):
+        # A real model file and a directory: without the flags, inspect-model
+        # exits 0 and verify grades the empty directory (exit 2).
+        model = tmp_path / "model.txt"
+        model.write_text(network.model_text(random_autoencoder(np.random.default_rng(0), 5, 3)))
+        target = model if command == "inspect-model" else tmp_path
+        assert cli.main([*flags, command, str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed and --output apply to run only" in captured.err
+
     def test_config_error_exit_code(self, heart_setup, capsys):
         tmp, csv, meta = heart_setup
         bad = tmp / "cli_bad.cfg"

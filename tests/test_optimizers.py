@@ -1,6 +1,5 @@
 """Box feasibility, budgets, traces, determinism, and search quality."""
 
-import functools
 from unittest import mock
 
 import numpy as np
@@ -80,17 +79,31 @@ class TestSharedContracts:
         assert result.trace_values.shape[1] == 1
 
 
+def pipeline_objective(tmp_path_factory, shape, hidden):
+    """The pipeline's objective over the test block of the benchmark's
+    ``shape`` table, on a briefly trained network of ``hidden`` units."""
+    path = tmp_path_factory.mktemp(shape) / f"{shape}.csv"
+    meta = write_table(path, shape)
+    train, _, test = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
+    net, _ = network.train(train, hidden, network.TrainConfig(max_iterations=30))
+    return MissingDataObjective(net, data.make_tasks(test, {meta["missing_column"]}))
+
+
+@pytest.fixture(scope="module")
+def heart_objective(tmp_path_factory):
+    """67 heart-shaped records, hidden size 4."""
+    return pipeline_objective(tmp_path_factory, "heart", 4)
+
+
+@pytest.fixture(scope="module")
+def fire_objective(tmp_path_factory):
+    """16 fire-shaped records, hidden size 6, as in the fire-deep benchmark."""
+    return pipeline_objective(tmp_path_factory, "fire", 6)
+
+
 class TestBestValues:
     """A result's best values are its trace's last entry; they must be what
     the objective scores for the best points, on the pipeline's objective."""
-
-    @pytest.fixture(scope="class")
-    def heart_objective(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("heart") / "heart.csv"
-        meta = write_table(path, "heart")
-        train, _, test = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
-        net, _ = network.train(train, 4, network.TrainConfig(max_iterations=30))
-        return MissingDataObjective(net, data.make_tasks(test, {meta["missing_column"]}))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
@@ -116,9 +129,11 @@ class TestBudgets:
         opt.minimize_ga(counter, cfg, seeds=[0])
         assert counter.count == opt.budget("ga", cfg) == 20 + 15 * (20 - 3)
 
-    # SA makes one evaluate_batch call per move and PSO one per sweep, no
-    # more: the calls are the start, the calibration probes (SA), and the
-    # moves or sweeps.
+    # PSO makes one evaluate_batch call per sweep, no more: the calls are the
+    # start and the sweeps.  SA's calls are the start, the calibration probes
+    # and one per move while its look-ahead window stays at one move, as on
+    # this hot walk.  Its one-move reference walk always scores exactly the
+    # budget; SA equals it and may score more rows.
     def test_sa_budget_with_calibration(self):
         counter = CountingObjective(QuadraticStub())
         cfg = SaConfig(temperature_steps=12, moves_per_step=7)
@@ -127,11 +142,12 @@ class TestBudgets:
         assert counter.calls == 1 + 1 + 12 * 7
 
     def test_sa_budget_fixed_temperature(self):
-        counter = CountingObjective(QuadraticStub())
+        counter, reference = CountingObjective(QuadraticStub()), CountingObjective(QuadraticStub())
         cfg = SaConfig(initial_temperature=0.1, temperature_steps=12, moves_per_step=7)
-        opt.minimize_sa(counter, cfg, seeds=[0])
-        assert counter.count == opt.budget("sa", cfg) == 1 + 12 * 7
-        assert counter.calls == 1 + 12 * 7
+        assert_same_result(opt.minimize_sa(counter, cfg, seeds=[0]), reference_sa(reference, cfg, [0]))
+        assert reference.count == opt.budget("sa", cfg) == 1 + 12 * 7
+        assert reference.calls == 1 + 12 * 7
+        assert counter.count >= reference.count
 
     def test_pso_budget(self):
         counter = CountingObjective(QuadraticStub())
@@ -276,10 +292,10 @@ class TestGa:
 class TestSa:
     def test_zero_temperature_is_strict_descent(self):
         cfg = SaConfig(initial_temperature=1e-12)
-        recorder = RecordingObjective(Bimodal1D())
-        opt.minimize_sa(recorder, cfg, seeds=[7])
-        (moves,) = sa_moves(recorder, cfg, [7])
-        rises = [rise for accepted, rise in moves if accepted and rise is not None]
+        moves = []
+        result = opt.minimize_sa(Bimodal1D(), cfg, seeds=[7])
+        assert_same_result(result, reference_sa(Bimodal1D(), cfg, [7], accepted=[moves]))
+        rises = [rise for accepted, rise in moves if accepted]
         assert len(rises) >= 1
         assert max(rises) <= 0
 
@@ -294,11 +310,13 @@ class TestSa:
             temperature *= cfg.cooling_factor
             cold_steps += temperature == 0.0
         assert cold_steps > 300
-        recorder = RecordingObjective(QuadraticStub())
-        opt.minimize_sa(recorder, cfg, seeds=[0])
-        assert sum(len(candidates) for candidates, _ in recorder.calls) == 1 + 400 * 20
-        (moves,) = sa_moves(recorder, cfg, [0])
-        rises = [rise for accepted, rise in moves if accepted and rise is not None]
+        counter, reference, moves = CountingObjective(QuadraticStub()), CountingObjective(QuadraticStub()), []
+        result = opt.minimize_sa(counter, cfg, seeds=[0])
+        assert_same_result(result, reference_sa(reference, cfg, [0], accepted=[moves]))
+        assert reference.count == reference.calls == 1 + 400 * 20
+        # The greedy walk's window opens.
+        assert counter.calls < 400 * 20
+        rises = [rise for accepted, rise in moves if accepted]
         assert len(rises) >= 1
         assert max(rises) <= 0
 
@@ -314,6 +332,46 @@ class TestSa:
     def test_calibrated_temperature_positive(self):
         result = opt.minimize_sa(QuadraticStub(), SaConfig(), seeds=[0])
         assert result.best_values[0] >= 0.0
+
+
+class Slope:
+    """f(x) = x on [0, 1]: a cold walk slides to 0.0 and stays there."""
+
+    n_tasks, dimension = 1, 1
+
+    def evaluate_batch(self, candidates):
+        return np.array(candidates, dtype=float)[:, 0]
+
+
+class TestSaLookAhead:
+    """SA scores a window of its next moves in one call when the step before
+    changed few states; its walk stays the one-move reference walk's."""
+
+    def test_hot_walk_does_not_look_ahead(self, heart_objective):
+        counter = CountingObjective(heart_objective)
+        seeds = [derive_seed(0, "sa", t) for t in range(heart_objective.n_tasks)]
+        opt.minimize_sa(counter, SaConfig(), seeds=seeds)
+        assert counter.count == heart_objective.n_tasks * opt.budget("sa", SaConfig())
+
+    def test_cold_walk_equals_reference_in_fewer_calls(self, fire_objective):
+        cfg = SaConfig(initial_temperature=1e-6, temperature_steps=200)
+        counter, reference = CountingObjective(fire_objective), CountingObjective(fire_objective)
+        seeds = [derive_seed(0, "sa", t) for t in range(fire_objective.n_tasks)]
+        assert fire_objective.n_tasks == 16
+        assert_same_result(opt.minimize_sa(counter, cfg, seeds=seeds), reference_sa(reference, cfg, seeds))
+        assert reference.calls == 1 + 200 * 20
+        assert counter.calls < reference.calls / 2
+
+    def test_candidate_clipped_onto_its_state_does_not_close_the_window(self):
+        # Once at 0.0 the walk accepts each candidate clipped back onto 0.0,
+        # which leaves its state as it is, and rejects every other.
+        cfg = SaConfig(initial_temperature=1e-12, temperature_steps=30, neighbor_sigma=0.9)
+        counter, moves = CountingObjective(Slope()), []
+        result = opt.minimize_sa(counter, cfg, seeds=[3])
+        assert_same_result(result, reference_sa(Slope(), cfg, [3], accepted=[moves]))
+        assert result.best_points[0, 0] == 0.0
+        assert sum(accepted and rise == 0.0 for accepted, rise in moves[20:]) > 100
+        assert counter.calls < 2 * cfg.temperature_steps
 
 
 class TestPso:
@@ -479,64 +537,12 @@ class RecordingObjective:
         self.calls.append((candidates, np.array(values)))
         return values
 
-
-def _merged(moves, others):
-    """Two paths' per-move outcomes, None wherever they disagree."""
-    return [tuple(a if a == b else None for a, b in zip(p, q)) for p, q in zip(moves, others)]
-
-
-def _add_state(states, state, value, moves):
-    """Add a possible SA state; two paths to one state have one future, so
-    their outcomes merge."""
-    key = state.tobytes()
-    states[key] = (state, value, _merged(states[key][2], moves) if key in states else moves)
-
-
-def sa_moves(recorder, cfg, seeds):
-    """Each SA move's outcome, read from the calls a ``minimize_sa`` run made.
-
-    Replays each task's documented draws: its start point, its calibration
-    probes, then per temperature step its noise block and its uniforms.
-    Move i scores y_i = clip(x + sigma * z_i) for the state x it leaves,
-    which is y_(i-1) when move i - 1 was accepted and the state before it
-    when not.  So the candidates narrow down the states a task can be in.
-    Per task, one (accepted, rise) pair per move, rise being f(y_i) - f(x);
-    each is None where the recording does not determine it: the last move's
-    outcome, or two states from which a move clips to the same candidate.
-    """
-    moves_per_run = cfg.temperature_steps * cfg.moves_per_step
-    first = 1 if cfg.initial_temperature is not None else 2
-    # The calls: the start points, the probes, then the moves.
-    assert len(recorder.calls) == first + moves_per_run
-    starts, start_values = recorder.calls[0]
-    out = []
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        m = starts.shape[1]
-        np.testing.assert_array_equal(rng.uniform(0.0, 1.0, size=m), starts[t])
-        if first == 2:
-            rng.normal(0.0, cfg.neighbor_sigma, size=(100, m))
-        blocks = [
-            (rng.standard_normal((cfg.moves_per_step, m)), rng.random(cfg.moves_per_step))
-            for _ in range(cfg.temperature_steps)
-        ]
-        noise = cfg.neighbor_sigma * np.concatenate([z for z, _ in blocks])
-        # Possible states, each with the outcomes of its path since `settled`.
-        states = {starts[t].tobytes(): (starts[t], start_values[t], [])}
-        settled = []
-        for z, (candidates, values) in zip(noise, recorder.calls[first:], strict=True):
-            y, fy = candidates[t], values[t]
-            alive = [s for s in states.values() if np.array_equal(np.clip(s[0] + z, 0.0, 1.0), y)]
-            assert alive, f"task {t}: a candidate from no state the task can be in"
-            if len(alive) == 1:
-                settled += alive[0][2]
-                alive = [(*alive[0][:2], [])]
-            states = {}
-            for x, fx, moves in alive:
-                _add_state(states, y, fy, moves + [(True, fy - fx)])
-                _add_state(states, x, fx, moves + [(False, fy - fx)])
-        out.append(settled + functools.reduce(_merged, [moves for _, _, moves in states.values()]))
-    return out
+    def task_rows(self, t):
+        """Task t's (candidate, value) rows over all calls, in order, as bytes."""
+        for candidates, values in self.calls:
+            k = len(candidates) // self.n_tasks
+            rows = slice(t * k, t * k + k)
+            yield from ((c.tobytes(), v.tobytes()) for c, v in zip(candidates[rows], values[rows]))
 
 
 class StackedStub:
@@ -611,8 +617,14 @@ class TestLockstep:
 
         stub = StackedStub(centers)
         together = opt.run(stub, name, cfg, seeds=seeds)
-        # Exact budgets.
-        assert stub.rows == n_tasks * budget
+        # Exact budgets; SA's one-move reference walk scores exactly its
+        # budget, and SA equals it with the rows its look-ahead discards on top.
+        if name == "sa":
+            reference = StackedStub(centers)
+            assert_same_result(together, reference_sa(reference, cfg, seeds))
+            assert reference.rows == n_tasks * budget <= stub.rows
+        else:
+            assert stub.rows == n_tasks * budget
         assert together.best_points.shape == (n_tasks, m)
         assert together.trace_values.shape == (together.trace_iterations.size, n_tasks)
         for t in range(n_tasks):
@@ -674,8 +686,9 @@ def _reference_result(best_points, history):
 
 
 def reference_sa(obj, cfg, seeds, accepted=None):
-    """``accepted``, when given, holds one list per task, which receives
-    each move's outcome: True when the task accepts it."""
+    """SA with one ``evaluate_batch`` call per move.  ``accepted``, when
+    given, holds one list per task, which receives each move's outcome as an
+    (accepted, rise) pair, rise being f(y) - f(x)."""
     rngs = [np.random.default_rng(s) for s in seeds]
     m, moves = obj.dimension, cfg.moves_per_step
     sigma = cfg.neighbor_sigma
@@ -702,10 +715,10 @@ def reference_sa(obj, cfg, seeds, accepted=None):
             y = np.clip(x + sigma * noise[:, i], 0.0, 1.0)
             fy = _reference_evaluate(obj, y[:, None])[:, 0]
             accept = thresholds[:, i] <= fx - fy
+            for outcomes, outcome in zip(accepted or (), zip(accept.tolist(), (fy - fx).tolist())):
+                outcomes.append(outcome)
             x[accept] = y[accept]
             fx[accept] = fy[accept]
-            for outcomes, outcome in zip(accepted or (), accept.tolist()):
-                outcomes.append(outcome)
             better = fx < best_values
             best_values[better] = fx[better]
             best_points[better] = x[better]
@@ -848,14 +861,13 @@ class TestLeanStepLoops:
             neighbor_sigma=data.draw(st.floats(0.01, 0.8), label="sigma"),
         )
         seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
-        expected = [[] for _ in range(n_tasks)]
-        recorder = RecordingObjective(obj)
-        result = opt.minimize_sa(recorder, cfg, seeds=seeds)
-        assert_same_result(result, reference_sa(obj, cfg, seeds, accepted=expected))
-        # Every outcome the recording determines is the reference's.
-        for moves, outcomes in zip(sa_moves(recorder, cfg, seeds), expected, strict=True):
-            assert len(moves) == len(outcomes)
-            assert all(seen in (None, outcome) for (seen, _), outcome in zip(moves, outcomes))
+        recorder, reference = RecordingObjective(obj), RecordingObjective(obj)
+        assert_same_result(opt.minimize_sa(recorder, cfg, seeds=seeds), reference_sa(reference, cfg, seeds))
+        # Each task's candidates in the reference walk, with their values,
+        # are among the rows SA scored for it, in order.
+        for t in range(n_tasks):
+            scored = recorder.task_rows(t)
+            assert all(row in scored for row in reference.task_rows(t))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
