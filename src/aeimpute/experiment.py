@@ -353,10 +353,11 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
 
     Raises :class:`ConfigError`, before any training, where the data alone
     decides that a later stage would fail: fewer than 4 rows or 3 columns, a
-    ``hidden_size`` out of range, a classification target that is not 0/1
-    after scaling or whose test block lacks a class, a forest with fewer
-    than 2 x ``rf.min_leaf`` train rows or an ``rf.mtry`` above its
-    predictors, and two or more methods to compare on a one-record test block.
+    ``hidden_size`` that :func:`~aeimpute.network.check_hidden_size` rejects,
+    a forest fit on the train block that :func:`~aeimpute.forest.resolve_mtry`
+    rejects, a classification target that is not 0/1 after scaling or whose
+    test block lacks a class, and two or more methods to compare on a
+    one-record test block.
     """
     ds = data_mod.load_csv(cfg.dataset, schema=cfg.columns, header=cfg.header)
     if not 0 <= cfg.missing_column < ds.n_columns:
@@ -366,16 +367,14 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
         )
     try:
         n_train, _, n_test = data_mod.split_sizes(ds.n_rows)
-        sizes = network_mod.hidden_size_candidates(ds.n_columns)
+        if cfg.hidden_size == "auto":
+            network_mod.hidden_size_candidates(ds.n_columns)
+        else:
+            network_mod.check_hidden_size(ds.n_columns, cfg.hidden_size)
         if "rf" in cfg.methods:
-            forest_mod.resolve_mtry(cfg.rf, ds.n_columns)
+            forest_mod.resolve_mtry(cfg.rf, ds.n_columns, n_train)
     except ValueError as err:
         raise ConfigError(f"{cfg.dataset}: {err}") from None
-    if cfg.hidden_size != "auto" and cfg.hidden_size not in sizes:
-        raise ConfigError(
-            f"hidden_size {cfg.hidden_size} out of range for {ds.n_columns}-column "
-            f"dataset: must satisfy {sizes[0]} <= h <= {sizes[-1]}"
-        )
     fit_rows = n_train if cfg.normalization_scope == "train" else None
     scaled = data_mod.normalize(ds, fit_row_count=fit_rows)
     blocks = train_rows, _, test_rows = data_mod.split(scaled)
@@ -393,11 +392,6 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
                 f"holds {len(test_rows) - ones} 0s and {ones} 1s in column {target!r}: "
                 "a classification task needs both classes there"
             )
-    if "rf" in cfg.methods and len(train_rows) < 2 * cfg.rf.min_leaf:
-        raise ConfigError(
-            f"rf needs at least {2 * cfg.rf.min_leaf} train rows for rf.min_leaf = "
-            f"{cfg.rf.min_leaf}; the train block holds {len(train_rows)}"
-        )
     if len(cfg.methods) > 1 and n_test < 2:
         raise ConfigError(
             f"comparing {len(cfg.methods)} methods needs at least 2 test records; "

@@ -195,9 +195,14 @@ def _grow_tree(
     )
 
 
-def resolve_mtry(cfg: ForestConfig, n_columns: int) -> int:
+def resolve_mtry(cfg: ForestConfig, n_columns: int, n_rows: int | None = None) -> int:
     """The predictors tried at each node: ``cfg.mtry``, else floor(sqrt(d))
-    of the d = n_columns - 1 predictors (at least 1); more than d raise ValueError."""
+    of the d = n_columns - 1 predictors (at least 1).  The one statement of
+    what ``cfg`` asks of a fit's table: more than d raise ValueError, and so
+    do fewer than 2 x ``min_leaf`` rows, given the fit's ``n_rows``."""
+    if n_rows is not None and n_rows < 2 * cfg.min_leaf:
+        raise ValueError(f"rf needs at least {2 * cfg.min_leaf} train rows for "
+                         f"rf.min_leaf = {cfg.min_leaf}, got {n_rows}")
     d = n_columns - 1
     mtry = cfg.mtry if cfg.mtry is not None else max(1, math.isqrt(d))
     if mtry > d:
@@ -214,9 +219,9 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None, *, seed
     bit for bit as a one-process fit grows them, also in a forked worker.
     Tree t draws its bootstrap sample first, then its per-node feature
     subsets, from the generator of ``derive_seed(seed, "tree", t)``.
-    Each node tries :func:`resolve_mtry` predictors; the forest keeps no
-    copy of the configuration.  A 0/1 target is not checked here; the
-    experiment checks its own.
+    Each node tries :func:`resolve_mtry` predictors, which also rejects too
+    few rows; the forest keeps no copy of the configuration.  A 0/1 target is
+    not checked here; the experiment checks its own.
     """
     cfg = cfg or ForestConfig()
     rows = np.asarray(train_rows, dtype=float)
@@ -225,11 +230,7 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None, *, seed
     n, width = rows.shape
     if not 0 <= target_column < width:
         raise ValueError(f"target column {target_column} out of range [0, {width})")
-    if n < 2 * cfg.min_leaf:
-        raise ValueError(
-            f"need at least {2 * cfg.min_leaf} rows for min_leaf={cfg.min_leaf}, got {n}"
-        )
-    mtry = resolve_mtry(cfg, width)
+    mtry = resolve_mtry(cfg, width, n)
     predictors = tuple(c for c in range(width) if c != target_column)
     x = rows[:, predictors]
     y = rows[:, target_column]

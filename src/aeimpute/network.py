@@ -74,8 +74,7 @@ class Autoencoder:
 
     def __post_init__(self) -> None:
         n, h = self.n_inputs, self.n_hidden
-        if h not in hidden_size_candidates(n):
-            raise ValueError(f"hidden size must satisfy 2 <= h <= n-1, got h={h}, n={n}")
+        check_hidden_size(n, h)
         vec = np.array(self.parameters, dtype=float)
         if not np.isfinite(vec).all():
             raise ValueError("network parameters must be finite")
@@ -210,8 +209,7 @@ def train(
     cfg = cfg or TrainConfig()
     rows = _check_rows(rows)
     n = rows.shape[1]
-    if n_hidden not in hidden_size_candidates(n):
-        raise ValueError(f"n_hidden must satisfy 2 <= h <= n-1, got h={n_hidden}, n={n}")
+    check_hidden_size(n, n_hidden)
 
     w = _initial_parameters(np.random.default_rng(cfg.rng_seed), n, n_hidden)
 
@@ -302,6 +300,16 @@ def hidden_size_candidates(n_inputs: int) -> list[int]:
     if n_inputs < 3:
         raise ValueError(f"need at least 3 inputs for a narrow hidden layer, got {n_inputs}")
     return list(range(2, n_inputs))
+
+
+def check_hidden_size(n_inputs: int, n_hidden: int) -> None:
+    """Raise ValueError unless ``n_hidden`` is among :func:`hidden_size_candidates`."""
+    sizes = hidden_size_candidates(n_inputs)
+    if n_hidden not in sizes:
+        raise ValueError(
+            f"hidden size {n_hidden} out of range for {n_inputs} inputs: "
+            f"must satisfy {sizes[0]} <= h <= {sizes[-1]}"
+        )
 
 
 def select_hidden_size(

@@ -53,8 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ALGORITHM_TAGS = ("ga", "sa", "pso", "ns")
-
 # Probe moves SA scores to calibrate its start temperature.
 _CALIBRATION_PROBES = 100
 
@@ -164,21 +162,6 @@ class NsConfig:
             raise ValueError("detectors must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-
-
-def budget(tag: str, cfg) -> int:
-    """Objective evaluations per task of a ``tag`` run under ``cfg`` (the
-    module docstring's table)."""
-    if tag == "ga":
-        return cfg.population + cfg.generations * (cfg.population - cfg.elitism)
-    if tag == "sa":
-        calibration = _CALIBRATION_PROBES if cfg.initial_temperature is None else 0
-        return 1 + calibration + cfg.temperature_steps * cfg.moves_per_step
-    if tag == "pso":
-        return cfg.swarm * (cfg.iterations + 1)
-    if tag == "ns":
-        return cfg.detectors * cfg.generations
-    raise ValueError(f"unknown optimizer tag {tag!r}; expected one of {ALGORITHM_TAGS}")
 
 
 def _generators(obj, seeds) -> list[np.random.Generator]:
@@ -503,12 +486,33 @@ def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
     return OptimizerResult(best_points, np.arange(1, len(history) + 1), history)
 
 
+# Tag -> (minimizer, config type, evaluations per task: the module docstring's table).
 _MINIMIZERS = {
-    "ga": (minimize_ga, GaConfig),
-    "sa": (minimize_sa, SaConfig),
-    "pso": (minimize_pso, PsoConfig),
-    "ns": (minimize_ns, NsConfig),
+    "ga": (minimize_ga, GaConfig, lambda c: c.population + c.generations * (c.population - c.elitism)),
+    "sa": (minimize_sa, SaConfig, lambda c: 1 + c.temperature_steps * c.moves_per_step
+           + (_CALIBRATION_PROBES if c.initial_temperature is None else 0)),
+    "pso": (minimize_pso, PsoConfig, lambda c: c.swarm * (c.iterations + 1)),
+    "ns": (minimize_ns, NsConfig, lambda c: c.detectors * c.generations),
 }
+ALGORITHM_TAGS = tuple(_MINIMIZERS)
+
+
+def _minimizer(tag: str, config):
+    """The :data:`_MINIMIZERS` entry of ``tag``: ValueError for another tag,
+    TypeError for a ``config`` (None aside) of another type than its own."""
+    try:
+        entry = _MINIMIZERS[tag]
+    except KeyError:
+        raise ValueError(f"unknown optimizer tag {tag!r}; expected one of {ALGORITHM_TAGS}") from None
+    if config is not None and not isinstance(config, entry[1]):
+        raise TypeError(f"{tag} expects a {entry[1].__name__}, got {type(config).__name__}")
+    return entry
+
+
+def budget(tag: str, cfg) -> int:
+    """Objective evaluations per task of a ``tag`` run under ``cfg`` (the
+    module docstring's table)."""
+    return _minimizer(tag, cfg)[2](cfg)
 
 
 def run(obj, algorithm: str, config=None, *, seeds) -> OptimizerResult:
@@ -516,14 +520,4 @@ def run(obj, algorithm: str, config=None, *, seeds) -> OptimizerResult:
 
     ``seeds`` holds one seed per task of ``obj`` (see the module docstring).
     """
-    try:
-        fn, cfg_type = _MINIMIZERS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown optimizer tag {algorithm!r}; expected one of {ALGORITHM_TAGS}"
-        ) from None
-    if config is not None and not isinstance(config, cfg_type):
-        raise TypeError(
-            f"{algorithm} expects a {cfg_type.__name__}, got {type(config).__name__}"
-        )
-    return fn(obj, config, seeds=seeds)
+    return _minimizer(algorithm, config)[0](obj, config, seeds=seeds)

@@ -1449,7 +1449,7 @@ class TestCli:
         assert cli.main(["--quiet", "run", str(cfg_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("data error: stage 'prepare' failed: ")
-        assert f"hidden_size {hidden_size} out of range for 13-column dataset: must satisfy 2 <= h <= 12" in err
+        assert f"{csv}: hidden size {hidden_size} out of range for 13 inputs: must satisfy 2 <= h <= 12" in err
 
     def test_runtime_failure_exit_code(self, heart_setup, capsys, monkeypatch):
         tmp, csv, meta = heart_setup
@@ -1470,7 +1470,7 @@ class TestCli:
         ("non-binary-target", "classification task needs a 0/1 target after scaling; column 'A1' has other values"),
         ("sorted-by-target", "the test block (the last 67 rows; the split follows file order) "
                              "holds 0 0s and 67 1s in column 'A14': a classification task needs both classes there"),
-        ("few-train-rows", "rf needs at least 10 train rows for rf.min_leaf = 5; the train block holds 9"),
+        ("few-train-rows", "{data}: rf needs at least 10 train rows for rf.min_leaf = 5, got 9"),
         ("three-rows", "{data}: need at least 4 rows for three non-empty splits, got 3"),
         ("one-column", "{data}: need at least 3 inputs for a narrow hidden layer, got 1"),
         ("two-columns", "{data}: need at least 3 inputs for a narrow hidden layer, got 2"),
@@ -1604,3 +1604,61 @@ class TestTracedHooks:
         probe = tracer.select("probe")[0].counts
         assert probe["forward.calls"] >= 2 and probe["objective.calls"] >= 1
         assert tracer.all_counts("forward.rows") >= tracer.all_counts("objective.rows")
+
+
+def rejection(fn, *args, error=ValueError, **kwargs) -> str:
+    """The message of the ``error`` that ``fn(*args, **kwargs)`` raises."""
+    with pytest.raises(error) as caught:
+        fn(*args, **kwargs)
+    return str(caught.value)
+
+
+class TestOneRuleOneMessage:
+    """Each validity rule is stated once, in the module that owns it: every
+    site that applies it rejects the same inputs with the same message.  At
+    ``prepare`` the message follows the dataset's name, and the run fails
+    with a ConfigError, which the CLI reports with exit code 1."""
+
+    @staticmethod
+    def prepare_rejection(tmp_path, n_rows, n_columns, **settings) -> str:
+        """The message with which a run on a random (n_rows, n_columns) table
+        fails at ``prepare``, without the dataset's name before it."""
+        csv = tmp_path / "data.csv"
+        rows = np.random.default_rng(0).uniform(size=(n_rows, n_columns))
+        csv.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        cfg = ExperimentConfig(dataset=csv, missing_column=0, task="prediction",
+                               output_dir=tmp_path / "out", **settings)
+        with pytest.raises(ExperimentError, match="^stage 'prepare' failed: ") as caught:
+            run_experiment(cfg)
+        cause = str(caught.value.__cause__)
+        assert isinstance(caught.value.__cause__, ConfigError) and cause.startswith(f"{csv}: ")
+        return cause[len(f"{csv}: "):]
+
+    @pytest.mark.parametrize("h", [5, 9])
+    def test_hidden_size_range(self, tmp_path, h):
+        message = f"hidden size {h} out of range for 5 inputs: must satisfy 2 <= h <= 4"
+        rows = np.random.default_rng(1).uniform(size=(12, 5))
+        assert rejection(network.Autoencoder, 5, h, np.zeros(2 * 5 * h + h + 5)) == message
+        assert rejection(network.train, rows, h) == message
+        assert self.prepare_rejection(tmp_path, 12, 5, hidden_size=h, methods=("ga",)) == message
+
+    # 17 rows split 9/4/4, so the train block holds 2 x 5 - 1 rows.
+    @pytest.mark.parametrize("rf, message", [
+        (forest.ForestConfig(min_leaf=5), "rf needs at least 10 train rows for rf.min_leaf = 5, got 9"),
+        (forest.ForestConfig(mtry=4, min_leaf=1), "rf.mtry = 4 exceeds the 3 predictors of a 4-column table"),
+    ], ids=["rows", "mtry"])
+    def test_forest_fit_preconditions(self, tmp_path, rf, message):
+        train_rows = np.random.default_rng(1).uniform(size=(9, 4))
+        assert rejection(forest.fit, train_rows, 0, rf, seed=0) == message
+        assert self.prepare_rejection(tmp_path, 17, 4, methods=("rf",), rf=rf) == message
+
+    def test_optimizer_tags(self):
+        assert optimizers.ALGORITHM_TAGS == ("ga", "sa", "pso", "ns")
+        assert experiment.ALL_METHODS == optimizers.ALGORITHM_TAGS + ("rf",)
+        message = "unknown optimizer tag 'de'; expected one of ('ga', 'sa', 'pso', 'ns')"
+        assert rejection(optimizers.budget, "de", optimizers.GaConfig()) == message
+        assert rejection(optimizers.run, None, "de", seeds=[0]) == message
+        # A tag's config type is checked in the same lookup.
+        message = "ga expects a GaConfig, got SaConfig"
+        assert rejection(optimizers.budget, "ga", optimizers.SaConfig(), error=TypeError) == message
+        assert rejection(optimizers.run, None, "ga", optimizers.SaConfig(), seeds=[0], error=TypeError) == message

@@ -64,7 +64,7 @@ class TestFit:
 
     def test_insufficient_rows_rejected(self):
         rows = np.random.default_rng(0).uniform(0, 1, size=(7, 3))
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(ValueError, match="^rf needs at least 8 train rows for rf.min_leaf = 4, got 7$"):
             forest.fit(rows, 2, ForestConfig(min_leaf=4), seed=0)
 
     def test_mtry_out_of_range_rejected(self):

@@ -313,7 +313,7 @@ class TestParameters:
 
     @pytest.mark.parametrize("h", [1, 4])
     def test_hidden_size_out_of_range_rejected(self, h):
-        with pytest.raises(ValueError, match="2 <= h <= n-1"):
+        with pytest.raises(ValueError, match=f"^hidden size {h} out of range for 4 inputs: must satisfy 2 <= h <= 3$"):
             Autoencoder(4, h, np.zeros(2 * 4 * h + h + 4))
 
 
