@@ -2,10 +2,10 @@
 
 Covers CSV loading against a light column schema, min-max scaling of every
 column into [0, 1], the chronological 50/25/25 split into train, validation
-and test blocks (test block = final rows), and construction of the masked
+and test blocks (test block = final rows), and construction of the
 imputation task over one block (the test block, or the validation block for
-the hidden-size search), whose unknown slots are the optimizers' decision
-variables.
+the hidden-size search) with one column masked, whose slot in each record
+is the optimizers' decision variable.
 """
 
 from __future__ import annotations
@@ -106,46 +106,39 @@ class Dataset:
         return self.rows.shape[1]
 
 
+def check_column(column: int, n_columns: int) -> None:
+    """Raise ValueError unless ``column`` indexes one of ``n_columns`` columns."""
+    if not 0 <= column < n_columns:
+        raise ValueError(f"missing_column {column} out of range for {n_columns} columns: "
+                         f"must satisfy 0 <= column <= {n_columns - 1}")
+
+
 @dataclass(frozen=True, eq=False)
 class ImputationTask:
-    """T records sharing one boolean known-mask over their n components.
+    """T records of n components with one masked ``column``.
 
-    ``record`` is (T, n) and ``known_mask`` is (n,).  Components where the
-    mask is False are the unknowns to estimate; their slots in ``record``
-    hold :data:`MISSING_SENTINEL` when built by :func:`make_tasks` and are
-    never read as data.  ``true_values`` (T, n) keeps the held-out originals
-    for scoring.  Both are kept or copied by the rule of :class:`Dataset`.
+    ``record`` is (T, n); its ``column`` slots hold :data:`MISSING_SENTINEL`
+    when built by :func:`make_tasks` and are never read as data.
+    ``true_values`` (T, n) keeps the held-out originals for scoring.  Both
+    are kept or copied by the rule of :class:`Dataset`.
     """
 
     record: np.ndarray
-    known_mask: np.ndarray
-    true_values: np.ndarray | None = None
+    column: int
+    true_values: np.ndarray
 
     def __post_init__(self) -> None:
         record = _frozen(self.record)
-        mask = np.array(self.known_mask, dtype=bool)
-        if record.ndim != 2 or mask.shape != record.shape[1:]:
-            raise ValueError("record must be (T, n) and known_mask (n,)")
-        if not mask.any():
-            raise ValueError("at least one component must be known")
-        if mask.all():
-            raise ValueError("at least one component must be unknown")
-        mask.flags.writeable = False
+        truth = _frozen(self.true_values)
+        if record.ndim != 2 or truth.shape != record.shape:
+            raise ValueError("record and true_values must be (T, n) matrices of one shape")
+        check_column(self.column, record.shape[1])
         object.__setattr__(self, "record", record)
-        object.__setattr__(self, "known_mask", mask)
-        if self.true_values is not None:
-            truth = _frozen(self.true_values)
-            if truth.shape != record.shape:
-                raise ValueError("true_values must match the records' shape")
-            object.__setattr__(self, "true_values", truth)
+        object.__setattr__(self, "true_values", truth)
 
     @property
     def n(self) -> int:
         return self.record.shape[1]
-
-    @property
-    def unknown_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.known_mask)
 
 
 def schema_pairs(schema, n_columns: int) -> list[tuple[str, str]]:
@@ -321,22 +314,17 @@ def split(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.split(ds.rows, [n_train, n_train + n_validation]))
 
 
-def make_tasks(rows: np.ndarray, missing_columns: set[int]) -> ImputationTask:
-    """Build the imputation task of one block of rows, masking ``missing_columns``.
+def make_tasks(rows: np.ndarray, column: int) -> ImputationTask:
+    """Build the imputation task of one block of rows, masking ``column``.
 
     The task holds every row of the block (the test block; the hidden-size
-    search scores on the validation block) as one (T, n) block.  Masked
+    search scores on the validation block) as one (T, n) block.  The masked
     slots hold :data:`MISSING_SENTINEL`; the held-out originals move to
-    ``true_values`` for later scoring.
+    ``true_values`` for later scoring.  A ``column`` that
+    :func:`check_column` rejects raises before any row is read.
     """
-    n_columns = rows.shape[1]
-    miss = sorted(int(c) for c in missing_columns)
-    for c in miss:
-        if not 0 <= c < n_columns:
-            raise ValueError(f"missing column index {c} out of range [0, {n_columns})")
-    mask = np.ones(n_columns, dtype=bool)
-    mask[miss] = False
+    check_column(column, rows.shape[1])
     records = rows.copy()
-    records[:, miss] = MISSING_SENTINEL
+    records[:, column] = MISSING_SENTINEL
     records.flags.writeable = False  # the task keeps it without a copy
-    return ImputationTask(record=records, known_mask=mask, true_values=rows)
+    return ImputationTask(record=records, column=column, true_values=rows)

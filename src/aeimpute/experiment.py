@@ -97,9 +97,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; expected among {ALL_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
-        if self.hidden_size != "auto":
-            if not isinstance(self.hidden_size, int) or self.hidden_size < 2:
-                raise ConfigError("hidden_size must be 'auto' or an integer >= 2")
+        if self.hidden_size != "auto" and not isinstance(self.hidden_size, int):
+            raise ConfigError("hidden_size must be 'auto' or an integer")
         if self.normalization_scope not in ("full", "train"):
             raise ConfigError("normalization_scope must be 'full' or 'train'")
         if self.columns is not None:
@@ -348,11 +347,13 @@ def _comparison(errors: dict[str, np.ndarray]) -> dict:
 
 # --- pipeline ---------------------------------------------------------------
 
-def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.ndarray, ...]]:
-    """The scaled dataset and its train, validation and test blocks.
+def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple, data_mod.ImputationTask]:
+    """The scaled dataset, its train, validation and test blocks, and the
+    test block's imputation task.
 
     Raises :class:`ConfigError`, before any training, where the data alone
     decides that a later stage would fail: fewer than 4 rows or 3 columns, a
+    ``missing_column`` that :func:`~aeimpute.data.make_tasks` rejects, a
     ``hidden_size`` that :func:`~aeimpute.network.check_hidden_size` rejects,
     a forest fit on the train block that :func:`~aeimpute.forest.resolve_mtry`
     rejects, a classification target that is not 0/1 after scaling or whose
@@ -360,13 +361,12 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
     one-record test block.
     """
     ds = data_mod.load_csv(cfg.dataset, schema=cfg.columns, header=cfg.header)
-    if not 0 <= cfg.missing_column < ds.n_columns:
-        raise ConfigError(
-            f"missing_column {cfg.missing_column} out of range for "
-            f"{ds.n_columns}-column dataset"
-        )
     try:
         n_train, _, n_test = data_mod.split_sizes(ds.n_rows)
+        fit_rows = n_train if cfg.normalization_scope == "train" else None
+        scaled = data_mod.normalize(ds, fit_row_count=fit_rows)
+        blocks = data_mod.split(scaled)
+        task = data_mod.make_tasks(blocks[2], cfg.missing_column)
         if cfg.hidden_size == "auto":
             network_mod.hidden_size_candidates(ds.n_columns)
         else:
@@ -375,21 +375,18 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
             forest_mod.resolve_mtry(cfg.rf, ds.n_columns, n_train)
     except ValueError as err:
         raise ConfigError(f"{cfg.dataset}: {err}") from None
-    fit_rows = n_train if cfg.normalization_scope == "train" else None
-    scaled = data_mod.normalize(ds, fit_row_count=fit_rows)
-    blocks = train_rows, _, test_rows = data_mod.split(scaled)
     if cfg.task == "classification":
-        target = scaled.columns[cfg.missing_column].column
-        if not np.isin(scaled.rows[:, cfg.missing_column], (0, 1)).all():
+        target = scaled.columns[task.column].column
+        if not np.isin(scaled.rows[:, task.column], (0, 1)).all():
             raise ConfigError(
                 "classification task needs a 0/1 target after scaling; "
                 f"column {target!r} has other values"
             )
-        ones = int(test_rows[:, cfg.missing_column].sum())
-        if ones in (0, len(test_rows)):
+        ones = int(task.true_values[:, task.column].sum())
+        if ones in (0, n_test):
             raise ConfigError(
-                f"the test block (the last {len(test_rows)} rows; the split follows file order) "
-                f"holds {len(test_rows) - ones} 0s and {ones} 1s in column {target!r}: "
+                f"the test block (the last {n_test} rows; the split follows file order) "
+                f"holds {n_test - ones} 0s and {ones} 1s in column {target!r}: "
                 "a classification task needs both classes there"
             )
     if len(cfg.methods) > 1 and n_test < 2:
@@ -397,7 +394,7 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple[np.
             f"comparing {len(cfg.methods)} methods needs at least 2 test records; "
             f"the test block of the {ds.n_rows} rows holds {n_test}"
         )
-    return scaled, blocks
+    return scaled, blocks, task
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
@@ -425,7 +422,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
 
     try:
         with clocked("prepare"):
-            ds, (train_rows, validation_rows, test_rows) = _prepare_dataset(cfg)
+            ds, (train_rows, validation_rows, _), task = _prepare_dataset(cfg)
         document["split_counts"] = dict(zip(data_mod.SPLIT_LABELS, data_mod.split_sizes(ds.n_rows)))
         document["normalization"] = [asdict(spec) for spec in ds.columns]
 
@@ -433,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             # The search trains a network per size; the winner's is the model.
             with clocked("hidden_search"):
                 search_cfg = replace(cfg.train, rng_seed=cfg.seed)
-                val_task = data_mod.make_tasks(validation_rows, {cfg.missing_column})
+                val_task = data_mod.make_tasks(validation_rows, cfg.missing_column)
                 hidden, net, train_loss = network_mod.select_hidden_size(train_rows, val_task, search_cfg)
         else:
             with clocked("train"):
@@ -444,26 +441,25 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         document["train_loss"] = float(train_loss)
 
         with clocked("impute"):
-            task = data_mod.make_tasks(test_rows, {cfg.missing_column})
-            truth = task.true_values[:, cfg.missing_column]
+            truth = task.true_values[:, task.column]
             # Each method imputes all test records, an optimizer each record with
             # its own derived seed, so the methods are independent and run side by
             # side, one per core.  A method's traces stay in the process that ran it.
             objective = MissingDataObjective(net, task)
 
-            def impute(method):
+            def estimate(method):
                 begin = perf_counter()
                 if method == "rf":
                     seed = derive_seed(cfg.seed, "rf")
-                    fitted = forest_mod.fit(train_rows, cfg.missing_column, cfg.rf, seed=seed)
+                    fitted = forest_mod.fit(train_rows, task.column, cfg.rf, seed=seed)
                     values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
                 else:
                     seeds = [derive_seed(cfg.seed, method, i) for i in range(len(truth))]
                     result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
-                    values = objective.impute(result)[:, cfg.missing_column]
+                    values = result.best_points[:, 0]
                 return values, perf_counter() - begin
 
-            imputed = dict(zip(cfg.methods, fork_map(impute, cfg.methods)))
+            imputed = dict(zip(cfg.methods, fork_map(estimate, cfg.methods)))
         timings.update((f"impute.{method}", seconds) for method, (_, seconds) in imputed.items())
 
         with clocked("score"):
@@ -654,9 +650,12 @@ def _split_check(counts: dict, test_rows: dict[str, int]) -> tuple[str, bool, st
 def _stated_normalization(cfg: ExperimentConfig, columns: tuple) -> list:
     """The normalization block of ``columns`` with each column's kind, and
     its name unless a header row supplied it, as ``cfg.columns`` states them
-    (read by :func:`~aeimpute.data.schema_pairs`, as load_csv reads them)."""
+    (read by :func:`~aeimpute.data.schema_pairs`, as load_csv reads them).
+    ``cfg.missing_column`` must be one of ``columns``
+    (:func:`~aeimpute.data.check_column`)."""
     try:
         pairs = data_mod.schema_pairs(cfg.columns, len(columns))
+        data_mod.check_column(cfg.missing_column, len(columns))
     except ValueError as err:
         raise ConfigError(f"config.{err} in the normalization block") from None
     return [{**asdict(spec), "column": spec.column if cfg.header else name, "kind": kind}
@@ -669,8 +668,9 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
 
     The expected report is report.json's document with the entries that
     follow from the configuration its echo rebuilds (:func:`_config_entries`,
-    the names and kinds of :func:`_stated_normalization` and
-    ``hidden_size.requested``; ``toolkit_version`` stays as stored),
+    the names and kinds of :func:`_stated_normalization`,
+    ``hidden_size.requested`` and a fixed size's ``hidden_size.selected``;
+    ``toolkit_version`` stays as stored),
     each method's block regraded from its ``imputed_<method>.csv`` with its
     :func:`_config_facts`, and the comparison recomputed; its columns come
     from the ``normalization`` block and its network from ``model.txt``.
@@ -684,9 +684,10 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     Returns (check name, passed, detail) tuples.  Missing files fail one
     ``inventory`` check.  An unreadable ``report.json``, an echo setting of
     a type no config file sets, a configuration that :class:`ExperimentConfig`
-    rejects (also for the stored ``task_kind``), method blocks other than
-    those of ``config.methods``, and the first malformed file fail one
-    ``format`` check that names the file and ends the verification.
+    rejects (also for the stored ``task_kind``), a ``missing_column`` or
+    ``columns`` that does not fit the normalization block, method blocks
+    other than those of ``config.methods``, and the first malformed file
+    fail one ``format`` check that names the file and ends the verification.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
@@ -700,7 +701,9 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         blocks = sorted(document["methods"])
         columns = tuple(data_mod.ColumnSpec(**entry) for entry in document["normalization"])
         normalization = _stated_normalization(cfg, columns)
-        hidden_size = {"requested": cfg.hidden_size, "selected": document["hidden_size"]["selected"]}
+        # A fixed size is the one run trains; a searched one is read back.
+        selected = document["hidden_size"]["selected"] if cfg.hidden_size == "auto" else cfg.hidden_size
+        hidden_size = {"requested": cfg.hidden_size, "selected": selected}
         split_counts = dict(document["split_counts"])
     except ConfigError as err:
         return [("format", False, f"{report_path.name}: {err}")]

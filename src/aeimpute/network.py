@@ -324,7 +324,7 @@ def select_hidden_size(
     ``train_rows`` with a seed derived from (cfg.rng_seed, h) and scored by
     the mean absolute error of the grid minimizers
     (:meth:`~aeimpute.objective.MissingDataObjective.grid_minimize`) against
-    ``val_task``'s true values in its one masked column.  A candidate becomes
+    ``val_task``'s true values in its masked column.  A candidate becomes
     the best only by a strictly lower error, so ties go to the smaller size.
     Once a candidate has scored, the scan stops after _SCAN_PATIENCE
     candidates in a row that do not improve on the best; a candidate whose
@@ -344,11 +344,7 @@ def select_hidden_size(
     cfg = cfg or TrainConfig()
     train_rows = _check_rows(train_rows)
     sizes = hidden_size_candidates(train_rows.shape[1])
-    if val_task.n != train_rows.shape[1] or val_task.unknown_indices.size != 1:
-        raise ValueError("the validation task must mask one column of rows like train_rows")
-    if val_task.true_values is None:
-        raise ValueError("the validation task must carry its true values")
-    truth = val_task.true_values[:, val_task.unknown_indices[0]]
+    truth = val_task.true_values[:, val_task.column]
 
     def candidate(h):
         """(network, training loss, validation error), or the TrainingError text."""

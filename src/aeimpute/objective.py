@@ -1,15 +1,16 @@
-"""Reconstruction-error objective over the unknown components of records.
+"""Reconstruction-error objective over the masked column of records.
 
-Given a trained autoencoder and a partially known record, a candidate for the
-unknown components is scored by completing the record, passing it through the
-network, and summing the squared difference between the completed record and
-its reconstruction over all components.  The known components' reconstruction
-shifts when the unknowns change, so every component contributes.
+Given a trained autoencoder and a record with one masked column, a candidate
+value in [0, 1] is scored by writing it into that column, passing the
+completed record through the network, and summing the squared difference
+between the completed record and its reconstruction over all components.
+The known components' reconstruction shifts when the masked value changes,
+so every component contributes.
 
 One objective holds the T records of one :class:`~aeimpute.data.ImputationTask`
-(one mask for all of them), so that an optimizer can score candidates for all
-T records in one network pass.  With one unknown component, the objective can
-also be minimized over a fixed grid of [0, 1] (:meth:`grid_minimize`).
+(one masked column for all of them), so that an optimizer can score
+candidates for all T records in one network pass.  The objective can also be
+minimized over a fixed grid of [0, 1] (:meth:`grid_minimize`).
 
 Rows are scored independently of their batch: a row's value is the same, bit
 for bit, in a pass of any size and at any position in it (the tests check
@@ -39,14 +40,16 @@ GRID_POINTS = 401
 
 
 class MissingDataObjective:
-    """Objective on [0, 1]^m per record, m = number of unknown components.
+    """Objective on [0, 1] per record: the value of the task's masked column.
 
     ``task`` holds T records; :meth:`evaluate_batch` reads its candidate rows
-    task-major (the lockstep interface of :mod:`aeimpute.optimizers`).
-    Immutable; every call is a pure function of the candidates.  Candidates
-    outside the unit box, NaN included, raise: optimizers are expected to
-    clamp before evaluating.
+    task-major (the lockstep interface of :mod:`aeimpute.optimizers`, whose
+    candidates are rows of ``dimension`` = 1 value).  Immutable; every call
+    is a pure function of the candidates.  Candidates outside [0, 1], NaN
+    included, raise: optimizers are expected to clamp before evaluating.
     """
+
+    dimension = 1
 
     def __init__(self, net, task):
         if net.n_inputs != task.n:
@@ -55,34 +58,21 @@ class MissingDataObjective:
             )
         self.net = net
         self.task = task
-        self._unknown = task.unknown_indices
 
     @property
     def n_tasks(self) -> int:
         return self.task.record.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self._unknown.size
-
-    def _check(self, candidates: np.ndarray) -> np.ndarray:
-        # One pass per bound; a NaN propagates to both and fails both tests.
-        lo = np.minimum.reduce(candidates, axis=None, initial=1.0)
-        hi = np.maximum.reduce(candidates, axis=None, initial=0.0)
-        if not (lo >= 0.0 and hi <= 1.0):
-            raise ValueError("candidate components must lie in [0, 1]")
-        return candidates
 
     def evaluate(self, candidate) -> float:
         """Summed squared error of one candidate for a one-record objective."""
         return float(self.evaluate_batch(np.reshape(candidate, (1, -1)))[0])
 
     def evaluate_batch(self, candidates) -> np.ndarray:
-        """Summed squared errors of a (T*k, m) task-major candidate matrix.
+        """Summed squared errors of a (T*k, 1) task-major candidate matrix.
 
         Rows t*k to t*k + k - 1 are record t's candidates; the completed
         records go through the network in passes of _ROWS_PER_PASS rows.
-        Whatever placeholder a record carries in its unknown slots is
+        Whatever placeholder a record carries in its masked slot is
         overwritten, never read.
         """
         c = np.asarray(candidates, dtype=float)
@@ -91,16 +81,20 @@ class MissingDataObjective:
                 f"expected candidate rows of length {self.dimension}, a multiple of "
                 f"{self.n_tasks} of them, got shape {c.shape}"
             )
-        self._check(c)
+        # One pass per bound; a NaN propagates to both and fails both tests.
+        lo = np.minimum.reduce(c, axis=None, initial=1.0)
+        hi = np.maximum.reduce(c, axis=None, initial=0.0)
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise ValueError("candidates must lie in [0, 1]")
         rows = c.shape[0]
         k = rows // self.n_tasks
-        record = self.task.record
+        record, column = self.task.record, self.task.column
         values = np.empty(rows)
         for start in range(0, rows, _ROWS_PER_PASS):
             stop = min(start + _ROWS_PER_PASS, rows)
             # With one candidate per record, row r completes record r.
             full = record[start:stop].copy() if k == 1 else record[np.arange(start, stop) // k]
-            full[:, self._unknown] = c[start:stop]
+            full[:, column] = c[start:stop, 0]
             self._squared_errors(full, values[start:stop])
         return values
 
@@ -119,35 +113,17 @@ class MissingDataObjective:
     def grid_minimize(self) -> tuple[np.ndarray, np.ndarray]:
         """The (T,) minimizers and minima over GRID_POINTS evenly spaced points of [0, 1].
 
-        For an objective with one unknown component; ties go to the lower
-        point.  Records go through the network one at a time, so no
-        temporary holds more than one record's GRID_POINTS rows.
+        Ties go to the lower point.  Records go through the network one at a
+        time, so no temporary holds more than one record's GRID_POINTS rows.
         """
-        if self.dimension != 1:
-            raise ValueError(f"a grid search needs one unknown component, not {self.dimension}")
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
         points = np.empty(self.n_tasks)
         minima = np.empty(self.n_tasks)
         values = np.empty(GRID_POINTS)
         for t, record in enumerate(self.task.record):
             full = np.tile(record, (GRID_POINTS, 1))
-            full[:, self._unknown[0]] = grid
+            full[:, self.task.column] = grid
             self._squared_errors(full, values)
             best = int(np.argmin(values))  # the first of equal values: the lowest point
             points[t], minima[t] = grid[best], values[best]
         return points, minima
-
-    def impute(self, result) -> np.ndarray:
-        """The (T, n) records completed with an optimizer result's best points.
-
-        Known components are returned untouched.
-        """
-        points = np.asarray(result.best_points, dtype=float)
-        if points.shape != (self.n_tasks, self.dimension):
-            raise ValueError(
-                f"expected a best point of length {self.dimension} for each of "
-                f"{self.n_tasks} records, got shape {points.shape}"
-            )
-        full = np.array(self.task.record)
-        full[:, self._unknown] = self._check(points)
-        return full

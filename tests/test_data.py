@@ -1,5 +1,6 @@
 """Dataset loading, scaling, splitting, and task construction."""
 
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -342,12 +343,12 @@ class TestPrepare:
         p = tmp_path / "credit.csv"
         write_table(p, "credit", n=20_000)
         test = data.split(data.normalize(data.load_csv(p)))[2]
-        data.make_tasks(test, {24})  # first-call allocations are not the stage's
+        data.make_tasks(test, 24)  # first-call allocations are not the stage's
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            task = data.make_tasks(test, {24})
+            task = data.make_tasks(test, 24)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -362,76 +363,55 @@ def _test_block(n_rows, n_cols):
 class TestMakeTasks:
     def test_one_record_per_test_row(self):
         test = _test_block(40, 5)
-        task = data.make_tasks(test, {4})
+        task = data.make_tasks(test, 4)
         assert task.record.shape == task.true_values.shape == (10, 5)
-        assert task.known_mask.shape == (5,)
-        assert task.known_mask.sum() == 4
-        assert not task.known_mask[4]
+        assert task.column == 4
         assert (task.record[:, 4] == data.MISSING_SENTINEL).all()
         np.testing.assert_array_equal(task.true_values, test)
         np.testing.assert_array_equal(task.record[:, :4], test[:, :4])
 
     def test_validation_block(self):
         validation = data.split(_normalized(40, n_cols=5))[1]
-        task = data.make_tasks(validation, {2})
+        task = data.make_tasks(validation, 2)
         np.testing.assert_array_equal(task.true_values, validation)
         assert (task.record[:, 2] == data.MISSING_SENTINEL).all()
         known = [0, 1, 3, 4]
         np.testing.assert_array_equal(task.record[:, known], validation[:, known])
 
-    def test_multi_column_mask(self):
-        task = data.make_tasks(_test_block(20, 5), {1, 3})
-        assert task.unknown_indices.tolist() == [1, 3]
-        assert (task.record[:, [1, 3]] == data.MISSING_SENTINEL).all()
-
-    def test_all_columns_masked_rejected(self):
-        with pytest.raises(ValueError, match="known"):
-            data.make_tasks(_test_block(20, 3), {0, 1, 2})
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            data.make_tasks(_test_block(20, 3), set())
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            data.make_tasks(_test_block(20, 3), {7})
+    @pytest.mark.parametrize("column", [3, 7, -1])
+    def test_bad_index_rejected(self, column):
+        message = "missing_column {} out of range for 3 columns: must satisfy 0 <= column <= 2"
+        with pytest.raises(ValueError, match=re.escape(message.format(column))):
+            data.make_tasks(_test_block(20, 3), column)
 
     def test_benchmark_scale_task_counts(self, credit_like):
         path, meta = credit_like
         test = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))[2]
-        task = data.make_tasks(test, {24})
+        task = data.make_tasks(test, 24)
         assert task.record.shape == (250, 25)
-        assert task.known_mask.sum() == 24
-        assert task.unknown_indices.tolist() == [24]
+        assert task.column == 24
 
 
 class TestImputationTask:
-    def test_needs_one_known_and_one_unknown(self):
-        with pytest.raises(ValueError, match="known"):
-            data.ImputationTask(record=np.zeros((2, 3)), known_mask=np.zeros(3, bool))
-        with pytest.raises(ValueError, match="unknown"):
-            data.ImputationTask(record=np.zeros((2, 3)), known_mask=np.ones(3, bool))
+    def test_column_must_lie_in_the_records(self):
+        with pytest.raises(ValueError, match="missing_column 3 out of range for 3 columns"):
+            data.ImputationTask(record=np.zeros((2, 3)), column=3, true_values=np.zeros((2, 3)))
 
     def test_shapes_must_agree(self):
-        mask = np.array([True, False, True])
-        with pytest.raises(ValueError, match="known_mask"):
-            data.ImputationTask(record=np.zeros(3), known_mask=mask)
-        with pytest.raises(ValueError, match="known_mask"):
-            data.ImputationTask(record=np.zeros((2, 4)), known_mask=mask)
         with pytest.raises(ValueError, match="true_values"):
-            data.ImputationTask(record=np.zeros((2, 3)), known_mask=mask, true_values=np.zeros((3, 3)))
+            data.ImputationTask(record=np.zeros(3), column=1, true_values=np.zeros(3))
+        with pytest.raises(ValueError, match="true_values"):
+            data.ImputationTask(record=np.zeros((2, 3)), column=1, true_values=np.zeros((3, 3)))
 
     def test_arrays_read_only(self):
-        t = data.ImputationTask(
-            record=np.zeros((2, 3)), known_mask=np.array([True, False, True]), true_values=np.ones((2, 3))
-        )
-        for array in (t.record, t.known_mask, t.true_values):
+        t = data.ImputationTask(record=np.zeros((2, 3)), column=1, true_values=np.ones((2, 3)))
+        for array in (t.record, t.true_values):
             with pytest.raises(ValueError):
                 array[0] = 1
 
     def test_keeps_a_read_only_matrix_it_owns_and_copies_the_callers(self):
         owned, writable = np.zeros((2, 3)), np.ones((2, 3))
         owned.flags.writeable = False
-        t = data.ImputationTask(record=owned, known_mask=np.array([True, False, True]), true_values=writable)
+        t = data.ImputationTask(record=owned, column=1, true_values=writable)
         assert t.record is owned
         assert not np.shares_memory(t.true_values, writable) and writable.flags.writeable

@@ -386,7 +386,7 @@ def _tree():
 @pytest.mark.parametrize("make", [
     lambda: random_autoencoder(np.random.default_rng(0), 4, 2),
     lambda: data.Dataset(columns=(data.ColumnSpec("x"), data.ColumnSpec("y")), rows=[[0.25, 0.5], [0.75, 1.0]]),
-    lambda: data.ImputationTask(record=np.zeros((2, 3)), known_mask=[True, False, True], true_values=np.ones((2, 3))),
+    lambda: data.ImputationTask(record=np.zeros((2, 3)), column=1, true_values=np.ones((2, 3))),
     lambda: optimizers.OptimizerResult(np.zeros((2, 1)), np.arange(3), np.ones((3, 2))),
     _tree,
     lambda: forest.Forest(trees=(_tree(), _tree()), predictor_columns=(0,)),
@@ -605,7 +605,7 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert "hidden_search" in report.timings and "train" not in report.timings
         h = report.document["hidden_size"]["selected"]
-        _, (train_rows, _, _) = experiment._prepare_dataset(cfg)
+        _, (train_rows, _, _), _ = experiment._prepare_dataset(cfg)
         seed = derive_seed(cfg.seed, "hidden", h)
         train_cfg = dataclasses.replace(cfg.train, rng_seed=seed)
         again, loss = network.train(train_rows, h, train_cfg)
@@ -1115,6 +1115,16 @@ class TestVerifyReadsEveryFile:
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [(check, detail)]
 
+    # fire-deep's normalization block holds 13 columns.
+    @pytest.mark.parametrize("column", [13, 18])
+    def test_missing_column_must_lie_in_the_normalization_block(self, fire_deep, tmp_path, column):
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        document["config"]["missing_column"] = column
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        assert failures(clone) == [("format", f"report.json: config.missing_column {column} out of range "
+                                    "for 13 columns: must satisfy 0 <= column <= 12 in the normalization block")]
+
     # normalization.csv writes names unquoted, so a name there must not hold
     # a comma, a double quote or a line break.
     @pytest.mark.parametrize("name", ["A,1", "A\n1", '"A1'], ids=["comma", "line-break", "leading-quote"])
@@ -1141,6 +1151,20 @@ class TestVerifyReadsEveryFile:
         (document["config"][section] if section else document["config"])[key] = value
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [("format", f"report.json: {detail}")]
+
+    # fire-deep fixes its hidden size at 6.  An echo that fixes another size,
+    # or a size no network can have (1, or JSON's true), states a model that
+    # model.txt does not hold.
+    @pytest.mark.parametrize("size", [5, 1, True], ids=["five", "one", "true"])
+    def test_a_fixed_hidden_size_must_be_the_selected_one(self, fire_deep, tmp_path, size):
+        clone = clone_report(fire_deep, tmp_path / "edited")
+        document = json.loads((clone / "report.json").read_text())
+        document["config"]["hidden_size"] = document["hidden_size"]["requested"] = size
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        assert failures(clone) == [
+            ("model", f"model.txt.h holds 6, expected {size!r} from report.json"),
+            ("report.json", f"report.json.hidden_size.selected holds 6, expected {size!r}"),
+        ]
 
     def test_a_number_setting_takes_an_integer(self, fire_deep, tmp_path):
         # As a config file's "phi1 = 2" reads as 2.0.
@@ -1303,7 +1327,7 @@ class TestNormalizationScope:
         )
         from aeimpute.experiment import _prepare_dataset
 
-        ds, _ = _prepare_dataset(parse_config(cfg_file))
+        ds, _, _ = _prepare_dataset(parse_config(cfg_file))
         # 20 rows -> train block is the first 10; scaler fitted there.
         assert ds.columns[0].min == 1.0
         assert ds.columns[0].max == 10.0
@@ -1557,7 +1581,7 @@ class TestTracedHooks:
         # One process: a span made in a forked worker stays in that worker.
         monkeypatch.setattr(parallel, "_worker_count", lambda n: 1)
         Tracer = bench_module("spans").Tracer
-        from aeimpute.data import ImputationTask
+        from aeimpute.data import make_tasks
         from aeimpute.objective import MissingDataObjective
 
         tmp, csv, meta = heart_setup
@@ -1571,8 +1595,8 @@ class TestTracedHooks:
             report = run_experiment(cfg)
             # Functions the experiment does not call, in the shapes the tracer wraps.
             net = report.net
-            _, (rows, _, _) = experiment._prepare_dataset(cfg)
-            task = ImputationTask(record=rows[:1], known_mask=np.arange(rows.shape[1]) != 0)
+            _, (rows, _, _), _ = experiment._prepare_dataset(cfg)
+            task = make_tasks(rows[:1], 0)
             tracer.spanned("probe", lambda: (
                 network.train(rows, 3, network.TrainConfig(max_iterations=5)),
                 net.forward(rows[0]),
@@ -1626,21 +1650,28 @@ class TestOneRuleOneMessage:
         csv = tmp_path / "data.csv"
         rows = np.random.default_rng(0).uniform(size=(n_rows, n_columns))
         csv.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
-        cfg = ExperimentConfig(dataset=csv, missing_column=0, task="prediction",
-                               output_dir=tmp_path / "out", **settings)
+        cfg = ExperimentConfig(dataset=csv, task="prediction", output_dir=tmp_path / "out",
+                               **{"missing_column": 0, **settings})
         with pytest.raises(ExperimentError, match="^stage 'prepare' failed: ") as caught:
             run_experiment(cfg)
         cause = str(caught.value.__cause__)
         assert isinstance(caught.value.__cause__, ConfigError) and cause.startswith(f"{csv}: ")
         return cause[len(f"{csv}: "):]
 
-    @pytest.mark.parametrize("h", [5, 9])
+    @pytest.mark.parametrize("h", [1, 5, 9])
     def test_hidden_size_range(self, tmp_path, h):
         message = f"hidden size {h} out of range for 5 inputs: must satisfy 2 <= h <= 4"
         rows = np.random.default_rng(1).uniform(size=(12, 5))
         assert rejection(network.Autoencoder, 5, h, np.zeros(2 * 5 * h + h + 5)) == message
         assert rejection(network.train, rows, h) == message
         assert self.prepare_rejection(tmp_path, 12, 5, hidden_size=h, methods=("ga",)) == message
+
+    @pytest.mark.parametrize("column", [5, 10])
+    def test_missing_column_range(self, tmp_path, column):
+        message = f"missing_column {column} out of range for 5 columns: must satisfy 0 <= column <= 4"
+        rows = np.random.default_rng(1).uniform(size=(3, 5))
+        assert rejection(data.make_tasks, rows, column) == message
+        assert self.prepare_rejection(tmp_path, 12, 5, missing_column=column, methods=("ga",)) == message
 
     # 17 rows split 9/4/4, so the train block holds 2 x 5 - 1 rows.
     @pytest.mark.parametrize("rf, message", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute import network, parallel
-from aeimpute.data import MISSING_SENTINEL, ImputationTask
+from aeimpute.data import make_tasks
 from aeimpute.network import Autoencoder, TrainConfig, TrainingError
 from aeimpute.objective import MissingDataObjective
 from aeimpute.seeding import derive_seed
@@ -429,19 +429,11 @@ class TestFusedTrainer:
         assert rejected >= 1 and restarts >= 1
 
 
-def masked_task(rows, column):
-    """The imputation task of ``rows`` with ``column`` masked, as ``data.make_tasks`` builds it."""
-    rows = np.asarray(rows, dtype=float)
-    records = rows.copy()
-    records[:, column] = MISSING_SENTINEL
-    return ImputationTask(record=records, known_mask=np.arange(rows.shape[1]) != column, true_values=rows)
-
-
 def half_task(n, count=6):
     """A validation task over ``count`` random rows whose masked last column is 0.5."""
     rows = np.random.default_rng(0).uniform(0, 1, size=(count, n))
     rows[:, -1] = 0.5
-    return masked_task(rows, n - 1)
+    return make_tasks(rows, n - 1)
 
 
 def scripted_train(errors, seen=None):
@@ -522,7 +514,7 @@ class TestSelectHiddenSize:
         cfg = TrainConfig(rng_seed=0, max_iterations=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            chosen, net, _ = network.select_hidden_size(rows[:12], masked_task(rows[12:], 2), cfg)
+            chosen, net, _ = network.select_hidden_size(rows[:12], make_tasks(rows[12:], 2), cfg)
         assert chosen == net.n_hidden == 2
 
     def test_all_skipped_is_error(self):
@@ -538,7 +530,7 @@ class TestSelectHiddenSize:
         cfg = TrainConfig(rng_seed=0, max_iterations=60)
         # n = 4, and h = 3 = n - 1 wins here.
         with pytest.warns(UserWarning, match="top of the range"):
-            h, net, loss = network.select_hidden_size(rows[:40], masked_task(rows[40:], 3), cfg)
+            h, net, loss = network.select_hidden_size(rows[:40], make_tasks(rows[40:], 3), cfg)
         assert 2 <= h <= 3
         # The winner comes back as trained, not retrained from another seed.
         again, again_loss = network.train(
@@ -552,7 +544,7 @@ class TestSelectHiddenSize:
         # imputation of the validation block has the lowest mean absolute error.
         rows = wide_manifold_rows(seed=6, count=50)
         cfg = TrainConfig(rng_seed=0, max_iterations=60)
-        task = masked_task(rows[40:], 2)
+        task = make_tasks(rows[40:], 2)
         with pytest.warns(UserWarning, match="top of the range"):
             h, net, _ = network.select_hidden_size(rows[:40], task, cfg)
 
@@ -625,15 +617,6 @@ class TestSelectHiddenSize:
         assert (chosen, net.value, loss) == (3, 0.6, 3.0)
         assert child_processes() == []
 
-    def test_validation_task_must_mask_one_column(self):
-        rows = np.random.default_rng(0).uniform(0, 1, size=(10, 6))
-        two_masked = ImputationTask(record=rows, known_mask=np.arange(6) < 4, true_values=rows)
-        with pytest.raises(ValueError, match="one column"):
-            network.select_hidden_size(rows, two_masked)
-        without_truth = ImputationTask(record=rows, known_mask=np.arange(6) < 5)
-        with pytest.raises(ValueError, match="true values"):
-            network.select_hidden_size(rows, without_truth)
-
 
 def wide_manifold_rows(seed: int, count: int) -> np.ndarray:
     """``manifold_rows`` plus three mirrored columns: 7 inputs, hidden sizes 2-6."""
@@ -656,7 +639,7 @@ def sizes_5_and_7_abort(rows, h, cfg):
 
 def reference_scan(train_rows, val_task, cfg, train_fn):
     """The one-process scan: ((h, network, loss), its warnings in order)."""
-    column = val_task.unknown_indices[0]
+    column = val_task.column
     best, best_error, stale, messages = None, np.inf, 0, []
     for h in network.hidden_size_candidates(train_rows.shape[1]):
         sub_cfg = dataclasses.replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
@@ -690,7 +673,7 @@ class TestParallelSearch:
         monkeypatch.setattr(parallel, "_worker_count", lambda n: workers)
         rows = wider_manifold_rows(seed=6, count=50)
         cfg = TrainConfig(rng_seed=1, max_iterations=60)
-        task = masked_task(rows[40:], 1)
+        task = make_tasks(rows[40:], 1)
         (ref_h, ref_net, ref_loss), ref_messages = reference_scan(
             rows[:40], task, cfg, sizes_5_and_7_abort
         )

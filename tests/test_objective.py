@@ -1,4 +1,4 @@
-"""Reconstruction-error objective over unknown record components."""
+"""Reconstruction-error objective over a masked record column."""
 
 import dataclasses
 
@@ -9,29 +9,26 @@ from hypothesis import given, settings, strategies as st
 from aeimpute.data import ImputationTask
 from aeimpute.objective import _ROWS_PER_PASS, GRID_POINTS, MissingDataObjective
 from aeimpute.network import train, TrainConfig
-from aeimpute.optimizers import OptimizerResult
 
 from conftest import ConstantNet, IdentityNet, random_autoencoder, scalar_forward
 
 
-def make_task(records, unknown):
+def make_task(records, column):
     """A task over one record (a 1-D ``records``) or over the rows of a matrix."""
     records = np.atleast_2d(np.asarray(records, dtype=float))
-    mask = np.ones(records.shape[1], dtype=bool)
-    mask[list(unknown)] = False
-    return ImputationTask(record=records, known_mask=mask)
+    return ImputationTask(record=records, column=column, true_values=records)
 
 
 class TestEvaluate:
     def test_identity_net_zero_everywhere(self):
-        task = make_task([0.2, 0.5, 0.8], unknown=[1])
+        task = make_task([0.2, 0.5, 0.8], column=1)
         obj = MissingDataObjective(IdentityNet(3), task)
         for c in np.linspace(0, 1, 11):
             assert obj.evaluate([c]) == 0.0
 
     def test_constant_net_minimized_at_constant(self):
         c = np.array([0.3, 0.6, 0.1, 0.9])
-        task = make_task([0.2, 0.5, 0.5, 0.8], unknown=[2])
+        task = make_task([0.2, 0.5, 0.5, 0.8], column=2)
         obj = MissingDataObjective(ConstantNet(c), task)
         grid = np.linspace(0, 1, 1001)
         values = [obj.evaluate([g]) for g in grid]
@@ -44,7 +41,7 @@ class TestEvaluate:
     def test_matches_scalar_recomputation_on_grid(self):
         rows = np.random.default_rng(0).uniform(0, 1, size=(30, 4))
         net, _ = train(rows, 2, TrainConfig(rng_seed=0, max_iterations=100))
-        task = make_task([0.4, 0.1, 0.5, 0.9], unknown=[2])
+        task = make_task([0.4, 0.1, 0.5, 0.9], column=2)
         obj = MissingDataObjective(net, task)
         for g in np.linspace(0, 1, 1001):
             full = np.array(task.record[0])
@@ -54,33 +51,33 @@ class TestEvaluate:
             assert obj.evaluate([g]) == pytest.approx(expected, abs=1e-12)
 
     def test_wrong_length_rejected(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], unknown=[0]))
+        obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], column=0))
         with pytest.raises(ValueError, match="length 1"):
             obj.evaluate([0.1, 0.2])
 
     def test_out_of_bounds_rejected(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], unknown=[0]))
+        obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], column=0))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             obj.evaluate([1.5])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             obj.evaluate([-0.1])
 
     def test_nan_rejected(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), unknown=[0]))
+        obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), column=0))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             obj.evaluate_batch([[np.nan], [0.5], [0.2]])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             obj.evaluate_batch([[0.5], [0.2], [np.nan]])
 
     def test_no_rows_score_nothing(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), unknown=[0]))
+        obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), column=0))
         assert obj.evaluate_batch(np.empty((0, 1))).shape == (0,)
 
     def test_nonnegative_and_batch_consistent(self):
         rng = np.random.default_rng(1)
         net = random_autoencoder(rng, 5, 3)
-        obj = MissingDataObjective(net, make_task(rng.uniform(0, 1, 5), unknown=[1, 4]))
-        candidates = rng.uniform(0, 1, size=(20, 2))
+        obj = MissingDataObjective(net, make_task(rng.uniform(0, 1, 5), column=4))
+        candidates = rng.uniform(0, 1, size=(20, 1))
         batch = obj.evaluate_batch(candidates)
         assert (batch >= 0).all()
         singles = np.array([obj.evaluate(c) for c in candidates])
@@ -89,9 +86,9 @@ class TestEvaluate:
     def test_sentinel_never_read(self):
         rng = np.random.default_rng(2)
         net = random_autoencoder(rng, 4, 2)
-        base = make_task([0.2, 0.5, 0.7, 0.4], unknown=[1])
+        base = make_task([0.2, 0.5, 0.7, 0.4], column=1)
         poked_record = np.array(base.record)
-        poked_record[0, 1] = 0.987  # garbage in the unknown slot
+        poked_record[0, 1] = 0.987  # garbage in the masked slot
         poked = dataclasses.replace(base, record=poked_record)
         obj_a = MissingDataObjective(net, base)
         obj_b = MissingDataObjective(net, poked)
@@ -100,7 +97,7 @@ class TestEvaluate:
 
     def test_mismatched_network_rejected(self):
         with pytest.raises(ValueError, match="inputs"):
-            MissingDataObjective(IdentityNet(5), make_task([0.1, 0.2, 0.3], unknown=[0]))
+            MissingDataObjective(IdentityNet(5), make_task([0.1, 0.2, 0.3], column=0))
 
 
 class TestStacked:
@@ -108,74 +105,52 @@ class TestStacked:
         rng = np.random.default_rng(3)
         net = random_autoencoder(rng, 5, 3)
         records = rng.uniform(0, 1, size=(7, 5))
-        stacked = MissingDataObjective(net, make_task(records, unknown=[1, 4]))
-        assert stacked.n_tasks == 7 and stacked.dimension == 2
-        candidates = rng.uniform(0, 1, size=(7, 90, 2))  # 630 rows: more than one pass
-        values = stacked.evaluate_batch(candidates.reshape(-1, 2)).reshape(7, 90)
+        stacked = MissingDataObjective(net, make_task(records, column=4))
+        assert stacked.n_tasks == 7 and stacked.dimension == 1
+        candidates = rng.uniform(0, 1, size=(7, 90, 1))  # 630 rows: more than one pass
+        values = stacked.evaluate_batch(candidates.reshape(-1, 1)).reshape(7, 90)
         for t, record in enumerate(records):
-            alone = MissingDataObjective(net, make_task(record, unknown=[1, 4]))
+            alone = MissingDataObjective(net, make_task(record, column=4))
             np.testing.assert_array_equal(values[t], alone.evaluate_batch(candidates[t]))
 
     def test_rows_must_split_evenly_over_tasks(self):
-        task = make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], unknown=[0])
+        task = make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], column=0)
         obj = MissingDataObjective(IdentityNet(3), task)
         with pytest.raises(ValueError, match="multiple of 2"):
             obj.evaluate_batch(np.full((3, 1), 0.5))
         with pytest.raises(ValueError):
             obj.evaluate([0.5])
 
-    def test_tasks_must_share_one_mask(self):
-        records = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-        per_record_masks = np.array([[False, True, True], [True, False, True]])
-        with pytest.raises(ValueError, match="known_mask"):
-            ImputationTask(record=records, known_mask=per_record_masks)
 
-    def test_impute_one_point_per_task(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], unknown=[1]))
-        full = obj.impute(TestImpute().result([[0.9], [0.8]]))
-        np.testing.assert_array_equal(full, [[0.1, 0.9, 0.3], [0.4, 0.8, 0.6]])
-        with pytest.raises(ValueError, match="each of 2 records"):
-            obj.impute(TestImpute().result([[0.9]]))
+class RecordingNet(IdentityNet):
+    """Identity stub that keeps a copy of every pass of rows it is given."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.passes = []
+
+    def forward_batch(self, rows):
+        self.passes.append(np.array(rows, dtype=float))
+        return super().forward_batch(rows)
 
 
-class TestImpute:
-    def result(self, points):
-        """A result whose best points are ``points``, one row per record."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        t = points.shape[0]
-        return OptimizerResult(
-            best_points=points,
-            trace_iterations=np.array([0]),
-            trace_values=np.zeros((1, t)),
-        )
+class TestCompletion:
+    """The rows the network sees: each record with its candidate in the masked column."""
 
-    def test_scatter_single(self):
-        obj = MissingDataObjective(IdentityNet(5), make_task([0.1, 0.2, 0.3, 0.5, 0.9], unknown=[3]))
-        (full,) = obj.impute(self.result([0.42]))
-        assert full[3] == 0.42
-        np.testing.assert_array_equal(full[[0, 1, 2, 4]], [0.1, 0.2, 0.3, 0.9])
+    def test_candidate_fills_the_masked_column(self):
+        record = [0.1, 0.2, 0.3, 0.5, 0.9]
+        net = RecordingNet(5)
+        MissingDataObjective(net, make_task(record, column=3)).evaluate([0.42])
+        (seen,) = net.passes  # a lone row goes through as two copies of itself
+        np.testing.assert_array_equal(seen, [[0.1, 0.2, 0.3, 0.42, 0.9]] * 2)
 
-    def test_scatter_preserves_order(self):
-        obj = MissingDataObjective(IdentityNet(4), make_task([0.1, 0.5, 0.5, 0.4], unknown=[1, 2]))
-        (full,) = obj.impute(self.result([0.7, 0.2]))
-        assert full[1] == 0.7 and full[2] == 0.2
-
-    def test_known_components_untouched(self):
-        record = np.array([0.11, 0.22, 0.5, 0.44])
-        obj = MissingDataObjective(IdentityNet(4), make_task(record, unknown=[2]))
-        (full,) = obj.impute(self.result([0.9]))
-        assert full[0] == record[0] and full[1] == record[1] and full[3] == record[3]
-
-    def test_nan_point_rejected(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], unknown=[1]))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            obj.impute(self.result([[0.5], [np.nan]]))
-
-    def test_gather_recovers_point(self):
-        obj = MissingDataObjective(IdentityNet(4), make_task([0.1, 0.5, 0.5, 0.4], unknown=[1, 3]))
-        point = np.array([0.61, 0.13])
-        (full,) = obj.impute(self.result(point))
-        np.testing.assert_array_equal(full[obj.task.unknown_indices], point)
+    def test_one_candidate_per_record(self):
+        net = RecordingNet(3)
+        obj = MissingDataObjective(net, make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], column=1))
+        obj.evaluate_batch([[0.9], [0.8]])
+        np.testing.assert_array_equal(net.passes, [[[0.1, 0.9, 0.3], [0.4, 0.8, 0.6]]])
+        with pytest.raises(ValueError, match="multiple of 2"):
+            obj.evaluate_batch([[0.9], [0.8], [0.7]])
 
 
 def reference_evaluate_batch(obj, candidates):
@@ -188,7 +163,7 @@ def reference_evaluate_batch(obj, candidates):
     for start in range(0, c.shape[0], _ROWS_PER_PASS):
         stop = min(start + _ROWS_PER_PASS, c.shape[0])
         full = obj.task.record[np.arange(start, stop) // k]
-        full[:, obj.task.unknown_indices] = c[start:stop]
+        full[:, [obj.task.column]] = c[start:stop]
         full = np.repeat(full, 2 if stop - start == 1 else 1, axis=0)
         full -= obj.net.forward_batch(full)
         full *= full
@@ -196,11 +171,11 @@ def reference_evaluate_batch(obj, candidates):
     return values
 
 
-def random_objective(rng, n_tasks, n, m):
-    """An objective over ``n_tasks`` random records with ``m`` of ``n`` components unknown."""
+def random_objective(rng, n_tasks, n):
+    """An objective over ``n_tasks`` random records of ``n`` components, one of them masked."""
     net = random_autoencoder(rng, n, int(rng.integers(2, n)))
-    unknown = np.sort(rng.choice(n, size=m, replace=False))
-    return MissingDataObjective(net, make_task(rng.uniform(0, 1, size=(n_tasks, n)), unknown))
+    column = int(rng.integers(0, n))
+    return MissingDataObjective(net, make_task(rng.uniform(0, 1, size=(n_tasks, n)), column))
 
 
 class TestEvaluateBatchBits:
@@ -211,7 +186,7 @@ class TestEvaluateBatchBits:
         n_tasks = data.draw(st.integers(1, 5), label="T")
         k = data.draw(st.sampled_from([1, 2, 7]) | st.integers(100, 260), label="k")
         n = data.draw(st.integers(3, 8), label="n")
-        obj = random_objective(rng, n_tasks, n, data.draw(st.integers(1, n - 1), label="m"))
+        obj = random_objective(rng, n_tasks, n)
         candidates = rng.uniform(0, 1, size=(n_tasks * k, obj.dimension))
         candidates[rng.random(candidates.shape) < 0.1] = 0.0  # box edges, as clipping leaves them
         candidates[rng.random(candidates.shape) < 0.1] = 1.0
@@ -221,8 +196,8 @@ class TestEvaluateBatchBits:
     def test_blocks_across_pass_boundaries_equal_reference(self, n_tasks, k):
         # 600 and 1,025 rows need two and three passes of 512 rows.
         rng = np.random.default_rng(n_tasks * k)
-        obj = random_objective(rng, n_tasks, 6, 2)
-        candidates = rng.uniform(0, 1, size=(n_tasks * k, 2))
+        obj = random_objective(rng, n_tasks, 6)
+        candidates = rng.uniform(0, 1, size=(n_tasks * k, 1))
         np.testing.assert_array_equal(obj.evaluate_batch(candidates), reference_evaluate_batch(obj, candidates))
 
 
@@ -234,7 +209,7 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("n", [14, 25, 13])
     def test_a_row_scores_the_same_in_any_pass(self, n, h):
         rng = np.random.default_rng([n, h])
-        task = make_task(rng.uniform(0, 1, size=n), unknown=[n - 1])
+        task = make_task(rng.uniform(0, 1, size=n), column=n - 1)
         obj = MissingDataObjective(random_autoencoder(rng, n, h), task)
         probe, others = rng.uniform(0, 1, size=(1, 1)), rng.uniform(0, 1, size=(_ROWS_PER_PASS * 2 + 6, 1))
         expected = obj.evaluate_batch(np.concatenate([probe, others[:1]]))[0]
@@ -267,11 +242,11 @@ class TestGridMinimize:
     def test_equals_per_record_loop(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         n_tasks = data.draw(st.integers(1, 6), label="T")
-        obj = random_objective(rng, n_tasks, data.draw(st.integers(3, 8), label="n"), 1)
+        obj = random_objective(rng, n_tasks, data.draw(st.integers(3, 8), label="n"))
         grid = np.linspace(0.0, 1.0, GRID_POINTS)[:, None]
         points, minima = obj.grid_minimize()
         for t in range(n_tasks):
-            one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.task.unknown_indices))
+            one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.task.column))
             values = one.evaluate_batch(grid)
             best = int(np.argmin(values))
             assert points[t] == grid[best, 0]
@@ -280,17 +255,12 @@ class TestGridMinimize:
 
     def test_ties_go_to_the_lower_point(self):
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        task = make_task([[0.2, 0.9, 0.4], [0.7, 0.1, 0.3]], unknown=[1])
+        task = make_task([[0.2, 0.9, 0.4], [0.7, 0.1, 0.3]], column=1)
         points, minima = MissingDataObjective(WellsNet(grid[[300, 150]]), task).grid_minimize()
         np.testing.assert_array_equal(points, [grid[150], grid[150]])
         np.testing.assert_array_equal(minima, [0.0, 0.0])
 
     def test_constant_net_minimized_at_nearest_grid_point(self):
-        task = make_task([0.2, 0.5, 0.5, 0.8], unknown=[2])
+        task = make_task([0.2, 0.5, 0.5, 0.8], column=2)
         points, _ = MissingDataObjective(ConstantNet([0.3, 0.6, 0.1234, 0.9]), task).grid_minimize()
         assert points[0] == pytest.approx(0.1225, abs=1e-12)
-
-    def test_needs_one_unknown_component(self):
-        obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], unknown=[0, 1]))
-        with pytest.raises(ValueError, match="one unknown"):
-            obj.grid_minimize()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute import data, network, optimizers as opt
-from aeimpute.data import ImputationTask
 from aeimpute.objective import MissingDataObjective
 from aeimpute.optimizers import GaConfig, NsConfig, PsoConfig, SaConfig
 from aeimpute.seeding import derive_seed
@@ -86,7 +85,7 @@ def pipeline_objective(tmp_path_factory, shape, hidden):
     meta = write_table(path, shape)
     train, _, test = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))
     net, _ = network.train(train, hidden, network.TrainConfig(max_iterations=30))
-    return MissingDataObjective(net, data.make_tasks(test, {meta["missing_column"]}))
+    return MissingDataObjective(net, data.make_tasks(test, meta["missing_column"]))
 
 
 @pytest.fixture(scope="module")
@@ -650,12 +649,10 @@ class TestLockstep:
         rng = np.random.default_rng(17)
         net = random_autoencoder(rng, 13, 7)
         records = rng.uniform(0.0, 1.0, size=(9, 13))
-        mask = np.ones(13, dtype=bool)
-        mask[12] = False
         seeds = [int(s) for s in rng.integers(0, 2**63, size=len(records))]
-        together = opt.run(MissingDataObjective(net, ImputationTask(records, mask)), name, cfg, seeds=seeds)
+        together = opt.run(MissingDataObjective(net, data.make_tasks(records, 12)), name, cfg, seeds=seeds)
         for t, seed in enumerate(seeds):
-            task = ImputationTask(records[t : t + 1], mask)
+            task = data.make_tasks(records[t : t + 1], 12)
             alone = opt.run(MissingDataObjective(net, task), name, cfg, seeds=[seed])
             np.testing.assert_array_equal(together.best_points[t], alone.best_points[0])
             assert together.best_values[t] == alone.best_values[0], t
@@ -814,13 +811,11 @@ def reference_ga(obj, cfg, seeds):
 
 
 def drawn_objective(draw, rng, n_tasks, m):
-    """The separable stub, or a reconstruction objective on a random autoencoder."""
-    if draw(st.booleans(), label="autoencoder"):
+    """The separable stub, or for m = 1 a reconstruction objective on a random autoencoder."""
+    if m == 1 and draw(st.booleans(), label="autoencoder"):
         n = max(3, m + draw(st.integers(1, 3), label="known"))
         net = random_autoencoder(rng, n, int(rng.integers(2, n)))
-        mask = np.ones(n, dtype=bool)
-        mask[rng.choice(n, size=m, replace=False)] = False
-        task = ImputationTask(record=rng.uniform(0, 1, size=(n_tasks, n)), known_mask=mask)
+        task = data.make_tasks(rng.uniform(0, 1, size=(n_tasks, n)), int(rng.integers(0, n)))
         return MissingDataObjective(net, task)
     return StackedStub(rng.uniform(0.0, 1.0, size=(n_tasks, m)))
 
