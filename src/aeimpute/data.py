@@ -115,7 +115,7 @@ def check_column(column: int, n_columns: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ImputationTask:
-    """T records of n components with one masked ``column``.
+    """T >= 1 records of n components with one masked ``column``.
 
     ``record`` is (T, n); its ``column`` slots hold :data:`MISSING_SENTINEL`
     when built by :func:`make_tasks` and are never read as data.
@@ -132,6 +132,8 @@ class ImputationTask:
         truth = _frozen(self.true_values)
         if record.ndim != 2 or truth.shape != record.shape:
             raise ValueError("record and true_values must be (T, n) matrices of one shape")
+        if not record.shape[0]:
+            raise ValueError("a task needs at least one record")
         check_column(self.column, record.shape[1])
         object.__setattr__(self, "record", record)
         object.__setattr__(self, "true_values", truth)

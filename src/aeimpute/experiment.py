@@ -456,7 +456,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 else:
                     seeds = [derive_seed(cfg.seed, method, i) for i in range(len(truth))]
                     result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
-                    values = result.best_points[:, 0]
+                    values = result.best_points
                 return values, perf_counter() - begin
 
             imputed = dict(zip(cfg.methods, fork_map(estimate, cfg.methods)))

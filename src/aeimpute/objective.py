@@ -19,9 +19,9 @@ multiplies a pass of two or more rows as a matrix, but a single row by its
 matrix-vector path, which sums in another order and can differ in the last
 bit.  So a one-row pass is scored as two copies of its row, and the first
 copy's value is kept.  A one-task search is thus, bit for bit, its task's
-part of a lockstep search (see :mod:`aeimpute.optimizers`).  The network's
-own passes, in training and
-:meth:`~aeimpute.network.Autoencoder.forward_batch`, are left as they are.
+part of a lockstep search (see :mod:`aeimpute.optimizers`).  The network's own
+passes, in training and :meth:`~aeimpute.network.Autoencoder.forward_batch`,
+are left as they are.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ GRID_POINTS = 401
 class MissingDataObjective:
     """Objective on [0, 1] per record: the value of the task's masked column.
 
-    ``task`` holds T records; :meth:`evaluate_batch` reads its candidate rows
-    task-major (the lockstep interface of :mod:`aeimpute.optimizers`, whose
-    candidates are rows of ``dimension`` = 1 value).  Immutable; every call
-    is a pure function of the candidates.  Candidates outside [0, 1], NaN
-    included, raise: optimizers are expected to clamp before evaluating.
+    ``task`` holds T records; :meth:`evaluate_batch` reads its candidate
+    values task-major (the lockstep interface of :mod:`aeimpute.optimizers`).
+    Immutable; every call is a pure function of the candidates.  Candidates
+    outside [0, 1], NaN included, raise: optimizers are expected to clamp
+    before evaluating.
     """
-
-    dimension = 1
 
     def __init__(self, net, task):
         if net.n_inputs != task.n:
@@ -63,30 +61,35 @@ class MissingDataObjective:
     def n_tasks(self) -> int:
         return self.task.record.shape[0]
 
-    def evaluate(self, candidate) -> float:
-        """Summed squared error of one candidate for a one-record objective."""
-        return float(self.evaluate_batch(np.reshape(candidate, (1, -1)))[0])
+    def evaluate(self, candidate: float) -> float:
+        """Summed squared error of one candidate value for a one-record objective."""
+        return float(self.evaluate_batch(np.array([candidate], dtype=float))[0])
 
     def evaluate_batch(self, candidates) -> np.ndarray:
-        """Summed squared errors of a (T*k, 1) task-major candidate matrix.
+        """Summed squared errors of a (T*k,) task-major candidate vector.
 
-        Rows t*k to t*k + k - 1 are record t's candidates; the completed
-        records go through the network in passes of _ROWS_PER_PASS rows.
-        Whatever placeholder a record carries in its masked slot is
-        overwritten, never read.
+        Entries t*k to t*k + k - 1 are record t's candidates.  Whatever
+        placeholder a record carries in its masked slot is overwritten,
+        never read.
         """
         c = np.asarray(candidates, dtype=float)
-        if c.ndim != 2 or c.shape[1] != self.dimension or c.shape[0] % self.n_tasks:
-            raise ValueError(
-                f"expected candidate rows of length {self.dimension}, a multiple of "
-                f"{self.n_tasks} of them, got shape {c.shape}"
-            )
+        if c.ndim != 1 or c.size % self.n_tasks:
+            raise ValueError(f"expected a vector whose length is a multiple of {self.n_tasks}, got shape {c.shape}")
         # One pass per bound; a NaN propagates to both and fails both tests.
-        lo = np.minimum.reduce(c, axis=None, initial=1.0)
-        hi = np.maximum.reduce(c, axis=None, initial=0.0)
+        lo = np.minimum.reduce(c, initial=1.0)
+        hi = np.maximum.reduce(c, initial=0.0)
         if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("candidates must lie in [0, 1]")
-        rows = c.shape[0]
+        return self._squared_errors(c)
+
+    def _squared_errors(self, c: np.ndarray) -> np.ndarray:
+        """Summed squared reconstruction errors of the task-major candidates ``c``.
+
+        Each record is completed with its candidates, and the completed rows
+        go through the network in passes of _ROWS_PER_PASS rows; a one-row
+        pass as two copies of its row, keeping the first copy's error.
+        """
+        rows = c.size
         k = rows // self.n_tasks
         record, column = self.task.record, self.task.column
         values = np.empty(rows)
@@ -94,36 +97,21 @@ class MissingDataObjective:
             stop = min(start + _ROWS_PER_PASS, rows)
             # With one candidate per record, row r completes record r.
             full = record[start:stop].copy() if k == 1 else record[np.arange(start, stop) // k]
-            full[:, column] = c[start:stop, 0]
-            self._squared_errors(full, values[start:stop])
+            full[:, column] = c[start:stop]
+            if stop - start == 1:
+                full = np.concatenate([full, full])
+            full -= self.net.forward_batch(full)
+            full *= full
+            np.add.reduce(full[: stop - start], axis=1, out=values[start:stop])
         return values
-
-    def _squared_errors(self, full: np.ndarray, out: np.ndarray) -> None:
-        """Summed squared reconstruction errors of completed rows, into ``out``.
-
-        ``full`` may be overwritten.  A single row goes through the network
-        as two copies of itself, and the first copy's error is kept.
-        """
-        if full.shape[0] == 1:
-            full = np.concatenate([full, full])
-        full -= self.net.forward_batch(full)
-        full *= full
-        np.add.reduce(full[: out.shape[0]], axis=1, out=out)
 
     def grid_minimize(self) -> tuple[np.ndarray, np.ndarray]:
         """The (T,) minimizers and minima over GRID_POINTS evenly spaced points of [0, 1].
 
-        Ties go to the lower point.  Records go through the network one at a
-        time, so no temporary holds more than one record's GRID_POINTS rows.
+        Ties go to the lower point.  The T grids are scored as one task-major
+        vector, in the passes of :meth:`evaluate_batch`.
         """
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        points = np.empty(self.n_tasks)
-        minima = np.empty(self.n_tasks)
-        values = np.empty(GRID_POINTS)
-        for t, record in enumerate(self.task.record):
-            full = np.tile(record, (GRID_POINTS, 1))
-            full[:, self.task.column] = grid
-            self._squared_errors(full, values)
-            best = int(np.argmin(values))  # the first of equal values: the lowest point
-            points[t], minima[t] = grid[best], values[best]
-        return points, minima
+        values = self._squared_errors(np.tile(grid, self.n_tasks)).reshape(self.n_tasks, GRID_POINTS)
+        best = values.argmin(axis=1)  # the first of equal values: the lowest point
+        return grid[best], values[np.arange(self.n_tasks), best]

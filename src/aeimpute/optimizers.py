@@ -5,17 +5,17 @@ swarm optimization with velocity clamping, and a negative-selection search
 that repeatedly culls the worse half of a detector set.
 
 An objective holds T independent tasks (say, the test records of one
-experiment, which share one mask) and exposes ``n_tasks = T``, ``dimension``
-(m) and ``evaluate_batch(X)``.  That call scores the rows of an (r, m)
-candidate matrix read task-major, r = T * k, rows t*k to t*k + k - 1 being
-task t's k candidates, and returns a length-r float array.  Every minimizer
-advances all T tasks together, so each step is one ``evaluate_batch`` call
-over the candidates of every task, and returns one :class:`OptimizerResult`
-for all of them.  Within a task SA is sequential, but a move that changes
-no task's state leaves the next move's start as it was, so one call scores a
-window of a step's next moves from the current states (:func:`minimize_sa`).
-PSO moves its whole swarm from the bests of the previous sweep, so a sweep
-is one call of T * swarm rows.
+experiment) and exposes ``n_tasks = T`` and ``evaluate_batch(x)``.  That
+call scores a task-major vector of r = T * k candidate values in [0, 1],
+entries t*k to t*k + k - 1 being task t's k candidates, and returns a
+length-r float array.  Every minimizer advances all T tasks together, so
+each step is one ``evaluate_batch`` call over the candidates of every task,
+and returns one :class:`OptimizerResult` for all of them.  Within a task SA
+is sequential, but a move that changes no task's state leaves the next
+move's start as it was, so one call scores a window of a step's next moves
+from the current states (:func:`minimize_sa`).  PSO moves its whole swarm
+from the bests of the previous sweep, so a sweep is one call of T * swarm
+rows.
 
 Seeds and draw order: ``minimize_*(obj, cfg, seeds=seeds)`` takes one seed
 per task.  Task t draws from its own ``np.random.default_rng(seeds[t])`` in
@@ -31,7 +31,7 @@ per generation for a full block of fresh points, of which only the culled
 detectors' slots are used; PSO twice for its initial positions and
 velocities and once per sweep for the pull factors; SA once for its start
 point, once for its calibration probes (when it calibrates), and twice per
-temperature step, for the (moves_per_step, m) block of noise and then the
+temperature step, for the moves_per_step values of noise and then the
 moves_per_step acceptance uniforms.  The blocks are then read for all T
 tasks at once.
 
@@ -61,7 +61,7 @@ _CALIBRATION_PROBES = 100
 class OptimizerResult:
     """Best points found for T tasks and the trace of their objective values.
 
-    ``best_points`` is (T, m).  The trace has K entries: ``trace_iterations``
+    ``best_points`` is (T,).  The trace has K entries: ``trace_iterations``
     (K,) labels them, and column t of ``trace_values`` (K, T) is task t's
     best-so-far value, non-increasing down the column.  A run uses exactly
     ``budget()`` evaluations per task (the module docstring's table).
@@ -88,7 +88,7 @@ class GaConfig:
     population: int = 50
     bits_per_variable: int = 16
     crossover_prob: float = 0.9
-    mutation_prob: float | None = None  # default resolves to 1 / (bits * m)
+    mutation_prob: float | None = None  # default resolves to 1 / bits
     tournament_size: int = 2
     elitism: int = 1
     generations: int = 100
@@ -173,27 +173,25 @@ def _generators(obj, seeds) -> list[np.random.Generator]:
 
 
 def _evaluate(obj, candidates: np.ndarray) -> np.ndarray:
-    """Score a (T, k, m) stack of candidates in one batch; returns (T, k)."""
-    n_tasks, k, m = candidates.shape
-    return obj.evaluate_batch(candidates.reshape(n_tasks * k, m)).reshape(n_tasks, k)
+    """Score a (T, k) block of candidates in one batch; returns (T, k)."""
+    return obj.evaluate_batch(candidates.reshape(-1)).reshape(candidates.shape)
 
 
 # ---------------------------------------------------------------------------
 # Genetic algorithm (Gray-coded fixed-point encoding, tournament selection)
 # ---------------------------------------------------------------------------
 
-def _decode(chromosomes: np.ndarray, m: int, bits: int) -> np.ndarray:
-    """Fixed-point decode of (..., m * bits) bit strings into (..., m) points.
+def _decode(chromosomes: np.ndarray, bits: int) -> np.ndarray:
+    """Fixed-point decode of (..., bits) bit strings into (...) values.
 
-    Per variable, the integer whose big-endian Gray code is its bits, divided
-    by 2^bits - 1.  Neighbouring values are one bit flip apart, so mutation
+    The integer whose big-endian Gray code is the bits, divided by
+    2^bits - 1.  Neighbouring values are one bit flip apart, so mutation
     can always step to them; in plain binary, 0.5 - 2^-bits and 0.5 differ in
     every bit.  Each code is packed into one integer and undone by a
     prefix-xor (shifts 1, 2, 4, ...); up to 53 bits the integer and its
     quotient are exact in float64.
     """
-    blocks = chromosomes.reshape(*chromosomes.shape[:-1], m, bits)
-    code = blocks @ (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
+    code = chromosomes @ (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
     shift = 1
     while shift < bits:
         code ^= code >> shift
@@ -204,11 +202,11 @@ def _decode(chromosomes: np.ndarray, m: int, bits: int) -> np.ndarray:
 def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
     """Generational GA maximizing the negated objective.
 
-    Chromosomes are Gray-coded bit strings of m * bits_per_variable bits
-    decoding into [0, 1]^m.  Each generation: tournament selection on
-    fitness, single-point crossover, bit-flip mutation, with the top
-    ``elitism`` individuals carried over unchanged (their cached values are
-    not re-evaluated).  Offspring are produced in pairs; an odd remainder
+    Chromosomes are Gray-coded strings of bits_per_variable bits decoding
+    into [0, 1].  Each generation: tournament selection on fitness,
+    single-point crossover, bit-flip mutation, with the top ``elitism``
+    individuals carried over unchanged (their cached values are not
+    re-evaluated).  Offspring are produced in pairs; an odd remainder
     discards the second child of the last pair after its mutation draw.
 
     Each task draws its initial population in one call, then one
@@ -219,9 +217,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
     """
     cfg = cfg or GaConfig()
     rngs = _generators(obj, seeds)
-    n_tasks, m = len(rngs), obj.dimension
-    bits = cfg.bits_per_variable
-    length = m * bits
+    n_tasks, length = len(rngs), cfg.bits_per_variable
     p_mut = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / length
     n_children = cfg.population - cfg.elitism
     pairs = (n_children + 1) // 2
@@ -235,11 +231,11 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
 
     shape = (cfg.population, length)
     pop = np.stack([rng.integers(0, 2, size=shape, dtype=np.int8) for rng in rngs])
-    values = _evaluate(obj, _decode(pop, m, bits))
+    values = _evaluate(obj, _decode(pop, length))
 
     best_idx = values.argmin(axis=1)
     best_values = values[tasks, best_idx]
-    best_points = _decode(pop[tasks, best_idx], m, bits)
+    best_points = _decode(pop[tasks, best_idx], length)
     history = [best_values.copy()]
 
     for gen in range(1, cfg.generations + 1):
@@ -263,7 +259,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
         children ^= swapped[:, :, None]
         children ^= (draws[:, flip_at:] < p_mut).reshape(n_tasks, pairs, 2, length)
         children = children.reshape(n_tasks, 2 * pairs, length)[:, :n_children]
-        child_values = _evaluate(obj, _decode(children, m, bits))
+        child_values = _evaluate(obj, _decode(children, length))
 
         pop = np.concatenate([pop.reshape(-1, length)[elites], children], axis=1)
         values = np.concatenate([values.reshape(-1)[elites], child_values], axis=1)
@@ -271,7 +267,7 @@ def minimize_ga(obj, cfg: GaConfig | None = None, *, seeds):
         gen_best = values.argmin(axis=1)
         better = values[tasks, gen_best] < best_values
         best_values[better] = values[tasks, gen_best][better]
-        best_points[better] = _decode(pop[tasks[better], gen_best[better]], m, bits)
+        best_points[better] = _decode(pop[tasks[better], gen_best[better]], length)
         history.append(best_values.copy())
 
     return OptimizerResult(best_points, np.arange(len(history)), history)
@@ -297,7 +293,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
 
     Without a fixed ``initial_temperature`` each task calibrates its own from
     100 probe moves off its start point.  Each temperature step, each task
-    draws its (moves_per_step, m) block of N(0, 1) noise and then its
+    draws its moves_per_step values of N(0, 1) noise and then its
     moves_per_step uniforms u, which become the thresholds T * log1p(-u) <= 0.
     Move i from x to y is accepted iff threshold_i <= f(x) - f(y): always
     when it does not worsen the objective, and an uphill move of delta with
@@ -317,13 +313,13 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
     """
     cfg = cfg or SaConfig()
     rngs = _generators(obj, seeds)
-    n_tasks, m, moves = len(rngs), obj.dimension, cfg.moves_per_step
+    n_tasks, moves = len(rngs), cfg.moves_per_step
     sigma = cfg.neighbor_sigma
 
-    x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
+    x = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
     fx = obj.evaluate_batch(x)
     if cfg.initial_temperature is None:
-        probes = np.stack([rng.normal(0.0, sigma, size=(_CALIBRATION_PROBES, m)) for rng in rngs])
+        probes = np.stack([rng.normal(0.0, sigma, size=_CALIBRATION_PROBES) for rng in rngs])
         deltas = _evaluate(obj, np.clip(x[:, None] + probes, 0.0, 1.0)) - fx[:, None]
         temperature = np.array([_start_temperature(d[d > 0]) for d in deltas])
     else:
@@ -334,7 +330,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
     history = [best_values.copy()]
     y = np.empty_like(x)
     x_bits, y_bits = x.view(np.int64), y.view(np.int64)
-    noise = np.empty((n_tasks, moves, m))
+    noise = np.empty((n_tasks, moves))
     uniforms = np.empty((n_tasks, moves))
     window = 1
 
@@ -356,7 +352,7 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
                 accept = thresholds[:, pos] <= fx - fy
                 # From c >= moves / 2 on the next window is 1: stop counting.
                 if 2 * changed < moves:
-                    changed += bool((accept[:, None] & (y_bits != x_bits)).any())
+                    changed += bool((accept & (y_bits != x_bits)).any())
                 pos += 1
             else:
                 ys = noise[:, pos : pos + k] + x[:, None]
@@ -364,16 +360,16 @@ def minimize_sa(obj, cfg: SaConfig | None = None, *, seeds):
                 np.minimum(ys, 1.0, out=ys)
                 fys = _evaluate(obj, ys)
                 accepts = thresholds[:, pos : pos + k] <= fx[:, None] - fys
-                moved = (accepts & (ys.view(np.int64) != x_bits[:, None]).any(axis=2)).any(axis=0)
+                moved = (accepts & (ys.view(np.int64) != x_bits[:, None])).any(axis=0)
                 j = int(moved.argmax()) if moved.any() else k - 1
                 changed += bool(moved[j])
                 y[:], fy, accept = ys[:, j], fys[:, j], accepts[:, j]
                 pos += j + 1
-            np.copyto(x, y, where=accept[:, None])
+            np.copyto(x, y, where=accept)
             np.copyto(fx, fy, where=accept)
             better = fx < best_values
             np.copyto(best_values, fx, where=better)
-            np.copyto(best_points, x, where=better[:, None])
+            np.copyto(best_points, x, where=better)
         temperature *= cfg.cooling_factor
         window = max(1, moves // (changed + 1))
         history.append(best_values.copy())
@@ -396,16 +392,15 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds):
     positions in one task-major batch.  A personal best then moves to a
     position that is strictly better, and each task's global best is the
     first of its best personal bests.  Each task draws its initial positions
-    and velocities in two calls, then one (swarm, 2, m) block of pull
-    factors per sweep, in the order of per-particle U(0,phi1) then U(0,phi2)
-    draws.
+    and velocities in two calls, then one (swarm, 2) block of pull factors
+    per sweep, in the order of per-particle U(0,phi1) then U(0,phi2) draws.
     """
     cfg = cfg or PsoConfig()
     rngs = _generators(obj, seeds)
-    n_tasks, m, swarm = len(rngs), obj.dimension, cfg.swarm
+    n_tasks, swarm = len(rngs), cfg.swarm
 
-    positions = np.stack([rng.uniform(0.0, 1.0, size=(swarm, m)) for rng in rngs])
-    velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
+    positions = np.stack([rng.uniform(0.0, 1.0, size=swarm) for rng in rngs])
+    velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=swarm) for rng in rngs])
 
     values = _evaluate(obj, positions)
     pbest = positions.copy()
@@ -414,8 +409,8 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds):
     g = pbest_values.argmin(axis=1)
     gbest = pbest[tasks, g]
     history = [pbest_values[tasks, g]]
-    pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
-    draws = np.empty((n_tasks, swarm, 2, m))
+    pull_scale = np.array([cfg.phi1, cfg.phi2])
+    draws = np.empty((n_tasks, swarm, 2))
     r1, r2 = draws[:, :, 0], draws[:, :, 1]
     pull = np.empty_like(positions)
 
@@ -437,7 +432,7 @@ def minimize_pso(obj, cfg: PsoConfig | None = None, *, seeds):
         values = _evaluate(obj, positions)
         better = values < pbest_values
         np.copyto(pbest_values, values, where=better)
-        np.copyto(pbest, positions, where=better[..., None])
+        np.copyto(pbest, positions, where=better)
         g = pbest_values.argmin(axis=1)
         gbest = pbest[tasks, g]
         history.append(pbest_values[tasks, g])
@@ -454,20 +449,20 @@ def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
     value lies above the set median and replaces it with a fresh uniform
     point, keeping the set size constant throughout.
 
-    Each task draws its initial (detectors, m) set in one call, then one
-    (detectors, m) block of fresh points per generation; a culled detector
-    takes the point in its own slot, and the rest of the block goes unused.
+    Each task draws its initial detectors in one call, then one block of as
+    many fresh points per generation; a culled detector takes the point in
+    its own slot, and the rest of the block goes unused.
     """
     cfg = cfg or NsConfig()
     rngs = _generators(obj, seeds)
-    n_tasks, m = len(rngs), obj.dimension
+    n_tasks = len(rngs)
     tasks = np.arange(n_tasks)
 
-    detectors = np.empty((n_tasks, cfg.detectors, m))
+    detectors = np.empty((n_tasks, cfg.detectors))
     fresh = np.empty_like(detectors)
     for rng, row in zip(rngs, detectors):
         rng.random(out=row)
-    best_points = np.zeros((n_tasks, m))
+    best_points = np.zeros(n_tasks)
     best_values = np.full(n_tasks, math.inf)
     history = []
 
@@ -480,7 +475,7 @@ def minimize_ns(obj, cfg: NsConfig | None = None, *, seeds):
         culled = values > np.median(values, axis=1, keepdims=True)
         for rng, row in zip(rngs, fresh):
             rng.random(out=row)
-        detectors = np.where(culled[..., None], fresh, detectors)
+        detectors = np.where(culled, fresh, detectors)
         history.append(best_values.copy())
 
     return OptimizerResult(best_points, np.arange(1, len(history) + 1), history)

@@ -72,53 +72,22 @@ class PinnedColumnNet:
 class QuadraticStub:
     """g(x) = (x - 0.3)^2 on [0, 1]."""
 
-    dimension = 1
     n_tasks = 1
 
     def evaluate(self, c):
-        return float((c[0] - 0.3) ** 2)
+        return float((c - 0.3) ** 2)
 
     def evaluate_batch(self, candidates):
-        c = np.asarray(candidates, dtype=float)
-        return (c[:, 0] - 0.3) ** 2
-
-
-class Ripple2D:
-    """Smooth 2-D bowl with sinusoidal ripples; global minimum well above 0."""
-
-    dimension = 2
-    n_tasks = 1
-
-    def evaluate(self, c):
-        x, y = float(c[0]), float(c[1])
-        return (
-            0.05
-            + 0.7 * ((x - 0.62) ** 2 + (y - 0.31) ** 2)
-            + 0.02 * (1.0 + np.sin(5 * np.pi * x) * np.sin(5 * np.pi * y))
-        )
-
-    def evaluate_batch(self, candidates):
-        return np.array([self.evaluate(c) for c in np.asarray(candidates)])
-
-    def grid_minimum(self, resolution: int = 200) -> float:
-        g = np.linspace(0.0, 1.0, resolution)
-        gx, gy = np.meshgrid(g, g, indexing="ij")
-        vals = (
-            0.05
-            + 0.7 * ((gx - 0.62) ** 2 + (gy - 0.31) ** 2)
-            + 0.02 * (1.0 + np.sin(5 * np.pi * gx) * np.sin(5 * np.pi * gy))
-        )
-        return float(vals.min())
+        return (np.asarray(candidates, dtype=float) - 0.3) ** 2
 
 
 class Bimodal1D:
     """Two Gaussian wells: a shallow trap near 0.25, the optimum near 0.7."""
 
-    dimension = 1
     n_tasks = 1
 
     def evaluate(self, c):
-        x = float(c[0])
+        x = float(c)
         return (
             0.7
             - 0.3 * np.exp(-(((x - 0.25) / 0.12) ** 2))
@@ -129,7 +98,7 @@ class Bimodal1D:
         return np.array([self.evaluate(c) for c in np.asarray(candidates)])
 
     def grid_minimum(self, resolution: int = 10001) -> float:
-        return min(self.evaluate([v]) for v in np.linspace(0.0, 1.0, resolution))
+        return min(self.evaluate(v) for v in np.linspace(0.0, 1.0, resolution))
 
 
 class CountingObjective:
@@ -137,7 +106,6 @@ class CountingObjective:
 
     def __init__(self, inner):
         self.inner = inner
-        self.dimension = inner.dimension
         self.n_tasks = inner.n_tasks
         self.count = 0
         self.calls = 0

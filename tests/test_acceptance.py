@@ -28,7 +28,6 @@ from aeimpute.network import TrainConfig
 from conftest import (
     Bimodal1D,
     QuadraticStub,
-    Ripple2D,
     config_text,
     manifold_rows,
     random_autoencoder,
@@ -137,16 +136,16 @@ class TestCriterion3Optimizers:
         for name, fn, cfg_type, tol in stub_specs:
             for seed in range(20):
                 result = fn(stub, cfg_type(), seeds=[seed])
-                if abs(result.best_points[0, 0] - 0.3) >= tol:
+                if abs(result.best_points[0] - 0.3) >= tol:
                     stub_failures.append((name, seed))
 
-        ripple = Ripple2D()
-        grid_min = ripple.grid_minimum(200)
+        bimodal = Bimodal1D()
+        grid_min = bimodal.grid_minimum()
         grid_hits = {}
         for name, fn, cfg_type, _ in stub_specs[:3]:
             hits = 0
             for seed in range(20):
-                result = fn(ripple, cfg_type(), seeds=[seed])
+                result = fn(bimodal, cfg_type(), seeds=[seed])
                 hits += (result.best_values[0] - grid_min) / grid_min <= 0.05
             grid_hits[name] = hits
 

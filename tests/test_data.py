@@ -397,6 +397,10 @@ class TestImputationTask:
         with pytest.raises(ValueError, match="missing_column 3 out of range for 3 columns"):
             data.ImputationTask(record=np.zeros((2, 3)), column=3, true_values=np.zeros((2, 3)))
 
+    def test_needs_a_record(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            data.make_tasks(np.empty((0, 5)), 1)
+
     def test_shapes_must_agree(self):
         with pytest.raises(ValueError, match="true_values"):
             data.ImputationTask(record=np.zeros(3), column=1, true_values=np.zeros(3))

@@ -1600,7 +1600,7 @@ class TestTracedHooks:
             tracer.spanned("probe", lambda: (
                 network.train(rows, 3, network.TrainConfig(max_iterations=5)),
                 net.forward(rows[0]),
-                MissingDataObjective(net, task).evaluate([0.5]),
+                MissingDataObjective(net, task).evaluate(0.5),
             ))()
         finally:
             tracer.restore()

@@ -24,14 +24,14 @@ class TestEvaluate:
         task = make_task([0.2, 0.5, 0.8], column=1)
         obj = MissingDataObjective(IdentityNet(3), task)
         for c in np.linspace(0, 1, 11):
-            assert obj.evaluate([c]) == 0.0
+            assert obj.evaluate(c) == 0.0
 
     def test_constant_net_minimized_at_constant(self):
         c = np.array([0.3, 0.6, 0.1, 0.9])
         task = make_task([0.2, 0.5, 0.5, 0.8], column=2)
         obj = MissingDataObjective(ConstantNet(c), task)
         grid = np.linspace(0, 1, 1001)
-        values = [obj.evaluate([g]) for g in grid]
+        values = [obj.evaluate(g) for g in grid]
         best = grid[int(np.argmin(values))]
         assert best == pytest.approx(c[2], abs=1e-3)
         known = [0, 1, 3]
@@ -48,36 +48,38 @@ class TestEvaluate:
             full[2] = g
             reconstructed = scalar_forward(net, full)
             expected = sum((full[k] - reconstructed[k]) ** 2 for k in range(4))
-            assert obj.evaluate([g]) == pytest.approx(expected, abs=1e-12)
+            assert obj.evaluate(g) == pytest.approx(expected, abs=1e-12)
 
     def test_wrong_length_rejected(self):
         obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], column=0))
-        with pytest.raises(ValueError, match="length 1"):
+        with pytest.raises(ValueError, match="vector"):
             obj.evaluate([0.1, 0.2])
+        with pytest.raises(ValueError, match="vector"):
+            obj.evaluate_batch([[0.1], [0.2]])
 
     def test_out_of_bounds_rejected(self):
         obj = MissingDataObjective(IdentityNet(3), make_task([0.1, 0.2, 0.3], column=0))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            obj.evaluate([1.5])
+            obj.evaluate(1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            obj.evaluate([-0.1])
+            obj.evaluate(-0.1)
 
     def test_nan_rejected(self):
         obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), column=0))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            obj.evaluate_batch([[np.nan], [0.5], [0.2]])
+            obj.evaluate_batch([np.nan, 0.5, 0.2])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            obj.evaluate_batch([[0.5], [0.2], [np.nan]])
+            obj.evaluate_batch([0.5, 0.2, np.nan])
 
     def test_no_rows_score_nothing(self):
         obj = MissingDataObjective(IdentityNet(3), make_task(np.full((3, 3), 0.4), column=0))
-        assert obj.evaluate_batch(np.empty((0, 1))).shape == (0,)
+        assert obj.evaluate_batch(np.empty(0)).shape == (0,)
 
     def test_nonnegative_and_batch_consistent(self):
         rng = np.random.default_rng(1)
         net = random_autoencoder(rng, 5, 3)
         obj = MissingDataObjective(net, make_task(rng.uniform(0, 1, 5), column=4))
-        candidates = rng.uniform(0, 1, size=(20, 1))
+        candidates = rng.uniform(0, 1, size=20)
         batch = obj.evaluate_batch(candidates)
         assert (batch >= 0).all()
         singles = np.array([obj.evaluate(c) for c in candidates])
@@ -93,7 +95,7 @@ class TestEvaluate:
         obj_a = MissingDataObjective(net, base)
         obj_b = MissingDataObjective(net, poked)
         for c in np.linspace(0, 1, 21):
-            assert obj_a.evaluate([c]) == obj_b.evaluate([c])
+            assert obj_a.evaluate(c) == obj_b.evaluate(c)
 
     def test_mismatched_network_rejected(self):
         with pytest.raises(ValueError, match="inputs"):
@@ -106,9 +108,9 @@ class TestStacked:
         net = random_autoencoder(rng, 5, 3)
         records = rng.uniform(0, 1, size=(7, 5))
         stacked = MissingDataObjective(net, make_task(records, column=4))
-        assert stacked.n_tasks == 7 and stacked.dimension == 1
-        candidates = rng.uniform(0, 1, size=(7, 90, 1))  # 630 rows: more than one pass
-        values = stacked.evaluate_batch(candidates.reshape(-1, 1)).reshape(7, 90)
+        assert stacked.n_tasks == 7
+        candidates = rng.uniform(0, 1, size=(7, 90))  # 630 rows: more than one pass
+        values = stacked.evaluate_batch(candidates.reshape(-1)).reshape(7, 90)
         for t, record in enumerate(records):
             alone = MissingDataObjective(net, make_task(record, column=4))
             np.testing.assert_array_equal(values[t], alone.evaluate_batch(candidates[t]))
@@ -117,9 +119,9 @@ class TestStacked:
         task = make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], column=0)
         obj = MissingDataObjective(IdentityNet(3), task)
         with pytest.raises(ValueError, match="multiple of 2"):
-            obj.evaluate_batch(np.full((3, 1), 0.5))
+            obj.evaluate_batch(np.full(3, 0.5))
         with pytest.raises(ValueError):
-            obj.evaluate([0.5])
+            obj.evaluate(0.5)
 
 
 class RecordingNet(IdentityNet):
@@ -140,17 +142,17 @@ class TestCompletion:
     def test_candidate_fills_the_masked_column(self):
         record = [0.1, 0.2, 0.3, 0.5, 0.9]
         net = RecordingNet(5)
-        MissingDataObjective(net, make_task(record, column=3)).evaluate([0.42])
+        MissingDataObjective(net, make_task(record, column=3)).evaluate(0.42)
         (seen,) = net.passes  # a lone row goes through as two copies of itself
         np.testing.assert_array_equal(seen, [[0.1, 0.2, 0.3, 0.42, 0.9]] * 2)
 
     def test_one_candidate_per_record(self):
         net = RecordingNet(3)
         obj = MissingDataObjective(net, make_task([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], column=1))
-        obj.evaluate_batch([[0.9], [0.8]])
+        obj.evaluate_batch([0.9, 0.8])
         np.testing.assert_array_equal(net.passes, [[[0.1, 0.9, 0.3], [0.4, 0.8, 0.6]]])
         with pytest.raises(ValueError, match="multiple of 2"):
-            obj.evaluate_batch([[0.9], [0.8], [0.7]])
+            obj.evaluate_batch([0.9, 0.8, 0.7])
 
 
 def reference_evaluate_batch(obj, candidates):
@@ -158,12 +160,12 @@ def reference_evaluate_batch(obj, candidates):
     cut: the bit-level reference for the current body (checks left out).
     A one-row pass scores two copies of its row and keeps the first."""
     c = np.asarray(candidates, dtype=float)
-    k = c.shape[0] // obj.n_tasks
-    values = np.empty(c.shape[0])
-    for start in range(0, c.shape[0], _ROWS_PER_PASS):
-        stop = min(start + _ROWS_PER_PASS, c.shape[0])
+    k = c.size // obj.n_tasks
+    values = np.empty(c.size)
+    for start in range(0, c.size, _ROWS_PER_PASS):
+        stop = min(start + _ROWS_PER_PASS, c.size)
         full = obj.task.record[np.arange(start, stop) // k]
-        full[:, [obj.task.column]] = c[start:stop]
+        full[:, obj.task.column] = c[start:stop]
         full = np.repeat(full, 2 if stop - start == 1 else 1, axis=0)
         full -= obj.net.forward_batch(full)
         full *= full
@@ -187,7 +189,7 @@ class TestEvaluateBatchBits:
         k = data.draw(st.sampled_from([1, 2, 7]) | st.integers(100, 260), label="k")
         n = data.draw(st.integers(3, 8), label="n")
         obj = random_objective(rng, n_tasks, n)
-        candidates = rng.uniform(0, 1, size=(n_tasks * k, obj.dimension))
+        candidates = rng.uniform(0, 1, size=n_tasks * k)
         candidates[rng.random(candidates.shape) < 0.1] = 0.0  # box edges, as clipping leaves them
         candidates[rng.random(candidates.shape) < 0.1] = 1.0
         np.testing.assert_array_equal(obj.evaluate_batch(candidates), reference_evaluate_batch(obj, candidates))
@@ -197,7 +199,7 @@ class TestEvaluateBatchBits:
         # 600 and 1,025 rows need two and three passes of 512 rows.
         rng = np.random.default_rng(n_tasks * k)
         obj = random_objective(rng, n_tasks, 6)
-        candidates = rng.uniform(0, 1, size=(n_tasks * k, 1))
+        candidates = rng.uniform(0, 1, size=n_tasks * k)
         np.testing.assert_array_equal(obj.evaluate_batch(candidates), reference_evaluate_batch(obj, candidates))
 
 
@@ -211,7 +213,7 @@ class TestBatchIndependence:
         rng = np.random.default_rng([n, h])
         task = make_task(rng.uniform(0, 1, size=n), column=n - 1)
         obj = MissingDataObjective(random_autoencoder(rng, n, h), task)
-        probe, others = rng.uniform(0, 1, size=(1, 1)), rng.uniform(0, 1, size=(_ROWS_PER_PASS * 2 + 6, 1))
+        probe, others = rng.uniform(0, 1, size=1), rng.uniform(0, 1, size=_ROWS_PER_PASS * 2 + 6)
         expected = obj.evaluate_batch(np.concatenate([probe, others[:1]]))[0]
         # 1,025 rows end with a one-row pass after two of 512 rows.
         for size in [*range(1, 41), *range(_ROWS_PER_PASS - 1, 2 * _ROWS_PER_PASS + 7)]:
@@ -243,13 +245,13 @@ class TestGridMinimize:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         n_tasks = data.draw(st.integers(1, 6), label="T")
         obj = random_objective(rng, n_tasks, data.draw(st.integers(3, 8), label="n"))
-        grid = np.linspace(0.0, 1.0, GRID_POINTS)[:, None]
+        grid = np.linspace(0.0, 1.0, GRID_POINTS)
         points, minima = obj.grid_minimize()
         for t in range(n_tasks):
             one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.task.column))
             values = one.evaluate_batch(grid)
             best = int(np.argmin(values))
-            assert points[t] == grid[best, 0]
+            assert points[t] == grid[best]
             assert minima[t].view(np.uint64) == values[best].view(np.uint64)
             assert minima[t] == values.min()
 

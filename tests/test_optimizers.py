@@ -1,5 +1,6 @@
 """Box feasibility, budgets, traces, determinism, and search quality."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from aeimpute.objective import MissingDataObjective
 from aeimpute.optimizers import GaConfig, NsConfig, PsoConfig, SaConfig
 from aeimpute.seeding import derive_seed
 
-from conftest import Bimodal1D, CountingObjective, QuadraticStub, Ripple2D, random_autoencoder, write_table
+from conftest import Bimodal1D, CountingObjective, QuadraticStub, random_autoencoder, write_table
 
 ALL = [
     ("ga", opt.minimize_ga, GaConfig),
@@ -28,12 +29,11 @@ def assert_same_result(a, b):
     np.testing.assert_array_equal(a.trace_values, b.trace_values)
 
 
-def reference_decode(chromosomes, m, bits):
+def reference_decode(chromosomes, bits):
     """The Gray decode as first written: bit-by-bit prefix-xor, float weights."""
     weights = 2.0 ** np.arange(bits - 1, -1, -1)
     scale = float(2**bits - 1)
-    blocks = chromosomes.reshape(*chromosomes.shape[:-1], m, bits)
-    return (np.bitwise_xor.accumulate(blocks, axis=-1) @ weights) / scale
+    return (np.bitwise_xor.accumulate(chromosomes, axis=-1) @ weights) / scale
 
 
 class TestQuadraticStub:
@@ -42,7 +42,7 @@ class TestQuadraticStub:
         tol = 0.05 if name == "ns" else 0.02
         for seed in range(5):
             result = fn(QuadraticStub(), cfg_type(), seeds=[seed])
-            assert abs(result.best_points[0, 0] - 0.3) < tol
+            assert abs(result.best_points[0] - 0.3) < tol
 
 
 class TestSharedContracts:
@@ -59,13 +59,13 @@ class TestSharedContracts:
 
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_trace_non_increasing(self, name, fn, cfg_type):
-        result = fn(Ripple2D(), cfg_type(), seeds=[5])
+        result = fn(Bimodal1D(), cfg_type(), seeds=[5])
         assert (np.diff(result.trace_values[:, 0]) <= 0).all()
 
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
     def test_deterministic_given_seed(self, name, fn, cfg_type):
-        a = fn(Ripple2D(), cfg_type(), seeds=[6])
-        b = fn(Ripple2D(), cfg_type(), seeds=[6])
+        a = fn(Bimodal1D(), cfg_type(), seeds=[6])
+        b = fn(Bimodal1D(), cfg_type(), seeds=[6])
         assert_same_result(a, b)
 
     @pytest.mark.parametrize("name,fn,cfg_type", ALL)
@@ -159,7 +159,7 @@ class TestBudgets:
         # Each sweep's call holds T * swarm rows, task t's swarm in rows
         # t*swarm to t*swarm + swarm - 1, the rows of its one-task run.
         cfg = PsoConfig(swarm=4, iterations=5)
-        centers = np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
+        centers = np.array([0.2, 0.5, 0.9])
         seeds = [11, 12, 13]
 
         def batches(stub, seeds):
@@ -214,7 +214,7 @@ class TestBudgets:
             return spies
 
         monkeypatch.setattr(opt, "_generators", spy_generators)
-        stub = StackedStub(np.full((3, 2), 0.5))
+        stub = StackedStub(np.full(3, 0.5))
         if flat:
             stub.evaluate_batch = lambda candidates: np.zeros(len(candidates))
         opt.run(stub, name, cfg, seeds=[1, 2, 3])
@@ -226,46 +226,45 @@ class TestGa:
         zeros = np.zeros((1, 16), dtype=np.int8)
         top = np.zeros((1, 16), dtype=np.int8)
         top[0, 0] = 1  # Gray code of 2^16 - 1
-        assert opt._decode(zeros, 1, 16)[0, 0] == 0.0
-        assert opt._decode(top, 1, 16)[0, 0] == 1.0
+        assert opt._decode(zeros, 16)[0] == 0.0
+        assert opt._decode(top, 16)[0] == 1.0
 
     def test_decode_fixed_point(self):
         bits = np.zeros((1, 8), dtype=np.int8)
         bits[0, -1] = 1  # Gray code of 1
-        assert opt._decode(bits, 1, 8)[0, 0] == 1.0 / 255.0
+        assert opt._decode(bits, 8)[0] == 1.0 / 255.0
         bits[0, -2] = 1  # Gray code 011 is 2
-        assert opt._decode(bits, 1, 8)[0, 0] == 2.0 / 255.0
+        assert opt._decode(bits, 8)[0] == 2.0 / 255.0
 
     def test_decode_neighbours_one_flip_apart(self):
         codes = np.array([[(g >> (7 - j)) & 1 for j in range(8)] for g in range(256)], dtype=np.int8)
-        values = opt._decode(codes, 1, 8)[:, 0]
+        values = opt._decode(codes, 8)
         order = np.argsort(values)
         np.testing.assert_array_equal(values[order], np.arange(256) / 255.0)
         assert (np.abs(np.diff(codes[order], axis=0)).sum(axis=1) == 1).all()
 
-    def test_decode_many_variables_and_leading_axes(self):
+    def test_decode_leading_axes(self):
         rng = np.random.default_rng(0)
-        chromosomes = rng.integers(0, 2, size=(3, 4, 2 * 5), dtype=np.int8)
-        stacked = opt._decode(chromosomes, 2, 5)
-        assert stacked.shape == (3, 4, 2)
-        np.testing.assert_array_equal(stacked[1], opt._decode(chromosomes[1], 2, 5))
+        chromosomes = rng.integers(0, 2, size=(3, 4, 5), dtype=np.int8)
+        stacked = opt._decode(chromosomes, 5)
+        assert stacked.shape == (3, 4)
+        np.testing.assert_array_equal(stacked[1], opt._decode(chromosomes[1], 5))
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_decode_equals_reference(self, data):
         bits = data.draw(st.integers(1, 53), label="bits")
-        m = data.draw(st.integers(1, 3), label="m")
         lead = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2), label="leading axes")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        chromosomes = rng.integers(0, 2, size=(*lead, m * bits), dtype=np.int8)
+        chromosomes = rng.integers(0, 2, size=(*lead, bits), dtype=np.int8)
         chromosomes[(0,) * len(lead)] = data.draw(st.sampled_from([0, 1]), label="corner")
-        decoded = opt._decode(chromosomes, m, bits)
-        expected = reference_decode(chromosomes, m, bits)
+        decoded = opt._decode(chromosomes, bits)
+        expected = reference_decode(chromosomes, bits)
         assert decoded.dtype == expected.dtype == np.float64
         np.testing.assert_array_equal(decoded, expected)
 
-    def test_grid_verified_2d(self):
-        obj = Ripple2D()
+    def test_grid_verified_1d(self):
+        obj = Bimodal1D()
         grid_min = obj.grid_minimum()
         hits = 0
         for seed in range(20):
@@ -336,10 +335,10 @@ class TestSa:
 class Slope:
     """f(x) = x on [0, 1]: a cold walk slides to 0.0 and stays there."""
 
-    n_tasks, dimension = 1, 1
+    n_tasks = 1
 
     def evaluate_batch(self, candidates):
-        return np.array(candidates, dtype=float)[:, 0]
+        return np.array(candidates, dtype=float)
 
 
 class TestSaLookAhead:
@@ -368,7 +367,7 @@ class TestSaLookAhead:
         counter, moves = CountingObjective(Slope()), []
         result = opt.minimize_sa(counter, cfg, seeds=[3])
         assert_same_result(result, reference_sa(Slope(), cfg, [3], accepted=[moves]))
-        assert result.best_points[0, 0] == 0.0
+        assert result.best_points[0] == 0.0
         assert sum(accepted and rise == 0.0 for accepted, rise in moves[20:]) > 100
         assert counter.calls < 2 * cfg.temperature_steps
 
@@ -377,21 +376,21 @@ class TestPso:
     def test_fixed_point_at_optimum(self, monkeypatch):
         # Both particles start on the optimum with zero velocity: pbest and
         # gbest coincide with the position, so the velocity update is zero.
-        start = np.array([[0.3], [0.3]])
+        start = np.array([0.3, 0.3])
         cfg = PsoConfig(swarm=2, iterations=50)
-        monkeypatch.setattr(opt, "_generators", pso_started_at((start, np.zeros((2, 1)))))
+        monkeypatch.setattr(opt, "_generators", pso_started_at((start, np.zeros(2))))
         result = opt.minimize_pso(QuadraticStub(), cfg, seeds=[0])
-        assert result.best_points[0, 0] == 0.3
+        assert result.best_points[0] == 0.3
         assert result.best_values[0] == 0.0
 
     def test_velocity_clamped(self):
         # With a huge attraction, positions still stay inside the box.
         cfg = PsoConfig(swarm=5, iterations=30, phi1=10.0, phi2=10.0)
-        result = opt.minimize_pso(Ripple2D(), cfg, seeds=[2])
+        result = opt.minimize_pso(Bimodal1D(), cfg, seeds=[2])
         assert (result.best_points >= 0).all() and (result.best_points <= 1).all()
 
-    def test_grid_verified_2d(self):
-        obj = Ripple2D()
+    def test_grid_verified_1d(self):
+        obj = Bimodal1D()
         grid_min = obj.grid_minimum()
         hits = 0
         for seed in range(20):
@@ -416,7 +415,7 @@ class TestNs:
     def test_never_beats_exhaustive_grid(self):
         obj = Bimodal1D()
         grid = np.linspace(0, 1, 10001)
-        grid_vals = [obj.evaluate([g]) for g in grid]
+        grid_vals = [obj.evaluate(g) for g in grid]
         result = opt.minimize_ns(obj, NsConfig(), seeds=[1])
         assert result.best_values[0] >= min(grid_vals) - 1e-12
         assert result.best_values[0] <= max(grid_vals)
@@ -508,7 +507,7 @@ class ScriptedGenerator:
         if not self._scripted:
             return self._rng.uniform(low, high, size)
         out = np.array(self._scripted.pop(0), dtype=float)
-        assert out.shape == size
+        assert out.shape == (size,)
         return out
 
     def __getattr__(self, name):
@@ -517,7 +516,7 @@ class ScriptedGenerator:
 
 def pso_started_at(initial):
     """A stand-in for ``opt._generators``: every task's PSO starts from the
-    (positions, velocities) pair ``initial``, each (swarm, m), and then draws
+    (positions, velocities) pair ``initial``, each (swarm,), and then draws
     from its own seed."""
     return lambda obj, seeds: [ScriptedGenerator(seed, initial) for seed in seeds]
 
@@ -527,7 +526,7 @@ class RecordingObjective:
 
     def __init__(self, inner):
         self.inner = inner
-        self.n_tasks, self.dimension = inner.n_tasks, inner.dimension
+        self.n_tasks = inner.n_tasks
         self.calls = []
 
     def evaluate_batch(self, candidates):
@@ -545,27 +544,24 @@ class RecordingObjective:
 
 
 class StackedStub:
-    """T separable tasks on [0, 1]^m, each a bowl with ripples around its own center.
+    """T tasks on [0, 1], each a bowl with ripples around its own center.
 
-    Only elementwise arithmetic, column by column, so a row scores the same
-    in any batch.  Counts the rows it evaluates.
+    Only elementwise arithmetic, so a candidate scores the same in any
+    batch.  Counts the candidates it evaluates.
     """
 
     def __init__(self, centers):
         self.centers = np.asarray(centers, dtype=float)
-        self.n_tasks, self.dimension = self.centers.shape
+        self.n_tasks = self.centers.size
         self.rows = 0
 
     def evaluate_batch(self, candidates):
         c = np.asarray(candidates, dtype=float)
-        self.rows += c.shape[0]
-        centers = np.repeat(self.centers, c.shape[0] // self.n_tasks, axis=0)
-        value = np.zeros(c.shape[0])
-        for j in range(self.dimension):
-            d = c[:, j] - centers[:, j]
-            ripple = (8.0 * c[:, j] + centers[:, j]) % 1.0
-            value = value + d * d + 0.05 * ripple * (1.0 - ripple)
-        return value
+        self.rows += c.size
+        centers = np.repeat(self.centers, c.size // self.n_tasks)
+        d = c - centers
+        ripple = (8.0 * c + centers) % 1.0
+        return d * d + 0.05 * ripple * (1.0 - ripple)
 
 
 def small_config(name, draw):
@@ -608,9 +604,8 @@ class TestLockstep:
     @settings(max_examples=60, deadline=None)
     def test_equals_separate_one_task_runs(self, name, data):
         n_tasks = data.draw(st.integers(1, 5), label="T")
-        m = data.draw(st.integers(1, 3), label="m")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        centers = rng.uniform(0.0, 1.0, size=(n_tasks, m))
+        centers = rng.uniform(0.0, 1.0, size=n_tasks)
         seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
         cfg, budget = small_config(name, data.draw)
 
@@ -624,7 +619,7 @@ class TestLockstep:
             assert reference.rows == n_tasks * budget <= stub.rows
         else:
             assert stub.rows == n_tasks * budget
-        assert together.best_points.shape == (n_tasks, m)
+        assert together.best_points.shape == (n_tasks,)
         assert together.trace_values.shape == (together.trace_iterations.size, n_tasks)
         for t in range(n_tasks):
             alone = opt.run(StackedStub(centers[t : t + 1]), name, cfg, seeds=[seeds[t]])
@@ -660,9 +655,41 @@ class TestLockstep:
 
     def test_seed_count_must_match_tasks(self):
         with pytest.raises(ValueError, match="2 seeds"):
-            opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig(), seeds=[1, 2])
+            opt.run(StackedStub(np.full(3, 0.5)), "ns", NsConfig(), seeds=[1, 2])
         with pytest.raises(TypeError, match="seeds"):
-            opt.run(StackedStub(np.full((3, 1), 0.5)), "ns", NsConfig())
+            opt.run(StackedStub(np.full(3, 0.5)), "ns", NsConfig())
+
+
+class TestPinnedResults:
+    """Each search's result on three stub tasks, recorded before the m axis
+    left the minimizers: no generator draw or update may move it."""
+
+    PINS = {
+        "ga": (GaConfig(population=8, generations=6),
+               [0.10009918364232853, 0.5607843137254902, 0.8757915617608911],
+               [0.010019815086196914, 0.004371587850826603, 0.004830743694423399],
+               "f986ee01d5d26dceb4e798b3a316bafa08e4c04254e69b2f4149dbe9446cfef5"),
+        "sa": (SaConfig(temperature_steps=6, moves_per_step=4),
+               [0.2314164905944852, 0.4411581102642444, 0.8804282342339231],
+               [0.0034218437941102957, 0.004882790427115374, 0.003051728734272088],
+               "da2e353208a99c619cded797a5b183b0e83912d4f6fd8dda59f338008998a891"),
+        "pso": (PsoConfig(swarm=6, iterations=6),
+                [0.21339112535382934, 0.5626322871368494, 0.9035959654519551],
+                [0.004391620990948623, 0.003975662247095483, 0.005622260816055968],
+                "a126c41709963e66d36708edcff4c3c64b9186110df1dab95bde54b9e6ade0ab"),
+        "ns": (NsConfig(detectors=8, generations=6),
+               [0.23530123166758055, 0.4536161218532765, 0.8647975870165865],
+               [0.005027100427899091, 0.007766778865753792, 0.008670896496357916],
+               "6917d5e44373134eb6a81b1b5e233d6588fac43d825f77a6682591be636a144c"),
+    }
+
+    @pytest.mark.parametrize("name", opt.ALGORITHM_TAGS)
+    def test_result_as_recorded(self, name):
+        cfg, points, values, trace_sha256 = self.PINS[name]
+        result = opt.run(StackedStub([0.2, 0.5, 0.9]), name, cfg, seeds=[11, 12, 13])
+        np.testing.assert_array_equal(result.best_points, points)
+        np.testing.assert_array_equal(result.best_values, values)
+        assert hashlib.sha256(result.trace_values.tobytes()).hexdigest() == trace_sha256
 
 
 # SA, PSO and GA written from their documented semantics, one numpy
@@ -670,8 +697,7 @@ class TestLockstep:
 # per-step overhead.  The minimizers must match them bit for bit.
 
 def _reference_evaluate(obj, candidates):
-    n_tasks, k, m = candidates.shape
-    return obj.evaluate_batch(candidates.reshape(n_tasks * k, m)).reshape(n_tasks, k)
+    return obj.evaluate_batch(candidates.reshape(-1)).reshape(candidates.shape)
 
 
 def _reference_result(best_points, history):
@@ -687,13 +713,12 @@ def reference_sa(obj, cfg, seeds, accepted=None):
     given, holds one list per task, which receives each move's outcome as an
     (accepted, rise) pair, rise being f(y) - f(x)."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    m, moves = obj.dimension, cfg.moves_per_step
-    sigma = cfg.neighbor_sigma
+    moves, sigma = cfg.moves_per_step, cfg.neighbor_sigma
 
-    x = np.stack([rng.uniform(0.0, 1.0, size=m) for rng in rngs])
-    fx = _reference_evaluate(obj, x[:, None])[:, 0]
+    x = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+    fx = obj.evaluate_batch(x)
     if cfg.initial_temperature is None:
-        probes = np.stack([rng.normal(0.0, sigma, size=(100, m)) for rng in rngs])
+        probes = np.stack([rng.normal(0.0, sigma, size=100) for rng in rngs])
         deltas = _reference_evaluate(obj, np.clip(x[:, None] + probes, 0.0, 1.0)) - fx[:, None]
         temperature = np.array([opt._start_temperature(d[d > 0]) for d in deltas])
     else:
@@ -705,12 +730,12 @@ def reference_sa(obj, cfg, seeds, accepted=None):
 
     for step in range(1, cfg.temperature_steps + 1):
         # Per task: the step's noise block, then its uniforms.
-        blocks = [(rng.standard_normal((moves, m)), rng.random(moves)) for rng in rngs]
+        blocks = [(rng.standard_normal(moves), rng.random(moves)) for rng in rngs]
         noise = np.stack([z for z, _ in blocks])
         thresholds = temperature[:, None] * np.log1p(-np.stack([u for _, u in blocks]))
         for i in range(moves):
             y = np.clip(x + sigma * noise[:, i], 0.0, 1.0)
-            fy = _reference_evaluate(obj, y[:, None])[:, 0]
+            fy = obj.evaluate_batch(y)
             accept = thresholds[:, i] <= fx - fy
             for outcomes, outcome in zip(accepted or (), zip(accept.tolist(), (fy - fx).tolist())):
                 outcomes.append(outcome)
@@ -727,13 +752,13 @@ def reference_sa(obj, cfg, seeds, accepted=None):
 
 def reference_pso(obj, cfg, seeds, initial=None):
     rngs = [np.random.default_rng(s) for s in seeds]
-    n_tasks, m, swarm = len(rngs), obj.dimension, cfg.swarm
+    n_tasks, swarm = len(rngs), cfg.swarm
 
     if initial is not None:
-        positions, velocities = (np.tile(np.asarray(a, dtype=float), (n_tasks, 1, 1)) for a in initial)
+        positions, velocities = (np.tile(np.asarray(a, dtype=float), (n_tasks, 1)) for a in initial)
     else:
-        positions = np.stack([rng.uniform(0.0, 1.0, size=(swarm, m)) for rng in rngs])
-        velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=(swarm, m)) for rng in rngs])
+        positions = np.stack([rng.uniform(0.0, 1.0, size=swarm) for rng in rngs])
+        velocities = np.stack([rng.uniform(-cfg.v_max, cfg.v_max, size=swarm) for rng in rngs])
 
     values = _reference_evaluate(obj, positions)
     pbest = positions.copy()
@@ -742,11 +767,11 @@ def reference_pso(obj, cfg, seeds, initial=None):
     g = pbest_values.argmin(axis=1)
     gbest = pbest[tasks, g]
     history = [pbest_values[tasks, g]]
-    pull_scale = np.array([[cfg.phi1], [cfg.phi2]])
+    pull_scale = np.array([cfg.phi1, cfg.phi2])
 
     for it in range(1, cfg.iterations + 1):
         # Every particle moves from the bests as they stood before the sweep.
-        pulls = np.stack([rng.random((swarm, 2, m)) for rng in rngs]) * pull_scale
+        pulls = np.stack([rng.random((swarm, 2)) for rng in rngs]) * pull_scale
         r1, r2 = pulls[:, :, 0], pulls[:, :, 1]
         velocities = np.clip(
             velocities + r1 * (pbest - positions) + r2 * (gbest[:, None] - positions), -cfg.v_max, cfg.v_max
@@ -755,7 +780,7 @@ def reference_pso(obj, cfg, seeds, initial=None):
         values = _reference_evaluate(obj, positions)
         better = values < pbest_values
         pbest_values = np.where(better, values, pbest_values)
-        pbest = np.where(better[..., None], positions, pbest)
+        pbest = np.where(better, positions, pbest)
         g = pbest_values.argmin(axis=1)
         gbest = pbest[tasks, g]
         history.append(pbest_values[tasks, g])
@@ -767,9 +792,8 @@ def reference_ga(obj, cfg, seeds):
     """The GA with one expression per step, reading each generation's draw
     block in its documented order."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    n_tasks, m = len(rngs), obj.dimension
-    bits, ts = cfg.bits_per_variable, cfg.tournament_size
-    length = m * bits
+    n_tasks = len(rngs)
+    length, ts = cfg.bits_per_variable, cfg.tournament_size
     p_mut = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / length
     n_children = cfg.population - cfg.elitism
     pairs = (n_children + 1) // 2
@@ -777,10 +801,10 @@ def reference_ga(obj, cfg, seeds):
     block = np.cumsum([0, pairs * 2 * ts, pairs, pairs, pairs * 2 * length])
 
     pop = np.stack([rng.integers(0, 2, size=(cfg.population, length), dtype=np.int8) for rng in rngs])
-    values = _reference_evaluate(obj, reference_decode(pop, m, bits))
+    values = _reference_evaluate(obj, reference_decode(pop, length))
     best_idx = values.argmin(axis=1)
     best_values = values[tasks, best_idx]
-    best_points = reference_decode(pop[tasks, best_idx], m, bits)
+    best_points = reference_decode(pop[tasks, best_idx], length)
     history = [best_values.copy()]
 
     for gen in range(cfg.generations):
@@ -798,26 +822,26 @@ def reference_ga(obj, cfg, seeds):
         own = np.arange(length) < cuts[..., None]
         children = np.stack([np.where(own, first, second), np.where(own, second, first)], axis=2)
         children = (children ^ flips).reshape(n_tasks, 2 * pairs, length)[:, :n_children]
-        child_values = _reference_evaluate(obj, reference_decode(children, m, bits))
+        child_values = _reference_evaluate(obj, reference_decode(children, length))
         pop = np.concatenate([np.take_along_axis(pop, elite_idx[..., None], 1), children], axis=1)
         values = np.concatenate([np.take_along_axis(values, elite_idx, 1), child_values], axis=1)
         gen_best = values.argmin(axis=1)
         better = values[tasks, gen_best] < best_values
         best_values[better] = values[tasks, gen_best][better]
-        best_points[better] = reference_decode(pop[tasks[better], gen_best[better]], m, bits)
+        best_points[better] = reference_decode(pop[tasks[better], gen_best[better]], length)
         history.append(best_values.copy())
 
     return _reference_result(best_points, history)
 
 
-def drawn_objective(draw, rng, n_tasks, m):
-    """The separable stub, or for m = 1 a reconstruction objective on a random autoencoder."""
-    if m == 1 and draw(st.booleans(), label="autoencoder"):
-        n = max(3, m + draw(st.integers(1, 3), label="known"))
+def drawn_objective(draw, rng, n_tasks):
+    """The stacked stub, or a reconstruction objective on a random autoencoder."""
+    if draw(st.booleans(), label="autoencoder"):
+        n = max(3, 1 + draw(st.integers(1, 3), label="known"))
         net = random_autoencoder(rng, n, int(rng.integers(2, n)))
         task = data.make_tasks(rng.uniform(0, 1, size=(n_tasks, n)), int(rng.integers(0, n)))
         return MissingDataObjective(net, task)
-    return StackedStub(rng.uniform(0.0, 1.0, size=(n_tasks, m)))
+    return StackedStub(rng.uniform(0.0, 1.0, size=n_tasks))
 
 
 class TestLeanStepLoops:
@@ -825,9 +849,8 @@ class TestLeanStepLoops:
     @settings(max_examples=150, deadline=None)
     def test_ga_equals_reference(self, data):
         n_tasks = data.draw(st.integers(1, 5), label="T")
-        m = data.draw(st.integers(1, 3), label="m")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        obj = drawn_objective(data.draw, rng, n_tasks, m)
+        obj = drawn_objective(data.draw, rng, n_tasks)
         population = data.draw(st.integers(2, 10), label="population")
         cfg = GaConfig(
             population=population,
@@ -845,9 +868,8 @@ class TestLeanStepLoops:
     @settings(max_examples=150, deadline=None)
     def test_sa_equals_reference(self, data):
         n_tasks = data.draw(st.integers(1, 5), label="T")
-        m = data.draw(st.integers(1, 3), label="m")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        obj = drawn_objective(data.draw, rng, n_tasks, m)
+        obj = drawn_objective(data.draw, rng, n_tasks)
         cfg = SaConfig(
             initial_temperature=data.draw(st.none() | st.floats(1e-6, 1.0), label="T0"),
             cooling_factor=data.draw(st.floats(0.5, 0.99), label="cooling"),
@@ -868,9 +890,8 @@ class TestLeanStepLoops:
     @settings(max_examples=150, deadline=None)
     def test_pso_equals_reference(self, data):
         n_tasks = data.draw(st.integers(1, 5), label="T")
-        m = data.draw(st.integers(1, 3), label="m")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        obj = drawn_objective(data.draw, rng, n_tasks, m)
+        obj = drawn_objective(data.draw, rng, n_tasks)
         cfg = PsoConfig(
             swarm=data.draw(st.integers(2, 6), label="swarm"),
             phi1=data.draw(st.floats(0.1, 4.0), label="phi1"),
@@ -880,8 +901,7 @@ class TestLeanStepLoops:
         )
         initial = None
         if data.draw(st.booleans(), label="initial"):
-            initial = (rng.uniform(0, 1, size=(cfg.swarm, m)),
-                       rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.swarm, m)))
+            initial = (rng.uniform(0, 1, size=cfg.swarm), rng.uniform(-cfg.v_max, cfg.v_max, size=cfg.swarm))
         seeds = [int(s) for s in rng.integers(0, 2**63, size=n_tasks)]
         generators = pso_started_at(initial) if initial else opt._generators
         with mock.patch.object(opt, "_generators", generators):
