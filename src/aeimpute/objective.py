@@ -10,7 +10,9 @@ so every component contributes.
 One objective holds the T records of one :class:`~aeimpute.data.ImputationTask`
 (one masked column for all of them), so that an optimizer can score
 candidates for all T records in one network pass.  The objective can also be
-minimized over a fixed grid of [0, 1] (:meth:`grid_minimize`).
+minimized over a fixed grid of [0, 1] (:meth:`grid_minimize`), scored a block
+of records at a time through the same pass loop, so that the grid's memory
+does not grow with T.
 
 Rows are scored independently of their batch: a row's value is the same, bit
 for bit, in a pass of any size and at any position in it (the tests check
@@ -37,6 +39,10 @@ _ROWS_PER_PASS = 512
 # Evenly spaced points of [0, 1] that :meth:`MissingDataObjective.grid_minimize`
 # scores, 0.0025 apart.
 GRID_POINTS = 401
+
+# Records whose grids :meth:`MissingDataObjective.grid_minimize` scores at
+# once: 4,010 rows, about eight passes.
+_GRID_RECORDS_PER_BLOCK = 10
 
 
 class MissingDataObjective:
@@ -80,18 +86,20 @@ class MissingDataObjective:
         hi = np.maximum.reduce(c, initial=0.0)
         if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("candidates must lie in [0, 1]")
-        return self._squared_errors(c)
+        return self._squared_errors(self.task.record, c)
 
-    def _squared_errors(self, c: np.ndarray) -> np.ndarray:
+    def _squared_errors(self, record: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Summed squared reconstruction errors of the task-major candidates ``c``.
 
-        Each record is completed with its candidates, and the completed rows
-        go through the network in passes of _ROWS_PER_PASS rows; a one-row
-        pass as two copies of its row, keeping the first copy's error.
+        ``record`` is a block of the task's records, ``c`` holds the same
+        number of candidates for each.  Each record is completed with its
+        candidates, and the completed rows go through the network in passes
+        of _ROWS_PER_PASS rows; a one-row pass as two copies of its row,
+        keeping the first copy's error.
         """
         rows = c.size
-        k = rows // self.n_tasks
-        record, column = self.task.record, self.task.column
+        k = rows // record.shape[0]
+        column = self.task.column
         values = np.empty(rows)
         for start in range(0, rows, _ROWS_PER_PASS):
             stop = min(start + _ROWS_PER_PASS, rows)
@@ -108,10 +116,19 @@ class MissingDataObjective:
     def grid_minimize(self) -> tuple[np.ndarray, np.ndarray]:
         """The (T,) minimizers and minima over GRID_POINTS evenly spaced points of [0, 1].
 
-        Ties go to the lower point.  The T grids are scored as one task-major
-        vector, in the passes of :meth:`evaluate_batch`.
+        Ties go to the lower point.  The grids of _GRID_RECORDS_PER_BLOCK
+        records at a time are scored as one task-major vector, in the passes
+        of :meth:`evaluate_batch`, and only that block's values are held, so
+        the peak memory does not depend on T.
         """
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        values = self._squared_errors(np.tile(grid, self.n_tasks)).reshape(self.n_tasks, GRID_POINTS)
-        best = values.argmin(axis=1)  # the first of equal values: the lowest point
-        return grid[best], values[np.arange(self.n_tasks), best]
+        grids = np.tile(grid, _GRID_RECORDS_PER_BLOCK)
+        points, minima = np.empty(self.n_tasks), np.empty(self.n_tasks)
+        for start in range(0, self.n_tasks, _GRID_RECORDS_PER_BLOCK):
+            block = self.task.record[start : start + _GRID_RECORDS_PER_BLOCK]
+            b = block.shape[0]
+            values = self._squared_errors(block, grids[: b * GRID_POINTS]).reshape(b, GRID_POINTS)
+            best = values.argmin(axis=1)  # the first of equal values: the lowest point
+            points[start : start + b] = grid[best]
+            minima[start : start + b] = values[np.arange(b), best]
+        return points, minima

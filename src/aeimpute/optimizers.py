@@ -189,9 +189,10 @@ def _decode(chromosomes: np.ndarray, bits: int) -> np.ndarray:
     can always step to them; in plain binary, 0.5 - 2^-bits and 0.5 differ in
     every bit.  Each code is packed into one integer and undone by a
     prefix-xor (shifts 1, 2, 4, ...); up to 53 bits the integer and its
-    quotient are exact in float64.
+    quotient are exact in float64.  ``einsum`` packs the codes without an
+    int64 copy of the chromosomes, which ``@`` makes.
     """
-    code = chromosomes @ (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
+    code = np.einsum("...i,i->...", chromosomes, 1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
     shift = 1
     while shift < bits:
         code ^= code >> shift

@@ -13,6 +13,7 @@ import importlib
 import os
 import signal
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,24 @@ class CountingObjective:
         self.count += candidates.shape[0]
         self.calls += 1
         return self.inner.evaluate_batch(candidates)
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most traced bytes it held at once.
+
+    ``fn`` is called once untraced first, so that first-call allocations
+    (imports, caches) are not counted.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def random_autoencoder(rng: np.random.Generator, n: int, h: int, scale: float = 0.7) -> Autoencoder:

@@ -1,7 +1,6 @@
 """Dataset loading, scaling, splitting, and task construction."""
 
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from aeimpute import data
 
-from conftest import write_table
+from conftest import traced_peak, write_table
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -150,15 +149,7 @@ class TestLoadCsv:
         rng = np.random.default_rng(0)
         p = tmp_path / "wide.csv"
         np.savetxt(p, rng.uniform(-50.0, 5000.0, size=(2000, 25)), fmt="%.6f", delimiter=",")
-        data.load_csv(p)  # first-call allocations are not the loader's
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            ds = data.load_csv(p)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(lambda: data.load_csv(p))
         assert ds.rows.shape == (2000, 25)
         assert peak / ds.rows.size < 32
 
@@ -323,16 +314,12 @@ class TestPrepare:
         # copy per Dataset made it 25).
         p = tmp_path / "credit.csv"
         write_table(p, "credit", n=20_000)
-        data.split(data.normalize(data.load_csv(p)))  # first-call allocations are not the stage's
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
+
+        def stage():
             ds = data.normalize(data.load_csv(p))
-            blocks = data.split(ds)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+            return ds, data.split(ds)
+
+        (ds, blocks), peak = traced_peak(stage)
         assert sum(map(len, blocks)) == ds.n_rows == 20_000
         assert peak / ds.rows.size <= 18
 
@@ -343,15 +330,7 @@ class TestPrepare:
         p = tmp_path / "credit.csv"
         write_table(p, "credit", n=20_000)
         test = data.split(data.normalize(data.load_csv(p)))[2]
-        data.make_tasks(test, 24)  # first-call allocations are not the stage's
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            task = data.make_tasks(test, 24)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        task, peak = traced_peak(lambda: data.make_tasks(test, 24))
         assert task.record.nbytes == task.true_values.nbytes == 1_000_000
         assert peak <= 2.1e6
 

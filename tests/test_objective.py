@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aeimpute.data import ImputationTask
-from aeimpute.objective import _ROWS_PER_PASS, GRID_POINTS, MissingDataObjective
+from aeimpute.objective import _GRID_RECORDS_PER_BLOCK, _ROWS_PER_PASS, GRID_POINTS, MissingDataObjective
 from aeimpute.network import train, TrainConfig
 
-from conftest import ConstantNet, IdentityNet, random_autoencoder, scalar_forward
+from conftest import ConstantNet, IdentityNet, random_autoencoder, scalar_forward, traced_peak
 
 
 def make_task(records, column):
@@ -238,22 +238,43 @@ class WellsNet:
         return out
 
 
+def assert_grid_equals_per_record_loop(obj):
+    """``obj.grid_minimize()`` is, bit for bit, each record's grid scored alone."""
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    points, minima = obj.grid_minimize()
+    assert points.shape == minima.shape == (obj.n_tasks,)
+    for t in range(obj.n_tasks):
+        one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.task.column))
+        values = one.evaluate_batch(grid)
+        best = int(np.argmin(values))
+        assert points[t] == grid[best]
+        assert minima[t].view(np.uint64) == values[best].view(np.uint64)
+        assert minima[t] == values.min()
+
+
 class TestGridMinimize:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_per_record_loop(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         n_tasks = data.draw(st.integers(1, 6), label="T")
-        obj = random_objective(rng, n_tasks, data.draw(st.integers(3, 8), label="n"))
-        grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        points, minima = obj.grid_minimize()
-        for t in range(n_tasks):
-            one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.task.column))
-            values = one.evaluate_batch(grid)
-            best = int(np.argmin(values))
-            assert points[t] == grid[best]
-            assert minima[t].view(np.uint64) == values[best].view(np.uint64)
-            assert minima[t] == values.min()
+        assert_grid_equals_per_record_loop(random_objective(rng, n_tasks, data.draw(st.integers(3, 8), label="n")))
+
+    @pytest.mark.parametrize("n", [14, 25])
+    @pytest.mark.parametrize(
+        "n_tasks", [1, _GRID_RECORDS_PER_BLOCK - 1, _GRID_RECORDS_PER_BLOCK, _GRID_RECORDS_PER_BLOCK + 1,
+                    2 * _GRID_RECORDS_PER_BLOCK + 1]
+    )
+    def test_block_edges_equal_per_record_loop(self, n_tasks, n):
+        assert_grid_equals_per_record_loop(random_objective(np.random.default_rng(n_tasks * n), n_tasks, n))
+
+    def test_traced_peak_does_not_grow_with_the_records(self):
+        # Holding all 2,000 records' grids and their values at once peaked
+        # at 13.4 MB; a block's passes peak at about 0.7 MB.
+        obj = random_objective(np.random.default_rng(0), 2000, 25)
+        (points, _), peak = traced_peak(obj.grid_minimize)
+        assert points.shape == (2000,)
+        assert peak < 1e6
 
     def test_ties_go_to_the_lower_point(self):
         grid = np.linspace(0.0, 1.0, GRID_POINTS)

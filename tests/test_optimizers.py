@@ -12,7 +12,7 @@ from aeimpute.objective import MissingDataObjective
 from aeimpute.optimizers import GaConfig, NsConfig, PsoConfig, SaConfig
 from aeimpute.seeding import derive_seed
 
-from conftest import Bimodal1D, CountingObjective, QuadraticStub, random_autoencoder, write_table
+from conftest import Bimodal1D, CountingObjective, QuadraticStub, random_autoencoder, traced_peak, write_table
 
 ALL = [
     ("ga", opt.minimize_ga, GaConfig),
@@ -249,6 +249,15 @@ class TestGa:
         stacked = opt._decode(chromosomes, 5)
         assert stacked.shape == (3, 4)
         np.testing.assert_array_equal(stacked[1], opt._decode(chromosomes[1], 5))
+
+    def test_decode_makes_no_int64_copy_of_the_chromosomes(self):
+        # Heart-shaped GA: 67 records, 49 children of 16 bits.  The packed
+        # codes, their shifted copy and the values are three (67, 49) arrays
+        # of 8 bytes; an int64 copy of the chromosomes alone is 16 times one.
+        chromosomes = np.random.default_rng(0).integers(0, 2, size=(67, 49, 16), dtype=np.int8)
+        values, peak = traced_peak(lambda: opt._decode(chromosomes, 16))
+        assert values.shape == (67, 49)
+        assert peak < 4 * values.nbytes
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
