@@ -5,7 +5,8 @@ column into [0, 1], the chronological 50/25/25 split into train, validation
 and test blocks (test block = final rows), and construction of the
 imputation task over one block (the test block, or the validation block for
 the hidden-size search) with one column masked, whose slot in each record
-is the optimizers' decision variable.
+is the optimizers' decision variable.  A task keeps its block whole: the
+masked column holds the held-out truth, which only scoring reads.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from pathlib import Path
 import numpy as np
 
 COLUMN_KINDS = ("numeric", "binary", "categorical")
-
-#: Placeholder stored in the unknown slots of a task record; it only keeps
-#: vectors rectangular and must never be read as data.
-MISSING_SENTINEL = 0.5
 
 SPLIT_LABELS = ("train", "validation", "test")
 
@@ -63,9 +60,9 @@ class ColumnSpec:
 def _frozen(values) -> np.ndarray:
     """``values`` as a read-only float64 array.
 
-    A read-only float64 array that owns its memory (normalize's and
-    make_tasks') is kept as it is; any other is copied, so that a caller's
-    writable array is never frozen.
+    A read-only float64 array that owns its memory (normalize's) is kept as
+    it is; any other, such as a block of :func:`split`, is copied, so that
+    a caller's writable array is never frozen.
     """
     owned = type(values) is np.ndarray and values.base is None and values.dtype == np.float64
     if not owned or values.flags.writeable:
@@ -117,30 +114,32 @@ def check_column(column: int, n_columns: int) -> None:
 class ImputationTask:
     """T >= 1 records of n components with one masked ``column``.
 
-    ``record`` is (T, n); its ``column`` slots hold :data:`MISSING_SENTINEL`
-    when built by :func:`make_tasks` and are never read as data.
-    ``true_values`` (T, n) keeps the held-out originals for scoring.  Both
-    are kept or copied by the rule of :class:`Dataset`.
+    ``rows`` is the complete (T, n) block, kept or copied by the rule of
+    :class:`Dataset`.  Its ``column`` holds the held-out originals, which
+    only scoring reads (:attr:`truth`); the objective overwrites that slot
+    with each candidate before it scores a record.
     """
 
-    record: np.ndarray
+    rows: np.ndarray
     column: int
-    true_values: np.ndarray
 
     def __post_init__(self) -> None:
-        record = _frozen(self.record)
-        truth = _frozen(self.true_values)
-        if record.ndim != 2 or truth.shape != record.shape:
-            raise ValueError("record and true_values must be (T, n) matrices of one shape")
-        if not record.shape[0]:
+        rows = _frozen(self.rows)
+        if rows.ndim != 2:
+            raise ValueError(f"rows must be a (T, n) matrix, got ndim={rows.ndim}")
+        if not rows.shape[0]:
             raise ValueError("a task needs at least one record")
-        check_column(self.column, record.shape[1])
-        object.__setattr__(self, "record", record)
-        object.__setattr__(self, "true_values", truth)
+        check_column(self.column, rows.shape[1])
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
-        return self.record.shape[1]
+        return self.rows.shape[1]
+
+    @property
+    def truth(self) -> np.ndarray:
+        """The (T,) held-out values of the masked column, for scoring only."""
+        return self.rows[:, self.column]
 
 
 def schema_pairs(schema, n_columns: int) -> list[tuple[str, str]]:
@@ -320,13 +319,8 @@ def make_tasks(rows: np.ndarray, column: int) -> ImputationTask:
     """Build the imputation task of one block of rows, masking ``column``.
 
     The task holds every row of the block (the test block; the hidden-size
-    search scores on the validation block) as one (T, n) block.  The masked
-    slots hold :data:`MISSING_SENTINEL`; the held-out originals move to
-    ``true_values`` for later scoring.  A ``column`` that
-    :func:`check_column` rejects raises before any row is read.
+    search scores on the validation block) as one (T, n) block, copied once
+    by the rule of :class:`Dataset`.  A ``column`` that :func:`check_column`
+    rejects raises ValueError.
     """
-    check_column(column, rows.shape[1])
-    records = rows.copy()
-    records[:, column] = MISSING_SENTINEL
-    records.flags.writeable = False  # the task keeps it without a copy
-    return ImputationTask(record=records, column=column, true_values=rows)
+    return ImputationTask(rows=rows, column=column)

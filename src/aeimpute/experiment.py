@@ -382,7 +382,7 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple, da
                 "classification task needs a 0/1 target after scaling; "
                 f"column {target!r} has other values"
             )
-        ones = int(task.true_values[:, task.column].sum())
+        ones = int(task.truth.sum())
         if ones in (0, n_test):
             raise ConfigError(
                 f"the test block (the last {n_test} rows; the split follows file order) "
@@ -441,7 +441,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         document["train_loss"] = float(train_loss)
 
         with clocked("impute"):
-            truth = task.true_values[:, task.column]
             # Each method imputes all test records, an optimizer each record with
             # its own derived seed, so the methods are independent and run side by
             # side, one per core.  A method's traces stay in the process that ran it.
@@ -452,9 +451,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 if method == "rf":
                     seed = derive_seed(cfg.seed, "rf")
                     fitted = forest_mod.fit(train_rows, task.column, cfg.rf, seed=seed)
-                    values = fitted.predict(task.true_values[:, list(fitted.predictor_columns)])
+                    values = fitted.predict(task.rows)
                 else:
-                    seeds = [derive_seed(cfg.seed, method, i) for i in range(len(truth))]
+                    seeds = [derive_seed(cfg.seed, method, i) for i in range(len(task.truth))]
                     result = optim_mod.run(objective, method, getattr(cfg, method), seeds=seeds)
                     values = result.best_points
                 return values, perf_counter() - begin
@@ -465,7 +464,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         with clocked("score"):
             blocks, errors = {}, {}
             for method, (values, _) in imputed.items():
-                graded, errors[method] = _grade(truth, values, cfg.task)
+                graded, errors[method] = _grade(task.truth, values, cfg.task)
                 blocks[method] = {**_config_facts(method, getattr(cfg, method), ds.n_columns), **graded}
             document["methods"] = blocks
             document["comparison"] = _comparison(errors)

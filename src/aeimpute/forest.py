@@ -6,7 +6,8 @@ columns is considered and the best split maximizes the reduction in the
 target's summed squared error; candidate thresholds are the midpoints
 between consecutive distinct sorted values.  Forest predictions average the
 per-tree leaf means, and for a 0/1-coded target that average doubles as a
-class score.
+class score.  A forest predicts from whole rows of its fit's width and
+selects its predictor columns itself, so no caller needs its column layout.
 
 Each tree draws from its own generator, derived from (seed, tree index), so
 the trees are grown on every available core (:func:`aeimpute.parallel.fork_map`)
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_column
 from .parallel import fork_map
 from .seeding import derive_seed
 
@@ -75,14 +77,17 @@ class Forest:
     trees: tuple[CartTree, ...]
     predictor_columns: tuple[int, ...]
 
-    def predict(self, known_rows) -> np.ndarray:
-        """Mean of per-tree predictions for each row of an (R, d) predictor block."""
-        x = np.asarray(known_rows, dtype=float)
-        if x.ndim != 2 or x.shape[1] != len(self.predictor_columns):
-            raise ValueError(
-                f"expected rows of {len(self.predictor_columns)} predictor values, "
-                f"got shape {x.shape}"
-            )
+    def predict(self, rows) -> np.ndarray:
+        """Mean of per-tree predictions for each row of an (R, d + 1) block.
+
+        The rows have the fit's width; the trees read their
+        ``predictor_columns`` and never the target column.
+        """
+        x = np.asarray(rows, dtype=float)
+        width = len(self.predictor_columns) + 1
+        if x.ndim != 2 or x.shape[1] != width:
+            raise ValueError(f"expected rows of the fit's {width} columns, got shape {x.shape}")
+        x = x[:, self.predictor_columns]
         # Row r's votes lie contiguous in memory, so the mean sums them in the
         # order np.mean sums one row's list of votes, bit for bit.
         votes = np.empty((x.shape[0], len(self.trees)))
@@ -219,17 +224,17 @@ def fit(train_rows, target_column: int, cfg: ForestConfig | None = None, *, seed
     bit for bit as a one-process fit grows them, also in a forked worker.
     Tree t draws its bootstrap sample first, then its per-node feature
     subsets, from the generator of ``derive_seed(seed, "tree", t)``.
-    Each node tries :func:`resolve_mtry` predictors, which also rejects too
-    few rows; the forest keeps no copy of the configuration.  A 0/1 target is
-    not checked here; the experiment checks its own.
+    A ``target_column`` that :func:`aeimpute.data.check_column` rejects
+    raises.  Each node tries :func:`resolve_mtry` predictors, which also
+    rejects too few rows; the forest keeps no copy of the configuration.  A
+    0/1 target is not checked here; the experiment checks its own.
     """
     cfg = cfg or ForestConfig()
     rows = np.asarray(train_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise ValueError("train_rows must be a 2-D matrix with >= 2 columns")
     n, width = rows.shape
-    if not 0 <= target_column < width:
-        raise ValueError(f"target column {target_column} out of range [0, {width})")
+    check_column(target_column, width)
     mtry = resolve_mtry(cfg, width, n)
     predictors = tuple(c for c in range(width) if c != target_column)
     x = rows[:, predictors]

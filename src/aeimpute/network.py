@@ -324,11 +324,11 @@ def select_hidden_size(
     ``train_rows`` with a seed derived from (cfg.rng_seed, h) and scored by
     the mean absolute error of the grid minimizers
     (:meth:`~aeimpute.objective.MissingDataObjective.grid_minimize`) against
-    ``val_task``'s true values in its masked column.  A candidate becomes
-    the best only by a strictly lower error, so ties go to the smaller size.
-    Once a candidate has scored, the scan stops after _SCAN_PATIENCE
-    candidates in a row that do not improve on the best; a candidate whose
-    training aborts is skipped with a warning and counts as not improving.
+    ``val_task.truth``.  A candidate becomes the best only by a strictly
+    lower error, so ties go to the smaller size.  Once a candidate has
+    scored, the scan stops after _SCAN_PATIENCE candidates in a row that do
+    not improve on the best; a candidate whose training aborts is skipped
+    with a warning and counts as not improving.
     Returns (size, its trained network, its final training loss).
     ``train_fn`` stands in for :func:`train` in tests and traced runs.
 
@@ -344,7 +344,6 @@ def select_hidden_size(
     cfg = cfg or TrainConfig()
     train_rows = _check_rows(train_rows)
     sizes = hidden_size_candidates(train_rows.shape[1])
-    truth = val_task.true_values[:, val_task.column]
 
     def candidate(h):
         """(network, training loss, validation error), or the TrainingError text."""
@@ -354,7 +353,7 @@ def select_hidden_size(
         except TrainingError as err:
             return str(err)
         imputed, _ = MissingDataObjective(net, val_task).grid_minimize()
-        return net, train_loss, float(np.mean(np.abs(imputed - truth)))
+        return net, train_loss, float(np.mean(np.abs(imputed - val_task.truth)))
 
     best = None
     best_error = np.inf

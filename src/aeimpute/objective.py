@@ -1,9 +1,10 @@
 """Reconstruction-error objective over the masked column of records.
 
 Given a trained autoencoder and a record with one masked column, a candidate
-value in [0, 1] is scored by writing it into that column, passing the
-completed record through the network, and summing the squared difference
-between the completed record and its reconstruction over all components.
+value in [0, 1] is scored by writing it over the held-out value in that
+column (which is thus never read), passing the completed record through the
+network, and summing the squared difference between the completed record
+and its reconstruction over all components.
 The known components' reconstruction shifts when the masked value changes,
 so every component contributes.
 
@@ -65,7 +66,7 @@ class MissingDataObjective:
 
     @property
     def n_tasks(self) -> int:
-        return self.task.record.shape[0]
+        return self.task.rows.shape[0]
 
     def evaluate(self, candidate: float) -> float:
         """Summed squared error of one candidate value for a one-record objective."""
@@ -74,8 +75,8 @@ class MissingDataObjective:
     def evaluate_batch(self, candidates) -> np.ndarray:
         """Summed squared errors of a (T*k,) task-major candidate vector.
 
-        Entries t*k to t*k + k - 1 are record t's candidates.  Whatever
-        placeholder a record carries in its masked slot is overwritten,
+        Entries t*k to t*k + k - 1 are record t's candidates.  The value a
+        record holds in its masked slot, the held-out truth, is overwritten,
         never read.
         """
         c = np.asarray(candidates, dtype=float)
@@ -86,25 +87,25 @@ class MissingDataObjective:
         hi = np.maximum.reduce(c, initial=0.0)
         if not (lo >= 0.0 and hi <= 1.0):
             raise ValueError("candidates must lie in [0, 1]")
-        return self._squared_errors(self.task.record, c)
+        return self._squared_errors(self.task.rows, c)
 
-    def _squared_errors(self, record: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def _squared_errors(self, records: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Summed squared reconstruction errors of the task-major candidates ``c``.
 
-        ``record`` is a block of the task's records, ``c`` holds the same
+        ``records`` is a block of the task's rows, ``c`` holds the same
         number of candidates for each.  Each record is completed with its
         candidates, and the completed rows go through the network in passes
         of _ROWS_PER_PASS rows; a one-row pass as two copies of its row,
         keeping the first copy's error.
         """
         rows = c.size
-        k = rows // record.shape[0]
+        k = rows // records.shape[0]
         column = self.task.column
         values = np.empty(rows)
         for start in range(0, rows, _ROWS_PER_PASS):
             stop = min(start + _ROWS_PER_PASS, rows)
             # With one candidate per record, row r completes record r.
-            full = record[start:stop].copy() if k == 1 else record[np.arange(start, stop) // k]
+            full = records[start:stop].copy() if k == 1 else records[np.arange(start, stop) // k]
             full[:, column] = c[start:stop]
             if stop - start == 1:
                 full = np.concatenate([full, full])
@@ -125,7 +126,7 @@ class MissingDataObjective:
         grids = np.tile(grid, _GRID_RECORDS_PER_BLOCK)
         points, minima = np.empty(self.n_tasks), np.empty(self.n_tasks)
         for start in range(0, self.n_tasks, _GRID_RECORDS_PER_BLOCK):
-            block = self.task.record[start : start + _GRID_RECORDS_PER_BLOCK]
+            block = self.task.rows[start : start + _GRID_RECORDS_PER_BLOCK]
             b = block.shape[0]
             values = self._squared_errors(block, grids[: b * GRID_POINTS]).reshape(b, GRID_POINTS)
             best = values.argmin(axis=1)  # the first of equal values: the lowest point

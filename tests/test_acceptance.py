@@ -236,7 +236,7 @@ class TestCriterion6Forest:
         train = step_rows(rng, 200)
         held_out = step_rows(rng, 200)
         f = forest.fit(train, 2, forest.ForestConfig(n_trees=100), seed=1)
-        preds = f.predict(held_out[:, :2])
+        preds = f.predict(held_out)
         mae = float(np.abs(preds - held_out[:, 2]).mean())
         elapsed = perf_counter() - start
         ok = memo_err == 0.0 and mae < 0.05 and elapsed < 30.0

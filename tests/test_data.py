@@ -324,15 +324,14 @@ class TestPrepare:
         assert peak / ds.rows.size <= 18
 
     def test_make_tasks_traced_peak(self, tmp_path):
-        # The 1 MB test block of 20,000 x 25 needs one copy of its records,
-        # with the masked column filled in, and one of its truth; the task
-        # keeps make_tasks' own copy of the records without copying it again.
+        # The 1 MB test block of 20,000 x 25 needs one copy: the task keeps
+        # the block whole, truth and all, and makes no second array of it.
         p = tmp_path / "credit.csv"
         write_table(p, "credit", n=20_000)
         test = data.split(data.normalize(data.load_csv(p)))[2]
         task, peak = traced_peak(lambda: data.make_tasks(test, 24))
-        assert task.record.nbytes == task.true_values.nbytes == 1_000_000
-        assert peak <= 2.1e6
+        assert task.rows.nbytes == 1_000_000
+        assert peak <= 1.1e6
 
 
 def _test_block(n_rows, n_cols):
@@ -343,19 +342,17 @@ class TestMakeTasks:
     def test_one_record_per_test_row(self):
         test = _test_block(40, 5)
         task = data.make_tasks(test, 4)
-        assert task.record.shape == task.true_values.shape == (10, 5)
+        assert task.rows.shape == (10, 5)
         assert task.column == 4
-        assert (task.record[:, 4] == data.MISSING_SENTINEL).all()
-        np.testing.assert_array_equal(task.true_values, test)
-        np.testing.assert_array_equal(task.record[:, :4], test[:, :4])
+        np.testing.assert_array_equal(task.rows, test)
+        np.testing.assert_array_equal(task.truth, test[:, 4])
+        assert not np.shares_memory(task.rows, test)
 
     def test_validation_block(self):
         validation = data.split(_normalized(40, n_cols=5))[1]
         task = data.make_tasks(validation, 2)
-        np.testing.assert_array_equal(task.true_values, validation)
-        assert (task.record[:, 2] == data.MISSING_SENTINEL).all()
-        known = [0, 1, 3, 4]
-        np.testing.assert_array_equal(task.record[:, known], validation[:, known])
+        np.testing.assert_array_equal(task.rows, validation)
+        np.testing.assert_array_equal(task.truth, validation[:, 2])
 
     @pytest.mark.parametrize("column", [3, 7, -1])
     def test_bad_index_rejected(self, column):
@@ -367,34 +364,32 @@ class TestMakeTasks:
         path, meta = credit_like
         test = data.split(data.normalize(data.load_csv(path, schema=meta["kinds"])))[2]
         task = data.make_tasks(test, 24)
-        assert task.record.shape == (250, 25)
+        assert task.rows.shape == (250, 25)
         assert task.column == 24
 
 
 class TestImputationTask:
     def test_column_must_lie_in_the_records(self):
         with pytest.raises(ValueError, match="missing_column 3 out of range for 3 columns"):
-            data.ImputationTask(record=np.zeros((2, 3)), column=3, true_values=np.zeros((2, 3)))
+            data.ImputationTask(rows=np.zeros((2, 3)), column=3)
 
     def test_needs_a_record(self):
         with pytest.raises(ValueError, match="at least one record"):
             data.make_tasks(np.empty((0, 5)), 1)
 
     def test_shapes_must_agree(self):
-        with pytest.raises(ValueError, match="true_values"):
-            data.ImputationTask(record=np.zeros(3), column=1, true_values=np.zeros(3))
-        with pytest.raises(ValueError, match="true_values"):
-            data.ImputationTask(record=np.zeros((2, 3)), column=1, true_values=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=re.escape("rows must be a (T, n) matrix, got ndim=1")):
+            data.ImputationTask(rows=np.zeros(3), column=1)
 
     def test_arrays_read_only(self):
-        t = data.ImputationTask(record=np.zeros((2, 3)), column=1, true_values=np.ones((2, 3)))
-        for array in (t.record, t.true_values):
+        t = data.ImputationTask(rows=np.zeros((2, 3)), column=1)
+        for array in (t.rows, t.truth):
             with pytest.raises(ValueError):
                 array[0] = 1
 
     def test_keeps_a_read_only_matrix_it_owns_and_copies_the_callers(self):
         owned, writable = np.zeros((2, 3)), np.ones((2, 3))
         owned.flags.writeable = False
-        t = data.ImputationTask(record=owned, column=1, true_values=writable)
-        assert t.record is owned
-        assert not np.shares_memory(t.true_values, writable) and writable.flags.writeable
+        assert data.ImputationTask(rows=owned, column=1).rows is owned
+        t = data.ImputationTask(rows=writable, column=1)
+        assert not np.shares_memory(t.rows, writable) and writable.flags.writeable

@@ -386,8 +386,8 @@ def _tree():
 @pytest.mark.parametrize("make", [
     lambda: random_autoencoder(np.random.default_rng(0), 4, 2),
     lambda: data.Dataset(columns=(data.ColumnSpec("x"), data.ColumnSpec("y")), rows=[[0.25, 0.5], [0.75, 1.0]]),
-    lambda: data.ImputationTask(record=np.zeros((2, 3)), column=1, true_values=np.ones((2, 3))),
-    lambda: optimizers.OptimizerResult(np.zeros((2, 1)), np.arange(3), np.ones((3, 2))),
+    lambda: data.ImputationTask(rows=np.zeros((2, 3)), column=1),
+    lambda: optimizers.OptimizerResult(np.zeros(2), np.arange(3), np.ones((3, 2))),
     _tree,
     lambda: forest.Forest(trees=(_tree(), _tree()), predictor_columns=(0,)),
 ], ids=["Autoencoder", "Dataset", "ImputationTask", "OptimizerResult", "CartTree", "Forest"])
@@ -1671,6 +1671,7 @@ class TestOneRuleOneMessage:
         message = f"missing_column {column} out of range for 5 columns: must satisfy 0 <= column <= 4"
         rows = np.random.default_rng(1).uniform(size=(3, 5))
         assert rejection(data.make_tasks, rows, column) == message
+        assert rejection(forest.fit, rows, column, seed=0) == message
         assert self.prepare_rejection(tmp_path, 12, 5, missing_column=column, methods=("ga",)) == message
 
     # 17 rows split 9/4/4, so the train block holds 2 x 5 - 1 rows.

@@ -45,7 +45,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         rows = np.column_stack([rng.uniform(0, 1, 30), np.full(30, 0.7)])
         f = forest.fit(rows, 1, ForestConfig(n_trees=5, min_leaf=1), seed=0)
-        assert (f.predict(rng.uniform(0, 1, size=(5, 1))) == 0.7).all()
+        assert (f.predict(rng.uniform(0, 1, size=(5, 2))) == 0.7).all()
 
     def test_fully_grown_tree_memorizes(self):
         rng = np.random.default_rng(1)
@@ -59,7 +59,7 @@ class TestFit:
         train = step_rows(rng, 200)
         test = step_rows(rng, 200)
         f = forest.fit(train, 2, ForestConfig(n_trees=100), seed=1)
-        preds = f.predict(test[:, :2])
+        preds = f.predict(test)
         assert np.abs(preds - test[:, 2]).mean() < 0.05
 
     def test_insufficient_rows_rejected(self):
@@ -107,7 +107,7 @@ class TestFit:
         rows = step_rows(rng, 60)
         f1 = forest.fit(rows, 2, ForestConfig(n_trees=10), seed=5)
         f2 = forest.fit(rows, 2, ForestConfig(n_trees=10), seed=5)
-        query = rng.uniform(0, 1, size=(10, 2))
+        query = rng.uniform(0, 1, size=(10, 3))
         np.testing.assert_array_equal(f1.predict(query), f2.predict(query))
 
 
@@ -117,14 +117,14 @@ class TestPredict:
             trees=(leaf_tree(0.2), leaf_tree(0.6)),
             predictor_columns=(0,),
         )
-        assert f.predict([[0.5]]) == pytest.approx([0.4])
+        assert f.predict([[0.5, 0.3]]) == pytest.approx([0.4])
 
     def test_constant_forest(self):
         f = Forest(
             trees=(leaf_tree(0.9),) * 3,
             predictor_columns=(0,),
         )
-        assert f.predict([[0.1]]).tolist() == [0.9]
+        assert f.predict([[0.1, 0.3]]).tolist() == [0.9]
 
     def test_duplicated_trees_leave_prediction_unchanged(self):
         rng = np.random.default_rng(6)
@@ -134,30 +134,44 @@ class TestPredict:
             trees=base.trees * 2,
             predictor_columns=base.predictor_columns,
         )
-        query = rng.uniform(0, 1, size=(10, 2))
+        query = rng.uniform(0, 1, size=(10, 3))
         np.testing.assert_array_equal(doubled.predict(query), base.predict(query))
 
     def test_step_at_extreme_with_many_trees(self):
         rng = np.random.default_rng(3)
         train = step_rows(rng, 200)
         f = forest.fit(train, 2, ForestConfig(n_trees=500), seed=2)
-        assert abs(f.predict([[0.9, 0.5]])[0] - 1.0) < 0.05
+        assert abs(f.predict([[0.9, 0.5, 0.0]])[0] - 1.0) < 0.05
 
     def test_prediction_within_target_range(self):
         rng = np.random.default_rng(8)
         rows = np.column_stack([rng.uniform(0, 1, 80), rng.uniform(0.2, 0.8, 80)])
         f = forest.fit(rows, 1, ForestConfig(n_trees=30), seed=9)
         lo, hi = rows[:, 1].min(), rows[:, 1].max()
-        preds = f.predict(rng.uniform(0, 1, size=(30, 1)))
+        preds = f.predict(rng.uniform(0, 1, size=(30, 2)))
         assert ((lo <= preds) & (preds <= hi)).all()
 
     def test_wrong_width_rejected(self):
         rng = np.random.default_rng(8)
         f = forest.fit(step_rows(rng, 40), 2, ForestConfig(n_trees=2), seed=0)
-        with pytest.raises(ValueError, match="predictor"):
-            f.predict([[0.1, 0.2, 0.3]])
-        with pytest.raises(ValueError, match="predictor"):
-            f.predict([0.1, 0.2])  # one row is still a block of one
+        with pytest.raises(ValueError, match=r"^expected rows of the fit's 3 columns, got shape \(1, 2\)$"):
+            f.predict([[0.1, 0.2]])  # the predictors alone
+        with pytest.raises(ValueError, match="fit's 3 columns"):
+            f.predict([0.1, 0.2, 0.3])  # one row is still a block of one
+
+    def test_target_column_never_read(self):
+        # A forest reads whole rows of its fit's width and only their
+        # predictor columns: whatever the target column holds, each row's
+        # prediction is the per-tree walk of its predictors, bit for bit.
+        rng = np.random.default_rng(11)
+        train = rng.uniform(0, 1, size=(60, 4))
+        f = forest.fit(train, 1, ForestConfig(n_trees=20, min_leaf=2), seed=3)
+        query = rng.uniform(0, 1, size=(25, 4))
+        expected = np.array([np.mean([walk_row(t, np.delete(q, 1)) for t in f.trees]) for q in query])
+        for poke in (rng.uniform(0, 1, 25), np.full(25, np.nan), np.full(25, -1e300)):
+            poked = query.copy()
+            poked[:, 1] = poke
+            np.testing.assert_array_equal(f.predict(poked).view(np.uint64), expected.view(np.uint64))
 
 
 # --- exhaustive-split reference ----------------------------------------------
@@ -269,7 +283,7 @@ class TestBlockWalk:
         f = forest.fit(train, 3, ForestConfig(n_trees=n_trees, min_leaf=2), seed=seed)
         query = rng.uniform(-0.1, 1.1, size=(rows, 3))
         expected = [np.mean([walk_row(t, q) for t in f.trees]) for q in query]
-        np.testing.assert_array_equal(f.predict(query), expected)
+        np.testing.assert_array_equal(f.predict(np.column_stack([query, np.full(rows, np.nan)])), expected)
         for t in f.trees[:3]:
             np.testing.assert_array_equal(t.predict(query), [walk_row(t, q) for q in query])
 

@@ -639,7 +639,6 @@ def sizes_5_and_7_abort(rows, h, cfg):
 
 def reference_scan(train_rows, val_task, cfg, train_fn):
     """The one-process scan: ((h, network, loss), its warnings in order)."""
-    column = val_task.column
     best, best_error, stale, messages = None, np.inf, 0, []
     for h in network.hidden_size_candidates(train_rows.shape[1]):
         sub_cfg = dataclasses.replace(cfg, rng_seed=derive_seed(cfg.rng_seed, "hidden", h))
@@ -650,7 +649,7 @@ def reference_scan(train_rows, val_task, cfg, train_fn):
             stale += best is not None
         else:
             imputed, _ = MissingDataObjective(net, val_task).grid_minimize()
-            error = np.mean(np.abs(imputed - val_task.true_values[:, column]))
+            error = np.mean(np.abs(imputed - val_task.truth))
             if error < best_error:
                 best_error, best, stale = error, (h, net, train_loss), 0
             else:

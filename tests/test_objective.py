@@ -16,7 +16,7 @@ from conftest import ConstantNet, IdentityNet, random_autoencoder, scalar_forwar
 def make_task(records, column):
     """A task over one record (a 1-D ``records``) or over the rows of a matrix."""
     records = np.atleast_2d(np.asarray(records, dtype=float))
-    return ImputationTask(record=records, column=column, true_values=records)
+    return ImputationTask(rows=records, column=column)
 
 
 class TestEvaluate:
@@ -35,7 +35,7 @@ class TestEvaluate:
         best = grid[int(np.argmin(values))]
         assert best == pytest.approx(c[2], abs=1e-3)
         known = [0, 1, 3]
-        expected_min = sum((task.record[0, k] - c[k]) ** 2 for k in known)
+        expected_min = sum((task.rows[0, k] - c[k]) ** 2 for k in known)
         assert min(values) == pytest.approx(expected_min, abs=1e-6)
 
     def test_matches_scalar_recomputation_on_grid(self):
@@ -44,7 +44,7 @@ class TestEvaluate:
         task = make_task([0.4, 0.1, 0.5, 0.9], column=2)
         obj = MissingDataObjective(net, task)
         for g in np.linspace(0, 1, 1001):
-            full = np.array(task.record[0])
+            full = np.array(task.rows[0])
             full[2] = g
             reconstructed = scalar_forward(net, full)
             expected = sum((full[k] - reconstructed[k]) ** 2 for k in range(4))
@@ -85,17 +85,29 @@ class TestEvaluate:
         singles = np.array([obj.evaluate(c) for c in candidates])
         np.testing.assert_array_equal(batch, singles)
 
-    def test_sentinel_never_read(self):
+    def test_masked_slot_never_read(self):
+        # The masked column holds the held-out truth; whatever it holds,
+        # every score keeps its bits, because each candidate overwrites it.
         rng = np.random.default_rng(2)
         net = random_autoencoder(rng, 4, 2)
-        base = make_task([0.2, 0.5, 0.7, 0.4], column=1)
-        poked_record = np.array(base.record)
-        poked_record[0, 1] = 0.987  # garbage in the masked slot
-        poked = dataclasses.replace(base, record=poked_record)
-        obj_a = MissingDataObjective(net, base)
-        obj_b = MissingDataObjective(net, poked)
-        for c in np.linspace(0, 1, 21):
-            assert obj_a.evaluate(c) == obj_b.evaluate(c)
+        base = make_task(rng.uniform(0, 1, size=(6, 4)), column=1)
+        poked_rows = np.array(base.rows)
+        poked_rows[:, 1] = [0.987, np.nan, -1e300, np.inf, 0.0, 1.0]
+        poked = dataclasses.replace(base, rows=poked_rows)
+        obj_a, obj_b = MissingDataObjective(net, base), MissingDataObjective(net, poked)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64)
+
+        for t in range(6):  # one record at a time, one candidate per call
+            one_a, one_b = (MissingDataObjective(net, make_task(task.rows[t], column=1)) for task in (base, poked))
+            for c in np.linspace(0, 1, 21):
+                assert bits(one_a.evaluate(c)) == bits(one_b.evaluate(c))
+        for k in (1, 21):  # one candidate per record, and many
+            candidates = rng.uniform(0, 1, size=6 * k)
+            np.testing.assert_array_equal(bits(obj_a.evaluate_batch(candidates)), bits(obj_b.evaluate_batch(candidates)))
+        for a, b in zip(obj_a.grid_minimize(), obj_b.grid_minimize(), strict=True):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
     def test_mismatched_network_rejected(self):
         with pytest.raises(ValueError, match="inputs"):
@@ -164,7 +176,7 @@ def reference_evaluate_batch(obj, candidates):
     values = np.empty(c.size)
     for start in range(0, c.size, _ROWS_PER_PASS):
         stop = min(start + _ROWS_PER_PASS, c.size)
-        full = obj.task.record[np.arange(start, stop) // k]
+        full = obj.task.rows[np.arange(start, stop) // k]
         full[:, obj.task.column] = c[start:stop]
         full = np.repeat(full, 2 if stop - start == 1 else 1, axis=0)
         full -= obj.net.forward_batch(full)
@@ -244,7 +256,7 @@ def assert_grid_equals_per_record_loop(obj):
     points, minima = obj.grid_minimize()
     assert points.shape == minima.shape == (obj.n_tasks,)
     for t in range(obj.n_tasks):
-        one = MissingDataObjective(obj.net, make_task(obj.task.record[t], obj.task.column))
+        one = MissingDataObjective(obj.net, make_task(obj.task.rows[t], obj.task.column))
         values = one.evaluate_batch(grid)
         best = int(np.argmin(values))
         assert points[t] == grid[best]

@@ -23,6 +23,7 @@ def test_library_tour_runs(tmp_path, monkeypatch):
     estimates, task = scope["estimates"], scope["task"]
     assert task.column == 13 and estimates.shape == (67,)
     assert np.all((estimates >= 0.0) & (estimates <= 1.0))
+    assert scope["mae"] == float(np.abs(estimates - task.rows[:, 13]).mean())
 
 
 def table_rows(header: str) -> list[list[str]]:
