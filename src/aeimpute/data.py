@@ -142,12 +142,18 @@ class ImputationTask:
         return self.rows[:, self.column]
 
 
+def fits_a_config_line(text: str, stops: str = "#") -> bool:
+    """Whether ``text`` can be a config line's value, or a part of it that ends
+    at one of ``stops``: the line's comment starts at ``#``, and parts are stripped."""
+    return text == text.strip() and len(text.splitlines()) < 2 and not any(c in text for c in stops)
+
+
 def schema_pairs(schema, n_columns: int) -> list[tuple[str, str]]:
     """One (name, kind) pair per column of ``n_columns`` from ``columns`` entries.
 
     ``None`` stands for ``n_columns`` numeric columns.  An entry is either a
-    kind, named A1..An by its position, or a (name, kind) pair whose name is
-    a string.  A wrong count, or any other entry, raises ValueError.
+    kind, named A1..An by its position, or a (name, kind) pair whose name a
+    ``columns`` line can hold.  A wrong count, or any other entry, raises ValueError.
     """
     if schema is None:
         return [(f"A{i + 1}", "numeric") for i in range(n_columns)]
@@ -160,6 +166,9 @@ def schema_pairs(schema, n_columns: int) -> list[tuple[str, str]]:
         if kind not in COLUMN_KINDS:
             raise ValueError(f"columns entry {i} ({entry!r}) is neither a kind in {COLUMN_KINDS} "
                              "nor a (name, kind) pair with one")
+        if pair and not fits_a_config_line(name, "#,:"):
+            raise ValueError(f"columns entry {i} ({entry!r}): a comma, colon, '#', line break "
+                             "or outer space in a name has no config text")
         pairs.append((name, kind))
     return pairs
 

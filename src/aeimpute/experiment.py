@@ -45,6 +45,7 @@ ALL_METHODS = optim_mod.ALGORITHM_TAGS + ("rf",)
 TASK_KINDS = ("prediction", "classification")
 FAILURE_MARKER = "FAILED.txt"
 VERIFY_TOLERANCE = 1e-9
+REPORT_FORMAT = 2  # report.json's "format"; a report without the key is format 1
 
 
 class ConfigError(ValueError):
@@ -62,7 +63,7 @@ class ExperimentConfig:
     Each field is the config file key of its name, except ``output_dir``,
     which the key ``output`` sets.  A section field's own fields are its
     dotted keys: ``ga.population`` sets ``ga``'s ``GaConfig.population``.
-    The report's config echo holds the same names (:func:`_config_echo`).
+    The report's config echo is their config file lines (:func:`config_text`).
     """
 
     dataset: Path
@@ -85,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.dataset = Path(self.dataset)
         self.output_dir = Path(self.output_dir)
+        if not data_mod.fits_a_config_line(str(self.dataset)):
+            raise ConfigError(f"dataset {str(self.dataset)!r}: a '#', line break or outer space has no config text")
         if self.task not in TASK_KINDS:
             raise ConfigError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
         if self.missing_column < 0:
@@ -102,8 +105,6 @@ class ExperimentConfig:
         if self.normalization_scope not in ("full", "train"):
             raise ConfigError("normalization_scope must be 'full' or 'train'")
         if self.columns is not None:
-            # A (name, kind) entry read back from JSON is a list.
-            self.columns = tuple(tuple(e) if isinstance(e, list) else e for e in self.columns)
             try:
                 data_mod.schema_pairs(self.columns, len(self.columns))
             except ValueError as err:
@@ -119,10 +120,7 @@ def _entries(raw: str) -> tuple[str, ...]:
 
 def _columns(raw: str) -> tuple:
     """Column kinds; a ``name: kind`` entry becomes a (name, kind) pair."""
-    return tuple(
-        tuple(part.strip() for part in e.split(":", 1)) if ":" in e else e
-        for e in _entries(raw)
-    )
+    return tuple(tuple(part.strip() for part in e.split(":", 1)) if ":" in e else e for e in _entries(raw))
 
 
 def _hidden_size(raw: str) -> int | str:
@@ -133,8 +131,7 @@ def _hidden_size(raw: str) -> int | str:
 _HINTS = typing.get_type_hints(ExperimentConfig)
 _SECTION_TYPES = {name: tp for name, tp in _HINTS.items() if is_dataclass(tp)}
 
-# Per-run seeds are always derived from the master seed, so they are neither
-# read from config files nor echoed in the report.
+# Per-run seeds are derived from the master seed, so no config key sets them.
 _DERIVED_SEEDS = ("rng_seed",)
 
 # Section ("" for the globals) -> config file key -> parser of its value
@@ -151,11 +148,10 @@ _KEYS = {
 }
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_EXPECTED = {int: "an integer", float: "a number", bool: "true/false"}
-_EXPECTED[_hidden_size] = "'auto' or an integer"
+_EXPECTED = {int: "an integer", float: "a number", bool: "true/false", _hidden_size: "'auto' or an integer"}
 
 
-def _parse_value(key: str, raw: str, tp):
+def _parse_value(where: str, raw: str, tp):
     """Convert config text to the resolved type ``tp``; ``T | None`` reads none/auto as None."""
     args = typing.get_args(tp)
     if type(None) in args:
@@ -165,11 +161,21 @@ def _parse_value(key: str, raw: str, tp):
     try:
         return _BOOLS[raw.lower()] if tp is bool else tp(raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"{key}: expected {_EXPECTED[tp]}, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {raw!r}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a flat ``key = value`` config file with dotted sections.
+    """Parse a config file: :func:`parse_config_text` of its text."""
+    path = Path(path)
+    try:
+        return parse_config_text(path.read_text(encoding="utf-8-sig"), path)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
+
+
+def parse_config_text(text: str, where: str | Path) -> ExperimentConfig:
+    """Parse flat ``key = value`` lines with dotted sections; errors name
+    ``where`` (a config file's path) and the line, counted from 1.
 
     The keys are those of ``_KEYS``: a global key is the
     :class:`ExperimentConfig` field of its name (``output`` sets
@@ -177,12 +183,6 @@ def parse_config(path) -> ExperimentConfig:
     that field of its section's config.  Each value is read by its field's
     type.  Unknown and repeated keys are errors.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from None
-
     found: dict[str, dict[str, object]] = {section: {} for section in _KEYS}
     seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -190,31 +190,56 @@ def parse_config(path) -> ExperimentConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
+            raise ConfigError(f"{where}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+            raise ConfigError(f"{where}:{lineno}: key {key!r} already set on line {seen[key]}")
         seen[key] = lineno
         section, sub = key.split(".", 1) if "." in key else ("", key)
         if section not in _KEYS or key.startswith("."):
-            raise ConfigError(f"{path}:{lineno}: unknown section {section!r}")
+            raise ConfigError(f"{where}:{lineno}: unknown section {section!r}")
         if sub not in _KEYS[section]:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        found[section][sub] = _parse_value(key, raw, _KEYS[section][sub])
+            raise ConfigError(f"{where}:{lineno}: unknown key {key!r}")
+        found[section][sub] = _parse_value(f"{where}:{lineno}: {key}", raw, _KEYS[section][sub])
 
     kwargs = {"output_dir" if key == "output" else key: value for key, value in found.pop("").items()}
     for f in fields(ExperimentConfig):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{path}: missing required key {f.name!r}")
+            raise ConfigError(f"{where}: missing required key {f.name!r}")
     for name, values in found.items():
         try:
             kwargs[name] = _SECTION_TYPES[name](**values)
         except ValueError as err:
-            raise ConfigError(f"{path}: section {name!r}: {err}") from None
+            raise ConfigError(f"{where}: section {name!r}: {err}") from None
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+
+
+def _value_text(value, tp) -> str:
+    """The config-file text of a setting's ``value`` under its ``_KEYS`` type hint."""
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    if float in (tp, *typing.get_args(tp)):
+        return repr(float(value))  # an integer given for a float reads back as a float
+    if isinstance(value, (tuple, list)):  # columns and methods
+        return ",".join(e if isinstance(e, str) else f"{e[0]}: {e[1]}" for e in value)
+    return str(value)
+
+
+def config_text(cfg: ExperimentConfig) -> list[str]:
+    """The report's config echo: each setting of ``cfg`` as the config file
+    line that :func:`parse_config_text` reads back, in ``_KEYS`` order.
+    ``output``, the derived seeds and an unset ``columns`` have no line."""
+    lines = []
+    for section, keys in _KEYS.items():
+        owner = getattr(cfg, section) if section else cfg
+        for key, tp in keys.items():
+            if key != "output" and not (key == "columns" and cfg.columns is None):
+                name = f"{section}.{key}" if section else key
+                lines.append(f"{name} = {_value_text(getattr(owner, key), tp)}")
+    return lines
 
 
 # --- report -----------------------------------------------------------------
@@ -227,48 +252,8 @@ class ExperimentReport:
     document: dict
     net: network_mod.Autoencoder
     columns: tuple
+    missing_column: int
     timings: dict
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    """Scientific configuration with resolved defaults, under its field names.
-
-    Execution concerns (the output directory) and derived per-run seeds are
-    excluded so the echo is identical wherever and however the same
-    experiment runs.
-    """
-    def echo(value):
-        if is_dataclass(value):
-            return {f.name: getattr(value, f.name) for f in fields(value) if f.name not in _DERIVED_SEEDS}
-        return str(value) if isinstance(value, Path) else value
-
-    return {f.name: echo(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "output_dir"}
-
-
-# Type hint -> the JSON types an echoed setting of that hint may hold: those
-# that a config file's value text can be read as.
-_ECHO_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), Path: (str,),
-               type(None): (type(None),)}
-
-
-def _config_from_echo(echo: dict) -> ExperimentConfig:
-    """The configuration of a :func:`_config_echo`; a ValueError or TypeError
-    where it is not valid.  A key the echo lacks takes its default.
-
-    Before building, each setting is checked against the :data:`_ECHO_TYPES`
-    of its ``_KEYS`` type hint (``columns``, ``methods`` and ``hidden_size``
-    are left to :class:`ExperimentConfig`); a ConfigError names the first
-    setting that holds another type."""
-    settings = {"": {**echo}, **{name: {**echo[name]} for name in _SECTION_TYPES if name in echo}}
-    for section, values in settings.items():
-        for key, value in values.items():
-            hint = _KEYS[section].get(key)
-            allowed = [t for tp in typing.get_args(hint) or [hint] for t in _ECHO_TYPES.get(tp, ())]
-            if allowed and type(value) not in allowed:
-                name = f"config.{section}.{key}".replace("..", ".")
-                raise ConfigError(f"{name} holds {value!r}, not of type {getattr(hint, '__name__', hint)}")
-    sections = {name: tp(**echo[name]) for name, tp in _SECTION_TYPES.items() if name in echo}
-    return ExperimentConfig(**{**echo, **sections})
 
 
 _METHODOLOGY = {
@@ -281,7 +266,7 @@ _METHODOLOGY = {
     ),
     "roc_scores": (
         "imputed class-column values (optimizers) and mean tree vote (rf) "
-        "used directly as scores; hard labels threshold at 0.5 with ties to 1"
+        "used directly as scores, with no threshold"
     ),
     "timings": "wall-clock stage timings live in timings.json and are not byte-stable",
 }
@@ -289,7 +274,7 @@ _METHODOLOGY = {
 
 def _config_entries(cfg: ExperimentConfig) -> dict:
     """The entries of report.json that follow from the configuration alone."""
-    return {"config": _config_echo(cfg), "task_kind": cfg.task, "methodology": dict(_METHODOLOGY)}
+    return {"config": config_text(cfg), "task_kind": cfg.task, "methodology": dict(_METHODOLOGY)}
 
 
 def _display(value: float) -> str:
@@ -409,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     """
     notify = progress or (lambda msg: None)
     timings: dict[str, float] = {}
-    document: dict = {"toolkit_version": __version__, **_config_entries(cfg)}
+    document: dict = {"format": REPORT_FORMAT, "toolkit_version": __version__, **_config_entries(cfg)}
     stage = None
 
     @contextmanager
@@ -468,7 +453,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
                 blocks[method] = {**_config_facts(method, getattr(cfg, method), ds.n_columns), **graded}
             document["methods"] = blocks
             document["comparison"] = _comparison(errors)
-        return ExperimentReport(document=document, net=net, columns=ds.columns, timings=timings)
+        return ExperimentReport(document, net, ds.columns, cfg.missing_column, timings)
     except Exception as err:
         _persist_failure(cfg.output_dir, stage, err, document)
         raise ExperimentError(f"stage {stage!r} failed: {err}") from err
@@ -491,7 +476,7 @@ def _json(obj) -> str:
 
 
 def _imputed_rows(report: ExperimentReport, method: str):
-    target = report.columns[report.document["config"]["missing_column"]]
+    target = report.columns[report.missing_column]
     for entry in report.document["methods"][method]["imputed"]:
         true, imputed = entry["true"], entry["imputed"]
         # Degenerate target columns are excluded from original-unit reporting.
@@ -666,7 +651,7 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     imputed files, and compare every stable file with its re-rendering.
 
     The expected report is report.json's document with the entries that
-    follow from the configuration its echo rebuilds (:func:`_config_entries`,
+    follow from the configuration its echo parses as (:func:`_config_entries`,
     the names and kinds of :func:`_stated_normalization`,
     ``hidden_size.requested`` and a fixed size's ``hidden_size.selected``;
     ``toolkit_version`` stays as stored),
@@ -681,12 +666,14 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
     checks: :func:`_split_check`, and ``model``, ``model.txt``'s shape.
 
     Returns (check name, passed, detail) tuples.  Missing files fail one
-    ``inventory`` check.  An unreadable ``report.json``, an echo setting of
-    a type no config file sets, a configuration that :class:`ExperimentConfig`
-    rejects (also for the stored ``task_kind``), a ``missing_column`` or
-    ``columns`` that does not fit the normalization block, method blocks
-    other than those of ``config.methods``, and the first malformed file
-    fail one ``format`` check that names the file and ends the verification.
+    ``inventory`` check.  A ``report.json`` of a ``format`` other than
+    :data:`REPORT_FORMAT` (1 where it has none), an unreadable one, an echo
+    that does not parse as a config file, a configuration that
+    :class:`ExperimentConfig` rejects (also for the stored ``task_kind``), a
+    ``missing_column`` or ``columns`` that does not fit the normalization
+    block, method blocks other than those of ``config.methods``, and the
+    first malformed file fail one ``format`` check that names the file and
+    ends the verification.
     """
     out_dir = Path(out_dir)
     report_path = out_dir / "report.json"
@@ -694,7 +681,11 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         return [("inventory", False, f"missing {report_path.name}")]
     try:
         document = json.loads(report_path.read_text(encoding="utf-8"))
-        cfg = _config_from_echo(document["config"])
+        stored = document.get("format", 1)
+        if stored != REPORT_FORMAT:
+            return [("format", False, f"{report_path.name} is format {stored!r}, written by toolkit_version "
+                     f"{document.get('toolkit_version')!r}; this version reads format {REPORT_FORMAT}")]
+        cfg = parse_config_text("\n".join(document["config"]), "config")
         # The files were written, and are regraded, for the stored task kind.
         task_kind = replace(cfg, task=document["task_kind"]).task
         blocks = sorted(document["methods"])
@@ -706,7 +697,7 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         split_counts = dict(document["split_counts"])
     except ConfigError as err:
         return [("format", False, f"{report_path.name}: {err}")]
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
         return [("format", False, f"{report_path.name} unreadable: {err!r}")]
     if blocks != sorted(cfg.methods):
         return [("format", False, f"{report_path.name}: methods' blocks {blocks} "
@@ -738,10 +729,9 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         detail = f"{difference} from report.json" if difference else "matches report.json"
         checks.append(("model", difference is None, detail))
 
-        stated = json.loads(json.dumps(_config_entries(cfg)))  # tuples as JSON lists
-        stated.update(normalization=normalization, hidden_size=hidden_size, methods=graded,
-                      comparison=comparison)
-        expected = ExperimentReport({**document, **stated}, net, columns, {})
+        stated = dict(_config_entries(cfg), normalization=normalization, hidden_size=hidden_size,
+                      methods=graded, comparison=comparison)
+        expected = ExperimentReport({**document, **stated}, net, columns, cfg.missing_column, {})
         for file, name, method in files:
             if name == "report.json":  # as parsed: serializing it would cost more than all the rest
                 difference = _first_difference(document, expected.document, name)

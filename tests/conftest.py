@@ -230,7 +230,7 @@ def bench_module(name: str):
 
 def write_table(path, shape: str, seed: int = 0, **size) -> dict:
     """Write the benchmark's ``inputs.<shape>(seed, **size)`` table to ``path``
-    as CSV; return the fields :func:`config_text` reads."""
+    as CSV; return the fields :func:`config_file_text` reads."""
     table = getattr(bench_module("inputs"), shape)(seed, **size)
     table.write_csv(path)
     return {"kinds": table.kinds, "missing_column": table.missing_column, "task": table.task}
@@ -257,7 +257,7 @@ def heart_like(tmp_path_factory):
     return _paper_sized(tmp_path_factory, "heart", 270)
 
 
-def config_text(dataset_path, meta, output_dir, **overrides) -> str:
+def config_file_text(dataset_path, meta, output_dir, **overrides) -> str:
     """Render an experiment config file for a table written by :func:`write_table`."""
     settings = {
         "dataset": str(dataset_path),

@@ -28,7 +28,7 @@ from aeimpute.network import TrainConfig
 from conftest import (
     Bimodal1D,
     QuadraticStub,
-    config_text,
+    config_file_text,
     manifold_rows,
     random_autoencoder,
 )
@@ -54,7 +54,7 @@ def benchmark_runs(tmp_path_factory, credit_like, fire_like, heart_like):
     for name, (csv, meta), expected_counts in specs:
         cfg_file = tmp / f"{name}.cfg"
         out = tmp / f"{name}_out"
-        cfg_file.write_text(config_text(csv, meta, out, seed=0), encoding="utf-8")
+        cfg_file.write_text(config_file_text(csv, meta, out, seed=0), encoding="utf-8")
         cfg = parse_config(cfg_file)
         report = run_experiment(cfg)
         emit_report(report, out)
@@ -307,7 +307,7 @@ class TestCriterion8Ordering:
                 out = tmp / f"{name}_{seed}"
                 cfg_file = tmp / f"{name}_{seed}.cfg"
                 cfg_file.write_text(
-                    config_text(csv, meta, out, seed=seed, methods="ns,rf"),
+                    config_file_text(csv, meta, out, seed=seed, methods="ns,rf"),
                     encoding="utf-8",
                 )
                 report = run_experiment(parse_config(cfg_file))

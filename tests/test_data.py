@@ -84,6 +84,19 @@ class TestLoadCsv:
         with pytest.raises(data.CsvFormatError, match=r"column 1: the name 'a\"b' holds a comma"):
             data.load_csv(p, schema=[('a"b', "numeric"), "numeric"])
 
+    # A pair's name is config text, read back from the report's config echo;
+    # a header names the columns in the CSV file, which the echo does not hold.
+    @pytest.mark.parametrize("name", ["a:b", "a#", " a", "a,b"], ids=["colon", "hash", "outer-space", "comma"])
+    def test_a_columns_pair_name_must_have_config_text(self, tmp_path, name):
+        p = write(tmp_path, "1,2\n3,4\n")
+        with pytest.raises(data.CsvFormatError, match=re.escape(f"columns entry 1 ({(name, 'numeric')!r}): "
+                                                                "a comma, colon, '#', line break or outer space")):
+            data.load_csv(p, schema=[(name, "numeric"), "numeric"])
+
+    def test_a_header_name_needs_no_config_text(self, tmp_path):
+        ds = data.load_csv(write(tmp_path, "a:b, c#\n1,2\n3,4\n"), header=True)
+        assert [spec.column for spec in ds.columns] == ["a:b", "c#"]
+
     # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
     @pytest.mark.parametrize("text, header", [("1,2\n3,4\n", False), ("age,score\n1,2\n3,4\n", True)],
                              ids=["no-header", "header"])

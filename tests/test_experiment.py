@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from aeimpute import cli, data, experiment, forest, metrics, network, optimizers, parallel
 from aeimpute.experiment import (
@@ -26,17 +26,17 @@ from aeimpute.experiment import (
     ExperimentError,
     FAILURE_MARKER,
     REPORT_FILES,
-    _config_echo,
-    _config_from_echo,
     _stated_normalization,
+    config_text,
     emit_report,
     parse_config,
+    parse_config_text,
     run_experiment,
     verify_report,
 )
 from aeimpute.seeding import derive_seed
 
-from conftest import bench_module, child_processes, config_text, random_autoencoder, write_table
+from conftest import bench_module, child_processes, config_file_text, random_autoencoder, write_table
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -52,6 +52,61 @@ def clone_report(out, dest, skip=()):
         if p.name not in skip:
             (dest / p.name).write_bytes(p.read_bytes())
     return dest
+
+
+def edit_echo(document, settings: dict):
+    """Give each key of ``settings`` its value text in report.json's config
+    echo, on the key's own line, or on a new last line where the echo has
+    none; a value of None drops the key's line."""
+    echo = document["config"]
+    for key, value in settings.items():
+        at = next((i for i, line in enumerate(echo) if line.split(" = ", 1)[0] == key), len(echo))
+        echo[at:at + 1] = [] if value is None else [f"{key} = {value}"]
+
+
+def assert_echo_round_trips(cfg):
+    """The echo of ``cfg`` parses as ``cfg`` (output_dir aside) and echoes the same lines."""
+    echo = config_text(cfg)
+    rebuilt = parse_config_text("\n".join(echo), "echo")
+    assert dataclasses.replace(rebuilt, output_dir=cfg.output_dir) == cfg
+    assert config_text(rebuilt) == echo
+
+
+# A value for a setting of each type hint of _KEYS: mostly valid for the
+# section configs' checks, an integer for a float too.
+_DRAWS = {int: st.integers(1, 60), float: st.floats(1e-9, 0.999) | st.integers(1, 3), bool: st.booleans()}
+
+
+def _draw_setting(tp):
+    args = [a for a in typing.get_args(tp) if a is not type(None)]
+    return (st.none() | _DRAWS[args[0]]) if args else _DRAWS[tp]
+
+
+@st.composite
+def configurations(draw):
+    """An ExperimentConfig, drawn from any text for its dataset and column
+    names; a draw that ExperimentConfig or a section config refuses is rejected."""
+    try:
+        sections = {}
+        for name, cls in _SECTION_TYPES.items():
+            optional = {key: _draw_setting(tp) for key, tp in _KEYS[name].items()}
+            sections[name] = cls(**draw(st.fixed_dictionaries({}, optional=optional)))
+        kinds = st.sampled_from(data.COLUMN_KINDS)
+        return ExperimentConfig(
+            dataset=draw(st.text(max_size=6)),
+            missing_column=draw(st.integers(0, 10**6)),
+            task=draw(st.sampled_from(experiment.TASK_KINDS)),
+            header=draw(st.booleans()),
+            columns=draw(st.none() | st.tuples() | st.lists(kinds | st.tuples(st.text(max_size=3), kinds),
+                                                            min_size=1, max_size=4).map(tuple)),
+            hidden_size=draw(st.just("auto") | st.integers(-3, 10**6)),
+            methods=draw(st.lists(st.sampled_from(experiment.ALL_METHODS), min_size=1, unique=True)),
+            seed=draw(st.integers(-(2**70), 2**70)),
+            normalization_scope=draw(st.sampled_from(["full", "train"])),
+            **sections,
+        )
+    except ValueError:  # ConfigError included
+        reject()
 
 
 FAST = {
@@ -77,7 +132,7 @@ def write_config(tmp, csv, meta, name="exp.cfg", out="out", **overrides):
     cfg_file = tmp / name
     merged = dict(FAST, seed=7, hidden_size=4)
     merged.update(overrides)
-    cfg_file.write_text(config_text(csv, meta, tmp / out, **merged), encoding="utf-8")
+    cfg_file.write_text(config_file_text(csv, meta, tmp / out, **merged), encoding="utf-8")
     return cfg_file
 
 
@@ -223,15 +278,15 @@ class TestParseConfig:
     def test_every_setting_has_one_name(self, emitted):
         # Each field but output_dir is the file key of its name, a section
         # field's own fields (derived seeds aside) are its dotted keys, and
-        # the echo holds exactly those names.
+        # the echo holds a line for each of those keys but output, in order.
         names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "output_dir"]
         assert sorted(_KEYS[""]) == sorted({*names, "output"} - set(_SECTION_TYPES))
         assert sorted(_KEYS) == sorted(["", *_SECTION_TYPES])
-        echo = _config_echo(emitted[0])
-        assert sorted(echo) == sorted(names)
         for section, cfg_type in _SECTION_TYPES.items():
             own = [f.name for f in dataclasses.fields(cfg_type) if f.name not in _DERIVED_SEEDS]
-            assert list(_KEYS[section]) == own and list(echo[section]) == own, section
+            assert list(_KEYS[section]) == own, section
+        keys = [f"{section}.{key}".lstrip(".") for section, own in _KEYS.items() for key in own]
+        assert [line.split(" = ")[0] for line in config_text(emitted[0])] == [k for k in keys if k != "output"]
 
     # The benchmark's three workloads, and a column given as `name: kind`.
     @pytest.mark.parametrize(
@@ -245,14 +300,45 @@ class TestParseConfig:
         ],
         ids=["heart-paper", "credit-train", "fire-deep", "named-column"],
     )
-    def test_config_echo_round_trips_through_json(self, tmp_path, table, settings):
+    def test_config_echo_round_trips_through_the_parser(self, tmp_path, table, settings):
         meta = write_table(tmp_path / "data.csv", table)
         if "columns" in settings:
             settings["columns"] = ",".join([f"age: {meta['kinds'][0]}", *meta["kinds"][1:]])
-        (tmp_path / "run.cfg").write_text(config_text(tmp_path / "data.csv", meta, tmp_path / "out", **settings))
-        cfg = parse_config(tmp_path / "run.cfg")
-        rebuilt = _config_from_echo(json.loads(json.dumps(_config_echo(cfg))))
-        assert dataclasses.replace(rebuilt, output_dir=cfg.output_dir) == cfg
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config_file_text(tmp_path / "data.csv", meta, tmp_path / "out", **settings))
+        assert_echo_round_trips(parse_config(cfg_file))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_shipped_config_echo_round_trips_through_the_parser(self, name):
+        cfg = parse_config(CONFIGS / name)
+        assert_echo_round_trips(cfg)
+        # An unset columns has no echo line, as a config file leaves it out.
+        assert any(line.startswith("columns = ") for line in config_text(cfg)) == (cfg.columns is not None)
+
+    # Every configuration that ExperimentConfig accepts has config text: its
+    # echo parses back as itself and echoes the same lines.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cfg=configurations())
+    def test_every_accepted_configuration_round_trips_through_its_echo(self, cfg):
+        assert_echo_round_trips(cfg)
+
+    @pytest.mark.parametrize("settings, detail", [
+        ({"dataset": "a#b.csv"}, "dataset 'a#b.csv': a '#', line break or outer space has no config text"),
+        ({"dataset": "a\nb.csv"}, "dataset 'a\\nb.csv': a '#', line break or outer space"),
+        ({"dataset": "data.csv "}, "dataset 'data.csv ': a '#', line break or outer space"),
+        ({"columns": ("numeric", ("a:b", "numeric"))}, "columns entry 2 (('a:b', 'numeric')): a comma, colon, "
+         "'#', line break or outer space in a name has no config text"),
+        ({"columns": ((" a", "numeric"),)}, "columns entry 1 ((' a', 'numeric')): a comma, colon"),
+        ({"columns": (("a#", "numeric"),)}, "columns entry 1 (('a#', 'numeric')): a comma, colon"),
+        ({"columns": (("a,b", "numeric"),)}, "columns entry 1 (('a,b', 'numeric')): a comma, colon"),
+        ({"columns": (("a\rb", "numeric"),)}, "columns entry 1 (('a\\rb', 'numeric')): a comma, colon"),
+    ], ids=["dataset-hash", "dataset-line-break", "dataset-outer-space", "pair-colon", "pair-outer-space",
+            "pair-hash", "pair-comma", "pair-line-break"])
+    def test_a_setting_with_no_config_text_is_refused(self, settings, detail):
+        # The echo that such a run would write could not be read back.
+        fields = {"dataset": "d.csv", "missing_column": 0, "task": "prediction", **settings}
+        with pytest.raises(ConfigError, match=f"^{re.escape(detail)}"):
+            ExperimentConfig(**fields)
 
     @pytest.mark.parametrize("key, value", [("seed", "3"), ("ga.population", "12")])
     def test_repeated_key_rejected(self, heart_setup, key, value):
@@ -295,11 +381,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"columns entry .* is neither a kind in "):
             ExperimentConfig(dataset="d.csv", missing_column=0, task="prediction",
                              columns=("numeric", entry))
-
-    def test_columns_entries_read_back_from_json(self):
-        cfg = ExperimentConfig(dataset="d.csv", missing_column=0, task="prediction",
-                               columns=["numeric", ["a", "binary"], ("b", "categorical")])
-        assert cfg.columns == ("numeric", ("a", "binary"), ("b", "categorical"))
 
     # One rule reads a columns entry wherever one is read: the configuration
     # accepts an entry exactly when load_csv does, and verify states the
@@ -523,7 +604,7 @@ class TestRunExperiment:
         _, _, out = emitted
         detail = "report.json: task must be one of ('prediction', 'classification'), got 'ranking'"
         for where, edit in (("task_kind", lambda doc: doc.update(task_kind="ranking")),
-                            ("config.task", lambda doc: doc["config"].update(task="ranking"))):
+                            ("config.task", lambda doc: edit_echo(doc, {"task": "ranking"}))):
             clone = clone_report(out, tmp_path / where)
             document = json.loads((clone / "report.json").read_text())
             edit(document)
@@ -537,9 +618,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "edit, detail",
         [
-            (lambda r: r["config"].update(methods=[]), "methods must be non-empty"),
-            (lambda r: r["config"]["methods"].append("ga"), "methods must not repeat"),
-            (lambda r: (r["config"]["methods"].append("xx"), r["methods"].update(xx=r["methods"]["ga"])),
+            (lambda r: edit_echo(r, {"methods": ""}), "methods must be non-empty"),
+            (lambda r: edit_echo(r, {"methods": "ga,sa,pso,ns,rf,ga"}), "methods must not repeat"),
+            (lambda r: (edit_echo(r, {"methods": "ga,sa,pso,ns,rf,xx"}),
+                        r["methods"].update(xx=r["methods"]["ga"])),
              "unknown method 'xx'; expected among ('ga', 'sa', 'pso', 'ns', 'rf')"),
             (lambda r: r["methods"].update(xx=r["methods"]["ga"]), "methods' blocks "
              "['ga', 'ns', 'pso', 'rf', 'sa', 'xx'] must be those of config.methods ['ga', 'sa', 'pso', 'ns', 'rf']"),
@@ -557,27 +639,48 @@ class TestRunExperiment:
         assert cli.main(["verify", str(clone)]) == 2
         assert capsys.readouterr().out == f"FAIL format: {detail}\n"
 
-    # An echo key that is missing takes its default, which the echo written
-    # for that configuration holds; a key no field has cannot be rebuilt.
+    # An echo line that is missing takes its default, which the echo written
+    # for that configuration holds; a line no config file could hold, or a
+    # missing required one, does not parse.  emitted echoes 34 lines, the
+    # ga section from line 13 on, with ga.population = 20.
     @pytest.mark.parametrize("edit, check, detail", [
-        (lambda c: c.pop("header"), "report.json",
-         "report.json.config does not hold the keys ['columns', 'dataset', 'ga', 'header', 'hidden_size', "
-         "'methods', 'missing_column', 'normalization_scope', 'ns', 'pso', 'rf', 'sa', 'seed', 'task', 'train']"),
-        (lambda c: c["ga"].pop("population"), "report.json",
-         "report.json.config.ga does not hold the keys ['bits_per_variable', 'crossover_prob', 'elitism', "
-         "'generations', 'mutation_prob', 'population', 'tournament_size']"),
-        (lambda c: c.pop("task"), "format", "report.json unreadable: TypeError(\"ExperimentConfig.__init__() "
-         "missing 1 required positional argument: 'task'\")"),
-        (lambda c: c.update(extra=1), "format", "report.json unreadable: TypeError(\"ExperimentConfig.__init__() "
-         "got an unexpected keyword argument 'extra'\")"),
-    ], ids=["no-header", "no-ga-population", "no-task", "extra-key"])
+        ({"header": None}, "report.json", "report.json.config[3] holds 'columns = "),
+        ({"ga.population": None}, "report.json", "report.json.config[12] holds 'ga.bits_per_variable = 16', "
+         "expected 'ga.population = 50'"),
+        ({"task": None}, "format", "report.json: config: missing required key 'task'"),
+        ({"extra": "1"}, "format", "report.json: config:35: unknown key 'extra'"),
+        ({"seed": "7", "ga.elitism": None, "seed ": "8"}, "format",
+         "report.json: config:34: key 'seed' already set on line 8"),
+        ({"seed": "7 # a comment"}, "report.json", "report.json.config[7] holds 'seed = 7 # a comment', "
+         "expected 'seed = 7'"),
+    ], ids=["no-header", "no-ga-population", "no-task", "extra-key", "repeated-key", "comment"])
     def test_verify_fails_a_changed_echo(self, emitted, tmp_path, edit, check, detail):
         _, _, out = emitted
         clone = clone_report(out, tmp_path / "echo")
         document = json.loads((clone / "report.json").read_text())
-        edit(document["config"])
+        edit_echo(document, edit)
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        assert failures(clone) == [(check, detail)]
+        ((name, text),) = failures(clone)
+        assert name == check and text.startswith(detail)
+
+    # A report of another format fails one check, which names both formats
+    # and the version that wrote it; a report without "format" is format 1.
+    @pytest.mark.parametrize("stored", [None, 1, 3, "2"], ids=["none", "one", "three", "text"])
+    def test_verify_reads_format_2_only(self, emitted, tmp_path, capsys, stored):
+        _, _, out = emitted
+        clone = clone_report(out, tmp_path / "format")
+        document = json.loads((clone / "report.json").read_text())
+        assert document["format"] == 2
+        if stored is None:
+            del document["format"]
+        else:
+            document["format"] = stored
+        (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        detail = (f"report.json is format {1 if stored is None else stored!r}, written by toolkit_version "
+                  f"{document['toolkit_version']!r}; this version reads format 2")
+        assert verify_report(clone) == [("format", False, detail)]
+        assert cli.main(["verify", str(clone)]) == 2
+        assert capsys.readouterr().out == f"FAIL format: {detail}\n"
 
     def test_reemission_byte_identical(self, emitted, tmp_path):
         _, report, out = emitted
@@ -624,7 +727,7 @@ class TestRunExperiment:
         reports = []
         for name, data in (("kept", csv), ("flipped", flipped)):
             cfg_file = tmp_path / f"{name}.cfg"
-            cfg_file.write_text(config_text(
+            cfg_file.write_text(config_file_text(
                 data, meta, tmp_path / name, **dict(FAST, seed=7, hidden_size="auto", methods="rf")
             ))
             report = run_experiment(parse_config(cfg_file))
@@ -662,7 +765,7 @@ class TestRunExperiment:
         for methods in ("ga,sa,pso,ns,rf", "ns,sa"):
             out = tmp / f"fail_out_{methods.replace(',', '_')}"
             cfg_file.write_text(
-                config_text(csv, bad_meta, out, seed=1, hidden_size=4, methods=methods, **FAST)
+                config_file_text(csv, bad_meta, out, seed=1, hidden_size=4, methods=methods, **FAST)
             )
             with pytest.raises(ExperimentError, match="prepare"):
                 run_experiment(parse_config(cfg_file))
@@ -670,7 +773,7 @@ class TestRunExperiment:
             assert "stage: prepare" in (out / FAILURE_MARKER).read_text()
             partial = json.loads((out / "partial.json").read_text())
             # report.json's keys that follow from the configuration, none after
-            assert set(partial) == {"toolkit_version", "config", "task_kind", "methodology"}
+            assert set(partial) == {"format", "toolkit_version", "config", "task_kind", "methodology"}
 
     def test_failed_search_names_the_hidden_search_stage(self, heart_setup, tmp_path, monkeypatch):
         tmp, csv, meta = heart_setup
@@ -740,7 +843,7 @@ class TestRunExperiment:
         assert meta["missing_column"] == len(meta["kinds"]) - 1
         out = tmp_path / "out"
         cfg_file = tmp_path / "half.cfg"
-        cfg_file.write_text(config_text(edited, meta, out, seed=1, hidden_size=4, methods="ga", **FAST))
+        cfg_file.write_text(config_file_text(edited, meta, out, seed=1, hidden_size=4, methods="ga", **FAST))
         with pytest.raises(ExperimentError, match="stage 'prepare' failed: classification task needs a 0/1"):
             run_experiment(parse_config(cfg_file))
         assert "stage: prepare" in (out / FAILURE_MARKER).read_text()
@@ -821,7 +924,7 @@ class TestRunExperiment:
         tmp, csv, meta = heart_setup
         cfg_file = tmp / "nofile.cfg"
         out = tmp / "nofile_out"
-        cfg_file.write_text(config_text(tmp / "absent.csv", meta, out, hidden_size=4))
+        cfg_file.write_text(config_file_text(tmp / "absent.csv", meta, out, hidden_size=4))
         with pytest.raises(ExperimentError, match="prepare"):
             run_experiment(parse_config(cfg_file))
 
@@ -833,7 +936,7 @@ def prediction_emitted(tmp_path_factory, fire_like):
     cfg_file = tmp / "pred.cfg"
     out = tmp / "pred_out"
     cfg_file.write_text(
-        config_text(csv, meta, out, seed=3, hidden_size=4, methods="ga,rf", **FAST)
+        config_file_text(csv, meta, out, seed=3, hidden_size=4, methods="ga,rf", **FAST)
     )
     cfg = parse_config(cfg_file)
     emit_report(run_experiment(cfg), out)
@@ -954,7 +1057,7 @@ def forest_only(heart_setup):
 def bench_report(tmp, table_name, **settings):
     """The emitted report of a run on the benchmark's ``table_name`` table at seed 0."""
     meta = write_table(tmp / "data.csv", table_name)
-    (tmp / "run.cfg").write_text(config_text(tmp / "data.csv", meta, tmp / "out", seed=0, **settings))
+    (tmp / "run.cfg").write_text(config_file_text(tmp / "data.csv", meta, tmp / "out", seed=0, **settings))
     cfg = parse_config(tmp / "run.cfg")
     emit_report(run_experiment(cfg), cfg.output_dir)
     return cfg.output_dir
@@ -1027,8 +1130,9 @@ class TestVerifyReadsEveryFile:
         assert failures(out) == []
         # One check per stable file, each named after its file, and two more.
         document = json.loads((out / "report.json").read_text())
-        files = [name for file, name, _ in experiment.report_files(
-            sorted(document["config"]["methods"]), document["task_kind"]) if file.stable]
+        methods = parse_config_text("\n".join(document["config"]), "config").methods
+        files = [name for file, name, _ in experiment.report_files(sorted(methods), document["task_kind"])
+                 if file.stable]
         names = [name for name, _, _ in verify_report(out)]
         assert names == ["inventory", "split_counts", "model", *files]
 
@@ -1048,7 +1152,7 @@ class TestVerifyReadsEveryFile:
              "split_counts", "split_counts does not hold the keys ('train', 'validation', 'test')"),
             (lambda doc: doc["methods"]["sa"].update(evaluations_per_task=7),
              "report.json", "report.json.methods.sa.evaluations_per_task holds 7, expected 10101"),
-            (lambda doc: doc["config"]["pso"].update(iterations=499),
+            (lambda doc: edit_echo(doc, {"pso.iterations": "499"}),
              "report.json", "report.json.methods.pso.evaluations_per_task holds 15030, expected 15000"),
         ],
         ids=["test-count", "validation-count", "train-count", "no-train", "sa-evaluations", "pso-config"],
@@ -1071,9 +1175,9 @@ class TestVerifyReadsEveryFile:
              "report.json", "report.json.methodology.mae holds 'mean error', expected 'mean absolute error"),
             (lambda doc: doc["hidden_size"].update(requested=4),
              "report.json", "report.json.hidden_size.requested holds 4, expected 'auto'"),
-            (lambda doc: doc["config"].update(hidden_size=4),
+            (lambda doc: edit_echo(doc, {"hidden_size": "4"}),
              "report.json", "report.json.hidden_size.requested holds 'auto', expected 4"),
-            (lambda doc: doc["config"].update(task="prediction"),
+            (lambda doc: edit_echo(doc, {"task": "prediction"}),
              "report.json", "report.json.task_kind holds 'classification', expected 'prediction'"),
             (lambda doc: doc["normalization"][-1].update(max=doc["normalization"][-1]["max"] + 0.5),
              "normalization.csv", "normalization.csv[14][2] holds 1.0, expected 1.5 from report.json's"),
@@ -1094,16 +1198,16 @@ class TestVerifyReadsEveryFile:
     @pytest.mark.parametrize(
         "columns, check, detail",
         [
-            (lambda cols: [["a", "numeric"], 3], "format",
-             "report.json: columns entry 2 (3) is neither a kind in ('numeric', 'binary', 'categorical') "
+            (lambda cols: ["a: numeric", "3"], "format",
+             "report.json: columns entry 2 ('3') is neither a kind in ('numeric', 'binary', 'categorical') "
              "nor a (name, kind) pair with one"),
             (lambda cols: cols[:-1], "format",
              "report.json: config.columns has 12 entries for 13 columns in the normalization block"),
-            (lambda cols: [["a", "numeric"], *cols[1:]],
+            (lambda cols: ["a: numeric", *cols[1:]],
              "report.json", "report.json.normalization[0].column holds 'A1', expected 'a'"),
             (lambda cols: [*cols[:2], "binary", *cols[3:]],
              "report.json", "report.json.normalization[2].kind holds 'numeric', expected 'binary'"),
-            (lambda cols: [*cols[:3], ["A4", "categorical"], *cols[4:]],
+            (lambda cols: [*cols[:3], "A4: categorical", *cols[4:]],
              "report.json", "report.json.normalization[3].kind holds 'numeric', expected 'categorical'"),
         ],
         ids=["not-a-kind", "one-short", "name", "kind", "pair-kind"],
@@ -1111,7 +1215,8 @@ class TestVerifyReadsEveryFile:
     def test_config_columns_must_name_the_normalization_block(self, fire_deep, tmp_path, columns, check, detail):
         clone = clone_report(fire_deep, tmp_path / "edited")
         document = json.loads((clone / "report.json").read_text())
-        document["config"]["columns"] = columns(document["config"]["columns"])
+        stated = dict(line.split(" = ", 1) for line in document["config"])["columns"]
+        edit_echo(document, {"columns": ",".join(columns(stated.split(",")))})
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [(check, detail)]
 
@@ -1120,7 +1225,7 @@ class TestVerifyReadsEveryFile:
     def test_missing_column_must_lie_in_the_normalization_block(self, fire_deep, tmp_path, column):
         clone = clone_report(fire_deep, tmp_path / "edited")
         document = json.loads((clone / "report.json").read_text())
-        document["config"]["missing_column"] = column
+        edit_echo(document, {"missing_column": column})
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [("format", f"report.json: config.missing_column {column} out of range "
                                     "for 13 columns: must satisfy 0 <= column <= 12 in the normalization block")]
@@ -1137,29 +1242,32 @@ class TestVerifyReadsEveryFile:
         assert check == "format" and detail.startswith("report.json unreadable: ValueError(")
         assert "holds a comma, a double quote or a line break" in detail
 
-    # An echoed setting must hold a value that a config file could set:
-    # JSON's false is not an integer, nor 500.0 or 30.0, nor 0 a boolean.
-    @pytest.mark.parametrize("section, key, value, detail", [
-        (None, "seed", False, "config.seed holds False, not of type int"),
-        ("sa", "temperature_steps", 500.0, "config.sa.temperature_steps holds 500.0, not of type int"),
-        ("pso", "swarm", 30.0, "config.pso.swarm holds 30.0, not of type int"),
-        (None, "header", 0, "config.header holds 0, not of type bool"),
-    ], ids=["seed-false", "sa-steps-float", "pso-swarm-float", "header-zero"])
-    def test_config_echo_must_hold_the_types_of_a_config_file(self, fire_deep, tmp_path, section, key, value, detail):
+    # The echo must parse as a config file, whose parser names the echo line
+    # (counted from 1) that a config file could not hold: "false" is no
+    # integer, nor are 500.0 or 30.0, "2" is no boolean, "true" no hidden size.
+    @pytest.mark.parametrize("key, value, detail", [
+        ("seed", "false", "config:8: seed: expected an integer, got 'false'"),
+        ("sa.temperature_steps", "500.0", "config:22: sa.temperature_steps: expected an integer, got '500.0'"),
+        ("pso.swarm", "30.0", "config:25: pso.swarm: expected an integer, got '30.0'"),
+        ("pso.phi1", "two", "config:26: pso.phi1: expected a number, got 'two'"),
+        ("header", "2", "config:4: header: expected true/false, got '2'"),
+        ("hidden_size", "true", "config:6: hidden_size: expected 'auto' or an integer, got 'true'"),
+    ], ids=["seed-false", "sa-steps-float", "pso-swarm-float", "pso-phi1-text", "header-two", "hidden-size-true"])
+    def test_config_echo_must_parse_as_a_config_file(self, fire_deep, tmp_path, key, value, detail):
         clone = clone_report(fire_deep, tmp_path / "edited")
         document = json.loads((clone / "report.json").read_text())
-        (document["config"][section] if section else document["config"])[key] = value
+        edit_echo(document, {key: value})
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [("format", f"report.json: {detail}")]
 
     # fire-deep fixes its hidden size at 6.  An echo that fixes another size,
-    # or a size no network can have (1, or JSON's true), states a model that
-    # model.txt does not hold.
-    @pytest.mark.parametrize("size", [5, 1, True], ids=["five", "one", "true"])
+    # or a size no network can have, states a model that model.txt does not hold.
+    @pytest.mark.parametrize("size", [5, 1], ids=["five", "one"])
     def test_a_fixed_hidden_size_must_be_the_selected_one(self, fire_deep, tmp_path, size):
         clone = clone_report(fire_deep, tmp_path / "edited")
         document = json.loads((clone / "report.json").read_text())
-        document["config"]["hidden_size"] = document["hidden_size"]["requested"] = size
+        edit_echo(document, {"hidden_size": size})
+        document["hidden_size"]["requested"] = size
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         assert failures(clone) == [
             ("model", f"model.txt.h holds 6, expected {size!r} from report.json"),
@@ -1167,12 +1275,15 @@ class TestVerifyReadsEveryFile:
         ]
 
     def test_a_number_setting_takes_an_integer(self, fire_deep, tmp_path):
-        # As a config file's "phi1 = 2" reads as 2.0.
+        # As a config file's "phi1 = 2" reads as 2.0, so does the echo's; but
+        # the echo run writes for 2.0 is "pso.phi1 = 2.0", and report.json's
+        # check names the line that differs.
         clone = clone_report(fire_deep, tmp_path / "edited")
         document = json.loads((clone / "report.json").read_text())
-        document["config"]["pso"]["phi1"] = 2
+        edit_echo(document, {"pso.phi1": "2"})
         (clone / "report.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        assert failures(clone) == []
+        assert failures(clone) == [("report.json", "report.json.config[25] holds 'pso.phi1 = 2', "
+                                                   "expected 'pso.phi1 = 2.0'")]
 
     @pytest.mark.parametrize(
         "edit, check, detail",
@@ -1186,7 +1297,7 @@ class TestVerifyReadsEveryFile:
             # 13 predictors: an unset rf.mtry resolves to floor(sqrt(13)) = 3.
             (lambda doc: doc["methods"]["rf"].update(mtry_resolved=4),
              "report.json", "report.json.methods.rf.mtry_resolved holds 4, expected 3"),
-            (lambda doc: doc["config"]["rf"].update(mtry=5),
+            (lambda doc: edit_echo(doc, {"rf.mtry": "5"}),
              "report.json", "report.json.methods.rf.mtry_resolved holds 3, expected 5"),
         ],
         ids=["ga-auc", "ga-first-imputed", "first-p-value", "rf-mtry", "rf-mtry-configured"],
@@ -1469,7 +1580,7 @@ class TestCli:
     def test_hidden_size_the_data_cannot_hold_is_a_data_error(self, fire_like, tmp_path, capsys, hidden_size):
         csv, meta = fire_like
         cfg_file = tmp_path / "fire.cfg"
-        cfg_file.write_text(config_text(csv, meta, tmp_path / "out", hidden_size=hidden_size))
+        cfg_file.write_text(config_file_text(csv, meta, tmp_path / "out", hidden_size=hidden_size))
         assert cli.main(["--quiet", "run", str(cfg_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("data error: stage 'prepare' failed: ")
@@ -1528,7 +1639,7 @@ class TestCli:
         data.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         settings = dict(FAST, seed=1, hidden_size="auto", **overrides)
-        (tmp_path / "run.cfg").write_text(config_text(data, meta, out, **settings))
+        (tmp_path / "run.cfg").write_text(config_file_text(data, meta, out, **settings))
         assert cli.main(["run", str(tmp_path / "run.cfg")]) == 1
         printed = capsys.readouterr()
         assert printed.err == f"data error: stage 'prepare' failed: {detail.format(data=data)}\n"
@@ -1569,7 +1680,7 @@ class TestCli:
         assert cli.main(["--quiet", "--seed", "2", "--output", str(tmp / "s2"), "run", str(cfg_file)]) == 0
         a = json.loads((tmp / "s1" / "report.json").read_text())
         b = json.loads((tmp / "s2" / "report.json").read_text())
-        assert a["config"]["seed"] == 1 and b["config"]["seed"] == 2
+        assert "seed = 1" in a["config"] and "seed = 2" in b["config"]
         assert a["methods"]["ga"]["imputed"] != b["methods"]["ga"]["imputed"]
 
 

@@ -26,7 +26,7 @@ from aeimpute.experiment import (
     verify_report,
 )
 
-from conftest import config_text
+from conftest import config_file_text
 
 TINY_BUDGETS = {
     "train.max_iterations": 10,
@@ -95,7 +95,7 @@ def test_a_run_is_verified_or_fails_at_prepare(experiment):
         csv.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in table))
         meta = {"kinds": kinds, **{k: overrides[k] for k in ("missing_column", "task")}}
         rest = {k: v for k, v in overrides.items() if k not in meta}
-        (tmp / "run.cfg").write_text(config_text(csv, meta, tmp / "out", **rest))
+        (tmp / "run.cfg").write_text(config_file_text(csv, meta, tmp / "out", **rest))
         cfg = parse_config(tmp / "run.cfg")
         try:
             report = run_experiment(cfg)
