@@ -6,10 +6,10 @@ that best imputes the masked column of the validation block) -> mask the
 designated column of the test rows as one imputation task -> estimate the
 masked value of every test record with each configured method (an optimizer
 searches all records in lockstep, the random forest predicts them) -> score
-every method -> pairwise Welch comparison -> persist a machine-readable
-report.  The methods run side by side, one per core, through
-:func:`aeimpute.parallel.fork_map`, as the hidden-size search and the
-forest's trees do.
+every method -> compare every two methods on the records they share ->
+persist a machine-readable report.  The methods run side by side, one per
+core, through :func:`aeimpute.parallel.fork_map`, as the hidden-size search
+and the forest's trees do.
 
 Determinism: every stochastic component receives a seed derived by hashing
 (master seed, component, index), so method results are independent of which
@@ -20,7 +20,6 @@ same configuration and master seed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import traceback
 import typing
@@ -100,8 +99,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; expected among {ALL_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
-        if self.hidden_size != "auto" and not isinstance(self.hidden_size, int):
-            raise ConfigError("hidden_size must be 'auto' or an integer")
         if self.normalization_scope not in ("full", "train"):
             raise ConfigError("normalization_scope must be 'full' or 'train'")
         if self.columns is not None:
@@ -109,6 +106,7 @@ class ExperimentConfig:
                 data_mod.schema_pairs(self.columns, len(self.columns))
             except ValueError as err:
                 raise ConfigError(str(err)) from None
+        config_text(self)  # raises ConfigError for a setting that its config line does not read back as
 
 
 # --- config file parsing ----------------------------------------------------
@@ -231,14 +229,24 @@ def _value_text(value, tp) -> str:
 def config_text(cfg: ExperimentConfig) -> list[str]:
     """The report's config echo: each setting of ``cfg`` as the config file
     line that :func:`parse_config_text` reads back, in ``_KEYS`` order.
-    ``output``, the derived seeds and an unset ``columns`` have no line."""
+    ``output``, the derived seeds and an unset ``columns`` have no line.  A
+    setting that its line does not read back as (``seed=True``; an integer
+    for a float does, and a list as a tuple) raises ConfigError naming it."""
     lines = []
     for section, keys in _KEYS.items():
         owner = getattr(cfg, section) if section else cfg
         for key, tp in keys.items():
             if key != "output" and not (key == "columns" and cfg.columns is None):
-                name = f"{section}.{key}" if section else key
-                lines.append(f"{name} = {_value_text(getattr(owner, key), tp)}")
+                name, value = f"{section}.{key}" if section else key, getattr(owner, key)
+                text = _value_text(value, tp)
+                lines.append(f"{name} = {text}")
+                try:
+                    parsed = _parse_value(name, text, tp)
+                    same = _value_text(parsed, tp) == text and (isinstance(value, (list, tuple)) or parsed == value)
+                except ConfigError:
+                    same = False
+                if not same:
+                    raise ConfigError(f"{name}: {value!r} does not read back from its config line {lines[-1]!r}")
     return lines
 
 
@@ -259,10 +267,11 @@ class ExperimentReport:
 _METHODOLOGY = {
     "mae": "mean absolute error (absolute deviations, not squared)",
     "pearson_r": "sample correlation; null when either vector is constant",
-    "t_test": (
-        "Welch two-sample, two-tailed, over per-test-record errors: squared "
-        "error for prediction tasks, absolute score error against the 0/1 "
-        "truth for classification tasks"
+    "comparison": (
+        "every two methods, paired on the test records: DeLong's z-test on their "
+        "AUCs (ties counting 1/2) for classification tasks, the exact two-sided "
+        "sign test on squared errors (ties dropped) for prediction tasks; p_holm "
+        "is Holm's step-down adjustment of p_value across all pairs, as displayed"
     ),
     "roc_scores": (
         "imputed class-column values (optimizers) and mean tree vote (rf) "
@@ -286,7 +295,8 @@ def _grade(truth: np.ndarray, values: np.ndarray, task_kind: str) -> tuple[dict,
 
     Returns the method's report block (imputed rows, metrics and their
     display texts, and the ROC points where the task kind gets ROC files)
-    and the per-record errors the Welch comparison runs on.
+    and what the comparison tests: the values, as scores, where it gets ROC
+    files, else the squared errors.
     """
     pairs = enumerate(zip(truth.tolist(), values.tolist()))
     block: dict = {"imputed": [{"row": i, "true": t, "imputed": v} for i, (t, v) in pairs]}
@@ -294,15 +304,13 @@ def _grade(truth: np.ndarray, values: np.ndarray, task_kind: str) -> tuple[dict,
         roc = metrics_mod.roc_curve(values, truth.astype(int))
         block["metrics"] = {"auc": roc.auc}
         block["roc_points"] = [list(p) for p in roc.points]
-        errors = np.abs(values - truth)
     else:
         scores = metrics_mod.prediction_scores(truth, values)
         block["metrics"] = asdict(scores)
-        errors = (truth - values) ** 2
     block["display"] = {
         k: "undefined" if v is None else _display(v) for k, v in block["metrics"].items()
     }
-    return block, errors
+    return block, values if task_kind in _ROC_FILE.kinds else (truth - values) ** 2
 
 
 def _config_facts(method: str, section, n_columns: int) -> dict:
@@ -313,21 +321,12 @@ def _config_facts(method: str, section, n_columns: int) -> dict:
     return {"evaluations_per_task": optim_mod.budget(method, section)}
 
 
-def _comparison(errors: dict[str, np.ndarray]) -> dict:
-    """The report's comparison entry: pairwise Welch p-values over the methods
-    in the order of ``errors``; empty for fewer than two methods."""
-    if len(errors) < 2:
-        return {}
-    p_values = metrics_mod.comparison_matrix(errors).tolist()
-    return {
-        "methods": list(errors),
-        "p_values": p_values,
-        "pairs": [
-            {"pair": f"{a.upper()}-{b.upper()}", "p_value": p_values[i][j],
-             "display": _display(p_values[i][j])}
-            for (i, a), (j, b) in itertools.combinations(enumerate(errors), 2)
-        ],
-    }
+def _comparison(samples: dict[str, np.ndarray], truth: np.ndarray, task_kind: str) -> list:
+    """The report's comparison entry: :func:`~aeimpute.metrics.comparison_matrix`
+    on the samples of :func:`_grade`, each pair named ``A-B`` and displayed."""
+    labels = truth if task_kind in _ROC_FILE.kinds else None
+    return [{**entry, "pair": "-".join(entry["pair"]).upper(), "display": _display(entry["p_holm"])}
+            for entry in metrics_mod.comparison_matrix(samples, labels)]
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -342,8 +341,9 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple, da
     ``hidden_size`` that :func:`~aeimpute.network.check_hidden_size` rejects,
     a forest fit on the train block that :func:`~aeimpute.forest.resolve_mtry`
     rejects, a classification target that is not 0/1 after scaling or whose
-    test block lacks a class, and two or more methods to compare on a
-    one-record test block.
+    test block lacks a class (or holds one record of a class, where DeLong's
+    test compares two or more methods), and two or more methods to compare
+    on a one-record test block.
     """
     ds = data_mod.load_csv(cfg.dataset, schema=cfg.columns, header=cfg.header)
     try:
@@ -368,11 +368,13 @@ def _prepare_dataset(cfg: ExperimentConfig) -> tuple[data_mod.Dataset, tuple, da
                 f"column {target!r} has other values"
             )
         ones = int(task.truth.sum())
-        if ones in (0, n_test):
+        fewest = min(ones, n_test - ones)
+        if fewest == 0 or (fewest == 1 and len(cfg.methods) > 1):
             raise ConfigError(
                 f"the test block (the last {n_test} rows; the split follows file order) "
-                f"holds {n_test - ones} 0s and {ones} 1s in column {target!r}: "
-                "a classification task needs both classes there"
+                f"holds {n_test - ones} 0s and {ones} 1s in column {target!r}: " + (
+                    "a classification task needs both classes there" if fewest == 0 else
+                    f"comparing {len(cfg.methods)} methods by DeLong's test needs 2 records of each class there")
             )
     if len(cfg.methods) > 1 and n_test < 2:
         raise ConfigError(
@@ -447,12 +449,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         timings.update((f"impute.{method}", seconds) for method, (_, seconds) in imputed.items())
 
         with clocked("score"):
-            blocks, errors = {}, {}
+            blocks, samples = {}, {}
             for method, (values, _) in imputed.items():
-                graded, errors[method] = _grade(task.truth, values, cfg.task)
+                graded, samples[method] = _grade(task.truth, values, cfg.task)
                 blocks[method] = {**_config_facts(method, getattr(cfg, method), ds.n_columns), **graded}
             document["methods"] = blocks
-            document["comparison"] = _comparison(errors)
+            document["comparison"] = _comparison(samples, task.truth, cfg.task)
         return ExperimentReport(document, net, ds.columns, cfg.missing_column, timings)
     except Exception as err:
         _persist_failure(cfg.output_dir, stage, err, document)
@@ -507,6 +509,16 @@ _ROC_FILE = ReportFile("roc_{}.csv", "fpr,tpr", lambda report, method: (
     for fpr, tpr in report.document["methods"][method]["roc_points"]
 ), kinds=("classification",))
 
+
+def _pvalues_file(kind: str, *statistic: str) -> ReportFile:
+    """pvalues.csv of a task kind: a row per pair of methods, its ``statistic`` first."""
+    columns = ("pair", *statistic, "p_value", "p_holm", "display")
+    return ReportFile("pvalues.csv", ",".join(columns), lambda report, _: (
+        ",".join(entry[c] if c in ("pair", "display") else repr(entry[c]) for c in columns)
+        for entry in report.document["comparison"]
+    ), kinds=(kind,))
+
+
 # The report's file set, in the order verify's inventory lists it.
 REPORT_FILES = (
     ReportFile("report.json", None, lambda report, _: _json(report.document)),
@@ -515,10 +527,8 @@ REPORT_FILES = (
         for method, block in report.document["methods"].items()
         for metric, value in block["metrics"].items()
     )),
-    ReportFile("pvalues.csv", "pair,p_value,display", lambda report, _: (
-        f"{entry['pair']},{float(entry['p_value'])!r},{entry['display']}"
-        for entry in report.document["comparison"].get("pairs", [])
-    )),
+    _pvalues_file("classification", "delta_auc"),
+    _pvalues_file("prediction", "wins_a", "wins_b", "ties"),
     ReportFile("model.txt", None, lambda report, _: network_mod.model_text(report.net)),
     ReportFile("normalization.csv", "column,min,max", lambda report, _: (
         f"{spec.column},{spec.min!r},{spec.max!r}" for spec in report.columns
@@ -560,15 +570,15 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
 
 # --- verification -----------------------------------------------------------
 
-def _regrade(path: Path, task_kind: str) -> tuple[dict, np.ndarray]:
-    """:func:`_grade` on the ``true_value`` and ``imputed_value`` columns of an
-    ``imputed_<method>.csv``; a file it cannot grade raises ValueError naming it."""
+def _regrade(path: Path, task_kind: str) -> tuple[np.ndarray, dict, np.ndarray]:
+    """The ``true_value`` column of an ``imputed_<method>.csv``, and :func:`_grade` of
+    it and ``imputed_value``; a file it cannot grade raises ValueError naming it."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
         at = [lines[0].split(",").index(column) for column in ("true_value", "imputed_value")]
         rows = [line.split(",") for line in lines[1:] if line]
         truth, values = np.array([[float(cells[i]) for i in at] for cells in rows]).reshape(-1, 2).T
-        return _grade(truth, values, task_kind)
+        return truth, *_grade(truth, values, task_kind)
     except (IndexError, ValueError) as err:
         raise ValueError(f"{path.name} cannot be graded: {err}") from None
 
@@ -710,14 +720,14 @@ def verify_report(out_dir) -> list[tuple[str, bool, str]]:
         return [("inventory", False, f"missing: {', '.join(missing)}; present: {present}")]
     checks = [("inventory", True, f"{len(files)} files present")]
     try:
-        graded, errors = {}, {}
+        graded, samples = {}, {}
         for method in cfg.methods:
-            block, errors[method] = _regrade(out_dir / _IMPUTED_FILE.name.format(method), task_kind)
+            truth, block, samples[method] = _regrade(out_dir / _IMPUTED_FILE.name.format(method), task_kind)
             graded[method] = {**_config_facts(method, getattr(cfg, method), len(columns)), **block}
         rows = {_IMPUTED_FILE.name.format(m): len(b["imputed"]) for m, b in graded.items()}
         checks.append(_split_check(split_counts, rows))
         try:
-            comparison = _comparison(errors)
+            comparison = _comparison(samples, truth, task_kind)
         except ValueError as err:
             raise ValueError(f"{_IMPUTED_FILE.name.format('*')} cannot be compared: {err}") from None
         try:

@@ -1,16 +1,16 @@
-"""Prediction and classification metrics plus Welch's two-sample t-test.
+"""Prediction and classification metrics, and the paired comparison of methods.
 
-Prediction quality: MSE, RMSE, MAE and Pearson correlation.  MAE averages
-absolute (not squared) deviations, so it stays distinct from MSE.
-Classification quality: ROC curve over descending score thresholds and its
-trapezoidal area, which equals the tie-adjusted probability that a random
-positive outscores a random negative.  Method comparison: two-tailed Welch
-t-tests over per-record error samples, collected into a symmetric p-value
-matrix.
+Prediction quality: MSE, RMSE, MAE and Pearson correlation; MAE averages
+absolute deviations, not squared ones.  Classification quality: the ROC
+curve over descending score thresholds and its trapezoidal area, the
+tie-adjusted probability that a random positive outscores a random negative.
+Every method imputes the same test records, so each pair of methods is
+compared on paired records, with Holm's adjustment across the pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,21 +31,14 @@ class RocCurve:
     auc: float
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    t_statistic: float
-    degrees_of_freedom: float
-    p_value: float
-
-
-def _paired_vectors(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=float).ravel()
-    p = np.asarray(predicted, dtype=float).ravel()
-    if a.size != p.size:
-        raise ValueError(f"length mismatch: {a.size} actual vs {p.size} predicted")
+def _paired_vectors(first, second) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(first, dtype=float).ravel()
+    b = np.asarray(second, dtype=float).ravel()
+    if a.size != b.size:
+        raise ValueError(f"length mismatch: {a.size} vs {b.size} values")
     if a.size == 0:
         raise ValueError("inputs must be non-empty")
-    return a, p
+    return a, b
 
 
 def prediction_scores(actual, predicted) -> PredictionScores:
@@ -97,106 +90,62 @@ def roc_curve(scores, labels) -> RocCurve:
     return RocCurve(points=tuple(points), auc=float(auc))
 
 
-_TINY = 1e-300
+def _shares_below(sample: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's share of ``sample`` below it, ties counting 1/2."""
+    ordered = np.sort(sample)
+    return (np.searchsorted(ordered, values, "left") + np.searchsorted(ordered, values, "right")) / (2 * ordered.size)
 
 
-def _lentz_update(coef: float, c: float, d: float) -> tuple[float, float]:
-    """One modified-Lentz term: the new (c, d), each kept off zero."""
-    d = 1.0 + coef * d
-    if abs(d) < _TINY:
-        d = _TINY
-    c = 1.0 + coef / c
-    if abs(c) < _TINY:
-        c = _TINY
-    return c, 1.0 / d
+def delong_test(scores_a, scores_b, labels) -> dict:
+    """DeLong's z-test on two correlated AUCs (DeLong, DeLong & Clarke-Pearson,
+    *Biometrics* 44(3), 1988): ``delta_auc``, A's :func:`roc_curve` area less
+    B's, and its two-sided ``p_value``.  Its variance sums, over each class, the
+    sample variance of the records' paired placement differences over the class
+    size; a zero variance gives p = 1 where ``delta_auc`` is 0, else p = 0."""
+    y = np.asarray(labels).ravel()
+    delta = roc_curve(scores_a, y).auc - roc_curve(scores_b, y).auc
+    positive = y == 1
+    if min(positive.sum(), y.size - positive.sum()) < 2:
+        raise ValueError("DeLong's variance needs at least 2 records of each class")
+    a, b = _paired_vectors(scores_a, scores_b)
+    variance = 0.0
+    for cls in (positive, ~positive):  # a negative's placement is 1 less its share here
+        d = _shares_below(a[~cls], a[cls]) - _shares_below(b[~cls], b[cls])
+        variance += float(d.var(ddof=1)) / d.size
+    p = math.erfc(abs(delta / math.sqrt(variance)) / math.sqrt(2.0)) if variance > 0.0 else float(delta == 0.0)
+    return {"delta_auc": delta, "p_value": p}
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz-style continued fraction for the incomplete beta integral."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    # c starts at infinity so that the first term leaves it at exactly 1.
-    c, d = _lentz_update(-qab * x / qap, math.inf, 1.0)
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        c, d = _lentz_update(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
-        h *= d * c
-        c, d = _lentz_update(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < 1e-15:
-            break
-    return h
+def sign_test(errors_a, errors_b) -> dict:
+    """The exact two-sided sign test on paired errors: ``wins_a`` and
+    ``wins_b``, the records where A's or B's error is lower, the ``ties``,
+    which it drops, and ``p_value``, 1 where only ties remain."""
+    a, b = _paired_vectors(errors_a, errors_b)
+    wins_a, wins_b = int((a < b).sum()), int((a > b).sum())
+    n = wins_a + wins_b
+    tail = sum(math.comb(n, i) for i in range(min(wins_a, wins_b) + 1))
+    return {"wins_a": wins_a, "wins_b": wins_b, "ties": a.size - n, "p_value": min(1.0, 2 * tail / 2**n)}
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) to ~1e-14, via the symmetric continued-fraction split."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+def holm(p_values) -> list[float]:
+    """Holm's step-down adjustment (Holm, *Scand. J. Statist.* 6(2), 1979):
+    the i-th smallest of m p-values times m - i + 1, capped at 1 and raised
+    to the largest adjusted value before it, in the order given."""
+    p = np.asarray(p_values, dtype=float)
+    order = np.argsort(p, kind="stable")
+    adjusted = np.empty_like(p)
+    adjusted[order] = np.maximum.accumulate(np.minimum(1.0, (p.size - np.arange(p.size)) * p[order]))
+    return adjusted.tolist()
 
 
-def student_t_two_tailed_p(t: float, df: float) -> float:
-    """P(|T| >= |t|) for Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    if t == 0.0:
-        return 1.0
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-
-
-def welch_t_test(a, b) -> TTestResult:
-    """Two-tailed two-sample t-test with unequal variances (Welch).
-
-    Two constant samples with equal means return the defined limit t=0, p=1;
-    constant samples with different means have no finite statistic and raise.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size < 2 or b.size < 2:
-        raise ValueError("each sample needs at least 2 observations")
-    na, nb = a.size, b.size
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
-    mean_diff = float(a.mean() - b.mean())
-
-    if var_a == 0.0 and var_b == 0.0:
-        if mean_diff == 0.0:
-            return TTestResult(0.0, float(na + nb - 2), 1.0)
-        raise ValueError("both samples are constant with different means")
-
-    qa = var_a / na
-    qb = var_b / nb
-    se = math.sqrt(qa + qb)
-    df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
-
-    t = mean_diff / se
-    return TTestResult(t, df, student_t_two_tailed_p(t, df))
-
-
-def comparison_matrix(per_method_errors) -> np.ndarray:
-    """Pairwise Welch p-values over every unordered pair of methods: the
-    symmetric (k, k) matrix with unit diagonal, rows and columns in key order."""
-    samples = list(per_method_errors.values())
-    k = len(samples)
-    if k < 2:
-        raise ValueError("need at least 2 methods to compare")
-    pv = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            pv[i, j] = pv[j, i] = welch_t_test(samples[i], samples[j]).p_value
-    return pv
+def comparison_matrix(samples: dict, labels=None) -> list[dict]:
+    """Every unordered pair (a, b) of ``samples``' keys, in key order, tested
+    on the records they share: by :func:`delong_test` on their scores where
+    ``labels`` holds the 0/1 truth, else by :func:`sign_test` on their
+    squared errors.  Each entry holds ``pair``, the test's entries, and
+    ``p_holm``, the :func:`holm` adjustment of ``p_value`` across the pairs."""
+    test = sign_test if labels is None else (lambda a, b: delong_test(a, b, labels))
+    pairs = [{"pair": (a, b), **test(samples[a], samples[b])} for a, b in itertools.combinations(samples, 2)]
+    for entry, adjusted in zip(pairs, holm([entry["p_value"] for entry in pairs])):
+        entry["p_holm"] = adjusted
+    return pairs

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import itertools
 import json
 import os
 import re
@@ -332,13 +331,27 @@ class TestParseConfig:
         ({"columns": (("a#", "numeric"),)}, "columns entry 1 (('a#', 'numeric')): a comma, colon"),
         ({"columns": (("a,b", "numeric"),)}, "columns entry 1 (('a,b', 'numeric')): a comma, colon"),
         ({"columns": (("a\rb", "numeric"),)}, "columns entry 1 (('a\\rb', 'numeric')): a comma, colon"),
+        # A setting whose echo line reads back as another value, or not at all.
+        ({"seed": True}, "seed: True does not read back from its config line 'seed = true'"),
+        ({"ga": optimizers.GaConfig(population=50.0)},
+         "ga.population: 50.0 does not read back from its config line 'ga.population = 50.0'"),
+        ({"header": 1}, "header: 1 does not read back from its config line 'header = 1'"),
+        ({"missing_column": 2.0}, "missing_column: 2.0 does not read back from its config line 'missing_column = 2.0'"),
+        ({"hidden_size": 4.5}, "hidden_size: 4.5 does not read back from its config line 'hidden_size = 4.5'"),
+        ({"seed": "3"}, "seed: '3' does not read back from its config line 'seed = 3'"),
     ], ids=["dataset-hash", "dataset-line-break", "dataset-outer-space", "pair-colon", "pair-outer-space",
-            "pair-hash", "pair-comma", "pair-line-break"])
+            "pair-hash", "pair-comma", "pair-line-break", "seed-true", "ga-population-float", "header-one",
+            "missing-column-float", "hidden-size-float", "seed-text"])
     def test_a_setting_with_no_config_text_is_refused(self, settings, detail):
         # The echo that such a run would write could not be read back.
         fields = {"dataset": "d.csv", "missing_column": 0, "task": "prediction", **settings}
         with pytest.raises(ConfigError, match=f"^{re.escape(detail)}"):
             ExperimentConfig(**fields)
+
+    def test_an_integer_for_a_float_setting_is_accepted(self):
+        cfg = ExperimentConfig(dataset="d.csv", missing_column=0, task="prediction", pso=optimizers.PsoConfig(phi1=2))
+        assert "pso.phi1 = 2.0" in config_text(cfg)
+        assert_echo_round_trips(cfg)
 
     @pytest.mark.parametrize("key, value", [("seed", "3"), ("ga.population", "12")])
     def test_repeated_key_rejected(self, heart_setup, key, value):
@@ -488,7 +501,7 @@ class TestRunExperiment:
             assert len(block["imputed"]) == 67
             values = [e["imputed"] for e in block["imputed"]]
             assert all(0.0 <= v <= 1.0 for v in values)
-        assert len(report.document["comparison"]["pairs"]) == 10
+        assert len(report.document["comparison"]) == 10
 
     def test_verify_passes_on_untouched_report(self, emitted):
         _, _, out = emitted
@@ -966,8 +979,10 @@ class TestPredictionRun:
 
     @pytest.mark.parametrize(
         "name, key, cell",
-        [("metrics.csv", "ga,mse", 2), ("pvalues.csv", "GA-RF", 1)],
-        ids=["metrics.csv-ga,mse-2-ga.mse", "pvalues.csv-GA-RF-1-pvalue.GA-RF"],
+        [("metrics.csv", "ga,mse", 2), ("pvalues.csv", "GA-RF", 1), ("pvalues.csv", "GA-RF", 4),
+         ("pvalues.csv", "GA-RF", 5)],
+        ids=["metrics.csv-ga,mse-2-ga.mse", "pvalues.csv-GA-RF-1-wins_a", "pvalues.csv-GA-RF-4-p_value",
+             "pvalues.csv-GA-RF-5-p_holm"],
     )
     def test_verify_fails_non_numeric_cell_as_one_check(
         self, prediction_emitted, tmp_path, capsys, name, key, cell
@@ -993,7 +1008,7 @@ class TestPredictionRun:
         "keep, detail",
         [
             (1, "imputed_ga.csv cannot be graded: inputs must be non-empty"),
-            (2, "imputed_*.csv cannot be compared: each sample needs at least 2 observations"),
+            (2, "imputed_*.csv cannot be compared: length mismatch: 1 vs 129 values"),
         ],
         ids=["header-only", "one-row"],
     )
@@ -1017,17 +1032,17 @@ class TestComparison:
     ], ids=["five-methods", "configured-order"])
     def test_pairs_follow_the_methods_order(self, methods, pairs):
         rng = np.random.default_rng(0)
-        errors = {m: rng.normal(i * 0.1, 1.0, 30) for i, m in enumerate(methods)}
-        comparison = experiment._comparison(errors)
-        p_values = metrics.comparison_matrix(errors)
-        assert comparison["methods"] == list(methods)
-        assert comparison["p_values"] == p_values.tolist()
-        assert [entry["pair"] for entry in comparison["pairs"]] == pairs
-        for entry, (i, j) in zip(comparison["pairs"], itertools.combinations(range(len(methods)), 2)):
-            assert entry["p_value"] == p_values[i, j] and entry["display"] == f"{p_values[i, j]:.2f}"
+        truth = np.array([0.0, 1.0] * 15)
+        samples = {m: rng.uniform(0, 1, 30) + i * 0.1 * truth for i, m in enumerate(methods)}
+        # Classification tests the samples as scores against the truth, prediction as squared errors.
+        for task_kind, labels in (("classification", truth), ("prediction", None)):
+            comparison = experiment._comparison(samples, truth, task_kind)
+            assert [entry["pair"] for entry in comparison] == pairs
+            for entry, tested in zip(comparison, metrics.comparison_matrix(samples, labels), strict=True):
+                assert entry == {**tested, "pair": entry["pair"], "display": f"{tested['p_holm']:.2f}"}
 
     def test_fewer_than_two_methods_compare_nothing(self):
-        assert experiment._comparison({"rf": np.arange(3.0)}) == {}
+        assert experiment._comparison({"rf": np.arange(3.0)}, np.array([0.0, 1.0, 1.0]), "prediction") == []
 
 
 class TestReportFiles:
@@ -1292,15 +1307,20 @@ class TestVerifyReadsEveryFile:
              "report.json", "report.json.methods.ga.metrics.auc holds 0.123, expected "),
             (lambda doc: doc["methods"]["ga"]["imputed"][0].update(imputed=0.999),
              "report.json", "report.json.methods.ga.imputed[0].imputed holds 0.999, expected "),
-            (lambda doc: doc["comparison"]["pairs"][0].update(p_value=0.5),
-             "report.json", "report.json.comparison.pairs[0].p_value holds 0.5, expected "),
+            (lambda doc: doc["comparison"][0].update(p_value=0.5),
+             "report.json", "report.json.comparison[0].p_value holds 0.5, expected "),
+            (lambda doc: doc["comparison"][3].update(delta_auc=0.5),
+             "report.json", "report.json.comparison[3].delta_auc holds 0.5, expected -0.0434"),
+            (lambda doc: doc["comparison"][3].update(p_holm=0.5),
+             "report.json", "report.json.comparison[3].p_holm holds 0.5, expected 1.0"),
             # 13 predictors: an unset rf.mtry resolves to floor(sqrt(13)) = 3.
             (lambda doc: doc["methods"]["rf"].update(mtry_resolved=4),
              "report.json", "report.json.methods.rf.mtry_resolved holds 4, expected 3"),
             (lambda doc: edit_echo(doc, {"rf.mtry": "5"}),
              "report.json", "report.json.methods.rf.mtry_resolved holds 3, expected 5"),
         ],
-        ids=["ga-auc", "ga-first-imputed", "first-p-value", "rf-mtry", "rf-mtry-configured"],
+        ids=["ga-auc", "ga-first-imputed", "first-p-value", "ga-rf-delta-auc", "ga-rf-p-holm", "rf-mtry",
+             "rf-mtry-configured"],
     )
     def test_report_json_entries_must_equal_the_regrading(
         self, heart_paper, tmp_path, edit, check, detail
@@ -1315,11 +1335,11 @@ class TestVerifyReadsEveryFile:
     @pytest.mark.parametrize(
         "text, detail",
         [("", "pvalues.csv does not hold 1 entries"),
-         ("pair,p_value,display\nXX-YY,0.5,0.50\n", "pvalues.csv does not hold 1 entries")],
+         ("pair,delta_auc,p_value,p_holm,display\nXX-YY,0.1,0.5,0.5,0.50\n", "pvalues.csv does not hold 1 entries")],
         ids=["empty", "extra-row"],
     )
     def test_forest_only_pvalues_hold_no_row(self, forest_only, tmp_path, text, detail):
-        assert (forest_only / "pvalues.csv").read_text() == "pair,p_value,display\n"
+        assert (forest_only / "pvalues.csv").read_text() == "pair,delta_auc,p_value,p_holm,display\n"
         clone = clone_report(forest_only, tmp_path / "edited")
         (clone / "pvalues.csv").write_text(text)
         assert failures(clone) == [("pvalues.csv", detail)]
@@ -1605,6 +1625,9 @@ class TestCli:
         ("non-binary-target", "classification task needs a 0/1 target after scaling; column 'A1' has other values"),
         ("sorted-by-target", "the test block (the last 67 rows; the split follows file order) "
                              "holds 0 0s and 67 1s in column 'A14': a classification task needs both classes there"),
+        ("one-record-of-a-class", "the test block (the last 67 rows; the split follows file order) holds 66 0s "
+                                  "and 1 1s in column 'A14': comparing 5 methods by DeLong's test needs 2 records "
+                                  "of each class there"),
         ("few-train-rows", "{data}: rf needs at least 10 train rows for rf.min_leaf = 5, got 9"),
         ("three-rows", "{data}: need at least 4 rows for three non-empty splits, got 3"),
         ("one-column", "{data}: need at least 3 inputs for a narrow hidden layer, got 1"),
@@ -1612,8 +1635,8 @@ class TestCli:
         ("one-test-record", "comparing 2 methods needs at least 2 test records; "
                             "the test block of the 7 rows holds 1"),
         ("mtry-above-predictors", "{data}: rf.mtry = 20 exceeds the 13 predictors of a 14-column table"),
-    ], ids=["non-binary-target", "sorted-by-target", "few-train-rows", "three-rows", "one-column",
-            "two-columns", "one-test-record", "mtry-above-predictors"])
+    ], ids=["non-binary-target", "sorted-by-target", "one-record-of-a-class", "few-train-rows", "three-rows",
+            "one-column", "two-columns", "one-test-record", "mtry-above-predictors"])
     def test_data_that_would_fail_later_is_a_data_error(self, heart_setup, tmp_path, capsys, case, detail):
         _, csv, meta = heart_setup
         lines = csv.read_text().splitlines()
@@ -1622,6 +1645,9 @@ class TestCli:
             meta = dict(meta, missing_column=0)
         elif case == "sorted-by-target":
             lines.sort(key=lambda line: float(line.rsplit(",", 1)[1]))
+        elif case == "one-record-of-a-class":
+            lines.sort(key=lambda line: -float(line.rsplit(",", 1)[1]))
+            lines.append(lines.pop(0))  # one 1 after the 0s
         elif case == "few-train-rows":
             lines = lines[:17]  # 9 train rows, 4 validation and 4 test
         elif case == "three-rows":

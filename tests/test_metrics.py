@@ -1,11 +1,14 @@
-"""Score formulas, ROC/AUC against concordance, and the Welch t-test."""
+"""Score formulas, ROC/AUC against concordance, and the paired comparison
+of methods against oracles that compute it another way."""
 
 import functools
+import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from aeimpute import metrics
 
@@ -119,175 +122,184 @@ class TestRocCurve:
             )
 
 
-def t_pdf(x: float, df: float) -> float:
-    lognorm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
-    return math.exp(lognorm) * (1 + x * x / df) ** (-(df + 1) / 2)
+def kernel_matrix(scores, labels) -> np.ndarray:
+    """The n+ x n- matrix of psi(positive, negative): 1 where the positive
+    scores higher, 1/2 on a tie, 0 otherwise."""
+    scores, labels = np.asarray(scores, dtype=float), np.asarray(labels)
+    pos, neg = scores[labels == 1][:, None], scores[labels == 0][None, :]
+    return (pos > neg) + 0.5 * (pos == neg)
+
+
+def delong_oracle(scores_a, scores_b, labels) -> tuple[float, float]:
+    """(delta AUC, two-sided p) with DeLong's covariance computed directly from
+    the two kernel matrices: the 2 x 2 sample covariances of the methods'
+    row means (over the positives) and column means (over the negatives),
+    contrasted by (1, -1), and the normal tail from NormalDist."""
+    kernels = [kernel_matrix(s, labels) for s in (scores_a, scores_b)]
+    contrast = np.array([1.0, -1.0])
+    variance = sum(
+        contrast @ np.cov([k.mean(axis=axis) for k in kernels]) @ contrast / kernels[0].shape[1 - axis]
+        for axis in (1, 0)
+    )
+    delta = kernels[0].mean() - kernels[1].mean()
+    if variance == 0.0:
+        return delta, float(delta == 0.0)
+    return delta, 2.0 * NormalDist().cdf(-abs(delta) / math.sqrt(variance))
 
 
 @functools.cache
-def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule, solved once per node count (read-only)."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
+def patterns_by_wins(n: int) -> np.ndarray:
+    """How many of the 2^n sign patterns of n records hold each count of
+    A-wins, by enumerating every pattern (read-only)."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    counts = np.bincount(bits.sum(axis=1), minlength=n + 1)
+    counts.flags.writeable = False
+    return counts
 
 
-def p_two_tailed_quadrature(t: float, df: float, nodes: int = 400) -> float:
-    """Independent oracle: Gauss-Legendre integration of the density."""
-    xs, ws = gauss_legendre(nodes)
-    half = abs(t) / 2.0
-    mapped = half * xs + half
-    integral = half * sum(w * t_pdf(x, df) for x, w in zip(mapped, ws))
-    return 1.0 - 2.0 * integral
+def sign_test_oracle(wins_a: int, wins_b: int) -> float:
+    """The share of all sign patterns of the untied records whose split is
+    at least as uneven as the one seen."""
+    n = wins_a + wins_b
+    counts = patterns_by_wins(n)
+    uneven = np.minimum(np.arange(n + 1), n - np.arange(n + 1)) <= min(wins_a, wins_b)
+    return float(counts[uneven].sum()) / 2**n
 
 
-class TestWelch:
-    def test_identical_samples(self):
-        r = metrics.welch_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert r.t_statistic == 0.0
-        assert r.p_value == 1.0
+def paired_errors(wins_a: int, wins_b: int, ties: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffled squared-error pairs with the given wins and ties."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.1, 1.0, wins_a + wins_b + ties)
+    step = np.concatenate([-np.ones(wins_a), np.ones(wins_b), np.zeros(ties)]) * rng.uniform(0.01, 0.09, b.size)
+    order = rng.permutation(b.size)
+    return (b + step)[order], b[order]
 
-    def test_known_example_against_quadrature(self):
-        r = metrics.welch_t_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])
-        assert r.t_statistic == pytest.approx(-1.0)
-        assert r.degrees_of_freedom == pytest.approx(8.0)
-        oracle = p_two_tailed_quadrature(r.t_statistic, r.degrees_of_freedom)
-        assert r.p_value == pytest.approx(oracle, abs=1e-6)
 
-    def test_swap_negates_t_preserves_p(self):
-        a = [1.0, 2.5, 3.0, 4.8]
-        b = [2.0, 3.1, 5.2]
-        r1 = metrics.welch_t_test(a, b)
-        r2 = metrics.welch_t_test(b, a)
-        assert r1.t_statistic == pytest.approx(-r2.t_statistic, rel=1e-12)
-        assert r1.p_value == pytest.approx(r2.p_value, rel=1e-12)
+class TestDeLong:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_variance_matches_the_kernel_matrix(self, data):
+        n = data.draw(st.integers(4, 120))
+        decimals = data.draw(st.integers(1, 3))  # coarse scores force ties
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        labels = rng.integers(0, 2, n)
+        labels[:4] = [0, 0, 1, 1]
+        a = np.round(rng.uniform(0, 1, n) + data.draw(st.floats(0, 1)) * labels, decimals)
+        b = np.round(rng.uniform(0, 1, n) + data.draw(st.floats(0, 1)) * labels, decimals)
+        result = metrics.delong_test(a, b, labels)
+        delta, p = delong_oracle(a, b, labels)
+        assert result["delta_auc"] == metrics.roc_curve(a, labels).auc - metrics.roc_curve(b, labels).auc
+        assert result["delta_auc"] == pytest.approx(delta, abs=1e-12)
+        assert result["p_value"] == pytest.approx(p, abs=1e-9)
 
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0, 1, 12)
-        b = rng.normal(0.4, 2, 9)
-        r1 = metrics.welch_t_test(a, b)
-        r2 = metrics.welch_t_test(a + 100, b + 100)
-        assert r1.t_statistic == pytest.approx(r2.t_statistic, rel=1e-9)
-        assert r1.p_value == pytest.approx(r2.p_value, rel=1e-9)
+    def test_identical_scores_give_p_one(self):
+        scores, labels = [0.1, 0.4, 0.35, 0.8, 0.7], [0, 0, 1, 1, 1]
+        assert metrics.delong_test(scores, scores, labels) == {"delta_auc": 0.0, "p_value": 1.0}
 
-    def test_both_constant_equal_is_defined_limit(self):
-        r = metrics.welch_t_test([2.0, 2.0, 2.0], [2.0, 2.0])
-        assert r.t_statistic == 0.0 and r.p_value == 1.0
+    def test_zero_variance_with_a_difference_gives_p_zero(self):
+        # A separates the classes (every placement 1), B ties everything (every
+        # placement 1/2): the paired differences are constant in each class.
+        labels = [0, 0, 1, 1]
+        result = metrics.delong_test([0.1, 0.2, 0.8, 0.9], [0.5] * 4, labels)
+        assert result == {"delta_auc": 0.5, "p_value": 0.0}
+        assert delong_oracle([0.1, 0.2, 0.8, 0.9], [0.5] * 4, labels) == (0.5, 0.0)
 
-    def test_both_constant_unequal_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            metrics.welch_t_test([2.0, 2.0], [3.0, 3.0])
+    def test_swap_negates_delta_and_keeps_p(self):
+        rng = np.random.default_rng(3)
+        labels = np.array([0, 1] * 20)
+        a, b = rng.uniform(0, 1, 40) + 0.3 * labels, rng.uniform(0, 1, 40)
+        ab, ba = metrics.delong_test(a, b, labels), metrics.delong_test(b, a, labels)
+        assert ab["delta_auc"] == -ba["delta_auc"] and ab["p_value"] == pytest.approx(ba["p_value"], rel=1e-12)
 
-    def test_one_constant_sample_allowed(self):
-        r = metrics.welch_t_test([2.0, 2.0, 2.0], [1.0, 3.0, 5.0])
-        assert 0.0 <= r.p_value <= 1.0
-        assert r.degrees_of_freedom == pytest.approx(2.0)
+    def test_invariant_under_monotone_transforms(self):
+        rng = np.random.default_rng(7)
+        labels = np.array([0, 1] * 30)
+        a, b = rng.uniform(0, 1, 60) + 0.2 * labels, rng.uniform(0, 1, 60)
+        base = metrics.delong_test(a, b, labels)
+        moved = metrics.delong_test(np.exp(a), 3 * b + 1, labels)
+        assert moved["delta_auc"] == pytest.approx(base["delta_auc"], abs=1e-12)
+        assert moved["p_value"] == pytest.approx(base["p_value"], abs=1e-12)
 
-    def test_short_samples_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.welch_t_test([1.0], [1.0, 2.0])
+    @pytest.mark.parametrize("labels", [[0, 1, 1, 1], [1, 0, 0, 0]])
+    def test_needs_two_records_of_each_class(self, labels):
+        with pytest.raises(ValueError, match="at least 2 records of each class"):
+            metrics.delong_test([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], labels)
 
-    def test_p_values_against_quadrature_sweep(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 3), rng.integers(2, 60))
-            b = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 3), rng.integers(2, 60))
-            r = metrics.welch_t_test(a, b)
-            oracle = p_two_tailed_quadrature(r.t_statistic, r.degrees_of_freedom)
-            assert r.p_value == pytest.approx(oracle, abs=1e-6)
+
+class TestSignTest:
+    @given(wins_a=st.integers(0, 16), wins_b=st.integers(0, 16), ties=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_p_matches_an_enumeration_of_every_sign_pattern(self, wins_a, wins_b, ties):
+        assume(wins_a + wins_b + ties > 0 and wins_a + wins_b <= 16)
+        result = metrics.sign_test(*paired_errors(wins_a, wins_b, ties))
+        assert (result["wins_a"], result["wins_b"], result["ties"]) == (wins_a, wins_b, ties)
+        assert result["p_value"] == pytest.approx(sign_test_oracle(wins_a, wins_b), abs=1e-15)
+
+    def test_known_values(self):
+        # Two-sided: 2 * P(X <= 1) for n = 5 is 2 * 6/32.
+        assert metrics.sign_test(*paired_errors(4, 1, 0))["p_value"] == 0.375
+        assert metrics.sign_test(*paired_errors(3, 3, 2))["p_value"] == 1.0
+
+    def test_only_ties_give_p_one(self):
+        errors = [0.1, 0.2, 0.3]
+        assert metrics.sign_test(errors, errors) == {"wins_a": 0, "wins_b": 0, "ties": 3, "p_value": 1.0}
+
+    def test_large_samples_stay_exact(self):
+        # 250 records, as in a credit-sized test block: the tail sum is exact.
+        result = metrics.sign_test(*paired_errors(150, 100, 0))
+        expected = 2 * sum(math.comb(250, i) for i in range(101)) / 2**250
+        assert result["p_value"] == expected and 0.0 < expected < 0.01
+
+    def test_unpaired_samples_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            metrics.sign_test([0.1, 0.2], [0.1])
+
+
+def holm_oracle(p_values) -> list[float]:
+    """Holm's adjustment by its definition: for each p, the largest over the
+    p-values ranked at or before it of min(1, (m - rank) * p)."""
+    m = len(p_values)
+    ranked = sorted(range(m), key=lambda i: (p_values[i], i))
+    rank = {i: r for r, i in enumerate(ranked)}
+    return [max(min(1.0, (m - rank[j]) * p_values[j]) for j in range(m) if rank[j] <= rank[i]) for i in range(m)]
+
+
+class TestHolm:
+    def test_known_example(self):
+        assert metrics.holm([0.01, 0.04, 0.03, 0.5]) == [0.04, 0.09, 0.09, 0.5]
+
+    @given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.05, 1.0]), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_definition(self, p_values):
+        adjusted = metrics.holm(p_values)
+        assert adjusted == pytest.approx(holm_oracle(p_values), abs=1e-15)
+        assert all(p <= q <= 1.0 for p, q in zip(p_values, adjusted))
 
 
 class TestComparisonMatrix:
     def sample_errors(self, k=5, n=30, seed=0):
         rng = np.random.default_rng(seed)
-        return {f"m{i}": rng.normal(i * 0.1, 1.0, n) for i in range(k)}
+        return {f"m{i}": rng.normal(i * 0.1, 1.0, n) ** 2 for i in range(k)}
 
-    def test_symmetric_with_unit_diagonal(self):
-        p_values = metrics.comparison_matrix(self.sample_errors())
-        assert isinstance(p_values, np.ndarray) and p_values.shape == (5, 5)
-        np.testing.assert_array_equal(p_values, p_values.T)
-        np.testing.assert_array_equal(np.diag(p_values), 1.0)
+    def test_prediction_pairs_follow_the_keys_and_hold_the_sign_test(self):
+        # Keys in reverse sorted order: the pairs follow the keys, not their sort.
+        errors = dict(reversed(self.sample_errors(k=4).items()))
+        pairs = metrics.comparison_matrix(errors)
+        assert [entry["pair"] for entry in pairs] == list(itertools.combinations(errors, 2))
+        adjusted = metrics.holm([entry["p_value"] for entry in pairs])
+        for entry, p_holm in zip(pairs, adjusted):
+            a, b = entry["pair"]
+            assert entry == {"pair": (a, b), **metrics.sign_test(errors[a], errors[b]), "p_holm": p_holm}
 
-    def test_entries_match_pairwise_tests_in_key_order(self):
-        # Keys in reverse sorted order: rows and columns follow the keys, not their sort.
-        errors = dict(reversed(self.sample_errors(k=3).items()))
-        p_values = metrics.comparison_matrix(errors)
-        names = list(errors)
-        for i in range(3):
-            for j in range(3):
-                expected = 1.0 if i == j else metrics.welch_t_test(errors[names[i]], errors[names[j]]).p_value
-                assert p_values[i, j] == expected
+    def test_classification_pairs_hold_delong(self):
+        rng = np.random.default_rng(1)
+        labels = np.array([0, 1] * 15)
+        scores = {m: rng.uniform(0, 1, 30) + shift * labels for m, shift in (("ga", 0.5), ("rf", 0.2), ("ns", 0))}
+        pairs = metrics.comparison_matrix(scores, labels)
+        adjusted = metrics.holm([entry["p_value"] for entry in pairs])
+        for entry, p_holm in zip(pairs, adjusted):
+            a, b = entry["pair"]
+            assert entry == {"pair": (a, b), **metrics.delong_test(scores[a], scores[b], labels), "p_holm": p_holm}
 
-    def test_requires_two_methods(self):
-        with pytest.raises(ValueError):
-            metrics.comparison_matrix({"only": [1.0, 2.0]})
-
-    def test_degenerate_samples_propagate(self):
-        with pytest.raises(ValueError):
-            metrics.comparison_matrix({"a": [1.0, 1.0], "b": [2.0, 2.0]})
-
-
-class TestIncompleteBeta:
-    def test_boundaries_exact(self):
-        assert metrics.regularized_incomplete_beta(3.0, 0.5, 0.0) == 0.0
-        assert metrics.regularized_incomplete_beta(3.0, 0.5, 1.0) == 1.0
-
-    def test_symmetric_half(self):
-        # I_x(a, a) at x = 1/2 is exactly 1/2 by symmetry.
-        for a in (0.5, 1.0, 2.5, 7.0):
-            assert metrics.regularized_incomplete_beta(a, a, 0.5) == pytest.approx(
-                0.5, abs=1e-12
-            )
-
-    def test_uniform_case_is_identity(self):
-        for x in np.linspace(0, 1, 21):
-            assert metrics.regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(
-                x, abs=1e-12
-            )
-
-    @given(
-        a=st.floats(1e-3, 1e4),
-        b=st.floats(1e-3, 1e4),
-        x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_continued_fraction_equals_two_half_step_reference(self, a, b, x):
-        # The continued fraction updates (c, d) once per term; the reference
-        # writes out the even and odd terms of each iteration separately.
-        assert metrics._beta_continued_fraction(a, b, x) == reference_continued_fraction(a, b, x)
-
-
-def reference_continued_fraction(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < 1e-15:
-            break
-    return h
+    def test_one_method_has_no_pair(self):
+        assert metrics.comparison_matrix({"only": [1.0, 2.0]}) == []
