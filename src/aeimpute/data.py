@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import typing
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -140,6 +142,27 @@ class ImputationTask:
     def truth(self) -> np.ndarray:
         """The (T,) held-out values of the masked column, for scoring only."""
         return self.rows[:, self.column]
+
+
+def check_settings(cfg, **bounds) -> None:
+    """Raise ValueError naming the field unless each field of the dataclass
+    ``cfg`` holds a value of its type hint, within its ``bounds`` entry if any:
+    an ``int`` takes an integer, numpy's too, a ``float`` any real number, and
+    neither a bool; ``None`` passes where the hint allows it.  A bound is
+    inclusive ``[low, high]`` or open ``(low, high)``, so NaN fails it; an end
+    may be a function of ``cfg``, called once every type has passed."""
+    for name, tp in typing.get_type_hints(type(cfg)).items():
+        value, kinds = getattr(cfg, name), (tp, *typing.get_args(tp))
+        number = numbers.Integral if int in kinds else numbers.Real
+        if not (value is None and type(None) in kinds) and (isinstance(value, bool) or not isinstance(value, number)):
+            raise ValueError(f"{name} must be {'an integer' if int in kinds else 'a number'}, got {value!r}")
+    for name, bound in bounds.items():
+        value, closed = getattr(cfg, name), isinstance(bound, list)
+        low, high = (end(cfg) if callable(end) else end for end in bound)
+        if value is not None and not (low <= value <= high if closed else low < value < high):
+            interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
+            rule = {f"[{low}, inf]": f">= {low}", "(0, inf)": "positive and finite"}.get(interval, f"in {interval}")
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def fits_a_config_line(text: str, stops: str = "#") -> bool:

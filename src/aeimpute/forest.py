@@ -22,24 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_column
+from .data import check_column, check_settings
 from .parallel import fork_map
 from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """Random-forest settings: :func:`~aeimpute.data.check_settings` checks each type and bound."""
+
     n_trees: int = 100
     mtry: int | None = None  # default resolves to floor(sqrt(d)) at fit time
     min_leaf: int = 5
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError("mtry must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+        check_settings(self, n_trees=[1, math.inf], mtry=[1, math.inf], min_leaf=[1, math.inf])
 
 
 @dataclass(frozen=True, eq=False)

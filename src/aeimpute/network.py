@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import parallel
+from .data import check_settings
 from .objective import MissingDataObjective
 from .seeding import derive_seed
 
@@ -100,8 +101,8 @@ class Autoencoder:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Stopping rules and seeding for the trainer: at most ``max_iterations``
-    SCG iterations, 250 by default."""
+    """Stopping rules and seeding for the trainer, at most ``max_iterations`` SCG iterations
+    (250 by default): :func:`~aeimpute.data.check_settings` checks each type and bound."""
 
     max_iterations: int = 250
     gradient_tolerance: float = 1e-6
@@ -109,10 +110,8 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (0 < self.gradient_tolerance < np.inf and 0 < self.objective_tolerance < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+        check_settings(self, max_iterations=[1, np.inf], gradient_tolerance=(0, np.inf),
+                       objective_tolerance=(0, np.inf))
 
 
 def _unpack(vec: np.ndarray, n: int, h: int):

@@ -50,8 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
+
+from .data import check_settings
 
 # Probe moves SA scores to calibrate its start temperature.
 _CALIBRATION_PROBES = 100
@@ -85,6 +88,8 @@ class OptimizerResult:
 
 @dataclass(frozen=True)
 class GaConfig:
+    """GA settings, checked by :func:`~aeimpute.data.check_settings`; past 53 bits :func:`_decode` is inexact."""
+
     population: int = 50
     bits_per_variable: int = 16
     crossover_prob: float = 0.9
@@ -94,27 +99,15 @@ class GaConfig:
     generations: int = 100
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        # A wider fixed-point value does not decode exactly in float64.
-        if not 1 <= self.bits_per_variable <= 53:
-            raise ValueError("bits_per_variable must be in [1, 53]")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError("crossover_prob must be in [0, 1]")
-        if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation_prob must be in [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if not 0 <= self.elitism < self.population:
-            raise ValueError("elitism must satisfy 0 <= elitism < population")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+        check_settings(self, population=[2, inf], bits_per_variable=[1, 53], crossover_prob=[0, 1],
+                       mutation_prob=[0, 1], tournament_size=[1, inf], elitism=[0, lambda c: c.population - 1],
+                       generations=[1, inf])
 
 
 @dataclass(frozen=True)
 class SaConfig:
-    # None = calibrate the start temperature from 100 probe moves so that an
-    # average uphill move is accepted with probability ~0.8.
+    """SA settings, checked as :class:`GaConfig`'s; :func:`minimize_sa` calibrates an unset start temperature."""
+
     initial_temperature: float | None = None
     cooling_factor: float = 0.95
     temperature_steps: int = 100
@@ -122,19 +115,14 @@ class SaConfig:
     neighbor_sigma: float = 0.1
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails each check, as infinity does.
-        if self.initial_temperature is not None and not 0 < self.initial_temperature < math.inf:
-            raise ValueError("initial_temperature must be positive and finite")
-        if not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling_factor must be in (0, 1)")
-        if self.temperature_steps < 1 or self.moves_per_step < 1:
-            raise ValueError("temperature_steps and moves_per_step must be >= 1")
-        if not 0 < self.neighbor_sigma < math.inf:
-            raise ValueError("neighbor_sigma must be positive and finite")
+        check_settings(self, initial_temperature=(0, inf), cooling_factor=(0, 1), temperature_steps=[1, inf],
+                       moves_per_step=[1, inf], neighbor_sigma=(0, inf))
 
 
 @dataclass(frozen=True)
 class PsoConfig:
+    """PSO settings, checked as :class:`GaConfig`'s."""
+
     swarm: int = 30
     phi1: float = 2.0
     phi2: float = 2.0
@@ -142,26 +130,18 @@ class PsoConfig:
     iterations: int = 100
 
     def __post_init__(self) -> None:
-        if self.swarm < 2:
-            raise ValueError("swarm must be >= 2")
-        if not (0 < self.phi1 < math.inf and 0 < self.phi2 < math.inf):
-            raise ValueError("phi1 and phi2 must be positive and finite")
-        if not 0 < self.v_max < math.inf:
-            raise ValueError("v_max must be positive and finite")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        check_settings(self, swarm=[2, inf], phi1=(0, inf), phi2=(0, inf), v_max=(0, inf), iterations=[1, inf])
 
 
 @dataclass(frozen=True)
 class NsConfig:
+    """Negative-selection (NS) settings, checked as :class:`GaConfig`'s."""
+
     detectors: int = 50
     generations: int = 100
 
     def __post_init__(self) -> None:
-        if self.detectors < 2:
-            raise ValueError("detectors must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+        check_settings(self, detectors=[2, inf], generations=[1, inf])
 
 
 def _generators(obj, seeds) -> list[np.random.Generator]:
@@ -505,10 +485,10 @@ def _minimizer(tag: str, config):
     return entry
 
 
-def budget(tag: str, cfg) -> int:
-    """Objective evaluations per task of a ``tag`` run under ``cfg`` (the
-    module docstring's table)."""
-    return _minimizer(tag, cfg)[2](cfg)
+def budget(tag: str, cfg=None) -> int:
+    """Evaluations per task of a ``tag`` run under ``cfg``, None as in :func:`run` (the module docstring's table)."""
+    _, cfg_type, evaluations = _minimizer(tag, cfg)
+    return evaluations(cfg or cfg_type())
 
 
 def run(obj, algorithm: str, config=None, *, seeds) -> OptimizerResult:

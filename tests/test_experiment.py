@@ -333,14 +333,12 @@ class TestParseConfig:
         ({"columns": (("a\rb", "numeric"),)}, "columns entry 1 (('a\\rb', 'numeric')): a comma, colon"),
         # A setting whose echo line reads back as another value, or not at all.
         ({"seed": True}, "seed: True does not read back from its config line 'seed = true'"),
-        ({"ga": optimizers.GaConfig(population=50.0)},
-         "ga.population: 50.0 does not read back from its config line 'ga.population = 50.0'"),
         ({"header": 1}, "header: 1 does not read back from its config line 'header = 1'"),
         ({"missing_column": 2.0}, "missing_column: 2.0 does not read back from its config line 'missing_column = 2.0'"),
         ({"hidden_size": 4.5}, "hidden_size: 4.5 does not read back from its config line 'hidden_size = 4.5'"),
         ({"seed": "3"}, "seed: '3' does not read back from its config line 'seed = 3'"),
     ], ids=["dataset-hash", "dataset-line-break", "dataset-outer-space", "pair-colon", "pair-outer-space",
-            "pair-hash", "pair-comma", "pair-line-break", "seed-true", "ga-population-float", "header-one",
+            "pair-hash", "pair-comma", "pair-line-break", "seed-true", "header-one",
             "missing-column-float", "hidden-size-float", "seed-text"])
     def test_a_setting_with_no_config_text_is_refused(self, settings, detail):
         # The echo that such a run would write could not be read back.

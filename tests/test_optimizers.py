@@ -452,7 +452,7 @@ class TestDispatch:
     def test_default_config_used_when_none(self):
         counter = CountingObjective(QuadraticStub())
         opt.run(counter, "ns", seeds=[0])
-        assert counter.count == 50 * 100
+        assert counter.count == 50 * 100 == opt.budget("ns") == opt.budget("ns", None)
 
 
 class TestConfigValidation:
