@@ -144,18 +144,33 @@ class ImputationTask:
         return self.rows[:, self.column]
 
 
+_KINDS = {bool: ("a bool", bool), int: ("an integer", numbers.Integral), float: ("a number", numbers.Real)}
+
+
 def check_settings(cfg, **bounds) -> None:
     """Raise ValueError naming the field unless each field of the dataclass
-    ``cfg`` holds a value of its type hint, within its ``bounds`` entry if any:
-    an ``int`` takes an integer, numpy's too, a ``float`` any real number, and
-    neither a bool; ``None`` passes where the hint allows it.  A bound is
-    inclusive ``[low, high]`` or open ``(low, high)``, so NaN fails it; an end
-    may be a function of ``cfg``, called once every type has passed."""
+    ``cfg`` holds a value of its type hint, within its ``bounds`` entry if any.
+    A ``bool`` takes only a bool, an ``int`` any other integer, numpy's too, a
+    ``float`` any other real equal to its own float, a ``Literal`` one of its
+    texts, another class an instance, and None where allowed; tuples are the
+    caller's.  A bound is inclusive ``[low, high]`` or open ``(low, high)``, so
+    NaN fails it; an end may be a function of ``cfg``, called after the types."""
     for name, tp in typing.get_type_hints(type(cfg)).items():
         value, kinds = getattr(cfg, name), (tp, *typing.get_args(tp))
-        number = numbers.Integral if int in kinds else numbers.Real
-        if not (value is None and type(None) in kinds) and (isinstance(value, bool) or not isinstance(value, number)):
-            raise ValueError(f"{name} must be {'an integer' if int in kinds else 'a number'}, got {value!r}")
+        texts = [t for kind in kinds if typing.get_origin(kind) is typing.Literal for t in typing.get_args(kind)]
+        # The class the value must be an instance of: a kind of _KINDS, else the hint's own class.
+        kind = next((k for k in (*_KINDS, tp) if k in kinds and isinstance(k, type) and not typing.get_args(k)), None)
+        if value is None and type(None) in kinds or isinstance(value, str) and value in texts or not (kind or texts):
+            continue
+        word, number = (_KINDS.get(kind) or (f"a {kind.__name__}", kind)) if kind else (None, ())
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, number):
+            raise ValueError(f"{name} must be {' or '.join(filter(None, [word, *map(repr, texts)]))}, got {value!r}")
+        try:
+            exact = kind is not float or float(value) == value or value != value  # NaN is the bounds' to refuse
+        except OverflowError:
+            exact = False
+        if not exact:
+            raise ValueError(f"{name} must be a number that a float holds exactly, got {value!r}")
     for name, bound in bounds.items():
         value, closed = getattr(cfg, name), isinstance(bound, list)
         low, high = (end(cfg) if callable(end) else end for end in bound)
@@ -283,23 +298,18 @@ def load_csv(path, schema=None, header: bool = False) -> Dataset:
 def normalize(ds: Dataset, fit_row_count: int | None = None) -> Dataset:
     """Scale every column to [0, 1] via (x - min) / (max - min).
 
-    Extrema come from the whole dataset by default; pass ``fit_row_count`` to
-    fit the scaler on a leading block only (values outside the fitted range
-    are clamped into [0, 1] so downstream bounds stay valid).  Constant
-    columns map to 0.0 and are flagged degenerate.
+    Extrema are read from the rows, every row by default; pass
+    ``fit_row_count`` to fit the scaler on a leading block only (values
+    outside the fitted range are clamped into [0, 1] so downstream bounds
+    stay valid).  Constant columns map to 0.0 and are flagged degenerate.
     """
     if ds.normalized:
         raise ValueError("dataset is already normalized")
-    if fit_row_count is not None:
-        if not 1 <= fit_row_count <= ds.n_rows:
-            raise ValueError(f"fit_row_count must be in [1, {ds.n_rows}]")
-        fit_block = ds.rows[:fit_row_count]
-        lo = fit_block.min(axis=0)
-        hi = fit_block.max(axis=0)
-    else:
-        lo = np.array([c.min for c in ds.columns])
-        hi = np.array([c.max for c in ds.columns])
-
+    if fit_row_count is not None and not 1 <= fit_row_count <= ds.n_rows:
+        raise ValueError(f"fit_row_count must be in [1, {ds.n_rows}]")
+    fit_block = ds.rows[:fit_row_count]
+    lo = fit_block.min(axis=0)
+    hi = fit_block.max(axis=0)
     span = hi - lo
     degenerate = span == 0.0
     safe_span = np.where(degenerate, 1.0, span)

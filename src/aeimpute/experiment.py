@@ -63,18 +63,20 @@ class ExperimentConfig:
     which the key ``output`` sets.  A section field's own fields are its
     dotted keys: ``ga.population`` sets ``ga``'s ``GaConfig.population``.
     The report's config echo is their config file lines (:func:`config_text`).
+    :func:`~aeimpute.data.check_settings` checks each field, as it checks each
+    section's, and ``dataset``, ``columns`` and ``methods`` have text rules too.
     """
 
     dataset: Path
     missing_column: int
-    task: str
+    task: typing.Literal[TASK_KINDS]
     header: bool = False
     columns: tuple[str | tuple[str, str], ...] | None = None
-    hidden_size: int | str = "auto"
+    hidden_size: int | typing.Literal["auto"] = "auto"
     methods: tuple[str, ...] = ALL_METHODS
     seed: int = 0
     output_dir: Path = Path("report")
-    normalization_scope: str = "full"
+    normalization_scope: typing.Literal["full", "train"] = "full"
     train: network_mod.TrainConfig = field(default_factory=network_mod.TrainConfig)
     ga: optim_mod.GaConfig = field(default_factory=optim_mod.GaConfig)
     sa: optim_mod.SaConfig = field(default_factory=optim_mod.SaConfig)
@@ -87,10 +89,6 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
         if not data_mod.fits_a_config_line(str(self.dataset)):
             raise ConfigError(f"dataset {str(self.dataset)!r}: a '#', line break or outer space has no config text")
-        if self.task not in TASK_KINDS:
-            raise ConfigError(f"task must be one of {TASK_KINDS}, got {self.task!r}")
-        if self.missing_column < 0:
-            raise ConfigError("missing_column must be a non-negative column index")
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ConfigError("methods must be non-empty")
@@ -99,14 +97,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; expected among {ALL_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
-        if self.normalization_scope not in ("full", "train"):
-            raise ConfigError("normalization_scope must be 'full' or 'train'")
-        if self.columns is not None:
-            try:
-                data_mod.schema_pairs(self.columns, len(self.columns))
-            except ValueError as err:
-                raise ConfigError(str(err)) from None
-        config_text(self)  # raises ConfigError for a setting that its config line does not read back as
+        try:
+            data_mod.check_settings(self, missing_column=[0, np.inf])
+            data_mod.schema_pairs(self.columns, len(self.columns or ()))
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 # --- config file parsing ----------------------------------------------------
@@ -150,7 +145,10 @@ _EXPECTED = {int: "an integer", float: "a number", bool: "true/false", _hidden_s
 
 
 def _parse_value(where: str, raw: str, tp):
-    """Convert config text to the resolved type ``tp``; ``T | None`` reads none/auto as None."""
+    """Convert config text to the resolved type ``tp``; ``T | None`` reads none/auto as None,
+    and a ``Literal`` is the text, for :class:`ExperimentConfig` to judge."""
+    if typing.get_origin(tp) is typing.Literal:
+        return raw
     args = typing.get_args(tp)
     if type(None) in args:
         if raw.lower() in ("none", "auto"):
@@ -209,10 +207,7 @@ def parse_config_text(text: str, where: str | Path) -> ExperimentConfig:
             kwargs[name] = _SECTION_TYPES[name](**values)
         except ValueError as err:
             raise ConfigError(f"{where}: section {name!r}: {err}") from None
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return ExperimentConfig(**kwargs)
 
 
 def _value_text(value, tp) -> str:
@@ -227,26 +222,18 @@ def _value_text(value, tp) -> str:
 
 
 def config_text(cfg: ExperimentConfig) -> list[str]:
-    """The report's config echo: each setting of ``cfg`` as the config file
-    line that :func:`parse_config_text` reads back, in ``_KEYS`` order.
-    ``output``, the derived seeds and an unset ``columns`` have no line.  A
-    setting that its line does not read back as (``seed=True``; an integer
-    for a float does, and a list as a tuple) raises ConfigError naming it."""
+    """The report's config echo: each setting of ``cfg`` as its config file
+    line, in ``_KEYS`` order.  ``output``, the derived seeds and an unset
+    ``columns`` have no line.  The rules that :class:`ExperimentConfig`
+    applies leave only settings that :func:`parse_config_text` reads back
+    from their lines (an integer for a float as that float, a list as a tuple)."""
     lines = []
     for section, keys in _KEYS.items():
         owner = getattr(cfg, section) if section else cfg
         for key, tp in keys.items():
             if key != "output" and not (key == "columns" and cfg.columns is None):
-                name, value = f"{section}.{key}" if section else key, getattr(owner, key)
-                text = _value_text(value, tp)
-                lines.append(f"{name} = {text}")
-                try:
-                    parsed = _parse_value(name, text, tp)
-                    same = _value_text(parsed, tp) == text and (isinstance(value, (list, tuple)) or parsed == value)
-                except ConfigError:
-                    same = False
-                if not same:
-                    raise ConfigError(f"{name}: {value!r} does not read back from its config line {lines[-1]!r}")
+                name = f"{section}.{key}" if section else key
+                lines.append(f"{name} = {_value_text(getattr(owner, key), tp)}")
     return lines
 
 

@@ -101,7 +101,9 @@ def delong_test(scores_a, scores_b, labels) -> dict:
     *Biometrics* 44(3), 1988): ``delta_auc``, A's :func:`roc_curve` area less
     B's, and its two-sided ``p_value``.  Its variance sums, over each class, the
     sample variance of the records' paired placement differences over the class
-    size; a zero variance gives p = 1 where ``delta_auc`` is 0, else p = 0."""
+    size.  A zero variance gives p = 1 where the positives' differences, whose
+    mean is the AUCs' difference, are all exactly 0, else p = 0: two trapezoid
+    sums of equal areas may differ in the last bit."""
     y = np.asarray(labels).ravel()
     delta = roc_curve(scores_a, y).auc - roc_curve(scores_b, y).auc
     positive = y == 1
@@ -109,10 +111,10 @@ def delong_test(scores_a, scores_b, labels) -> dict:
         raise ValueError("DeLong's variance needs at least 2 records of each class")
     a, b = _paired_vectors(scores_a, scores_b)
     variance = 0.0
-    for cls in (positive, ~positive):  # a negative's placement is 1 less its share here
+    for cls in (~positive, positive):  # positives last; a negative's placement is 1 less its share here
         d = _shares_below(a[~cls], a[cls]) - _shares_below(b[~cls], b[cls])
         variance += float(d.var(ddof=1)) / d.size
-    p = math.erfc(abs(delta / math.sqrt(variance)) / math.sqrt(2.0)) if variance > 0.0 else float(delta == 0.0)
+    p = math.erfc(abs(delta / math.sqrt(variance)) / math.sqrt(2.0)) if variance > 0.0 else float(not d.any())
     return {"delta_auc": delta, "p_value": p}
 
 

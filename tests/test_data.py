@@ -208,6 +208,13 @@ class TestNormalize:
         with pytest.raises(ValueError):
             data.normalize(data.normalize(ds))
 
+    def test_extrema_are_read_from_the_rows(self):
+        # The spec's default min 0 and max 1 are not the rows' extrema.
+        ds = data.Dataset(columns=(data.ColumnSpec("x"),), rows=np.array([[5.0], [10.0], [7.5]]))
+        out = data.normalize(ds)
+        assert out.rows[:, 0].tolist() == [0.0, 1.0, 0.5]
+        assert (out.columns[0].min, out.columns[0].max) == (5.0, 10.0)
+
     def test_train_only_scaling_clamps(self):
         ds = data.Dataset(
             columns=(data.ColumnSpec("x", min=0, max=9),),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +72,17 @@ def assert_echo_round_trips(cfg):
     assert config_text(rebuilt) == echo
 
 
+def _with_numpy(integers):
+    """``integers``, also as numpy integers."""
+    return integers | integers.map(np.int64)
+
+
 # A value for a setting of each type hint of _KEYS: mostly valid for the
-# section configs' checks, an integer for a float too.
-_DRAWS = {int: st.integers(1, 60), float: st.floats(1e-9, 0.999) | st.integers(1, 3), bool: st.booleans()}
+# section configs' checks; an integer for a float too, and numpy's numbers
+# and the exact Fractions of floats.
+_FLOATS = st.floats(1e-9, 0.999)
+_DRAWS = {int: _with_numpy(st.integers(1, 60)), bool: st.booleans(),
+          float: _FLOATS | st.integers(1, 3) | _FLOATS.map(np.float64) | _FLOATS.map(Fraction)}
 
 
 def _draw_setting(tp):
@@ -93,14 +102,14 @@ def configurations(draw):
         kinds = st.sampled_from(data.COLUMN_KINDS)
         return ExperimentConfig(
             dataset=draw(st.text(max_size=6)),
-            missing_column=draw(st.integers(0, 10**6)),
+            missing_column=draw(_with_numpy(st.integers(0, 10**6))),
             task=draw(st.sampled_from(experiment.TASK_KINDS)),
             header=draw(st.booleans()),
             columns=draw(st.none() | st.tuples() | st.lists(kinds | st.tuples(st.text(max_size=3), kinds),
                                                             min_size=1, max_size=4).map(tuple)),
-            hidden_size=draw(st.just("auto") | st.integers(-3, 10**6)),
+            hidden_size=draw(st.just("auto") | _with_numpy(st.integers(-3, 10**6))),
             methods=draw(st.lists(st.sampled_from(experiment.ALL_METHODS), min_size=1, unique=True)),
-            seed=draw(st.integers(-(2**70), 2**70)),
+            seed=draw(st.integers(-(2**70), 2**70) | st.integers(-(2**63), 2**63 - 1).map(np.int64)),
             normalization_scope=draw(st.sampled_from(["full", "train"])),
             **sections,
         )
@@ -331,12 +340,13 @@ class TestParseConfig:
         ({"columns": (("a#", "numeric"),)}, "columns entry 1 (('a#', 'numeric')): a comma, colon"),
         ({"columns": (("a,b", "numeric"),)}, "columns entry 1 (('a,b', 'numeric')): a comma, colon"),
         ({"columns": (("a\rb", "numeric"),)}, "columns entry 1 (('a\\rb', 'numeric')): a comma, colon"),
-        # A setting whose echo line reads back as another value, or not at all.
-        ({"seed": True}, "seed: True does not read back from its config line 'seed = true'"),
-        ({"header": 1}, "header: 1 does not read back from its config line 'header = 1'"),
-        ({"missing_column": 2.0}, "missing_column: 2.0 does not read back from its config line 'missing_column = 2.0'"),
-        ({"hidden_size": 4.5}, "hidden_size: 4.5 does not read back from its config line 'hidden_size = 4.5'"),
-        ({"seed": "3"}, "seed: '3' does not read back from its config line 'seed = 3'"),
+        # A setting of another type, whose echo line would read back as
+        # another value or not at all: data.check_settings names the field.
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"header": 1}, "header must be a bool, got 1"),
+        ({"missing_column": 2.0}, "missing_column must be an integer, got 2.0"),
+        ({"hidden_size": 4.5}, "hidden_size must be an integer or 'auto', got 4.5"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
     ], ids=["dataset-hash", "dataset-line-break", "dataset-outer-space", "pair-colon", "pair-outer-space",
             "pair-hash", "pair-comma", "pair-line-break", "seed-true", "header-one",
             "missing-column-float", "hidden-size-float", "seed-text"])
@@ -613,7 +623,7 @@ class TestRunExperiment:
     def test_verify_rejects_unknown_task_kind(self, emitted, tmp_path, capsys, drop_roc):
         # The stored task kind, as the configuration's own rule reads it.
         _, _, out = emitted
-        detail = "report.json: task must be one of ('prediction', 'classification'), got 'ranking'"
+        detail = "report.json: task must be 'prediction' or 'classification', got 'ranking'"
         for where, edit in (("task_kind", lambda doc: doc.update(task_kind="ranking")),
                             ("config.task", lambda doc: edit_echo(doc, {"task": "ranking"}))):
             clone = clone_report(out, tmp_path / where)

@@ -204,6 +204,15 @@ class TestDeLong:
         assert result == {"delta_auc": 0.5, "p_value": 0.0}
         assert delong_oracle([0.1, 0.2, 0.8, 0.9], [0.5] * 4, labels) == (0.5, 0.0)
 
+    def test_two_perfect_separators_give_p_one(self):
+        # Both AUCs are 1, but the trapezoid sums read 1.0 and 0.9999999999999999.
+        labels = [0] * 6 + [1] * 6
+        a = [0.2, 0.3, 0.0, 0.4, 0.3, 0.0, 1.4, 1.4, 1.2, 1.4, 1.1, 1.1]
+        b = [0.2, 0.2, 0.1, 0.2, 0.3, 0.4, 1.4, 1.1, 1.4, 1.1, 1.4, 1.2]
+        delta = metrics.roc_curve(a, labels).auc - metrics.roc_curve(b, labels).auc
+        assert metrics.delong_test(a, b, labels) == {"delta_auc": delta, "p_value": 1.0}
+        assert delong_oracle(a, b, labels)[1] == 1.0
+
     def test_swap_negates_delta_and_keeps_p(self):
         rng = np.random.default_rng(3)
         labels = np.array([0, 1] * 20)
