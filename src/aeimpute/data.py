@@ -144,9 +144,6 @@ class ImputationTask:
         return self.rows[:, self.column]
 
 
-_KINDS = {bool: ("a bool", bool), int: ("an integer", numbers.Integral), float: ("a number", numbers.Real)}
-
-
 def check_settings(cfg, **bounds) -> None:
     """Raise ValueError naming the field unless each field of the dataclass
     ``cfg`` holds a value of its type hint, within its ``bounds`` entry if any.
@@ -157,20 +154,36 @@ def check_settings(cfg, **bounds) -> None:
     NaN fails it; an end may be a function of ``cfg``, called after the types."""
     for name, tp in typing.get_type_hints(type(cfg)).items():
         value, kinds = getattr(cfg, name), (tp, *typing.get_args(tp))
-        texts = [t for kind in kinds if typing.get_origin(kind) is typing.Literal for t in typing.get_args(kind)]
-        # The class the value must be an instance of: a kind of _KINDS, else the hint's own class.
-        kind = next((k for k in (*_KINDS, tp) if k in kinds and isinstance(k, type) and not typing.get_args(k)), None)
-        if value is None and type(None) in kinds or isinstance(value, str) and value in texts or not (kind or texts):
+        texts = ()
+        for kind in kinds:
+            if typing.get_origin(kind) is typing.Literal:
+                texts = typing.get_args(kind)
+        if value is None and type(None) in kinds:
             continue
-        word, number = (_KINDS.get(kind) or (f"a {kind.__name__}", kind)) if kind else (None, ())
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, number):
-            raise ValueError(f"{name} must be {' or '.join(filter(None, [word, *map(repr, texts)]))}, got {value!r}")
-        try:
-            exact = kind is not float or float(value) == value or value != value  # NaN is the bounds' to refuse
-        except OverflowError:
-            exact = False
-        if not exact:
-            raise ValueError(f"{name} must be a number that a float holds exactly, got {value!r}")
+        if isinstance(value, str) and value in texts:
+            continue
+        if bool in kinds:
+            rule, cls = "a bool", bool
+        elif int in kinds:
+            rule, cls = "an integer", numbers.Integral
+        elif float in kinds:
+            rule, cls = "a number", numbers.Real
+        elif isinstance(tp, type) and not typing.get_args(tp):
+            rule, cls = f"a {tp.__name__}", tp
+        elif texts:
+            rule, cls = None, ()
+        else:
+            continue
+        if isinstance(value, bool) != (cls is bool) or not isinstance(value, cls):
+            choices = ([rule] if rule else []) + [repr(text) for text in texts]
+            raise ValueError(f"{name} must be {' or '.join(choices)}, got {value!r}")
+        if cls is numbers.Real and value == value:  # NaN is the bounds' to refuse
+            try:
+                exact = float(value) == value
+            except OverflowError:
+                exact = False
+            if not exact:
+                raise ValueError(f"{name} must be a number that a float holds exactly, got {value!r}")
     for name, bound in bounds.items():
         value, closed = getattr(cfg, name), isinstance(bound, list)
         low, high = (end(cfg) if callable(end) else end for end in bound)

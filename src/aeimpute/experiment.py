@@ -100,6 +100,7 @@ class ExperimentConfig:
         try:
             data_mod.check_settings(self, missing_column=[0, np.inf])
             data_mod.schema_pairs(self.columns, len(self.columns or ()))
+            config_text(self)  # an integer too long for Python's int-to-text limit has no line
         except ValueError as err:
             raise ConfigError(str(err)) from None
 

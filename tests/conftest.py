@@ -18,13 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from aeimpute.network import Autoencoder, _logistic
-
-# `pytest --hypothesis-profile=ci` prints, for a failing draw, the blob that
-# `@reproduce_failure` replays it from: the example database stays on the runner.
-settings.register_profile("ci", print_blob=True)
 
 
 class IdentityNet:

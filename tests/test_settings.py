@@ -156,8 +156,14 @@ def test_a_float_setting_refuses_a_number_that_no_float_holds(value):
     message = f"^phi1 must be a number that a float holds exactly, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         PsoConfig(phi1=value)
-    with pytest.raises(ValueError, match=message):
-        build(ExperimentConfig, pso=PsoConfig(phi1=value))
+
+
+def test_a_setting_that_no_config_line_can_state_is_refused_when_built():
+    # Python writes an integer of no more than 4,300 digits as text.
+    with pytest.raises(ConfigError, match="integer string conversion"):
+        build(ExperimentConfig, seed=10**5000)
+    with pytest.raises(ConfigError, match="integer string conversion"):
+        build(ExperimentConfig, ga=GaConfig(generations=10**5000))
 
 
 def test_numpy_numbers_integers_for_floats_and_allowed_nones_are_accepted():
